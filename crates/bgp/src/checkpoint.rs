@@ -57,7 +57,9 @@
 //! captures the network-wide Loc-RIB into a content-addressed
 //! copy-on-write trie ([`pvr_store::PMap`]): snapshot k+1 shares every
 //! unchanged subtree with snapshot k, so a history of hundreds of
-//! snapshots costs memory proportional to churn, not to RIB size.
+//! snapshots costs memory proportional to churn, not to RIB size. A
+//! capture compares the whole RIB against snapshot k (no hashing) and
+//! applies the differences as one batch, hashing each dirty node once.
 //! [`BgpNetwork::route_at`] answers "what did AS x believe about
 //! prefix p at time t" against that history, and the attack layer's
 //! forensic bisect binary-searches it for the first poisoned instant.
@@ -72,8 +74,9 @@ use pvr_crypto::sha256::Digest;
 use pvr_netsim::{RunLimits, SimDuration, SimTime, StateError, StopReason};
 use pvr_store::{
     dump_snapshots, load_snapshots, read_container, require_section, write_header, write_section,
-    PMap, StoreError,
+    PMap, StoreError, HEADER_LEN, SECTION_OVERHEAD,
 };
+use std::cmp::Ordering;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -304,68 +307,97 @@ impl CheckpointHost for ShardedBgpNetwork {
 // COW RIB snapshots.
 
 /// The store key for one Loc-RIB cell: `asn` (4 bytes BE) ‖ prefix
-/// wire. Big-endian ASN keeps the trie's nibble paths grouped per AS,
-/// which is what makes `for_each_under(asn)` and per-AS diffs cheap.
+/// wire (addr BE ‖ len). Big-endian ASN keeps the trie's nibble paths
+/// grouped per AS, which is what makes `for_each_under(asn)` and per-AS
+/// diffs cheap; and key byte order is (`Asn`, `Prefix`) order, which is
+/// what lets [`capture_rib`] emit its edits already sorted.
 fn rib_key(asn: Asn, prefix: Prefix) -> Vec<u8> {
     let mut key = Vec::with_capacity(4 + prefix.encoded_len());
-    key.extend_from_slice(&asn.0.to_be_bytes());
-    prefix.encode(&mut key);
+    write_rib_key(asn, prefix, &mut key);
     key
 }
 
+/// [`rib_key`] into a reused buffer.
+fn write_rib_key(asn: Asn, prefix: Prefix, key: &mut Vec<u8>) {
+    key.clear();
+    key.extend_from_slice(&asn.0.to_be_bytes());
+    prefix.encode(key);
+}
+
 /// Captures the network-wide Loc-RIB as a COW snapshot layered on
-/// `base`: cells equal to `base`'s are *not* re-inserted (the subtree
-/// stays shared), vanished cells are removed. Starting from the prior
-/// snapshot is what turns a long history into O(churn) memory.
+/// `base`, as one batched [`PMap::apply`].
+///
+/// The capture is one merge of two streams that are both in key order —
+/// the live cells (routers by ASN, prefixes in `Prefix` order) and
+/// `base`'s entries — comparing wire bytes and hashing nothing. Only the
+/// differences become edits: a cell equal to `base`'s costs no
+/// allocation and its subtree stays shared, a vanished cell becomes a
+/// removal. `apply` then rebuilds each dirty trie node once, however
+/// many changed cells sit under it.
 fn capture_rib<T: CheckpointHost>(net: &T, base: &PMap) -> PMap {
-    let mut current: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-        std::collections::BTreeMap::new();
-    for asn in net.ases_vec() {
-        let router = net.router_of(asn);
-        for prefix in router.selected_prefixes() {
-            let cand = router.best_route(prefix).expect("selected prefix has a best route");
-            current.insert(rib_key(asn, prefix), cand.to_wire());
+    let ases = net.ases_vec();
+    let mut cells = ases
+        .iter()
+        .flat_map(|&asn| {
+            let router = net.router_of(asn);
+            router.selected_prefixes().into_iter().map(move |prefix| {
+                let best = router.best_route(prefix).expect("selected prefix has a best route");
+                (asn, prefix, best)
+            })
+        })
+        .peekable();
+    let mut edits: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
+    // Scratch for the cell under comparison; cloned only into an edit.
+    let (mut key, mut value) = (Vec::new(), Vec::new());
+
+    base.for_each(|base_key, base_value| {
+        while let Some(&(asn, prefix, best)) = cells.peek() {
+            write_rib_key(asn, prefix, &mut key);
+            let order = key.as_slice().cmp(base_key);
+            if order == Ordering::Greater {
+                break;
+            }
+            value.clear();
+            best.encode(&mut value);
+            if order == Ordering::Less || value != base_value {
+                edits.push((key.clone(), Some(value.clone())));
+            }
+            cells.next();
+            if order == Ordering::Equal {
+                return;
+            }
         }
-    }
-    let mut snap = base.clone();
-    // Remove cells that existed in the base but are gone now.
-    let mut stale: Vec<Vec<u8>> = Vec::new();
-    base.for_each(|key, _| {
-        if !current.contains_key(key) {
-            stale.push(key.to_vec());
-        }
+        // No live cell at this key any more.
+        edits.push((base_key.to_vec(), None));
     });
-    for key in stale {
-        snap = snap.remove(&key);
+    // Live cells past the base's last key.
+    for (asn, prefix, best) in cells {
+        edits.push((rib_key(asn, prefix), Some(best.to_wire())));
     }
-    for (key, value) in current {
-        if snap.get(&key) != Some(value.as_slice()) {
-            snap = snap.insert(&key, &value);
-        }
+    base.apply(&edits)
+}
+
+/// Captures the current Loc-RIB layered on the latest retained snapshot
+/// (on the empty map when there is none): starting from the prior
+/// snapshot is what keeps a long history's memory proportional to churn.
+fn capture_on_latest<T: CheckpointHost>(net: &T) -> PMap {
+    match net.history_of().last() {
+        Some((_, latest)) => capture_rib(net, latest),
+        None => capture_rib(net, &PMap::new()),
     }
-    snap
 }
 
 fn snapshot_rib_impl<T: CheckpointHost>(net: &mut T) -> Digest {
     let now = net.now_of();
-    let base = match net.history_of().last() {
+    let snap = capture_on_latest(net);
+    let hash = snap.root_hash();
+    let history = net.history_of_mut();
+    match history.last_mut() {
         // Re-capturing at the same instant replaces the last snapshot
         // (converge slices can land on the same drained time twice).
-        Some((t, map)) if *t == now => {
-            let base = map.clone();
-            let snap = capture_rib(net, &base);
-            let hash = snap.root_hash();
-            let history = net.history_of_mut();
-            history.pop();
-            history.push((now, snap));
-            return hash;
-        }
-        Some((_, map)) => map.clone(),
-        None => PMap::new(),
-    };
-    let snap = capture_rib(net, &base);
-    let hash = snap.root_hash();
-    net.history_of_mut().push((now, snap));
+        Some((t, last)) if *t == now => *last = snap,
+        _ => history.push((now, snap)),
+    }
     hash
 }
 
@@ -477,13 +509,21 @@ fn checkpoint_bytes<T: CheckpointHost>(net: &mut T) -> Result<Vec<u8>, Checkpoin
     let caches = caches_bytes(net);
     let store = store_bytes(net);
 
-    let mut out = Vec::new();
+    let sections = [
+        (SEC_META, &meta),
+        (SEC_ENGINE, &engine),
+        (SEC_ROUTERS, &routers),
+        (SEC_CACHE, &caches),
+        (SEC_STORE, &store),
+    ];
+    // Sized once: a buffer grown by doubling leaves a trail of freed
+    // multi-megabyte blocks behind every checkpoint.
+    let len = sections.iter().map(|(_, payload)| SECTION_OVERHEAD + payload.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(HEADER_LEN + len);
     write_header(&CKPT_MAGIC, CKPT_VERSION, &mut out);
-    write_section(SEC_META, &meta, &mut out);
-    write_section(SEC_ENGINE, &engine, &mut out);
-    write_section(SEC_ROUTERS, &routers, &mut out);
-    write_section(SEC_CACHE, &caches, &mut out);
-    write_section(SEC_STORE, &store, &mut out);
+    for (tag, payload) in sections {
+        write_section(tag, payload, &mut out);
+    }
     Ok(out)
 }
 
@@ -712,11 +752,7 @@ macro_rules! checkpoint_api {
             /// byte-identical across engines and shard counts for the
             /// same logical state.
             pub fn rib_fingerprint(&self) -> Digest {
-                let base = match self.history_of().last() {
-                    Some((_, map)) => map.clone(),
-                    None => PMap::new(),
-                };
-                capture_rib(self, &base).root_hash()
+                capture_on_latest(self).root_hash()
             }
 
             /// What `asn` believed about `prefix` at sim time `t`,

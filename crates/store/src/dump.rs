@@ -116,9 +116,9 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
                 children[i] = Some(Arc::clone(by_hash.get(h).ok_or(StoreError::MissingChild)?));
             }
         }
-        let node = Node::new(value, children);
-        debug_assert_eq!(node.hash, claimed);
-        by_hash.insert(claimed, Arc::new(node));
+        // The children were fetched by the very hashes `claimed` was
+        // checked against, so it is the address of the node built here.
+        by_hash.insert(claimed, Arc::new(Node::with_hash(value, children, claimed)));
     }
 
     let root_count = u32::decode(&mut r)?;

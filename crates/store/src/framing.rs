@@ -27,6 +27,13 @@ fn section_digest(tag: u8, payload: &[u8]) -> Digest {
     sha256_concat(&[b"pvr.store.section", &[tag], &(payload.len() as u64).to_be_bytes(), payload])
 }
 
+/// Bytes [`write_header`] appends.
+pub const HEADER_LEN: usize = 8 + 4;
+/// Bytes [`write_section`] appends around its payload: tag, length and
+/// digest. With [`HEADER_LEN`], what a writer needs to size a
+/// container's buffer once instead of growing it by doubling.
+pub const SECTION_OVERHEAD: usize = 1 + 8 + DIGEST_LEN;
+
 /// Starts a container: writes `magic` and `version`.
 pub fn write_header(magic: &[u8; 8], version: u32, out: &mut Vec<u8>) {
     out.extend_from_slice(magic);
@@ -101,6 +108,12 @@ mod tests {
         write_section(1, b"engine-bytes", &mut out);
         write_section(2, b"router-bytes", &mut out);
         out
+    }
+
+    #[test]
+    fn length_constants_match_the_writers() {
+        let payloads = b"engine-bytes".len() + b"router-bytes".len();
+        assert_eq!(container().len(), HEADER_LEN + 2 * SECTION_OVERHEAD + payloads);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! * [`PMap`] — a 16-ary radix trie over byte keys with `Arc` structural
 //!   sharing. Updates are copy-on-write: an insert rebuilds only the
 //!   nibble path it touches (`O(key length)` new nodes) and shares every
-//!   other subtree with its parent version. Cloning a [`PMap`] is an
+//!   other subtree with its parent version; [`PMap::apply`] takes a
+//!   whole sorted batch of sets and removes and rebuilds each dirty node
+//!   once, however many of the batch's keys sit under it — the way a
+//!   RIB snapshot is captured. Cloning a [`PMap`] is an
 //!   **O(1) snapshot** — exactly what a router needs to retain its RIB
 //!   at a convergence barrier without stalling the event loop.
 //! * [`diff`] — incremental structural diff between two snapshots:
@@ -35,5 +38,8 @@ pub mod pmap;
 
 pub use dump::{dump_snapshots, load_snapshots, DUMP_MAGIC, DUMP_VERSION};
 pub use error::StoreError;
-pub use framing::{read_container, require_section, write_header, write_section, Section};
+pub use framing::{
+    read_container, require_section, write_header, write_section, Section, HEADER_LEN,
+    SECTION_OVERHEAD,
+};
 pub use pmap::{diff, DiffEntry, PMap};

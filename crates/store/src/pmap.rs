@@ -78,6 +78,17 @@ impl Node {
         let child_hashes: [Option<Digest>; FANOUT] =
             std::array::from_fn(|i| children[i].as_ref().map(|c| c.hash));
         let hash = content_address(&value, &child_hashes);
+        Node::with_hash(value, children, hash)
+    }
+
+    /// Builds a node whose content address the caller has already
+    /// derived from exactly these parts (the dump loader, which must
+    /// compute it anyway to check the stored one).
+    pub(crate) fn with_hash(
+        value: Option<Vec<u8>>,
+        children: [Option<Arc<Node>>; FANOUT],
+        hash: Digest,
+    ) -> Node {
         let count = usize::from(value.is_some())
             + children.iter().flatten().map(|c| c.count).sum::<usize>();
         Node { value, children, hash, count }
@@ -161,6 +172,28 @@ impl PMap {
                 Some(new_root) => PMap { root: new_root },
             },
         }
+    }
+
+    /// Returns a new map with a whole batch of edits applied:
+    /// `Some(value)` sets the key, `None` removes it. The result — root
+    /// hash, `len`, entries and structural sharing — is exactly what
+    /// folding [`insert`](PMap::insert) / [`remove`](PMap::remove) over
+    /// the batch yields, but every node on a changed path is rebuilt
+    /// (and hashed) once per batch instead of once per key under it.
+    /// Subtrees the batch leaves as they were — untouched, re-set to an
+    /// equal value, removed while absent — come back as the *same*
+    /// `Arc`; chains the batch empties are pruned.
+    ///
+    /// # Panics
+    ///
+    /// If the keys are not strictly ascending in byte order (sorted,
+    /// no duplicates).
+    pub fn apply<K: AsRef<[u8]>, V: AsRef<[u8]>>(&self, edits: &[(K, Option<V>)]) -> PMap {
+        assert!(
+            edits.windows(2).all(|w| w[0].0.as_ref() < w[1].0.as_ref()),
+            "PMap::apply needs strictly ascending keys"
+        );
+        PMap { root: apply_rec(self.root.as_ref(), edits, 0) }
     }
 
     /// Visits every `(key, value)` pair in lexicographic key order.
@@ -257,6 +290,57 @@ fn remove_rec(node: &Arc<Node>, key: &[u8], depth: usize) -> Option<Option<Arc<N
         return Some(None);
     }
     Some(Some(Arc::new(Node::new(node.value.clone(), children))))
+}
+
+/// Applies `edits` — strictly ascending keys that all share their first
+/// `depth` nibbles — to the subtree at that path. Returns the new
+/// subtree: `None` when it holds nothing any more, the very `Arc` passed
+/// in when the edits changed nothing.
+fn apply_rec<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    node: Option<&Arc<Node>>,
+    edits: &[(K, Option<V>)],
+    depth: usize,
+) -> Option<Arc<Node>> {
+    // A key that ends at this node is a strict prefix of every other
+    // key in the slice, so it sorts first.
+    let (here, mut below) = match edits.split_first() {
+        Some(((key, edit), rest)) if key.as_ref().len() * 2 == depth => (Some(edit), rest),
+        _ => (None, edits),
+    };
+    let old_value = node.and_then(|n| n.value.as_deref());
+    let new_value = match here {
+        Some(edit) => edit.as_ref().map(AsRef::as_ref),
+        None => old_value,
+    };
+
+    // Cloned from the old node on the first child that actually changes.
+    let old_children = || node.map_or_else(empty_children, |n| n.children.clone());
+    let mut children: Option<[Option<Arc<Node>>; FANOUT]> = None;
+    while let Some((key, _)) = below.first() {
+        let idx = nibble(key.as_ref(), depth);
+        let run = below.partition_point(|(k, _)| nibble(k.as_ref(), depth) == idx);
+        let (under_child, rest) = below.split_at(run);
+        below = rest;
+        let old_child = node.and_then(|n| n.children[idx].as_ref());
+        let new_child = apply_rec(old_child, under_child, depth + 1);
+        let shared = match (old_child, &new_child) {
+            (None, None) => true,
+            (Some(old), Some(new)) => Arc::ptr_eq(old, new),
+            _ => false,
+        };
+        if !shared {
+            children.get_or_insert_with(old_children)[idx] = new_child;
+        }
+    }
+
+    if children.is_none() && new_value == old_value {
+        return node.cloned();
+    }
+    let children = children.unwrap_or_else(old_children);
+    if new_value.is_none() && children.iter().all(Option::is_none) {
+        return None;
+    }
+    Some(Arc::new(Node::new(new_value.map(<[u8]>::to_vec), children)))
 }
 
 fn walk(node: &Node, nibbles: &mut Vec<u8>, f: &mut impl FnMut(&[u8], &[u8])) {
@@ -516,6 +600,74 @@ mod tests {
         assert_ne!(PMap::new().root_hash(), map_of(&[(b"", b"")]).root_hash());
     }
 
+    /// Folds the batch one key at a time: the reference `apply` must equal.
+    fn fold<K: AsRef<[u8]>, V: AsRef<[u8]>>(base: &PMap, edits: &[(K, Option<V>)]) -> PMap {
+        edits.iter().fold(base.clone(), |m, (k, edit)| match edit {
+            Some(v) => m.insert(k.as_ref(), v.as_ref()),
+            None => m.remove(k.as_ref()),
+        })
+    }
+
+    #[test]
+    fn apply_handles_the_empty_key_and_prefix_keys() {
+        // "" ends at the root, "ab" is a strict prefix of "abcd": each
+        // sorts before the keys it prefixes and edits its own node only.
+        let base = map_of(&[(b"ab", b"old"), (b"abzz", b"keep")]);
+        let edits: [(&[u8], Option<&[u8]>); 4] =
+            [(b"", Some(b"root")), (b"ab", None), (b"abcd", Some(b"long")), (b"x", Some(b"1"))];
+        let got = base.apply(&edits);
+        assert_eq!(got.root_hash(), fold(&base, &edits).root_hash());
+        assert_eq!(got.len(), 4);
+        assert_eq!(got.get(b""), Some(b"root".as_slice()));
+        assert_eq!(got.get(b"ab"), None);
+        assert_eq!(got.get(b"abcd"), Some(b"long".as_slice()));
+        assert_eq!(got.get(b"abzz"), Some(b"keep".as_slice()));
+    }
+
+    #[test]
+    fn apply_that_empties_the_map_prunes_to_the_empty_hash() {
+        let base = map_of(&[(b"", b"0"), (b"abc", b"1"), (b"abd", b"2"), (b"x", b"3")]);
+        let edits: [(&[u8], Option<&[u8]>); 5] =
+            [(b"", None), (b"abc", None), (b"abd", None), (b"nope", None), (b"x", None)];
+        let got = base.apply(&edits);
+        assert!(got.is_empty());
+        assert_eq!(got.root_hash(), PMap::new().root_hash());
+    }
+
+    #[test]
+    fn apply_builds_from_the_empty_map() {
+        let edits: [(&[u8], Option<&[u8]>); 4] =
+            [(b"abc", Some(b"1")), (b"abd", Some(b"2")), (b"gone", None), (b"x", Some(b"3"))];
+        let got = PMap::new().apply(&edits);
+        assert_eq!(got.root_hash(), fold(&PMap::new(), &edits).root_hash());
+        assert_eq!(got.len(), 3);
+        // Only removes, against nothing: still nothing.
+        assert!(PMap::new().apply(&[(b"a", None::<&[u8]>), (b"b", None)]).is_empty());
+    }
+
+    #[test]
+    fn noop_apply_shares_root_and_untouched_siblings() {
+        let m = map_of(&[(b"abc", b"1"), (b"abd", b"2"), (b"xyz", b"3")]);
+        // Equal re-sets, a remove of an absent key, and the empty batch.
+        let noop: [(&[u8], Option<&[u8]>); 3] =
+            [(b"abc", Some(b"1")), (b"nope", None), (b"xyz", Some(b"3"))];
+        assert!(Arc::ptr_eq(m.root().unwrap(), m.apply(&noop).root().unwrap()));
+        assert!(Arc::ptr_eq(m.root().unwrap(), m.apply::<&[u8], &[u8]>(&[]).root().unwrap()));
+
+        let m2 = m.apply(&[(b"abc", Some(b"changed")), (b"abd", None)]);
+        let x = nibble(b"xyz", 0);
+        let old = m.root().unwrap().children[x].as_ref().unwrap();
+        let new = m2.root().unwrap().children[x].as_ref().unwrap();
+        assert!(Arc::ptr_eq(old, new), "apply must share the subtree no edit falls under");
+        assert_ne!(m.root_hash(), m2.root_hash());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn apply_rejects_unsorted_batches() {
+        let _ = PMap::new().apply(&[(b"b", Some(b"1")), (b"a", Some(b"2"))]);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -550,6 +702,48 @@ mod tests {
                     rebuilt = rebuilt.insert(k, v);
                 }
                 prop_assert_eq!(rebuilt.root_hash(), m.root_hash());
+            }
+
+            #[test]
+            fn apply_equals_the_insert_remove_fold(
+                base in proptest::collection::btree_map(
+                    proptest::collection::vec(any::<u8>(), 0..4),
+                    proptest::collection::vec(any::<u8>(), 0..3), 0..24),
+                // Keys: fresh ones (sets that add, removes of absent
+                // keys) ...
+                fresh in proptest::collection::btree_map(
+                    proptest::collection::vec(any::<u8>(), 0..4),
+                    proptest::option::of(proptest::collection::vec(any::<u8>(), 0..3)), 0..16),
+                // ... and, per base key: leave, remove, re-set to the
+                // equal value, or set to a new one.
+                touch in proptest::collection::vec(0u8..4, 24),
+            ) {
+                let mut old = PMap::new();
+                for (k, v) in &base { old = old.insert(k, v); }
+                let mut batch: BTreeMap<Vec<u8>, Option<Vec<u8>>> = fresh;
+                for ((k, v), how) in base.iter().zip(&touch) {
+                    match how {
+                        0 => {}
+                        1 => { batch.insert(k.clone(), None); }
+                        2 => { batch.insert(k.clone(), Some(v.clone())); }
+                        _ => { batch.insert(k.clone(), Some([v.as_slice(), b"'"].concat())); }
+                    }
+                }
+                let edits: Vec<(Vec<u8>, Option<Vec<u8>>)> = batch.into_iter().collect();
+
+                let folded = fold(&old, &edits);
+                let applied = old.apply(&edits);
+                prop_assert_eq!(applied.root_hash(), folded.root_hash());
+                prop_assert_eq!(applied.len(), folded.len());
+                prop_assert_eq!(applied.entries(), folded.entries());
+                prop_assert_eq!(applied.is_empty(), folded.is_empty());
+                // Sharing: a batch that changes nothing hands back the
+                // base's own root, exactly when the fold does.
+                if let (Some(a), Some(b)) = (old.root(), folded.root()) {
+                    if Arc::ptr_eq(a, b) {
+                        prop_assert!(Arc::ptr_eq(a, applied.root().unwrap()));
+                    }
+                }
             }
 
             #[test]

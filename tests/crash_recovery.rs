@@ -241,6 +241,30 @@ fn time_travel_queries_answer_from_history() {
     assert_eq!(net.route_at(a, prefix, last), None, "route must be gone at quiescence");
 }
 
+/// The RIB fingerprint is a content address: it commits to the trie's
+/// node encoding and domain tags, which checkpoint files and every
+/// e14/e18 `final_rib_sha256` also carry. Pinned here for a fixed
+/// (topology, seed) so a change to that encoding is loud, not silent —
+/// and taken twice, from scratch and layered on a snapshot history that
+/// saw the flapping prefix vanish and return, so the batched capture's
+/// removes and re-sets must land on the same address as a fresh build.
+#[test]
+fn rib_fingerprint_is_pinned() {
+    const GOLDEN: &str = "4640a0be25b182b9d16ab934d5e974bed1b4df86611f36e983bbc3688fd8460e";
+    let topology = small_internet(301);
+    let options = InstantiateOptions { seed: 301, ..Default::default() };
+
+    let mut fresh = topology.instantiate(options);
+    assert_eq!(fresh.converge(RunLimits::none()), StopReason::Quiescent);
+    assert_eq!(fresh.rib_fingerprint().to_hex(), GOLDEN);
+
+    let mut layered = topology.instantiate(options);
+    let reason = layered.converge_with_snapshots(RunLimits::none(), SimDuration::from_millis(10));
+    assert_eq!(reason, StopReason::Quiescent);
+    assert!(layered.snapshot_times().len() > 9, "the history must span the 40-90 ms flap");
+    assert_eq!(layered.rib_fingerprint().to_hex(), GOLDEN);
+}
+
 #[test]
 fn checkpoint_refuses_private_verification_and_malice() {
     let topology = small_internet(306);
