@@ -1,16 +1,19 @@
 //! E14 — propagation-substrate microbenchmarks: the costs the
 //! structural-sharing refactor targets. Chain prepends and per-neighbor
-//! fan-out clones are the per-hop unit work; the `internet_like`
-//! convergence group measures the end-to-end effect at the default
-//! 56-AS topology (the full ladder lives in harness experiment e14).
+//! fan-out clones are the per-hop unit work; the `e14_router` group is
+//! the per-UPDATE unit cost of one router, replayed from a recorded
+//! trace; the `internet_like` convergence group measures the
+//! end-to-end effect at the default 56-AS topology (the full ladder
+//! lives in harness experiment e14).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pvr_bench::e14_params;
 use pvr_bgp::{
-    demo_chain, internet_like, AsPath, Asn, BgpUpdate, InstantiateOptions, Prefix, Route,
-    SignedRoute,
+    demo_chain, internet_like, AsPath, Asn, BgpRouter, BgpUpdate, InstantiateOptions, LocalEvent,
+    PolicyConfig, Prefix, Role, Route, SecurityMode, SignedRoute,
 };
-use pvr_netsim::{Payload, RunLimits};
+use pvr_netsim::{Agent, Context, NodeId, Payload, RunLimits, SimDuration, SimTime, Simulator};
+use std::any::Any;
 use std::hint::black_box;
 
 /// Prepending to an AS path: the one allocation a propagated route
@@ -69,5 +72,102 @@ fn bench_convergence(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(propagation, bench_chain_prepend, bench_fanout_clone, bench_convergence);
+/// A neighbor that swallows what the replayed router sends it.
+struct Sink;
+
+impl Agent<BgpUpdate> for Sink {
+    fn on_message(&mut self, _: &mut Context<BgpUpdate>, _: NodeId, _: BgpUpdate) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Delivers `trace` — `(neighbor index, update)` in arrival order — to
+/// a fresh router for `hub` (node 0; neighbor `i` sits at node `i + 1`)
+/// and runs it dry. Returns the events processed.
+fn replay(hub: Asn, roles: &[(Asn, Role)], trace: &[(usize, BgpUpdate)]) -> u64 {
+    let mut policy = PolicyConfig::new();
+    for &(neighbor, role) in roles {
+        policy.set_role(neighbor, role);
+    }
+    let mut router = BgpRouter::new(hub, policy, SecurityMode::Plain);
+    for (i, &(neighbor, _)) in roles.iter().enumerate() {
+        router.add_neighbor(neighbor, i + 1);
+    }
+    let mut sim: Simulator<BgpUpdate> = Simulator::new(14);
+    sim.add_node(Box::new(router));
+    for _ in roles {
+        sim.add_node(Box::new(Sink));
+    }
+    for (from, update) in trace {
+        sim.inject(from + 1, 0, update.clone());
+    }
+    sim.run(RunLimits::none());
+    sim.stats().events
+}
+
+/// One router's per-UPDATE cost, beside the end-to-end number: every
+/// UPDATE the best-connected AS of a 300-AS internet received — first
+/// while the network converged (announce-heavy), then while every
+/// origin withdrew its prefix (withdraw-heavy) — replayed through a
+/// fresh `BgpRouter`. A withdraw means nothing to an empty RIB, so the
+/// second measurement replays both halves; subtract the first.
+fn bench_router_replay(c: &mut Criterion) {
+    let teardown = SimDuration::from_millis(5_000);
+    let mut topology = internet_like(e14_params(300), 14);
+    let origins: Vec<(Asn, Prefix)> = topology
+        .ases()
+        .flat_map(|a| topology.originated_by(a).iter().map(move |&p| (a, p)).collect::<Vec<_>>())
+        .collect();
+    for (asn, prefix) in origins {
+        topology.schedule(asn, teardown, LocalEvent::Withdraw(prefix));
+    }
+    let hub = topology
+        .ases()
+        .max_by_key(|&a| topology.neighbor_roles(a).len())
+        .expect("topology has ASes");
+    let roles = topology.neighbor_roles(hub);
+
+    let mut net = topology.instantiate(InstantiateOptions { seed: 14, ..Default::default() });
+    net.sim.enable_trace();
+    net.converge(RunLimits::none());
+    let hub_node = net.node_of(hub);
+    let index_of = |node: NodeId| {
+        roles.iter().position(|&(n, _)| net.node_of(n) == node).expect("sender is a neighbor")
+    };
+    let received: Vec<(SimTime, usize, BgpUpdate)> = net
+        .sim
+        .trace()
+        .expect("trace enabled")
+        .iter()
+        .filter(|d| d.dst == hub_node)
+        .map(|d| (d.time, index_of(d.src), d.msg.clone()))
+        .collect();
+    let announce_half = received.iter().take_while(|(t, ..)| *t < SimTime::ZERO + teardown).count();
+    let trace: Vec<(usize, BgpUpdate)> = received.into_iter().map(|(_, n, u)| (n, u)).collect();
+    assert!(0 < announce_half && announce_half < trace.len(), "both halves carry updates");
+
+    let mut g = c.benchmark_group("e14_router");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(announce_half as u64));
+    g.bench_function("announce_half", |b| {
+        b.iter(|| black_box(replay(hub, &roles, &trace[..announce_half])));
+    });
+    g.throughput(Throughput::Elements(trace.len() as u64));
+    g.bench_function("announce_then_withdraw_half", |b| {
+        b.iter(|| black_box(replay(hub, &roles, &trace)));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    propagation,
+    bench_chain_prepend,
+    bench_fanout_clone,
+    bench_router_replay,
+    bench_convergence
+);
 criterion_main!(propagation);

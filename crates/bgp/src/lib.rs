@@ -62,7 +62,7 @@ pub use partition::{cut_edges, partition_by_degree};
 pub use path::AsPath;
 pub use policy::{PolicyConfig, Role};
 pub use private::{PrivateRequest, PrivateVerifier, SmcBatchStats, PVR_VERDICT_TIMER};
-pub use rib::{AdjRibIn, AdjRibOut, LocRib};
+pub use rib::{AdjRibIn, LocRib};
 pub use route::{Community, Origin, Route};
 pub use router::{BgpRouter, LocalEvent, Malice, RouterStats, SecurityMode};
 pub use sbgp::{demo_chain, Attestation, AttestationChain, SbgpError, SignedRoute, VerifyCache};

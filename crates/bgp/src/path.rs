@@ -64,10 +64,9 @@ impl AsPath {
     /// propagates a route). This is the one place a propagated path is
     /// materialized; every subsequent clone shares the result.
     pub fn prepend(&self, asn: Asn) -> AsPath {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.push(asn);
-        v.extend_from_slice(&self.0);
-        AsPath(v.into())
+        // Both halves report an exact length, so this collects straight
+        // into the `Arc`'s one allocation.
+        AsPath(std::iter::once(asn).chain(self.0.iter().copied()).collect())
     }
 
     /// True if `asn` appears anywhere on the path (BGP loop detection).

@@ -91,57 +91,82 @@ impl PolicyConfig {
         self.relationships.get(&neighbor).copied()
     }
 
+    /// The region community stamped on routes from `neighbor`, if any.
+    pub fn region_tag(&self, neighbor: Asn) -> Option<Community> {
+        self.region_tags.get(&neighbor).copied()
+    }
+
     /// Import processing for a route received from `neighbor` by
     /// `local_asn`. Returns `None` if the route is rejected.
-    pub fn import(&self, local_asn: Asn, neighbor: Asn, mut route: Route) -> Option<Route> {
-        // Loop rejection is mandatory, not policy.
-        if route.path.contains(local_asn) {
-            return None;
-        }
-        // Unknown neighbors get nothing (strict: sessions are configured).
-        let role = self.role(neighbor)?;
-        // NO_EXPORT routes are accepted but never propagated; the export
-        // side enforces that.
-        route.local_pref = role.import_local_pref();
-        if let Some(&region) = self.region_tags.get(&neighbor) {
-            route = route.with_community(region);
-        }
-        Some(route)
+    pub fn import(&self, local_asn: Asn, neighbor: Asn, route: Route) -> Option<Route> {
+        import_as(local_asn, self.role(neighbor), self.region_tag(neighbor), route)
     }
 
     /// Export decision: may `route` (learned from `learned_from`, `None`
     /// for locally originated) be advertised to `target`?
     pub fn may_export(&self, route: &Route, learned_from: Option<Asn>, target: Asn) -> bool {
-        // Never export back to the neighbor we learned it from.
-        if learned_from == Some(target) {
-            return false;
+        may_export_as(route, learned_from.map(|n| (n, self.role(n))), (target, self.role(target)))
+    }
+}
+
+/// The import rule on an already-resolved neighbor: `role` and
+/// `region_tag` are what [`PolicyConfig`] holds for the sender. The
+/// router resolves them once per session and calls this per route;
+/// [`PolicyConfig::import`] resolves them per call.
+pub fn import_as(
+    local_asn: Asn,
+    role: Option<Role>,
+    region_tag: Option<Community>,
+    mut route: Route,
+) -> Option<Route> {
+    // Loop rejection is mandatory, not policy.
+    if route.path.contains(local_asn) {
+        return None;
+    }
+    // Unknown neighbors get nothing (strict: sessions are configured).
+    let role = role?;
+    // NO_EXPORT routes are accepted but never propagated; the export
+    // side enforces that.
+    route.local_pref = role.import_local_pref();
+    if let Some(region) = region_tag {
+        route = route.with_community(region);
+    }
+    Some(route)
+}
+
+/// The export rule on already-resolved neighbors: `learned_from` is the
+/// source neighbor with its configured role (`None` for a locally
+/// originated route), `target` the would-be recipient with its.
+pub fn may_export_as(
+    route: &Route,
+    learned_from: Option<(Asn, Option<Role>)>,
+    target: (Asn, Option<Role>),
+) -> bool {
+    let (target, target_role) = target;
+    // Never export back to the neighbor we learned it from.
+    if learned_from.is_some_and(|(n, _)| n == target) {
+        return false;
+    }
+    if route.has_community(Community::NO_EXPORT) {
+        return false;
+    }
+    let Some(target_role) = target_role else { return false };
+    // Locally originated: export to everyone.
+    let source_role = match learned_from {
+        None => return true,
+        Some((_, Some(role))) => role,
+        Some((_, None)) => return false,
+    };
+    match target_role {
+        // Full-transit customers get the whole table.
+        Role::Customer => true,
+        // Partial-transit customers get the customer cone plus the
+        // contracted region.
+        Role::PartialTransitCustomer { region } => {
+            source_role.is_customer_learned() || route.has_community(region)
         }
-        if route.has_community(Community::NO_EXPORT) {
-            return false;
-        }
-        let target_role = match self.role(target) {
-            Some(r) => r,
-            None => return false,
-        };
-        // Locally originated: export to everyone.
-        let source_role = match learned_from {
-            None => return true,
-            Some(n) => match self.role(n) {
-                Some(r) => r,
-                None => return false,
-            },
-        };
-        match target_role {
-            // Full-transit customers get the whole table.
-            Role::Customer => true,
-            // Partial-transit customers get the customer cone plus the
-            // contracted region.
-            Role::PartialTransitCustomer { region } => {
-                source_role.is_customer_learned() || route.has_community(region)
-            }
-            // Peers and providers get only the customer cone.
-            Role::Peer | Role::Provider => source_role.is_customer_learned(),
-        }
+        // Peers and providers get only the customer cone.
+        Role::Peer | Role::Provider => source_role.is_customer_learned(),
     }
 }
 

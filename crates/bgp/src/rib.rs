@@ -2,16 +2,26 @@
 //!
 //! The Adj-RIB-In is exactly the "set of input routes the AS might
 //! receive" against which the paper defines promise violations (§2); the
-//! Adj-RIB-Out is what it actually emitted. Keeping all three explicit
-//! lets PVR's verifier and the experiments compare permitted vs. actual
-//! outputs directly.
+//! Adj-RIB-Out is what it actually emitted. A promise is about one
+//! prefix, and so is every step of UPDATE processing, so the router
+//! keeps the three RIBs of one prefix together in a `PrefixCell`:
+//! the candidates heard, the route selected, and the route sent with
+//! the neighbors holding it. PVR's verifier and the experiments compare
+//! permitted vs. actual outputs through the router's accessors
+//! (`route_from`, `best_route`, `advertised_to`).
+//!
+//! The decision scan and its incremental short-circuit exist once, in
+//! `decide`; `PrefixCell::reselect` applies it to a cell, and
+//! [`LocRib::reselect_with_hint`] applies it to the standalone
+//! [`AdjRibIn`] + [`LocRib`] containers, which the decision benchmark
+//! probe and the router's differential test model are built from.
 
 use crate::decision::{prefer_refs, Candidate};
 use crate::route::Route;
 use crate::sorted::SortedMap;
 use crate::types::{Asn, Prefix};
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Routes received from each neighbor, per prefix (post-import-policy).
 ///
@@ -90,11 +100,6 @@ impl AdjRibIn {
         self.routes.values().map(SortedMap::len).sum()
     }
 
-    /// Number of distinct prefixes with at least one candidate.
-    pub fn prefix_count(&self) -> usize {
-        self.routes.len()
-    }
-
     /// True if no routes are stored.
     pub fn is_empty(&self) -> bool {
         self.routes.is_empty()
@@ -133,7 +138,85 @@ impl ReselectOutcome {
     }
 }
 
-/// The selected best route per prefix, plus locally originated routes.
+/// What [`decide`] concluded.
+enum Decision {
+    /// Keep the standing selection; carries which unchanged outcome.
+    Keep(ReselectOutcome),
+    /// Replace the selection with this one (`None`: nothing is
+    /// selectable any more).
+    Select(Option<Candidate>),
+}
+
+/// The decision process for one prefix: `current` is the standing
+/// selection, `candidates` the prefix's Adj-RIB-In, `local` the locally
+/// originated candidate.
+///
+/// With [`ReselectHint::Neighbor`], an arrival that *loses* to the
+/// standing best (or a withdrawal of a non-best route) is decided
+/// with one comparison and no candidate scan — the common case on a
+/// converged or converging network, where most announcements are
+/// longer-path alternatives to an already-selected route. An
+/// arrival that *beats* the standing best is installed directly:
+/// every other candidate already lost to the old best, so by
+/// transitivity of the ranking none of them needs re-examining.
+///
+/// The full scan compares candidates by reference (in Adj-RIB-In
+/// order, local candidate last, ties resolved toward the later
+/// candidate exactly like `max_by` over the materialized vector) and
+/// clones a route only when the selection actually changes.
+fn decide(
+    current: Option<&Candidate>,
+    candidates: Option<&SortedMap<Asn, Route>>,
+    local: Option<&Candidate>,
+    hint: ReselectHint,
+) -> Decision {
+    if let (ReselectHint::Neighbor(n), Some(cur)) = (hint, current) {
+        // The incremental path applies only when the standing best is
+        // *not* the changed neighbor's route (that case needs a rescan:
+        // its replacement may have weakened).
+        if cur.learned_from != Some(n) {
+            match candidates.and_then(|per| per.get(n)) {
+                None => return Decision::Keep(ReselectOutcome::UnchangedShortCircuit),
+                Some(r) => match prefer_refs(r, Some(n), &cur.route, cur.learned_from) {
+                    Ordering::Less => {
+                        return Decision::Keep(ReselectOutcome::UnchangedShortCircuit);
+                    }
+                    Ordering::Greater => {
+                        return Decision::Select(Some(Candidate::from_neighbor(r.clone(), n)));
+                    }
+                    // A tie against the standing best can only involve
+                    // degenerate neighbor keys; resolve it with the full
+                    // scan's deterministic order.
+                    Ordering::Equal => {}
+                },
+            }
+        }
+    }
+
+    // Full scan by reference: later candidates win ties, matching
+    // `Iterator::max_by` over [neighbors ascending, local last].
+    let learned = candidates.into_iter().flat_map(|per| per.iter()).map(|(n, r)| (r, Some(n)));
+    let mut new_best: Option<(&Route, Option<Asn>)> = None;
+    for (r, from) in learned.chain(local.map(|l| (&l.route, l.learned_from))) {
+        new_best = match new_best {
+            Some((br, bf)) if prefer_refs(r, from, br, bf) == Ordering::Less => Some((br, bf)),
+            _ => Some((r, from)),
+        };
+    }
+    let unchanged = match (new_best, current) {
+        (Some((route, from)), Some(cur)) => cur.learned_from == from && cur.route == *route,
+        (None, None) => true,
+        _ => false,
+    };
+    if unchanged {
+        return Decision::Keep(ReselectOutcome::UnchangedScanned);
+    }
+    Decision::Select(
+        new_best.map(|(route, learned_from)| Candidate { route: route.clone(), learned_from }),
+    )
+}
+
+/// The selected best route per prefix.
 #[derive(Clone, Debug, Default)]
 pub struct LocRib {
     best: HashMap<Prefix, Candidate>,
@@ -157,22 +240,9 @@ impl LocRib {
         self.reselect_with_hint(prefix, adj_in, local, ReselectHint::Full).changed()
     }
 
-    /// [`LocRib::reselect`] with an incremental hint.
-    ///
-    /// With [`ReselectHint::Neighbor`], an arrival that *loses* to the
-    /// standing best (or a withdrawal of a non-best route) is decided
-    /// with one comparison and no candidate scan — the common case on a
-    /// converged or converging network, where most announcements are
-    /// longer-path alternatives to an already-selected route. An
-    /// arrival that *beats* the standing best is installed directly:
-    /// every other candidate already lost to the old best, so by
-    /// transitivity of the ranking none of them needs re-examining.
-    ///
-    /// The full scan compares candidates by reference (in Adj-RIB-In
-    /// order, local candidate last, ties resolved toward the later
-    /// candidate exactly like `max_by` over the materialized vector
-    /// used to) and clones a route only when the selection actually
-    /// changes.
+    /// [`LocRib::reselect`] with an incremental hint: see
+    /// [`ReselectHint`] for what the hint promises and
+    /// [`ReselectOutcome`] for what comes back.
     pub fn reselect_with_hint(
         &mut self,
         prefix: Prefix,
@@ -180,76 +250,14 @@ impl LocRib {
         local: Option<&Candidate>,
         hint: ReselectHint,
     ) -> ReselectOutcome {
-        if let ReselectHint::Neighbor(n) = hint {
-            if let Some(cur) = self.best.get(&prefix) {
-                // The incremental path applies only when the standing
-                // best is *not* the changed neighbor's route (that case
-                // needs a rescan: its replacement may have weakened).
-                if cur.learned_from != Some(n) {
-                    match adj_in.get(n, prefix) {
-                        None => return ReselectOutcome::UnchangedShortCircuit,
-                        Some(r) => {
-                            match prefer_refs(r, Some(n), &cur.route, cur.learned_from) {
-                                Ordering::Less => {
-                                    return ReselectOutcome::UnchangedShortCircuit;
-                                }
-                                Ordering::Greater => {
-                                    self.best
-                                        .insert(prefix, Candidate::from_neighbor(r.clone(), n));
-                                    return ReselectOutcome::Changed;
-                                }
-                                // A tie against the standing best can
-                                // only involve degenerate neighbor keys;
-                                // resolve it with the full scan's
-                                // deterministic order.
-                                Ordering::Equal => {}
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Full scan by reference: later candidates win ties, matching
-        // `Iterator::max_by` over [neighbors ascending, local last].
-        let mut new_best: Option<(&Route, Option<Asn>)> = None;
-        for (n, r) in adj_in.candidate_refs(prefix) {
-            new_best = match new_best {
-                Some((br, bf)) if prefer_refs(r, Some(n), br, bf) == Ordering::Less => {
-                    Some((br, bf))
-                }
-                _ => Some((r, Some(n))),
-            };
-        }
-        if let Some(l) = local {
-            new_best = match new_best {
-                Some((br, bf))
-                    if prefer_refs(&l.route, l.learned_from, br, bf) == Ordering::Less =>
-                {
-                    Some((br, bf))
-                }
-                _ => Some((&l.route, l.learned_from)),
-            };
-        }
-        match new_best {
-            Some((route, learned_from)) => {
-                let unchanged = self
-                    .best
-                    .get(&prefix)
-                    .is_some_and(|cur| cur.learned_from == learned_from && cur.route == *route);
-                if unchanged {
-                    ReselectOutcome::UnchangedScanned
-                } else {
-                    self.best.insert(prefix, Candidate { route: route.clone(), learned_from });
-                    ReselectOutcome::Changed
-                }
-            }
-            None => {
-                if self.best.remove(&prefix).is_some() {
-                    ReselectOutcome::Changed
-                } else {
-                    ReselectOutcome::UnchangedScanned
-                }
+        match decide(self.best.get(&prefix), adj_in.routes.get(&prefix), local, hint) {
+            Decision::Keep(unchanged) => unchanged,
+            Decision::Select(new) => {
+                match new {
+                    Some(cand) => self.best.insert(prefix, cand),
+                    None => self.best.remove(&prefix),
+                };
+                ReselectOutcome::Changed
             }
         }
     }
@@ -257,13 +265,6 @@ impl LocRib {
     /// The current selection for `prefix`.
     pub fn get(&self, prefix: Prefix) -> Option<&Candidate> {
         self.best.get(&prefix)
-    }
-
-    /// Installs a selection directly, bypassing the decision process.
-    /// Checkpoint restore only: the candidate must be what a reselect
-    /// over the restored Adj-RIB-In would have produced.
-    pub(crate) fn install(&mut self, prefix: Prefix, cand: Candidate) {
-        self.best.insert(prefix, cand);
     }
 
     /// All selected prefixes, in prefix order.
@@ -284,66 +285,58 @@ impl LocRib {
     }
 }
 
-/// What we last advertised to each neighbor (needed to generate
-/// withdrawals and to audit our own promises).
-/// Hash-mapped on both levels: the export path reads and writes one
-/// (neighbor, prefix) cell at a time and never iterates (the
-/// [`AdjRibOut::neighbors`] accessor sorts on the way out).
+/// Everything a router knows about one prefix: its slice of the
+/// Adj-RIB-In, Loc-RIB and Adj-RIB-Out, and the local origination.
+///
+/// The Adj-RIB-Out is one route, not one per neighbor: a router sends
+/// the same propagated route to every neighbor export policy admits and
+/// withdraws it from the rest on every selection change, so the
+/// per-neighbor entries of a prefix are always equal and only the set
+/// of holders varies (the argument is spelled out in DESIGN.md,
+/// "Per-prefix RIB cells").
 #[derive(Clone, Debug, Default)]
-pub struct AdjRibOut {
-    routes: HashMap<Asn, HashMap<Prefix, Route>>,
+pub(crate) struct PrefixCell {
+    /// Adj-RIB-In: the post-import route held from each neighbor, in
+    /// ASN order (the order that makes tie-breaking deterministic).
+    pub(crate) candidates: SortedMap<Asn, Route>,
+    /// Loc-RIB: the selected route.
+    pub(crate) best: Option<Candidate>,
+    /// The locally originated candidate, while this AS originates the
+    /// prefix.
+    pub(crate) local: Option<Candidate>,
+    /// Adj-RIB-Out: the route last advertised; `Some` exactly while
+    /// `out_to` is non-empty.
+    pub(crate) out: Option<Route>,
+    /// The neighbors currently holding `out`, in ASN order.
+    pub(crate) out_to: Vec<Asn>,
 }
 
-impl AdjRibOut {
-    /// Creates an empty RIB.
-    pub fn new() -> AdjRibOut {
-        AdjRibOut::default()
-    }
-
-    /// Records an advertisement of `route` to `neighbor`; returns the
-    /// replaced route, if any.
-    pub fn advertise(&mut self, neighbor: Asn, route: Route) -> Option<Route> {
-        self.routes.entry(neighbor).or_default().insert(route.prefix, route)
-    }
-
-    /// Records a withdrawal; returns the withdrawn route, if any.
-    pub fn withdraw(&mut self, neighbor: Asn, prefix: Prefix) -> Option<Route> {
-        let per = self.routes.get_mut(&neighbor)?;
-        let r = per.remove(&prefix);
-        if per.is_empty() {
-            self.routes.remove(&neighbor);
+impl PrefixCell {
+    /// Runs the decision process over this cell and installs the
+    /// result.
+    pub(crate) fn reselect(&mut self, hint: ReselectHint) -> ReselectOutcome {
+        match decide(self.best.as_ref(), Some(&self.candidates), self.local.as_ref(), hint) {
+            Decision::Keep(unchanged) => unchanged,
+            Decision::Select(new) => {
+                self.best = new;
+                ReselectOutcome::Changed
+            }
         }
-        r
     }
 
-    /// What `neighbor` currently believes we advertise for `prefix`.
-    pub fn get(&self, neighbor: Asn, prefix: Prefix) -> Option<&Route> {
-        self.routes.get(&neighbor)?.get(&prefix)
+    /// What `neighbor` currently believes we advertise.
+    pub(crate) fn advertised_to(&self, neighbor: Asn) -> Option<&Route> {
+        self.out_to.binary_search(&neighbor).ok().and(self.out.as_ref())
     }
 
-    /// Neighbors with at least one advertised route, in ASN order.
-    pub fn neighbors(&self) -> BTreeSet<Asn> {
-        self.routes.keys().copied().collect()
-    }
-
-    /// Every `(neighbor, prefix, route)` cell in `(neighbor, prefix)`
-    /// order — the deterministic iteration the checkpoint codec needs
-    /// (the export hot path never calls this).
-    pub(crate) fn entries(&self) -> Vec<(Asn, Prefix, &Route)> {
-        let mut out: Vec<(Asn, Prefix, &Route)> = self
-            .routes
-            .iter()
-            .flat_map(|(&n, per)| per.iter().map(move |(&p, r)| (n, p, r)))
-            .collect();
-        out.sort_by_key(|&(n, p, _)| (n, p));
-        out
-    }
-
-    /// Forgets everything advertised to `neighbor` (session teardown:
-    /// the peer's view of us is gone, so recovery must re-announce from
-    /// scratch). Returns how many advertisements were dropped.
-    pub fn flush_neighbor(&mut self, neighbor: Asn) -> usize {
-        self.routes.remove(&neighbor).map_or(0, |per| per.len())
+    /// True when nothing is heard, selected, originated or advertised:
+    /// the router drops such a cell, so a prefix it no longer knows
+    /// costs nothing and the RIB counts read as the entries present.
+    pub(crate) fn is_vacant(&self) -> bool {
+        self.candidates.is_empty()
+            && self.best.is_none()
+            && self.local.is_none()
+            && self.out_to.is_empty()
     }
 }
 
@@ -486,18 +479,5 @@ mod tests {
             assert_eq!(h.changed(), s.changed(), "step {step}");
             assert_eq!(hinted.get(prefix()), scanned.get(prefix()), "step {step}");
         }
-    }
-
-    #[test]
-    fn adj_out_tracks_advertisements() {
-        let mut out = AdjRibOut::new();
-        assert!(out.advertise(Asn(1), route(&[100], 100)).is_none());
-        assert!(out.advertise(Asn(1), route(&[100, 2], 100)).is_some());
-        assert_eq!(out.get(Asn(1), prefix()).unwrap().path_len(), 2);
-        assert_eq!(out.neighbors().len(), 1);
-        assert!(out.withdraw(Asn(1), prefix()).is_some());
-        assert!(out.withdraw(Asn(1), prefix()).is_none());
-        assert!(out.get(Asn(1), prefix()).is_none());
-        assert!(out.neighbors().is_empty());
     }
 }

@@ -7,17 +7,30 @@
 //! loop rejection, S-BGP attestation signing/verification, scheduled
 //! originations/withdrawals (for workloads), per-router statistics.
 //!
-//! ## Propagation cost model (post-E14)
+//! ## Propagation cost model
 //!
-//! The hot path is structurally shared end to end: per-neighbor export
-//! no longer copies attribute bytes. The propagated route (path
-//! prepended once) is built a single time per selection change and
-//! cloned per neighbor as reference-count bumps; extending an
-//! attestation chain shares the received chain rather than re-copying
-//! its prefix; and message `wire_size` accounting is arithmetic, never
-//! an encode. Announcements that lose to the standing best route are
-//! rejected in O(1) by the incremental decision path
-//! ([`crate::rib::ReselectHint`]) without rescanning the Adj-RIB-In.
+//! Everything the router knows about one prefix — the candidates heard
+//! (Adj-RIB-In), the route selected (Loc-RIB), the route sent and who
+//! holds it (Adj-RIB-Out), the local origination — lives in one boxed
+//! `PrefixCell` behind one `HashMap<Prefix, _>`. A delivered UPDATE
+//! carrying one route, the common case, hashes its prefix once: import,
+//! decision and export all run on the cell that lookup found. An UPDATE
+//! carrying several applies each item to its cell and then settles the
+//! touched prefixes in sorted order (a second lookup each), which is
+//! what keeps emitted updates and journal entries independent of item
+//! order. Once the message is attributed to its session, nothing on
+//! that path hashes a neighbor: the session list carries each
+//! neighbor's role and region tag, resolved when the session was
+//! configured, and export walks that list against the cell's
+//! ASN-sorted holder list as a merge.
+//!
+//! The propagated route (path prepended once) is built a single time
+//! per selection change and shared by every neighbor that receives it;
+//! extending an attestation chain shares the received chain rather than
+//! re-copying its prefix; and message `wire_size` accounting is
+//! arithmetic, never an encode. Announcements that lose to the standing
+//! best route are rejected in O(1) by the incremental decision path
+//! ([`crate::rib::ReselectHint`]) without rescanning the candidates.
 //!
 //! ## Failure semantics (post-E16)
 //!
@@ -38,10 +51,10 @@
 use crate::dampening::{DampState, DampeningPolicy};
 use crate::decision::Candidate;
 use crate::messages::BgpUpdate;
-use crate::policy::PolicyConfig;
+use crate::policy::{import_as, may_export_as, PolicyConfig, Role};
 use crate::private::{PrivateRequest, PrivateVerifier, PVR_VERDICT_TIMER};
-use crate::rib::{AdjRibIn, AdjRibOut, LocRib, ReselectHint, ReselectOutcome};
-use crate::route::Route;
+use crate::rib::{PrefixCell, ReselectHint, ReselectOutcome};
+use crate::route::{Community, Route};
 use crate::sbgp::{SignedRoute, VerifyCache};
 use crate::sorted::SortedMap;
 use crate::topology::OriginTable;
@@ -177,31 +190,49 @@ const MRAI_TIMER: u64 = u64::MAX;
 /// Reserved timer id for the dampening reuse-list tick.
 const DAMP_TIMER: u64 = u64::MAX - 1;
 
+/// One configured session, with what policy says about the neighbor.
+/// The policy is immutable once the router holds it, so the role and
+/// region tag are looked up when the session is added and never again.
+#[derive(Clone, Copy, Debug)]
+struct Neighbor {
+    asn: Asn,
+    node: NodeId,
+    /// `None` for a session policy does not know: nothing is imported
+    /// from it and nothing exported to it.
+    role: Option<Role>,
+    /// Community stamped on every route imported over this session.
+    region_tag: Option<Community>,
+}
+
+/// The per-prefix RIB index. Cells are boxed: a bucket is then a prefix
+/// and a pointer, so the table — which hashbrown keeps at most half
+/// full after it grows — stays small and dense, and a lookup touches
+/// one bucket line plus the cell's own.
+type Cells = HashMap<Prefix, Box<PrefixCell>>;
+
 /// A BGP speaker for one AS.
 pub struct BgpRouter {
     asn: Asn,
     policy: PolicyConfig,
     security: SecurityMode,
-    /// Neighbor AS → simulator node.
-    neighbor_nodes: BTreeMap<Asn, NodeId>,
-    /// Reverse lookup for message attribution (built alongside
-    /// `neighbor_nodes`; avoids a per-message linear scan).
+    /// Message attribution: simulator node → neighbor AS.
     asn_of_node: HashMap<NodeId, Asn>,
-    /// Neighbors in ascending-ASN order, for allocation-free iteration
-    /// during the per-prefix export loop.
-    neighbor_list: Vec<(Asn, NodeId)>,
+    /// Sessions in ascending-ASN order: the order export walks them in,
+    /// and a binary search away for everything keyed by neighbor.
+    neighbor_list: Vec<Neighbor>,
     /// Scheduled announce/withdraw actions: (delay, event).
     schedule: Vec<(SimDuration, LocalEvent)>,
     /// Prefixes originated at start.
     originate_at_start: Vec<Prefix>,
 
-    adj_in: AdjRibIn,
-    loc_rib: LocRib,
-    adj_out: AdjRibOut,
+    /// Adj-RIB-In, Loc-RIB, Adj-RIB-Out and local originations, one
+    /// cell per prefix the router knows anything about. Handlers move
+    /// the map out of `self` while they work on a cell, so a cell
+    /// borrow and `&mut self` can coexist; no method reads this field
+    /// while a handler holds the map.
+    cells: Cells,
     /// Attestation chains for routes in Adj-RIB-In (signed mode).
     chains_in: BTreeMap<(Asn, Prefix), SignedRoute>,
-    /// Currently originated prefixes.
-    local: BTreeMap<Prefix, Candidate>,
     /// Minimum route advertisement interval: when set, outgoing updates
     /// are buffered and flushed at most once per interval (RFC 4271
     /// §9.2.1.1, simplified to a router-level timer).
@@ -257,6 +288,8 @@ pub struct BgpRouter {
     /// Reused per-neighbor outgoing-update accumulator (drained by
     /// `flush`, allocation retained across messages).
     pending_scratch: SortedMap<NodeId, BgpUpdate>,
+    /// Reused buffer for the holder list `export` rebuilds.
+    holders_scratch: Vec<Asn>,
     stats: RouterStats,
     /// Per-router convergence-timeline recorder (RIB churn and verify
     /// traffic per sim-time window); `None` unless observability was
@@ -274,16 +307,12 @@ impl BgpRouter {
             asn,
             policy,
             security,
-            neighbor_nodes: BTreeMap::new(),
             asn_of_node: HashMap::new(),
             neighbor_list: Vec::new(),
             schedule: Vec::new(),
             originate_at_start: Vec::new(),
-            adj_in: AdjRibIn::new(),
-            loc_rib: LocRib::new(),
-            adj_out: AdjRibOut::new(),
+            cells: Cells::new(),
             chains_in: BTreeMap::new(),
-            local: BTreeMap::new(),
             mrai: None,
             mrai_buffer: BTreeMap::new(),
             mrai_armed: false,
@@ -302,6 +331,7 @@ impl BgpRouter {
             first_security_reject: None,
             touched_scratch: Vec::new(),
             pending_scratch: SortedMap::new(),
+            holders_scratch: Vec::new(),
             stats: RouterStats::default(),
             obs_timeline: None,
             journal: pvr_obs::EventJournal::new(0),
@@ -450,12 +480,26 @@ impl BgpRouter {
 
     /// Registers a neighbor and the simulator node it lives at.
     pub fn add_neighbor(&mut self, asn: Asn, node: NodeId) {
-        self.neighbor_nodes.insert(asn, node);
         self.asn_of_node.insert(node, asn);
-        match self.neighbor_list.binary_search_by_key(&asn, |&(a, _)| a) {
-            Ok(i) => self.neighbor_list[i] = (asn, node),
-            Err(i) => self.neighbor_list.insert(i, (asn, node)),
+        let neighbor = Neighbor {
+            asn,
+            node,
+            role: self.policy.role(asn),
+            region_tag: self.policy.region_tag(asn),
+        };
+        match self.neighbor_index(asn) {
+            Ok(i) => self.neighbor_list[i] = neighbor,
+            Err(i) => self.neighbor_list.insert(i, neighbor),
         }
+    }
+
+    fn neighbor_index(&self, asn: Asn) -> Result<usize, usize> {
+        self.neighbor_list.binary_search_by_key(&asn, |n| n.asn)
+    }
+
+    /// The configured session with `asn`, if there is one.
+    fn neighbor(&self, asn: Asn) -> Option<Neighbor> {
+        self.neighbor_index(asn).ok().map(|i| self.neighbor_list[i])
     }
 
     /// Originates `prefix` when the simulation starts.
@@ -480,24 +524,30 @@ impl BgpRouter {
 
     /// The current best route for `prefix`, if any.
     pub fn best_route(&self, prefix: Prefix) -> Option<&Candidate> {
-        self.loc_rib.get(prefix)
+        self.cells.get(&prefix)?.best.as_ref()
     }
 
     /// What this router last advertised to `neighbor` for `prefix`.
     pub fn advertised_to(&self, neighbor: Asn, prefix: Prefix) -> Option<&Route> {
-        self.adj_out.get(neighbor, prefix)
+        self.cells.get(&prefix)?.advertised_to(neighbor)
     }
 
     /// The post-import route currently held from `neighbor` for `prefix`.
     pub fn route_from(&self, neighbor: Asn, prefix: Prefix) -> Option<&Route> {
-        self.adj_in.get(neighbor, prefix)
+        self.cells.get(&prefix)?.candidates.get(neighbor)
     }
 
     /// Every (prefix, route) pair currently held from `neighbor`, in
     /// prefix order. The raw material for the `pvr-attack` gossip audit:
     /// a neighbor reveals only what the suspect itself announced to it.
     pub fn routes_from(&self, neighbor: Asn) -> Vec<(Prefix, &Route)> {
-        self.adj_in.from_neighbor(neighbor)
+        let mut out: Vec<(Prefix, &Route)> = self
+            .cells
+            .iter()
+            .filter_map(|(&p, cell)| cell.candidates.get(neighbor).map(|r| (p, r)))
+            .collect();
+        out.sort_by_key(|&(p, _)| p);
+        out
     }
 
     /// Read access to the import policy.
@@ -514,48 +564,113 @@ impl BgpRouter {
 
     /// All prefixes currently selected in the Loc-RIB, in prefix order.
     pub fn selected_prefixes(&self) -> Vec<Prefix> {
-        self.loc_rib.prefixes().collect()
+        let mut out: Vec<Prefix> =
+            self.cells.iter().filter(|(_, cell)| cell.best.is_some()).map(|(&p, _)| p).collect();
+        out.sort_unstable();
+        out
     }
 
     /// `(Adj-RIB-In entries, Loc-RIB selections)` — the scale
     /// experiment E14's RIB-size accounting.
     pub fn rib_entry_counts(&self) -> (usize, usize) {
-        (self.adj_in.len(), self.loc_rib.len())
+        self.cells.values().fold((0, 0), |(adj_in, selected), cell| {
+            (adj_in + cell.candidates.len(), selected + usize::from(cell.best.is_some()))
+        })
     }
 
-    fn start_originating(&mut self, prefix: Prefix) {
-        let route = Route::originate(prefix);
-        self.local.insert(prefix, Candidate::local(route));
+    /// Checks what must hold of the RIB between events, and says which
+    /// prefix breaks what: the selection equals a from-scratch decision
+    /// over the candidates; the advertised route is the propagated form
+    /// of the selection and exists exactly while someone holds it;
+    /// holders are configured neighbors with a live session; nothing is
+    /// held or parked from a torn-down session; no vacant cell lingers.
+    /// Tests call this at quiescent end states.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let fail = |prefix: Prefix, what: &str| Err(format!("AS{} {prefix}: {what}", self.asn.0));
+        for (&prefix, cell) in &self.cells {
+            if cell.is_vacant() {
+                return fail(prefix, "vacant cell retained");
+            }
+            let mut scratch = PrefixCell { best: None, ..(**cell).clone() };
+            scratch.reselect(ReselectHint::Full);
+            if scratch.best != cell.best {
+                return fail(prefix, "selection differs from a from-scratch decision");
+            }
+            if cell.out.is_some() == cell.out_to.is_empty() {
+                return fail(prefix, "advertised route without holders, or holders without one");
+            }
+            let propagated = cell.best.as_ref().map(|cand| cand.route.propagated_by(self.asn));
+            if cell.out.is_some() && cell.out != propagated {
+                return fail(prefix, "advertised route is not the propagated selection");
+            }
+            if !cell.out_to.windows(2).all(|pair| pair[0] < pair[1]) {
+                return fail(prefix, "holder list not strictly ascending");
+            }
+            for &holder in &cell.out_to {
+                if self.neighbor_index(holder).is_err() {
+                    return fail(prefix, "holder is not a configured neighbor");
+                }
+                if self.sessions_down.contains(&holder) {
+                    return fail(prefix, "holder's session is down");
+                }
+            }
+            if cell.candidates.keys().any(|n| self.sessions_down.contains(&n)) {
+                return fail(prefix, "candidate from a torn-down session");
+            }
+        }
+        match self.parked.keys().find(|(n, _)| self.sessions_down.contains(n)) {
+            Some(&(_, prefix)) => fail(prefix, "parked route from a torn-down session"),
+            None => Ok(()),
+        }
     }
 
-    /// Runs the decision process for `prefix`; on change, advertises or
+    /// Runs the decision process on `cell`; on change, advertises or
     /// withdraws toward every neighbor per export policy. Outgoing
     /// updates are merged into `pending` (one UPDATE per neighbor).
     ///
     /// `hint` feeds the incremental decision path: an arrival that
     /// loses to the standing best returns after one comparison, with
     /// no candidate rescan and no export loop.
+    ///
+    /// Returns whether the cell is left vacant, for the caller — which
+    /// holds the map the cell lives in — to drop it.
+    #[must_use]
     fn reselect_and_export(
         &mut self,
+        prefix: Prefix,
+        cell: &mut PrefixCell,
+        hint: ReselectHint,
+        now: SimTime,
+        pending: &mut SortedMap<NodeId, BgpUpdate>,
+    ) -> bool {
+        match cell.reselect(hint) {
+            ReselectOutcome::UnchangedShortCircuit => self.stats.reselect_short_circuits += 1,
+            ReselectOutcome::UnchangedScanned => {}
+            ReselectOutcome::Changed => {
+                self.stats.best_changes += 1;
+                self.observe_churn(now);
+                self.request_private_verification(prefix, cell);
+                self.export(prefix, cell, now, pending);
+            }
+        }
+        cell.is_vacant()
+    }
+
+    /// [`reselect_and_export`](Self::reselect_and_export) for a prefix
+    /// whose cell is not in hand; a prefix without a cell has nothing
+    /// to select or withdraw.
+    fn reselect_prefix(
+        &mut self,
+        cells: &mut Cells,
         prefix: Prefix,
         hint: ReselectHint,
         now: SimTime,
         pending: &mut SortedMap<NodeId, BgpUpdate>,
     ) {
-        let outcome =
-            self.loc_rib.reselect_with_hint(prefix, &self.adj_in, self.local.get(&prefix), hint);
-        match outcome {
-            ReselectOutcome::UnchangedShortCircuit => {
-                self.stats.reselect_short_circuits += 1;
-                return;
-            }
-            ReselectOutcome::UnchangedScanned => return,
-            ReselectOutcome::Changed => {}
+        let Some(cell) = cells.get_mut(&prefix) else { return };
+        if self.reselect_and_export(prefix, cell, hint, now, pending) {
+            cells.remove(&prefix);
         }
-        self.stats.best_changes += 1;
-        self.observe_churn(now);
-        self.request_private_verification(prefix);
-        self.export(prefix, now, pending);
     }
 
     /// Enqueues a private-verification request for the fresh selection
@@ -566,19 +681,19 @@ impl BgpRouter {
     /// the selected route's. An honest selection always passes both
     /// circuits (the claim *is* the tier minimum, so every "claim ≤
     /// mine" vote is true).
-    fn request_private_verification(&mut self, prefix: Prefix) {
+    fn request_private_verification(&mut self, prefix: Prefix, cell: &PrefixCell) {
         let Some(verifier) = &self.private_verifier else { return };
-        let Some(best) = self.loc_rib.get(prefix) else { return };
+        let Some(best) = &cell.best else { return };
         if best.learned_from.is_none() {
             return; // locally originated: no neighbors to compare
         }
         let pref = best.route.local_pref;
         let claimed_len = best.route.path_len() as u64;
-        let candidate_lens: Vec<u64> = self
-            .adj_in
-            .candidate_refs(prefix)
-            .filter(|(_, r)| r.local_pref == pref)
-            .map(|(_, r)| r.path_len() as u64)
+        let candidate_lens: Vec<u64> = cell
+            .candidates
+            .values()
+            .filter(|r| r.local_pref == pref)
+            .map(|r| r.path_len() as u64)
             .collect();
         if candidate_lens.len() < 2 {
             return; // a lone candidate leaks nothing by comparison
@@ -594,56 +709,94 @@ impl BgpRouter {
         });
     }
 
+    /// Whether `cand` may be sent to `to`: export policy, or — for a
+    /// leaking router — everyone but the neighbor the route came from
+    /// (re-exporting to the source would only be loop-rejected there).
+    /// `source` is `cand.learned_from` with that neighbor's role.
+    fn may_send(
+        &self,
+        cand: &Candidate,
+        source: Option<(Asn, Option<Role>)>,
+        to: &Neighbor,
+    ) -> bool {
+        if self.malice.leak_all {
+            cand.learned_from != Some(to.asn)
+        } else {
+            may_export_as(&cand.route, source, (to.asn, to.role))
+        }
+    }
+
+    /// `cand.learned_from` paired with that neighbor's role, the form
+    /// [`may_send`](Self::may_send) takes it in.
+    fn source_of(&self, cand: &Candidate) -> Option<(Asn, Option<Role>)> {
+        cand.learned_from.map(|n| (n, self.neighbor(n).and_then(|nb| nb.role)))
+    }
+
     /// The per-neighbor half of [`reselect_and_export`]: advertises or
-    /// withdraws the standing best route toward every live neighbor.
+    /// withdraws the cell's fresh selection toward every live neighbor.
+    ///
+    /// One merge of the session list against the cell's holder list,
+    /// both in ASN order: a neighbor policy admits is announced to
+    /// unless it already holds this very route, a holder policy no
+    /// longer admits is withdrawn from. Afterwards the holders are
+    /// exactly the admitted live neighbors and all hold the same route
+    /// — which is why the cell stores it once.
     ///
     /// [`reselect_and_export`]: BgpRouter::reselect_and_export
-    fn export(&mut self, prefix: Prefix, now: SimTime, pending: &mut SortedMap<NodeId, BgpUpdate>) {
-        // O(1)-ish clone: the candidate's route shares its path and
-        // communities.
-        let best = self.loc_rib.get(prefix).cloned();
+    fn export(
+        &mut self,
+        prefix: Prefix,
+        cell: &mut PrefixCell,
+        now: SimTime,
+        pending: &mut SortedMap<NodeId, BgpUpdate>,
+    ) {
+        debug_assert_eq!(cell.out.is_some(), !cell.out_to.is_empty(), "one route per holder set");
+        let best = cell.best.as_ref();
         // The propagated route is identical toward every neighbor
-        // (LOCAL_PREF/MED reset, path prepended): build it once, clone
-        // refcounts per neighbor.
-        let out_route = best.as_ref().map(|cand| cand.route.propagated_by(self.asn));
+        // (LOCAL_PREF/MED reset, path prepended): build it once.
+        let out_route = best.map(|cand| cand.route.propagated_by(self.asn));
+        let unchanged = out_route == cell.out;
+        let source = best.and_then(|cand| self.source_of(cand));
+        let mut holders = std::mem::take(&mut self.holders_scratch);
+        let mut held_by = cell.out_to.iter().copied().peekable();
         for i in 0..self.neighbor_list.len() {
-            // Indexed access keeps the borrow local so the RIB and
-            // policy can be touched inside the loop.
-            let (neighbor, node) = self.neighbor_list[i];
+            // Indexed access keeps the borrow local so counters and
+            // recorders can be touched inside the loop.
+            let neighbor = self.neighbor_list[i];
+            let held = held_by.next_if_eq(&neighbor.asn).is_some();
             // No updates toward a torn-down session; recovery
             // re-announces the whole Loc-RIB instead.
-            if self.sessions_down.contains(&neighbor) {
+            if self.sessions_down.contains(&neighbor.asn) {
+                if held {
+                    holders.push(neighbor.asn);
+                }
                 continue;
             }
-            // A leaking router bypasses export policy entirely (still
-            // skipping the neighbor the route came from: re-exporting to
-            // the source would only be loop-rejected there).
-            let exportable = best.as_ref().filter(|cand| {
-                if self.malice.leak_all {
-                    cand.learned_from != Some(neighbor)
-                } else {
-                    self.policy.may_export(&cand.route, cand.learned_from, neighbor)
-                }
-            });
-            match exportable {
+            match best.filter(|cand| self.may_send(cand, source, &neighbor)) {
                 Some(cand) => {
-                    let out_route = out_route.as_ref().expect("built alongside best").clone();
+                    holders.push(neighbor.asn);
                     // Skip if identical to what the neighbor already has.
-                    if self.adj_out.get(neighbor, prefix) == Some(&out_route) {
+                    if held && unchanged {
                         continue;
                     }
-                    let signed = self.sign_for(cand, &out_route, neighbor);
-                    self.adj_out.advertise(neighbor, out_route);
-                    pending.get_or_default(node).announces.push(signed);
+                    let out_route = out_route.as_ref().expect("built alongside best");
+                    let signed = self.sign_for(cand, out_route, neighbor.asn);
+                    pending.get_or_default(neighbor.node).announces.push(signed);
                 }
                 None => {
-                    if self.adj_out.withdraw(neighbor, prefix).is_some() {
-                        pending.get_or_default(node).withdraws.push(prefix);
+                    if held {
+                        pending.get_or_default(neighbor.node).withdraws.push(prefix);
                         self.observe_withdraw(now);
                     }
                 }
             }
         }
+        debug_assert!(held_by.next().is_none(), "an Adj-RIB-Out holder is not a neighbor");
+        cell.out_to.clear();
+        cell.out_to.extend_from_slice(&holders);
+        cell.out = if holders.is_empty() { None } else { out_route };
+        holders.clear();
+        self.holders_scratch = holders;
     }
 
     /// Builds the (possibly attested) announcement of `out_route` to
@@ -665,8 +818,14 @@ impl BgpRouter {
     }
 
     /// Processes one announcement from `from` at simulated time `now`;
-    /// returns the prefix if the Adj-RIB-In changed.
-    fn process_announce(&mut self, from: Asn, sr: SignedRoute, now: SimTime) -> Option<Prefix> {
+    /// returns the prefix's cell if its Adj-RIB-In changed.
+    fn process_announce<'c>(
+        &mut self,
+        cells: &'c mut Cells,
+        from: &Neighbor,
+        sr: SignedRoute,
+        now: SimTime,
+    ) -> Option<&'c mut PrefixCell> {
         // Attestation check first (signed mode only).
         if let SecurityMode::Signed { keys, .. } = &self.security {
             let cache = self.verify_cache.as_deref();
@@ -693,7 +852,7 @@ impl BgpRouter {
                 return None;
             }
             // The claimed first AS must be the actual sender.
-            if sr.route.path.first_as() != Some(from) {
+            if sr.route.path.first_as() != Some(from.asn) {
                 self.stats.attestation_failures += 1;
                 self.first_security_reject.get_or_insert(now);
                 self.observe_reject(now, "attestation_reject");
@@ -712,28 +871,27 @@ impl BgpRouter {
             }
         }
         let prefix = sr.route.prefix;
-        match self.policy.import(self.asn, from, sr.route.clone()) {
+        match import_as(self.asn, from.role, from.region_tag, sr.route.clone()) {
             Some(imported) => {
                 self.stats.routes_accepted += 1;
-                self.adj_in.insert(from, imported);
+                let cell: &mut PrefixCell = cells.entry(prefix).or_default();
+                cell.candidates.insert(from.asn, imported);
                 // Chains only matter when this router re-signs
                 // announcements (or feeds a PVR round); plain mode
                 // skips the bookkeeping entirely.
                 if matches!(self.security, SecurityMode::Signed { .. }) {
-                    self.chains_in.insert((from, prefix), sr);
+                    self.chains_in.insert((from.asn, prefix), sr);
                 }
-                Some(prefix)
+                Some(cell)
             }
             None => {
                 self.stats.routes_rejected += 1;
                 // An unimportable announcement still implicitly withdraws
                 // any previous route from this neighbor.
-                if self.adj_in.remove(from, prefix) {
-                    self.chains_in.remove(&(from, prefix));
-                    Some(prefix)
-                } else {
-                    None
-                }
+                let cell = cells.get_mut(&prefix)?;
+                cell.candidates.remove(from.asn)?;
+                self.chains_in.remove(&(from.asn, prefix));
+                Some(cell)
             }
         }
     }
@@ -806,61 +964,80 @@ impl BgpRouter {
     /// surviving neighbors wherever that changes a selection.
     fn session_down(
         &mut self,
-        peer: Asn,
-        node: NodeId,
+        peer: Neighbor,
         now: SimTime,
         pending: &mut SortedMap<NodeId, BgpUpdate>,
     ) {
+        let Neighbor { asn: peer, node, .. } = peer;
         if !self.sessions_down.insert(peer) {
             return; // already down
         }
         self.mrai_buffer.remove(&node);
-        self.adj_out.flush_neighbor(peer);
-        let lost: Vec<Prefix> =
-            self.adj_in.from_neighbor(peer).into_iter().map(|(prefix, _)| prefix).collect();
-        for prefix in lost {
-            self.adj_in.remove(peer, prefix);
+        let mut cells = std::mem::take(&mut self.cells);
+        // One pass drops the peer from every holder list and every
+        // candidate set; the cells that lost a candidate are then
+        // settled in prefix order, which fixes the order of the
+        // withdraws this emits.
+        let mut lost: Vec<(Prefix, &mut PrefixCell)> = Vec::new();
+        for (&prefix, cell) in cells.iter_mut() {
+            if let Ok(i) = cell.out_to.binary_search(&peer) {
+                cell.out_to.remove(i);
+                if cell.out_to.is_empty() {
+                    cell.out = None;
+                }
+            }
+            if cell.candidates.remove(peer).is_some() {
+                lost.push((prefix, cell));
+            }
+        }
+        lost.sort_unstable_by_key(|&(prefix, _)| prefix);
+        let mut vacated = Vec::new();
+        for (prefix, cell) in lost {
             self.chains_in.remove(&(peer, prefix));
             self.parked.remove(&(peer, prefix));
             // A session loss withdraws the route as far as dampening is
             // concerned (RFC 2439 counts it as a flap).
             self.penalize(peer, prefix, now);
-            self.reselect_and_export(prefix, ReselectHint::Neighbor(peer), now, pending);
+            if self.reselect_and_export(prefix, cell, ReselectHint::Neighbor(peer), now, pending) {
+                vacated.push(prefix);
+            }
         }
+        for prefix in vacated {
+            cells.remove(&prefix);
+        }
+        self.cells = cells;
     }
 
     /// Session toward `peer` recovered: re-announce the full Loc-RIB
-    /// per export policy (Adj-RIB-Out for the peer was flushed on the
-    /// way down, so everything exportable goes out again).
-    fn session_up(
-        &mut self,
-        peer: Asn,
-        node: NodeId,
-        _now: SimTime,
-        pending: &mut SortedMap<NodeId, BgpUpdate>,
-    ) {
-        if !self.sessions_down.remove(&peer) {
+    /// per export policy (the peer was dropped from every holder list
+    /// on the way down, so everything exportable goes out again).
+    fn session_up(&mut self, peer: Neighbor, pending: &mut SortedMap<NodeId, BgpUpdate>) {
+        if !self.sessions_down.remove(&peer.asn) {
             return; // was not down (e.g. plan started with LinkUp)
         }
-        let prefixes: Vec<Prefix> = self.loc_rib.prefixes().collect();
-        for prefix in prefixes {
-            let Some(cand) = self.loc_rib.get(prefix).cloned() else { continue };
-            let exportable = if self.malice.leak_all {
-                cand.learned_from != Some(peer)
-            } else {
-                self.policy.may_export(&cand.route, cand.learned_from, peer)
-            };
-            if !exportable {
+        let mut cells = std::mem::take(&mut self.cells);
+        let mut selected: Vec<(Prefix, &mut PrefixCell)> = cells
+            .iter_mut()
+            .filter(|(_, cell)| cell.best.is_some())
+            .map(|(&prefix, cell)| (prefix, &mut **cell))
+            .collect();
+        selected.sort_unstable_by_key(|&(prefix, _)| prefix);
+        for (_, cell) in selected {
+            let cand = cell.best.as_ref().expect("filtered on a selection");
+            if !self.may_send(cand, self.source_of(cand), &peer) {
                 continue;
             }
-            let out_route = cand.route.propagated_by(self.asn);
-            if self.adj_out.get(peer, prefix) == Some(&out_route) {
-                continue;
-            }
-            let signed = self.sign_for(&cand, &out_route, peer);
-            self.adj_out.advertise(peer, out_route);
-            pending.get_or_default(node).announces.push(signed);
+            let Err(slot) = cell.out_to.binary_search(&peer.asn) else { continue };
+            // Every holder has the propagated form of the current
+            // selection, so the peer joins them with that same route.
+            let out_route = cell.out.take().unwrap_or_else(|| cand.route.propagated_by(self.asn));
+            debug_assert_eq!(out_route, cand.route.propagated_by(self.asn));
+            let signed = self.sign_for(cand, &out_route, peer.asn);
+            pending.get_or_default(peer.node).announces.push(signed);
+            cell.out_to.insert(slot, peer.asn);
+            cell.out = Some(out_route);
         }
+        self.cells = cells;
     }
 
     /// Dampening reuse tick: decay every tracked penalty, release pairs
@@ -887,18 +1064,19 @@ impl BgpRouter {
             self.damp_states.remove(&key);
         }
         let mut pending = std::mem::take(&mut self.pending_scratch);
+        let mut cells = std::mem::take(&mut self.cells);
         for (from, prefix) in released {
-            if let Some(sr) = self.parked.remove(&(from, prefix)) {
-                if self.process_announce(from, sr, now).is_some() {
-                    self.reselect_and_export(
-                        prefix,
-                        ReselectHint::Neighbor(from),
-                        now,
-                        &mut pending,
-                    );
-                }
+            let Some(sr) = self.parked.remove(&(from, prefix)) else { continue };
+            let Some(neighbor) = self.neighbor(from) else { continue };
+            let Some(cell) = self.process_announce(&mut cells, &neighbor, sr, now) else {
+                continue;
+            };
+            let hint = ReselectHint::Neighbor(from);
+            if self.reselect_and_export(prefix, cell, hint, now, &mut pending) {
+                cells.remove(&prefix);
             }
         }
+        self.cells = cells;
         self.flush(ctx, &mut pending);
         self.pending_scratch = pending;
         self.arm_damp_timer_if_needed(ctx);
@@ -924,21 +1102,35 @@ impl BgpRouter {
     /// keys, neighbors, schedule) is *not* written: restore rebuilds it
     /// from the topology and overlays this dynamic state on top.
     pub(crate) fn save_dynamic(&self, buf: &mut Vec<u8>) {
-        // Adj-RIB-In: routes carry their own prefix, so each cell is
+        // The format keeps the three RIBs apart, as the router once
+        // did; the cells are written out RIB by RIB.
+        let mut cells: Vec<(Prefix, &PrefixCell)> =
+            self.cells.iter().map(|(&prefix, cell)| (prefix, &**cell)).collect();
+        cells.sort_unstable_by_key(|&(prefix, _)| prefix);
+        let (adj_in_len, loc_rib_len) = self.rib_entry_counts();
+        // Adj-RIB-In: routes carry their own prefix, so each entry is
         // (neighbor, route); prefix-major, neighbor-ascending order.
-        (self.adj_in.len() as u32).encode(buf);
-        for prefix in self.adj_in.prefixes().collect::<Vec<_>>() {
-            for (n, r) in self.adj_in.candidate_refs(prefix) {
+        (adj_in_len as u32).encode(buf);
+        for (_, cell) in &cells {
+            for (n, r) in cell.candidates.iter() {
                 n.encode(buf);
                 r.encode(buf);
             }
         }
         // Loc-RIB: candidates re-key by their route's prefix on load.
-        (self.loc_rib.len() as u32).encode(buf);
-        for prefix in self.loc_rib.prefixes().collect::<Vec<_>>() {
-            self.loc_rib.get(prefix).expect("listed prefix").encode(buf);
+        (loc_rib_len as u32).encode(buf);
+        for best in cells.iter().filter_map(|(_, cell)| cell.best.as_ref()) {
+            best.encode(buf);
         }
-        let adj_out = self.adj_out.entries();
+        // Adj-RIB-Out: one (neighbor, route) entry per holder, in
+        // (neighbor, prefix) order.
+        let mut adj_out: Vec<(Asn, Prefix, &Route)> = Vec::new();
+        for &(prefix, cell) in &cells {
+            if let Some(route) = &cell.out {
+                adj_out.extend(cell.out_to.iter().map(|&n| (n, prefix, route)));
+            }
+        }
+        adj_out.sort_unstable_by_key(|&(n, p, _)| (n, p));
         (adj_out.len() as u32).encode(buf);
         for (n, _, r) in adj_out {
             n.encode(buf);
@@ -949,8 +1141,9 @@ impl BgpRouter {
             n.encode(buf);
             sr.encode(buf);
         }
-        (self.local.len() as u32).encode(buf);
-        for cand in self.local.values() {
+        let local = cells.iter().filter_map(|(_, cell)| cell.local.as_ref());
+        (local.clone().count() as u32).encode(buf);
+        for cand in local {
             cand.encode(buf);
         }
         (self.mrai_buffer.len() as u32).encode(buf);
@@ -1024,20 +1217,41 @@ impl BgpRouter {
     /// validated before any field is touched, so a corrupt blob leaves
     /// the router exactly as built.
     pub(crate) fn load_dynamic(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        let mut adj_in = AdjRibIn::new();
+        let mut cells = Cells::new();
         for _ in 0..u32::decode(r)? {
             let n = Asn::decode(r)?;
-            adj_in.insert(n, Route::decode(r)?);
+            let route = Route::decode(r)?;
+            cells.entry(route.prefix).or_default().candidates.insert(n, route);
         }
-        let mut loc_rib = LocRib::new();
         for _ in 0..u32::decode(r)? {
+            // Installed as saved, bypassing the decision process: the
+            // selection is what a reselect over the restored candidates
+            // would produce.
             let cand = Candidate::decode(r)?;
-            loc_rib.install(cand.route.prefix, cand);
+            let cell = cells.entry(cand.route.prefix).or_default();
+            cell.best = Some(cand);
         }
-        let mut adj_out = AdjRibOut::new();
+        // Adj-RIB-Out entries fold into one route per prefix plus its
+        // holders, which is only faithful if the file's entries for a
+        // prefix agree — as every file this router wrote does.
         for _ in 0..u32::decode(r)? {
             let n = Asn::decode(r)?;
-            adj_out.advertise(n, Route::decode(r)?);
+            let route = Route::decode(r)?;
+            if self.neighbor_index(n).is_err() {
+                return Err(WireError::Invalid("Adj-RIB-Out entry for a non-neighbor"));
+            }
+            let cell = cells.entry(route.prefix).or_default();
+            let Err(slot) = cell.out_to.binary_search(&n) else {
+                return Err(WireError::Invalid("duplicate Adj-RIB-Out entry"));
+            };
+            match &cell.out {
+                Some(out) if *out != route => {
+                    return Err(WireError::Invalid("Adj-RIB-Out entries of one prefix disagree"));
+                }
+                Some(_) => {}
+                None => cell.out = Some(route),
+            }
+            cell.out_to.insert(slot, n);
         }
         let mut chains_in = BTreeMap::new();
         for _ in 0..u32::decode(r)? {
@@ -1045,10 +1259,10 @@ impl BgpRouter {
             let sr = SignedRoute::decode(r)?;
             chains_in.insert((n, sr.route.prefix), sr);
         }
-        let mut local = BTreeMap::new();
         for _ in 0..u32::decode(r)? {
             let cand = Candidate::decode(r)?;
-            local.insert(cand.route.prefix, cand);
+            let cell = cells.entry(cand.route.prefix).or_default();
+            cell.local = Some(cand);
         }
         let mut mrai_buffer = BTreeMap::new();
         for _ in 0..u32::decode(r)? {
@@ -1084,7 +1298,7 @@ impl BgpRouter {
         let mut sessions_down = BTreeSet::new();
         for _ in 0..u32::decode(r)? {
             let n = Asn::decode(r)?;
-            if !self.neighbor_nodes.contains_key(&n) {
+            if self.neighbor_index(n).is_err() {
                 return Err(WireError::Invalid("torn-down session with a non-neighbor"));
             }
             sessions_down.insert(n);
@@ -1138,11 +1352,8 @@ impl BgpRouter {
             journal_entries.push(pvr_obs::JournalEntry { t_us, kind, value: u64::decode(r)? });
         }
 
-        self.adj_in = adj_in;
-        self.loc_rib = loc_rib;
-        self.adj_out = adj_out;
+        self.cells = cells;
         self.chains_in = chains_in;
-        self.local = local;
         self.mrai_buffer = mrai_buffer;
         self.mrai_armed = mrai_armed;
         self.jitter_rng = jitter_rng;
@@ -1157,7 +1368,7 @@ impl BgpRouter {
         self.journal =
             pvr_obs::EventJournal::restore(journal_capacity, journal_evicted, journal_entries);
         // The checkpointed run had already started: start-time
-        // originations live in `local` now, and `on_start` will not run
+        // originations live in the cells now, and `on_start` will not run
         // again on the restored engine.
         self.originate_at_start.clear();
         Ok(())
@@ -1178,19 +1389,22 @@ impl Agent<BgpUpdate> for BgpRouter {
         let now = ctx.now();
         let prefixes = std::mem::take(&mut self.originate_at_start);
         let mut pending = std::mem::take(&mut self.pending_scratch);
+        let mut cells = std::mem::take(&mut self.cells);
         for prefix in prefixes {
-            self.start_originating(prefix);
-            self.reselect_and_export(prefix, ReselectHint::Full, now, &mut pending);
+            let cell = cells.entry(prefix).or_default();
+            cell.local = Some(Candidate::local(Route::originate(prefix)));
+            // An originated prefix keeps its cell.
+            let _ = self.reselect_and_export(prefix, cell, ReselectHint::Full, now, &mut pending);
         }
+        self.cells = cells;
         self.flush(ctx, &mut pending);
         self.pending_scratch = pending;
     }
 
     fn on_message(&mut self, ctx: &mut Context<BgpUpdate>, from_node: NodeId, msg: BgpUpdate) {
-        // Identify the sending AS from the node id.
-        let from = match self.asn_of_node.get(&from_node) {
-            Some(&a) => a,
-            None => return, // not a configured neighbor: ignore
+        // Identify the sending session from the node id.
+        let Some(from) = self.asn_of_node.get(&from_node).and_then(|&a| self.neighbor(a)) else {
+            return; // not a configured neighbor: ignore
         };
         // Torn session: a BGP speaker cannot receive on a closed TCP
         // connection. In-flight updates sent before the teardown are
@@ -1200,27 +1414,46 @@ impl Agent<BgpUpdate> for BgpRouter {
         // could repopulate state the peer no longer tracks (its
         // Adj-RIB-Out was flushed too), and no withdraw would ever
         // correct it.
-        if self.sessions_down.contains(&from) {
+        if self.sessions_down.contains(&from.asn) {
             return;
         }
         self.stats.updates_rx += 1;
         let now = ctx.now();
+        // Every change in this message came from `from`'s session, so
+        // the incremental decision path applies to each prefix.
+        let hint = ReselectHint::Neighbor(from.asn);
+        // An UPDATE carrying one route — the common case — is settled
+        // on the cell that route's lookup found. One carrying several
+        // first applies them all, then settles the touched prefixes in
+        // sorted order: the order of emitted updates and journal
+        // entries must not depend on the order of items in a message.
+        let single = msg.withdraws.len() + msg.announces.len() == 1;
         let mut touched = std::mem::take(&mut self.touched_scratch);
+        let mut pending = std::mem::take(&mut self.pending_scratch);
+        let mut cells = std::mem::take(&mut self.cells);
         for prefix in msg.withdraws {
-            if self.adj_in.remove(from, prefix) {
-                self.chains_in.remove(&(from, prefix));
-                self.penalize(from, prefix, now);
-                touched.push(prefix);
-            } else if self.parked.remove(&(from, prefix)).is_some() {
+            let withdrawn = cells
+                .get_mut(&prefix)
+                .and_then(|cell| cell.candidates.remove(from.asn).map(|_| cell));
+            if let Some(cell) = withdrawn {
+                self.chains_in.remove(&(from.asn, prefix));
+                self.penalize(from.asn, prefix, now);
+                if !single {
+                    touched.push(prefix);
+                } else if self.reselect_and_export(prefix, cell, hint, now, &mut pending) {
+                    cells.remove(&prefix);
+                }
+            } else if self.parked.remove(&(from.asn, prefix)).is_some() {
                 // Withdrawing a parked (suppressed) announcement is
                 // still a flap: the penalty stays topped up while the
                 // route keeps oscillating behind the suppression.
-                self.penalize(from, prefix, now);
+                self.penalize(from.asn, prefix, now);
             }
         }
         for sr in msg.announces {
+            let prefix = sr.route.prefix;
             if let Some(policy) = self.dampening {
-                let key = (from, sr.route.prefix);
+                let key = (from.asn, prefix);
                 if let Some(state) = self.damp_states.get_mut(&key) {
                     if state.refresh(now, &policy) {
                         self.stats.dampening_suppressed += 1;
@@ -1230,19 +1463,19 @@ impl Agent<BgpUpdate> for BgpRouter {
                     }
                 }
             }
-            if let Some(p) = self.process_announce(from, sr, now) {
-                touched.push(p);
+            let Some(cell) = self.process_announce(&mut cells, &from, sr, now) else { continue };
+            if !single {
+                touched.push(prefix);
+            } else if self.reselect_and_export(prefix, cell, hint, now, &mut pending) {
+                cells.remove(&prefix);
             }
         }
-        let mut pending = std::mem::take(&mut self.pending_scratch);
         touched.sort();
         touched.dedup();
-        // Every change in this message came from `from`'s session, so
-        // the incremental decision path applies to each prefix.
-        for &prefix in &touched {
-            self.reselect_and_export(prefix, ReselectHint::Neighbor(from), now, &mut pending);
+        for prefix in touched.drain(..) {
+            self.reselect_prefix(&mut cells, prefix, hint, now, &mut pending);
         }
-        touched.clear();
+        self.cells = cells;
         self.touched_scratch = touched;
         self.flush(ctx, &mut pending);
         self.pending_scratch = pending;
@@ -1272,32 +1505,37 @@ impl Agent<BgpUpdate> for BgpRouter {
             Some(e) => e.clone(),
             None => return,
         };
+        let mut cells = std::mem::take(&mut self.cells);
         let prefix = match event {
             LocalEvent::Announce(p) => {
-                self.start_originating(p);
+                cells.entry(p).or_default().local = Some(Candidate::local(Route::originate(p)));
                 p
             }
             LocalEvent::Withdraw(p) => {
-                self.local.remove(&p);
+                if let Some(cell) = cells.get_mut(&p) {
+                    cell.local = None;
+                }
                 p
             }
         };
         let mut pending = std::mem::take(&mut self.pending_scratch);
         // A local origination/withdrawal changed the local candidate,
         // which the Neighbor hint cannot cover.
-        self.reselect_and_export(prefix, ReselectHint::Full, ctx.now(), &mut pending);
+        self.reselect_prefix(&mut cells, prefix, ReselectHint::Full, ctx.now(), &mut pending);
+        self.cells = cells;
         self.flush(ctx, &mut pending);
         self.pending_scratch = pending;
     }
 
     fn on_session(&mut self, ctx: &mut Context<BgpUpdate>, peer: NodeId, up: bool) {
-        let Some(&asn) = self.asn_of_node.get(&peer) else { return };
-        let now = ctx.now();
+        let Some(peer) = self.asn_of_node.get(&peer).and_then(|&a| self.neighbor(a)) else {
+            return;
+        };
         let mut pending = std::mem::take(&mut self.pending_scratch);
         if up {
-            self.session_up(asn, peer, now, &mut pending);
+            self.session_up(peer, &mut pending);
         } else {
-            self.session_down(asn, peer, now, &mut pending);
+            self.session_down(peer, ctx.now(), &mut pending);
         }
         self.flush(ctx, &mut pending);
         self.pending_scratch = pending;
@@ -1310,5 +1548,435 @@ impl Agent<BgpUpdate> for BgpRouter {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::path::AsPath;
+    use crate::rib::{AdjRibIn, LocRib};
+    use proptest::prelude::*;
+    use pvr_netsim::{Fault, FaultPlan, RunLimits, Simulator};
+
+    const ME: Asn = Asn(100);
+    const EU: Community = Community(65000, 1);
+    /// The sessions of the router under test, at simulator nodes 1..=5:
+    /// customer, provider, EU-tagged peer, partial-transit customer
+    /// contracted for EU routes, and a session policy knows nothing of.
+    const NEIGHBORS: [Asn; 5] = [Asn(1), Asn(2), Asn(3), Asn(4), Asn(5)];
+    const MRAI_MS: u64 = 30;
+    const SLOT_MS: u64 = 200;
+
+    fn policy() -> PolicyConfig {
+        let mut p = PolicyConfig::new();
+        p.set_role(Asn(1), Role::Customer)
+            .set_role(Asn(2), Role::Provider)
+            .set_role(Asn(3), Role::Peer)
+            .set_role(Asn(4), Role::PartialTransitCustomer { region: EU })
+            .set_region_tag(Asn(3), EU);
+        p
+    }
+
+    fn node_of(neighbor: Asn) -> NodeId {
+        neighbor.0 as NodeId
+    }
+
+    fn prefix(i: u64) -> Prefix {
+        Prefix::new((10 + i as u32) << 24, 8)
+    }
+
+    fn router() -> BgpRouter {
+        let mut router = BgpRouter::new(ME, policy(), SecurityMode::Plain);
+        for n in NEIGHBORS {
+            router.add_neighbor(n, node_of(n));
+        }
+        router
+    }
+
+    struct Sink;
+    impl Agent<BgpUpdate> for Sink {
+        fn on_message(&mut self, _: &mut Context<BgpUpdate>, _: NodeId, _: BgpUpdate) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// One slot of a schedule. Everything in a slot reaches the router
+    /// at one instant, so with MRAI on its output leaves as one merged
+    /// update per neighbor.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Updates(Vec<(Asn, BgpUpdate)>),
+        Local(LocalEvent),
+        Session { peer: Asn, up: bool },
+        Leak(bool),
+    }
+
+    fn random_route(rng: &mut HmacDrbg, from: Asn) -> Route {
+        // Paths start at the sender; the tail sometimes runs through
+        // the router itself (a loop, rejected on import).
+        let mut path = vec![from];
+        for _ in 0..rng.below(4) {
+            path.push(if rng.chance(0.1) { ME } else { Asn(200 + rng.below(6) as u32) });
+        }
+        let mut route = Route::originate(prefix(rng.below(4)));
+        route.path = AsPath::from_slice(&path);
+        if rng.chance(0.1) {
+            route = route.with_community(Community::NO_EXPORT);
+        }
+        route
+    }
+
+    fn random_steps(seed: u64, slots: usize) -> Vec<Step> {
+        let mut rng = HmacDrbg::from_u64_labeled(seed, "router differential schedule");
+        (0..slots)
+            .map(|_| match rng.below(10) {
+                0 => Step::Local(if rng.chance(0.5) {
+                    LocalEvent::Announce(prefix(rng.below(4)))
+                } else {
+                    LocalEvent::Withdraw(prefix(rng.below(4)))
+                }),
+                1 => Step::Session { peer: NEIGHBORS[rng.index(5)], up: rng.chance(0.5) },
+                2 => Step::Leak(rng.chance(0.5)),
+                _ => Step::Updates(
+                    (0..1 + rng.below(3))
+                        .map(|_| {
+                            let from = NEIGHBORS[rng.index(5)];
+                            let mut update = BgpUpdate::default();
+                            for _ in 0..1 + rng.below(3) {
+                                if rng.chance(0.3) {
+                                    update.withdraws.push(prefix(rng.below(4)));
+                                } else {
+                                    let route = random_route(&mut rng, from);
+                                    update.announces.push(SignedRoute::unsigned(route));
+                                }
+                            }
+                            (from, update)
+                        })
+                        .collect(),
+                ),
+            })
+            .collect()
+    }
+
+    /// The router as it was before per-prefix cells: three RIBs, each
+    /// keyed its own way, and policy asked by ASN for every decision.
+    struct Model {
+        policy: PolicyConfig,
+        adj_in: AdjRibIn,
+        loc_rib: LocRib,
+        adj_out: BTreeMap<(Asn, Prefix), Route>,
+        local: BTreeMap<Prefix, Candidate>,
+        down: BTreeSet<Asn>,
+        leak_all: bool,
+        mrai: bool,
+        buffer: BTreeMap<NodeId, BgpUpdate>,
+        sent: Vec<(NodeId, BgpUpdate)>,
+        stats: RouterStats,
+    }
+
+    impl Model {
+        fn may_send(&self, cand: &Candidate, to: Asn) -> bool {
+            if self.leak_all {
+                cand.learned_from != Some(to)
+            } else {
+                self.policy.may_export(&cand.route, cand.learned_from, to)
+            }
+        }
+
+        fn reselect_and_export(
+            &mut self,
+            prefix: Prefix,
+            hint: ReselectHint,
+            pending: &mut BTreeMap<NodeId, BgpUpdate>,
+        ) {
+            let local = self.local.get(&prefix);
+            match self.loc_rib.reselect_with_hint(prefix, &self.adj_in, local, hint) {
+                ReselectOutcome::UnchangedShortCircuit => self.stats.reselect_short_circuits += 1,
+                ReselectOutcome::UnchangedScanned => {}
+                ReselectOutcome::Changed => {
+                    self.stats.best_changes += 1;
+                    let best = self.loc_rib.get(prefix).cloned();
+                    for to in NEIGHBORS.into_iter().filter(|n| !self.down.contains(n)) {
+                        match best.as_ref().filter(|cand| self.may_send(cand, to)) {
+                            Some(cand) => {
+                                let out = cand.route.propagated_by(ME);
+                                if self.adj_out.get(&(to, prefix)) != Some(&out) {
+                                    self.adj_out.insert((to, prefix), out.clone());
+                                    let update = pending.entry(node_of(to)).or_default();
+                                    update.announces.push(SignedRoute::unsigned(out));
+                                }
+                            }
+                            None => {
+                                if self.adj_out.remove(&(to, prefix)).is_some() {
+                                    pending.entry(node_of(to)).or_default().withdraws.push(prefix);
+                                    self.stats.withdraws_sent += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        fn flush(&mut self, pending: BTreeMap<NodeId, BgpUpdate>) {
+            for (node, update) in pending {
+                if self.mrai {
+                    self.buffer.entry(node).or_default().merge(update);
+                } else {
+                    self.stats.updates_tx += 1;
+                    self.sent.push((node, update));
+                }
+            }
+        }
+
+        fn step(&mut self, step: &Step) {
+            match step {
+                Step::Updates(batch) => {
+                    for (from, update) in batch {
+                        self.on_message(*from, update);
+                    }
+                }
+                Step::Local(event) => {
+                    let prefix = match *event {
+                        LocalEvent::Announce(p) => {
+                            self.local.insert(p, Candidate::local(Route::originate(p)));
+                            p
+                        }
+                        LocalEvent::Withdraw(p) => {
+                            self.local.remove(&p);
+                            p
+                        }
+                    };
+                    let mut pending = BTreeMap::new();
+                    self.reselect_and_export(prefix, ReselectHint::Full, &mut pending);
+                    self.flush(pending);
+                }
+                Step::Session { peer, up } => self.on_session(*peer, *up),
+                Step::Leak(on) => self.leak_all = *on,
+            }
+            // The MRAI timer fires once, after everything in the slot.
+            for (node, update) in std::mem::take(&mut self.buffer) {
+                self.stats.updates_tx += 1;
+                self.sent.push((node, update));
+            }
+        }
+
+        fn on_message(&mut self, from: Asn, update: &BgpUpdate) {
+            if self.down.contains(&from) {
+                return; // the link drops it before the router sees it
+            }
+            self.stats.updates_rx += 1;
+            let mut touched = Vec::new();
+            for &prefix in &update.withdraws {
+                if self.adj_in.remove(from, prefix) {
+                    touched.push(prefix);
+                }
+            }
+            for sr in &update.announces {
+                let prefix = sr.route.prefix;
+                match self.policy.import(ME, from, sr.route.clone()) {
+                    Some(imported) => {
+                        self.stats.routes_accepted += 1;
+                        self.adj_in.insert(from, imported);
+                        touched.push(prefix);
+                    }
+                    None => {
+                        self.stats.routes_rejected += 1;
+                        if self.adj_in.remove(from, prefix) {
+                            touched.push(prefix);
+                        }
+                    }
+                }
+            }
+            touched.sort();
+            touched.dedup();
+            let mut pending = BTreeMap::new();
+            for prefix in touched {
+                self.reselect_and_export(prefix, ReselectHint::Neighbor(from), &mut pending);
+            }
+            self.flush(pending);
+        }
+
+        fn on_session(&mut self, peer: Asn, up: bool) {
+            let mut pending = BTreeMap::new();
+            if !up && self.down.insert(peer) {
+                self.adj_out.retain(|&(n, _), _| n != peer);
+                let lost: Vec<Prefix> =
+                    self.adj_in.from_neighbor(peer).into_iter().map(|(p, _)| p).collect();
+                for prefix in lost {
+                    self.adj_in.remove(peer, prefix);
+                    self.reselect_and_export(prefix, ReselectHint::Neighbor(peer), &mut pending);
+                }
+            } else if up && self.down.remove(&peer) {
+                for prefix in self.loc_rib.prefixes().collect::<Vec<_>>() {
+                    let cand = self.loc_rib.get(prefix).expect("listed prefix");
+                    if self.may_send(cand, peer) {
+                        let out = cand.route.propagated_by(ME);
+                        self.adj_out.insert((peer, prefix), out.clone());
+                        let update: &mut BgpUpdate = pending.entry(node_of(peer)).or_default();
+                        update.announces.push(SignedRoute::unsigned(out));
+                    }
+                }
+            }
+            self.flush(pending);
+        }
+    }
+
+    /// Drives the router and the model through `steps`, one slot of
+    /// simulated time each, and compares everything observable after
+    /// every slot.
+    fn assert_router_matches_model(steps: &[Step], mrai: bool) {
+        let mut router = router();
+        if mrai {
+            router.set_mrai(SimDuration::from_millis(MRAI_MS));
+        }
+        router.originate(prefix(0));
+        // Local events are timers armed at start: one per slot that
+        // has one, due in the middle of its slot (slot 0 is the start).
+        for (i, step) in steps.iter().enumerate() {
+            if let Step::Local(event) = step {
+                let due = SimDuration::from_millis(SLOT_MS * (i as u64 + 1) + SLOT_MS / 2);
+                router.schedule_event(due, event.clone());
+            }
+        }
+        let mut sim: Simulator<BgpUpdate> = Simulator::new(7);
+        sim.enable_trace();
+        let me = sim.add_node(Box::new(router));
+        for n in NEIGHBORS {
+            assert_eq!(sim.add_node(Box::new(Sink)), node_of(n));
+        }
+
+        let mut model = Model {
+            policy: policy(),
+            adj_in: AdjRibIn::new(),
+            loc_rib: LocRib::new(),
+            adj_out: BTreeMap::new(),
+            local: BTreeMap::new(),
+            down: BTreeSet::new(),
+            leak_all: false,
+            mrai,
+            buffer: BTreeMap::new(),
+            sent: Vec::new(),
+            stats: RouterStats::default(),
+        };
+        // Slot 0 is the start: the router originates its own prefix.
+        let start = Step::Local(LocalEvent::Announce(prefix(0)));
+        for (slot, step) in std::iter::once(&start).chain(steps).enumerate() {
+            match step {
+                Step::Updates(batch) => {
+                    for (from, update) in batch {
+                        sim.inject(node_of(*from), me, update.clone());
+                    }
+                }
+                Step::Session { peer, up } => {
+                    let (a, b) = (me, node_of(*peer));
+                    let fault = if *up { Fault::LinkUp { a, b } } else { Fault::LinkDown { a, b } };
+                    sim.set_fault_plan(FaultPlan::new().at(sim.now(), fault));
+                }
+                Step::Leak(on) => sim
+                    .node_mut::<BgpRouter>(me)
+                    .expect("router node")
+                    .set_malice(Malice { leak_all: *on }),
+                Step::Local(_) => {}
+            }
+            model.step(step);
+            sim.run(RunLimits::until(SimTime(SLOT_MS * 1000 * (slot as u64 + 1))));
+
+            let emitted: Vec<(NodeId, BgpUpdate)> = sim
+                .trace()
+                .expect("trace enabled")
+                .iter()
+                .filter(|d| d.src == me)
+                .map(|d| (d.dst, d.msg.clone()))
+                .collect();
+            assert_eq!(emitted, model.sent, "updates emitted through slot {slot} ({step:?})");
+            let router = sim.node::<BgpRouter>(me).expect("router node");
+            assert_eq!(router.stats(), &model.stats, "counters after slot {slot}");
+            assert_eq!(
+                router.rib_entry_counts(),
+                (model.adj_in.len(), model.loc_rib.len()),
+                "RIB sizes after slot {slot}"
+            );
+            assert_eq!(router.selected_prefixes(), model.loc_rib.prefixes().collect::<Vec<_>>());
+            for p in (0..4).map(prefix) {
+                assert_eq!(router.best_route(p), model.loc_rib.get(p), "{p} after slot {slot}");
+                for n in NEIGHBORS {
+                    assert_eq!(router.route_from(n, p), model.adj_in.get(n, p), "{n} {p}");
+                    assert_eq!(router.advertised_to(n, p), model.adj_out.get(&(n, p)), "{n} {p}");
+                }
+            }
+            for n in NEIGHBORS {
+                assert_eq!(router.routes_from(n), model.adj_in.from_neighbor(n));
+            }
+            router.check_invariants().expect("RIB invariants");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random schedules of announces, withdraws, implicit withdraws,
+        /// loop-rejected and role-less arrivals, local originations and
+        /// withdrawals, session losses and recoveries and a leak switch:
+        /// the cell router and the three-RIB model emit the same updates
+        /// in the same order and agree on every accessor and counter.
+        #[test]
+        fn router_matches_three_rib_model(seed in 0u64..1_000_000, mrai in any::<bool>()) {
+            assert_router_matches_model(&random_steps(seed, 60), mrai);
+        }
+    }
+
+    /// A fresh router's dynamic state with `entries` spliced in as its
+    /// Adj-RIB-Out section (the third count-prefixed list).
+    fn blob_with_adj_out(entries: &[(Asn, Route)]) -> Vec<u8> {
+        let mut fresh = Vec::new();
+        router().save_dynamic(&mut fresh);
+        let mut blob = fresh[..8].to_vec(); // empty Adj-RIB-In, empty Loc-RIB
+        (entries.len() as u32).encode(&mut blob);
+        for (n, route) in entries {
+            n.encode(&mut blob);
+            route.encode(&mut blob);
+        }
+        blob.extend_from_slice(&fresh[12..]);
+        blob
+    }
+
+    #[test]
+    fn load_rejects_inconsistent_adj_rib_out_and_touches_nothing() {
+        let sent = Route::originate(prefix(1)).propagated_by(ME);
+        let other = Route::originate(prefix(1)).propagated_by(Asn(7)).propagated_by(ME);
+        let cases: [(&[(Asn, Route)], &str); 3] = [
+            (
+                &[(Asn(1), sent.clone()), (Asn(2), other)],
+                "Adj-RIB-Out entries of one prefix disagree",
+            ),
+            (&[(Asn(1), sent.clone()), (Asn(1), sent.clone())], "duplicate Adj-RIB-Out entry"),
+            (&[(Asn(9), sent.clone())], "Adj-RIB-Out entry for a non-neighbor"),
+        ];
+        for (entries, why) in cases {
+            let mut router = router();
+            router.cells.entry(prefix(2)).or_default().local =
+                Some(Candidate::local(Route::originate(prefix(2))));
+            let mut before = Vec::new();
+            router.save_dynamic(&mut before);
+            let blob = blob_with_adj_out(entries);
+            let err = router.load_dynamic(&mut Reader::new(&blob)).expect_err(why);
+            assert_eq!(err, WireError::Invalid(why));
+            let mut after = Vec::new();
+            router.save_dynamic(&mut after);
+            assert_eq!(after, before, "a rejected blob must leave the router as built");
+        }
+        // The same shape with agreeing entries loads, into one shared route.
+        let mut router = router();
+        let blob = blob_with_adj_out(&[(Asn(1), sent.clone()), (Asn(2), sent.clone())]);
+        router.load_dynamic(&mut Reader::new(&blob)).expect("consistent Adj-RIB-Out");
+        assert_eq!(router.advertised_to(Asn(1), prefix(1)), Some(&sent));
+        assert_eq!(router.advertised_to(Asn(2), prefix(1)), Some(&sent));
+        assert_eq!(router.advertised_to(Asn(3), prefix(1)), None);
     }
 }

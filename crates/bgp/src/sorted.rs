@@ -58,6 +58,13 @@ impl<K: Ord + Copy, V> SortedMap<K, V> {
         match self.position(key) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
+                // Most maps here stay tiny (a stub hears a prefix from
+                // one or two neighbors), and `Vec`'s first allocation
+                // is four slots: grow the first few one at a time,
+                // amortized doubling after that.
+                if self.entries.len() < 4 {
+                    self.entries.reserve_exact(1);
+                }
                 self.entries.insert(i, (key, value));
                 None
             }
@@ -128,6 +135,17 @@ mod tests {
         assert_eq!(m.remove(1), Some("one"));
         assert_eq!(m.remove(1), None);
         assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn small_maps_allocate_exactly() {
+        let mut m: SortedMap<u32, u64> = SortedMap::new();
+        for k in 0..4 {
+            m.insert(k, 0);
+            assert_eq!(m.entries.capacity(), k as usize + 1);
+        }
+        m.insert(4, 0);
+        assert!(m.entries.capacity() >= 8, "doubling past four entries");
     }
 
     #[test]

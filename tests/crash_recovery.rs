@@ -10,11 +10,14 @@
 
 use proptest::prelude::*;
 use pvr::bgp::{
-    internet_like, Asn, BgpNetwork, CheckpointError, DampeningPolicy, InstantiateOptions,
-    InternetParams, LocalEvent, Malice, Prefix, ShardedBgpNetwork, Topology,
+    internet_like, Asn, BgpNetwork, Candidate, CheckpointError, DampeningPolicy,
+    InstantiateOptions, InternetParams, LocalEvent, Malice, Prefix, Route, ShardedBgpNetwork,
+    Topology, CKPT_MAGIC, CKPT_VERSION,
 };
 use pvr::crypto::drbg::HmacDrbg;
+use pvr::crypto::encoding::{Reader, Wire, WireError};
 use pvr::netsim::{Fault, FaultPlan, RunLimits, SimDuration, SimTime, StopReason};
+use pvr::store::{read_container, write_header, write_section};
 use std::path::PathBuf;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -265,6 +268,57 @@ fn rib_fingerprint_is_pinned() {
     assert_eq!(layered.rib_fingerprint().to_hex(), GOLDEN);
 }
 
+/// The checkpoint file is a format, and this pins it: the SHA-256 of a
+/// whole `PVRCKPT1` file, for a network whose router sections carry
+/// every kind of dynamic state at once — attestation chains, a filled
+/// Adj-RIB-Out, MRAI buffers and jitter DRBGs, dampening penalties, an
+/// announcement parked behind a suppression, a flapping prefix, and one
+/// session down. The value was computed on the commit before
+/// `BgpRouter` moved to per-prefix RIB cells (which kept the three RIBs
+/// in three tables and wrote them table by table); any change to what
+/// a router writes, or to the order it writes it in, lands here.
+#[test]
+fn checkpoint_file_bytes_are_pinned() {
+    const GOLDEN: &str = "5e12a6ca216238a745665e2ee15b7ebc268b0c6862cc02c99bf60cc95aa17f5f";
+    let mut topology = small_internet(310);
+    // `small_internet` withdraws the flapping prefix at 40 ms and brings
+    // it back at 90 ms; three more flaps in between push its provider's
+    // penalty over the suppress threshold, so the announcement at 90 ms
+    // is parked behind dampening when the checkpoint lands at 97 ms,
+    // with MRAI buffers still holding the tail of the last withdraw.
+    let ases: Vec<Asn> = topology.ases().collect();
+    let flapper = ases[ases.len() / 2];
+    let prefix = Prefix::parse("203.0.113.0/24").expect("parse");
+    for (ms, up) in [(48, true), (56, false), (64, true), (72, false), (80, true), (86, false)] {
+        let event = if up { LocalEvent::Announce(prefix) } else { LocalEvent::Withdraw(prefix) };
+        topology.schedule(flapper, SimDuration::from_millis(ms), event);
+    }
+    let options = InstantiateOptions {
+        seed: 310,
+        signed: true,
+        key_bits: 512,
+        mrai: Some(SimDuration::from_millis(5)),
+        mrai_jitter: Some(SimDuration::from_millis(1)),
+        dampening: Some(DampeningPolicy::default()),
+        ..Default::default()
+    };
+    let mut net = topology.instantiate(options);
+    // One tier-1 session goes down at 30 ms and stays down.
+    let mut plan = FaultPlan::new();
+    plan.push(
+        SimTime::ZERO + SimDuration::from_millis(30),
+        Fault::LinkDown { a: net.node_of(ases[0]), b: net.node_of(ases[1]) },
+    );
+    net.install_fault_plan(plan);
+    assert_eq!(net.converge(RunLimits::until(SimTime(97_000))), StopReason::Deadline);
+    assert_eq!(net.sim.stats().link_down, 1, "the session must be down at the checkpoint");
+
+    let path = temp_path("golden-bytes");
+    net.checkpoint(&path).expect("checkpoint");
+    let bytes = std::fs::read(&path).expect("read checkpoint");
+    assert_eq!(pvr::crypto::sha256::sha256(&bytes).to_hex(), GOLDEN);
+}
+
 #[test]
 fn checkpoint_refuses_private_verification_and_malice() {
     let topology = small_internet(306);
@@ -404,6 +458,101 @@ fn wrong_engine_kind_is_rejected() {
     assert!(matches!(err, CheckpointError::State(_)), "got {err:?}");
     // The right engine still accepts it.
     ShardedBgpNetwork::restore(&path).expect("sharded restore");
+}
+
+/// The checkpoint `fixture` with the first router's Adj-RIB-Out entries
+/// passed through `edit` — every section re-framed with a valid hash,
+/// so only the router's own validation stands between the edit and a
+/// restored network.
+fn with_first_adj_rib_out(fixture: &[u8], edit: impl Fn(&mut Vec<(Asn, Route)>)) -> Vec<u8> {
+    const SEC_ROUTERS: u8 = 3;
+    let sections = read_container(fixture, &CKPT_MAGIC, CKPT_VERSION).expect("fixture parses");
+    let mut out = Vec::new();
+    write_header(&CKPT_MAGIC, CKPT_VERSION, &mut out);
+    for section in sections {
+        if section.tag != SEC_ROUTERS {
+            write_section(section.tag, &section.payload, &mut out);
+            continue;
+        }
+        // ROUTERS: count, then per router its ASN and dynamic state,
+        // which opens with Adj-RIB-In, Loc-RIB and Adj-RIB-Out, each a
+        // counted list.
+        let payload = section.payload;
+        let mut r = Reader::new(&payload);
+        let offset = |r: &Reader<'_>| payload.len() - r.remaining();
+        u32::decode(&mut r).expect("router count");
+        Asn::decode(&mut r).expect("first router");
+        for _ in 0..u32::decode(&mut r).expect("Adj-RIB-In count") {
+            Asn::decode(&mut r).expect("Adj-RIB-In neighbor");
+            Route::decode(&mut r).expect("Adj-RIB-In route");
+        }
+        for _ in 0..u32::decode(&mut r).expect("Loc-RIB count") {
+            Candidate::decode(&mut r).expect("Loc-RIB entry");
+        }
+        let start = offset(&r);
+        let mut entries = Vec::new();
+        for _ in 0..u32::decode(&mut r).expect("Adj-RIB-Out count") {
+            let neighbor = Asn::decode(&mut r).expect("Adj-RIB-Out neighbor");
+            entries.push((neighbor, Route::decode(&mut r).expect("Adj-RIB-Out route")));
+        }
+        let end = offset(&r);
+        edit(&mut entries);
+        let mut edited = payload[..start].to_vec();
+        (entries.len() as u32).encode(&mut edited);
+        for (neighbor, route) in &entries {
+            neighbor.encode(&mut edited);
+            route.encode(&mut edited);
+        }
+        edited.extend_from_slice(&payload[end..]);
+        write_section(SEC_ROUTERS, &edited, &mut out);
+    }
+    out
+}
+
+#[test]
+fn inconsistent_adj_rib_out_is_a_typed_error() {
+    // Unedited, the re-framed file is the fixture and restores.
+    let fixture = checkpoint_bytes_fixture();
+    let intact = with_first_adj_rib_out(&fixture, |_| {});
+    assert_eq!(intact, fixture);
+    restore_mutilated(intact, "adj-out-intact").expect("intact fixture restores");
+
+    // The router keeps one advertised route per prefix and the set of
+    // neighbors holding it, so a file whose entries for one prefix
+    // differ, repeat a neighbor, or name a stranger has no faithful
+    // in-memory form.
+    type Edit = fn(&mut Vec<(Asn, Route)>);
+    let cases: [(&str, Edit, &str); 3] = [
+        (
+            "adj-out-disagree",
+            |entries| {
+                let (first, prefix) = (entries[0].0, entries[0].1.prefix);
+                let other = entries
+                    .iter_mut()
+                    .find(|(n, route)| *n != first && route.prefix == prefix)
+                    .expect("the first router advertises a prefix to two neighbors");
+                other.1 = other.1.propagated_by(Asn(64_512));
+            },
+            "Adj-RIB-Out entries of one prefix disagree",
+        ),
+        (
+            "adj-out-duplicate",
+            |entries| entries.push(entries[0].clone()),
+            "duplicate Adj-RIB-Out entry",
+        ),
+        (
+            "adj-out-stranger",
+            |entries| entries[0].0 = Asn(4_000_000),
+            "Adj-RIB-Out entry for a non-neighbor",
+        ),
+    ];
+    for (tag, edit, why) in cases {
+        let err = must_fail(restore_mutilated(with_first_adj_rib_out(&fixture, edit), tag), tag);
+        assert!(
+            matches!(err, CheckpointError::Wire(WireError::Invalid(msg)) if msg == why),
+            "{tag}: got {err:?}"
+        );
+    }
 }
 
 proptest! {

@@ -111,6 +111,11 @@ fn assert_recovers_to_baseline(
             "sharded AS{} RIB != never-faulted baseline at {shards} shards",
             asn.0
         );
+        // Recovery leaves nothing behind inside a router either: no
+        // stale holder, candidate or parked route from a session that
+        // went down, and every selection is a from-scratch decision.
+        serial.router(*asn).check_invariants().expect("serial RIB invariants");
+        sharded.router(*asn).check_invariants().expect("sharded RIB invariants");
     }
 }
 

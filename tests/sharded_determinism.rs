@@ -68,6 +68,11 @@ fn assert_engines_agree(
             sharded.router(asn).stats().shard_invariant(),
             "{asn} counters at {shards} shards"
         );
+        // Each engine's end state is internally sound as well: every
+        // selection is what a from-scratch decision over the candidates
+        // gives, and what was advertised is what was selected.
+        serial.router(asn).check_invariants().expect("serial RIB invariants");
+        sharded.router(asn).check_invariants().expect("sharded RIB invariants");
         // Per-shard caches can only lose reuse opportunities relative
         // to the serial engine's network-wide cache, never gain them.
         assert!(
