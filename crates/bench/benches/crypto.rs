@@ -3,9 +3,9 @@
 //! sign/verify baselines, and attestation chain verification with and
 //! without the network-wide cache.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pvr_bgp::{demo_chain, VerifyCache};
-use pvr_crypto::{drbg::HmacDrbg, sha256, RsaPrivateKey, Ubig};
+use pvr_crypto::{drbg::HmacDrbg, sha256, HmacKey, RsaPrivateKey, Ubig};
 use std::hint::black_box;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -16,6 +16,28 @@ fn bench_sha256(c: &mut Criterion) {
             b.iter(|| black_box(sha256(d)));
         });
     }
+    g.finish();
+}
+
+/// What a random word costs: a MAC under a retained key (two
+/// compressions), one 8-byte draw (a `generate` plus the state update
+/// behind it, eight), and a bulk request (two per 32 bytes).
+fn bench_drbg(c: &mut Criterion) {
+    let mut g = c.benchmark_group("drbg");
+    let key = HmacKey::new(&[0x0bu8; 32]);
+    let block = [0xabu8; 32];
+    g.bench_function("hmac_keyed_32B", |b| {
+        b.iter(|| black_box(key.mac(&[black_box(&block)])));
+    });
+    let mut rng = HmacDrbg::from_u64_labeled(4, "bench-drbg");
+    g.bench_function("drbg_u64", |b| {
+        b.iter(|| black_box(rng.u64()));
+    });
+    let mut buf = vec![0u8; 4096];
+    g.throughput(Throughput::Bytes(buf.len() as u64));
+    g.bench_function("drbg_generate_4k", |b| {
+        b.iter(|| rng.generate(black_box(&mut buf)));
+    });
     g.finish();
 }
 
@@ -102,6 +124,7 @@ fn bench_chain_verify(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha256,
+    bench_drbg,
     bench_rsa,
     bench_modpow,
     bench_sign_verify_baseline,

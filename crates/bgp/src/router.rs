@@ -253,6 +253,10 @@ pub struct BgpRouter {
     dampening: Option<DampeningPolicy>,
     /// Dampening figure-of-merit per `(neighbor, prefix)`.
     damp_states: BTreeMap<(Asn, Prefix), DampState>,
+    /// How many `damp_states` entries are suppressed — what arming the
+    /// reuse tick asks at the end of every message, kept here so the
+    /// answer is not a walk over the map.
+    suppressed_pairs: usize,
     /// Latest announcement parked per suppressed `(neighbor, prefix)`,
     /// re-processed when the pair's penalty decays below reuse.
     parked: BTreeMap<(Asn, Prefix), SignedRoute>,
@@ -320,6 +324,7 @@ impl BgpRouter {
             jitter_rng: None,
             dampening: None,
             damp_states: BTreeMap::new(),
+            suppressed_pairs: 0,
             parked: BTreeMap::new(),
             damp_timer_armed: false,
             sessions_down: BTreeSet::new(),
@@ -583,7 +588,8 @@ impl BgpRouter {
     /// over the candidates; the advertised route is the propagated form
     /// of the selection and exists exactly while someone holds it;
     /// holders are configured neighbors with a live session; nothing is
-    /// held or parked from a torn-down session; no vacant cell lingers.
+    /// held or parked from a torn-down session; no vacant cell lingers;
+    /// the suppressed-pair count matches the dampening states.
     /// Tests call this at quiescent end states.
     pub fn check_invariants(&self) -> Result<(), String> {
         let fail = |prefix: Prefix, what: &str| Err(format!("AS{} {prefix}: {what}", self.asn.0));
@@ -618,10 +624,18 @@ impl BgpRouter {
                 return fail(prefix, "candidate from a torn-down session");
             }
         }
-        match self.parked.keys().find(|(n, _)| self.sessions_down.contains(n)) {
-            Some(&(_, prefix)) => fail(prefix, "parked route from a torn-down session"),
-            None => Ok(()),
+        if let Some(&(_, prefix)) = self.parked.keys().find(|(n, _)| self.sessions_down.contains(n))
+        {
+            return fail(prefix, "parked route from a torn-down session");
         }
+        let suppressed = self.damp_states.values().filter(|state| state.suppressed).count();
+        if self.suppressed_pairs != suppressed {
+            return Err(format!(
+                "AS{}: suppressed-pair count is {}, {suppressed} pairs are suppressed",
+                self.asn.0, self.suppressed_pairs
+            ));
+        }
+        Ok(())
     }
 
     /// Runs the decision process on `cell`; on change, advertises or
@@ -955,7 +969,9 @@ impl BgpRouter {
     fn penalize(&mut self, from: Asn, prefix: Prefix, now: SimTime) {
         let Some(policy) = self.dampening else { return };
         let state = self.damp_states.entry((from, prefix)).or_insert_with(|| DampState::new(now));
+        let was_suppressed = state.suppressed;
         state.penalize(now, &policy);
+        self.suppressed_pairs += usize::from(state.suppressed && !was_suppressed);
     }
 
     /// Session toward `peer` went down: discard anything buffered for
@@ -1055,6 +1071,7 @@ impl BgpRouter {
             let still_suppressed = state.refresh(now, &policy);
             if was_suppressed && !still_suppressed {
                 released.push(key);
+                self.suppressed_pairs -= 1;
             }
             if !still_suppressed && state.penalty == 0 {
                 expired.push(key);
@@ -1090,7 +1107,7 @@ impl BgpRouter {
         if self.damp_timer_armed {
             return;
         }
-        if self.damp_states.values().any(|state| state.suppressed) {
+        if self.suppressed_pairs > 0 {
             self.damp_timer_armed = true;
             ctx.set_timer(policy.reuse_tick, DAMP_TIMER);
         }
@@ -1357,6 +1374,7 @@ impl BgpRouter {
         self.mrai_buffer = mrai_buffer;
         self.mrai_armed = mrai_armed;
         self.jitter_rng = jitter_rng;
+        self.suppressed_pairs = damp_states.values().filter(|state| state.suppressed).count();
         self.damp_states = damp_states;
         self.parked = parked;
         self.damp_timer_armed = damp_timer_armed;
@@ -1455,7 +1473,10 @@ impl Agent<BgpUpdate> for BgpRouter {
             if let Some(policy) = self.dampening {
                 let key = (from.asn, prefix);
                 if let Some(state) = self.damp_states.get_mut(&key) {
-                    if state.refresh(now, &policy) {
+                    let was_suppressed = state.suppressed;
+                    let still_suppressed = state.refresh(now, &policy);
+                    self.suppressed_pairs -= usize::from(was_suppressed && !still_suppressed);
+                    if still_suppressed {
                         self.stats.dampening_suppressed += 1;
                         self.journal.record(now.as_micros(), "dampening_suppress", 1);
                         self.parked.insert(key, sr);

@@ -236,7 +236,7 @@ mod dampening_tests {
     use super::*;
     use crate::dampening::DampeningPolicy;
     use crate::topology::InstantiateOptions;
-    use pvr_netsim::RunLimits;
+    use pvr_netsim::{RunLimits, SimTime};
 
     #[test]
     fn dampening_suppresses_persistent_flapping_then_recovers() {
@@ -254,7 +254,13 @@ mod dampening_tests {
             dampening: Some(DampeningPolicy::default()),
             ..Default::default()
         });
+        // Stop inside the flap train: the pair is suppressed and the
+        // router's suppressed-pair count has to say so.
+        net.converge(RunLimits::until(SimTime::ZERO + SimDuration::from_millis(85)));
+        assert!(net.router(provider).damp_state(origin, prefix).is_some_and(|s| s.suppressed));
+        net.router(provider).check_invariants().expect("count tracks a suppressed pair");
         net.converge(RunLimits::none());
+        net.router(provider).check_invariants().expect("count tracks the release");
         let stats = net.router(provider).stats().clone();
         assert!(stats.dampening_suppressed > 0, "rapid flaps must trip suppression");
         // The flap schedule ends announced: once the penalty decays

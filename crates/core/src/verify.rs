@@ -316,14 +316,18 @@ fn top_attestation_by(sr: &SignedRoute, a: Asn, receiver: Asn) -> bool {
 
 /// Gossip cross-check (§3.6): each neighbor shares the signed root it
 /// received; any two valid-but-conflicting roots are equivocation
-/// evidence. Returns the first conflict found.
+/// evidence. Returns the first conflict found, pairs taken in slice
+/// order. Each root's signature is checked at most once, when a pair
+/// first needs it.
 pub fn cross_check_roots(roots: &[SignedRoot], keys: &KeyStore) -> Option<Evidence> {
+    let mut valid: Vec<Option<bool>> = vec![None; roots.len()];
+    let mut is_valid = |i: usize| *valid[i].get_or_insert_with(|| roots[i].verify(keys).is_ok());
     for (i, a) in roots.iter().enumerate() {
-        if a.verify(keys).is_err() {
+        if !is_valid(i) {
             continue;
         }
-        for b in roots.iter().skip(i + 1) {
-            if b.verify(keys).is_err() {
+        for (j, b) in roots.iter().enumerate().skip(i + 1) {
+            if !is_valid(j) {
                 continue;
             }
             if let Some(ev) = EquivocationEvidence::try_from_pair(a, b) {
@@ -462,5 +466,27 @@ mod tests {
         let mut forged = r1.clone();
         forged.root = pvr_crypto::sha256(b"forged");
         assert!(cross_check_roots(&[r1, forged], &bed.keys).is_none());
+    }
+
+    #[test]
+    fn cross_check_skips_invalid_root_ahead_of_equivocating_pair() {
+        let bed = Figure1Bed::build(&[2], 40);
+        let a_id = bed.a_identity();
+        let root = |tag: &[u8]| {
+            pvr_mht::SignedRoot::create(a_id, bed.round.context_bytes(), 1, pvr_crypto::sha256(tag))
+        };
+        let (r1, r2, r3) = (root(b"1"), root(b"2"), root(b"3"));
+        // Would conflict with every root behind it if its signature held.
+        let mut forged = r1.clone();
+        forged.root = pvr_crypto::sha256(b"forged");
+        // The first valid conflicting pair in slice order is (r1, r2):
+        // not a pair with the forged root, not (r1, r1), not (r1, r3).
+        let gossip = [forged.clone(), r1.clone(), r1.clone(), r2.clone(), forged, r3];
+        match cross_check_roots(&gossip, &bed.keys) {
+            Some(Evidence::Equivocation(ev)) => {
+                assert_eq!((ev.a, ev.b), (r1, r2));
+            }
+            other => panic!("expected equivocation evidence, got {other:?}"),
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! `rand::RngCore`, kept in-tree because this workspace builds without
 //! registry access) so it can drive generic samplers where convenient.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::sha256::DIGEST_LEN;
 
 /// HMAC-SHA-256 deterministic random bit generator.
@@ -18,6 +18,9 @@ use crate::sha256::DIGEST_LEN;
 #[derive(Clone)]
 pub struct HmacDrbg {
     key: [u8; DIGEST_LEN],
+    /// `key` with its pad blocks absorbed; re-derived wherever `key`
+    /// changes, so a MAC under the current key costs two compressions.
+    mac: HmacKey,
     value: [u8; DIGEST_LEN],
     /// Number of `generate` calls since instantiation (diagnostics only;
     /// we do not enforce SP 800-90A's reseed interval in a simulator).
@@ -25,10 +28,13 @@ pub struct HmacDrbg {
 }
 
 impl HmacDrbg {
+    fn with_state(key: [u8; DIGEST_LEN], value: [u8; DIGEST_LEN], reseed_counter: u64) -> HmacDrbg {
+        HmacDrbg { key, mac: HmacKey::new(&key), value, reseed_counter }
+    }
+
     /// Instantiates the DRBG from seed material.
     pub fn new(seed: &[u8]) -> HmacDrbg {
-        let mut drbg =
-            HmacDrbg { key: [0u8; DIGEST_LEN], value: [1u8; DIGEST_LEN], reseed_counter: 0 };
+        let mut drbg = HmacDrbg::with_state([0u8; DIGEST_LEN], [1u8; DIGEST_LEN], 0);
         drbg.update(Some(seed));
         drbg
     }
@@ -50,29 +56,25 @@ impl HmacDrbg {
 
     /// The SP 800-90A `HMAC_DRBG_Update` function.
     fn update(&mut self, provided: Option<&[u8]>) {
-        let mut msg = Vec::with_capacity(DIGEST_LEN + 1 + provided.map_or(0, |p| p.len()));
-        msg.extend_from_slice(&self.value);
-        msg.push(0x00);
+        self.rekey(0x00, provided.unwrap_or(&[]));
         if let Some(p) = provided {
-            msg.extend_from_slice(p);
+            self.rekey(0x01, p);
         }
-        self.key = hmac_sha256(&self.key, &msg).0;
-        self.value = hmac_sha256(&self.key, &self.value).0;
-        if let Some(p) = provided {
-            let mut msg = Vec::with_capacity(DIGEST_LEN + 1 + p.len());
-            msg.extend_from_slice(&self.value);
-            msg.push(0x01);
-            msg.extend_from_slice(p);
-            self.key = hmac_sha256(&self.key, &msg).0;
-            self.value = hmac_sha256(&self.key, &self.value).0;
-        }
+    }
+
+    /// One round of the update: `K = HMAC(K, V ‖ round ‖ provided)`,
+    /// then `V = HMAC(K, V)` under the new key.
+    fn rekey(&mut self, round: u8, provided: &[u8]) {
+        self.key = self.mac.mac(&[&self.value, &[round], provided]).0;
+        self.mac = HmacKey::new(&self.key);
+        self.value = self.mac.mac(&[&self.value]).0;
     }
 
     /// Fills `out` with pseudorandom bytes.
     pub fn generate(&mut self, out: &mut [u8]) {
         let mut offset = 0;
         while offset < out.len() {
-            self.value = hmac_sha256(&self.key, &self.value).0;
+            self.value = self.mac.mac(&[&self.value]).0;
             let take = (out.len() - offset).min(DIGEST_LEN);
             out[offset..offset + take].copy_from_slice(&self.value[..take]);
             offset += take;
@@ -173,7 +175,7 @@ impl HmacDrbg {
         value.copy_from_slice(&state[DIGEST_LEN..2 * DIGEST_LEN]);
         let mut ctr = [0u8; 8];
         ctr.copy_from_slice(&state[2 * DIGEST_LEN..]);
-        HmacDrbg { key, value, reseed_counter: u64::from_be_bytes(ctr) }
+        HmacDrbg::with_state(key, value, u64::from_be_bytes(ctr))
     }
 
     /// Byte length of [`HmacDrbg::state_bytes`].
@@ -317,6 +319,52 @@ mod tests {
         let _ = a.u64();
         let b = HmacDrbg::from_state_bytes(&a.state_bytes());
         assert_eq!(b.generate_count(), 2);
+    }
+
+    /// The whole output stream, across every entry point, pinned to the
+    /// value the generator produced when each HMAC was computed from
+    /// scratch (four compressions, no retained key state). Operations
+    /// are chosen by an LCG so the schedule does not depend on the
+    /// stream under test.
+    #[test]
+    fn mixed_transcript_is_pinned() {
+        use crate::sha256::Sha256;
+        // Lengths on both sides of one and two output blocks.
+        const LENS: [usize; 10] = [0, 1, 8, 31, 32, 33, 63, 64, 65, 200];
+        let mut transcript = Sha256::new();
+        let mut d = HmacDrbg::new(b"transcript");
+        let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..2000u64 {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let pick = lcg >> 33;
+            let arg = (pick / 8) as usize;
+            match pick % 8 {
+                0 | 1 => {
+                    transcript.update(&d.bytes(LENS[arg % LENS.len()]));
+                }
+                2 | 3 => {
+                    transcript.update(&d.u64().to_be_bytes());
+                }
+                4 => {
+                    transcript.update(&d.below(1 + arg as u64 % 1000).to_be_bytes());
+                }
+                5 => d.reseed(&lcg.to_be_bytes().repeat(12)[..LENS[arg % LENS.len()] % 90]),
+                6 => {
+                    let state = d.state_bytes();
+                    transcript.update(&state);
+                    d = HmacDrbg::from_state_bytes(&state);
+                }
+                _ if arg % 16 == 0 => d = HmacDrbg::from_u64_labeled(i, "transcript"),
+                _ => {
+                    transcript.update(&d.u32().to_be_bytes());
+                }
+            }
+        }
+        transcript.update(&d.state_bytes());
+        assert_eq!(
+            transcript.finalize().to_hex(),
+            "e6f10634eb6eb7b81cce4c0656f0457c4ca212c0d9337dc1104c5ab45d469e71"
+        );
     }
 
     #[test]

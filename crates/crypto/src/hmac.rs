@@ -3,65 +3,60 @@
 //! Used by the HMAC-DRBG deterministic random bit generator
 //! ([`crate::drbg`]) and for keyed blinding derivation in the Merkle hash
 //! tree crate. Verified against the RFC 4231 test vectors.
+//!
+//! A MAC under a fresh key costs four SHA-256 compressions for a short
+//! message: `K⊕ipad`, the message block, `K⊕opad`, the inner digest.
+//! The two pad blocks depend on the key alone, so [`HmacKey`] absorbs
+//! them once and every further MAC under that key costs two.
 
-use crate::sha256::{Digest, Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{sha256, Digest, Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// Incremental HMAC-SHA-256 computation.
+/// An HMAC-SHA-256 key, held as the two chaining values left after
+/// absorbing `K⊕ipad` and `K⊕opad`.
 #[derive(Clone)]
-pub struct HmacSha256 {
-    inner: Sha256,
-    /// Key XOR opad, retained for the outer hash at finalization.
-    opad_key: [u8; BLOCK_LEN],
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
-impl HmacSha256 {
-    /// Starts an HMAC computation with the given key (any length).
-    pub fn new(key: &[u8]) -> HmacSha256 {
+impl HmacKey {
+    /// Prepares `key` (any length) for MACing.
+    pub fn new(key: &[u8]) -> HmacKey {
         // Keys longer than the block size are hashed first, per RFC 2104.
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            let d = crate::sha256::sha256(key);
-            k[..DIGEST_LEN].copy_from_slice(d.as_bytes());
+            k[..DIGEST_LEN].copy_from_slice(sha256(key).as_bytes());
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad_key = [0u8; BLOCK_LEN];
-        let mut opad_key = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad_key[i] = k[i] ^ 0x36;
-            opad_key[i] = k[i] ^ 0x5c;
+        HmacKey {
+            inner: Sha256::after_block(&k.map(|b| b ^ 0x36)),
+            outer: Sha256::after_block(&k.map(|b| b ^ 0x5c)),
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad_key);
-        HmacSha256 { inner, opad_key }
     }
 
-    /// Absorbs message data.
-    pub fn update(&mut self, data: &[u8]) -> &mut Self {
-        self.inner.update(data);
-        self
-    }
-
-    /// Completes the MAC.
-    pub fn finalize(self) -> Digest {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(inner_digest.as_bytes());
+    /// The MAC of the concatenation of `parts`, without allocating it.
+    pub fn mac(&self, parts: &[&[u8]]) -> Digest {
+        let mut inner = Sha256::resume(self.inner);
+        for p in parts {
+            inner.update(p);
+        }
+        let mut outer = Sha256::resume(self.outer);
+        outer.update(inner.finalize().as_bytes());
         outer.finalize()
     }
 }
 
 /// One-shot HMAC-SHA-256.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut h = HmacSha256::new(key);
-    h.update(message);
-    h.finalize()
+    HmacKey::new(key).mac(&[message])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::sha256_concat;
+    use proptest::prelude::*;
 
     // RFC 4231 test vectors for HMAC-SHA-256.
     #[test]
@@ -102,20 +97,59 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_oneshot() {
-        let key = b"some key";
-        let msg: Vec<u8> = (0..997u32).map(|i| (i % 251) as u8).collect();
-        let oneshot = hmac_sha256(key, &msg);
-        let mut h = HmacSha256::new(key);
-        for c in msg.chunks(13) {
-            h.update(c);
+    fn one_key_macs_many_messages() {
+        let key = HmacKey::new(b"Jefe");
+        for msg in [b"what do ya want ".as_slice(), b"for nothing?", b""] {
+            assert_eq!(key.mac(&[msg]), hmac_sha256(b"Jefe", msg));
         }
-        assert_eq!(h.finalize(), oneshot);
+        assert_eq!(
+            key.mac(&[b"what do ya want ", b"for nothing?"]).to_hex(),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        );
     }
 
     #[test]
     fn distinct_keys_distinct_macs() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
         assert_ne!(hmac_sha256(b"k", b"m1"), hmac_sha256(b"k", b"m2"));
+    }
+
+    /// RFC 2104 written out: `H(K⊕opad ‖ H(K⊕ipad ‖ text))`, `K` hashed
+    /// first when longer than a block, zero-padded to one otherwise.
+    fn rfc2104(key: &[u8], parts: &[&[u8]]) -> Digest {
+        let hashed;
+        let key = if key.len() > BLOCK_LEN {
+            hashed = sha256(key);
+            hashed.as_bytes()
+        } else {
+            key
+        };
+        let mut k = [0u8; BLOCK_LEN];
+        k[..key.len()].copy_from_slice(key);
+        let ipad = k.map(|b| b ^ 0x36);
+        let opad = k.map(|b| b ^ 0x5c);
+        let mut inner_parts: Vec<&[u8]> = vec![&ipad];
+        inner_parts.extend_from_slice(parts);
+        let inner = sha256_concat(&inner_parts);
+        sha256_concat(&[&opad, inner.as_bytes()])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_keyed_mac_equals_rfc2104(
+            // 0..=3 picks a key length below, at, just above and well above one block.
+            key_class in 0usize..4,
+            key_fill in proptest::collection::vec(any::<u8>(), 200),
+            short_len in 0usize..BLOCK_LEN,
+            parts in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..150), 0..4),
+        ) {
+            let key_len = [short_len, BLOCK_LEN, BLOCK_LEN + 1, 200][key_class];
+            let key = &key_fill[..key_len];
+            let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(HmacKey::new(key).mac(&parts), rfc2104(key, &parts));
+            prop_assert_eq!(hmac_sha256(key, &parts.concat()), rfc2104(key, &parts));
+        }
     }
 }

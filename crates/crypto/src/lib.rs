@@ -44,7 +44,7 @@ pub use commit::{commit, commit_with, verify as verify_commitment, Blinding, Com
 pub use drbg::HmacDrbg;
 pub use encoding::{decode_exact, decode_seq, encode_seq, Reader, Wire, WireError};
 pub use error::CryptoError;
-pub use hmac::{hmac_sha256, HmacSha256};
+pub use hmac::{hmac_sha256, HmacKey};
 pub use keys::{Identity, KeyStore, PrincipalId};
 pub use montgomery::Montgomery;
 pub use ring::{ring_sign, ring_verify, RingSignature};

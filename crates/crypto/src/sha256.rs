@@ -135,6 +135,18 @@ impl Sha256 {
         Sha256 { state: H0, len: 0, buf: [0u8; BLOCK_LEN], buf_len: 0 }
     }
 
+    /// The chaining value left after absorbing exactly `block`.
+    pub(crate) fn after_block(block: &[u8; BLOCK_LEN]) -> [u32; 8] {
+        let mut h = Sha256::new();
+        h.compress(block);
+        h.state
+    }
+
+    /// A hasher that has absorbed one block, which left `chaining`.
+    pub(crate) fn resume(chaining: [u32; 8]) -> Sha256 {
+        Sha256 { state: chaining, len: BLOCK_LEN as u64, buf: [0u8; BLOCK_LEN], buf_len: 0 }
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
         let mut data = data;

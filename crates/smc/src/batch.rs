@@ -11,11 +11,20 @@
 //! filled batches mask the dead upper bits so they can never leak into
 //! outputs.
 //!
-//! The AND-triple dealer is word-wide too: one `u64` draw from the DRBG
-//! yields 64 lanes' worth of triple bits, where the serial engine burns
-//! one full HMAC-DRBG `chance(0.5)` call (one buffered `u64`) *per
-//! lane per bit*. That — plus the word-wide gate ops — is where the
-//! ≥10× batched throughput in `benches/smc.rs` comes from.
+//! # The dealer tape
+//!
+//! The dealer is word-wide too: one 64-bit word of DRBG output is 64
+//! lanes' worth of one share or triple bit, where the serial engine
+//! spends a whole `HmacDrbg::chance(0.5)` — one `generate` plus its
+//! state update, eight SHA-256 compressions — *per lane per bit*. The
+//! number of words a pass needs is fixed by the circuit and the party
+//! count `n`: `n − 1` per input gate (the owner's share is the parity)
+//! and `2 + 3(n − 1)` per AND gate (the triple's `a` and `b`, then
+//! `n − 1` shares each of `a`, `b` and `c`). [`BatchGmw::run`] therefore
+//! draws the whole tape with **one** `generate` — two compressions per
+//! 32 bytes, one state update per pass — and reads words off it in gate
+//! order. That, not the word-wide gate ops (under 1 % of a pass), is
+//! where the batched throughput in `benches/smc.rs` comes from.
 //!
 //! # Determinism proof sketch (why lanes match serial runs exactly)
 //!
@@ -31,8 +40,8 @@
 //! AND depth) and the party count — never a random bit. Therefore each
 //! lane of a batched run is **identical in outputs and stats** to a
 //! serial `run_gmw` call on that lane's inputs, for *any* DRBG state —
-//! which frees the batch engine to draw one word per random value
-//! instead of replaying the serial per-bit draw sequence. The property
+//! which frees the batch engine to draw one tape per pass instead of
+//! replaying the serial per-bit draw sequence. The property
 //! test `prop_batch_gmw_equals_serial` pins this lane-for-lane, and the
 //! batch DRBG itself follows the sharded engine's derivation recipe
 //! ([`HmacDrbg::from_u64_labeled`]) so network-level flushes are
@@ -200,8 +209,23 @@ impl<'c> BatchGmw<'c> {
         let mask = BitBatch::zero(lanes).mask();
         let circuit = self.circuit;
 
+        // The dealer tape: every random word this pass will consume,
+        // from one `generate` (see the module docs for the count).
+        let input_gates =
+            circuit.gates().iter().filter(|g| matches!(g, Gate::Input { .. })).count();
+        let tape_words = input_gates * (n - 1) + circuit.and_count() * (2 + 3 * (n - 1));
+        let mut tape_bytes = vec![0u8; 8 * tape_words];
+        rng.generate(&mut tape_bytes);
+        let mut tape = tape_bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_be_bytes(w.try_into().expect("8-byte chunk")) & mask);
+        let mut word = || tape.next().expect("dealer tape sized from the circuit");
+
         let mut cursor = vec![0usize; n];
         let mut shares: Vec<Vec<u64>> = vec![Vec::with_capacity(circuit.len()); n];
+        // One AND gate's triple shares, reused across gates:
+        // `[a-shares | b-shares | c-shares]`, `n` words each.
+        let mut triple = vec![0u64; 3 * n];
         let mut stats = GmwStats { parties: n, gates: circuit.len(), ..Default::default() };
         let mut wire_round: Vec<usize> = Vec::with_capacity(circuit.len());
 
@@ -212,14 +236,14 @@ impl<'c> BatchGmw<'c> {
                     assert!(p < n, "circuit references party {p}, only {n} present");
                     let v = inputs[p][cursor[p]].bits();
                     cursor[p] += 1;
-                    // Owner draws one random word per other party —
-                    // 64 lanes of share bits from a single DRBG output.
+                    // Owner deals one random word to every other party —
+                    // 64 lanes of share bits each — and keeps the parity.
                     let mut acc = v;
                     for (q, sh) in shares.iter_mut().enumerate() {
                         if q == p {
                             continue;
                         }
-                        let r = rng.u64() & mask;
+                        let r = word();
                         sh.push(r);
                         acc ^= r;
                     }
@@ -248,19 +272,21 @@ impl<'c> BatchGmw<'c> {
                 }
                 Gate::And(a, b) => {
                     // Word-wide Beaver triple: bit k of (ta, tb, tc) is
-                    // lane k's triple, tc = ta & tb lane-wise.
-                    let ta = rng.u64() & mask;
-                    let tb = rng.u64() & mask;
-                    let tc = ta & tb;
-                    let share_out = |v: u64, rng: &mut HmacDrbg| -> Vec<u64> {
-                        let mut out: Vec<u64> = (0..n - 1).map(|_| rng.u64() & mask).collect();
-                        let parity = out.iter().fold(v, |acc, &s| acc ^ s);
-                        out.push(parity);
-                        out
-                    };
-                    let sa = share_out(ta, rng);
-                    let sb = share_out(tb, rng);
-                    let sc = share_out(tc, rng);
+                    // lane k's triple, tc = ta & tb lane-wise; each is
+                    // dealt as n − 1 tape words plus the parity word.
+                    let ta = word();
+                    let tb = word();
+                    for (v, dealt) in [ta, tb, ta & tb].into_iter().zip(triple.chunks_exact_mut(n))
+                    {
+                        let (parity, random) = dealt.split_last_mut().expect("n >= 1");
+                        *parity = v;
+                        for s in random {
+                            *s = word();
+                            *parity ^= *s;
+                        }
+                    }
+                    let (sa, rest) = triple.split_at(n);
+                    let (sb, sc) = rest.split_at(n);
 
                     // Public openings d = x ⊕ a, e = y ⊕ b, lane-wise.
                     let mut d = 0u64;
@@ -287,6 +313,7 @@ impl<'c> BatchGmw<'c> {
             }
         }
 
+        debug_assert!(tape.next().is_none(), "dealer tape not fully consumed");
         stats.rounds =
             circuit.outputs().iter().map(|w| wire_round[w.0 as usize]).max().unwrap_or(0);
 
@@ -408,6 +435,46 @@ mod tests {
         let b = BatchGmw::new(&c).run(&packed, &mut HmacDrbg::new(b"s"));
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.lane_stats, b.lane_stats);
+    }
+
+    #[test]
+    fn one_generate_per_run() {
+        // The whole dealer tape is one DRBG request, whatever the
+        // circuit, party count or lane count — a single party and a
+        // circuit without AND gates (empty tape) included.
+        let mut rng = HmacDrbg::from_u64_labeled(11, "smc-batch-test");
+        let mut xor_only = Circuit::new();
+        let (a, b) = (xor_only.input(0), xor_only.input(0));
+        let x = xor_only.xor(a, b);
+        xor_only.set_outputs(&[x]);
+        let cases: Vec<(Circuit, Vec<Vec<Vec<bool>>>)> = vec![
+            (min_circuit(4, 8), min_lane_inputs(&vec![vec![9, 4, 30, 2]; 64], 8)),
+            (min_circuit(2, 3), min_lane_inputs(&[vec![5, 6]], 3)),
+            (majority_circuit(5), vec![vec![vec![true]; 5]; 8]),
+            (xor_only, vec![vec![vec![true, false]]; 3]),
+        ];
+        for (i, (c, lane_inputs)) in cases.iter().enumerate() {
+            let before = rng.generate_count();
+            BatchGmw::new(c).run(&pack_lane_inputs(lane_inputs), &mut rng);
+            assert_eq!(rng.generate_count(), before + 1, "case {i}");
+        }
+    }
+
+    #[test]
+    fn outputs_and_stats_ignore_the_dealer_seed() {
+        let c = min_circuit(4, 8);
+        for lanes in [1usize, 8, 64] {
+            let vals: Vec<Vec<u64>> =
+                (0..lanes as u64).map(|k| vec![200 - k, 13 + 3 * k, 77, (k * k) % 256]).collect();
+            let packed = pack_lane_inputs(&min_lane_inputs(&vals, 8));
+            let a = BatchGmw::new(&c).run(&packed, &mut HmacDrbg::new(b"one dealer"));
+            let b = BatchGmw::new(&c).run(&packed, &mut HmacDrbg::from_u64_labeled(99, "another"));
+            assert_eq!(a.outputs, b.outputs, "{lanes} lanes");
+            assert_eq!(a.lane_stats, b.lane_stats, "{lanes} lanes");
+            for (k, lane) in vals.iter().enumerate() {
+                assert_eq!(from_bits(&a.lane_outputs(k)), *lane.iter().min().unwrap());
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,11 @@ fn assert_serial_recovery(topology: &Topology, options: InstantiateOptions, kill
     drop(victim); // the crash
 
     let mut recovered = BgpNetwork::restore(&path).expect("restore");
+    // What a router derives on load (the suppressed-pair count among
+    // it) must agree with the state it was handed, mid-run.
+    for asn in topology.ases() {
+        recovered.router(asn).check_invariants().expect("restored RIB invariants");
+    }
     assert_eq!(recovered.converge(RunLimits::none()), StopReason::Quiescent);
 
     assert_eq!(
