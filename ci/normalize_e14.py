@@ -9,11 +9,12 @@ to differ:
 - wall-clock timings (machine noise) and the shard count itself (the
   run's parameter, not its result);
 - everything derived from `verify_cache_hits` — the workspace-wide
-  carve-out: the sharded engine's per-shard verification caches see
-  fewer hits than the serial engine's network-wide cache, by design;
-- e18's checkpoint byte size — the checkpoint file's ENGINE section
-  encodes per-engine scheduler state, so serial and sharded files for
-  the same logical instant legitimately differ in size.
+  carve-out: verification caches are per shard, and a per-shard cache
+  sees fewer hits than one shard's network-wide cache, by design;
+- e18's checkpoint byte size — the checkpoint file's ENGINE section is
+  shard-shaped (one sequence-tagged calendar per shard), so files
+  written at different shard counts for the same logical instant
+  legitimately differ in size.
 
 Every other metric — e14's AS/edge/origin counts, event totals, peak
 RIB size, bytes on the wire, O(1) short-circuits; e15's metrics series
@@ -26,8 +27,8 @@ SMC bill (requests, batches, rounds, bits broadcast, modeled latency,
 verdict tally); e18's convergence events, snapshot/checkpoint counts,
 replayed events, `recovered_identical` verdict, the converged RIB's
 SHA-256 (both e14's per-cell `final_rib_sha256` and e18's), and the
-hijack-bisect forensic row — must survive unchanged, or the sharded
-engine has diverged from the serial one.
+hijack-bisect forensic row — must survive unchanged, or the engine's
+output depends on its shard count.
 
 Usage: normalize_e14.py BENCH.json > normalized.json
 """

@@ -93,10 +93,10 @@ pub fn poisoning_scores(
     (poisoned.len() as f64 / honest.len() as f64, if total > 0.0 { hit / total } else { 0.0 })
 }
 
-/// Network-wide verification-cache statistics: `(calls, hits)` from
-/// the shared [`pvr_bgp::VerifyCache`], or zeros in plain mode.
+/// Network-wide verification-cache statistics: `(calls, hits)` summed
+/// over the per-shard [`pvr_bgp::VerifyCache`]s, or zeros in plain mode.
 pub fn verification_stats(net: &BgpNetwork) -> (u64, u64) {
-    net.verify_cache().map_or((0, 0), |c| (c.calls(), c.hits()))
+    net.verify_caches().iter().fold((0, 0), |(calls, hits), c| (calls + c.calls(), hits + c.hits()))
 }
 
 /// Sums security rejections (attestation + origin failures) across all

@@ -22,18 +22,18 @@
 //! inspection, not internet-scale stress.
 //!
 //! `--shards LIST` (comma-separated, e.g. `--shards 1,2,4`) selects the
-//! engine(s) e14, e15, e16, e17, and e18 run on: 1 is the serial
-//! engine, >1 the sharded engine with that many worker calendars.
-//! Defaults to `1`, or `1,2` under `--quick` so CI smoke covers both
-//! engines. Deterministic e14/e15/e16/e17/e18 fields are identical at
-//! every shard count; the CI determinism job diffs them.
+//! shard count(s) e14, e15, e16, e17, and e18 run at: the one engine
+//! with that many worker calendars (1 = inline dispatch, no threads).
+//! Defaults to `1`, or `1,2` under `--quick` so CI smoke covers the
+//! threaded path too. Deterministic e14/e15/e16/e17/e18 fields are
+//! identical at every shard count; the CI determinism job diffs them.
 //!
 //! `--checkpoint-every MS` sets e18's checkpoint cadence in sim-time
 //! milliseconds (default 10); `--checkpoint-dir DIR` keeps e18's
 //! checkpoint files under DIR (per-shard-count subdirectories `s<N>/`)
 //! instead of a deleted temp directory; `--restore FILE` adds e18's
-//! operator drill — restore FILE (either engine) and replay it to
-//! quiescence. All three require e18 to be selected and are validated
+//! operator drill — restore FILE (at the shard count recorded in it)
+//! and replay it to quiescence. All three require e18 to be selected and are validated
 //! up front (exit 2).
 //!
 //! `--smc-batch N` sets e17's GMW batch width (lanes per word, 1–64;
@@ -74,8 +74,8 @@
 //! kill-and-recover drill's replayed events and `recovered_identical`
 //! verdict, and the converged RIB's SHA-256 — plus the hijack-bisect
 //! forensic row. `ci/normalize_e14.py` strips the `verify_cache_hit*`
-//! series/fields — the engine-local carve-out — plus all wall-clock
-//! fields and e18's engine-local checkpoint byte size, and diffs the
+//! series/fields — the per-shard-cache carve-out — plus all wall-clock
+//! fields and e18's shard-shaped checkpoint byte size, and diffs the
 //! rest across shard counts.
 
 /// One experiment: renders its table as a string.
@@ -95,8 +95,8 @@ const QUICK_SCALE: usize = 500;
 /// its journals and timelines are operator-inspection artifacts, not a
 /// stress test (e14 covers internet scale).
 const E15_MAX_SCALE: usize = 1000;
-/// E14/e15 shard counts under `--quick`: serial plus one sharded run,
-/// so CI smoke exercises both engines.
+/// E14/e15 shard counts under `--quick`: one shard plus a two-shard
+/// run, so CI smoke exercises worker threads and the merged exchange.
 const QUICK_SHARDS: &[usize] = &[1, 2];
 /// E16's default continuous-churn event count (`--churn` overrides).
 const DEFAULT_CHURN: usize = 64;

@@ -850,7 +850,7 @@ pub struct E14Cell {
     pub scale: usize,
     /// Security mode label (`plain` / `signed` / `pvr`).
     pub mode: &'static str,
-    /// Shard count the run used (1 = the serial engine). Every
+    /// Shard count the run used. Every
     /// deterministic field in this cell is identical across shard
     /// counts — the CI determinism gate diffs exactly that.
     pub shards: usize,
@@ -908,161 +908,10 @@ pub fn e14_params(ases: usize) -> InternetParams {
     }
 }
 
-/// A converged network on either engine — the dispatch E14 uses so one
-/// measurement loop covers serial (`shards == 1`) and sharded runs.
-enum E14Net {
-    Serial(pvr_bgp::BgpNetwork),
-    Sharded(pvr_bgp::ShardedBgpNetwork),
-}
-
-impl E14Net {
-    fn build(topology: &pvr_bgp::Topology, options: InstantiateOptions, shards: usize) -> E14Net {
-        if shards <= 1 {
-            E14Net::Serial(topology.instantiate(options))
-        } else {
-            E14Net::Sharded(topology.instantiate_sharded(options, shards))
-        }
-    }
-
-    fn install_origin_table(&mut self, table: std::sync::Arc<pvr_bgp::OriginTable>) {
-        match self {
-            E14Net::Serial(n) => n.install_origin_table(table),
-            E14Net::Sharded(n) => n.install_origin_table(table),
-        }
-    }
-
-    fn install_fault_plan(&mut self, plan: pvr_netsim::FaultPlan) {
-        match self {
-            E14Net::Serial(n) => n.install_fault_plan(plan),
-            E14Net::Sharded(n) => n.install_fault_plan(plan),
-        }
-    }
-
-    fn node_of(&self, asn: Asn) -> pvr_netsim::NodeId {
-        match self {
-            E14Net::Serial(n) => n.node_of(asn),
-            E14Net::Sharded(n) => n.node_of(asn),
-        }
-    }
-
-    fn router_totals(&self) -> pvr_bgp::RouterStats {
-        match self {
-            E14Net::Serial(n) => n.router_totals(),
-            E14Net::Sharded(n) => n.router_totals(),
-        }
-    }
-
-    fn converge(&mut self, limits: RunLimits) -> pvr_netsim::StopReason {
-        match self {
-            E14Net::Serial(n) => n.converge(limits),
-            E14Net::Sharded(n) => n.converge(limits),
-        }
-    }
-
-    fn sim_stats(&self) -> pvr_netsim::SimStats {
-        match self {
-            E14Net::Serial(n) => n.sim.stats().clone(),
-            E14Net::Sharded(n) => n.sim.stats().clone(),
-        }
-    }
-
-    fn ases(&self) -> Vec<Asn> {
-        match self {
-            E14Net::Serial(n) => n.ases().collect(),
-            E14Net::Sharded(n) => n.ases().collect(),
-        }
-    }
-
-    fn router(&self, asn: Asn) -> &pvr_bgp::BgpRouter {
-        match self {
-            E14Net::Serial(n) => n.router(asn),
-            E14Net::Sharded(n) => n.router(asn),
-        }
-    }
-
-    fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
-        match self {
-            E14Net::Serial(n) => n.metrics_snapshot(security_mode),
-            E14Net::Sharded(n) => n.metrics_snapshot(security_mode),
-        }
-    }
-
-    fn convergence_timeline(&self) -> Option<pvr_obs::ConvergenceTimeline> {
-        match self {
-            E14Net::Serial(n) => n.convergence_timeline(),
-            E14Net::Sharded(n) => n.convergence_timeline(),
-        }
-    }
-
-    fn trace_jsonl(&self) -> String {
-        match self {
-            E14Net::Serial(n) => n.trace_jsonl(),
-            E14Net::Sharded(n) => n.trace_jsonl(),
-        }
-    }
-
-    fn now_us(&self) -> u64 {
-        match self {
-            E14Net::Serial(n) => n.sim.now().as_micros(),
-            E14Net::Sharded(n) => n.sim.now().as_micros(),
-        }
-    }
-
-    fn private_verifier(&self) -> Option<&std::sync::Arc<pvr_bgp::PrivateVerifier>> {
-        match self {
-            E14Net::Serial(n) => n.private_verifier(),
-            E14Net::Sharded(n) => n.private_verifier(),
-        }
-    }
-
-    fn rib_fingerprint_hex(&self) -> String {
-        match self {
-            E14Net::Serial(n) => n.rib_fingerprint().to_hex(),
-            E14Net::Sharded(n) => n.rib_fingerprint().to_hex(),
-        }
-    }
-
-    fn snapshot_times(&self) -> Vec<pvr_netsim::SimTime> {
-        match self {
-            E14Net::Serial(n) => n.snapshot_times(),
-            E14Net::Sharded(n) => n.snapshot_times(),
-        }
-    }
-
-    fn checkpoint(&mut self, path: &std::path::Path) -> Result<u64, pvr_bgp::CheckpointError> {
-        match self {
-            E14Net::Serial(n) => n.checkpoint(path),
-            E14Net::Sharded(n) => n.checkpoint(path),
-        }
-    }
-
-    fn converge_checkpointed(
-        &mut self,
-        limits: RunLimits,
-        every: SimDuration,
-        dir: &std::path::Path,
-    ) -> Result<(pvr_netsim::StopReason, std::path::PathBuf), pvr_bgp::CheckpointError> {
-        match self {
-            E14Net::Serial(n) => n.converge_checkpointed(limits, every, dir),
-            E14Net::Sharded(n) => n.converge_checkpointed(limits, every, dir),
-        }
-    }
-
-    /// Restores from a checkpoint file onto the engine the file was
-    /// written by (`shards` picks the variant, matching `build`).
-    fn restore(shards: usize, path: &std::path::Path) -> Result<E14Net, pvr_bgp::CheckpointError> {
-        if shards <= 1 {
-            pvr_bgp::BgpNetwork::restore(path).map(E14Net::Serial)
-        } else {
-            pvr_bgp::ShardedBgpNetwork::restore(path).map(E14Net::Sharded)
-        }
-    }
-}
-
 /// E14 — internet-scale route propagation: converged `internet_like`
 /// runs at a ladder of AS counts (56 → 1 000 → `max_scale`) under
-/// `Plain`/`Signed`/`Pvr`, at each requested shard count (1 = the
-/// serial engine, >1 = the sharded engine), reporting topology size,
+/// `Plain`/`Signed`/`Pvr`, at each requested shard count, reporting
+/// topology size,
 /// convergence events, events/sec, peak RIB entries, bytes on the wire,
 /// and the incremental decision path's short-circuit count. Everything
 /// except the timing columns is deterministic *and identical across
@@ -1122,8 +971,7 @@ pub fn e14_scale(max_scale: usize, shard_counts: &[usize]) -> (String, Vec<E14Ce
         for &shards in &shard_counts {
             let mut signed_cell: Option<E14Cell> = None;
             for (mode, signed) in [("plain", false), ("signed", true)] {
-                let mut net = E14Net::build(
-                    &topology,
+                let mut net = topology.instantiate_sharded(
                     InstantiateOptions { seed: 14, signed, key_bits: 512, ..Default::default() },
                     shards,
                 );
@@ -1138,7 +986,7 @@ pub fn e14_scale(max_scale: usize, shard_counts: &[usize]) -> (String, Vec<E14Ce
                     pvr_netsim::StopReason::Quiescent,
                     "e14 scale {scale} {mode} shards {shards}"
                 );
-                let stats = net.sim_stats();
+                let stats = net.sim.stats();
                 let mut rib = 0u64;
                 let mut shorts = 0u64;
                 for asn in net.ases() {
@@ -1160,7 +1008,7 @@ pub fn e14_scale(max_scale: usize, shard_counts: &[usize]) -> (String, Vec<E14Ce
                     peak_rib_entries: rib,
                     bytes_on_wire: stats.bytes_sent,
                     short_circuits: shorts,
-                    final_rib_sha256: net.rib_fingerprint_hex(),
+                    final_rib_sha256: net.rib_fingerprint().to_hex(),
                 };
                 write_e14_row(&mut out, &cell);
                 if signed {
@@ -1241,17 +1089,17 @@ const E15_JOURNAL_CAP: usize = 64;
 #[derive(Clone, Debug)]
 pub struct E15Artifacts {
     /// pvr-obs compact-JSON exposition (a JSON array) of the merged
-    /// snapshot. Deterministic and engine-independent modulo the
+    /// snapshot. Deterministic and shard-count invariant modulo the
     /// `verify_cache_hit*` series.
     pub metrics_json: String,
     /// The signed-substrate convergence timeline at the largest scale,
     /// as a JSON array of windows (`verify_cache_hits` is the
-    /// engine-local field).
+    /// per-shard-cache field).
     pub timeline_json: String,
     /// Prometheus text exposition of the same snapshot.
     pub prometheus: String,
     /// Per-router event journals merged into one JSONL trace.
-    /// Byte-identical across engines: journals record verify *calls*,
+    /// Byte-identical across shard counts: journals record verify *calls*,
     /// never cache hits.
     pub trace_jsonl: String,
 }
@@ -1304,7 +1152,7 @@ pub fn e15_observability(max_scale: usize, shard_counts: &[usize]) -> (String, E
     let mut sel_trace = String::new();
     let mut timeline_tables: Vec<(&'static str, String)> = Vec::new();
     // (scale, signed-run snapshot/timeline at the base shard count) for
-    // the cross-engine footer.
+    // the cross-shard-count footer.
     let mut base_telemetry: Vec<(usize, pvr_obs::Snapshot, pvr_obs::ConvergenceTimeline)> =
         Vec::new();
     let mut engine_checks: Vec<String> = Vec::new();
@@ -1314,8 +1162,7 @@ pub fn e15_observability(max_scale: usize, shard_counts: &[usize]) -> (String, E
         let topology = internet_like(params, 14);
         for &shards in &shard_counts {
             for (mode, signed) in [("plain", false), ("signed", true)] {
-                let mut net = E14Net::build(
-                    &topology,
+                let mut net = topology.instantiate_sharded(
                     InstantiateOptions {
                         seed: 14,
                         signed,
@@ -1503,9 +1350,13 @@ fn edge_endpoints(edge: &pvr_bgp::Edge) -> (Asn, Asn) {
 
 /// E16's seeded fault plan over real topology links: two flapping links
 /// (down/up ramps through the churn window) and one session that resets
-/// twice. Node ids come from `net`, but both engines assign them
-/// identically, so the plan is engine-independent.
-fn e16_fault_plan(topology: &pvr_bgp::Topology, net: &E14Net, fault_seed: u64) -> FaultPlan {
+/// twice. Node ids come from `net`, but they are assigned identically
+/// at every shard count, so the plan is too.
+fn e16_fault_plan(
+    topology: &pvr_bgp::Topology,
+    net: &pvr_bgp::BgpNetwork,
+    fault_seed: u64,
+) -> FaultPlan {
     use pvr_netsim::{Fault, SimTime};
     let edges = topology.edges();
     let mut rng = HmacDrbg::from_u64_labeled(fault_seed, "e16-faults");
@@ -1656,7 +1507,7 @@ fn e16_degradation(scale: usize, fault_seed: u64) -> Vec<(u32, usize, f64)> {
 
 /// E16 — churn, fault injection, and graceful degradation. Three
 /// phases, all plain-substrate (route security under churn is E12/E16's
-/// deployment phase; the engines' byte-identity needs no carve-out
+/// deployment phase; byte-identity across shard counts needs no carve-out
 /// here):
 ///
 /// 1. **Steady-state churn under faults** — `churn_events` continuous
@@ -1666,7 +1517,7 @@ fn e16_degradation(scale: usize, fault_seed: u64) -> Vec<(u32, usize, f64)> {
 ///    one twice-reset session). Reports per-event route-settle p50/p99
 ///    off the convergence timeline, withdraw-storm fan-out, and
 ///    dampening suppressions — per shard count, with full telemetry
-///    equality asserted across engines.
+///    equality asserted across shard counts.
 /// 2. **Graceful degradation** — fraction of baseline route selections
 ///    still intact when 0/5/10/20 % of links flap, probed mid-storm.
 /// 3. **Partial deployment** — the [`pvr_attack::deployment_sweep`]
@@ -1753,7 +1604,7 @@ pub fn e16_churn(
     let mut engine_checks: Vec<String> = Vec::new();
     let mut metrics: Option<E16Metrics> = None;
     for &shards in &shard_counts {
-        let mut net = E14Net::build(&topology, options, shards);
+        let mut net = topology.instantiate_sharded(options, shards);
         net.install_fault_plan(e16_fault_plan(&topology, &net, fault_seed));
         let stop = net.converge(RunLimits::none());
         assert_eq!(
@@ -1763,7 +1614,7 @@ pub fn e16_churn(
         );
         let timeline = net.convergence_timeline().expect("timeline enabled");
         let snap = net.metrics_snapshot("plain");
-        let stats = net.sim_stats();
+        let stats = net.sim.stats().clone();
         let totals = net.router_totals();
         let mut settles = settle_times_us(&schedule, &timeline);
         settles.sort_unstable();
@@ -1875,7 +1726,7 @@ pub fn e16_churn(
 pub struct E17Row {
     /// Requested AS-count scale.
     pub scale: usize,
-    /// Shard count (1 = the serial engine).
+    /// Shard count.
     pub shards: usize,
     /// Batch width the verifier packed requests into (≤ 64 lanes).
     pub lane_cap: usize,
@@ -1969,7 +1820,7 @@ pub fn e17_private_path(
     .unwrap();
 
     // The base shard count's private-run fingerprint per scale, for the
-    // cross-engine assertion.
+    // cross-shard-count assertion.
     let mut base_runs: Vec<(usize, pvr_bgp::SmcBatchStats, pvr_obs::TimelineRecorder, u64, u64)> =
         Vec::new();
     for &scale in &scales {
@@ -1979,8 +1830,7 @@ pub fn e17_private_path(
         for &shards in &shard_counts {
             let mut measured: Vec<(bool, u64, u64, f64)> = Vec::new();
             for private in [false, true] {
-                let mut net = E14Net::build(
-                    &topology,
+                let mut net = topology.instantiate_sharded(
                     InstantiateOptions {
                         seed: 17,
                         signed: true,
@@ -2000,8 +1850,8 @@ pub fn e17_private_path(
                     pvr_netsim::StopReason::Quiescent,
                     "e17 scale {scale} shards {shards} private={private}"
                 );
-                let events = net.sim_stats().events;
-                let sim_us = net.now_us();
+                let events = net.sim.stats().events;
+                let sim_us = net.sim.now().as_micros();
                 measured.push((private, events, sim_us, wall));
                 let (requests, batches, occ, bits, verdicts) = if private {
                     let verifier = net.private_verifier().expect("private verifier wired");
@@ -2148,11 +1998,11 @@ pub const E18_DEFAULT_EVERY_MS: u64 = 10;
 /// One measured shard-count row of E18: an uninterrupted baseline, a
 /// checkpoint-every-boundary run, and a kill-and-recover cycle from the
 /// middle checkpoint. The wall-clock fields and the checkpoint byte
-/// size are engine-local (the file encodes per-engine scheduler state);
+/// size are run-local (the file's ENGINE section is shard-shaped);
 /// everything else is deterministic and identical across shard counts.
 #[derive(Clone, Debug)]
 pub struct E18Row {
-    /// Shard count (1 = the serial engine). Run parameter.
+    /// Shard count. Run parameter.
     pub shards: usize,
     /// Convergence events of the uninterrupted run (deterministic).
     pub events: u64,
@@ -2166,8 +2016,8 @@ pub struct E18Row {
     pub snapshots_retained: usize,
     /// Checkpoint files the sliced run wrote (deterministic).
     pub checkpoints_written: usize,
-    /// Size of the final checkpoint file (engine-local: the ENGINE
-    /// section encodes per-shard scheduler state).
+    /// Size of the final checkpoint file (shard-shaped: the ENGINE
+    /// section holds one calendar per shard).
     pub last_checkpoint_bytes: u64,
     /// Wall-clock of one explicit `checkpoint()` call (timing).
     pub checkpoint_write_secs: f64,
@@ -2188,7 +2038,7 @@ pub struct E18Row {
 }
 
 /// E18's forensic row: the snapshot bisect over a hijack run's COW
-/// history (serial engine; all fields sim-time deterministic).
+/// history (1 shard; all fields sim-time deterministic).
 #[derive(Clone, Debug)]
 pub struct E18Forensic {
     /// Snapshots the hijack run retained.
@@ -2231,7 +2081,7 @@ pub struct E18Metrics {
 /// `checkpoint_dir` keeps the checkpoint files (per-shard-count
 /// subdirectories `s<N>/`); by default they go to a temp directory
 /// that is removed afterwards. `restore` adds an operator drill: the
-/// given checkpoint file is restored (either engine) and replayed to
+/// given checkpoint file is restored (at its own shard count) and replayed to
 /// quiescence, reported in the table only.
 pub fn e18_durability(
     max_scale: usize,
@@ -2317,19 +2167,19 @@ pub fn e18_durability(
     let mut ases_actual = topology.as_count();
     for &shards in &shard_counts {
         // Uninterrupted baseline.
-        let mut baseline = E14Net::build(&topology, options, shards);
+        let mut baseline = topology.instantiate_sharded(options, shards);
         baseline.install_origin_table(std::sync::Arc::clone(&origin_table));
         let t = Instant::now();
         let stop = baseline.converge(RunLimits::none());
         let baseline_wall_secs = t.elapsed().as_secs_f64();
         assert_eq!(stop, StopReason::Quiescent, "e18 baseline shards {shards}");
-        let base_stats = baseline.sim_stats();
-        let final_rib_sha256 = baseline.rib_fingerprint_hex();
+        let base_stats = baseline.sim.stats();
+        let final_rib_sha256 = baseline.rib_fingerprint().to_hex();
         ases_actual = topology.as_count();
 
         // The same run, checkpointed at every slice boundary.
         let dir = base_dir.join(format!("s{shards}"));
-        let mut ck = E14Net::build(&topology, options, shards);
+        let mut ck = topology.instantiate_sharded(options, shards);
         ck.install_origin_table(std::sync::Arc::clone(&origin_table));
         let t = Instant::now();
         let (stop, _last) = ck
@@ -2337,7 +2187,7 @@ pub fn e18_durability(
             .expect("e18 checkpointed converge");
         let checkpointed_wall_secs = t.elapsed().as_secs_f64();
         assert_eq!(stop, StopReason::Quiescent, "e18 checkpointed shards {shards}");
-        assert_eq!(ck.sim_stats().events, base_stats.events, "e18 slicing changed the run");
+        assert_eq!(ck.sim.stats().events, base_stats.events, "e18 slicing changed the run");
         let snapshots_retained = ck.snapshot_times().len();
 
         // One explicit checkpoint, timed in isolation for throughput.
@@ -2365,14 +2215,14 @@ pub fn e18_durability(
 
         // The crash: restore the middle checkpoint, replay, compare.
         let t = Instant::now();
-        let mut recovered = E14Net::restore(shards, kill_point).expect("e18 restore");
-        let events_at_kill = recovered.sim_stats().events;
+        let mut recovered = pvr_bgp::BgpNetwork::restore(kill_point).expect("e18 restore");
+        let events_at_kill = recovered.sim.stats().events;
         let stop = recovered.converge(RunLimits::none());
         let recovery_wall_secs = t.elapsed().as_secs_f64();
         assert_eq!(stop, StopReason::Quiescent, "e18 recovery shards {shards}");
-        let recovered_identical = recovered.rib_fingerprint_hex() == final_rib_sha256
-            && recovered.sim_stats() == base_stats;
-        let replay_events = recovered.sim_stats().events - events_at_kill;
+        let recovered_identical = recovered.rib_fingerprint().to_hex() == final_rib_sha256
+            && recovered.sim.stats() == base_stats;
+        let replay_events = recovered.sim.stats().events - events_at_kill;
 
         let row = E18Row {
             shards,
@@ -2421,7 +2271,7 @@ pub fn e18_durability(
     // Forensic bisect: a delayed hijack under COW snapshots, then
     // binary-search the history for the first poisoned instant. Plain
     // substrate (no origin validation — the hijack must land) on the
-    // serial engine (the bisect reads `BgpNetwork` history).
+    // 1 shard (the bisect reads `BgpNetwork` history).
     let mut hijack_top = internet_like(e14_params(scale), 18);
     let victim_prefix = hijack_top
         .ases()
@@ -2462,19 +2312,18 @@ pub fn e18_durability(
     // it parameterizes the run, so it stays out of the metrics record.
     if let Some(path) = restore {
         let t = Instant::now();
-        let mut net = E14Net::restore(1, path)
-            .or_else(|_| E14Net::restore(2, path))
+        let mut net = pvr_bgp::BgpNetwork::restore(path)
             .unwrap_or_else(|e| panic!("e18 --restore {}: {e}", path.display()));
-        let before = net.sim_stats().events;
+        let before = net.sim.stats().events;
         let stop = net.converge(RunLimits::none());
         writeln!(
             out,
             "restore drill: {}: replayed {} events to {:?} in {:.1} ms, rib sha256={}",
             path.display(),
-            net.sim_stats().events - before,
+            net.sim.stats().events - before,
             stop,
             t.elapsed().as_secs_f64() * 1e3,
-            &net.rib_fingerprint_hex()[..12]
+            &net.rib_fingerprint().to_hex()[..12]
         )
         .unwrap();
     }

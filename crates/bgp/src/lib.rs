@@ -20,8 +20,7 @@
 //! * [`topology`] — Figure 1 scenario and Internet-like generators;
 //! * [`checkpoint`] — crash-consistent checkpoint/restore and the
 //!   copy-on-write RIB snapshot history (time travel, forensics);
-//! * [`partition`] — deterministic AS → shard assignment for the
-//!   sharded engine;
+//! * [`partition`] — deterministic AS → shard assignment;
 //! * [`workload`] — flaps, bursts, churn.
 //!
 //! ## Implemented / omitted (smoltcp-style expectations)
@@ -66,8 +65,10 @@ pub use rib::{AdjRibIn, LocRib};
 pub use route::{Community, Origin, Route};
 pub use router::{BgpRouter, LocalEvent, Malice, RouterStats, SecurityMode};
 pub use sbgp::{demo_chain, Attestation, AttestationChain, SbgpError, SignedRoute, VerifyCache};
+#[doc(hidden)]
+pub use topology::ShardedBgpNetwork;
 pub use topology::{
     figure1, internet_like, BgpNetwork, Edge, Figure1Cast, InstantiateOptions, InternetParams,
-    OriginTable, ShardedBgpNetwork, Topology,
+    OriginTable, Topology,
 };
 pub use types::{Asn, Prefix};

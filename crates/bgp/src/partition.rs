@@ -1,7 +1,7 @@
-//! Deterministic AS → shard assignment for the sharded engine.
+//! Deterministic AS → shard assignment.
 //!
-//! The sharded simulator's outputs are identical for *any* node
-//! placement (see `pvr_netsim::shard`), so the partitioner only has to
+//! The simulator's outputs are identical for *any* node placement (see
+//! DESIGN.md, "The engine"), so the partitioner only has to
 //! optimize load balance — and be a pure function of the topology, so
 //! that every run at a given shard count dispatches the same windows.
 //!

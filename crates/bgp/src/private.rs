@@ -13,9 +13,9 @@
 //!    (selected) path length plus each tier candidate's length, one
 //!    per neighbor — the per-party secret inputs of an SMC session.
 //! 2. **Flush.** At every calendar-queue barrier (a drained sim-time
-//!    instant — the one point both engines provably share state, see
+//!    instant — a point that does not depend on the shard count, see
 //!    [`pvr_netsim::BarrierHook`]), pending requests are sorted by the
-//!    engine-invariant key `(asn, router-local sequence)`, grouped by
+//!    shard-invariant key `(asn, router-local sequence)`, grouped by
 //!    party count, packed ≤ `lane_cap` per batch, and pushed through
 //!    one batched [`min_circuit`] pass (is the claim really the tier
 //!    minimum?) and one batched [`majority_circuit`] pass (do a
@@ -32,14 +32,14 @@
 //!
 //! Requests are enqueued from shard worker threads in nondeterministic
 //! *arrival* order, but every flush sorts by `(asn, seq)`; a router's
-//! own event order is engine-invariant, so flush content and order
+//! own event order is shard-invariant, so flush content and order
 //! are too. Batch DRBGs derive from the verifier seed with a per-flush
-//! label (the sharded engine's `from_u64_labeled` recipe) — and per
+//! label (the workspace's `from_u64_labeled` recipe) — and per
 //! the randomness-independence argument in [`pvr_smc::batch`], GMW
 //! verdicts and stats don't depend on that randomness at all. Verdict
 //! timers are emitted in batch order, nodes ascending. The result:
 //! every counter, timeline window, and verdict below is byte-identical
-//! across engines and shard counts — *no* carve-out, unlike the
+//! across shard counts — *no* carve-out, unlike the
 //! verify-cache hit family.
 
 use crate::types::{Asn, Prefix};
@@ -104,7 +104,7 @@ pvr_obs::metric_struct! {
 pub struct PrivateRequest {
     /// Requesting AS.
     pub asn: Asn,
-    /// Router-local sequence number — with `asn`, the engine-invariant
+    /// Router-local sequence number — with `asn`, the shard-invariant
     /// flush ordering key.
     pub seq: u64,
     /// Prefix whose selection is being verified.
@@ -448,7 +448,7 @@ mod tests {
     #[test]
     fn flush_order_is_arrival_independent() {
         // Same requests, opposite arrival order → identical stats,
-        // timeline, and timers (the sharded-engine invariance).
+        // timeline, and timers (the shard-count invariance).
         let reqs: Vec<PrivateRequest> =
             (0..10).map(|i| request(1 + (i % 5) as u32, i / 5, 2 + i % 3, &[2, 3, 4])).collect();
         let a = verifier(4);

@@ -41,9 +41,9 @@
 //! export policy. RFC 2439-style route-flap dampening
 //! ([`crate::dampening`]) suppresses persistently flapping
 //! `(neighbor, prefix)` pairs, and MRAI batching supports a jittered
-//! re-arm delay drawn from a router-owned seeded DRBG (never the
-//! engine's — per-shard engine DRBGs would break the cross-engine
-//! byte-identity the determinism gate asserts).
+//! re-arm delay drawn from a router-owned DRBG seeded per AS (the
+//! engine hands agents no randomness, so nothing a router draws can
+//! depend on the shard count).
 //!
 //! Documented omissions: no OPEN/KEEPALIVE exchange (session state is
 //! driven by the fault layer, not a peer FSM), no iBGP, no aggregation.
@@ -162,11 +162,12 @@ pvr_obs::metric_struct! {
 impl RouterStats {
     /// A copy with the cache-locality-dependent counter cleared.
     /// `verify_cache_hits` is the one statistic that legitimately
-    /// depends on cache scope (a per-shard cache sees fewer reuse
-    /// opportunities than a network-wide one, so sharded hits ≤ serial
-    /// hits); every other counter — including `verify_calls` — must be
-    /// identical between the serial and sharded engines, which the
-    /// determinism tests assert on this projection.
+    /// depends on cache scope (caches are per shard, and a per-shard
+    /// cache sees fewer reuse opportunities than the one-shard,
+    /// network-wide one, so k-shard hits ≤ 1-shard hits); every other
+    /// counter — including `verify_calls` — must be identical at every
+    /// shard count, which the determinism tests assert on this
+    /// projection.
     pub fn shard_invariant(&self) -> RouterStats {
         RouterStats { verify_cache_hits: 0, ..self.clone() }
     }
@@ -244,10 +245,9 @@ pub struct BgpRouter {
     /// Upper bound on the random extra delay added each time the MRAI
     /// timer is armed (RFC 4271's jitter, §9.2.1.1 / §10).
     mrai_jitter: Option<SimDuration>,
-    /// Router-owned DRBG the MRAI jitter draws from. Deliberately not
-    /// the engine's `ctx.rng()`: the sharded engine hands each shard
-    /// its own DRBG, so engine randomness consumed inside agents would
-    /// diverge between the serial and sharded runs.
+    /// Router-owned DRBG the MRAI jitter draws from, seeded per AS so
+    /// the draws cannot depend on the shard layout (the engine hands
+    /// agents no randomness of its own).
     jitter_rng: Option<HmacDrbg>,
     /// Route-flap dampening policy (`None` = dampening off).
     dampening: Option<DampeningPolicy>,
@@ -381,9 +381,9 @@ impl BgpRouter {
     }
 
     /// Records attestation-verification traffic at `now`. The journal
-    /// keeps only the engine-invariant call count: cache hits depend on
+    /// keeps only the shard-invariant call count: cache hits depend on
     /// cache scope (see [`RouterStats::shard_invariant`]), and leaving
-    /// them out keeps the JSONL trace byte-identical across engines.
+    /// them out keeps the JSONL trace byte-identical across shard counts.
     fn observe_verify(&mut self, now: SimTime, calls: u64, hits: u64) {
         let t = now.as_micros();
         if let Some(tl) = &mut self.obs_timeline {
@@ -847,8 +847,7 @@ impl BgpRouter {
             let verdict = sr.verify_cached(self.asn, keys, cache);
             if let (Some(cache), Some((calls, hits))) = (cache, before) {
                 // Only one thread ever dispatches into a given cache's
-                // routers (the whole network serially, or one shard of
-                // it under the sharded engine's per-shard caches), so
+                // routers (caches are per shard), so
                 // the deltas are exactly this router's share of the
                 // shared counters — no cross-shard double-counting.
                 let delta_calls = cache.calls() - calls;

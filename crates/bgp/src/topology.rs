@@ -19,8 +19,7 @@ use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_netsim::{
-    FaultPlan, LinkConfig, NodeId, RunLimits, ShardedSimulator, SimDuration, SimTime, Simulator,
-    StopReason,
+    FaultPlan, LinkConfig, NodeId, RunLimits, SimDuration, SimTime, Simulator, StopReason,
 };
 use pvr_store::PMap;
 use std::collections::{BTreeMap, BTreeSet};
@@ -280,8 +279,8 @@ impl Topology {
 
     /// Generates per-AS RSA identities for signed mode — always from
     /// the single `"bgp-identities"` DRBG stream in ascending-ASN
-    /// order, so both engines (and every shard count) derive identical
-    /// keys for the same seed.
+    /// order, so every shard count derives identical keys for the same
+    /// seed.
     fn generate_identities(&self, options: InstantiateOptions) -> Option<SignedKeys> {
         if !options.signed {
             return None;
@@ -299,7 +298,7 @@ impl Topology {
 
     /// Builds `asn`'s router (policy, security mode, MRAI, originations,
     /// scheduled events) — everything except neighbor wiring and
-    /// verify-cache installation, which depend on the engine.
+    /// verify-cache installation, which depend on node placement.
     fn build_router(
         &self,
         asn: Asn,
@@ -327,9 +326,8 @@ impl Topology {
         }
         if let Some(jitter) = options.mrai_jitter {
             // Router-owned jitter DRBG, seeded per AS: identical draws
-            // in the serial and sharded engines regardless of shard
-            // layout (the engine's own DRBGs are per-shard and must not
-            // leak into agent behaviour).
+            // whatever the shard layout (the engine hands agents no
+            // randomness of its own).
             let rng = HmacDrbg::from_u64_labeled(options.seed, &format!("bgp-mrai-{}", asn.0));
             router.set_mrai_jitter(jitter, rng);
         }
@@ -353,41 +351,70 @@ impl Topology {
         router
     }
 
-    /// Instantiates the topology into a simulator.
+    /// Instantiates the topology into a one-shard simulator:
+    /// [`instantiate_sharded`](Self::instantiate_sharded) with
+    /// `shards == 1`.
     ///
     /// `options` controls link behaviour, signing, and key size. Returns
     /// the network handle used by experiments and examples.
     pub fn instantiate(&self, options: InstantiateOptions) -> BgpNetwork {
-        let mut sim: Simulator<BgpUpdate> = Simulator::new(options.seed);
+        self.instantiate_sharded(options, 1)
+    }
+
+    /// Instantiates the topology into a simulator, partitioning the AS
+    /// graph across `shards` worker calendars (see
+    /// [`crate::partition`]). Node ids, key material, and all
+    /// deterministic run outputs are the same at every shard count.
+    ///
+    /// Signed mode installs one [`VerifyCache`] *per shard*: a shard's
+    /// routers only ever run on that shard's worker thread, so
+    /// per-router counter attribution stays exact with no cross-shard
+    /// contention. One shard therefore has one network-wide memo — a
+    /// chain already checked upstream is not re-verified limb by limb
+    /// at every subsequent hop — and more shards trade reuse scope for
+    /// parallelism: cache hits can only be fewer, never different
+    /// verdicts.
+    pub fn instantiate_sharded(&self, options: InstantiateOptions, shards: usize) -> BgpNetwork {
+        let shards = shards.max(1);
+        let mut sim: Simulator<BgpUpdate> = Simulator::with_shards(options.seed, shards);
         sim.set_default_link(options.link);
         if let Some(window) = options.timeline_window {
             sim.enable_timeline(window);
         }
+        if options.signed {
+            // RSA verification dominates per-event cost in signed mode;
+            // even small windows amortize a thread spawn.
+            sim.set_spawn_threshold(4);
+        }
 
         // Key material (signed mode only).
         let keystore = self.generate_identities(options);
+        let verify_caches: Vec<Arc<VerifyCache>> = if keystore.is_some() {
+            (0..shards).map(|_| Arc::new(VerifyCache::new())).collect()
+        } else {
+            Vec::new()
+        };
 
-        // One attestation-verification memo for the whole network: a
-        // chain already checked upstream is not re-verified limb by
-        // limb at every subsequent hop.
-        let verify_cache = keystore.as_ref().map(|_| Arc::new(VerifyCache::new()));
-
-        // Private verification: one shared verifier flushed at engine
-        // barriers (the sharded path installs the identical service,
-        // so outputs match across engines).
+        // Unlike the verify cache, the private verifier is network-wide
+        // at every shard count: it is flushed at engine barriers and
+        // its flush sorts requests by the shard-invariant `(asn, seq)`
+        // key, so one shared service produces byte-identical outputs
+        // with no per-shard carve-out.
         let private_verifier = new_private_verifier(options);
 
         // First pass: create routers so node ids are known.
+        let assignment = partition_by_degree(self, shards);
         let mut node_of = BTreeMap::new();
         for &asn in &self.ases {
             let mut router = self.build_router(asn, &keystore, options);
-            if let Some(cache) = &verify_cache {
+            let shard = assignment[&asn];
+            if let Some(cache) = verify_caches.get(shard) {
                 router.set_verify_cache(Arc::clone(cache));
             }
             if let Some(verifier) = &private_verifier {
                 router.set_private_verifier(Arc::clone(verifier));
             }
-            let node = sim.add_node(Box::new(router));
+            let node = sim.add_node_to_shard(Box::new(router), shard);
             node_of.insert(asn, node);
         }
 
@@ -407,91 +434,6 @@ impl Topology {
         }
 
         BgpNetwork {
-            sim,
-            node_of,
-            keystore: keystore.map(|(ks, _)| ks),
-            verify_cache,
-            private_verifier,
-            topology: self.clone(),
-            options,
-            rib_history: Vec::new(),
-        }
-    }
-
-    /// Instantiates the topology into the sharded engine, partitioning
-    /// the AS graph across `shards` worker calendars (see
-    /// [`crate::partition`]). Node ids, key material, and all
-    /// deterministic run outputs are identical to
-    /// [`Topology::instantiate`]'s for the same options — at any shard
-    /// count.
-    ///
-    /// Signed mode installs one [`VerifyCache`] *per shard* rather than
-    /// the serial engine's network-wide memo: a shard's routers only
-    /// ever run on that shard's worker thread, so per-router counter
-    /// attribution stays exact with no cross-shard contention. The
-    /// trade is reuse scope — sharded cache hits can only be fewer than
-    /// serial hits, never different verdicts.
-    pub fn instantiate_sharded(
-        &self,
-        options: InstantiateOptions,
-        shards: usize,
-    ) -> ShardedBgpNetwork {
-        let shards = shards.max(1);
-        let mut sim: ShardedSimulator<BgpUpdate> = ShardedSimulator::new(options.seed, shards);
-        sim.set_default_link(options.link);
-        if let Some(window) = options.timeline_window {
-            sim.enable_timeline(window);
-        }
-        if options.signed {
-            // RSA verification dominates per-event cost in signed mode;
-            // even small windows amortize a thread spawn.
-            sim.set_spawn_threshold(4);
-        }
-
-        let keystore = self.generate_identities(options);
-        let verify_caches: Vec<Arc<VerifyCache>> = if keystore.is_some() {
-            (0..shards).map(|_| Arc::new(VerifyCache::new())).collect()
-        } else {
-            Vec::new()
-        };
-
-        // Unlike the verify cache, the private verifier stays
-        // network-wide even under sharding: its flush sorts requests
-        // by the engine-invariant `(asn, seq)` key, so one shared
-        // service produces byte-identical outputs at any shard count
-        // (no per-shard carve-out needed).
-        let private_verifier = new_private_verifier(options);
-
-        let assignment = partition_by_degree(self, shards);
-        let mut node_of = BTreeMap::new();
-        for &asn in &self.ases {
-            let mut router = self.build_router(asn, &keystore, options);
-            let shard = assignment[&asn];
-            if let Some(cache) = verify_caches.get(shard) {
-                router.set_verify_cache(Arc::clone(cache));
-            }
-            if let Some(verifier) = &private_verifier {
-                router.set_private_verifier(Arc::clone(verifier));
-            }
-            let node = sim.add_node_to_shard(Box::new(router), shard);
-            node_of.insert(asn, node);
-        }
-
-        for &asn in &self.ases {
-            let node = node_of[&asn];
-            let neighbors = self.neighbor_roles(asn);
-            let router = sim.node_mut::<BgpRouter>(node).expect("router downcast");
-            for (neighbor, _) in neighbors {
-                router.add_neighbor(neighbor, node_of[&neighbor]);
-            }
-        }
-
-        if let Some(verifier) = &private_verifier {
-            verifier.set_node_map(node_of.clone());
-            sim.set_barrier_hook(PrivateVerifier::hook(verifier));
-        }
-
-        ShardedBgpNetwork {
             sim,
             node_of,
             keystore: keystore.map(|(ks, _)| ks),
@@ -601,7 +543,7 @@ pub struct InstantiateOptions {
     pub mrai: Option<SimDuration>,
     /// Optional upper bound on the per-arm random MRAI delay; each
     /// router draws from its own `(seed, asn)`-labeled DRBG so the
-    /// jitter is identical across engines and shard counts.
+    /// jitter is identical across shard counts.
     pub mrai_jitter: Option<SimDuration>,
     /// Optional route-flap dampening policy applied to every router.
     pub dampening: Option<DampeningPolicy>,
@@ -752,11 +694,11 @@ fn metric_labels(security_mode: &str) -> pvr_obs::LabelSet {
     vec![("security_mode", security_mode.to_string())]
 }
 
-/// Network-level gauge series shared by both engines: RIB sizes and
-/// the verify-cache hit ratio. The hit ratio derives from
-/// `verify_cache_hits` — the one counter the sharded engine is allowed
-/// to disagree on (see [`RouterStats::shard_invariant`]) — so
-/// engine-equality comparisons must drop it alongside the counter.
+/// Network-level gauge series: RIB sizes and the verify-cache hit
+/// ratio. The hit ratio derives from `verify_cache_hits` — the one
+/// counter allowed to differ between shard counts, because caches are
+/// per shard (see [`RouterStats::shard_invariant`]) — so cross-shard
+/// comparisons must drop it alongside the counter.
 fn export_network_gauges(
     registry: &mut pvr_obs::MetricsRegistry,
     labels: &pvr_obs::LabelSet,
@@ -803,145 +745,6 @@ pub struct BgpNetwork {
     pub sim: Simulator<BgpUpdate>,
     node_of: BTreeMap<Asn, NodeId>,
     keystore: Option<Arc<KeyStore>>,
-    verify_cache: Option<Arc<VerifyCache>>,
-    private_verifier: Option<Arc<PrivateVerifier>>,
-    /// The declaration this network was instantiated from; embedded in
-    /// checkpoints so restore is self-contained.
-    pub(crate) topology: Topology,
-    /// The options this network was instantiated with.
-    pub(crate) options: InstantiateOptions,
-    /// Copy-on-write RIB snapshots, ascending by capture time (see
-    /// [`crate::checkpoint`]).
-    pub(crate) rib_history: Vec<(SimTime, PMap)>,
-}
-
-impl BgpNetwork {
-    /// Runs the network to quiescence (or the given limits).
-    pub fn converge(&mut self, limits: RunLimits) -> StopReason {
-        self.sim.run(limits)
-    }
-
-    /// The simulator node hosting `asn`.
-    pub fn node_of(&self, asn: Asn) -> NodeId {
-        self.node_of[&asn]
-    }
-
-    /// Read access to `asn`'s router.
-    pub fn router(&self, asn: Asn) -> &BgpRouter {
-        self.sim.node::<BgpRouter>(self.node_of[&asn]).expect("router downcast")
-    }
-
-    /// Mutable access to `asn`'s router.
-    pub fn router_mut(&mut self, asn: Asn) -> &mut BgpRouter {
-        let node = self.node_of[&asn];
-        self.sim.node_mut::<BgpRouter>(node).expect("router downcast")
-    }
-
-    /// The shared key store in signed mode.
-    pub fn keystore(&self) -> Option<&Arc<KeyStore>> {
-        self.keystore.as_ref()
-    }
-
-    /// The network-wide attestation-verification cache in signed mode.
-    pub fn verify_cache(&self) -> Option<&Arc<VerifyCache>> {
-        self.verify_cache.as_ref()
-    }
-
-    /// The network-wide private-verification service when the network
-    /// was instantiated with
-    /// [`InstantiateOptions::private_verification`] set.
-    pub fn private_verifier(&self) -> Option<&Arc<PrivateVerifier>> {
-        self.private_verifier.as_ref()
-    }
-
-    /// Installs an origin-authorization table on every router. Call
-    /// before running: the check applies to announcements received
-    /// afterwards.
-    pub fn install_origin_table(&mut self, table: Arc<OriginTable>) {
-        let ases: Vec<Asn> = self.node_of.keys().copied().collect();
-        for asn in ases {
-            self.router_mut(asn).set_origin_table(Arc::clone(&table));
-        }
-    }
-
-    /// All ASes in the network.
-    pub fn ases(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.node_of.keys().copied()
-    }
-
-    /// Network-wide router-counter totals. Built by commutative
-    /// addition, so the result is independent of iteration order.
-    pub fn router_totals(&self) -> RouterStats {
-        let mut total = RouterStats::default();
-        for asn in self.ases() {
-            total.add(self.router(asn).stats());
-        }
-        total
-    }
-
-    /// Network-wide RIB entry totals `(adj_rib_in, loc_rib)`.
-    fn rib_totals(&self) -> (u64, u64) {
-        let mut adj = 0u64;
-        let mut loc = 0u64;
-        for asn in self.ases() {
-            let (a, l) = self.router(asn).rib_entry_counts();
-            adj += a as u64;
-            loc += l as u64;
-        }
-        (adj, loc)
-    }
-
-    /// One deterministic network-wide metrics snapshot: simulator and
-    /// router counters plus RIB-size and verify-cache-hit-ratio
-    /// gauges, every series labelled `security_mode=<mode>`.
-    pub fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
-        let labels = metric_labels(security_mode);
-        let mut registry = pvr_obs::MetricsRegistry::new();
-        self.sim.stats().export_metrics(&mut registry, &labels);
-        let totals = self.router_totals();
-        totals.export_metrics(&mut registry, &labels);
-        let (adj, loc) = self.rib_totals();
-        export_network_gauges(&mut registry, &labels, &totals, adj, loc);
-        registry.snapshot()
-    }
-
-    /// Assembles the per-window convergence timeline from the
-    /// simulator and router recorders. `None` unless the network was
-    /// instantiated with [`InstantiateOptions::timeline_window`] set.
-    pub fn convergence_timeline(&self) -> Option<pvr_obs::ConvergenceTimeline> {
-        let sim_tl = self.sim.timeline()?;
-        let mut routers =
-            pvr_obs::TimelineRecorder::new(sim_tl.window_us(), pvr_obs::timeline::RT_CHANNELS);
-        for asn in self.ases() {
-            if let Some(tl) = self.router(asn).timeline() {
-                routers.merge(tl);
-            }
-        }
-        Some(pvr_obs::ConvergenceTimeline::assemble(sim_tl, &routers))
-    }
-
-    /// Per-router event journals merged into one time-ordered JSONL
-    /// trace; empty unless the network was instantiated with a nonzero
-    /// [`InstantiateOptions::journal_capacity`].
-    pub fn trace_jsonl(&self) -> String {
-        merge_trace_jsonl(self.ases().map(|asn| (asn, self.router(asn))))
-    }
-
-    /// Installs a scheduled fault plan into the simulator (node ids
-    /// from [`BgpNetwork::node_of`]). Faults fire at exact sim times,
-    /// identically on the sharded engine for the same plan.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.sim.set_fault_plan(plan);
-    }
-}
-
-/// An instantiated network running on the sharded engine: the parallel
-/// counterpart of [`BgpNetwork`], with the same accessor surface.
-pub struct ShardedBgpNetwork {
-    /// The underlying sharded simulator.
-    pub sim: ShardedSimulator<BgpUpdate>,
-    node_of: BTreeMap<Asn, NodeId>,
-    keystore: Option<Arc<KeyStore>>,
     verify_caches: Vec<Arc<VerifyCache>>,
     private_verifier: Option<Arc<PrivateVerifier>>,
     /// The declaration this network was instantiated from; embedded in
@@ -954,7 +757,13 @@ pub struct ShardedBgpNetwork {
     pub(crate) rib_history: Vec<(SimTime, PMap)>,
 }
 
-impl ShardedBgpNetwork {
+/// Compatibility name for `benchmark/`, which is frozen outside
+/// benchmark PRs and still names the k-shard network type. Deletable by
+/// the next benchmark PR; nothing else may use it.
+#[doc(hidden)]
+pub type ShardedBgpNetwork = BgpNetwork;
+
+impl BgpNetwork {
     /// Runs the network to quiescence (or the given limits).
     pub fn converge(&mut self, limits: RunLimits) -> StopReason {
         self.sim.run(limits)
@@ -1011,8 +820,8 @@ impl ShardedBgpNetwork {
         self.node_of.keys().copied()
     }
 
-    /// Network-wide router-counter totals; see
-    /// [`BgpNetwork::router_totals`].
+    /// Network-wide router-counter totals. Built by commutative
+    /// addition, so the result is independent of iteration order.
     pub fn router_totals(&self) -> RouterStats {
         let mut total = RouterStats::default();
         for asn in self.ases() {
@@ -1033,37 +842,27 @@ impl ShardedBgpNetwork {
         (adj, loc)
     }
 
-    /// The sharded counterpart of [`BgpNetwork::metrics_snapshot`]:
-    /// each shard's routers fold into that shard's own registry
-    /// (ascending ASN within the shard), the shard snapshots merge in
-    /// ascending shard order, and the network-level series layer on
-    /// top — the same fold order the serial engine's single pass
-    /// produces. The result is identical to the serial snapshot except
-    /// for series derived from `verify_cache_hits` (the carve-out).
+    /// One deterministic network-wide metrics snapshot: simulator and
+    /// router counters plus RIB-size and verify-cache-hit-ratio
+    /// gauges, every series labelled `security_mode=<mode>`. Identical
+    /// at every shard count except for series derived from
+    /// `verify_cache_hits` (the per-shard cache carve-out).
     pub fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
         let labels = metric_labels(security_mode);
-        let mut per_shard: Vec<pvr_obs::MetricsRegistry> =
-            (0..self.sim.shard_count()).map(|_| pvr_obs::MetricsRegistry::new()).collect();
-        for asn in self.ases() {
-            let shard = self.sim.shard_of(self.node_of[&asn]);
-            self.router(asn).stats().export_metrics(&mut per_shard[shard], &labels);
-        }
-        let mut snap = pvr_obs::Snapshot::default();
-        for registry in &per_shard {
-            snap.merge(&registry.snapshot());
-        }
-        let mut network = pvr_obs::MetricsRegistry::new();
-        self.sim.stats().export_metrics(&mut network, &labels);
+        let mut registry = pvr_obs::MetricsRegistry::new();
+        self.sim.stats().export_metrics(&mut registry, &labels);
         let totals = self.router_totals();
+        totals.export_metrics(&mut registry, &labels);
         let (adj, loc) = self.rib_totals();
-        export_network_gauges(&mut network, &labels, &totals, adj, loc);
-        snap.merge(&network.snapshot());
-        snap
+        export_network_gauges(&mut registry, &labels, &totals, adj, loc);
+        registry.snapshot()
     }
 
-    /// Assembles the per-window convergence timeline; see
-    /// [`BgpNetwork::convergence_timeline`]. Identical to the serial
-    /// timeline except for the `verify_cache_hits` channel.
+    /// Assembles the per-window convergence timeline from the
+    /// simulator and router recorders. `None` unless the network was
+    /// instantiated with [`InstantiateOptions::timeline_window`] set.
+    /// Identical at every shard count except for the
+    /// `verify_cache_hits` channel.
     pub fn convergence_timeline(&self) -> Option<pvr_obs::ConvergenceTimeline> {
         let sim_tl = self.sim.timeline()?;
         let mut routers =
@@ -1077,16 +876,17 @@ impl ShardedBgpNetwork {
     }
 
     /// Per-router event journals merged into one time-ordered JSONL
-    /// trace; see [`BgpNetwork::trace_jsonl`]. Byte-identical to the
-    /// serial trace (journals record verify *calls*, never cache
+    /// trace; empty unless the network was instantiated with a nonzero
+    /// [`InstantiateOptions::journal_capacity`]. Byte-identical at
+    /// every shard count (journals record verify *calls*, never cache
     /// hits).
     pub fn trace_jsonl(&self) -> String {
         merge_trace_jsonl(self.ases().map(|asn| (asn, self.router(asn))))
     }
 
-    /// Installs a scheduled fault plan; see
-    /// [`BgpNetwork::install_fault_plan`]. The same plan produces
-    /// byte-identical runs at any shard count.
+    /// Installs a scheduled fault plan into the simulator (node ids
+    /// from [`BgpNetwork::node_of`]). Faults fire at exact sim times;
+    /// the same plan produces byte-identical runs at any shard count.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.sim.set_fault_plan(plan);
     }
@@ -1367,7 +1167,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_instantiation_matches_serial() {
+    fn instantiation_is_shard_count_invariant() {
         let params = InternetParams {
             tier1: 3,
             tier2: 5,
@@ -1378,24 +1178,24 @@ mod tests {
         let t = internet_like(params, 21);
         let options = InstantiateOptions { seed: 21, ..Default::default() };
 
-        let mut serial = t.instantiate(options);
-        assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
+        let mut one = t.instantiate(options);
+        assert_eq!(one.converge(RunLimits::none()), StopReason::Quiescent);
 
-        for shards in [1, 2, 3, 5] {
-            let mut sharded = t.instantiate_sharded(options, shards);
+        for shards in [2, 3, 5] {
+            let mut many = t.instantiate_sharded(options, shards);
             // Node ids must be assigned identically regardless of shard
             // placement.
             for asn in t.ases() {
-                assert_eq!(serial.node_of(asn), sharded.node_of(asn));
+                assert_eq!(one.node_of(asn), many.node_of(asn));
             }
-            assert_eq!(sharded.converge(RunLimits::none()), StopReason::Quiescent);
-            assert_eq!(serial.sim.stats(), sharded.sim.stats(), "{shards} shards");
-            assert_eq!(serial.sim.now(), sharded.sim.now(), "{shards} shards");
-            assert_eq!(serial.router_totals(), sharded.router_totals(), "{shards} shards");
+            assert_eq!(many.converge(RunLimits::none()), StopReason::Quiescent);
+            assert_eq!(one.sim.stats(), many.sim.stats(), "{shards} shards");
+            assert_eq!(one.sim.now(), many.sim.now(), "{shards} shards");
+            assert_eq!(one.router_totals(), many.router_totals(), "{shards} shards");
             for asn in t.ases() {
                 assert_eq!(
-                    serial.router(asn).stats(),
-                    sharded.router(asn).stats(),
+                    one.router(asn).stats(),
+                    many.router(asn).stats(),
                     "{asn} at {shards} shards"
                 );
             }
@@ -1403,7 +1203,7 @@ mod tests {
     }
 
     #[test]
-    fn private_verification_serial_matches_sharded() {
+    fn private_verification_is_shard_count_invariant() {
         let params = InternetParams {
             tier1: 3,
             tier2: 5,
@@ -1419,27 +1219,27 @@ mod tests {
             ..Default::default()
         };
 
-        let mut serial = t.instantiate(options);
-        assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
-        let serial_stats = serial.private_verifier().expect("verifier").stats();
+        let mut one = t.instantiate(options);
+        assert_eq!(one.converge(RunLimits::none()), StopReason::Quiescent);
+        let one_stats = one.private_verifier().expect("verifier").stats();
         // Honest routers always select a shortest top-preference path,
         // so every private verdict passes; multi-candidate ties do
         // occur in this topology, so the service actually ran.
-        assert!(serial_stats.requests > 0);
-        assert!(serial_stats.batches > 0);
-        assert_eq!(serial_stats.verdict_fail, 0);
-        assert_eq!(serial_stats.verdicts_delivered, serial_stats.requests);
+        assert!(one_stats.requests > 0);
+        assert!(one_stats.batches > 0);
+        assert_eq!(one_stats.verdict_fail, 0);
+        assert_eq!(one_stats.verdicts_delivered, one_stats.requests);
 
         for shards in [2, 4] {
-            let mut sharded = t.instantiate_sharded(options, shards);
-            assert_eq!(sharded.converge(RunLimits::none()), StopReason::Quiescent);
-            let sharded_stats = sharded.private_verifier().expect("verifier").stats();
-            assert_eq!(serial_stats, sharded_stats, "{shards} shards");
-            assert_eq!(serial.sim.now(), sharded.sim.now(), "{shards} shards");
-            assert_eq!(serial.router_totals(), sharded.router_totals(), "{shards} shards");
+            let mut many = t.instantiate_sharded(options, shards);
+            assert_eq!(many.converge(RunLimits::none()), StopReason::Quiescent);
+            let many_stats = many.private_verifier().expect("verifier").stats();
+            assert_eq!(one_stats, many_stats, "{shards} shards");
+            assert_eq!(one.sim.now(), many.sim.now(), "{shards} shards");
+            assert_eq!(one.router_totals(), many.router_totals(), "{shards} shards");
             assert_eq!(
-                serial.private_verifier().unwrap().timeline(),
-                sharded.private_verifier().unwrap().timeline(),
+                one.private_verifier().unwrap().timeline(),
+                many.private_verifier().unwrap().timeline(),
                 "{shards} shards"
             );
         }

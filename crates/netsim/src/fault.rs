@@ -2,10 +2,10 @@
 //! faults applied at exact sim times.
 //!
 //! A [`FaultPlan`] is a list of `(time, fault)` pairs installed into
-//! either engine before (or during) a run. Faults fire as their own sim
-//! instants, *before* any queued event carrying the same timestamp, so
-//! a fault schedule perturbs a run at reproducible points: the serial
-//! and sharded engines apply the same plan in the same order and stay
+//! the engine before (or during) a run. Faults fire as their own sim
+//! instants, *before* any queued event carrying the same timestamp, and
+//! are applied on the coordinator between windows, so a fault schedule
+//! perturbs a run at reproducible points and the run stays
 //! byte-identical at any shard count.
 //!
 //! Faults are *network*-level (the same layer as [`LinkConfig`]
@@ -150,9 +150,9 @@ pub(crate) struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Earliest unapplied fault time (raw schedule time; engines clamp
-    /// to `now` so late-installed plans fire immediately, never in the
-    /// past).
+    /// Earliest unapplied fault time (raw schedule time; the engine
+    /// clamps to `now` so late-installed plans fire immediately, never
+    /// in the past).
     pub(crate) fn next_time(&self) -> Option<SimTime> {
         self.schedule.get(self.cursor).map(|&(t, _)| t)
     }

@@ -7,20 +7,24 @@
 //! material for the §2.3 Confidentiality audit).
 //!
 //! Design notes (following the smoltcp philosophy from the project
-//! guides): synchronous poll-driven core, no hidden threads, no
-//! wall-clock reads, simple data structures. Determinism is a feature
-//! under test: identical seeds reproduce identical traces, bit for bit.
+//! guides): synchronous poll-driven core, no wall-clock reads, simple
+//! data structures; the only threads are scoped workers dispatching one
+//! time window's events, joined before the serial exchange. Determinism
+//! is a feature under test: identical seeds reproduce identical traces,
+//! bit for bit, at any shard count.
 
 pub mod fault;
 pub mod link;
-pub mod shard;
+#[cfg(test)]
+mod oracle;
 pub mod sim;
 pub mod state;
 pub mod time;
 
 pub use fault::{Fault, FaultPlan};
 pub use link::LinkConfig;
-pub use shard::ShardedSimulator;
+#[doc(hidden)]
+pub use sim::ShardedSimulator;
 pub use sim::{
     Agent, BarrierHook, Context, Delivery, NodeId, Payload, RunLimits, SimStats, Simulator,
     StopReason,

@@ -6,14 +6,13 @@
 //! has not yet applied. Everything else — agents, node layout, link
 //! wiring — is rebuilt by the caller from its own configuration, and
 //! the engine's `load_state` overlays the dynamic state on top. This
-//! module holds the shared codec (`CommonState`, [`Wire`] impls for
-//! the engine's value types) plus the typed [`StateError`]; the
-//! engine-specific halves (`Simulator::save_state`,
-//! `ShardedSimulator::save_state`) live next to their private fields
-//! and delegate here, so the serial and sharded encodings cannot drift.
+//! module holds the codec (`CommonState`, [`Wire`] impls for the
+//! engine's value types) plus the typed [`StateError`];
+//! `Simulator::save_state`/`load_state` live next to the engine's
+//! private fields and delegate here.
 //!
 //! Corruption safety: decoding never panics — every shape violation is
-//! a typed error — and the engines apply a decoded state only after it
+//! a typed error — and the engine applies a decoded state only after it
 //! has been validated in full, so a failed load leaves the target
 //! simulator untouched.
 
@@ -51,8 +50,6 @@ pub enum StateError {
         /// Shards in the target simulator.
         found: usize,
     },
-    /// The bytes were written by the other engine (serial vs sharded).
-    EngineMismatch,
     /// A low-level decoding failure (truncation, bad discriminant).
     Wire(WireError),
     /// A shape violation the wire layer cannot see (node id out of
@@ -73,9 +70,6 @@ impl std::fmt::Display for StateError {
             StateError::ShardCountMismatch { expected, found } => {
                 write!(f, "saved state has {expected} shards, simulator has {found}")
             }
-            StateError::EngineMismatch => {
-                write!(f, "saved state was written by the other engine (serial vs sharded)")
-            }
             StateError::Wire(e) => write!(f, "malformed engine state: {e}"),
             StateError::Corrupt(what) => write!(f, "corrupt engine state: {what}"),
         }
@@ -89,11 +83,6 @@ impl From<WireError> for StateError {
         StateError::Wire(e)
     }
 }
-
-/// Engine discriminant byte leading every engine-state encoding.
-pub(crate) const TAG_SERIAL: u8 = 0;
-/// Engine discriminant for the sharded engine.
-pub(crate) const TAG_SHARDED: u8 = 1;
 
 impl Wire for SimTime {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -202,9 +191,9 @@ impl Wire for Fault {
     }
 }
 
-/// Engine state shared verbatim between the serial and sharded
-/// simulators. Queues and DRBG streams are engine-shaped and encoded by
-/// the respective engine on top of this.
+/// Engine state that does not depend on the shard layout. The
+/// sequence counter, link DRBG and per-shard calendars are encoded by
+/// the engine on top of this.
 pub(crate) struct CommonState {
     pub(crate) node_count: usize,
     pub(crate) now: SimTime,
@@ -402,13 +391,13 @@ pub(crate) fn encode_event<P: Payload + Wire>(kind: &EventKind<P>, out: &mut Vec
     match kind {
         EventKind::Deliver { src, dst, msg } => {
             out.push(0);
-            (*src as u64).encode(out);
-            (*dst as u64).encode(out);
+            u64::from(*src).encode(out);
+            u64::from(*dst).encode(out);
             msg.encode(out);
         }
         EventKind::Timer { node, timer } => {
             out.push(1);
-            (*node as u64).encode(out);
+            u64::from(*node).encode(out);
             timer.encode(out);
         }
     }
@@ -420,22 +409,15 @@ pub(crate) fn decode_event<P: Payload + Wire>(
     r: &mut Reader<'_>,
     node_count: usize,
 ) -> Result<EventKind<P>, StateError> {
+    // `node_count` fits in `u32` (asserted when nodes are added), so a
+    // checked id does too.
+    let node = |r: &mut Reader<'_>| match u64::decode(r)? {
+        id if id < node_count as u64 => Ok(id as u32),
+        _ => Err(StateError::Corrupt("event node out of range")),
+    };
     match r.take(1)?[0] {
-        0 => {
-            let src = u64::decode(r)? as usize;
-            let dst = u64::decode(r)? as usize;
-            if src >= node_count || dst >= node_count {
-                return Err(StateError::Corrupt("event node out of range"));
-            }
-            Ok(EventKind::Deliver { src, dst, msg: P::decode(r)? })
-        }
-        1 => {
-            let node = u64::decode(r)? as usize;
-            if node >= node_count {
-                return Err(StateError::Corrupt("event node out of range"));
-            }
-            Ok(EventKind::Timer { node, timer: u64::decode(r)? })
-        }
+        0 => Ok(EventKind::Deliver { src: node(r)?, dst: node(r)?, msg: P::decode(r)? }),
+        1 => Ok(EventKind::Timer { node: node(r)?, timer: u64::decode(r)? }),
         _ => Err(StateError::Corrupt("event discriminant")),
     }
 }

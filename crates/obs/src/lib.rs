@@ -11,22 +11,22 @@
 //! > already strips (`wall_secs`, `events_per_sec`), never in a metric
 //! > sample, journal entry, or timeline window.
 //!
-//! Under that rule, two runs of the same workload — serial or sharded,
-//! one thread or sixteen — produce byte-identical telemetry, so the
+//! Under that rule, two runs of the same workload — one shard or
+//! sixteen — produce byte-identical telemetry, so the
 //! observability layer inherits the engine's determinism contract
 //! instead of eroding it. The one documented exception is the
-//! verify-cache hit family (`*verify_cache_hit*`): per-shard caches
-//! legitimately see fewer hits than the serial engine's network-wide
-//! cache, so those series are excluded from cross-engine comparisons
-//! (see [`Snapshot::without`]).
+//! verify-cache hit family (`*verify_cache_hit*`): caches are per
+//! shard and legitimately see fewer hits than one shard's network-wide
+//! cache, so those series are excluded from cross-shard-count
+//! comparisons (see [`Snapshot::without`]).
 //!
 //! The pieces:
 //!
 //! * [`registry`] — typed counters, gauges, and fixed-bucket
 //!   histograms with label sets; allocation-light [`CounterId`]-style
 //!   handles cached at call sites; deterministic [`Snapshot`] and
-//!   merge so per-shard registries fold into one network view in the
-//!   same order as the serial engine.
+//!   merge so registries fold into one network view whatever the
+//!   order.
 //! * [`histogram`] — the fixed-bucket histogram behind the registry
 //!   (`le` buckets are inclusive upper bounds, Prometheus-style).
 //! * [`journal`] — per-router ring-buffered event journal stamped

@@ -192,8 +192,8 @@ impl Snapshot {
     /// combine (counters and histograms add, gauges add), new series
     /// are inserted. Because every combine rule is commutative and
     /// associative and the result is re-canonicalized, folding
-    /// per-shard snapshots in any order yields the same bytes as the
-    /// serial engine's single registry.
+    /// snapshots in any order yields the same bytes as one registry
+    /// fed everything.
     ///
     /// # Panics
     /// If a series appears with two different value types or histogram

@@ -7,17 +7,18 @@
 //! sim-time-only tracing rule: wall-clock never appears here).
 //! Channels are either counted into ([`TimelineRecorder::add`]) or
 //! sampled ([`TimelineRecorder::set`], last write wins — used for
-//! queue depth, which both engines sample at the same deterministic
-//! points: whenever a sim-time instant fully drains).
+//! queue depth, which the engine samples at points that do not depend
+//! on its shard count: whenever a sim-time instant fully drains).
 //!
 //! Recorders are per-owner (the simulator keeps one, each router keeps
-//! one) and merge by channel-wise addition, so the sharded engine's
-//! per-router recorders fold to exactly the serial engine's view. The
+//! one) and merge by channel-wise addition, so per-router recorders
+//! fold to the same view wherever the routers ran. The
 //! merged channels are then assembled into a [`ConvergenceTimeline`] —
 //! the operator-facing table of events/sec, queue depth, RIB churn and
 //! verify-cache traffic per window. As everywhere in the workspace,
-//! `verify_cache_hits` is the one engine-dependent column; comparisons
-//! across engines go through [`ConvergenceTimeline::zero_cache_hits`].
+//! `verify_cache_hits` is the one shard-count-dependent column;
+//! comparisons across shard counts go through
+//! [`ConvergenceTimeline::zero_cache_hits`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -171,8 +172,8 @@ pub struct TimelineWindow {
     pub rib_churn: u64,
     /// Attestation verifications requested.
     pub verify_calls: u64,
-    /// Verifications served from cache (engine-dependent; excluded
-    /// from cross-engine comparisons).
+    /// Verifications served from cache (shard-count-dependent;
+    /// excluded from cross-shard-count comparisons).
     pub verify_cache_hits: u64,
     /// Withdraws flooded to neighbors across all routers.
     pub withdraws: u64,
@@ -223,7 +224,7 @@ impl ConvergenceTimeline {
 
     /// The carve-out projection: a copy with `verify_cache_hits`
     /// zeroed in every window, suitable for byte-identity assertions
-    /// between the serial and sharded engines.
+    /// between shard counts.
     pub fn zero_cache_hits(&self) -> ConvergenceTimeline {
         let mut t = self.clone();
         for w in &mut t.windows {
@@ -240,7 +241,7 @@ impl ConvergenceTimeline {
 
     /// Renders the timeline as a fixed-width table. The `hit%` column
     /// derives from the carve-out channel and is the only column that
-    /// may differ between engines.
+    /// may differ between shard counts.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         writeln!(

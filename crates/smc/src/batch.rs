@@ -43,9 +43,9 @@
 //! which frees the batch engine to draw one tape per pass instead of
 //! replaying the serial per-bit draw sequence. The property
 //! test `prop_batch_gmw_equals_serial` pins this lane-for-lane, and the
-//! batch DRBG itself follows the sharded engine's derivation recipe
+//! batch DRBG itself follows the workspace's derivation recipe
 //! ([`HmacDrbg::from_u64_labeled`]) so network-level flushes are
-//! engine- and shard-invariant.
+//! shard-invariant.
 
 use crate::circuit::{Circuit, Gate};
 use crate::gmw::GmwStats;

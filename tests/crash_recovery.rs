@@ -2,8 +2,8 @@
 //! converging run at an arbitrary checkpoint instant, restore from the
 //! file, replay — and the recovered run is **byte-identical** to one
 //! that never crashed. Asserted over RIB fingerprints, simulator
-//! stats, and full metrics snapshots; over both engines at shard
-//! counts 1/2/4/8; with and without churn schedules and fault plans in
+//! stats, and full metrics snapshots; at shard counts 1/2/4/8; with
+//! and without churn schedules and fault plans in
 //! the path. Plus the corrupt-checkpoint hardening: truncation, bit
 //! flips, and version bumps anywhere in the file must surface as typed
 //! errors — never a panic, never a partially-restored network.
@@ -11,13 +11,13 @@
 use proptest::prelude::*;
 use pvr::bgp::{
     internet_like, Asn, BgpNetwork, Candidate, CheckpointError, DampeningPolicy,
-    InstantiateOptions, InternetParams, LocalEvent, Malice, Prefix, Route, ShardedBgpNetwork,
-    Topology, CKPT_MAGIC, CKPT_VERSION,
+    InstantiateOptions, InternetParams, LocalEvent, Malice, Prefix, Route, Topology, CKPT_MAGIC,
+    CKPT_VERSION,
 };
 use pvr::crypto::drbg::HmacDrbg;
 use pvr::crypto::encoding::{Reader, Wire, WireError};
 use pvr::netsim::{Fault, FaultPlan, RunLimits, SimDuration, SimTime, StopReason};
-use pvr::store::{read_container, write_header, write_section};
+use pvr::store::{read_container, write_header, write_section, StoreError};
 use std::path::PathBuf;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -62,20 +62,31 @@ fn fault_plan(net_node_of: &dyn Fn(Asn) -> usize, ases: &[Asn], seed: u64) -> Fa
     plan
 }
 
-/// One full kill-and-recover cycle on the serial engine: baseline run
-/// vs. run-until-`kill_at` → checkpoint → drop ("crash") → restore →
-/// replay. All three observables must match exactly.
-fn assert_serial_recovery(topology: &Topology, options: InstantiateOptions, kill_at: SimTime) {
-    let mut baseline = topology.instantiate(options);
+/// One full kill-and-recover cycle at `shards`: baseline run vs.
+/// run-until-`kill_at` → checkpoint → drop ("crash") → restore →
+/// replay. All three observables must match the uninterrupted run at
+/// the same shard count exactly, and the recovered RIB must equal the
+/// 1-shard run's (shard-count invariance survives the crash).
+fn assert_recovery(
+    topology: &Topology,
+    options: InstantiateOptions,
+    shards: usize,
+    kill_at: SimTime,
+) {
+    let mut one = topology.instantiate(options);
+    assert_eq!(one.converge(RunLimits::none()), StopReason::Quiescent);
+
+    let mut baseline = topology.instantiate_sharded(options, shards);
     assert_eq!(baseline.converge(RunLimits::none()), StopReason::Quiescent);
 
-    let path = temp_path(&format!("serial-{}-{}", options.seed, kill_at.as_micros()));
-    let mut victim = topology.instantiate(options);
+    let path = temp_path(&format!("s{shards}-{}-{}", options.seed, kill_at.as_micros()));
+    let mut victim = topology.instantiate_sharded(options, shards);
     victim.converge(RunLimits::until(kill_at));
     victim.checkpoint(&path).expect("checkpoint");
     drop(victim); // the crash
 
     let mut recovered = BgpNetwork::restore(&path).expect("restore");
+    assert_eq!(recovered.sim.shard_count(), shards, "restore must keep the shard shape");
     // What a router derives on load (the suppressed-pair count among
     // it) must agree with the state it was handed, mid-run.
     for asn in topology.ases() {
@@ -86,7 +97,7 @@ fn assert_serial_recovery(topology: &Topology, options: InstantiateOptions, kill
     assert_eq!(
         recovered.rib_fingerprint(),
         baseline.rib_fingerprint(),
-        "recovered RIBs diverge from the uninterrupted run (kill at {kill_at:?})"
+        "recovered RIBs diverge from the uninterrupted run ({shards} shards, kill at {kill_at:?})"
     );
     assert_eq!(recovered.sim.stats(), baseline.sim.stats(), "SimStats diverge after recovery");
     assert_eq!(
@@ -94,50 +105,14 @@ fn assert_serial_recovery(topology: &Topology, options: InstantiateOptions, kill
         baseline.metrics_snapshot("plain"),
         "metrics snapshots diverge after recovery"
     );
-}
-
-/// The sharded counterpart, at a given shard count. The recovered
-/// sharded run must match both its own uninterrupted sharded baseline
-/// (exactly) and the serial fingerprint (engine-invariantly).
-fn assert_sharded_recovery(
-    topology: &Topology,
-    options: InstantiateOptions,
-    shards: usize,
-    kill_at: SimTime,
-) {
-    let mut serial = topology.instantiate(options);
-    assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
-
-    let mut baseline = topology.instantiate_sharded(options, shards);
-    assert_eq!(baseline.converge(RunLimits::none()), StopReason::Quiescent);
-
-    let path = temp_path(&format!("sharded{shards}-{}-{}", options.seed, kill_at.as_micros()));
-    let mut victim = topology.instantiate_sharded(options, shards);
-    victim.converge(RunLimits::until(kill_at));
-    victim.checkpoint(&path).expect("checkpoint");
-    drop(victim);
-
-    let mut recovered = ShardedBgpNetwork::restore(&path).expect("restore");
-    assert_eq!(recovered.sim.shard_count(), shards, "restore must keep the shard shape");
-    assert_eq!(recovered.converge(RunLimits::none()), StopReason::Quiescent);
-
-    assert_eq!(
-        recovered.rib_fingerprint(),
-        baseline.rib_fingerprint(),
-        "recovered sharded RIBs diverge from uninterrupted sharded run ({shards} shards)"
-    );
-    assert_eq!(recovered.sim.stats(), baseline.sim.stats());
-    assert_eq!(recovered.metrics_snapshot("plain"), baseline.metrics_snapshot("plain"));
-    // Engine-invariance survives the crash: the recovered sharded RIB
-    // equals the serial one.
-    assert_eq!(recovered.rib_fingerprint(), serial.rib_fingerprint());
+    assert_eq!(recovered.rib_fingerprint(), one.rib_fingerprint());
 }
 
 #[test]
 fn serial_kill_and_recover_plain() {
     let topology = small_internet(301);
     let options = InstantiateOptions { seed: 301, ..Default::default() };
-    assert_serial_recovery(&topology, options, SimTime(60_000));
+    assert_recovery(&topology, options, 1, SimTime(60_000));
 }
 
 #[test]
@@ -154,7 +129,7 @@ fn serial_kill_and_recover_signed_with_mrai_dampening() {
         dampening: Some(DampeningPolicy::default()),
         ..Default::default()
     };
-    assert_serial_recovery(&topology, options, SimTime(55_000));
+    assert_recovery(&topology, options, 1, SimTime(55_000));
 }
 
 #[test]
@@ -171,7 +146,7 @@ fn serial_kill_and_recover_with_observability() {
     let mut baseline = topology.instantiate(options);
     assert_eq!(baseline.converge(RunLimits::none()), StopReason::Quiescent);
 
-    let path = temp_path("serial-obs");
+    let path = temp_path("obs");
     let mut victim = topology.instantiate(options);
     victim.converge(RunLimits::until(SimTime(50_000)));
     victim.checkpoint(&path).expect("checkpoint");
@@ -192,7 +167,7 @@ fn sharded_kill_and_recover_across_shard_counts() {
     let topology = small_internet(304);
     let options = InstantiateOptions { seed: 304, ..Default::default() };
     for shards in [1, 2, 4, 8] {
-        assert_sharded_recovery(&topology, options, shards, SimTime(60_000));
+        assert_recovery(&topology, options, shards, SimTime(60_000));
     }
 }
 
@@ -210,7 +185,7 @@ fn kill_and_recover_with_fault_plan_pending() {
     baseline.install_fault_plan(plan);
     assert_eq!(baseline.converge(RunLimits::none()), StopReason::Quiescent);
 
-    let path = temp_path("serial-faults");
+    let path = temp_path("faults");
     let mut victim = topology.instantiate(options);
     let plan = fault_plan(&|a| victim.node_of(a), &ases, 305);
     victim.install_fault_plan(plan);
@@ -274,17 +249,20 @@ fn rib_fingerprint_is_pinned() {
 }
 
 /// The checkpoint file is a format, and this pins it: the SHA-256 of a
-/// whole `PVRCKPT1` file, for a network whose router sections carry
+/// whole `PVRCKPT2` file, for a network whose router sections carry
 /// every kind of dynamic state at once — attestation chains, a filled
 /// Adj-RIB-Out, MRAI buffers and jitter DRBGs, dampening penalties, an
 /// announcement parked behind a suppression, a flapping prefix, and one
-/// session down. The value was computed on the commit before
-/// `BgpRouter` moved to per-prefix RIB cells (which kept the three RIBs
-/// in three tables and wrote them table by table); any change to what
-/// a router writes, or to the order it writes it in, lands here.
+/// session down. Re-pinned once, for the `PVRCKPT1` → `PVRCKPT2` format
+/// bump (header magic and version, META without the engine-kind byte,
+/// the single ENGINE layout with its sequence-tagged calendar): on that
+/// commit the ROUTERS, CACHE and STORE payloads hashed the same as on
+/// its parent, whose whole-file value (`5e12a6ca…7f5f`) went back to the
+/// commit before `BgpRouter` moved to per-prefix RIB cells. Any change
+/// to what a router writes, or to the order it writes it in, lands here.
 #[test]
 fn checkpoint_file_bytes_are_pinned() {
-    const GOLDEN: &str = "5e12a6ca216238a745665e2ee15b7ebc268b0c6862cc02c99bf60cc95aa17f5f";
+    const GOLDEN: &str = "b671f66c2595db3178c7bfe2e86f977db43fe82c5fa24e2688a35af65d72d854";
     let mut topology = small_internet(310);
     // `small_internet` withdraws the flapping prefix at 40 ms and brings
     // it back at 90 ms; three more flaps in between push its provider's
@@ -452,17 +430,47 @@ fn version_bump_is_rejected() {
 }
 
 #[test]
-fn wrong_engine_kind_is_rejected() {
+fn restore_reads_the_shard_count_from_the_file() {
+    // There is one network type and one ENGINE layout: whatever shard
+    // count wrote the file, `restore` rebuilds that shape from META and
+    // the replay lands on the uninterrupted run's fingerprint.
     let topology = small_internet(309);
     let options = InstantiateOptions { seed: 309, ..Default::default() };
-    let path = temp_path("engine-mismatch");
-    let mut net = topology.instantiate_sharded(options, 2);
-    net.converge(RunLimits::until(SimTime(30_000)));
-    net.checkpoint(&path).expect("checkpoint");
-    let err = must_fail(BgpNetwork::restore(&path), "sharded file into serial restore");
-    assert!(matches!(err, CheckpointError::State(_)), "got {err:?}");
-    // The right engine still accepts it.
-    ShardedBgpNetwork::restore(&path).expect("sharded restore");
+    let mut uninterrupted = topology.instantiate(options);
+    assert_eq!(uninterrupted.converge(RunLimits::none()), StopReason::Quiescent);
+    for shards in [1, 2, 4] {
+        let path = temp_path(&format!("shape-{shards}"));
+        let mut net = topology.instantiate_sharded(options, shards);
+        net.converge(RunLimits::until(SimTime(30_000)));
+        net.checkpoint(&path).expect("checkpoint");
+        let mut restored = BgpNetwork::restore(&path).expect("restore");
+        assert_eq!(restored.sim.shard_count(), shards);
+        assert_eq!(restored.converge(RunLimits::none()), StopReason::Quiescent);
+        assert_eq!(restored.rib_fingerprint(), uninterrupted.rib_fingerprint(), "{shards} shards");
+        assert_eq!(restored.sim.stats(), uninterrupted.sim.stats(), "{shards} shards");
+    }
+}
+
+#[test]
+fn version_1_header_is_a_typed_error() {
+    // `PVRCKPT1` files carried an engine-kind byte and one of two ENGINE
+    // layouts; they are refused at the header, before any payload is
+    // decoded — as a typed error, never `Io` and never a panic.
+    let fixture = checkpoint_bytes_fixture();
+    let with_header = |magic: &[u8; 8], version: u32| {
+        let mut header = Vec::new();
+        write_header(magic, version, &mut header);
+        let mut bytes = fixture.clone();
+        bytes[..header.len()].copy_from_slice(&header);
+        bytes
+    };
+    let err = must_fail(restore_mutilated(with_header(b"PVRCKPT1", 1), "v1-header"), "v1 file");
+    assert!(matches!(err, CheckpointError::Store(StoreError::BadMagic)), "got {err:?}");
+    let err = must_fail(restore_mutilated(with_header(&CKPT_MAGIC, 1), "v1-version"), "v1 header");
+    assert!(
+        matches!(err, CheckpointError::Store(StoreError::UnsupportedVersion(1))),
+        "got {err:?}"
+    );
 }
 
 /// The checkpoint `fixture` with the first router's Adj-RIB-Out entries
@@ -590,10 +598,6 @@ proptest! {
             ..Default::default()
         };
         let kill_at = SimTime(kill_ms * 1000);
-        if shards == 1 {
-            assert_serial_recovery(&topology, options, kill_at);
-        } else {
-            assert_sharded_recovery(&topology, options, shards, kill_at);
-        }
+        assert_recovery(&topology, options, shards, kill_at);
     }
 }

@@ -1,6 +1,6 @@
 //! The fault-injection layer's recovery contract: after every fault in
 //! a schedule has fired and the network re-converges, RIB fingerprints
-//! equal a never-faulted baseline's — on both engines. Teardowns flush
+//! equal a never-faulted baseline's — at any shard count. Teardowns flush
 //! Adj-RIBs and flood withdraws, recoveries re-announce the full
 //! Loc-RIB, and in-flight updates from torn sessions are discarded, so
 //! no fault schedule may leak, lose, or fabricate routing state once it
@@ -62,10 +62,10 @@ fn random_fault_plan(topology: &Topology, node_of: &dyn Fn(Asn) -> NodeId, seed:
     plan
 }
 
-/// Converges `topology` three times — never-faulted serial baseline,
-/// faulted serial, faulted sharded — and asserts both faulted runs
-/// recover to exactly the baseline RIBs, and agree with each other on
-/// every simulator counter.
+/// Converges `topology` three times — never-faulted 1-shard baseline,
+/// faulted at 1 shard, faulted at `shards` — and asserts both faulted
+/// runs recover to exactly the baseline RIBs, and agree with each other
+/// on every simulator counter.
 fn assert_recovers_to_baseline(
     topology: &Topology,
     options: InstantiateOptions,
@@ -78,44 +78,40 @@ fn assert_recovers_to_baseline(
         topology.ases().map(|a| (a, rib_fingerprint(baseline_net.router(a)))).collect();
     drop(baseline_net);
 
-    let mut serial = topology.instantiate(options);
-    let plan = random_fault_plan(topology, &|a| serial.node_of(a), fault_seed);
+    let mut one = topology.instantiate(options);
+    let plan = random_fault_plan(topology, &|a| one.node_of(a), fault_seed);
     assert!(!plan.is_empty());
-    serial.install_fault_plan(plan);
-    assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
+    one.install_fault_plan(plan);
+    assert_eq!(one.converge(RunLimits::none()), StopReason::Quiescent);
 
-    let mut sharded = topology.instantiate_sharded(options, shards);
-    let plan = random_fault_plan(topology, &|a| sharded.node_of(a), fault_seed);
-    sharded.install_fault_plan(plan);
-    assert_eq!(sharded.converge(RunLimits::none()), StopReason::Quiescent);
+    let mut many = topology.instantiate_sharded(options, shards);
+    let plan = random_fault_plan(topology, &|a| many.node_of(a), fault_seed);
+    many.install_fault_plan(plan);
+    assert_eq!(many.converge(RunLimits::none()), StopReason::Quiescent);
 
-    // The engines agree with each other on the whole faulted run...
-    assert_eq!(
-        serial.sim.stats(),
-        sharded.sim.stats(),
-        "faulted engines diverge at {shards} shards"
-    );
-    assert!(serial.sim.stats().link_down + serial.sim.stats().session_resets > 0);
+    // The shard counts agree with each other on the whole faulted run...
+    assert_eq!(one.sim.stats(), many.sim.stats(), "faulted runs diverge at {shards} shards");
+    assert!(one.sim.stats().link_down + one.sim.stats().session_resets > 0);
 
     // ...and both recover to exactly the never-faulted state.
     for (asn, base) in &baseline {
         assert_eq!(
-            &rib_fingerprint(serial.router(*asn)),
+            &rib_fingerprint(one.router(*asn)),
             base,
-            "serial AS{} RIB != never-faulted baseline (fault seed {fault_seed})",
+            "1-shard AS{} RIB != never-faulted baseline (fault seed {fault_seed})",
             asn.0
         );
         assert_eq!(
-            &rib_fingerprint(sharded.router(*asn)),
+            &rib_fingerprint(many.router(*asn)),
             base,
-            "sharded AS{} RIB != never-faulted baseline at {shards} shards",
+            "AS{} RIB != never-faulted baseline at {shards} shards",
             asn.0
         );
         // Recovery leaves nothing behind inside a router either: no
         // stale holder, candidate or parked route from a session that
         // went down, and every selection is a from-scratch decision.
-        serial.router(*asn).check_invariants().expect("serial RIB invariants");
-        sharded.router(*asn).check_invariants().expect("sharded RIB invariants");
+        one.router(*asn).check_invariants().expect("1-shard RIB invariants");
+        many.router(*asn).check_invariants().expect("k-shard RIB invariants");
     }
 }
 

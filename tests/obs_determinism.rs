@@ -1,9 +1,9 @@
-//! The telemetry layer's engine contract: metrics snapshots, timeline
-//! windows, and JSONL traces from the sharded engine are byte-identical
-//! to the serial engine's at shards 2, 4, and 8 — with exactly one
-//! carve-out, `verify_cache_hits` (and the hit-ratio gauge derived from
-//! it): per-shard verification caches legitimately see fewer hits than
-//! the serial engine's network-wide cache.
+//! The telemetry layer's shard-count contract: metrics snapshots,
+//! timeline windows, and JSONL traces at shards 2, 4, and 8 are
+//! byte-identical to the 1-shard run's — with exactly one carve-out,
+//! `verify_cache_hits` (and the hit-ratio gauge derived from it):
+//! verification caches are per shard and legitimately see fewer hits
+//! than one shard's network-wide cache.
 
 use pvr::bgp::{
     internet_like, workload, Asn, DampeningPolicy, Edge, InstantiateOptions, InternetParams, Prefix,
@@ -35,31 +35,31 @@ fn telemetry_is_engine_invariant_modulo_cache_hits() {
     let topology = internet_like(params, 71);
     for signed in [false, true] {
         let options = observed_options(signed);
-        let mut serial = topology.instantiate(options);
+        let mut one = topology.instantiate(options);
         if signed {
-            serial.install_origin_table(Arc::new(topology.origin_table()));
+            one.install_origin_table(Arc::new(topology.origin_table()));
         }
-        assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
-        let serial_snap = serial.metrics_snapshot(if signed { "signed" } else { "plain" });
-        let serial_tl = serial.convergence_timeline().expect("timeline enabled");
-        let serial_trace = serial.trace_jsonl();
-        assert!(!serial_snap.series.is_empty());
-        assert!(!serial_tl.windows.is_empty());
-        assert!(!serial_trace.is_empty());
+        assert_eq!(one.converge(RunLimits::none()), StopReason::Quiescent);
+        let one_snap = one.metrics_snapshot(if signed { "signed" } else { "plain" });
+        let one_tl = one.convergence_timeline().expect("timeline enabled");
+        let one_trace = one.trace_jsonl();
+        assert!(!one_snap.series.is_empty());
+        assert!(!one_tl.windows.is_empty());
+        assert!(!one_trace.is_empty());
 
         for shards in [2usize, 4, 8] {
-            let mut sharded = topology.instantiate_sharded(options, shards);
+            let mut many = topology.instantiate_sharded(options, shards);
             if signed {
-                sharded.install_origin_table(Arc::new(topology.origin_table()));
+                many.install_origin_table(Arc::new(topology.origin_table()));
             }
-            assert_eq!(sharded.converge(RunLimits::none()), StopReason::Quiescent);
-            let snap = sharded.metrics_snapshot(if signed { "signed" } else { "plain" });
-            let tl = sharded.convergence_timeline().expect("timeline enabled");
+            assert_eq!(many.converge(RunLimits::none()), StopReason::Quiescent);
+            let snap = many.metrics_snapshot(if signed { "signed" } else { "plain" });
+            let tl = many.convergence_timeline().expect("timeline enabled");
 
             // Metrics: identical modulo the carve-out series.
             assert_eq!(
                 snap.without(hit_series),
-                serial_snap.without(hit_series),
+                one_snap.without(hit_series),
                 "metrics diverge at {shards} shards (signed={signed})"
             );
             // Timeline: identical windows modulo the hits channel, and
@@ -67,24 +67,23 @@ fn telemetry_is_engine_invariant_modulo_cache_hits() {
             // alignment: verify channels only record when calls > 0).
             assert_eq!(
                 tl.zero_cache_hits(),
-                serial_tl.zero_cache_hits(),
+                one_tl.zero_cache_hits(),
                 "timeline diverges at {shards} shards (signed={signed})"
             );
             // Traces record verify *calls*, never hits, so they are
             // byte-identical with no carve-out at all.
             assert_eq!(
-                sharded.trace_jsonl(),
-                serial_trace,
+                many.trace_jsonl(),
+                one_trace,
                 "trace diverges at {shards} shards (signed={signed})"
             );
             // The carve-out direction: per-shard caches can only lose
             // hits relative to the network-wide cache.
             if signed {
-                let serial_hits =
-                    serial_snap.counter_value("pvr_router_verify_cache_hits_total").unwrap();
-                let sharded_hits =
-                    snap.counter_value("pvr_router_verify_cache_hits_total").unwrap();
-                assert!(sharded_hits <= serial_hits);
+                let one_hits =
+                    one_snap.counter_value("pvr_router_verify_cache_hits_total").unwrap();
+                let many_hits = snap.counter_value("pvr_router_verify_cache_hits_total").unwrap();
+                assert!(many_hits <= one_hits);
             }
         }
     }
@@ -103,7 +102,7 @@ fn endpoints(edge: &Edge) -> (Asn, Asn) {
 fn fault_telemetry_is_engine_invariant() {
     // A churn-plus-faults run in plain mode: no signing → no verify
     // cache → no carve-out anywhere. Snapshot, timeline, and trace must
-    // be byte-identical across engines, *including* every fault counter
+    // be byte-identical across shard counts, *including* every fault counter
     // and the withdraw-storm channel the fault layer feeds.
     let params = InternetParams { tier1: 3, tier2: 8, stubs: 24, ..InternetParams::default() };
     let mut topology = internet_like(params, 73);
@@ -151,12 +150,12 @@ fn fault_telemetry_is_engine_invariant() {
         ..Default::default()
     };
 
-    let mut serial = topology.instantiate(options);
-    serial.install_fault_plan(fault_plan(&|a| serial.node_of(a)));
-    assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
-    let serial_snap = serial.metrics_snapshot("plain");
-    let serial_tl = serial.convergence_timeline().expect("timeline enabled");
-    let serial_trace = serial.trace_jsonl();
+    let mut one = topology.instantiate(options);
+    one.install_fault_plan(fault_plan(&|a| one.node_of(a)));
+    assert_eq!(one.converge(RunLimits::none()), StopReason::Quiescent);
+    let one_snap = one.metrics_snapshot("plain");
+    let one_tl = one.convergence_timeline().expect("timeline enabled");
+    let one_trace = one.trace_jsonl();
 
     // The fault layer actually showed up in the telemetry.
     for name in [
@@ -166,31 +165,31 @@ fn fault_telemetry_is_engine_invariant() {
         "pvr_router_dampening_suppressed_total",
     ] {
         assert!(
-            serial_snap.counter_value(name).unwrap_or(0) > 0,
+            one_snap.counter_value(name).unwrap_or(0) > 0,
             "{name} should be non-zero in a churn-plus-faults run"
         );
     }
     assert!(
-        serial_tl.windows.iter().any(|w| w.withdraws > 0),
+        one_tl.windows.iter().any(|w| w.withdraws > 0),
         "some timeline window should carry withdraw-storm activity"
     );
 
     for shards in [2usize, 4, 8] {
-        let mut sharded = topology.instantiate_sharded(options, shards);
-        sharded.install_fault_plan(fault_plan(&|a| sharded.node_of(a)));
-        assert_eq!(sharded.converge(RunLimits::none()), StopReason::Quiescent);
+        let mut many = topology.instantiate_sharded(options, shards);
+        many.install_fault_plan(fault_plan(&|a| many.node_of(a)));
+        assert_eq!(many.converge(RunLimits::none()), StopReason::Quiescent);
         // Plain mode: full equality, no carve-out predicate in sight.
         assert_eq!(
-            sharded.metrics_snapshot("plain"),
-            serial_snap,
+            many.metrics_snapshot("plain"),
+            one_snap,
             "fault metrics diverge at {shards} shards"
         );
         assert_eq!(
-            sharded.convergence_timeline().expect("timeline enabled"),
-            serial_tl,
+            many.convergence_timeline().expect("timeline enabled"),
+            one_tl,
             "fault timeline diverges at {shards} shards"
         );
-        assert_eq!(sharded.trace_jsonl(), serial_trace, "fault trace diverges at {shards} shards");
+        assert_eq!(many.trace_jsonl(), one_trace, "fault trace diverges at {shards} shards");
     }
 }
 

@@ -1,7 +1,8 @@
-//! The sharded engine's contract: byte-identical outputs to the serial
-//! engine at any shard count — converged RIBs, event counts, simulator
-//! stats, and per-router counters (modulo `verify_cache_hits`, whose
-//! scope legitimately shrinks with per-shard caches). Exercised over
+//! The engine's shard-count contract: byte-identical outputs at any
+//! shard count (1 shard is the baseline) — converged RIBs, event
+//! counts, simulator stats, and per-router counters (modulo
+//! `verify_cache_hits`, whose scope legitimately shrinks with
+//! per-shard caches). Exercised over
 //! random topologies, random shard counts, signed mode, and `Malice`
 //! route leaks, so the CI determinism gate rests on more than one
 //! hand-picked workload.
@@ -24,69 +25,68 @@ fn rib_fingerprint(router: &BgpRouter) -> Vec<(Prefix, Candidate)> {
         .collect()
 }
 
-/// Converges `topology` on both engines and asserts every deterministic
-/// observable matches. `leaker` optionally flips one AS to
-/// `Malice::leak_all` before the run (in both engines, symmetrically).
-fn assert_engines_agree(
+/// Converges `topology` at 1 shard and at `shards` and asserts every
+/// deterministic observable matches. `leaker` optionally flips one AS to
+/// `Malice::leak_all` before the run (in both networks, symmetrically).
+fn assert_shard_counts_agree(
     topology: &Topology,
     options: InstantiateOptions,
     shards: usize,
     leaker: Option<Asn>,
 ) {
-    let mut serial = topology.instantiate(options);
-    let mut sharded = topology.instantiate_sharded(options, shards);
+    let mut one = topology.instantiate(options);
+    let mut many = topology.instantiate_sharded(options, shards);
     if options.signed {
         let table = Arc::new(topology.origin_table());
-        serial.install_origin_table(Arc::clone(&table));
-        sharded.install_origin_table(table);
+        one.install_origin_table(Arc::clone(&table));
+        many.install_origin_table(table);
     }
     if let Some(asn) = leaker {
         let malice = Malice { leak_all: true };
-        serial.router_mut(asn).set_malice(malice.clone());
-        sharded.router_mut(asn).set_malice(malice);
+        one.router_mut(asn).set_malice(malice.clone());
+        many.router_mut(asn).set_malice(malice);
     }
 
-    assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
-    assert_eq!(sharded.converge(RunLimits::none()), StopReason::Quiescent);
+    assert_eq!(one.converge(RunLimits::none()), StopReason::Quiescent);
+    assert_eq!(many.converge(RunLimits::none()), StopReason::Quiescent);
 
     // Identical event counts and simulator stats (events, delivered,
     // sent, bytes, drops — all of it).
-    assert_eq!(serial.sim.stats(), sharded.sim.stats(), "{shards} shards");
-    assert_eq!(serial.sim.now(), sharded.sim.now(), "{shards} shards");
+    assert_eq!(one.sim.stats(), many.sim.stats(), "{shards} shards");
+    assert_eq!(one.sim.now(), many.sim.now(), "{shards} shards");
 
     // Identical converged RIBs and per-router counters. verify_calls is
     // part of the shard-invariant projection: the checks *requested*
     // cannot depend on cache scope, only the hits can.
     for asn in topology.ases() {
         assert_eq!(
-            rib_fingerprint(serial.router(asn)),
-            rib_fingerprint(sharded.router(asn)),
+            rib_fingerprint(one.router(asn)),
+            rib_fingerprint(many.router(asn)),
             "{asn} RIB at {shards} shards"
         );
         assert_eq!(
-            serial.router(asn).stats().shard_invariant(),
-            sharded.router(asn).stats().shard_invariant(),
+            one.router(asn).stats().shard_invariant(),
+            many.router(asn).stats().shard_invariant(),
             "{asn} counters at {shards} shards"
         );
-        // Each engine's end state is internally sound as well: every
+        // Each end state is internally sound as well: every
         // selection is what a from-scratch decision over the candidates
         // gives, and what was advertised is what was selected.
-        serial.router(asn).check_invariants().expect("serial RIB invariants");
-        sharded.router(asn).check_invariants().expect("sharded RIB invariants");
+        one.router(asn).check_invariants().expect("1-shard RIB invariants");
+        many.router(asn).check_invariants().expect("k-shard RIB invariants");
         // Per-shard caches can only lose reuse opportunities relative
-        // to the serial engine's network-wide cache, never gain them.
+        // to one shard's network-wide cache, never gain them.
         assert!(
-            sharded.router(asn).stats().verify_cache_hits
-                <= serial.router(asn).stats().verify_cache_hits,
-            "{asn} at {shards} shards: sharded cache hits exceed serial"
+            many.router(asn).stats().verify_cache_hits <= one.router(asn).stats().verify_cache_hits,
+            "{asn} at {shards} shards: cache hits exceed the 1-shard run's"
         );
     }
 
     // Order-independent network totals (the satellite-3 pin): summed
     // counters agree however the routers are laid out.
     assert_eq!(
-        serial.router_totals().shard_invariant(),
-        sharded.router_totals().shard_invariant(),
+        one.router_totals().shard_invariant(),
+        many.router_totals().shard_invariant(),
         "{shards} shards"
     );
 }
@@ -110,18 +110,18 @@ fn signed_run_identical_across_shard_counts() {
     let options =
         InstantiateOptions { seed: 61, signed: true, key_bits: 512, ..Default::default() };
     for shards in [2, 4, 8] {
-        assert_engines_agree(&topology, options, shards, None);
+        assert_shard_counts_agree(&topology, options, shards, None);
     }
 }
 
 #[test]
 fn malicious_leaker_identical_across_shard_counts() {
     // A tier-2 AS leaking everything it hears changes propagation
-    // substantially; the engines must still agree event for event.
+    // substantially; the shard counts must still agree event for event.
     let topology = small_internet(62);
     let options = InstantiateOptions { seed: 62, ..Default::default() };
     for shards in [2, 5] {
-        assert_engines_agree(&topology, options, shards, Some(Asn(101)));
+        assert_shard_counts_agree(&topology, options, shards, Some(Asn(101)));
     }
 }
 
@@ -130,7 +130,7 @@ fn signed_malicious_leaker_identical_across_shard_counts() {
     let topology = small_internet(63);
     let options =
         InstantiateOptions { seed: 63, signed: true, key_bits: 512, ..Default::default() };
-    assert_engines_agree(&topology, options, 3, Some(Asn(102)));
+    assert_shard_counts_agree(&topology, options, 3, Some(Asn(102)));
 }
 
 proptest! {
@@ -156,6 +156,6 @@ proptest! {
         let topology = internet_like(params, seed);
         let leaker = if seed % 2 == 1 { Some(Asn(100 + (seed % tier2 as u64) as u32)) } else { None };
         let options = InstantiateOptions { seed, ..Default::default() };
-        assert_engines_agree(&topology, options, shards, leaker);
+        assert_shard_counts_agree(&topology, options, shards, leaker);
     }
 }
