@@ -2,10 +2,16 @@
 //! the fast-crypto path cases: Montgomery vs schoolbook modpow, the
 //! sign/verify baselines, and attestation chain verification with and
 //! without the network-wide cache.
+//!
+//! The `*_rotating` rows are the in-situ shape: a signed convergence
+//! never signs one message under one key twice in a row, so they walk
+//! 8 keys and a fresh message per call. The single-key rows repeat one
+//! input, which lets a branch predictor learn whatever in the
+//! arithmetic depends on the data — read the two side by side.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pvr_bgp::{demo_chain, VerifyCache};
-use pvr_crypto::{drbg::HmacDrbg, sha256, HmacKey, RsaPrivateKey, Ubig};
+use pvr_crypto::{drbg::HmacDrbg, sha256, HmacKey, Montgomery, RsaPrivateKey, Ubig};
 use std::hint::black_box;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -54,6 +60,61 @@ fn bench_rsa(c: &mut Criterion) {
         let sig = key.sign(&msg);
         g.bench_function(BenchmarkId::new("verify", bits), |b| {
             b.iter(|| key.public().verify(&msg, &sig).unwrap());
+        });
+
+        // In-situ shape: 8 keys in rotation, no message seen twice
+        // (sign) or 256 distinct signed messages in rotation (verify).
+        let keys: Vec<RsaPrivateKey> =
+            (0..8).map(|_| RsaPrivateKey::generate(bits, &mut rng)).collect();
+        let mut i = 0usize;
+        g.bench_function(BenchmarkId::new("sign_rotating", bits), |b| {
+            b.iter(|| {
+                i += 1;
+                black_box(keys[i % keys.len()].sign(&i.to_be_bytes()))
+            });
+        });
+        g.bench_function(BenchmarkId::new("sign_rotating_schoolbook", bits), |b| {
+            b.iter(|| {
+                i += 1;
+                black_box(keys[i % keys.len()].sign_schoolbook(&i.to_be_bytes()))
+            });
+        });
+        let signed: Vec<([u8; 8], _)> = (0..256usize)
+            .map(|j| (j.to_be_bytes(), keys[j % keys.len()].sign(&j.to_be_bytes())))
+            .collect();
+        g.bench_function(BenchmarkId::new("verify_rotating", bits), |b| {
+            b.iter(|| {
+                i += 1;
+                let (msg, sig) = &signed[i % signed.len()];
+                keys[i % keys.len()].public().verify(msg, sig).unwrap()
+            });
+        });
+    }
+    let mut rng = HmacDrbg::from_u64_labeled(5, "bench-keygen");
+    g.bench_function(BenchmarkId::new("keygen", 512), |b| {
+        b.iter(|| black_box(RsaPrivateKey::generate(512, &mut rng)));
+    });
+    g.finish();
+}
+
+/// One `Montgomery::pow` with a full-width exponent at the limb counts
+/// under RSA-512/1024/2048 CRT signing, bases in rotation.
+fn bench_pow(c: &mut Criterion) {
+    let mut g = c.benchmark_group("e13_pow");
+    g.sample_size(10);
+    for limbs in [4usize, 8, 16] {
+        let mut rng = HmacDrbg::from_u64_labeled(6, "bench-pow");
+        let mut n = Ubig::random_bits(64 * limbs, &mut rng);
+        n.set_bit(0);
+        let ctx = Montgomery::new(&n).unwrap();
+        let exp = Ubig::random_bits(64 * limbs, &mut rng);
+        let bases: Vec<Ubig> = (0..64).map(|_| Ubig::random_below(&n, &mut rng)).collect();
+        let mut i = 0usize;
+        g.bench_function(BenchmarkId::new("limbs", limbs), |b| {
+            b.iter(|| {
+                i += 1;
+                black_box(ctx.pow(&bases[i % bases.len()], &exp))
+            });
         });
     }
     g.finish();
@@ -126,6 +187,7 @@ criterion_group!(
     bench_sha256,
     bench_drbg,
     bench_rsa,
+    bench_pow,
     bench_modpow,
     bench_sign_verify_baseline,
     bench_chain_verify

@@ -23,7 +23,7 @@ use pvr_crypto::encoding::{decode_seq, Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_crypto::rsa::RsaSignature;
 use pvr_crypto::sha256::sha256_concat;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -232,12 +232,16 @@ impl std::fmt::Debug for AttestationChain {
     }
 }
 
-/// A network-wide RSA-verification memo for attestation signatures.
+/// A cache memo exported for checkpointing: sorted
+/// `(signer, digest, verdict)` entries plus the call/hit counters.
+pub(crate) type CacheState = (Vec<(Asn, [u8; 32], bool)>, u64, u64);
+
+/// An RSA-verification memo for attestation signatures.
 ///
 /// `sbgp` re-verifies the *entire* chain at every import hop, so a
 /// route that crosses `h` ASes costs `O(h²)` RSA verifies network-wide
 /// — and every prefix-suffix attestation past the first hop is one
-/// some router already checked. One cache shared per
+/// some router already checked. A cache shared by the routers of a
 /// [`crate::BgpNetwork`] collapses that: the verdict for an
 /// attestation depends only on the signer, the signed payload, and
 /// the signature bytes, all captured in the cache key.
@@ -249,13 +253,12 @@ impl std::fmt::Debug for AttestationChain {
 /// genuine chain's cached `true` launder the forgery (pinned by the
 /// cache regression tests in `tests/detection_matrix.rs`).
 ///
-/// A cache memo exported for checkpointing: sorted
-/// `(signer, digest, verdict)` entries plus the call/hit counters.
-pub(crate) type CacheState = (Vec<(Asn, [u8; 32], bool)>, u64, u64);
-
-/// Interior mutability is a `Mutex` so the cache can be shared
-/// read-only across router agents; a simulation is single-threaded,
-/// so the lock is never contended.
+/// A network holds one cache per engine shard, shared by that shard's
+/// routers through an `Arc` — hence the `Mutex` and the atomics. A
+/// shard's window runs on one thread, so the lock is never contended
+/// and `check` holds it across the RSA verify of a miss; what a shard
+/// count changes is only the hit counter (a verdict cached on one
+/// shard is a miss on the next).
 #[derive(Debug, Default)]
 pub struct VerifyCache {
     verdicts: Mutex<HashMap<(Asn, [u8; 32]), bool>>,
@@ -317,13 +320,15 @@ impl VerifyCache {
         let digest = sha256_concat(&[signed_bytes, &sig.0]);
         let mut key = [0u8; 32];
         key.copy_from_slice(digest.as_bytes());
-        if let Some(&verdict) = self.verdicts.lock().unwrap().get(&(signer, key)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return verdict;
+        match self.verdicts.lock().unwrap().entry((signer, key)) {
+            Entry::Occupied(hit) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                *hit.get()
+            }
+            Entry::Vacant(miss) => {
+                *miss.insert(keys.verify(signer.principal(), signed_bytes, sig).is_ok())
+            }
         }
-        let verdict = keys.verify(signer.principal(), signed_bytes, sig).is_ok();
-        self.verdicts.lock().unwrap().insert((signer, key), verdict);
-        verdict
     }
 }
 

@@ -455,7 +455,7 @@ impl Ubig {
     /// Modular exponentiation `self^exp mod m`.
     ///
     /// Odd moduli (the only kind RSA and Miller–Rabin ever reduce by)
-    /// use Montgomery REDC with 4-bit windowed exponentiation; even
+    /// use Montgomery REDC with sliding-window exponentiation; even
     /// moduli fall back to [`Ubig::modpow_schoolbook`] since REDC
     /// requires an odd modulus.
     pub fn modpow(&self, exp: &Ubig, m: &Ubig) -> Ubig {

@@ -1,48 +1,51 @@
-//! Montgomery modular arithmetic: the fast path under every RSA
-//! operation in the workspace.
+//! Montgomery modular arithmetic: the engine under every RSA sign,
+//! verify and Miller–Rabin round in the workspace.
 //!
 //! The schoolbook [`Ubig::modpow_schoolbook`](crate::bignum::Ubig::modpow_schoolbook)
-//! costs a full double-width multiplication *plus a Knuth Algorithm D
-//! division* per exponent bit. Montgomery's method trades the division
-//! for two extra multiplications *once* (at context build), after which
-//! every modular multiplication is a single interleaved multiply-reduce
-//! pass (REDC) with no division at all. Three further levers stack on
-//! top, and together they are where experiment E13's sign/verify/modpow
-//! speedups come from:
+//! costs a double-width multiplication *plus a Knuth Algorithm D
+//! division* per exponent bit. Montgomery's method pays two extra
+//! multiplications *once* (at context build), after which a modular
+//! multiplication is one multiply-reduce pass (REDC), division-free.
 //!
-//! * **fused FIOS multiply** — the `a·b` accumulation and the `m·n`
-//!   fold run as one loop with two independent carry chains, which the
-//!   CPU overlaps;
-//! * **dedicated squaring** — `a²` computes only the upper-triangle
-//!   products, doubles them, then reduces (≈1.5k² multiplies instead
-//!   of 2k²), with a two-way interleaved reduction at RSA-2048 size;
-//! * **adaptive fixed-window exponentiation** — window width 1–5
-//!   chosen from the exponent length, so a full-length CRT exponent
-//!   gets a 4/5-bit window (¼ the multiplies of square-and-multiply)
-//!   while `e = 65537` skips table building entirely.
+//! # One engine, entered once per operation
 //!
-//! Kernels are monomorphized over the limb count for the sizes RSA
-//! actually uses (1–32 limbs in powers of two), with a dynamic-width
-//! fallback for everything else.
+//! An exponentiation is a few hundred *dependent* products, so what a
+//! product pays beyond its arithmetic is what the exponentiation costs.
+//! The engine is generic over its limb storage (`Limbs`) and each
+//! public operation picks the storage **once**: `[u64; K]` for the
+//! widths RSA uses (K = 1, 2, 4, 8, 16, 32 limbs), `Vec<u64>` for any
+//! other. Inside `pow_k` the base, the accumulator, the odd-power table
+//! and each kernel's scratch are values of that type — stack arrays of
+//! known length, so nothing is allocated between entry and the final
+//! `Ubig` and no product re-dispatches on the width. The `Vec`
+//! instantiation runs the same routine and kernel bodies so that other
+//! widths are correct, not fast. (DESIGN.md, "Montgomery engine".)
+//!
+//! * **fused FIOS multiply** (`mul_k`) — the `a·b` accumulation and
+//!   the `m·n` fold run as one loop with two independent carry chains;
+//! * **dedicated SOS squaring** (`sqr_k`, even widths ≥ 4 limbs) —
+//!   upper-triangle products doubled, ≈ 1.5k² word multiplies instead
+//!   of 2k², reduced two rows per pass;
+//! * **sliding-window exponentiation** — odd powers only, windows that
+//!   start and end on a set bit, zero runs paid as bare squarings. A
+//!   ≤ 32-bit exponent (`e = 65537`: 16 squarings + 1 multiply) builds
+//!   no table; a 256-bit CRT exponent takes 4-bit windows over 8 odd
+//!   powers (256 squarings + ≈ 59 multiplies).
 //!
 //! # REDC invariants
 //!
 //! A [`Montgomery`] context for an odd modulus `n` of `k` 64-bit limbs
-//! fixes `R = 2^(64k)` and maintains:
+//! fixes `R = 2^(64k)` (`gcd(R, n) = 1` because `n` is odd — even
+//! moduli fall back to schoolbook arithmetic) and keeps `n0_inv =
+//! -n^(-1) mod 2^64`, `r1 = R mod n` and `r2 = R² mod n`: `to_mont(x)`
+//! is `redc(x · r2)`, `from_mont(x̄)` is `redc(x̄ · 1)`.
 //!
-//! * `gcd(R, n) = 1` — guaranteed by `n` odd; this is why even moduli
-//!   cannot use this path and fall back to schoolbook arithmetic;
-//! * `n0_inv = -n^(-1) mod 2^64` — the per-limb folding constant,
-//!   computed by Newton–Hensel lifting from `n`'s low limb;
-//! * `r1 = R mod n` — the Montgomery form of 1 (`to_mont(1)`);
-//! * `r2 = R² mod n` — the conversion constant: `to_mont(x)` is
-//!   `redc(x · r2)` and `from_mont(x̄)` is `redc(x̄ · 1)`.
-//!
-//! Every kernel takes inputs `< n` and returns a fully reduced result
-//! in `[0, n)` (the classic CIOS bound keeps the pre-subtraction value
-//! `< 2n`, so one conditional final subtraction suffices). All
-//! arithmetic is variable-time, like the rest of this crate: fine for
-//! a research simulator, never for production cryptography.
+//! A kernel takes one operand `< R` and one `< n` and returns a fully
+//! reduced result in `[0, n)`: the pre-subtraction value `V = top·R +
+//! t` is `< (R·n + R·n)/R = 2n`, so *one* subtraction of `n`, applied
+//! iff `V ≥ n`, finishes the product (`reduce_once`, by mask, not by
+//! branch). All arithmetic is still variable-time, like the rest of
+//! this crate: fine for a simulator, never for production cryptography.
 
 use crate::bignum::Ubig;
 
@@ -50,23 +53,36 @@ use crate::bignum::Ubig;
 ///
 /// Build it once per modulus ([`Montgomery::new`]), then every
 /// [`mul`](Montgomery::mul), [`square`](Montgomery::square), and
-/// [`pow`](Montgomery::pow) runs division-free. [`crate::rsa`] caches
-/// one context per key (for `n`, `p`, and `q`) so repeated sign/verify
-/// calls pay the precomputation exactly once.
+/// [`pow`](Montgomery::pow) runs division-free. [`crate::rsa`] caches one
+/// per key (for `n`, `p`, `q`): sign/verify pay the precomputation once.
 #[derive(Clone, Debug)]
 pub struct Montgomery {
     /// The modulus.
     n: Ubig,
-    /// The modulus as exactly `k` little-endian limbs.
-    n_limbs: Vec<u64>,
     /// Limb count of the modulus; `R = 2^(64k)`.
     k: usize,
     /// `-n^(-1) mod 2^64`.
     n0_inv: u64,
     /// `R mod n`: the Montgomery form of 1.
-    r1: Vec<u64>,
+    r1: Ubig,
     /// `R² mod n`: the to-Montgomery conversion constant.
-    r2: Vec<u64>,
+    r2: Ubig,
+}
+
+/// Calls `$self.$f::<L>(…)` with `L` the limb storage for this
+/// context's width: the one dispatch an operation pays.
+macro_rules! by_width {
+    ($self:ident.$f:ident($($arg:expr),*)) => {
+        match $self.k {
+            1 => $self.$f::<[u64; 1]>($($arg),*),
+            2 => $self.$f::<[u64; 2]>($($arg),*),
+            4 => $self.$f::<[u64; 4]>($($arg),*),
+            8 => $self.$f::<[u64; 8]>($($arg),*),
+            16 => $self.$f::<[u64; 16]>($($arg),*),
+            32 => $self.$f::<[u64; 32]>($($arg),*),
+            _ => $self.$f::<Vec<u64>>($($arg),*),
+        }
+    };
 }
 
 impl Montgomery {
@@ -77,12 +93,11 @@ impl Montgomery {
         if n.is_even() || n.is_one() {
             return None;
         }
-        let n_limbs = n.limbs().to_vec();
-        let k = n_limbs.len();
+        let k = n.limbs().len();
         // Newton–Hensel: for odd n0, x = n0 is an inverse mod 2^3;
         // each iteration doubles the valid bit count, so five reach 96
         // ≥ 64 bits. Negate to get the REDC folding constant.
-        let n0 = n_limbs[0];
+        let n0 = n.limbs()[0];
         let mut inv = n0;
         for _ in 0..5 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
@@ -90,14 +105,7 @@ impl Montgomery {
         debug_assert_eq!(n0.wrapping_mul(inv), 1);
         let r1 = Ubig::one().shl(64 * k).rem(n);
         let r2 = r1.mul(&r1).rem(n);
-        Some(Montgomery {
-            n: n.clone(),
-            n_limbs,
-            k,
-            n0_inv: inv.wrapping_neg(),
-            r1: pad_limbs(&r1, k),
-            r2: pad_limbs(&r2, k),
-        })
+        Some(Montgomery { n: n.clone(), k, n0_inv: inv.wrapping_neg(), r1, r2 })
     }
 
     /// The modulus this context reduces by.
@@ -105,162 +113,210 @@ impl Montgomery {
         &self.n
     }
 
-    /// Montgomery product `out = a·b·R^(-1) mod n`, dispatching to the
-    /// monomorphized kernel for this modulus width. `a`, `b`, `out`
-    /// are `k` limbs; `t` is the `k + 1`-limb scratch.
-    fn mont_mul_buf(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
-        let n = &self.n_limbs[..];
-        let inv = self.n0_inv;
-        match self.k {
-            1 => fios::<1>(cvt(a), cvt(b), cvt(n), inv, t),
-            2 => fios::<2>(cvt(a), cvt(b), cvt(n), inv, t),
-            4 => fios::<4>(cvt(a), cvt(b), cvt(n), inv, t),
-            8 => fios::<8>(cvt(a), cvt(b), cvt(n), inv, t),
-            16 => fios::<16>(cvt(a), cvt(b), cvt(n), inv, t),
-            32 => fios::<32>(cvt(a), cvt(b), cvt(n), inv, t),
-            k => fios_dyn(a, b, n, inv, t, k),
-        }
-        final_sub(t[self.k], &t[..self.k], n, out);
-    }
-
-    /// Montgomery square `out = a²·R^(-1) mod n`. `u` is the
-    /// `2k + 1`-limb scratch.
-    fn mont_sqr_buf(&self, a: &[u64], u: &mut [u64], out: &mut [u64]) {
-        let n = &self.n_limbs[..];
-        let inv = self.n0_inv;
-        match self.k {
-            1 => sqr::<1>(cvt(a), cvt(n), inv, u),
-            2 => sqr::<2>(cvt(a), cvt(n), inv, u),
-            4 => sqr::<4>(cvt(a), cvt(n), inv, u),
-            8 => sqr::<8>(cvt(a), cvt(n), inv, u),
-            16 => sqr::<16>(cvt(a), cvt(n), inv, u),
-            32 => sqr::<32>(cvt(a), cvt(n), inv, u),
-            k => sqr_dyn(a, n, inv, u, k),
-        }
-        final_sub(u[2 * self.k], &u[self.k..2 * self.k], n, out);
-    }
-
-    /// `(a · b) mod n`, division-free: `redc(redc(a·b), r2)` — the
-    /// first pass yields `a·b·R^(-1)`, the second multiplies the `R`
-    /// back in.
+    /// `(a · b) mod n`, division-free: `redc(redc(a·b), r2)` — the first
+    /// pass yields `a·b·R^(-1)`, the second multiplies the `R` back in.
     pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        let k = self.k;
-        let a = pad_limbs(&a.rem(&self.n), k);
-        let b = pad_limbs(&b.rem(&self.n), k);
-        let mut t = vec![0u64; k + 1];
-        let mut lo = vec![0u64; k];
-        let mut out = vec![0u64; k];
-        self.mont_mul_buf(&a, &b, &mut t, &mut lo);
-        self.mont_mul_buf(&lo, &self.r2, &mut t, &mut out);
-        Ubig::from_limbs(out)
+        by_width!(self.mul_in(a, Some(b), true))
     }
 
     /// `a² mod n`, division-free, on the dedicated squaring kernel.
     pub fn square(&self, a: &Ubig) -> Ubig {
-        let k = self.k;
-        let a = pad_limbs(&a.rem(&self.n), k);
-        let mut u = vec![0u64; 2 * k + 1];
-        let mut t = vec![0u64; k + 1];
-        let mut lo = vec![0u64; k];
-        let mut out = vec![0u64; k];
-        self.mont_sqr_buf(&a, &mut u, &mut lo);
-        self.mont_mul_buf(&lo, &self.r2, &mut t, &mut out);
-        Ubig::from_limbs(out)
+        by_width!(self.mul_in(a, None, true))
     }
 
-    /// `base^exp mod n` by fixed-window exponentiation over Montgomery
-    /// products: `2^w` precomputed powers, then `w` squarings plus at
-    /// most one table multiply per exponent window, with `w` chosen
-    /// from the exponent length (so `e = 65537` degenerates to plain
-    /// square-and-multiply with no table at all).
+    /// `a·b·R^(-1) mod n`, one REDC product: the plain product when
+    /// exactly one operand is in Montgomery form.
+    pub(crate) fn mul_redc(&self, a: &Ubig, b: &Ubig) -> Ubig {
+        by_width!(self.mul_in(a, Some(b), false))
+    }
+
+    /// `x·R mod n`, the Montgomery form of `x`.
+    pub(crate) fn to_mont(&self, x: &Ubig) -> Ubig {
+        self.mul_redc(x, &self.r2)
+    }
+
+    /// `base^exp mod n` by sliding-window exponentiation over
+    /// Montgomery products, the window width chosen from the exponent
+    /// length (`e = 65537` is plain square-and-multiply, no table).
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        let k = self.k;
         if exp.is_zero() {
             return Ubig::one(); // n > 1, so 1 mod n = 1
         }
-        let bits = exp.bit_len();
-        let w = window_width(bits);
-        let mut t = vec![0u64; k + 1];
-        let mut u = vec![0u64; 2 * k + 1];
-        let mut tmp = vec![0u64; k];
+        by_width!(self.pow_k(base, exp))
+    }
 
-        // table[d] = base^d in Montgomery form, d < 2^w.
-        let base_red = pad_limbs(&base.rem(&self.n), k);
-        let mut table: Vec<Vec<u64>> = vec![vec![0u64; k]; 1 << w];
-        table[0].copy_from_slice(&self.r1);
-        self.mont_mul_buf(&base_red, &self.r2, &mut t, &mut tmp);
-        table[1].copy_from_slice(&tmp);
-        for d in 2..1 << w {
-            let (lo, hi) = table.split_at_mut(d);
-            self.mont_mul_buf(&lo[d - 1], &lo[1], &mut t, &mut hi[0]);
+    /// At most `k` limbs, zero-extended to exactly `k`.
+    fn load<L: Limbs>(&self, x: &[u64]) -> L {
+        let mut out = L::zero(self.k);
+        out.as_mut()[..x.len()].copy_from_slice(x);
+        out
+    }
+
+    /// `x mod n` as `k` limbs. Below `n` (signatures, witnesses, CRT
+    /// residues) that is `x` itself; otherwise (the message under a CRT
+    /// half is `2k` limbs) it is Horner over `k`-limb chunks, `acc·R +
+    /// chunk ≡ redc(acc·r2) + redc(chunk·r1)` — the chunk is the
+    /// kernel's `< R` operand — with no Knuth division either way.
+    fn reduced<L: Limbs>(&self, x: &Ubig, n: &L) -> L {
+        if x < &self.n {
+            return self.load(x.limbs());
         }
+        let (r1, r2): (L, L) = (self.load(self.r1.limbs()), self.load(self.r2.limbs()));
+        let mut acc = L::zero(self.k);
+        for chunk in x.limbs().chunks(self.k).rev() {
+            let hi = mul_k(&acc, &r2, n, self.n0_inv);
+            let lo = mul_k(&self.load(chunk), &r1, n, self.n0_inv);
+            let mut carry = false;
+            for ((s, &a), &b) in acc.as_mut().iter_mut().zip(hi.as_ref()).zip(lo.as_ref()) {
+                let (s1, c1) = a.overflowing_add(b);
+                let (s2, c2) = s1.overflowing_add(carry as u64);
+                (*s, carry) = (s2, c1 | c2);
+            }
+            acc = reduce_once(acc.as_ref(), carry as u64, n.as_ref());
+        }
+        acc
+    }
 
-        let exp_limbs = exp.limbs();
-        // The w-bit window at position widx (bits widx·w .. widx·w+w).
-        let digit = |widx: usize| -> usize {
-            let bit = widx * w;
-            let (limb, off) = (bit / 64, bit % 64);
-            let lo = exp_limbs.get(limb).copied().unwrap_or(0) >> off;
-            let hi = if off + w > 64 {
-                exp_limbs.get(limb + 1).copied().unwrap_or(0) << (64 - off)
-            } else {
-                0
-            };
-            ((lo | hi) as usize) & ((1 << w) - 1)
+    /// `a·b` (or `a²` on the squaring kernel when `b` is `None`) as one
+    /// REDC product, times `R` again through `r2` when `plain`.
+    fn mul_in<L: Limbs>(&self, a: &Ubig, b: Option<&Ubig>, plain: bool) -> Ubig {
+        let (n, inv) = (self.load::<L>(self.n.limbs()), self.n0_inv);
+        let a = self.reduced(a, &n);
+        let mut t = match b {
+            Some(b) => mul_k(&a, &self.reduced(b, &n), &n, inv),
+            None => sqr_k(&a, &n, inv),
+        };
+        if plain {
+            t = mul_k(&t, &self.load(self.r2.limbs()), &n, inv);
+        }
+        Ubig::from_limbs(t.as_ref().to_vec())
+    }
+
+    /// The exponentiation routine at every width (`exp ≠ 0`).
+    fn pow_k<L: Limbs>(&self, base: &Ubig, exp: &Ubig) -> Ubig {
+        let (n, inv) = (self.load::<L>(self.n.limbs()), self.n0_inv);
+        let (e, bits) = (exp.limbs(), exp.bit_len());
+        let w = window_width(bits);
+        let base = mul_k(&self.reduced(base, &n), &self.load(self.r2.limbs()), &n, inv);
+
+        // odd[d] = base^(2d+1) in Montgomery form, 2^(w-1) entries; a
+        // one-bit window reads `base` itself and builds nothing.
+        let mut odd: [L; 1 << (MAX_WINDOW - 1)];
+        let table: &[L] = if w == 1 {
+            std::slice::from_ref(&base)
+        } else {
+            let base2 = sqr_k(&base, &n, inv);
+            odd = std::array::from_fn(|_| base.clone());
+            for d in 1..1 << (w - 1) {
+                odd[d] = mul_k(&odd[d - 1], &base2, &n, inv);
+            }
+            &odd
         };
 
-        let nwin = bits.div_ceil(w);
-        let mut acc = table[digit(nwin - 1)].clone();
-        for widx in (0..nwin - 1).rev() {
-            for _ in 0..w {
-                self.mont_sqr_buf(&acc, &mut u, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+        // The window under set bit `i - 1`: up to `w` bits, cut back
+        // to end on a set bit. Returns its (odd) value and its length.
+        let window = |i: usize| -> (usize, usize) {
+            let len = w.min(i);
+            let (limb, off) = ((i - len) / 64, (i - len) % 64);
+            let mut d = e[limb] >> off;
+            if off + len > 64 {
+                d |= e[limb + 1] << (64 - off);
             }
-            let d = digit(widx);
-            if d != 0 {
-                self.mont_mul_buf(&acc, &table[d], &mut t, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
+            let d = d as usize & ((1 << len) - 1);
+            let zeros = d.trailing_zeros() as usize;
+            (d >> zeros, len - zeros)
+        };
+
+        // Bits above `i` are consumed. The set top bit's window seeds
+        // the accumulator; then a clear bit is one squaring, a set bit
+        // opens a window: `len` squarings and one table multiply.
+        let (d, len) = window(bits);
+        let mut acc = table[d >> 1].clone();
+        let mut i = bits - len;
+        while i > 0 {
+            let set = exp.bit(i - 1);
+            let (d, len) = if set { window(i) } else { (0, 1) };
+            for _ in 0..len {
+                acc = sqr_k(&acc, &n, inv);
             }
+            if set {
+                acc = mul_k(&acc, &table[d >> 1], &n, inv);
+            }
+            i -= len;
         }
 
         // from_mont: one REDC against the plain value 1.
-        let mut one = vec![0u64; k];
-        one[0] = 1;
-        self.mont_mul_buf(&acc, &one, &mut t, &mut tmp);
-        Ubig::from_limbs(tmp)
+        acc = mul_k(&acc, &self.load(&[1]), &n, inv);
+        Ubig::from_limbs(acc.as_ref().to_vec())
     }
 }
 
-/// Window width for an exponent of `bits` bits: balances the `2^w - 2`
-/// table multiplies against the `bits/w` saved window multiplies.
+/// Widest window [`window_width`] returns; sizes the odd-power table.
+const MAX_WINDOW: usize = 5;
+
+/// Sliding-window width for an exponent of `bits` bits: balances the
+/// `2^(w-1)` table products against the `≈ bits/(w+1)` window
+/// multiplies. No table at all up to 32 bits.
 fn window_width(bits: usize) -> usize {
     match bits {
         0..=32 => 1,
-        33..=96 => 2,
-        97..=288 => 3,
-        289..=768 => 4,
-        _ => 5,
+        33..=80 => 3,
+        81..=320 => 4,
+        _ => MAX_WINDOW,
     }
 }
 
-/// Slice → fixed-size array reference (lengths are checked by the
-/// dispatcher's match on `k`).
-fn cvt<const K: usize>(s: &[u64]) -> &[u64; K] {
-    s[..K].try_into().expect("kernel width matches modulus width")
+/// Limb storage the engine is generic over: `[u64; K]` on the stack at
+/// the monomorphized widths, `Vec<u64>` at every other. `zero` is `k`
+/// limbs and `wide` the squaring kernel's `2k`; `k` is the context's
+/// limb count, which only the `Vec` storage needs to be told.
+trait Limbs: Clone + AsRef<[u64]> + AsMut<[u64]> {
+    type Wide;
+    fn zero(k: usize) -> Self;
+    fn wide(k: usize) -> Self::Wide;
+    fn wide_limbs(wide: &mut Self::Wide) -> &mut [u64];
 }
 
-/// One fused FIOS pass: `t[0..k]` ← `a·b·R^(-1)` before the final
-/// subtraction, top carry (0 or 1) in `t[k]`. The `a·b` accumulation
-/// and the `m·n` fold share the loop but carry independently, which
-/// keeps both multiply chains in flight.
-///
-/// `#[inline(always)]` so the monomorphized [`fios`] wrappers
-/// const-propagate `k` and get the fully unrolled codegen; the same
-/// body serves [`fios_dyn`] at runtime widths.
+impl<const K: usize> Limbs for [u64; K] {
+    type Wide = [[u64; K]; 2];
+    fn zero(_: usize) -> Self {
+        [0; K]
+    }
+    fn wide(_: usize) -> Self::Wide {
+        [[0; K]; 2]
+    }
+    fn wide_limbs(wide: &mut Self::Wide) -> &mut [u64] {
+        wide.as_flattened_mut()
+    }
+}
+
+impl Limbs for Vec<u64> {
+    type Wide = Vec<u64>;
+    fn zero(k: usize) -> Self {
+        vec![0; k]
+    }
+    fn wide(k: usize) -> Self::Wide {
+        vec![0; 2 * k]
+    }
+    fn wide_limbs(wide: &mut Self::Wide) -> &mut [u64] {
+        wide
+    }
+}
+
+/// Montgomery product `a·b·R^(-1) mod n` (`a < R`, `b < n`) in one
+/// fused FIOS pass: the `a·b` accumulation and the `m·n` fold share the
+/// loop but carry independently, keeping both multiply chains in flight.
+/// `#[inline(always)]` so each `pow_k` instantiation gets the kernel
+/// with `k` a constant and its operands in the caller's frame.
 #[inline(always)]
-fn fios_core(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, t: &mut [u64], k: usize) {
-    t[..k + 1].fill(0);
-    for &ai in a[..k].iter() {
+fn mul_k<L: Limbs>(a: &L, b: &L, n: &L, n0_inv: u64) -> L {
+    let n = n.as_ref();
+    let k = n.len();
+    let (a, b) = (&a.as_ref()[..k], &b.as_ref()[..k]);
+    let mut acc = L::zero(k);
+    let t = &mut acc.as_mut()[..k];
+    let mut top = 0u64;
+    for &ai in a {
         let s = t[0] as u128 + ai as u128 * b[0] as u128;
         let mut c_ab = (s >> 64) as u64;
         let m = (s as u64).wrapping_mul(n0_inv);
@@ -273,36 +329,27 @@ fn fios_core(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, t: &mut [u64], k: usi
             t[j - 1] = s2 as u64;
             c_mn = (s2 >> 64) as u64;
         }
-        let s = t[k] as u128 + c_ab as u128 + c_mn as u128;
+        let s = top as u128 + c_ab as u128 + c_mn as u128;
         t[k - 1] = s as u64;
-        t[k] = (s >> 64) as u64;
+        top = (s >> 64) as u64;
     }
+    reduce_once(t, top, n)
 }
 
-/// Monomorphized [`fios_core`] (array inputs pin the width for the
-/// optimizer).
-fn fios<const K: usize>(a: &[u64; K], b: &[u64; K], n: &[u64; K], n0_inv: u64, t: &mut [u64]) {
-    fios_core(a, b, n, n0_inv, t, K);
-}
-
-/// Dynamic-width [`fios_core`] for limb counts without a monomorphized
-/// kernel.
-fn fios_dyn(a: &[u64], b: &[u64], n: &[u64], n0_inv: u64, t: &mut [u64], k: usize) {
-    fios_core(a, b, n, n0_inv, t, k);
-}
-
-/// Montgomery squaring, SOS-style: upper-triangle products, doubled,
-/// diagonal added, then the `m·n` reduction sweep. `u[k..2k]` holds
-/// the pre-subtraction result, top carry in `u[2k]`. At `k ≥ 32`
-/// (even) the reduction processes two rows per pass (two independent
-/// carry chains); below that the plain sweep wins.
-///
-/// `#[inline(always)]` so the monomorphized [`sqr`] wrappers
-/// const-propagate `k` (folding the reduction-strategy branch away);
-/// the same body serves [`sqr_dyn`] at runtime widths.
+/// Montgomery square `a²·R^(-1) mod n` (`a < n`), SOS-style:
+/// upper-triangle products, doubled with the diagonal added, then the
+/// `m·n` reduction over the `2k`-limb square, two rows per pass. Below
+/// 4 limbs the triangle saves nothing, and an odd width has no row
+/// pairs: there the square is a [`mul_k`]. Inlined for the same reason.
 #[inline(always)]
-fn sqr_core(a: &[u64], n: &[u64], n0_inv: u64, u: &mut [u64], k: usize) {
-    u[..2 * k + 1].fill(0);
+fn sqr_k<L: Limbs>(a: &L, n: &L, n0_inv: u64) -> L {
+    let k = n.as_ref().len();
+    if k < 4 || k % 2 == 1 {
+        return mul_k(a, a, n, n0_inv);
+    }
+    let (a, n) = (&a.as_ref()[..k], n.as_ref());
+    let mut wide = L::wide(k);
+    let u = &mut L::wide_limbs(&mut wide)[..2 * k];
     // Off-diagonal half products.
     for i in 0..k {
         let ai = a[i];
@@ -314,121 +361,73 @@ fn sqr_core(a: &[u64], n: &[u64], n0_inv: u64, u: &mut [u64], k: usize) {
         }
         u[i + k] = carry;
     }
-    // Double, then add the diagonal a[i]².
-    let mut top = 0u64;
-    for x in u[..2 * k].iter_mut() {
-        let nt = *x >> 63;
-        *x = (*x << 1) | top;
-        top = nt;
-    }
-    let mut carry = 0u64;
+    // Double them and add the diagonal a[i]², two limbs at a time.
+    let (mut top, mut carry) = (0u64, 0u64);
     for i in 0..k {
-        let s = u[2 * i] as u128 + a[i] as u128 * a[i] as u128 + carry as u128;
+        let (lo, hi) = (u[2 * i], u[2 * i + 1]);
+        let s = ((lo << 1) | top) as u128 + a[i] as u128 * a[i] as u128 + carry as u128;
         u[2 * i] = s as u64;
-        let s2 = u[2 * i + 1] as u128 + (s >> 64);
+        let s2 = ((hi << 1) | (lo >> 63)) as u128 + (s >> 64);
         u[2 * i + 1] = s2 as u64;
-        carry = (s2 >> 64) as u64;
+        (top, carry) = (hi >> 63, (s2 >> 64) as u64);
     }
-    // Reduction: fold rows m[i]·n into u.
-    if k >= 32 && k % 2 == 0 {
-        // Two rows per pass. Row i's m0 is known immediately; row
-        // i+1's m1 needs u[i+1] after m0's j=1 term, computed in the
-        // preamble; the joint loop then runs both carry chains.
-        let mut carry2 = 0u64;
-        let mut i = 0;
-        while i < k {
-            let m0 = u[i].wrapping_mul(n0_inv);
-            let s = u[i] as u128 + m0 as u128 * n[0] as u128;
-            let mut c0 = (s >> 64) as u64;
-            let s = u[i + 1] as u128 + m0 as u128 * n[1] as u128 + c0 as u128;
-            let u_i1 = s as u64;
+    // Reduction: fold rows m[i]·n into u, leaving the result in
+    // u[k..2k], top carry in `carry2`. Row i's m0 is known at once; row
+    // i+1's m1 needs u[i+1] after m0's j=1 term (the preamble); the
+    // joint loop runs both carry chains over one load/store per limb.
+    let mut carry2 = 0u64;
+    for i in (0..k).step_by(2) {
+        let m0 = u[i].wrapping_mul(n0_inv);
+        let s = u[i] as u128 + m0 as u128 * n[0] as u128;
+        let mut c0 = (s >> 64) as u64;
+        let s = u[i + 1] as u128 + m0 as u128 * n[1] as u128 + c0 as u128;
+        let u_i1 = s as u64;
+        c0 = (s >> 64) as u64;
+        let m1 = u_i1.wrapping_mul(n0_inv);
+        let s = u_i1 as u128 + m1 as u128 * n[0] as u128;
+        let mut c1 = (s >> 64) as u64;
+        for j in 2..k {
+            let s = u[i + j] as u128 + m0 as u128 * n[j] as u128 + c0 as u128;
             c0 = (s >> 64) as u64;
-            let m1 = u_i1.wrapping_mul(n0_inv);
-            let s = u_i1 as u128 + m1 as u128 * n[0] as u128;
-            let mut c1 = (s >> 64) as u64;
-            for j in 2..k {
-                let s = u[i + j] as u128 + m0 as u128 * n[j] as u128 + c0 as u128;
-                c0 = (s >> 64) as u64;
-                let s2 = (s as u64) as u128 + m1 as u128 * n[j - 1] as u128 + c1 as u128;
-                u[i + j] = s2 as u64;
-                c1 = (s2 >> 64) as u64;
-            }
-            let s = u[i + k] as u128
-                + c0 as u128
-                + m1 as u128 * n[k - 1] as u128
-                + c1 as u128
-                + carry2 as u128;
-            u[i + k] = s as u64;
-            let s2 = u[i + k + 1] as u128 + (s >> 64);
-            u[i + k + 1] = s2 as u64;
-            carry2 = (s2 >> 64) as u64;
-            i += 2;
+            let s2 = (s as u64) as u128 + m1 as u128 * n[j - 1] as u128 + c1 as u128;
+            u[i + j] = s2 as u64;
+            c1 = (s2 >> 64) as u64;
         }
-        u[2 * k] = u[2 * k].wrapping_add(carry2);
-    } else {
-        let mut carry2 = 0u64;
-        for i in 0..k {
-            let m = u[i].wrapping_mul(n0_inv);
-            let mut carry = 0u64;
-            for j in 0..k {
-                let s = u[i + j] as u128 + m as u128 * n[j] as u128 + carry as u128;
-                u[i + j] = s as u64;
-                carry = (s >> 64) as u64;
-            }
-            let s = u[i + k] as u128 + carry as u128 + carry2 as u128;
-            u[i + k] = s as u64;
-            carry2 = (s >> 64) as u64;
-        }
-        u[2 * k] = carry2;
+        let s = u[i + k] as u128
+            + c0 as u128
+            + m1 as u128 * n[k - 1] as u128
+            + c1 as u128
+            + carry2 as u128;
+        u[i + k] = s as u64;
+        let s2 = u[i + k + 1] as u128 + (s >> 64);
+        u[i + k + 1] = s2 as u64;
+        carry2 = (s2 >> 64) as u64;
     }
+    reduce_once(&u[k..], carry2, n)
 }
 
-/// Monomorphized [`sqr_core`] (array inputs pin the width for the
-/// optimizer).
-fn sqr<const K: usize>(a: &[u64; K], n: &[u64; K], n0_inv: u64, u: &mut [u64]) {
-    sqr_core(a, n, n0_inv, u, K);
-}
-
-/// Dynamic-width [`sqr_core`] for limb counts without a monomorphized
-/// kernel.
-fn sqr_dyn(a: &[u64], n: &[u64], n0_inv: u64, u: &mut [u64], k: usize) {
-    sqr_core(a, n, n0_inv, u, k);
-}
-
-/// `out = (top·2^(64k) + limbs) - n` if that value is `≥ n`, else a
-/// copy of `limbs`. Callers guarantee the value is `< 2n`.
-fn final_sub(top: u64, limbs: &[u64], n: &[u64], out: &mut [u64]) {
-    let ge = top != 0 || geq(limbs, n);
-    if ge {
-        let mut borrow = 0u64;
-        for j in 0..n.len() {
-            let (d1, b1) = limbs[j].overflowing_sub(n[j]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out[j] = d2;
-            borrow = (b1 as u64) + (b2 as u64);
-        }
-    } else {
-        out.copy_from_slice(limbs);
+/// `V - n` if `V = top·2^(64k) + t` is `≥ n`, else `t`; callers
+/// guarantee `V < 2n`. `V ≥ n` iff `top` is set or `t - n` does not
+/// borrow, and when `top` is set the `k`-limb difference wraps to
+/// exactly `V - n < n`. The difference is always computed and a mask
+/// picks it or `t`. Which way a product lands is a coin flip no
+/// predictor learns on fresh messages, and a visible 0/-1 mask is a
+/// `select` the x86 backend turns back into that branch — hence the
+/// `black_box`: one store and reload per product.
+#[inline(always)]
+fn reduce_once<L: Limbs>(t: &[u64], top: u64, n: &[u64]) -> L {
+    let mut out = L::zero(n.len());
+    let d = out.as_mut();
+    let mut borrow = false;
+    for ((dj, &tj), &nj) in d.iter_mut().zip(t).zip(n) {
+        let (d1, b1) = tj.overflowing_sub(nj);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        (*dj, borrow) = (d2, b1 | b2);
     }
-}
-
-/// `a >= b` over equal-length limb slices.
-fn geq(a: &[u64], b: &[u64]) -> bool {
-    debug_assert_eq!(a.len(), b.len());
-    for j in (0..a.len()).rev() {
-        if a[j] != b[j] {
-            return a[j] > b[j];
-        }
+    let keep = std::hint::black_box((((top == 0) & borrow) as u64).wrapping_neg());
+    for (dj, &tj) in d.iter_mut().zip(t) {
+        *dj = (*dj & !keep) | (tj & keep);
     }
-    true
-}
-
-/// `x`'s limbs zero-extended to exactly `k` limbs (`x` must fit).
-fn pad_limbs(x: &Ubig, k: usize) -> Vec<u64> {
-    let limbs = x.limbs();
-    debug_assert!(limbs.len() <= k);
-    let mut out = vec![0u64; k];
-    out[..limbs.len()].copy_from_slice(limbs);
     out
 }
 
@@ -546,6 +545,163 @@ mod tests {
         }
     }
 
+    /// Every monomorphized width and the dynamic widths around them.
+    const WIDTHS: [usize; 11] = [1, 2, 3, 4, 5, 8, 12, 16, 24, 32, 33];
+
+    /// A random odd modulus of exactly `limbs` limbs.
+    fn modulus_of(limbs: usize, rng: &mut HmacDrbg) -> Ubig {
+        let mut m = Ubig::random_bits(limbs * 64, rng);
+        m.set_bit(0);
+        m
+    }
+
+    /// Exponents that stress the window walk: 0, 1, and for lengths on
+    /// both sides of every boundary (one window, a limb, 32/33, 80/81,
+    /// 320/321 bits) the all-ones `2^j - 1`, the lone bit `2^j`, the
+    /// two-bits-and-a-zero-run `2^j + 1`, a dense random and a sparse
+    /// one (long zero runs between windows).
+    fn stress_exponents(rng: &mut HmacDrbg) -> Vec<Ubig> {
+        let one = Ubig::one();
+        let mut out = vec![Ubig::zero(), one.clone()];
+        for j in [1usize, 2, 3, 4, 5, 6, 31, 32, 33, 63, 64, 65, 80, 81, 129, 320, 321] {
+            let pow2 = one.shl(j);
+            let dense = Ubig::random_bits(j, rng);
+            let mut sparse = one.shl(j - 1);
+            for _ in 0..j / 16 {
+                sparse.set_bit(rng.below(j as u64) as usize);
+            }
+            out.extend([pow2.sub(&one), pow2.add(&one), pow2, dense, sparse]);
+        }
+        out
+    }
+
+    /// The engine at every width against the schoolbook oracle: every
+    /// stress exponent on a random base, and every edge base — 0, 1,
+    /// n - 1, n, n + 1, and wider than n by a limb, by k limbs (the CRT
+    /// message), and by more than R² — on a table-free, a windowed and
+    /// a trivial exponent, plus `mul`/`square` on the same bases.
+    #[test]
+    fn engine_matches_schoolbook_at_every_width() {
+        let mut rng = HmacDrbg::new(b"engine widths");
+        let exps = stress_exponents(&mut rng);
+        for limbs in WIDTHS {
+            let m = modulus_of(limbs, &mut rng);
+            let ctx = Montgomery::new(&m).unwrap();
+            let a = Ubig::random_below(&m, &mut rng);
+            for e in &exps {
+                assert_eq!(ctx.pow(&a, e), a.modpow_schoolbook(e, &m), "{limbs} limbs, e = {e}");
+            }
+            let one = Ubig::one();
+            let bases = [
+                Ubig::zero(),
+                one.clone(),
+                m.sub(&one),
+                m.clone(),
+                m.add(&one),
+                Ubig::random_bits(64 * limbs + 1, &mut rng),
+                Ubig::random_bits(128 * limbs, &mut rng),
+                Ubig::random_bits(128 * limbs + 1, &mut rng),
+                Ubig::random_bits(200 * limbs, &mut rng),
+            ];
+            let short = [one.clone(), Ubig::from_u64(65537), Ubig::random_bits(90, &mut rng)];
+            for b in &bases {
+                for e in &short {
+                    assert_eq!(ctx.pow(b, e), b.modpow_schoolbook(e, &m), "{limbs} limbs, {b}^{e}");
+                }
+                assert_eq!(ctx.mul(b, &a), b.mul(&a).rem(&m), "mul at {limbs} limbs, b = {b}");
+                assert_eq!(ctx.mul(&a, b), a.mul(b).rem(&m), "mul at {limbs} limbs, b = {b}");
+                assert_eq!(ctx.square(b), b.mul(b).rem(&m), "square at {limbs} limbs, b = {b}");
+            }
+        }
+    }
+
+    /// Which way a product's final subtraction went.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum Landed {
+        BelowN,
+        BetweenNAndR,
+        CarrySet,
+    }
+
+    /// Drives `mul_k` and `sqr_k` — on stack arrays and on the `Vec`
+    /// storage — into all three final-subtraction cases and checks each
+    /// product against big-integer arithmetic. The pre-subtraction value
+    /// `V = (a·b + m·n) / R`, `m = a·b·(-n^(-1)) mod R`, is recomputed
+    /// here to know the case: `n` just under `R` makes the carry case
+    /// common, `n` just over `R/2` the `[n, R)` case.
+    #[test]
+    fn kernels_cover_all_three_final_subtraction_cases() {
+        fn check<L: Limbs>(n: &Ubig, rng: &mut HmacDrbg, seen: &mut Vec<Landed>) {
+            let ctx = Montgomery::new(n).unwrap();
+            let k = ctx.k;
+            let r = Ubig::one().shl(64 * k);
+            let n_neg_inv = r.sub(&n.modinv(&r).unwrap());
+            let nl: L = ctx.load(n.limbs());
+            for round in 0..64 {
+                let a = Ubig::random_below(n, rng);
+                // Odd rounds square, so `sqr_k` sees every case too.
+                let b = if round % 2 == 0 { Ubig::random_below(n, rng) } else { a.clone() };
+                let ab = a.mul(&b);
+                let m = ab.rem(&r).mul(&n_neg_inv).rem(&r);
+                let v = ab.add(&m.mul(n)).shr(64 * k);
+                assert!(v < n.add(n), "the < 2n bound");
+                let (landed, want) = if &v < n {
+                    (Landed::BelowN, v)
+                } else if v < r {
+                    (Landed::BetweenNAndR, v.sub(n))
+                } else {
+                    (Landed::CarrySet, v.sub(n))
+                };
+                let (al, bl): (L, L) = (ctx.load(a.limbs()), ctx.load(b.limbs()));
+                let got = if round % 2 == 0 {
+                    mul_k(&al, &bl, &nl, ctx.n0_inv)
+                } else {
+                    sqr_k(&al, &nl, ctx.n0_inv)
+                };
+                assert_eq!(
+                    Ubig::from_limbs(got.as_ref().to_vec()),
+                    want,
+                    "{landed:?}, round {round}"
+                );
+                assert_eq!(ctx.mul(&a, &b), ab.rem(n));
+                seen.push(landed);
+            }
+        }
+        let mut rng = HmacDrbg::new(b"final subtraction");
+        for limbs in [4usize, 8] {
+            let r = Ubig::one().shl(64 * limbs);
+            let near_r = r.sub(&Ubig::from_u64(189));
+            let near_half = r.shr(1).add(&Ubig::from_u64(95));
+            for n in [near_r, near_half] {
+                let (mut on_stack, mut on_heap) = (Vec::new(), Vec::new());
+                if limbs == 4 {
+                    check::<[u64; 4]>(&n, &mut rng, &mut on_stack);
+                } else {
+                    check::<[u64; 8]>(&n, &mut rng, &mut on_stack);
+                }
+                check::<Vec<u64>>(&n, &mut rng, &mut on_heap);
+                for mut seen in [on_stack, on_heap] {
+                    seen.sort();
+                    seen.dedup();
+                    let carry = n.bit(64 * limbs - 2);
+                    let want = if carry { Landed::CarrySet } else { Landed::BetweenNAndR };
+                    assert_eq!(seen, [Landed::BelowN, want], "n = {n}");
+                }
+            }
+        }
+    }
+
+    /// The walk's arithmetic: the width table is monotone, capped, and
+    /// table-free exactly up to 32 bits.
+    #[test]
+    fn window_width_boundaries() {
+        assert!((0..=32).all(|bits| window_width(bits) == 1));
+        assert!(window_width(33) > 1);
+        let widths: Vec<usize> = (0..4096).map(window_width).collect();
+        assert!(widths.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(widths.last(), Some(&MAX_WINDOW));
+    }
+
     proptest! {
         /// Montgomery mul == schoolbook mul-then-divide, across random
         /// odd moduli and operand sizes (operands may exceed the
@@ -592,6 +748,31 @@ mod tests {
         ) {
             let m = odd_modulus(&m);
             let (base, exp) = (Ubig::from_bytes_be(&base), Ubig::from_bytes_be(&exp));
+            let ctx = Montgomery::new(&m).unwrap();
+            prop_assert_eq!(ctx.pow(&base, &exp), base.modpow_schoolbook(&exp, &m));
+        }
+
+        /// Random width, base (up to three times the modulus width)
+        /// and exponent shape: dense, or thinned to long zero runs by
+        /// AND-ing draws together.
+        #[test]
+        fn prop_pow_matches_schoolbook_at_every_width(
+            seed in any::<u64>(),
+            pick in 0usize..WIDTHS.len(),
+            base_limbs in 0usize..4,
+            exp_bits in 1usize..400,
+            thinning in 0usize..4,
+        ) {
+            let mut rng = HmacDrbg::from_u64_labeled(seed, "prop-widths");
+            let limbs = WIDTHS[pick];
+            let m = modulus_of(limbs, &mut rng);
+            let base = Ubig::from_limbs((0..base_limbs * limbs).map(|_| rng.u64()).collect());
+            let mut exp = Ubig::random_bits(exp_bits, &mut rng);
+            for _ in 0..thinning {
+                let mask = Ubig::random_bits(exp_bits, &mut rng);
+                let thinned = exp.limbs().iter().zip(mask.limbs()).map(|(&e, &m)| e & m);
+                exp = Ubig::from_limbs(thinned.collect());
+            }
             let ctx = Montgomery::new(&m).unwrap();
             prop_assert_eq!(ctx.pow(&base, &exp), base.modpow_schoolbook(&exp, &m));
         }

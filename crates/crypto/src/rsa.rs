@@ -67,10 +67,20 @@ pub struct RsaPrivateKey {
     d_p: Ubig,
     d_q: Ubig,
     q_inv: Ubig,
-    /// Montgomery contexts for `p` and `q`, built on first use so
-    /// repeated signs pay the REDC precomputation once per key.
-    mont_p: OnceLock<Montgomery>,
-    mont_q: OnceLock<Montgomery>,
+    /// Built on first use so repeated signs pay the REDC
+    /// precomputation once per key.
+    crt: OnceLock<CrtContexts>,
+}
+
+/// What the CRT private operation reuses across calls.
+#[derive(Clone)]
+struct CrtContexts {
+    /// Montgomery contexts for the (odd) CRT primes.
+    p: Montgomery,
+    q: Montgomery,
+    /// `q_inv` in Montgomery form mod `p`, so the recombination's
+    /// `q_inv · (m1 - m2) mod p` is a single REDC product.
+    q_inv_mont: Ubig,
 }
 
 /// A detached RSA signature (always exactly modulus-size bytes).
@@ -205,8 +215,7 @@ impl RsaPrivateKey {
                 d_p,
                 d_q,
                 q_inv,
-                mont_p: OnceLock::new(),
-                mont_q: OnceLock::new(),
+                crt: OnceLock::new(),
             };
         }
     }
@@ -216,27 +225,28 @@ impl RsaPrivateKey {
         &self.public
     }
 
-    /// The cached Montgomery contexts for the (odd) CRT primes.
-    fn mont_p(&self) -> &Montgomery {
-        self.mont_p.get_or_init(|| Montgomery::new(&self.p).expect("RSA prime is odd"))
-    }
-
-    fn mont_q(&self) -> &Montgomery {
-        self.mont_q.get_or_init(|| Montgomery::new(&self.q).expect("RSA prime is odd"))
+    fn crt(&self) -> &CrtContexts {
+        self.crt.get_or_init(|| {
+            let p = Montgomery::new(&self.p).expect("RSA prime is odd");
+            let q = Montgomery::new(&self.q).expect("RSA prime is odd");
+            let q_inv_mont = p.to_mont(&self.q_inv);
+            CrtContexts { p, q, q_inv_mont }
+        })
     }
 
     /// Raw RSA private operation `c^d mod n`, accelerated with the CRT.
     pub fn raw_private(&self, c: &Ubig) -> Ubig {
         // m1 = c^dP mod p ; m2 = c^dQ mod q ; h = qInv (m1 - m2) mod p
-        let m1 = self.mont_p().pow(c, &self.d_p);
-        let m2 = self.mont_q().pow(c, &self.d_q);
+        let crt = self.crt();
+        let m1 = crt.p.pow(c, &self.d_p);
+        let m2 = crt.q.pow(c, &self.d_q);
         let diff = if m1 >= m2 {
             m1.sub(&m2)
         } else {
             // (m1 - m2) mod p with wraparound.
             self.p.sub(&m2.sub(&m1).rem(&self.p))
         };
-        let h = self.mont_p().mul(&self.q_inv, &diff);
+        let h = crt.p.mul_redc(&crt.q_inv_mont, &diff);
         m2.add(&h.mul(&self.q))
     }
 
@@ -434,6 +444,31 @@ mod tests {
         let k1 = RsaPrivateKey::generate(256, &mut a);
         let k2 = RsaPrivateKey::generate(256, &mut b);
         assert_eq!(k1.public(), k2.public());
+    }
+
+    /// Keys, signatures and the DRBG position after key generation are
+    /// outputs: e1–e18 and every checkpoint carry them. The digest was
+    /// computed on the commit before the const-generic Montgomery
+    /// engine and the batched trial division; faster arithmetic must
+    /// not move a byte of it.
+    #[test]
+    fn keys_and_signatures_are_pinned() {
+        let mut transcript = Vec::new();
+        for bits in [512usize, 1024] {
+            let mut rng = HmacDrbg::from_u64_labeled(17, &format!("rsa-kat-{bits}"));
+            for i in 0..4 {
+                let key = RsaPrivateKey::generate(bits, &mut rng);
+                let msg = format!("kat message {i}");
+                let sig = key.sign(msg.as_bytes());
+                assert!(key.public().verify(msg.as_bytes(), &sig).is_ok());
+                transcript.extend_from_slice(&key.public().n().to_bytes_be());
+                transcript.extend_from_slice(&sig.0);
+            }
+            transcript.extend_from_slice(&rng.u64().to_be_bytes());
+        }
+        let digest: String =
+            sha256(&transcript).as_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(digest, "2339839241c39b56d1fcd6a2eeb10cba4fe3747ce15ed635d75da1c247439227");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! across shards, each with its own time-bucketed calendar of
 //! `(sequence-number, event)` pairs, and runs in lockstep *time
 //! windows*: every event pending at the earliest timestamp is
-//! dispatched (one worker per shard under `std::thread::scope` when the
-//! window is large enough, inline otherwise), then a serial exchange
+//! dispatched (one shard on the coordinator and a worker per other
+//! shard under `std::thread::scope` when the window is large enough,
+//! all inline otherwise), then a serial exchange
 //! applies the actions the agents produced in `(cause-sequence,
 //! action-index)` order — the order an engine that applied each event's
 //! actions before popping the next would have used. [`Simulator::new`]
@@ -774,8 +775,9 @@ impl<P: Payload> Simulator<P> {
     }
 
     /// Dispatches the window at `time` (at most `budget` events of it),
-    /// spawning one worker per non-empty shard when the window is large
-    /// enough to amortize thread start-up, then exchanges.
+    /// one non-empty shard on this thread and a spawned worker for each
+    /// other when the window is large enough to amortize thread
+    /// start-up, then exchanges.
     fn run_window(&mut self, time: SimTime, budget: u64) {
         let trace = self.trace.is_some();
         let pending: usize = self.shards.iter().map(|s| s.queue.len_at(time)).sum();
@@ -790,11 +792,17 @@ impl<P: Payload> Simulator<P> {
                 shard.run_bucket(time, cutoff, node_local, trace);
             }
         } else {
+            // The first busy shard runs here, on the coordinator, once
+            // the others are on their way: a window costs one thread
+            // spawn fewer, and that thread's allocator arena with it.
             std::thread::scope(|scope| {
-                for shard in self.shards.iter_mut() {
-                    if shard.queue.peek_time() == Some(time) {
-                        scope.spawn(move || shard.run_bucket(time, cutoff, node_local, trace));
-                    }
+                let mut busy = self.shards.iter_mut().filter(|s| s.queue.peek_time() == Some(time));
+                let inline = busy.next();
+                for shard in busy {
+                    scope.spawn(move || shard.run_bucket(time, cutoff, node_local, trace));
+                }
+                if let Some(shard) = inline {
+                    shard.run_bucket(time, cutoff, node_local, trace);
                 }
             });
         }
