@@ -506,11 +506,6 @@ impl Wire for Topology {
         }
         Ok(topo)
     }
-    fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
 }
 
 /// Builds the shared [`PrivateVerifier`] when the options ask for one.
@@ -616,11 +611,6 @@ impl Wire for InstantiateOptions {
             private_verification: bool::decode(r)?,
             smc_lane_cap: u64::decode(r)? as usize,
         })
-    }
-    fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
     }
 }
 

@@ -100,7 +100,11 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal (quotes, backslashes and
+/// everything below 0x20). The one escape function behind every JSON
+/// document the workspace writes: this module's exposition and the
+/// harness's `pvr-bench-v1` report.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -281,8 +281,9 @@ impl ConvergenceTimeline {
 
     /// Compact JSON array of the windows, for the harness's
     /// `pvr-bench-v1` metrics section. All fields are sim-time-derived
-    /// and deterministic except `verify_cache_hits` (the carve-out,
-    /// stripped by `ci/normalize_e14.py`).
+    /// and deterministic except `verify_cache_hits` (the carve-out;
+    /// shard-invariance checks compare [`zero_cache_hits`](Self::zero_cache_hits)
+    /// copies).
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, w) in self.windows.iter().enumerate() {

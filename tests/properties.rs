@@ -220,19 +220,3 @@ fn figure2_round_detects_tie_breaking_violation() {
     // Honest committer exports via N2 on ties (ShorterOf semantics).
     assert_eq!(exported.route.path.asns()[1], bed.ns[1]);
 }
-
-/// E14's sharing refactor must leave the routing substrate's observable
-/// behavior untouched: a converged `internet_like` network under the
-/// Arc-shared types produces the committed E8 table byte for byte
-/// (message counts, bytes on the wire, attestation overhead — no
-/// timing fields).
-#[test]
-fn e8_output_matches_committed_expectation() {
-    let expected = include_str!("expectations/e8.txt");
-    let actual = pvr_bench::e8_internet_overhead();
-    assert_eq!(
-        actual, expected,
-        "e8 output drifted from tests/expectations/e8.txt — the shared route/chain \
-         representation must be observationally identical"
-    );
-}
