@@ -30,7 +30,7 @@ pub fn run(_: &Cfg) -> Report {
         let reveals = c.graph_disclosure_for(bed.b, &alpha);
         let bytes: usize = {
             use pvr_crypto::Wire;
-            reveals.iter().map(|r| r.to_wire().len()).sum()
+            reveals.iter().map(Wire::encoded_len).sum()
         };
         let out_label = Label::Var(bed.output_var.0);
         let inputs: Vec<Label> = bed.input_vars.iter().map(|v| Label::Var(v.0)).collect();

@@ -68,9 +68,11 @@
 //! forensic bisect binary-searches it for the first poisoned instant.
 
 use crate::decision::Candidate;
+use crate::sbgp::CacheState;
 use crate::topology::{BgpNetwork, InstantiateOptions, OriginTable, Topology};
 use crate::types::{Asn, Prefix};
-use pvr_crypto::encoding::{Reader, Wire, WireError};
+use pvr_crypto::encoding::{decode_exact, Reader, Wire, WireError};
+use pvr_crypto::rsa::RsaPrivateKey;
 use pvr_crypto::sha256::Digest;
 use pvr_netsim::{RunLimits, SimDuration, SimTime, StateError, StopReason};
 use pvr_store::{
@@ -278,7 +280,7 @@ impl BgpNetwork {
 
     fn meta_bytes(&self) -> Result<Vec<u8>, CheckpointError> {
         let mut buf = Vec::new();
-        (self.sim.shard_count() as u64).encode(&mut buf);
+        self.sim.shard_count().encode(&mut buf);
         self.options.encode(&mut buf);
         self.topology.encode(&mut buf);
         // The origin table is installed imperatively, network-wide; embed
@@ -317,20 +319,8 @@ impl BgpNetwork {
     }
 
     fn caches_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        (self.verify_caches().len() as u32).encode(&mut buf);
-        for cache in self.verify_caches() {
-            let (entries, calls, hits) = cache.export_state();
-            calls.encode(&mut buf);
-            hits.encode(&mut buf);
-            (entries.len() as u32).encode(&mut buf);
-            for (signer, digest, verdict) in entries {
-                signer.encode(&mut buf);
-                buf.extend_from_slice(&digest);
-                verdict.encode(&mut buf);
-            }
-        }
-        buf
+        let states: Vec<_> = self.verify_caches().iter().map(|c| c.export_state()).collect();
+        states.to_wire()
     }
 
     fn store_bytes(&self) -> Vec<u8> {
@@ -456,24 +446,12 @@ impl BgpNetwork {
 
         // Verify caches: one per shard in signed mode, so the count must
         // agree with what instantiation produced.
-        let mut r = Reader::new(caches);
-        let count = u32::decode(&mut r)? as usize;
-        if count != net.verify_caches().len() {
+        let states: Vec<CacheState> = decode_exact(caches)?;
+        if states.len() != net.verify_caches().len() {
             return Err(CheckpointError::Corrupt("verify-cache count does not match the shards"));
         }
-        for cache in net.verify_caches() {
-            let calls = u64::decode(&mut r)?;
-            let hits = u64::decode(&mut r)?;
-            let mut entries = Vec::new();
-            for _ in 0..u32::decode(&mut r)? {
-                let signer = Asn::decode(&mut r)?;
-                let digest = r.take_array::<32>()?;
-                entries.push((signer, digest, bool::decode(&mut r)?));
-            }
-            cache.load_state(entries, calls, hits);
-        }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Wire(WireError::TrailingBytes(r.remaining())));
+        for (cache, state) in net.verify_caches().iter().zip(states) {
+            cache.load_state(state);
         }
 
         if let Some(table) = meta.origin_table {
@@ -576,16 +554,23 @@ struct Meta {
 
 fn decode_meta(payload: &[u8]) -> Result<Meta, CheckpointError> {
     let mut r = Reader::new(payload);
-    let shards = u64::decode(&mut r)?;
+    let shards = usize::decode(&mut r)?;
     if shards == 0 || shards > 4096 {
         return Err(CheckpointError::Corrupt("implausible shard count"));
     }
     let options = InstantiateOptions::decode(&mut r)?;
+    // Restore re-runs `instantiate` with these options, which asserts
+    // on what a caller must not pass; a file must not get that far.
+    if options.signed && !RsaPrivateKey::supports(options.key_bits) {
+        return Err(CheckpointError::Corrupt("unsupported RSA key size"));
+    }
+    if options.timeline_window == Some(SimDuration::ZERO) {
+        return Err(CheckpointError::Corrupt("timeline window must be positive"));
+    }
     let topology = Topology::decode(&mut r)?;
-    let origin_table =
-        if bool::decode(&mut r)? { Some(OriginTable::decode(&mut r)?) } else { None };
+    let origin_table = Option::<OriginTable>::decode(&mut r)?;
     if r.remaining() != 0 {
         return Err(CheckpointError::Wire(WireError::TrailingBytes(r.remaining())));
     }
-    Ok(Meta { shards: shards as usize, options, topology, origin_table })
+    Ok(Meta { shards, options, topology, origin_table })
 }

@@ -12,7 +12,6 @@
 //! every run computes bit-identical penalties (no floating-point
 //! `exp`, no rounding-mode drift).
 
-use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_netsim::{SimDuration, SimTime};
 
 /// Per-router dampening configuration, in RFC 2439's vocabulary.
@@ -53,31 +52,16 @@ impl Default for DampeningPolicy {
     }
 }
 
-/// The policy rides inside checkpoint META sections (as part of
-/// `InstantiateOptions`), so a restored run dampens identically.
-impl Wire for DampeningPolicy {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.penalty_flap.encode(buf);
-        self.suppress_threshold.encode(buf);
-        self.reuse_threshold.encode(buf);
-        self.half_life.encode(buf);
-        self.max_penalty.encode(buf);
-        self.reuse_tick.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(DampeningPolicy {
-            penalty_flap: u64::decode(r)?,
-            suppress_threshold: u64::decode(r)?,
-            reuse_threshold: u64::decode(r)?,
-            half_life: SimDuration::decode(r)?,
-            max_penalty: u64::decode(r)?,
-            reuse_tick: SimDuration::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        6 * 8
-    }
-}
+// The policy rides inside checkpoint META sections (as part of
+// `InstantiateOptions`), so a restored run dampens identically.
+pvr_crypto::wire_struct!(DampeningPolicy {
+    penalty_flap,
+    suppress_threshold,
+    reuse_threshold,
+    half_life,
+    max_penalty,
+    reuse_tick,
+});
 
 /// Dampening state for one `(neighbor, prefix)` pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,6 +73,9 @@ pub struct DampState {
     /// Whether announcements of this pair are currently suppressed.
     pub suppressed: bool,
 }
+
+// Per-pair states ride in the ROUTERS section of a checkpoint.
+pvr_crypto::wire_struct!(DampState { penalty, last_decay, suppressed });
 
 impl DampState {
     /// Fresh state anchored at `now`.

@@ -20,7 +20,6 @@
 
 use crate::route::Route;
 use crate::types::Asn;
-use pvr_crypto::encoding::{Reader, Wire, WireError};
 use std::cmp::Ordering;
 
 /// A candidate in the decision process: a route plus the neighbor it was
@@ -45,21 +44,10 @@ impl Candidate {
     }
 }
 
-/// Candidates are what the checkpoint layer persists per Loc-RIB entry
-/// (and what the copy-on-write RIB store keeps per snapshot cell), so
-/// they carry the same canonical encoding routes do on the wire.
-impl Wire for Candidate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.route.encode(buf);
-        self.learned_from.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Candidate { route: Route::decode(r)?, learned_from: Option::<Asn>::decode(r)? })
-    }
-    fn encoded_len(&self) -> usize {
-        self.route.encoded_len() + self.learned_from.encoded_len()
-    }
-}
+// Candidates are what the checkpoint layer persists per Loc-RIB entry
+// (and what the copy-on-write RIB store keeps per snapshot cell), so
+// they carry the same canonical encoding routes do on the wire.
+pvr_crypto::wire_struct!(Candidate { route, learned_from });
 
 /// Compares two candidates; `Ordering::Greater` means `a` is preferred.
 pub fn prefer(a: &Candidate, b: &Candidate) -> Ordering {

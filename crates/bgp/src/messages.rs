@@ -6,7 +6,7 @@
 
 use crate::sbgp::SignedRoute;
 use crate::types::Prefix;
-use pvr_crypto::encoding::{decode_seq, encode_seq, seq_encoded_len, Reader, Wire, WireError};
+use pvr_crypto::encoding::Wire;
 use pvr_netsim::Payload;
 use std::collections::{HashMap, HashSet};
 
@@ -78,18 +78,7 @@ impl BgpUpdate {
     }
 }
 
-impl Wire for BgpUpdate {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_seq(&self.announces, buf);
-        encode_seq(&self.withdraws, buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BgpUpdate { announces: decode_seq(r)?, withdraws: decode_seq(r)? })
-    }
-    fn encoded_len(&self) -> usize {
-        seq_encoded_len(&self.announces) + seq_encoded_len(&self.withdraws)
-    }
-}
+pvr_crypto::wire_struct!(BgpUpdate { announces, withdraws });
 
 impl Payload for BgpUpdate {
     /// Arithmetic size: every sent message is measured for the
@@ -124,18 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip() {
-        let upd = BgpUpdate {
-            announces: vec![SignedRoute::unsigned(
-                Route::originate(prefix()).propagated_by(Asn(7)),
-            )],
-            withdraws: vec![Prefix::parse("192.168.0.0/16").unwrap()],
-        };
-        let back: BgpUpdate = pvr_crypto::decode_exact(&upd.to_wire()).unwrap();
-        assert_eq!(back, upd);
-    }
-
-    #[test]
     fn wire_size_reflects_content() {
         let empty = BgpUpdate::default();
         let full = BgpUpdate {
@@ -144,37 +121,6 @@ mod tests {
         };
         assert!(full.wire_size() > empty.wire_size());
         assert_eq!(empty.wire_size(), empty.to_wire().len());
-    }
-
-    /// The arithmetic `wire_size` must agree with an actual encode for
-    /// representative updates: empty, plain, attribute-rich, attested
-    /// (multi-hop chain), and withdraw-heavy.
-    #[test]
-    fn wire_size_matches_encoding() {
-        use crate::route::Community;
-        use crate::sbgp::demo_chain;
-        let (chain, _, _) = demo_chain(4, 512, b"wire-size test");
-        let rich = Route::originate(prefix())
-            .propagated_by(Asn(1))
-            .propagated_by(Asn(2))
-            .with_community(Community(65000, 1))
-            .with_community(Community::NO_EXPORT);
-        let cases = vec![
-            BgpUpdate::default(),
-            BgpUpdate {
-                announces: vec![SignedRoute::unsigned(Route::originate(prefix()))],
-                withdraws: vec![],
-            },
-            BgpUpdate { announces: vec![SignedRoute::unsigned(rich)], withdraws: vec![prefix()] },
-            BgpUpdate { announces: vec![chain.clone(), chain], withdraws: vec![] },
-            BgpUpdate {
-                announces: vec![],
-                withdraws: (0..64).map(|i| Prefix::new(i << 16, 24)).collect(),
-            },
-        ];
-        for upd in cases {
-            assert_eq!(upd.wire_size(), upd.to_wire().len(), "update: {upd:?}");
-        }
     }
 
     /// Reference implementation of the pre-E14 sequential merge; the

@@ -7,7 +7,6 @@
 //! Internet and orthogonal to the paper's mechanisms).
 
 use crate::types::Asn;
-use pvr_crypto::encoding::{decode_seq, encode_seq, seq_encoded_len, Reader, Wire, WireError};
 use std::sync::Arc;
 
 /// An ordered AS-level path, nearest AS first (as in BGP updates).
@@ -97,22 +96,13 @@ impl std::fmt::Display for AsPath {
     }
 }
 
-impl Wire for AsPath {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        encode_seq(&self.0, buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(AsPath(decode_seq::<Asn>(r)?.into()))
-    }
-    fn encoded_len(&self) -> usize {
-        seq_encoded_len(&self.0)
-    }
-}
+pvr_crypto::wire_struct!(AsPath { 0 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use pvr_crypto::Wire;
 
     fn path(asns: &[u32]) -> AsPath {
         AsPath::from_slice(&asns.iter().map(|&a| Asn(a)).collect::<Vec<_>>())
@@ -149,15 +139,6 @@ mod tests {
     fn display_forms() {
         assert_eq!(path(&[3, 2, 1]).to_string(), "3 2 1");
         assert_eq!(AsPath::empty().to_string(), "(local)");
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let p = path(&[65001, 65002, 65003]);
-        let back: AsPath = pvr_crypto::decode_exact(&p.to_wire()).unwrap();
-        assert_eq!(back, p);
-        let back: AsPath = pvr_crypto::decode_exact(&AsPath::empty().to_wire()).unwrap();
-        assert_eq!(back, AsPath::empty());
     }
 
     proptest! {
@@ -209,9 +190,7 @@ mod tests {
             prop_assert_eq!(&shared, &q);
             prop_assert_eq!(shared.to_wire(), q.to_wire());
             // Wire bytes equal the encoding of the underlying sequence.
-            let mut expect = Vec::new();
-            pvr_crypto::encoding::encode_seq(&reference, &mut expect);
-            prop_assert_eq!(q.to_wire(), expect);
+            prop_assert_eq!(q.to_wire(), reference.to_wire());
             prop_assert_eq!(pvr_crypto::decode_exact::<AsPath>(&q.to_wire()).unwrap(), q);
         }
     }

@@ -76,27 +76,7 @@ pub enum LocalEvent {
     Withdraw(Prefix),
 }
 
-impl Wire for LocalEvent {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            LocalEvent::Announce(p) => {
-                buf.push(0);
-                p.encode(buf);
-            }
-            LocalEvent::Withdraw(p) => {
-                buf.push(1);
-                p.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.take(1)?[0] {
-            0 => Ok(LocalEvent::Announce(Prefix::decode(r)?)),
-            1 => Ok(LocalEvent::Withdraw(Prefix::decode(r)?)),
-            _ => Err(WireError::Invalid("local event discriminant")),
-        }
-    }
-}
+pvr_crypto::wire_enum!(LocalEvent { 0 => Announce(prefix), 1 => Withdraw(prefix) });
 
 /// Security mode for a router.
 pub enum SecurityMode {
@@ -1162,37 +1142,17 @@ impl BgpRouter {
         for cand in local {
             cand.encode(buf);
         }
-        (self.mrai_buffer.len() as u32).encode(buf);
-        for (&node, update) in &self.mrai_buffer {
-            (node as u64).encode(buf);
-            update.encode(buf);
-        }
+        self.mrai_buffer.encode(buf);
         self.mrai_armed.encode(buf);
-        match &self.jitter_rng {
-            None => false.encode(buf),
-            Some(rng) => {
-                true.encode(buf);
-                buf.extend_from_slice(&rng.state_bytes());
-            }
-        }
-        (self.damp_states.len() as u32).encode(buf);
-        for (&(n, p), state) in &self.damp_states {
-            n.encode(buf);
-            p.encode(buf);
-            state.penalty.encode(buf);
-            state.last_decay.encode(buf);
-            state.suppressed.encode(buf);
-        }
+        self.jitter_rng.encode(buf);
+        self.damp_states.encode(buf);
         (self.parked.len() as u32).encode(buf);
         for (&(n, _), sr) in &self.parked {
             n.encode(buf);
             sr.encode(buf);
         }
         self.damp_timer_armed.encode(buf);
-        (self.sessions_down.len() as u32).encode(buf);
-        for &n in &self.sessions_down {
-            n.encode(buf);
-        }
+        self.sessions_down.encode(buf);
         self.pvr_seq.encode(buf);
         self.first_security_reject.encode(buf);
         // Counters by name, so a build whose stats struct drifted
@@ -1208,7 +1168,7 @@ impl BgpRouter {
             Some(tl) => {
                 true.encode(buf);
                 tl.window_us().encode(buf);
-                (tl.channels() as u64).encode(buf);
+                tl.channels().encode(buf);
                 (tl.cells().len() as u32).encode(buf);
                 for (&window, row) in tl.cells() {
                     window.encode(buf);
@@ -1218,7 +1178,7 @@ impl BgpRouter {
                 }
             }
         }
-        (self.journal.capacity() as u64).encode(buf);
+        self.journal.capacity().encode(buf);
         self.journal.evicted().encode(buf);
         (self.journal.len() as u32).encode(buf);
         for e in self.journal.entries() {
@@ -1233,26 +1193,26 @@ impl BgpRouter {
     /// validated before any field is touched, so a corrupt blob leaves
     /// the router exactly as built.
     pub(crate) fn load_dynamic(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        // A `(neighbor, route)` list keyed the way the router holds it.
+        let by_prefix = |r: &mut Reader<'_>| -> Result<BTreeMap<_, _>, WireError> {
+            let pairs = Vec::<(Asn, SignedRoute)>::decode(r)?;
+            Ok(pairs.into_iter().map(|(n, sr)| ((n, sr.route.prefix), sr)).collect())
+        };
         let mut cells = Cells::new();
-        for _ in 0..u32::decode(r)? {
-            let n = Asn::decode(r)?;
-            let route = Route::decode(r)?;
+        for (n, route) in Vec::<(Asn, Route)>::decode(r)? {
             cells.entry(route.prefix).or_default().candidates.insert(n, route);
         }
-        for _ in 0..u32::decode(r)? {
+        for cand in Vec::<Candidate>::decode(r)? {
             // Installed as saved, bypassing the decision process: the
             // selection is what a reselect over the restored candidates
             // would produce.
-            let cand = Candidate::decode(r)?;
             let cell = cells.entry(cand.route.prefix).or_default();
             cell.best = Some(cand);
         }
         // Adj-RIB-Out entries fold into one route per prefix plus its
         // holders, which is only faithful if the file's entries for a
         // prefix agree — as every file this router wrote does.
-        for _ in 0..u32::decode(r)? {
-            let n = Asn::decode(r)?;
-            let route = Route::decode(r)?;
+        for (n, route) in Vec::<(Asn, Route)>::decode(r)? {
             if self.neighbor_index(n).is_err() {
                 return Err(WireError::Invalid("Adj-RIB-Out entry for a non-neighbor"));
             }
@@ -1269,62 +1229,27 @@ impl BgpRouter {
             }
             cell.out_to.insert(slot, n);
         }
-        let mut chains_in = BTreeMap::new();
-        for _ in 0..u32::decode(r)? {
-            let n = Asn::decode(r)?;
-            let sr = SignedRoute::decode(r)?;
-            chains_in.insert((n, sr.route.prefix), sr);
-        }
-        for _ in 0..u32::decode(r)? {
-            let cand = Candidate::decode(r)?;
+        let chains_in = by_prefix(r)?;
+        for cand in Vec::<Candidate>::decode(r)? {
             let cell = cells.entry(cand.route.prefix).or_default();
             cell.local = Some(cand);
         }
-        let mut mrai_buffer = BTreeMap::new();
-        for _ in 0..u32::decode(r)? {
-            let node = u64::decode(r)? as NodeId;
-            if !self.asn_of_node.contains_key(&node) {
-                return Err(WireError::Invalid("MRAI buffer entry for a non-neighbor node"));
-            }
-            mrai_buffer.insert(node, BgpUpdate::decode(r)?);
+        let mrai_buffer = BTreeMap::<NodeId, BgpUpdate>::decode(r)?;
+        if !mrai_buffer.keys().all(|node| self.asn_of_node.contains_key(node)) {
+            return Err(WireError::Invalid("MRAI buffer entry for a non-neighbor node"));
         }
         let mrai_armed = bool::decode(r)?;
-        let jitter_rng = if bool::decode(r)? {
-            Some(HmacDrbg::from_state_bytes(&r.take_array::<{ HmacDrbg::STATE_LEN }>()?))
-        } else {
-            None
-        };
-        let mut damp_states = BTreeMap::new();
-        for _ in 0..u32::decode(r)? {
-            let key = (Asn::decode(r)?, Prefix::decode(r)?);
-            let state = DampState {
-                penalty: u64::decode(r)?,
-                last_decay: SimTime::decode(r)?,
-                suppressed: bool::decode(r)?,
-            };
-            damp_states.insert(key, state);
-        }
-        let mut parked = BTreeMap::new();
-        for _ in 0..u32::decode(r)? {
-            let n = Asn::decode(r)?;
-            let sr = SignedRoute::decode(r)?;
-            parked.insert((n, sr.route.prefix), sr);
-        }
+        let jitter_rng = Option::<HmacDrbg>::decode(r)?;
+        let damp_states = BTreeMap::<(Asn, Prefix), DampState>::decode(r)?;
+        let parked = by_prefix(r)?;
         let damp_timer_armed = bool::decode(r)?;
-        let mut sessions_down = BTreeSet::new();
-        for _ in 0..u32::decode(r)? {
-            let n = Asn::decode(r)?;
-            if self.neighbor_index(n).is_err() {
-                return Err(WireError::Invalid("torn-down session with a non-neighbor"));
-            }
-            sessions_down.insert(n);
+        let sessions_down = BTreeSet::<Asn>::decode(r)?;
+        if !sessions_down.iter().all(|&n| self.neighbor_index(n).is_ok()) {
+            return Err(WireError::Invalid("torn-down session with a non-neighbor"));
         }
         let pvr_seq = u64::decode(r)?;
         let first_security_reject = Option::<SimTime>::decode(r)?;
-        let mut stat_fields = Vec::new();
-        for _ in 0..u32::decode(r)? {
-            stat_fields.push((String::decode(r)?, u64::decode(r)?));
-        }
+        let stat_fields = Vec::<(String, u64)>::decode(r)?;
         let stats = RouterStats::from_fields(stat_fields.iter().map(|(n, v)| (n.as_str(), *v)))
             .ok_or(WireError::Invalid("router stats field list does not match this build"))?;
         let obs_timeline = if bool::decode(r)? {
@@ -1332,7 +1257,7 @@ impl BgpRouter {
             if window_us == 0 {
                 return Err(WireError::Invalid("timeline window must be positive"));
             }
-            let channels = u64::decode(r)? as usize;
+            let channels = usize::decode(r)?;
             if channels != pvr_obs::timeline::RT_CHANNELS {
                 return Err(WireError::Invalid("router timeline channel count"));
             }
@@ -1351,12 +1276,10 @@ impl BgpRouter {
         } else {
             None
         };
-        let journal_capacity = u64::decode(r)? as usize;
+        let journal_capacity = usize::decode(r)?;
         let journal_evicted = u64::decode(r)?;
         let mut journal_entries = Vec::new();
-        for _ in 0..u32::decode(r)? {
-            let t_us = u64::decode(r)?;
-            let kind_owned = String::decode(r)?;
+        for (t_us, kind_owned, value) in Vec::<(u64, String, u64)>::decode(r)? {
             // The journal stores interned `&'static str` labels;
             // re-intern against the table of every label the router
             // ever records.
@@ -1365,7 +1288,7 @@ impl BgpRouter {
                 .find(|k| **k == kind_owned)
                 .copied()
                 .ok_or(WireError::Invalid("unknown journal event kind"))?;
-            journal_entries.push(pvr_obs::JournalEntry { t_us, kind, value: u64::decode(r)? });
+            journal_entries.push(pvr_obs::JournalEntry { t_us, kind, value });
         }
 
         self.cells = cells;

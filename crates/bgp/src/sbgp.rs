@@ -19,7 +19,7 @@
 use crate::path::AsPath;
 use crate::route::Route;
 use crate::types::{Asn, Prefix};
-use pvr_crypto::encoding::{decode_seq, Reader, Wire, WireError};
+use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_crypto::rsa::RsaSignature;
 use pvr_crypto::sha256::sha256_concat;
@@ -84,31 +84,7 @@ impl Attestation {
     }
 }
 
-impl Wire for Attestation {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.prefix.encode(buf);
-        self.path.encode(buf);
-        self.target.encode(buf);
-        self.signer.encode(buf);
-        self.signature.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Attestation {
-            prefix: Prefix::decode(r)?,
-            path: AsPath::decode(r)?,
-            target: Asn::decode(r)?,
-            signer: Asn::decode(r)?,
-            signature: RsaSignature::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.prefix.encoded_len()
-            + self.path.encoded_len()
-            + 4 // target
-            + 4 // signer
-            + self.signature.encoded_len()
-    }
-}
+pvr_crypto::wire_struct!(Attestation { prefix, path, target, signer, signature });
 
 /// A persistent (structurally shared) attestation chain.
 ///
@@ -232,9 +208,10 @@ impl std::fmt::Debug for AttestationChain {
     }
 }
 
-/// A cache memo exported for checkpointing: sorted
-/// `(signer, digest, verdict)` entries plus the call/hit counters.
-pub(crate) type CacheState = (Vec<(Asn, [u8; 32], bool)>, u64, u64);
+/// A cache memo exported for checkpointing, in the order the CACHE
+/// section holds it: the call and hit counters, then the sorted
+/// `(signer, digest, verdict)` entries.
+pub(crate) type CacheState = (u64, u64, Vec<(Asn, [u8; 32], bool)>);
 
 /// An RSA-verification memo for attestation signatures.
 ///
@@ -282,7 +259,7 @@ impl VerifyCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Exports the memo for checkpointing: `(entries, calls, hits)`
+    /// Exports the memo for checkpointing: `(calls, hits, entries)`
     /// with entries in `(signer, digest)` order, so the same cache
     /// state always serializes to the same bytes.
     pub(crate) fn export_state(&self) -> CacheState {
@@ -294,13 +271,13 @@ impl VerifyCache {
             .map(|(&(signer, digest), &verdict)| (signer, digest, verdict))
             .collect();
         entries.sort_unstable_by_key(|&(signer, digest, _)| (signer, digest));
-        (entries, self.calls(), self.hits())
+        (self.calls(), self.hits(), entries)
     }
 
     /// Replaces the memo with a checkpointed state. Restore only: the
     /// cache is shared by `Arc`, so this goes through the interior
     /// mutability the hot path already uses.
-    pub(crate) fn load_state(&self, entries: Vec<(Asn, [u8; 32], bool)>, calls: u64, hits: u64) {
+    pub(crate) fn load_state(&self, (calls, hits, entries): CacheState) {
         let mut verdicts = self.verdicts.lock().unwrap();
         verdicts.clear();
         for (signer, digest, verdict) in entries {
@@ -475,6 +452,8 @@ impl SignedRoute {
     }
 }
 
+/// Hand-written: the chain is a shared cons list held newest-first,
+/// while the wire (and verification) order is origin-first.
 impl Wire for SignedRoute {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.route.encode(buf);
@@ -487,7 +466,7 @@ impl Wire for SignedRoute {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(SignedRoute {
             route: Route::decode(r)?,
-            chain: AttestationChain::from_attestations(decode_seq(r)?),
+            chain: AttestationChain::from_attestations(Vec::decode(r)?),
         })
     }
     fn encoded_len(&self) -> usize {
@@ -832,7 +811,7 @@ mod tests {
                 chain.clone(),
             );
             let mut expect = sr.route.to_wire();
-            pvr_crypto::encoding::encode_seq(&atts, &mut expect);
+            atts.encode(&mut expect);
             prop_assert_eq!(sr.to_wire(), expect);
             prop_assert_eq!(sr.encoded_len(), sr.to_wire().len());
             let back: SignedRoute = pvr_crypto::decode_exact(&sr.to_wire()).unwrap();

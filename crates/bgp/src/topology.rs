@@ -16,7 +16,6 @@ use crate::router::{BgpRouter, LocalEvent, RouterStats, SecurityMode};
 use crate::sbgp::VerifyCache;
 use crate::types::{Asn, Prefix};
 use pvr_crypto::drbg::HmacDrbg;
-use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_netsim::{
     FaultPlan, LinkConfig, NodeId, RunLimits, SimDuration, SimTime, Simulator, StopReason,
@@ -53,55 +52,13 @@ pub enum Edge {
     },
 }
 
-/// Edges travel inside checkpoint META sections so a restored run can
-/// re-instantiate the exact network it was saved from.
-impl Wire for Edge {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Edge::ProviderCustomer { provider, customer } => {
-                buf.push(0);
-                provider.encode(buf);
-                customer.encode(buf);
-            }
-            Edge::Peering(a, b) => {
-                buf.push(1);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Edge::PartialTransit { provider, customer, region } => {
-                buf.push(2);
-                provider.encode(buf);
-                customer.encode(buf);
-                region.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.take(1)?[0] {
-            0 => {
-                Ok(Edge::ProviderCustomer { provider: Asn::decode(r)?, customer: Asn::decode(r)? })
-            }
-            1 => Ok(Edge::Peering(Asn::decode(r)?, Asn::decode(r)?)),
-            2 => Ok(Edge::PartialTransit {
-                provider: Asn::decode(r)?,
-                customer: Asn::decode(r)?,
-                region: Community::decode(r)?,
-            }),
-            _ => Err(WireError::Invalid("edge discriminant")),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Edge::ProviderCustomer { provider, customer } => {
-                provider.encoded_len() + customer.encoded_len()
-            }
-            Edge::Peering(a, b) => a.encoded_len() + b.encoded_len(),
-            Edge::PartialTransit { provider, customer, region } => {
-                provider.encoded_len() + customer.encoded_len() + region.encoded_len()
-            }
-        }
-    }
-}
+// Edges travel inside checkpoint META sections so a restored run can
+// re-instantiate the exact network it was saved from.
+pvr_crypto::wire_enum!(Edge {
+    0 => ProviderCustomer { provider, customer },
+    1 => Peering(a, b),
+    2 => PartialTransit { provider, customer, region },
+});
 
 /// A declarative AS-level topology.
 #[derive(Clone, Debug, Default)]
@@ -446,67 +403,10 @@ impl Topology {
     }
 }
 
-/// A checkpoint embeds the full topology (META section), so
-/// `restore(path)` is self-contained: static router state regenerates
-/// from this declaration and only dynamic state rides in the file.
-impl Wire for Topology {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.ases.len() as u32).encode(buf);
-        for &asn in &self.ases {
-            asn.encode(buf);
-        }
-        (self.edges.len() as u32).encode(buf);
-        for edge in &self.edges {
-            edge.encode(buf);
-        }
-        (self.originations.len() as u32).encode(buf);
-        for (&asn, prefixes) in &self.originations {
-            asn.encode(buf);
-            (prefixes.len() as u32).encode(buf);
-            for p in prefixes {
-                p.encode(buf);
-            }
-        }
-        (self.region_tags.len() as u32).encode(buf);
-        for &(local, neighbor, region) in &self.region_tags {
-            local.encode(buf);
-            neighbor.encode(buf);
-            region.encode(buf);
-        }
-        (self.schedules.len() as u32).encode(buf);
-        for (asn, delay, event) in &self.schedules {
-            asn.encode(buf);
-            delay.encode(buf);
-            event.encode(buf);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut topo = Topology::new();
-        for _ in 0..u32::decode(r)? {
-            topo.ases.insert(Asn::decode(r)?);
-        }
-        for _ in 0..u32::decode(r)? {
-            topo.edges.push(Edge::decode(r)?);
-        }
-        for _ in 0..u32::decode(r)? {
-            let asn = Asn::decode(r)?;
-            let mut prefixes = Vec::new();
-            for _ in 0..u32::decode(r)? {
-                prefixes.push(Prefix::decode(r)?);
-            }
-            if topo.originations.insert(asn, prefixes).is_some() {
-                return Err(WireError::Invalid("duplicate origination AS"));
-            }
-        }
-        for _ in 0..u32::decode(r)? {
-            topo.region_tags.push((Asn::decode(r)?, Asn::decode(r)?, Community::decode(r)?));
-        }
-        for _ in 0..u32::decode(r)? {
-            topo.schedules.push((Asn::decode(r)?, SimDuration::decode(r)?, LocalEvent::decode(r)?));
-        }
-        Ok(topo)
-    }
-}
+// A checkpoint embeds the full topology (META section), so
+// `restore(path)` is self-contained: static router state regenerates
+// from this declaration and only dynamic state rides in the file.
+pvr_crypto::wire_struct!(Topology { ases, edges, originations, region_tags, schedules });
 
 /// Builds the shared [`PrivateVerifier`] when the options ask for one.
 /// The verifier's SMC timeline uses the observability window when set
@@ -580,39 +480,22 @@ impl Default for InstantiateOptions {
     }
 }
 
-/// Options ride inside checkpoint META sections: restore re-runs
-/// `instantiate` with the saved options, so key generation, jitter
-/// DRBG seeding, and every policy knob come back identical.
-impl Wire for InstantiateOptions {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.seed.encode(buf);
-        self.link.encode(buf);
-        self.signed.encode(buf);
-        (self.key_bits as u64).encode(buf);
-        self.mrai.encode(buf);
-        self.mrai_jitter.encode(buf);
-        self.dampening.encode(buf);
-        self.timeline_window.encode(buf);
-        (self.journal_capacity as u64).encode(buf);
-        self.private_verification.encode(buf);
-        (self.smc_lane_cap as u64).encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(InstantiateOptions {
-            seed: u64::decode(r)?,
-            link: LinkConfig::decode(r)?,
-            signed: bool::decode(r)?,
-            key_bits: u64::decode(r)? as usize,
-            mrai: Option::<SimDuration>::decode(r)?,
-            mrai_jitter: Option::<SimDuration>::decode(r)?,
-            dampening: Option::<DampeningPolicy>::decode(r)?,
-            timeline_window: Option::<SimDuration>::decode(r)?,
-            journal_capacity: u64::decode(r)? as usize,
-            private_verification: bool::decode(r)?,
-            smc_lane_cap: u64::decode(r)? as usize,
-        })
-    }
-}
+// Options ride inside checkpoint META sections: restore re-runs
+// `instantiate` with the saved options, so key generation, jitter
+// DRBG seeding, and every policy knob come back identical.
+pvr_crypto::wire_struct!(InstantiateOptions {
+    seed,
+    link,
+    signed,
+    key_bits,
+    mrai,
+    mrai_jitter,
+    dampening,
+    timeline_window,
+    journal_capacity,
+    private_verification,
+    smc_lane_cap,
+});
 
 /// RPKI-style origin authorizations: which AS may originate each
 /// prefix. An announcement is *invalid* when some entry covers its
@@ -656,28 +539,10 @@ impl OriginTable {
     }
 }
 
-/// Origin tables are installed imperatively (not part of the topology
-/// declaration), so checkpoints embed them in the META section to keep
-/// restored networks rejecting unauthorized origins.
-impl Wire for OriginTable {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.entries.len() as u32).encode(buf);
-        for &(prefix, asn) in &self.entries {
-            prefix.encode(buf);
-            asn.encode(buf);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let mut entries = Vec::new();
-        for _ in 0..u32::decode(r)? {
-            entries.push((Prefix::decode(r)?, Asn::decode(r)?));
-        }
-        Ok(OriginTable { entries })
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.entries.iter().map(|(p, a)| p.encoded_len() + a.encoded_len()).sum::<usize>()
-    }
-}
+// Origin tables are installed imperatively (not part of the topology
+// declaration), so checkpoints embed them in the META section to keep
+// restored networks rejecting unauthorized origins.
+pvr_crypto::wire_struct!(OriginTable { entries });
 
 /// Label set shared by every network-level metric series.
 fn metric_labels(security_mode: &str) -> pvr_obs::LabelSet {

@@ -26,17 +26,7 @@ impl std::fmt::Display for Asn {
     }
 }
 
-impl Wire for Asn {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Asn(u32::decode(r)?))
-    }
-    fn encoded_len(&self) -> usize {
-        4
-    }
-}
+pvr_crypto::wire_struct!(Asn { 0 });
 
 /// An IPv4 CIDR prefix.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -123,6 +113,8 @@ impl std::fmt::Display for Prefix {
     }
 }
 
+/// Hand-written: decode rejects a length above 32 and zeroes host
+/// bits, so only canonical prefixes exist in memory.
 impl Wire for Prefix {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.addr.encode(buf);
@@ -185,18 +177,6 @@ mod tests {
     fn is_default() {
         assert!(Prefix::parse("0.0.0.0/0").unwrap().is_default());
         assert!(!Prefix::parse("10.0.0.0/8").unwrap().is_default());
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        for s in ["0.0.0.0/0", "10.1.2.0/24", "255.255.255.255/32"] {
-            let p = Prefix::parse(s).unwrap();
-            let back: Prefix = pvr_crypto::decode_exact(&p.to_wire()).unwrap();
-            assert_eq!(back, p);
-        }
-        let a = Asn(64512);
-        let back: Asn = pvr_crypto::decode_exact(&a.to_wire()).unwrap();
-        assert_eq!(back, a);
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub fn compare_naive_vs_paper(bed: &crate::harness::Figure1Bed) -> AblationRepor
 
     let c = bed.honest_committer();
     let pd = c.disclosure_for_receiver(bed.b);
-    let paper_bytes = pd.to_wire().len();
+    let paper_bytes = pd.encoded_len();
     let min = bed.true_min();
 
     AblationReport {

@@ -76,7 +76,7 @@ impl BatchItem {
     /// bytes-per-update series.
     pub fn byte_size(&self) -> usize {
         use pvr_crypto::Wire;
-        self.signed_root.to_wire().len() + self.proof.byte_size()
+        self.signed_root.encoded_len() + self.proof.byte_size()
     }
 }
 

@@ -12,7 +12,7 @@
 use pvr_bgp::Route;
 use pvr_crypto::commit::{commit, verify as verify_commitment, Commitment, Opening};
 use pvr_crypto::drbg::HmacDrbg;
-use pvr_crypto::encoding::{decode_seq, encode_seq, Reader, Wire, WireError};
+use pvr_crypto::encoding::{decode_exact, Wire, WireError};
 use pvr_mht::Label;
 use pvr_rfg::OperatorKind;
 
@@ -36,27 +36,7 @@ pub enum VertexContent {
     },
 }
 
-impl Wire for VertexContent {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            VertexContent::Variable { routes } => {
-                buf.push(0);
-                encode_seq(routes, buf);
-            }
-            VertexContent::Operator { kind } => {
-                buf.push(1);
-                kind.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.take(1)?[0] {
-            0 => Ok(VertexContent::Variable { routes: decode_seq(r)? }),
-            1 => Ok(VertexContent::Operator { kind: OperatorKind::decode(r)? }),
-            _ => Err(WireError::Invalid("vertex content tag")),
-        }
-    }
-}
+pvr_crypto::wire_enum!(VertexContent { 0 => Variable { routes }, 1 => Operator { kind } });
 
 /// The public record I(x) stored in the MHT leaf for a vertex: three
 /// independently-openable commitments.
@@ -70,20 +50,7 @@ pub struct VertexRecord {
     pub content: Commitment,
 }
 
-impl Wire for VertexRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.preds.encode(buf);
-        self.succs.encode(buf);
-        self.content.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VertexRecord {
-            preds: Commitment::decode(r)?,
-            succs: Commitment::decode(r)?,
-            content: Commitment::decode(r)?,
-        })
-    }
-}
+pvr_crypto::wire_struct!(VertexRecord { preds, succs, content });
 
 /// The private openings the committing network retains for a vertex.
 #[derive(Clone, Debug)]
@@ -99,18 +66,13 @@ pub struct VertexOpenings {
 /// Canonical encoding of a label list (the x^p / x^s bitstrings).
 pub fn encode_labels(labels: &[Label]) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_seq(labels, &mut buf);
+    Label::encode_slice(labels, &mut buf);
     buf
 }
 
 /// Decodes a label list from an opened preds/succs value.
 pub fn decode_labels(bytes: &[u8]) -> Result<Vec<Label>, WireError> {
-    let mut r = Reader::new(bytes);
-    let labels = decode_seq(&mut r)?;
-    if r.remaining() > 0 {
-        return Err(WireError::TrailingBytes(r.remaining()));
-    }
-    Ok(labels)
+    decode_exact(bytes)
 }
 
 /// Builds the record + openings for a vertex.
@@ -222,15 +184,6 @@ mod tests {
         let (r2, _) = make_record(&[Label::Var(0)], &[], &content, &mut rng);
         assert_ne!(r1.preds, r2.preds);
         assert_ne!(r1.content, r2.content);
-    }
-
-    #[test]
-    fn record_wire_round_trip() {
-        let mut rng = rng();
-        let content = VertexContent::Operator { kind: OperatorKind::PickOne };
-        let (rec, _) = make_record(&[Label::Var(3)], &[Label::Var(4)], &content, &mut rng);
-        let back: VertexRecord = pvr_crypto::decode_exact(&rec.to_wire()).unwrap();
-        assert_eq!(back, rec);
     }
 
     #[test]

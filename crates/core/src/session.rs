@@ -17,7 +17,7 @@ use crate::record::{make_record, VertexContent, VertexOpenings};
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::{Asn, Prefix, Route};
 use pvr_crypto::drbg::HmacDrbg;
-use pvr_crypto::encoding::{decode_seq, encode_seq, Reader, Wire, WireError};
+use pvr_crypto::encoding::Wire;
 use pvr_crypto::keys::Identity;
 use pvr_crypto::Opening;
 use pvr_mht::{InclusionProof, Label, SignedRoot, SparseMht};
@@ -78,15 +78,7 @@ impl BitReveal {
     }
 }
 
-impl Wire for BitReveal {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.index.encode(buf);
-        self.proof.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(BitReveal { index: u32::decode(r)?, proof: InclusionProof::decode(r)? })
-    }
-}
+pvr_crypto::wire_struct!(BitReveal { index, proof });
 
 /// Leaf payload for a bit slot: `bit ‖ 32-byte blinding` (the paper's
 /// `b ‖ p` from §3.2).
@@ -125,22 +117,7 @@ pub struct GraphReveal {
     pub content: Option<Opening>,
 }
 
-impl Wire for GraphReveal {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.proof.encode(buf);
-        self.preds.encode(buf);
-        self.succs.encode(buf);
-        self.content.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(GraphReveal {
-            proof: InclusionProof::decode(r)?,
-            preds: Option::<Opening>::decode(r)?,
-            succs: Option::<Opening>::decode(r)?,
-            content: Option::<Opening>::decode(r)?,
-        })
-    }
-}
+pvr_crypto::wire_struct!(GraphReveal { proof, preds, succs, content });
 
 /// Everything one neighbor receives from A in one round.
 #[derive(Clone, Debug, Default)]
@@ -155,26 +132,11 @@ pub struct Disclosure {
     pub graph: Vec<GraphReveal>,
 }
 
-impl Wire for Disclosure {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.signed_root.encode(buf);
-        encode_seq(&self.bit_reveals, buf);
-        self.exported.encode(buf);
-        encode_seq(&self.graph, buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Disclosure {
-            signed_root: Option::<SignedRoot>::decode(r)?,
-            bit_reveals: decode_seq(r)?,
-            exported: Option::<SignedRoute>::decode(r)?,
-            graph: decode_seq(r)?,
-        })
-    }
-}
+pvr_crypto::wire_struct!(Disclosure { signed_root, bit_reveals, exported, graph });
 
 impl pvr_netsim::Payload for Disclosure {
     fn wire_size(&self) -> usize {
-        self.to_wire().len()
+        self.encoded_len()
     }
 }
 
@@ -553,18 +515,6 @@ mod tests {
         let bed = Figure1Bed::build(&[1], 46);
         let c = bed.honest_committer();
         assert!(c.reveal_bit(999).is_none());
-    }
-
-    #[test]
-    fn disclosure_wire_round_trip() {
-        let bed = Figure1Bed::build(&[1, 2], 47);
-        let c = bed.honest_committer();
-        let d = c.disclosure_for_receiver(bed.b);
-        let bytes = d.to_wire();
-        let back: Disclosure = pvr_crypto::decode_exact(&bytes).unwrap();
-        assert_eq!(back.bit_reveals, d.bit_reveals);
-        assert_eq!(back.exported, d.exported);
-        assert_eq!(back.signed_root, d.signed_root);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::verify::{verify_as_provider, verify_as_receiver, Outcome};
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::Asn;
 use pvr_crypto::drbg::HmacDrbg;
-use pvr_crypto::encoding::{Reader, Wire, WireError};
+use pvr_crypto::encoding::Wire;
 use pvr_crypto::keys::KeyStore;
 use pvr_mht::{EquivocationEvidence, SignedRoot};
 use pvr_netsim::{Agent, Context, NodeId, Payload, RunLimits, Simulator};
@@ -39,41 +39,16 @@ pub enum PvrMsg {
     ToReceiver(Disclosure),
 }
 
-impl Wire for PvrMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PvrMsg::Root(r) => {
-                buf.push(0);
-                r.encode(buf);
-            }
-            PvrMsg::Gossip(r) => {
-                buf.push(1);
-                r.encode(buf);
-            }
-            PvrMsg::ToProvider(d) => {
-                buf.push(2);
-                d.encode(buf);
-            }
-            PvrMsg::ToReceiver(d) => {
-                buf.push(3);
-                d.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take(1)?[0] {
-            0 => PvrMsg::Root(SignedRoot::decode(r)?),
-            1 => PvrMsg::Gossip(SignedRoot::decode(r)?),
-            2 => PvrMsg::ToProvider(Disclosure::decode(r)?),
-            3 => PvrMsg::ToReceiver(Disclosure::decode(r)?),
-            _ => return Err(WireError::Invalid("PvrMsg tag")),
-        })
-    }
-}
+pvr_crypto::wire_enum!(PvrMsg {
+    0 => Root(root),
+    1 => Gossip(root),
+    2 => ToProvider(disclosure),
+    3 => ToReceiver(disclosure),
+});
 
 impl Payload for PvrMsg {
     fn wire_size(&self) -> usize {
-        self.to_wire().len()
+        self.encoded_len()
     }
 }
 

@@ -10,7 +10,6 @@
 //! from different protocol contexts can never be confused.
 
 use crate::drbg::HmacDrbg;
-use crate::encoding::{Reader, Wire, WireError};
 use crate::sha256::{sha256_concat, Digest};
 
 /// Length of the blinding string in bytes (256 bits, matching the hash).
@@ -78,37 +77,14 @@ pub fn verify(tag: &[u8], commitment: &Commitment, opening: &Opening) -> bool {
     commit_digest(tag, &opening.value, &opening.blind) == commitment.0
 }
 
-impl Wire for Commitment {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Commitment(Digest::decode(r)?))
-    }
-}
-
-impl Wire for Blinding {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Blinding(r.take_array()?))
-    }
-}
-
-impl Wire for Opening {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.value.encode(buf);
-        self.blind.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Opening { value: Vec::<u8>::decode(r)?, blind: Blinding::decode(r)? })
-    }
-}
+crate::wire_struct!(Commitment { 0 });
+crate::wire_struct!(Blinding { 0 });
+crate::wire_struct!(Opening { value, blind });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::Wire;
     use proptest::prelude::*;
 
     fn rng() -> HmacDrbg {

@@ -8,6 +8,7 @@
 //! `rand::RngCore`, kept in-tree because this workspace builds without
 //! registry access) so it can drive generic samplers where convenient.
 
+use crate::encoding::{Reader, Wire, WireError};
 use crate::hmac::HmacKey;
 use crate::sha256::DIGEST_LEN;
 
@@ -180,6 +181,21 @@ impl HmacDrbg {
 
     /// Byte length of [`HmacDrbg::state_bytes`].
     pub const STATE_LEN: usize = 2 * DIGEST_LEN + 8;
+}
+
+/// Hand-written: the state travels as [`HmacDrbg::state_bytes`] (key ‖
+/// value ‖ counter, no count); the keyed-MAC midstate is re-derived on
+/// decode, never stored.
+impl Wire for HmacDrbg {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.state_bytes().encode(buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(HmacDrbg::from_state_bytes(&Wire::decode(r)?))
+    }
+    fn encoded_len(&self) -> usize {
+        Self::STATE_LEN
+    }
 }
 
 /// Signature-compatible subset of `rand::RngCore`, defined locally so

@@ -42,7 +42,7 @@ pub mod sha256;
 pub use bignum::Ubig;
 pub use commit::{commit, commit_with, verify as verify_commitment, Blinding, Commitment, Opening};
 pub use drbg::HmacDrbg;
-pub use encoding::{decode_exact, decode_seq, encode_seq, Reader, Wire, WireError};
+pub use encoding::{decode_exact, Reader, Wire, WireError};
 pub use error::CryptoError;
 pub use hmac::{hmac_sha256, HmacKey};
 pub use keys::{Identity, KeyStore, PrincipalId};

@@ -87,6 +87,8 @@ struct CrtContexts {
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct RsaSignature(pub Vec<u8>);
 
+crate::wire_struct!(RsaSignature { 0 });
+
 impl std::fmt::Debug for RsaSignature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "RsaSignature({} bytes)", self.0.len())
@@ -177,12 +179,20 @@ impl RsaPublicKey {
 }
 
 impl RsaPrivateKey {
+    /// Whether [`generate`](Self::generate) accepts a modulus of `bits`
+    /// bits: even and within 128..=16384. Callers holding a size from
+    /// outside the program (a checkpoint's options) ask here first.
+    pub fn supports(bits: usize) -> bool {
+        (128..=16_384).contains(&bits) && bits % 2 == 0
+    }
+
     /// Generates a fresh RSA key pair with a modulus of `bits` bits.
     ///
-    /// `bits` must be even and ≥ 128 (tests use small keys for speed; the
-    /// benchmarks use 1024/2048 to regenerate the paper's numbers).
+    /// `bits` must satisfy [`supports`](Self::supports) (tests use small
+    /// keys for speed; the benchmarks use 1024/2048 to regenerate the
+    /// paper's numbers).
     pub fn generate(bits: usize, rng: &mut HmacDrbg) -> RsaPrivateKey {
-        assert!(bits >= 128 && bits % 2 == 0, "unsupported RSA size {bits}");
+        assert!(Self::supports(bits), "unsupported RSA size {bits}");
         let e = Ubig::from_u64(65537);
         loop {
             let p = gen_rsa_prime(bits / 2, &e, rng);

@@ -21,6 +21,8 @@ pub const BLOCK_LEN: usize = 64;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u8; DIGEST_LEN]);
 
+crate::wire_struct!(Digest { 0 });
+
 impl Digest {
     /// The all-zero digest, used as a sentinel in sparse structures.
     pub const ZERO: Digest = Digest([0u8; DIGEST_LEN]);

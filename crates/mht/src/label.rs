@@ -14,8 +14,6 @@
 //! variable-length custom labels carry a length prefix — so the valid
 //! label set is prefix-free, exactly as the construction requires.
 
-use pvr_crypto::encoding::{Reader, Wire, WireError};
-
 /// A bit string (MSB-first within each byte), the path of an MHT leaf.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitString {
@@ -157,39 +155,12 @@ impl Label {
     }
 }
 
-impl Wire for Label {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Label::Var(v) => {
-                buf.push(Self::TAG_VAR);
-                v.encode(buf);
-            }
-            Label::Rule(r) => {
-                buf.push(Self::TAG_RULE);
-                r.encode(buf);
-            }
-            Label::Slot(g, i) => {
-                buf.push(Self::TAG_SLOT);
-                g.encode(buf);
-                i.encode(buf);
-            }
-            Label::Custom(d) => {
-                buf.push(Self::TAG_CUSTOM);
-                d.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.take(1)?[0] {
-            Self::TAG_VAR => Ok(Label::Var(u32::decode(r)?)),
-            Self::TAG_RULE => Ok(Label::Rule(u32::decode(r)?)),
-            Self::TAG_SLOT => Ok(Label::Slot(u32::decode(r)?, u32::decode(r)?)),
-            Self::TAG_CUSTOM => Ok(Label::Custom(Vec::<u8>::decode(r)?)),
-            _ => Err(WireError::Invalid("unknown label tag")),
-        }
-    }
-}
+pvr_crypto::wire_enum!(Label {
+    Self::TAG_VAR => Var(v),
+    Self::TAG_RULE => Rule(r),
+    Self::TAG_SLOT => Slot(group, idx),
+    Self::TAG_CUSTOM => Custom(data),
+});
 
 #[cfg(test)]
 mod tests {
@@ -254,16 +225,6 @@ mod tests {
                 let (ba, bb) = (a.to_bits(), b.to_bits());
                 assert!(!ba.is_prefix_of(&bb), "{a:?} is a prefix of {b:?}");
             }
-        }
-    }
-
-    #[test]
-    fn label_wire_round_trip() {
-        for l in
-            [Label::Var(7), Label::Rule(9), Label::Slot(3, 4), Label::Custom(b"burst".to_vec())]
-        {
-            let back: Label = pvr_crypto::decode_exact(&l.to_wire()).unwrap();
-            assert_eq!(back, l);
         }
     }
 

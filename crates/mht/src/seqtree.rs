@@ -7,7 +7,7 @@
 //! signs the root once per burst; each receiver gets its item plus a
 //! log-size path. Experiment E5 measures the amortization.
 
-use pvr_crypto::encoding::{decode_seq, encode_seq, Reader, Wire, WireError};
+use pvr_crypto::encoding::Wire;
 use pvr_crypto::sha256::{sha256_concat, Digest};
 
 /// Leaf hash, domain-separated from inner nodes to preclude
@@ -120,25 +120,11 @@ impl SeqProof {
 
     /// Serialized size in bytes (for the E5 overhead accounting).
     pub fn byte_size(&self) -> usize {
-        self.to_wire().len()
+        self.encoded_len()
     }
 }
 
-impl Wire for SeqProof {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.index.encode(buf);
-        self.item.encode(buf);
-        encode_seq(&self.siblings, buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SeqProof {
-            index: u64::decode(r)?,
-            item: Vec::<u8>::decode(r)?,
-            siblings: decode_seq(r)?,
-        })
-    }
-}
+pvr_crypto::wire_struct!(SeqProof { index, item, siblings });
 
 #[cfg(test)]
 mod tests {

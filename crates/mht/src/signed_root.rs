@@ -8,7 +8,7 @@
 //! *equivocated*; the two conflicting signed roots are self-contained,
 //! third-party-verifiable evidence.
 
-use pvr_crypto::encoding::{Reader, Wire, WireError};
+use pvr_crypto::encoding::Wire;
 use pvr_crypto::keys::{Identity, KeyStore, PrincipalId};
 use pvr_crypto::rsa::RsaSignature;
 use pvr_crypto::sha256::Digest;
@@ -40,7 +40,7 @@ impl SignedRoot {
         let mut buf = Vec::with_capacity(64 + context.len());
         buf.extend_from_slice(b"pvr.signedroot.v1");
         signer.encode(&mut buf);
-        context.to_vec().encode(&mut buf);
+        u8::encode_slice(context, &mut buf);
         epoch.encode(&mut buf);
         root.encode(&mut buf);
         buf
@@ -64,25 +64,7 @@ impl SignedRoot {
     }
 }
 
-impl Wire for SignedRoot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.signer.encode(buf);
-        self.context.encode(buf);
-        self.epoch.encode(buf);
-        self.root.encode(buf);
-        self.signature.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SignedRoot {
-            signer: PrincipalId::decode(r)?,
-            context: CommitContext::decode(r)?,
-            epoch: u64::decode(r)?,
-            root: Digest::decode(r)?,
-            signature: RsaSignature::decode(r)?,
-        })
-    }
-}
+pvr_crypto::wire_struct!(SignedRoot { signer, context, epoch, root, signature });
 
 /// Two conflicting signed roots: proof that `signer` equivocated.
 ///
@@ -128,16 +110,7 @@ impl EquivocationEvidence {
     }
 }
 
-impl Wire for EquivocationEvidence {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.a.encode(buf);
-        self.b.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EquivocationEvidence { a: SignedRoot::decode(r)?, b: SignedRoot::decode(r)? })
-    }
-}
+pvr_crypto::wire_struct!(EquivocationEvidence { a, b });
 
 #[cfg(test)]
 mod tests {

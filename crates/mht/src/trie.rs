@@ -15,7 +15,7 @@
 //! and compare with the previously published (signed, gossiped) value.
 
 use crate::label::{BitString, Label};
-use pvr_crypto::encoding::{decode_seq, encode_seq, Reader, Wire, WireError};
+use pvr_crypto::encoding::Wire;
 use pvr_crypto::hmac::hmac_sha256;
 use pvr_crypto::sha256::{sha256_concat, Digest};
 use std::collections::HashMap;
@@ -226,25 +226,11 @@ impl InclusionProof {
 
     /// Size of the proof in bytes when serialized (for E6).
     pub fn byte_size(&self) -> usize {
-        self.to_wire().len()
+        self.encoded_len()
     }
 }
 
-impl Wire for InclusionProof {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.label.encode(buf);
-        self.payload.encode(buf);
-        encode_seq(&self.siblings, buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(InclusionProof {
-            label: Label::decode(r)?,
-            payload: Vec::<u8>::decode(r)?,
-            siblings: decode_seq(r)?,
-        })
-    }
-}
+pvr_crypto::wire_struct!(InclusionProof { label, payload, siblings });
 
 #[cfg(test)]
 mod tests {

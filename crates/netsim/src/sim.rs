@@ -934,7 +934,7 @@ impl<P: Payload + pvr_crypto::encoding::Wire> Simulator<P> {
         (self.shards.len() as u64).encode(&mut out);
         common.encode(&mut out);
         self.next_seq.encode(&mut out);
-        state::encode_drbg(&self.rng, &mut out);
+        self.rng.encode(&mut out);
         for shard in &self.shards {
             (shard.queue.len() as u64).encode(&mut out);
             for (time, (seq, kind)) in shard.queue.iter() {
@@ -979,7 +979,7 @@ impl<P: Payload + pvr_crypto::encoding::Wire> Simulator<P> {
             });
         }
         let next_seq = u64::decode(&mut r)?;
-        let rng = state::decode_drbg(&mut r)?;
+        let rng = HmacDrbg::decode(&mut r)?;
         let mut queues = Vec::with_capacity(shard_count);
         for shard_ix in 0..shard_count {
             let event_count = state::checked_count(&mut r, 17)?;

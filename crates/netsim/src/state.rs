@@ -20,7 +20,6 @@ use crate::fault::Fault;
 use crate::link::LinkConfig;
 use crate::sim::{EventKind, Payload, SimStats};
 use crate::time::{SimDuration, SimTime};
-use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use std::collections::BTreeMap;
 
@@ -84,110 +83,80 @@ impl From<WireError> for StateError {
     }
 }
 
-impl Wire for SimTime {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+pvr_crypto::wire_struct!(SimTime { 0 });
+pvr_crypto::wire_struct!(SimDuration { 0 });
+
+/// A drop probability travels as its IEEE-754 bits (exact round-trip,
+/// no text detour); a value outside `0.0..=1.0`, NaN included, is
+/// refused.
+fn decode_drop_prob(r: &mut Reader<'_>) -> Result<f64, WireError> {
+    let drop_prob = f64::from_bits(u64::decode(r)?);
+    if !(0.0..=1.0).contains(&drop_prob) {
+        return Err(WireError::Invalid("drop probability out of range"));
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SimTime(u64::decode(r)?))
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
+    Ok(drop_prob)
 }
 
-impl Wire for SimDuration {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.as_micros().encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SimDuration::from_micros(u64::decode(r)?))
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
+/// Hand-written: `drop_prob` is bit-encoded and range-checked.
 impl Wire for LinkConfig {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.latency.encode(buf);
         self.jitter.encode(buf);
-        // f64 via its IEEE-754 bits: exact round-trip, no text detour.
         self.drop_prob.to_bits().encode(buf);
         self.down.encode(buf);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let latency = SimDuration::decode(r)?;
-        let jitter = SimDuration::decode(r)?;
-        let drop_prob = f64::from_bits(u64::decode(r)?);
-        if !(0.0..=1.0).contains(&drop_prob) {
-            return Err(WireError::Invalid("drop probability out of range"));
-        }
-        let down = bool::decode(r)?;
-        Ok(LinkConfig { latency, jitter, drop_prob, down })
+        Ok(LinkConfig {
+            latency: Wire::decode(r)?,
+            jitter: Wire::decode(r)?,
+            drop_prob: decode_drop_prob(r)?,
+            down: Wire::decode(r)?,
+        })
     }
     fn encoded_len(&self) -> usize {
         8 + 8 + 8 + 1
     }
 }
 
+/// Hand-written for the same reason as [`LinkConfig`]: a degraded
+/// link's `drop_prob`. Each variant is its tag byte, then its fields.
 impl Wire for Fault {
     fn encode(&self, buf: &mut Vec<u8>) {
         match *self {
-            Fault::LinkDown { a, b } => {
-                buf.push(0);
-                (a as u64).encode(buf);
-                (b as u64).encode(buf);
-            }
-            Fault::LinkUp { a, b } => {
-                buf.push(1);
-                (a as u64).encode(buf);
-                (b as u64).encode(buf);
-            }
+            Fault::LinkDown { a, b } => (0u8, a, b).encode(buf),
+            Fault::LinkUp { a, b } => (1u8, a, b).encode(buf),
             Fault::LinkDegrade { a, b, drop_prob, jitter } => {
-                buf.push(2);
-                (a as u64).encode(buf);
-                (b as u64).encode(buf);
-                drop_prob.to_bits().encode(buf);
-                jitter.encode(buf);
+                (2u8, a, b).encode(buf);
+                (drop_prob.to_bits(), jitter).encode(buf);
             }
-            Fault::SessionReset { a, b } => {
-                buf.push(3);
-                (a as u64).encode(buf);
-                (b as u64).encode(buf);
-            }
-            Fault::NodePause { node } => {
-                buf.push(4);
-                (node as u64).encode(buf);
-            }
-            Fault::NodeResume { node } => {
-                buf.push(5);
-                (node as u64).encode(buf);
-            }
+            Fault::SessionReset { a, b } => (3u8, a, b).encode(buf),
+            Fault::NodePause { node } => (4u8, node).encode(buf),
+            Fault::NodeResume { node } => (5u8, node).encode(buf),
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        fn node(r: &mut Reader<'_>) -> Result<usize, WireError> {
-            Ok(u64::decode(r)? as usize)
-        }
-        let tag = r.take(1)?[0];
-        Ok(match tag {
+        let node = usize::decode;
+        Ok(match u8::decode(r)? {
             0 => Fault::LinkDown { a: node(r)?, b: node(r)? },
             1 => Fault::LinkUp { a: node(r)?, b: node(r)? },
-            2 => {
-                let a = node(r)?;
-                let b = node(r)?;
-                let drop_prob = f64::from_bits(u64::decode(r)?);
-                if !(0.0..=1.0).contains(&drop_prob) {
-                    return Err(WireError::Invalid("drop probability out of range"));
-                }
-                Fault::LinkDegrade { a, b, drop_prob, jitter: SimDuration::decode(r)? }
-            }
+            2 => Fault::LinkDegrade {
+                a: node(r)?,
+                b: node(r)?,
+                drop_prob: decode_drop_prob(r)?,
+                jitter: Wire::decode(r)?,
+            },
             3 => Fault::SessionReset { a: node(r)?, b: node(r)? },
             4 => Fault::NodePause { node: node(r)? },
             5 => Fault::NodeResume { node: node(r)? },
             _ => return Err(WireError::Invalid("fault discriminant")),
         })
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Fault::LinkDown { .. } | Fault::LinkUp { .. } | Fault::SessionReset { .. } => 8 + 8,
+            Fault::LinkDegrade { .. } => 8 + 8 + 8 + 8,
+            Fault::NodePause { .. } | Fault::NodeResume { .. } => 8,
+        }
     }
 }
 
@@ -212,23 +181,23 @@ pub(crate) struct CommonState {
 
 impl CommonState {
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        (self.node_count as u64).encode(out);
+        self.node_count.encode(out);
         self.now.encode(out);
         self.started.encode(out);
         let fields = self.stats.fields();
-        (fields.len() as u64).encode(out);
+        fields.len().encode(out);
         for (name, value) in fields {
             name.to_string().encode(out);
             value.encode(out);
         }
         self.default_link.encode(out);
-        (self.links.len() as u64).encode(out);
+        self.links.len().encode(out);
         for &((src, dst), cfg) in &self.links {
-            (src as u64).encode(out);
-            (dst as u64).encode(out);
+            src.encode(out);
+            dst.encode(out);
             cfg.encode(out);
         }
-        (self.paused.len() as u64).encode(out);
+        self.paused.len().encode(out);
         for &p in &self.paused {
             p.encode(out);
         }
@@ -236,7 +205,7 @@ impl CommonState {
             None => out.push(0),
             Some(schedule) => {
                 out.push(1);
-                (schedule.len() as u64).encode(out);
+                schedule.len().encode(out);
                 for &(t, fault) in schedule {
                     t.encode(out);
                     fault.encode(out);
@@ -248,11 +217,11 @@ impl CommonState {
             Some((window_us, channels, cells)) => {
                 out.push(1);
                 window_us.encode(out);
-                (*channels as u64).encode(out);
-                (cells.len() as u64).encode(out);
+                channels.encode(out);
+                cells.len().encode(out);
                 for (start, values) in cells {
                     start.encode(out);
-                    (values.len() as u64).encode(out);
+                    values.len().encode(out);
                     for v in values {
                         v.encode(out);
                     }
@@ -278,8 +247,8 @@ impl CommonState {
         let link_count = checked_count(r, 17)?;
         let mut links = Vec::with_capacity(link_count as usize);
         for _ in 0..link_count {
-            let src = u64::decode(r)? as usize;
-            let dst = u64::decode(r)? as usize;
+            let src = usize::decode(r)?;
+            let dst = usize::decode(r)?;
             if src >= node_count || dst >= node_count {
                 return Err(StateError::Corrupt("link endpoint out of range"));
             }
@@ -314,7 +283,7 @@ impl CommonState {
             0 => None,
             1 => {
                 let window_us = u64::decode(r)?;
-                let channels = u64::decode(r)? as usize;
+                let channels = usize::decode(r)?;
                 if window_us == 0 || channels == 0 || channels > 64 {
                     return Err(StateError::Corrupt("timeline shape out of range"));
                 }
@@ -375,17 +344,6 @@ pub(crate) fn checked_count(r: &mut Reader<'_>, min_item_len: usize) -> Result<u
     Ok(n)
 }
 
-/// Appends a DRBG's exported state.
-pub(crate) fn encode_drbg(rng: &HmacDrbg, out: &mut Vec<u8>) {
-    out.extend_from_slice(&rng.state_bytes());
-}
-
-/// Reads back a DRBG saved by [`encode_drbg`].
-pub(crate) fn decode_drbg(r: &mut Reader<'_>) -> Result<HmacDrbg, StateError> {
-    let state = r.take_array::<{ HmacDrbg::STATE_LEN }>()?;
-    Ok(HmacDrbg::from_state_bytes(&state))
-}
-
 /// Appends one queued event.
 pub(crate) fn encode_event<P: Payload + Wire>(kind: &EventKind<P>, out: &mut Vec<u8>) {
     match kind {
@@ -426,16 +384,6 @@ pub(crate) fn decode_event<P: Payload + Wire>(
 mod tests {
     use super::*;
     use pvr_crypto::encoding::decode_exact;
-
-    #[test]
-    fn link_config_round_trips() {
-        let cfg = LinkConfig::with_latency(SimDuration::from_millis(7))
-            .jittered(SimDuration::from_micros(123))
-            .lossy(0.375);
-        let bytes = cfg.to_wire();
-        assert_eq!(bytes.len(), cfg.encoded_len());
-        assert_eq!(decode_exact::<LinkConfig>(&bytes).unwrap(), cfg);
-    }
 
     #[test]
     fn link_config_rejects_bad_probability() {

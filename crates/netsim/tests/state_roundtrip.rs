@@ -5,7 +5,6 @@
 //! counts, with jitter and loss (DRBG continuation) and fault plans
 //! (remaining schedule round-trip).
 
-use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_netsim::sim::Agent;
 use pvr_netsim::{
     BarrierHook, Context, Fault, FaultPlan, LinkConfig, NodeId, Payload, RunLimits, SimDuration,
@@ -22,14 +21,7 @@ impl Payload for Token {
     }
 }
 
-impl Wire for Token {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Token(u32::decode(r)?))
-    }
-}
+pvr_crypto::wire_struct!(Token { 0 });
 
 /// Relay whose behaviour depends only on message contents, so a
 /// freshly built instance continues a restored run identically.

@@ -40,9 +40,11 @@ pub struct EventJournal {
 
 impl EventJournal {
     /// A journal holding at most `capacity` entries. `capacity == 0`
-    /// builds a disabled journal that records nothing.
+    /// builds a disabled journal that records nothing. The bound is
+    /// logical — the ring grows as entries arrive — so a capacity read
+    /// from a checkpoint never sizes an allocation.
     pub fn new(capacity: usize) -> EventJournal {
-        EventJournal { cap: capacity, entries: VecDeque::with_capacity(capacity), evicted: 0 }
+        EventJournal { cap: capacity, entries: VecDeque::new(), evicted: 0 }
     }
 
     /// Appends a point event, evicting the oldest entry when full.
@@ -147,6 +149,15 @@ mod tests {
         j.record(1, "a", 0);
         assert!(j.is_empty());
         assert_eq!(j.evicted(), 0);
+    }
+
+    #[test]
+    fn capacity_never_sizes_an_allocation() {
+        // What a hostile checkpoint can claim; `with_capacity` would
+        // panic with "capacity overflow".
+        let mut j = EventJournal::restore(usize::MAX, 3, vec![]);
+        j.record(1, "a", 0);
+        assert_eq!((j.capacity(), j.len(), j.evicted()), (usize::MAX, 1, 3));
     }
 
     #[test]

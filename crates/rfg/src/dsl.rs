@@ -157,7 +157,8 @@ impl Compiler {
             }
             "within_hops" => {
                 need(2)?;
-                let epsilon: usize =
+                // `u32`: the range the committed operator encoding carries.
+                let epsilon: u32 =
                     args[0].parse().map_err(|_| err(line, format!("bad ε `{}`", args[0])))?;
                 (OperatorKind::WithinHops { epsilon }, self.lookup_all(&args[1..], line)?)
             }
@@ -377,6 +378,8 @@ mod tests {
             ("input r1 from AS1\nlet x = keep_community(banana, r1)", 2, "community"),
             ("input r1 from AS1\nlet x = cover(999.0.0.0/8, r1)", 2, "bad prefix"),
             ("input r1 from AS1\nlet x = within_hops(abc, r1)", 2, "bad ε"),
+            // One past what the committed operator encoding carries.
+            ("input r1 from AS1\nlet x = within_hops(4294967296, r1)", 2, "bad ε `4294967296`"),
             ("output ghost to AS200", 1, "unknown variable"),
         ] {
             let e = compile(program).unwrap_err();

@@ -13,7 +13,6 @@
 //! operator needed by promise 3.
 
 use pvr_bgp::{Asn, Community, Prefix, Route};
-use pvr_crypto::encoding::{Reader, Wire, WireError};
 
 /// Canonical deterministic ordering of routes, used to break ties
 /// whenever an operator must emit "some" single route. Orders by
@@ -71,8 +70,9 @@ pub enum OperatorKind {
     /// Set-valued: routes within `epsilon` hops of the shortest input
     /// (the permitted set of promise 3).
     WithinHops {
-        /// Allowed slack above the minimum path length.
-        epsilon: usize,
+        /// Allowed slack above the minimum path length; `u32` because
+        /// that is what the committed encoding carries.
+        epsilon: u32,
     },
     /// Emits the canonically-first route of the input set (used to
     /// collapse a set-valued operator into an exportable single route).
@@ -145,7 +145,10 @@ impl OperatorKind {
                 let min = routes.first().map(|r| r.path_len());
                 match min {
                     None => Vec::new(),
-                    Some(m) => routes.into_iter().filter(|r| r.path_len() <= m + epsilon).collect(),
+                    Some(m) => {
+                        let bound = m.saturating_add(*epsilon as usize);
+                        routes.into_iter().filter(|r| r.path_len() <= bound).collect()
+                    }
                 }
             }
             OperatorKind::ShorterOf => {
@@ -171,63 +174,24 @@ impl OperatorKind {
     }
 }
 
-impl Wire for OperatorKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OperatorKind::Existential => buf.push(0),
-            OperatorKind::MinPathLen => buf.push(1),
-            OperatorKind::MaxLocalPref => buf.push(2),
-            OperatorKind::FilterCommunity { community, keep_if_present } => {
-                buf.push(3);
-                community.encode(buf);
-                keep_if_present.encode(buf);
-            }
-            OperatorKind::FilterAsPresence { asn, keep_if_present } => {
-                buf.push(4);
-                asn.encode(buf);
-                keep_if_present.encode(buf);
-            }
-            OperatorKind::FilterPrefix { cover } => {
-                buf.push(5);
-                cover.encode(buf);
-            }
-            OperatorKind::Union => buf.push(6),
-            OperatorKind::WithinHops { epsilon } => {
-                buf.push(7);
-                (*epsilon as u32).encode(buf);
-            }
-            OperatorKind::PickOne => buf.push(8),
-            OperatorKind::ShorterOf => buf.push(9),
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.take(1)?[0] {
-            0 => OperatorKind::Existential,
-            1 => OperatorKind::MinPathLen,
-            2 => OperatorKind::MaxLocalPref,
-            3 => OperatorKind::FilterCommunity {
-                community: Community::decode(r)?,
-                keep_if_present: bool::decode(r)?,
-            },
-            4 => OperatorKind::FilterAsPresence {
-                asn: Asn::decode(r)?,
-                keep_if_present: bool::decode(r)?,
-            },
-            5 => OperatorKind::FilterPrefix { cover: Prefix::decode(r)? },
-            6 => OperatorKind::Union,
-            7 => OperatorKind::WithinHops { epsilon: u32::decode(r)? as usize },
-            8 => OperatorKind::PickOne,
-            9 => OperatorKind::ShorterOf,
-            _ => return Err(WireError::Invalid("operator tag")),
-        })
-    }
-}
+pvr_crypto::wire_enum!(OperatorKind {
+    0 => Existential,
+    1 => MinPathLen,
+    2 => MaxLocalPref,
+    3 => FilterCommunity { community, keep_if_present },
+    4 => FilterAsPresence { asn, keep_if_present },
+    5 => FilterPrefix { cover },
+    6 => Union,
+    7 => WithinHops { epsilon },
+    8 => PickOne,
+    9 => ShorterOf,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pvr_bgp::AsPath;
+    use pvr_crypto::Wire;
 
     fn route(prefix: &str, path: &[u32]) -> Route {
         let mut r = Route::originate(Prefix::parse(prefix).unwrap());
@@ -381,6 +345,18 @@ mod tests {
             assert_eq!(back, k);
             assert!(!k.name().is_empty());
         }
+    }
+
+    #[test]
+    fn within_hops_commits_the_epsilon_it_evaluates() {
+        // ε is `u32` end to end, so the committed bytes carry exactly
+        // the ε the operator evaluates: the largest one round-trips …
+        let op = OperatorKind::WithinHops { epsilon: u32::MAX };
+        assert_eq!(op.to_wire(), [&[7u8][..], &[0xff; 4]].concat());
+        assert_eq!(pvr_crypto::decode_exact::<OperatorKind>(&op.to_wire()), Ok(op.clone()));
+        // … and evaluates without overflowing `min + ε`.
+        let routes = vec![route("10.0.0.0/8", &[1, 2]), route("10.0.0.0/8", &[3, 4, 5, 6])];
+        assert_eq!(op.apply(std::slice::from_ref(&routes)), routes);
     }
 
     #[test]

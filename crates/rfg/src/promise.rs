@@ -154,11 +154,9 @@ impl Promise {
                         if !pool.iter().any(|(_, i)| *i == r) {
                             return Err(PromiseViolation::NotAnInputRoute);
                         }
-                        if r.path_len() > m + epsilon {
-                            return Err(PromiseViolation::TooLong {
-                                got: r.path_len(),
-                                bound: m + epsilon,
-                            });
+                        let bound = m.saturating_add(*epsilon);
+                        if r.path_len() > bound {
+                            return Err(PromiseViolation::TooLong { got: r.path_len(), bound });
                         }
                         Ok(())
                     }
@@ -303,7 +301,8 @@ impl Promise {
                 if writer.kind == OperatorKind::PickOne && writer.inputs.len() == 1 {
                     if let Some(inner) = graph.writer_of(writer.inputs[0]) {
                         if let OperatorKind::WithinHops { epsilon: e } = inner.kind {
-                            return e <= *epsilon && vars_cover(&inner.inputs, &all_inputs);
+                            return e as usize <= *epsilon
+                                && vars_cover(&inner.inputs, &all_inputs);
                         }
                     }
                 }

@@ -473,53 +473,47 @@ fn version_1_header_is_a_typed_error() {
     );
 }
 
-/// The checkpoint `fixture` with the first router's Adj-RIB-Out entries
-/// passed through `edit` — every section re-framed with a valid hash,
-/// so only the router's own validation stands between the edit and a
-/// restored network.
-fn with_first_adj_rib_out(fixture: &[u8], edit: impl Fn(&mut Vec<(Asn, Route)>)) -> Vec<u8> {
-    const SEC_ROUTERS: u8 = 3;
+/// The checkpoint `fixture` with the payload of section `tag` passed
+/// through `edit` and every section re-framed with a valid hash: what
+/// the truncation and bit-flip sweeps never produce, a *well-framed*
+/// hostile file, so only the decoders' own validation stands between
+/// the edit and a restored network.
+fn with_section(fixture: &[u8], tag: u8, edit: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
     let sections = read_container(fixture, &CKPT_MAGIC, CKPT_VERSION).expect("fixture parses");
     let mut out = Vec::new();
     write_header(&CKPT_MAGIC, CKPT_VERSION, &mut out);
     for section in sections {
-        if section.tag != SEC_ROUTERS {
+        if section.tag == tag {
+            write_section(tag, &edit(&section.payload), &mut out);
+        } else {
             write_section(section.tag, &section.payload, &mut out);
-            continue;
         }
+    }
+    out
+}
+
+/// The fixture with the first router's Adj-RIB-Out entries edited.
+fn with_first_adj_rib_out(fixture: &[u8], edit: impl Fn(&mut Vec<(Asn, Route)>)) -> Vec<u8> {
+    const SEC_ROUTERS: u8 = 3;
+    with_section(fixture, SEC_ROUTERS, |payload| {
         // ROUTERS: count, then per router its ASN and dynamic state,
         // which opens with Adj-RIB-In, Loc-RIB and Adj-RIB-Out, each a
         // counted list.
-        let payload = section.payload;
-        let mut r = Reader::new(&payload);
+        let mut r = Reader::new(payload);
         let offset = |r: &Reader<'_>| payload.len() - r.remaining();
         u32::decode(&mut r).expect("router count");
         Asn::decode(&mut r).expect("first router");
-        for _ in 0..u32::decode(&mut r).expect("Adj-RIB-In count") {
-            Asn::decode(&mut r).expect("Adj-RIB-In neighbor");
-            Route::decode(&mut r).expect("Adj-RIB-In route");
-        }
-        for _ in 0..u32::decode(&mut r).expect("Loc-RIB count") {
-            Candidate::decode(&mut r).expect("Loc-RIB entry");
-        }
+        Vec::<(Asn, Route)>::decode(&mut r).expect("Adj-RIB-In");
+        Vec::<Candidate>::decode(&mut r).expect("Loc-RIB");
         let start = offset(&r);
-        let mut entries = Vec::new();
-        for _ in 0..u32::decode(&mut r).expect("Adj-RIB-Out count") {
-            let neighbor = Asn::decode(&mut r).expect("Adj-RIB-Out neighbor");
-            entries.push((neighbor, Route::decode(&mut r).expect("Adj-RIB-Out route")));
-        }
+        let mut entries = Vec::<(Asn, Route)>::decode(&mut r).expect("Adj-RIB-Out");
         let end = offset(&r);
         edit(&mut entries);
         let mut edited = payload[..start].to_vec();
-        (entries.len() as u32).encode(&mut edited);
-        for (neighbor, route) in &entries {
-            neighbor.encode(&mut edited);
-            route.encode(&mut edited);
-        }
+        entries.encode(&mut edited);
         edited.extend_from_slice(&payload[end..]);
-        write_section(SEC_ROUTERS, &edited, &mut out);
-    }
-    out
+        edited
+    })
 }
 
 #[test]
@@ -566,6 +560,67 @@ fn inconsistent_adj_rib_out_is_a_typed_error() {
             "{tag}: got {err:?}"
         );
     }
+}
+
+/// The fixture with META's options edited.
+fn with_meta_options(fixture: &[u8], edit: impl Fn(&mut InstantiateOptions)) -> Vec<u8> {
+    const SEC_META: u8 = 1;
+    with_section(fixture, SEC_META, |payload| {
+        // META: shard count, options, then topology and origin table.
+        let mut r = Reader::new(payload);
+        let shards = u64::decode(&mut r).expect("shard count");
+        let mut options = InstantiateOptions::decode(&mut r).expect("options");
+        edit(&mut options);
+        let mut edited = shards.to_wire();
+        options.encode(&mut edited);
+        edited.extend_from_slice(&payload[payload.len() - r.remaining()..]);
+        edited
+    })
+}
+
+#[test]
+fn hostile_options_in_a_well_framed_meta_never_panic() {
+    let fixture = checkpoint_bytes_fixture();
+    assert_eq!(with_meta_options(&fixture, |_| {}), fixture);
+
+    // Restore re-runs key generation with the saved options, and RSA
+    // key generation asserts on its size: an unsupported one has to be
+    // refused while META is decoded.
+    for key_bits in [7, 126, 513, 1 << 40] {
+        let bad = with_meta_options(&fixture, |options| {
+            options.signed = true;
+            options.key_bits = key_bits;
+        });
+        let err = must_fail(restore_mutilated(bad, "meta-key-bits"), "unsupported key size");
+        assert!(
+            matches!(err, CheckpointError::Corrupt("unsupported RSA key size")),
+            "key_bits {key_bits}: got {err:?}"
+        );
+    }
+
+    // Likewise the observability window, which the timeline asserts
+    // to be positive.
+    let bad = with_meta_options(&fixture, |options| {
+        options.timeline_window = Some(SimDuration::ZERO);
+    });
+    let err = must_fail(restore_mutilated(bad, "meta-window"), "zero timeline window");
+    assert!(
+        matches!(err, CheckpointError::Corrupt("timeline window must be positive")),
+        "got {err:?}"
+    );
+
+    // A journal capacity is a logical ring bound, not a reservation:
+    // an absurd one restores (the routers' own saved journals, disabled
+    // in this fixture, replace it) and replays like the intact file.
+    let absurd = with_meta_options(&fixture, |options| options.journal_capacity = 1 << 62);
+    let mut restored = restore_mutilated(absurd, "meta-journal").expect("journal bound is logical");
+    let mut intact = restore_mutilated(fixture, "meta-intact").expect("intact fixture restores");
+    for asn in intact.ases() {
+        assert_eq!(restored.router(asn).journal().capacity(), 0);
+    }
+    assert_eq!(restored.converge(RunLimits::none()), StopReason::Quiescent);
+    assert_eq!(intact.converge(RunLimits::none()), StopReason::Quiescent);
+    assert_eq!(restored.rib_fingerprint(), intact.rib_fingerprint());
 }
 
 proptest! {
