@@ -17,7 +17,7 @@ use crate::session::{BitReveal, PvrParams, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::Asn;
 use pvr_crypto::keys::KeyStore;
-use pvr_mht::{EquivocationEvidence, SignedRoot};
+use pvr_mht::{EquivocationEvidence, ProofBatch, SignedRoot};
 
 /// Transferable evidence that a network misbehaved in one round.
 #[derive(Clone, Debug)]
@@ -162,7 +162,8 @@ impl<'a> Auditor<'a> {
                 if let Err(v) = self.check_root(accused, round, signed_root) {
                     return v;
                 }
-                if let Err(v) = Self::check_reveal(signed_root, reveal, false, self.params) {
+                let mut batch = ProofBatch::new(signed_root.root);
+                if let Err(v) = Self::check_reveal(&mut batch, reveal, false, self.params) {
                     return v;
                 }
                 // The provider's chain must verify as delivered to the
@@ -186,7 +187,8 @@ impl<'a> Auditor<'a> {
                 if let Err(v) = self.check_root(accused, round, signed_root) {
                     return v;
                 }
-                if let Err(v) = Self::check_reveal(signed_root, reveal, true, self.params) {
+                let mut batch = ProofBatch::new(signed_root.root);
+                if let Err(v) = Self::check_reveal(&mut batch, reveal, true, self.params) {
                     return v;
                 }
                 if let Err(v) = self.check_export(accused, round, exported, *receiver) {
@@ -203,7 +205,8 @@ impl<'a> Auditor<'a> {
                 if let Err(v) = self.check_root(accused, round, signed_root) {
                     return v;
                 }
-                if let Err(v) = Self::check_reveal(signed_root, reveal, false, self.params) {
+                let mut batch = ProofBatch::new(signed_root.root);
+                if let Err(v) = Self::check_reveal(&mut batch, reveal, false, self.params) {
                     return v;
                 }
                 if let Err(v) = self.check_export(accused, round, exported, *receiver) {
@@ -224,10 +227,12 @@ impl<'a> Auditor<'a> {
                 if lo.index >= hi.index {
                     return Verdict::Rejected("indices not increasing");
                 }
-                if let Err(v) = Self::check_reveal(signed_root, lo, true, self.params) {
+                // Both reveals bind to the one root: one batch.
+                let mut batch = ProofBatch::new(signed_root.root);
+                if let Err(v) = Self::check_reveal(&mut batch, lo, true, self.params) {
                     return v;
                 }
-                if let Err(v) = Self::check_reveal(signed_root, hi, false, self.params) {
+                if let Err(v) = Self::check_reveal(&mut batch, hi, false, self.params) {
                     return v;
                 }
                 Verdict::Guilty
@@ -272,7 +277,7 @@ impl<'a> Auditor<'a> {
     }
 
     fn check_reveal(
-        root: &SignedRoot,
+        batch: &mut ProofBatch,
         reveal: &BitReveal,
         expected_bit: bool,
         params: PvrParams,
@@ -288,7 +293,7 @@ impl<'a> Auditor<'a> {
         if reveal.proof.label != expected_label {
             return Err(Verdict::Rejected("reveal label does not match index"));
         }
-        if !reveal.proof.verify(&root.root) {
+        if !batch.verify(&reveal.proof) {
             return Err(Verdict::Rejected("reveal proof does not match root"));
         }
         match reveal.bit() {

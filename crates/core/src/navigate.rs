@@ -12,7 +12,7 @@
 use crate::record::{verify_content, verify_preds, verify_succs, VertexContent, VertexRecord};
 use crate::session::GraphReveal;
 use pvr_crypto::sha256::Digest;
-use pvr_mht::Label;
+use pvr_mht::{Label, ProofBatch};
 use pvr_rfg::OperatorKind;
 use std::collections::BTreeMap;
 
@@ -55,9 +55,10 @@ impl VisibleGraph {
     /// must open its commitment.
     pub fn reconstruct(reveals: &[GraphReveal], root: &Digest) -> Result<VisibleGraph, NavError> {
         let mut vertices = BTreeMap::new();
+        let mut batch = ProofBatch::new(*root);
         for r in reveals {
             let label = r.proof.label.clone();
-            if !r.proof.verify(root) {
+            if !batch.verify(&r.proof) {
                 return Err(NavError::BadProof(label));
             }
             let record: VertexRecord = pvr_crypto::decode_exact(&r.proof.payload)

@@ -18,7 +18,7 @@ use crate::session::{BitReveal, Disclosure, PvrParams, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::Asn;
 use pvr_crypto::keys::KeyStore;
-use pvr_mht::{EquivocationEvidence, Label, SignedRoot};
+use pvr_mht::{EquivocationEvidence, Label, ProofBatch, SignedRoot};
 use std::collections::BTreeMap;
 
 /// The result of one neighbor's verification.
@@ -75,14 +75,16 @@ fn check_root<'a>(
     Ok(root)
 }
 
-/// Validates one bit reveal against the root; returns the bit.
-fn check_reveal(root: &SignedRoot, reveal: &BitReveal) -> Result<bool, Suspicion> {
+/// Validates one bit reveal against the root `batch` is bound to (one
+/// batch per signed root: the reveals of a disclosure share most of
+/// their tree nodes); returns the bit.
+fn check_reveal(batch: &mut ProofBatch, reveal: &BitReveal) -> Result<bool, Suspicion> {
     let expected_label = if reveal.index == 0 {
         Label::Slot(crate::session::SLOT_EXIST, 0)
     } else {
         Label::Slot(crate::session::SLOT_MIN_BITS, reveal.index)
     };
-    if reveal.proof.label != expected_label || !reveal.proof.verify(&root.root) {
+    if reveal.proof.label != expected_label || !batch.verify(&reveal.proof) {
         return Err(Suspicion::BadReveal { index: reveal.index });
     }
     reveal.bit().ok_or(Suspicion::BadReveal { index: reveal.index })
@@ -103,6 +105,7 @@ pub fn verify_as_provider(
         Ok(r) => r,
         Err(s) => return Outcome::Suspect(s),
     };
+    let mut batch = ProofBatch::new(root.root);
     let reveals: BTreeMap<u32, &BitReveal> =
         disclosure.bit_reveals.iter().map(|r| (r.index, r)).collect();
     for sr in my_routes {
@@ -114,7 +117,7 @@ pub fn verify_as_provider(
             Some(r) => *r,
             None => return Outcome::Suspect(Suspicion::MissingReveal { index: len }),
         };
-        match check_reveal(root, reveal) {
+        match check_reveal(&mut batch, reveal) {
             Err(s) => return Outcome::Suspect(s),
             Ok(true) => {}
             Ok(false) => {
@@ -150,7 +153,7 @@ pub fn verify_as_provider_existential(
         Some(r) => r,
         None => return Outcome::Suspect(Suspicion::MissingReveal { index: 0 }),
     };
-    match check_reveal(root, reveal) {
+    match check_reveal(&mut ProofBatch::new(root.root), reveal) {
         Err(s) => Outcome::Suspect(s),
         Ok(true) => Outcome::Accept,
         Ok(false) => Outcome::Accuse(Evidence::IgnoredInput {
@@ -176,6 +179,7 @@ pub fn verify_as_receiver(
         Err(s) => return Outcome::Suspect(s),
     };
     // Collect and validate all k bits.
+    let mut batch = ProofBatch::new(root.root);
     let reveals: BTreeMap<u32, &BitReveal> =
         disclosure.bit_reveals.iter().map(|r| (r.index, r)).collect();
     let mut bits = Vec::with_capacity(params.max_path_len);
@@ -184,7 +188,7 @@ pub fn verify_as_receiver(
             Some(r) => *r,
             None => return Outcome::Suspect(Suspicion::MissingReveal { index: i }),
         };
-        match check_reveal(root, reveal) {
+        match check_reveal(&mut batch, reveal) {
             Ok(b) => bits.push(b),
             Err(s) => return Outcome::Suspect(s),
         }
@@ -268,7 +272,7 @@ pub fn verify_as_receiver_existential(
         Some(r) => r,
         None => return Outcome::Suspect(Suspicion::MissingReveal { index: 0 }),
     };
-    let bit = match check_reveal(root, reveal) {
+    let bit = match check_reveal(&mut ProofBatch::new(root.root), reveal) {
         Ok(b) => b,
         Err(s) => return Outcome::Suspect(s),
     };

@@ -14,8 +14,15 @@
 //! variable-length custom labels carry a length prefix — so the valid
 //! label set is prefix-free, exactly as the construction requires.
 
+use pvr_crypto::encoding::{Reader, Wire, WireError};
+
 /// A bit string (MSB-first within each byte), the path of an MHT leaf.
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// Ordered by its padded bytes, then its length: among strings that
+/// share their first `n` bits and are longer than `n`, every one whose
+/// bit `n` is 0 sorts before every one whose bit `n` is 1 — the order
+/// [`crate::SparseMht`] builds in.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BitString {
     bytes: Vec<u8>,
     len_bits: usize,
@@ -88,10 +95,31 @@ impl BitString {
 
     /// Canonical bytes for hashing: bit length then padded bytes.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.bytes.len());
-        out.extend_from_slice(&(self.len_bits as u32).to_be_bytes());
-        out.extend_from_slice(&self.bytes);
-        out
+        let (len, bytes) = self.canonical_parts();
+        [len.as_slice(), bytes].concat()
+    }
+
+    /// The two parts of [`Self::canonical_bytes`], for hashing without
+    /// building the concatenation.
+    pub(crate) fn canonical_parts(&self) -> ([u8; 4], &[u8]) {
+        ((self.len_bits as u32).to_be_bytes(), &self.bytes)
+    }
+
+    /// Writes into `out` the canonical bytes of the sibling subtree at
+    /// `depth` — of `self.prefix(depth).push(!self.bit(depth))` —
+    /// without building that string.
+    pub(crate) fn sibling_canonical_into(&self, depth: usize, out: &mut Vec<u8>) {
+        let flipped = !self.bit(depth);
+        out.clear();
+        out.extend_from_slice(&(depth as u32 + 1).to_be_bytes());
+        out.extend_from_slice(&self.bytes[..=depth / 8]);
+        let mask = 1u8 << (7 - depth % 8);
+        let last = out.last_mut().expect("at least one path byte");
+        // Keep the bits above `depth`, set bit `depth`, zero the rest.
+        *last &= !(mask | (mask - 1));
+        if flipped {
+            *last |= mask;
+        }
     }
 }
 
@@ -128,9 +156,26 @@ impl Label {
     const TAG_SLOT: u8 = 0x03;
     const TAG_CUSTOM: u8 = 0x04;
 
+    /// Longest [`Label::Custom`] body: its bitstring carries the length
+    /// as a `u16`, and a longer body would wrap it — `Custom(vec![0;
+    /// 65536])` would encode length 0 and have `Custom(vec![])` as a
+    /// prefix. Such a label has no bitstring: it does not decode,
+    /// [`crate::SparseMht::build`] refuses it and a proof carrying it
+    /// does not verify.
+    pub const MAX_CUSTOM_LEN: usize = u16::MAX as usize;
+
     /// Encodes to the prefix-free bitstring that addresses the MHT leaf.
+    ///
+    /// # Panics
+    /// On a `Custom` body over [`Self::MAX_CUSTOM_LEN`]; where the label
+    /// comes from outside, use [`Self::try_to_bits`].
     pub fn to_bits(&self) -> BitString {
-        let mut bytes = Vec::new();
+        self.try_to_bits().expect("custom label body over Label::MAX_CUSTOM_LEN")
+    }
+
+    /// [`Self::to_bits`], or `None` for a label that has no bitstring.
+    pub fn try_to_bits(&self) -> Option<BitString> {
+        let mut bytes = Vec::with_capacity(9);
         match self {
             Label::Var(v) => {
                 bytes.push(Self::TAG_VAR);
@@ -147,20 +192,64 @@ impl Label {
             }
             Label::Custom(data) => {
                 bytes.push(Self::TAG_CUSTOM);
-                bytes.extend_from_slice(&(data.len() as u16).to_be_bytes());
+                bytes.extend_from_slice(&u16::try_from(data.len()).ok()?.to_be_bytes());
                 bytes.extend_from_slice(data);
             }
         }
-        BitString::from_bytes(&bytes)
+        let len_bits = bytes.len() * 8;
+        Some(BitString { bytes, len_bits })
     }
 }
 
-pvr_crypto::wire_enum!(Label {
-    Self::TAG_VAR => Var(v),
-    Self::TAG_RULE => Rule(r),
-    Self::TAG_SLOT => Slot(group, idx),
-    Self::TAG_CUSTOM => Custom(data),
-});
+/// Hand-written: decode rejects a `Custom` body over
+/// [`Label::MAX_CUSTOM_LEN`], so every label that arrives has a
+/// bitstring. The bytes are those of the derived enum codec (one tag
+/// byte, then the fields).
+impl Wire for Label {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Label::Var(v) => {
+                buf.push(Self::TAG_VAR);
+                v.encode(buf);
+            }
+            Label::Rule(r) => {
+                buf.push(Self::TAG_RULE);
+                r.encode(buf);
+            }
+            Label::Slot(group, idx) => {
+                buf.push(Self::TAG_SLOT);
+                group.encode(buf);
+                idx.encode(buf);
+            }
+            Label::Custom(data) => {
+                buf.push(Self::TAG_CUSTOM);
+                data.encode(buf);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::decode(r)? {
+            Self::TAG_VAR => Ok(Label::Var(u32::decode(r)?)),
+            Self::TAG_RULE => Ok(Label::Rule(u32::decode(r)?)),
+            Self::TAG_SLOT => Ok(Label::Slot(u32::decode(r)?, u32::decode(r)?)),
+            Self::TAG_CUSTOM => {
+                let data = Vec::<u8>::decode(r)?;
+                if data.len() > Self::MAX_CUSTOM_LEN {
+                    return Err(WireError::Invalid("custom label over 65535 bytes"));
+                }
+                Ok(Label::Custom(data))
+            }
+            _ => Err(WireError::Invalid("Label tag")),
+        }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Label::Var(_) | Label::Rule(_) => 4,
+            Label::Slot(..) => 8,
+            Label::Custom(data) => data.encoded_len(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -216,15 +305,36 @@ mod tests {
             Label::Custom(vec![1]),
             Label::Custom(vec![1, 2]),
             Label::Custom(vec![0x01, 0x00, 0x00, 0x00, 0x00]), // mimics Var(0) body
+            Label::Custom(vec![0; 255]),
+            Label::Custom(vec![0; 256]),
+            Label::Custom(vec![0; Label::MAX_CUSTOM_LEN]),
         ];
-        for (i, a) in labels.iter().enumerate() {
-            for (j, b) in labels.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let (ba, bb) = (a.to_bits(), b.to_bits());
-                assert!(!ba.is_prefix_of(&bb), "{a:?} is a prefix of {b:?}");
+        let bits: Vec<BitString> = labels.iter().map(Label::to_bits).collect();
+        for (i, a) in bits.iter().enumerate() {
+            for (j, b) in bits.iter().enumerate() {
+                assert!(i == j || !a.is_prefix_of(b), "{:?} is a prefix of {:?}", a, b);
             }
+        }
+    }
+
+    #[test]
+    fn over_long_custom_label_has_no_bitstring() {
+        // One byte more and the u16 length would wrap to 0, making
+        // `Custom(vec![])` a prefix of it.
+        // (`tests/wire.rs` has the decode side of the same bound.)
+        let over = Label::Custom(vec![0; Label::MAX_CUSTOM_LEN + 1]);
+        assert_eq!(over.try_to_bits(), None);
+        let fits = Label::Custom(vec![0; Label::MAX_CUSTOM_LEN]);
+        assert_eq!(fits.to_bits().len(), 8 * (3 + Label::MAX_CUSTOM_LEN));
+    }
+
+    #[test]
+    fn sibling_canonical_bytes_match_the_built_string() {
+        let path = Label::Slot(0x8001_00ff, 0x7f00_ff01).to_bits();
+        let mut out = Vec::new();
+        for depth in 0..path.len() {
+            path.sibling_canonical_into(depth, &mut out);
+            assert_eq!(out, path.prefix(depth).push(!path.bit(depth)).canonical_bytes(), "{depth}");
         }
     }
 

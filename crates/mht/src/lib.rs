@@ -7,7 +7,9 @@
 //! * [`trie`] — the sparse MHT: instantiated leaves, path nodes, and
 //!   **blinded phantom siblings** indistinguishable from real subtree
 //!   hashes, so a disclosure "does not reveal the presence or absence of
-//!   any vertices other than x";
+//!   any vertices other than x"; and [`ProofBatch`], which checks the
+//!   proofs of one disclosure against one root hashing each tree node
+//!   they share once, with the verdicts of [`InclusionProof::verify`];
 //! * [`seqtree`] — the "small MHT" for signing BGP update bursts in
 //!   batches and revealing routes individually;
 //! * [`signed_root`] — signed root commitments, gossiped among neighbors,
@@ -21,4 +23,4 @@ pub mod trie;
 pub use label::{BitString, Label};
 pub use seqtree::{SeqProof, SeqTree};
 pub use signed_root::{CommitContext, EquivocationEvidence, SignedRoot};
-pub use trie::{unblinded_phantom, InclusionProof, SiblingBlinding, SparseMht};
+pub use trie::{unblinded_phantom, InclusionProof, ProofBatch, SiblingBlinding, SparseMht};

@@ -396,6 +396,24 @@ fn every_wire_type_holds_the_catalog_contract() {
     );
 }
 
+/// The one row that must *not* decode: a `Custom` label body over
+/// `u16::MAX` has no prefix-free bitstring (its `u16` length would wrap,
+/// making `Custom(vec![])` a prefix of it), so it is refused where
+/// hostile bytes enter — alone and inside everything that carries a
+/// label. One byte less is the longest label there is, and round-trips.
+#[test]
+fn over_long_custom_label_is_a_typed_error() {
+    let refused = WireError::Invalid("custom label over 65535 bytes");
+    let over = Label::Custom(vec![0; Label::MAX_CUSTOM_LEN + 1]);
+    assert_eq!(decode_exact::<Label>(&over.to_wire()), Err(refused.clone()));
+    let proof = InclusionProof { label: over, payload: b"x".to_vec(), siblings: vec![] };
+    assert_eq!(decode_exact::<InclusionProof>(&proof.to_wire()), Err(refused.clone()));
+    let reveal = BitReveal { index: 1, proof };
+    assert_eq!(decode_exact::<BitReveal>(&reveal.to_wire()), Err(refused));
+
+    assert_round_trips("Label", &Label::Custom(vec![0xa5; Label::MAX_CUSTOM_LEN]));
+}
+
 /// SHA-256 over each row's samples (`u64` length ‖ bytes, in order).
 const GOLDEN: &[(&str, &str)] = &[
     ("u8", "e50e47a0d8d5e8bb5968aa63682c751caec67d58474795b97aba9c5592336e9a"),
