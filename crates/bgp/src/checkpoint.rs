@@ -329,8 +329,10 @@ impl BgpNetwork {
         dump_snapshots(&labeled)
     }
 
-    /// Serializes the whole network into checkpoint-container bytes. The
-    /// refusal checks run first so a refused call does nothing at all.
+    /// Serializes the whole network into checkpoint-container bytes.
+    /// Every step that can refuse or fail runs before the one that
+    /// changes the network, so a refused or failed call does nothing
+    /// at all.
     fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
         if self.private_verifier().is_some() {
             return Err(CheckpointError::Refused(
@@ -342,12 +344,12 @@ impl BgpNetwork {
                 "a router has active malice, which is not reconstructible from the topology",
             ));
         }
+        let engine = self.sim.save_state()?;
+        let meta = self.meta_bytes()?;
         // Fold the checkpoint instant into the RIB history so the STORE
         // section always covers "now" and `route_at` works right after
         // restore.
         self.snapshot_rib();
-        let engine = self.sim.save_state()?;
-        let meta = self.meta_bytes()?;
         let routers = self.routers_bytes();
         let caches = self.caches_bytes();
         let store = self.store_bytes();

@@ -20,6 +20,7 @@
 
 use crate::route::Route;
 use crate::types::Asn;
+use pvr_crypto::Wire;
 use std::cmp::Ordering;
 
 /// A candidate in the decision process: a route plus the neighbor it was
@@ -48,6 +49,50 @@ impl Candidate {
 // (and what the copy-on-write RIB store keeps per snapshot cell), so
 // they carry the same canonical encoding routes do on the wire.
 pvr_crypto::wire_struct!(Candidate { route, learned_from });
+
+/// A [`Candidate`] borrowed from where its route is stored. The router
+/// keeps a selected route once — in the Adj-RIB-In entry or the local
+/// origination that won — and hands it out in this form.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CandidateRef<'a> {
+    /// The route under consideration.
+    pub route: &'a Route,
+    /// Which neighbor advertised it.
+    pub learned_from: Option<Asn>,
+}
+
+impl Candidate {
+    /// This candidate, borrowed.
+    pub fn borrowed(&self) -> CandidateRef<'_> {
+        CandidateRef { route: &self.route, learned_from: self.learned_from }
+    }
+}
+
+impl<'a> CandidateRef<'a> {
+    /// A locally originated route as a candidate.
+    pub fn local(route: &'a Route) -> CandidateRef<'a> {
+        CandidateRef { route, learned_from: None }
+    }
+
+    /// An owned copy (the route's path and communities stay shared).
+    pub fn to_candidate(self) -> Candidate {
+        Candidate { route: self.route.clone(), learned_from: self.learned_from }
+    }
+
+    /// Appends exactly the bytes [`Candidate`]'s encoding of the same
+    /// route and neighbor would.
+    pub fn encode(self, buf: &mut Vec<u8>) {
+        self.route.encode(buf);
+        self.learned_from.encode(buf);
+    }
+
+    /// [`CandidateRef::encode`] into a fresh vector.
+    pub fn to_wire(self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.encode(&mut buf);
+        buf
+    }
+}
 
 /// Compares two candidates; `Ordering::Greater` means `a` is preferred.
 pub fn prefer(a: &Candidate, b: &Candidate) -> Ordering {

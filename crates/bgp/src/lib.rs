@@ -55,7 +55,7 @@ pub mod workload;
 
 pub use checkpoint::{CheckpointError, CKPT_MAGIC, CKPT_VERSION};
 pub use dampening::{DampState, DampeningPolicy};
-pub use decision::{best, prefer, Candidate};
+pub use decision::{best, prefer, Candidate, CandidateRef};
 pub use messages::BgpUpdate;
 pub use partition::{cut_edges, partition_by_degree};
 pub use path::AsPath;

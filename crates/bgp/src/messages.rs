@@ -25,6 +25,11 @@ impl BgpUpdate {
         self.announces.is_empty() && self.withdraws.is_empty()
     }
 
+    /// Announcements plus withdrawals carried.
+    fn len(&self) -> usize {
+        self.announces.len() + self.withdraws.len()
+    }
+
     /// Merges `newer` into `self` with BGP replacement semantics: for
     /// each prefix the *latest* action wins — a new announcement
     /// supersedes a buffered announcement or withdrawal for the same
@@ -38,10 +43,48 @@ impl BgpUpdate {
     /// buffered entries keep their order, then newer entries follow in
     /// arrival order (for duplicated announce prefixes, the position of
     /// the last occurrence; for duplicated withdraws, the first).
+    ///
+    /// A merge of a handful of entries — under churn nearly all of
+    /// them: one new entry into a buffer holding none or one — applies
+    /// those sequential semantics directly, where the scans are a few
+    /// comparisons and building three hash tables is the whole cost.
     pub fn merge(&mut self, newer: BgpUpdate) {
         if newer.is_empty() {
             return;
         }
+        if self.len() + newer.len() <= Self::MERGE_BY_SCAN_MAX {
+            self.merge_by_scan(newer);
+        } else {
+            self.merge_by_hash(newer);
+        }
+    }
+
+    /// Most entries, buffered and newer together, that [`merge`]
+    /// handles with linear scans instead of hash tables.
+    ///
+    /// [`merge`]: BgpUpdate::merge
+    const MERGE_BY_SCAN_MAX: usize = 8;
+
+    /// [`merge`](BgpUpdate::merge), one entry of `newer` at a time:
+    /// quadratic, allocation-free, and the definition of the order the
+    /// hash-table path reproduces.
+    fn merge_by_scan(&mut self, newer: BgpUpdate) {
+        for w in newer.withdraws {
+            self.announces.retain(|sr| sr.route.prefix != w);
+            if !self.withdraws.contains(&w) {
+                self.withdraws.push(w);
+            }
+        }
+        for a in newer.announces {
+            let prefix = a.route.prefix;
+            self.withdraws.retain(|&p| p != prefix);
+            self.announces.retain(|sr| sr.route.prefix != prefix);
+            self.announces.push(a);
+        }
+    }
+
+    /// [`merge`](BgpUpdate::merge) through per-prefix hash tables.
+    fn merge_by_hash(&mut self, newer: BgpUpdate) {
         // Final per-prefix action of `newer`: announces supersede
         // withdraws for the same prefix; a later announce supersedes an
         // earlier one (keyed by last occurrence).
@@ -95,6 +138,7 @@ mod tests {
     use super::*;
     use crate::route::Route;
     use crate::types::Asn;
+    use proptest::prelude::*;
 
     fn prefix() -> Prefix {
         Prefix::parse("10.0.0.0/8").unwrap()
@@ -123,22 +167,6 @@ mod tests {
         assert_eq!(empty.wire_size(), empty.to_wire().len());
     }
 
-    /// Reference implementation of the pre-E14 sequential merge; the
-    /// per-prefix-map rebuild must match it action for action.
-    fn merge_reference(base: &mut BgpUpdate, newer: BgpUpdate) {
-        for w in newer.withdraws {
-            base.announces.retain(|sr| sr.route.prefix != w);
-            if !base.withdraws.contains(&w) {
-                base.withdraws.push(w);
-            }
-        }
-        for a in newer.announces {
-            base.withdraws.retain(|&p| p != a.route.prefix);
-            base.announces.retain(|sr| sr.route.prefix != a.route.prefix);
-            base.announces.push(a);
-        }
-    }
-
     fn announce_for(p: Prefix, via: u32) -> SignedRoute {
         SignedRoute::unsigned(Route::originate(p).propagated_by(Asn(via)))
     }
@@ -163,14 +191,51 @@ mod tests {
             ],
             withdraws: vec![p(1), p(4), p(6)],
         };
+        // Eleven entries: past the scan threshold, so `merge` takes the
+        // hash-table path; the sequential scan is the reference.
         let mut expect = buffered.clone();
-        merge_reference(&mut expect, newer.clone());
+        expect.merge_by_scan(newer.clone());
         buffered.merge(newer);
         assert_eq!(buffered, expect);
         let vias: Vec<u32> =
             buffered.announces.iter().map(|sr| sr.route.path.first_as().unwrap().0).collect();
         assert_eq!(vias, vec![20, 20, 21], "p2, p3, then the second p5 announce");
         assert_eq!(buffered.withdraws, vec![p(4), p(1), p(6)]);
+    }
+
+    proptest! {
+        /// Around the scan threshold — 0 to 12 entries a side, over six
+        /// prefixes so that they collide within `newer` and across the
+        /// two updates — the scan path, the hash-table path and
+        /// whichever of them `merge` picks agree entry for entry.
+        #[test]
+        fn merge_paths_agree_on_small_updates(
+            buffered in proptest::collection::vec((0u32..6, any::<bool>()), 0..=12),
+            newer in proptest::collection::vec((0u32..6, any::<bool>()), 0..=12),
+        ) {
+            let p = |i: u32| Prefix::new(i << 8, 24);
+            let update = |entries: &[(u32, bool)], via: u32| {
+                let mut update = BgpUpdate::default();
+                for (i, &(prefix, withdraw)) in entries.iter().enumerate() {
+                    if withdraw {
+                        update.withdraws.push(p(prefix));
+                    } else {
+                        update.announces.push(announce_for(p(prefix), via + i as u32));
+                    }
+                }
+                update
+            };
+            // A buffer is itself the product of merges: no prefix twice.
+            let mut base = BgpUpdate::default();
+            base.merge_by_scan(update(&buffered, 100));
+            let newer = update(&newer, 200);
+            let (mut scanned, mut hashed, mut merged) = (base.clone(), base.clone(), base);
+            scanned.merge_by_scan(newer.clone());
+            hashed.merge_by_hash(newer.clone());
+            merged.merge(newer);
+            prop_assert_eq!(&hashed, &scanned);
+            prop_assert_eq!(&merged, &scanned);
+        }
     }
 
     /// MRAI-buffer scale case: ~1k prefixes of churn merged in a few
@@ -195,7 +260,7 @@ mod tests {
                 }
             }
             fast.merge(newer.clone());
-            merge_reference(&mut reference, newer);
+            reference.merge_by_scan(newer);
             assert_eq!(fast, reference);
         }
         // Sanity: the final buffer really is per-prefix deduplicated.

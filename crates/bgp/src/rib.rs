@@ -5,8 +5,9 @@
 //! Adj-RIB-Out is what it actually emitted. A promise is about one
 //! prefix, and so is every step of UPDATE processing, so the router
 //! keeps the three RIBs of one prefix together in a `PrefixCell`:
-//! the candidates heard, the route selected, and the route sent with
-//! the neighbors holding it. PVR's verifier and the experiments compare
+//! the candidates heard, which of them is selected, and — in the few
+//! cells that advertise anything — the route sent with the neighbors
+//! holding it. PVR's verifier and the experiments compare
 //! permitted vs. actual outputs through the router's accessors
 //! (`route_from`, `best_route`, `advertised_to`).
 //!
@@ -16,7 +17,7 @@
 //! [`AdjRibIn`] + [`LocRib`] containers, which the decision benchmark
 //! probe and the router's differential test model are built from.
 
-use crate::decision::{prefer_refs, Candidate};
+use crate::decision::{prefer_refs, Candidate, CandidateRef};
 use crate::route::Route;
 use crate::sorted::SortedMap;
 use crate::types::{Asn, Prefix};
@@ -139,17 +140,17 @@ impl ReselectOutcome {
 }
 
 /// What [`decide`] concluded.
-enum Decision {
+enum Decision<'a> {
     /// Keep the standing selection; carries which unchanged outcome.
     Keep(ReselectOutcome),
     /// Replace the selection with this one (`None`: nothing is
     /// selectable any more).
-    Select(Option<Candidate>),
+    Select(Option<CandidateRef<'a>>),
 }
 
 /// The decision process for one prefix: `current` is the standing
-/// selection, `candidates` the prefix's Adj-RIB-In, `local` the locally
-/// originated candidate.
+/// selection as the last decision left it, `candidates` the prefix's
+/// Adj-RIB-In, `local` the locally originated candidate.
 ///
 /// With [`ReselectHint::Neighbor`], an arrival that *loses* to the
 /// standing best (or a withdrawal of a non-best route) is decided
@@ -162,14 +163,15 @@ enum Decision {
 ///
 /// The full scan compares candidates by reference (in Adj-RIB-In
 /// order, local candidate last, ties resolved toward the later
-/// candidate exactly like `max_by` over the materialized vector) and
-/// clones a route only when the selection actually changes.
-fn decide(
-    current: Option<&Candidate>,
-    candidates: Option<&SortedMap<Asn, Route>>,
-    local: Option<&Candidate>,
+/// candidate exactly like `max_by` over the materialized vector); the
+/// selection comes back borrowed, and whether anything is cloned is up
+/// to the caller.
+fn decide<'a>(
+    current: Option<CandidateRef<'_>>,
+    candidates: Option<&'a SortedMap<Asn, Route>>,
+    local: Option<CandidateRef<'a>>,
     hint: ReselectHint,
-) -> Decision {
+) -> Decision<'a> {
     if let (ReselectHint::Neighbor(n), Some(cur)) = (hint, current) {
         // The incremental path applies only when the standing best is
         // *not* the changed neighbor's route (that case needs a rescan:
@@ -177,12 +179,15 @@ fn decide(
         if cur.learned_from != Some(n) {
             match candidates.and_then(|per| per.get(n)) {
                 None => return Decision::Keep(ReselectOutcome::UnchangedShortCircuit),
-                Some(r) => match prefer_refs(r, Some(n), &cur.route, cur.learned_from) {
+                Some(r) => match prefer_refs(r, Some(n), cur.route, cur.learned_from) {
                     Ordering::Less => {
                         return Decision::Keep(ReselectOutcome::UnchangedShortCircuit);
                     }
                     Ordering::Greater => {
-                        return Decision::Select(Some(Candidate::from_neighbor(r.clone(), n)));
+                        return Decision::Select(Some(CandidateRef {
+                            route: r,
+                            learned_from: Some(n),
+                        }));
                     }
                     // A tie against the standing best can only involve
                     // degenerate neighbor keys; resolve it with the full
@@ -195,25 +200,26 @@ fn decide(
 
     // Full scan by reference: later candidates win ties, matching
     // `Iterator::max_by` over [neighbors ascending, local last].
-    let learned = candidates.into_iter().flat_map(|per| per.iter()).map(|(n, r)| (r, Some(n)));
-    let mut new_best: Option<(&Route, Option<Asn>)> = None;
-    for (r, from) in learned.chain(local.map(|l| (&l.route, l.learned_from))) {
+    let learned = candidates
+        .into_iter()
+        .flat_map(|per| per.iter())
+        .map(|(n, route)| CandidateRef { route, learned_from: Some(n) });
+    let mut new_best: Option<CandidateRef<'a>> = None;
+    for cand in learned.chain(local) {
         new_best = match new_best {
-            Some((br, bf)) if prefer_refs(r, from, br, bf) == Ordering::Less => Some((br, bf)),
-            _ => Some((r, from)),
+            Some(best)
+                if prefer_refs(cand.route, cand.learned_from, best.route, best.learned_from)
+                    == Ordering::Less =>
+            {
+                Some(best)
+            }
+            _ => Some(cand),
         };
     }
-    let unchanged = match (new_best, current) {
-        (Some((route, from)), Some(cur)) => cur.learned_from == from && cur.route == *route,
-        (None, None) => true,
-        _ => false,
-    };
-    if unchanged {
+    if new_best == current {
         return Decision::Keep(ReselectOutcome::UnchangedScanned);
     }
-    Decision::Select(
-        new_best.map(|(route, learned_from)| Candidate { route: route.clone(), learned_from }),
-    )
+    Decision::Select(new_best)
 }
 
 /// The selected best route per prefix.
@@ -250,11 +256,13 @@ impl LocRib {
         local: Option<&Candidate>,
         hint: ReselectHint,
     ) -> ReselectOutcome {
-        match decide(self.best.get(&prefix), adj_in.routes.get(&prefix), local, hint) {
+        let current = self.best.get(&prefix).map(Candidate::borrowed);
+        let local = local.map(Candidate::borrowed);
+        match decide(current, adj_in.routes.get(&prefix), local, hint) {
             Decision::Keep(unchanged) => unchanged,
             Decision::Select(new) => {
                 match new {
-                    Some(cand) => self.best.insert(prefix, cand),
+                    Some(cand) => self.best.insert(prefix, cand.to_candidate()),
                     None => self.best.remove(&prefix),
                 };
                 ReselectOutcome::Changed
@@ -285,6 +293,50 @@ impl LocRib {
     }
 }
 
+/// Which entry of a [`PrefixCell`] the Loc-RIB selection is. The
+/// selected route is stored once, in that entry; the cell keeps only
+/// its name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub(crate) enum Selection {
+    /// Nothing is selected.
+    #[default]
+    None,
+    /// The candidate held from this neighbor.
+    Neighbor(Asn),
+    /// The local origination.
+    Local,
+}
+
+impl Selection {
+    /// The entry a candidate learned from `learned_from` lives in.
+    fn of(learned_from: Option<Asn>) -> Selection {
+        learned_from.map_or(Selection::Local, Selection::Neighbor)
+    }
+
+    /// The `learned_from` of the candidate in this entry.
+    fn learned_from(self) -> Option<Asn> {
+        match self {
+            Selection::Neighbor(n) => Some(n),
+            Selection::None | Selection::Local => None,
+        }
+    }
+}
+
+/// The part of a [`PrefixCell`] that only a cell which originates or
+/// advertises something has: 3 cells in 100 at Internet-like scale
+/// (DESIGN.md, "Per-prefix RIB cells"), so it lives behind one pointer.
+#[derive(Clone, Debug, Default)]
+struct Outbound {
+    /// The locally originated route, while this AS originates the
+    /// prefix.
+    local: Option<Route>,
+    /// Adj-RIB-Out: the route last advertised; `Some` exactly while
+    /// `out_to` is non-empty.
+    out: Option<Route>,
+    /// The neighbors currently holding `out`, in ASN order.
+    out_to: Vec<Asn>,
+}
+
 /// Everything a router knows about one prefix: its slice of the
 /// Adj-RIB-In, Loc-RIB and Adj-RIB-Out, and the local origination.
 ///
@@ -294,49 +346,202 @@ impl LocRib {
 /// per-neighbor entries of a prefix are always equal and only the set
 /// of holders varies (the argument is spelled out in DESIGN.md,
 /// "Per-prefix RIB cells").
+///
+/// Between handlers the selection names a present entry — a candidate
+/// or the local origination — and `outbound` exists exactly while it
+/// holds something; [`PrefixCell::check`] says so.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PrefixCell {
     /// Adj-RIB-In: the post-import route held from each neighbor, in
     /// ASN order (the order that makes tie-breaking deterministic).
     pub(crate) candidates: SortedMap<Asn, Route>,
-    /// Loc-RIB: the selected route.
-    pub(crate) best: Option<Candidate>,
-    /// The locally originated candidate, while this AS originates the
-    /// prefix.
-    pub(crate) local: Option<Candidate>,
-    /// Adj-RIB-Out: the route last advertised; `Some` exactly while
-    /// `out_to` is non-empty.
-    pub(crate) out: Option<Route>,
-    /// The neighbors currently holding `out`, in ASN order.
-    pub(crate) out_to: Vec<Asn>,
+    /// Loc-RIB: which entry is selected.
+    best: Selection,
+    /// Local origination and Adj-RIB-Out; allocated on first use,
+    /// dropped when it empties.
+    outbound: Option<Box<Outbound>>,
 }
 
 impl PrefixCell {
-    /// Runs the decision process over this cell and installs the
-    /// result.
-    pub(crate) fn reselect(&mut self, hint: ReselectHint) -> ReselectOutcome {
-        match decide(self.best.as_ref(), Some(&self.candidates), self.local.as_ref(), hint) {
-            Decision::Keep(unchanged) => unchanged,
-            Decision::Select(new) => {
-                self.best = new;
-                ReselectOutcome::Changed
-            }
+    /// The route stored in `entry`.
+    fn stored(&self, entry: Selection) -> Option<&Route> {
+        match entry {
+            Selection::None => None,
+            Selection::Neighbor(n) => self.candidates.get(n),
+            Selection::Local => self.local(),
         }
+    }
+
+    /// Loc-RIB: the selected route and where it was learned.
+    pub(crate) fn best(&self) -> Option<CandidateRef<'_>> {
+        if !self.has_best() {
+            return None;
+        }
+        let route = self.stored(self.best).expect("the selection names a present entry");
+        Some(CandidateRef { route, learned_from: self.best.learned_from() })
+    }
+
+    /// True when a route is selected.
+    pub(crate) fn has_best(&self) -> bool {
+        self.best != Selection::None
+    }
+
+    /// The locally originated route, while this AS originates the
+    /// prefix.
+    pub(crate) fn local(&self) -> Option<&Route> {
+        self.outbound.as_ref()?.local.as_ref()
+    }
+
+    /// Adj-RIB-Out: the route last advertised, if anyone holds it.
+    pub(crate) fn out(&self) -> Option<&Route> {
+        self.outbound.as_ref()?.out.as_ref()
+    }
+
+    /// The neighbors currently holding [`out`](Self::out), in ASN order.
+    pub(crate) fn out_to(&self) -> &[Asn] {
+        self.outbound.as_ref().map_or(&[], |outbound| &outbound.out_to)
     }
 
     /// What `neighbor` currently believes we advertise.
     pub(crate) fn advertised_to(&self, neighbor: Asn) -> Option<&Route> {
-        self.out_to.binary_search(&neighbor).ok().and(self.out.as_ref())
+        self.out_to().binary_search(&neighbor).ok().and(self.out())
+    }
+
+    /// Applies `edit` to the outbound part, which comes into being for
+    /// it and goes away again if the edit leaves it empty.
+    fn edit_outbound<T>(&mut self, edit: impl FnOnce(&mut Outbound) -> T) -> T {
+        let outbound = self.outbound.get_or_insert_with(Box::default);
+        let result = edit(outbound);
+        if outbound.local.is_none() && outbound.out_to.is_empty() {
+            debug_assert!(outbound.out.is_none(), "one route per holder set");
+            self.outbound = None;
+        }
+        result
+    }
+
+    /// Starts (`Some`) or stops (`None`) originating the prefix and
+    /// returns the origination this displaces, which the reselection
+    /// that must follow takes.
+    pub(crate) fn set_local(&mut self, route: Option<Route>) -> Option<Route> {
+        if route.is_none() && self.outbound.is_none() {
+            return None;
+        }
+        self.edit_outbound(|outbound| std::mem::replace(&mut outbound.local, route))
+    }
+
+    /// Replaces the Adj-RIB-Out: `route` is now held by exactly
+    /// `holders` (ascending); no holders, no route.
+    pub(crate) fn set_out(&mut self, route: Option<Route>, holders: &[Asn]) {
+        if holders.is_empty() && self.outbound.is_none() {
+            return;
+        }
+        self.edit_outbound(|outbound| {
+            outbound.out_to.clear();
+            outbound.out_to.extend_from_slice(holders);
+            outbound.out = if holders.is_empty() { None } else { route };
+        });
+    }
+
+    /// Adds `neighbor` to the holders of `route`, which every present
+    /// holder must already have.
+    pub(crate) fn add_holder(&mut self, neighbor: Asn, route: Route) {
+        let Err(slot) = self.out_to().binary_search(&neighbor) else { return };
+        self.edit_outbound(|outbound| {
+            debug_assert!(outbound.out.as_ref().is_none_or(|out| *out == route));
+            outbound.out_to.insert(slot, neighbor);
+            outbound.out = Some(route);
+        });
+    }
+
+    /// Forgets that `neighbor` holds the advertised route.
+    pub(crate) fn remove_holder(&mut self, neighbor: Asn) {
+        let Ok(slot) = self.out_to().binary_search(&neighbor) else { return };
+        self.edit_outbound(|outbound| {
+            outbound.out_to.remove(slot);
+            if outbound.out_to.is_empty() {
+                outbound.out = None;
+            }
+        });
+    }
+
+    /// Installs a saved selection as is, bypassing the decision
+    /// process. Returns false, changing nothing, when no entry of the
+    /// cell holds `saved`.
+    #[must_use]
+    pub(crate) fn restore_best(&mut self, saved: &Candidate) -> bool {
+        let entry = Selection::of(saved.learned_from);
+        let present = self.stored(entry) == Some(&saved.route);
+        if present {
+            self.best = entry;
+        }
+        present
+    }
+
+    /// Runs the decision process over this cell and installs the
+    /// result.
+    ///
+    /// The caller has changed at most one entry since the last
+    /// selection — under [`ReselectHint::Neighbor`] that neighbor's
+    /// candidate, under [`ReselectHint::Full`] the local origination —
+    /// and `displaced` is what that entry held when the last selection
+    /// was made (what the first `insert`, `remove` or
+    /// [`set_local`](Self::set_local) since then returned). When the
+    /// standing selection is that very entry, `displaced` is the
+    /// standing best route: the cell itself no longer has it.
+    pub(crate) fn reselect(
+        &mut self,
+        hint: ReselectHint,
+        displaced: Option<&Route>,
+    ) -> ReselectOutcome {
+        let edited = match hint {
+            ReselectHint::Neighbor(n) => Selection::Neighbor(n),
+            ReselectHint::Full => Selection::Local,
+        };
+        let standing = if self.best == edited { displaced } else { self.stored(self.best) };
+        debug_assert_eq!(standing.is_some(), self.has_best(), "the selection named an entry");
+        let current =
+            standing.map(|route| CandidateRef { route, learned_from: self.best.learned_from() });
+        let local = self.local().map(CandidateRef::local);
+        match decide(current, Some(&self.candidates), local, hint) {
+            Decision::Keep(unchanged) => unchanged,
+            Decision::Select(new) => {
+                self.best = new.map_or(Selection::None, |cand| Selection::of(cand.learned_from));
+                ReselectOutcome::Changed
+            }
+        }
     }
 
     /// True when nothing is heard, selected, originated or advertised:
     /// the router drops such a cell, so a prefix it no longer knows
     /// costs nothing and the RIB counts read as the entries present.
     pub(crate) fn is_vacant(&self) -> bool {
-        self.candidates.is_empty()
-            && self.best.is_none()
-            && self.local.is_none()
-            && self.out_to.is_empty()
+        self.candidates.is_empty() && !self.has_best() && self.outbound.is_none()
+    }
+
+    /// What must hold of a cell between handlers, beyond what the
+    /// router checks against its sessions: the selection names a
+    /// present entry and is what a from-scratch decision picks, the
+    /// outbound part is absent when empty, and an advertised route
+    /// exists exactly while someone holds it.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.has_best() && self.stored(self.best).is_none() {
+            return Err("selection names an absent entry");
+        }
+        let local = self.local().map(CandidateRef::local);
+        match decide(None, Some(&self.candidates), local, ReselectHint::Full) {
+            Decision::Select(scratch) if scratch == self.best() => {}
+            Decision::Keep(_) if !self.has_best() => {}
+            _ => return Err("selection differs from a from-scratch decision"),
+        }
+        if let Some(outbound) = &self.outbound {
+            if outbound.local.is_none() && outbound.out_to.is_empty() {
+                return Err("empty outbound part retained");
+            }
+        }
+        if self.out().is_some() == self.out_to().is_empty() {
+            return Err("advertised route without holders, or holders without one");
+        }
+        Ok(())
     }
 }
 
@@ -354,6 +559,138 @@ mod tests {
         r.path = AsPath::from_slice(&path.iter().map(|&a| Asn(a)).collect::<Vec<_>>());
         r.local_pref = lp;
         r
+    }
+
+    /// A converged 3 000-AS network holds 768 000 cells and 1.17 M
+    /// candidates: a field added to any of these is paid that many
+    /// times (DESIGN.md, "Per-prefix RIB cells", has the budget).
+    #[test]
+    fn hot_layouts_stay_small() {
+        use std::mem::size_of;
+        assert!(size_of::<PrefixCell>() <= 48, "PrefixCell is {} B", size_of::<PrefixCell>());
+        assert!(size_of::<Selection>() <= 8, "Selection is {} B", size_of::<Selection>());
+        assert!(size_of::<Route>() <= 56, "Route is {} B", size_of::<Route>());
+        assert!(size_of::<Candidate>() <= 64, "Candidate is {} B", size_of::<Candidate>());
+        let entry = size_of::<(Asn, Route)>();
+        assert!(entry <= 64, "an Adj-RIB-In entry is {entry} B");
+    }
+
+    fn cell_with(candidates: &[(u32, Route)]) -> PrefixCell {
+        let mut cell = PrefixCell::default();
+        for (n, r) in candidates {
+            cell.candidates.insert(Asn(*n), r.clone());
+        }
+        cell.reselect(ReselectHint::Full, None);
+        cell.check().expect("fresh cell");
+        cell
+    }
+
+    /// The selection is a name, so the standing best route of the
+    /// neighbor that just changed exists only in what the change
+    /// displaced: each outcome the owned-copy decision gave must come
+    /// out of that.
+    #[test]
+    fn cell_reselect_compares_against_the_displaced_route() {
+        let hint = ReselectHint::Neighbor(Asn(1));
+        let mut cell = cell_with(&[(1, route(&[1], 100)), (2, route(&[2, 8], 100))]);
+        assert_eq!(cell.best().unwrap().learned_from, Some(Asn(1)));
+
+        // The selected neighbor re-announces the same route: rescanned,
+        // unchanged.
+        let displaced = cell.candidates.insert(Asn(1), route(&[1], 100));
+        assert_eq!(cell.reselect(hint, displaced.as_ref()), ReselectOutcome::UnchangedScanned);
+
+        // A different route that still wins: same entry, but a change.
+        let displaced = cell.candidates.insert(Asn(1), route(&[1, 7], 100));
+        assert_eq!(cell.reselect(hint, displaced.as_ref()), ReselectOutcome::Changed);
+        assert_eq!(cell.best().unwrap().route.path_len(), 2);
+
+        // One that loses hands the selection over.
+        let displaced = cell.candidates.insert(Asn(1), route(&[1, 7, 9], 100));
+        assert_eq!(cell.reselect(hint, displaced.as_ref()), ReselectOutcome::Changed);
+        assert_eq!(cell.best().unwrap().learned_from, Some(Asn(2)));
+
+        // Now it is a non-selected neighbor's churn: one comparison.
+        let displaced = cell.candidates.remove(Asn(1));
+        assert_eq!(cell.reselect(hint, displaced.as_ref()), ReselectOutcome::UnchangedShortCircuit);
+        cell.check().expect("after neighbor churn");
+
+        // Withdrawing the last candidate leaves nothing selected.
+        let displaced = cell.candidates.remove(Asn(2));
+        let outcome = cell.reselect(ReselectHint::Neighbor(Asn(2)), displaced.as_ref());
+        assert_eq!(outcome, ReselectOutcome::Changed);
+        assert!(cell.best().is_none() && cell.is_vacant());
+    }
+
+    /// The outbound part exists exactly while the cell originates or
+    /// advertises something, and an origination displaced while it is
+    /// the selection is what the reselection compares against.
+    #[test]
+    fn cell_outbound_part_comes_and_goes() {
+        let mut cell = cell_with(&[(1, route(&[1], 100))]);
+        assert!(cell.outbound.is_none());
+        cell.set_out(Some(route(&[9, 1], 100)), &[]);
+        cell.remove_holder(Asn(3));
+        assert!(cell.set_local(None).is_none());
+        assert!(cell.outbound.is_none(), "nothing to hold, nothing allocated");
+
+        let displaced = cell.set_local(Some(route(&[], 100)));
+        assert_eq!(cell.reselect(ReselectHint::Full, displaced.as_ref()), ReselectOutcome::Changed);
+        assert_eq!(cell.best().unwrap().learned_from, None);
+        // Originating it again changes nothing.
+        let displaced = cell.set_local(Some(route(&[], 100)));
+        let outcome = cell.reselect(ReselectHint::Full, displaced.as_ref());
+        assert_eq!(outcome, ReselectOutcome::UnchangedScanned);
+
+        cell.set_out(Some(route(&[9], 100)), &[Asn(2), Asn(4)]);
+        cell.add_holder(Asn(3), route(&[9], 100));
+        assert_eq!(cell.out_to(), &[Asn(2), Asn(3), Asn(4)]);
+        assert_eq!(cell.advertised_to(Asn(3)), Some(&route(&[9], 100)));
+        assert_eq!(cell.advertised_to(Asn(5)), None);
+        cell.check().expect("originating and advertising");
+
+        // The origination goes, the holders keep the part alive …
+        let displaced = cell.set_local(None);
+        assert_eq!(cell.reselect(ReselectHint::Full, displaced.as_ref()), ReselectOutcome::Changed);
+        assert_eq!(cell.best().unwrap().learned_from, Some(Asn(1)));
+        assert!(cell.outbound.is_some());
+        // … until the last of them is gone.
+        for holder in [Asn(2), Asn(3), Asn(4)] {
+            cell.remove_holder(holder);
+        }
+        assert!(cell.outbound.is_none() && cell.out().is_none());
+        cell.check().expect("back to a bare cell");
+    }
+
+    /// What `check` is for: a selection naming an entry that is not
+    /// there, or not the one a fresh decision picks, and an outbound
+    /// part kept while empty.
+    #[test]
+    fn cell_check_names_what_is_broken() {
+        let good = cell_with(&[(1, route(&[1], 100)), (2, route(&[2, 8], 100))]);
+
+        let mut dangling = good.clone();
+        dangling.best = Selection::Neighbor(Asn(7));
+        assert_eq!(dangling.check(), Err("selection names an absent entry"));
+        dangling.best = Selection::Local;
+        assert_eq!(dangling.check(), Err("selection names an absent entry"));
+
+        let mut stale = good.clone();
+        stale.best = Selection::Neighbor(Asn(2));
+        assert_eq!(stale.check(), Err("selection differs from a from-scratch decision"));
+        stale.best = Selection::None;
+        assert_eq!(stale.check(), Err("selection differs from a from-scratch decision"));
+
+        let mut hollow = good.clone();
+        hollow.outbound = Some(Box::default());
+        assert_eq!(hollow.check(), Err("empty outbound part retained"));
+
+        let mut saved = good.clone();
+        assert!(!saved.restore_best(&Candidate::from_neighbor(route(&[2], 100), Asn(2))));
+        assert!(!saved.restore_best(&Candidate::local(route(&[], 100))));
+        assert_eq!(saved.best, Selection::Neighbor(Asn(1)), "a refused restore changes nothing");
+        assert!(saved.restore_best(&Candidate::from_neighbor(route(&[2, 8], 100), Asn(2))));
+        assert_eq!(saved.best().unwrap().learned_from, Some(Asn(2)));
     }
 
     #[test]

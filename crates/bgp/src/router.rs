@@ -49,7 +49,7 @@
 //! driven by the fault layer, not a peer FSM), no iBGP, no aggregation.
 
 use crate::dampening::{DampState, DampeningPolicy};
-use crate::decision::Candidate;
+use crate::decision::{Candidate, CandidateRef};
 use crate::messages::BgpUpdate;
 use crate::policy::{import_as, may_export_as, PolicyConfig, Role};
 use crate::private::{PrivateRequest, PrivateVerifier, PVR_VERDICT_TIMER};
@@ -188,7 +188,8 @@ struct Neighbor {
 /// The per-prefix RIB index. Cells are boxed: a bucket is then a prefix
 /// and a pointer, so the table — which hashbrown keeps at most half
 /// full after it grows — stays small and dense, and a lookup touches
-/// one bucket line plus the cell's own.
+/// one bucket line plus the cell's own (a cell is 40 bytes: the
+/// layout test in `rib.rs` holds it there).
 type Cells = HashMap<Prefix, Box<PrefixCell>>;
 
 /// A BGP speaker for one AS.
@@ -266,9 +267,10 @@ pub struct BgpRouter {
     /// reason (attestation or origin failure) — the campaign engine's
     /// detection-latency measurement.
     first_security_reject: Option<SimTime>,
-    /// Reused buffer for the prefixes an UPDATE touched (per-message
-    /// allocation shaved off the hot path).
-    touched_scratch: Vec<Prefix>,
+    /// Reused buffer for the prefixes an UPDATE touched, each with the
+    /// route the touch displaced (per-message allocation shaved off
+    /// the hot path).
+    touched_scratch: Vec<(Prefix, Option<Route>)>,
     /// Reused per-neighbor outgoing-update accumulator (drained by
     /// `flush`, allocation retained across messages).
     pending_scratch: SortedMap<NodeId, BgpUpdate>,
@@ -507,9 +509,10 @@ impl BgpRouter {
         &self.stats
     }
 
-    /// The current best route for `prefix`, if any.
-    pub fn best_route(&self, prefix: Prefix) -> Option<&Candidate> {
-        self.cells.get(&prefix)?.best.as_ref()
+    /// The current best route for `prefix`, if any, borrowed from the
+    /// Adj-RIB-In entry or local origination that won.
+    pub fn best_route(&self, prefix: Prefix) -> Option<CandidateRef<'_>> {
+        self.cells.get(&prefix)?.best()
     }
 
     /// What this router last advertised to `neighbor` for `prefix`.
@@ -550,7 +553,7 @@ impl BgpRouter {
     /// All prefixes currently selected in the Loc-RIB, in prefix order.
     pub fn selected_prefixes(&self) -> Vec<Prefix> {
         let mut out: Vec<Prefix> =
-            self.cells.iter().filter(|(_, cell)| cell.best.is_some()).map(|(&p, _)| p).collect();
+            self.cells.iter().filter(|(_, cell)| cell.has_best()).map(|(&p, _)| p).collect();
         out.sort_unstable();
         out
     }
@@ -559,17 +562,19 @@ impl BgpRouter {
     /// experiment E14's RIB-size accounting.
     pub fn rib_entry_counts(&self) -> (usize, usize) {
         self.cells.values().fold((0, 0), |(adj_in, selected), cell| {
-            (adj_in + cell.candidates.len(), selected + usize::from(cell.best.is_some()))
+            (adj_in + cell.candidates.len(), selected + usize::from(cell.has_best()))
         })
     }
 
     /// Checks what must hold of the RIB between events, and says which
-    /// prefix breaks what: the selection equals a from-scratch decision
-    /// over the candidates; the advertised route is the propagated form
-    /// of the selection and exists exactly while someone holds it;
-    /// holders are configured neighbors with a live session; nothing is
-    /// held or parked from a torn-down session; no vacant cell lingers;
-    /// the suppressed-pair count matches the dampening states.
+    /// prefix breaks what: the selection names a present entry and
+    /// equals a from-scratch decision over the candidates; the part of
+    /// a cell only originating or advertising cells have is absent when
+    /// empty; the advertised route is the propagated form of the
+    /// selection and exists exactly while someone holds it; holders are
+    /// configured neighbors with a live session; nothing is held or
+    /// parked from a torn-down session; no vacant cell lingers; the
+    /// suppressed-pair count matches the dampening states.
     /// Tests call this at quiescent end states.
     pub fn check_invariants(&self) -> Result<(), String> {
         let fail = |prefix: Prefix, what: &str| Err(format!("AS{} {prefix}: {what}", self.asn.0));
@@ -577,22 +582,17 @@ impl BgpRouter {
             if cell.is_vacant() {
                 return fail(prefix, "vacant cell retained");
             }
-            let mut scratch = PrefixCell { best: None, ..(**cell).clone() };
-            scratch.reselect(ReselectHint::Full);
-            if scratch.best != cell.best {
-                return fail(prefix, "selection differs from a from-scratch decision");
+            if let Err(what) = cell.check() {
+                return fail(prefix, what);
             }
-            if cell.out.is_some() == cell.out_to.is_empty() {
-                return fail(prefix, "advertised route without holders, or holders without one");
-            }
-            let propagated = cell.best.as_ref().map(|cand| cand.route.propagated_by(self.asn));
-            if cell.out.is_some() && cell.out != propagated {
+            let propagated = cell.best().map(|cand| cand.route.propagated_by(self.asn));
+            if cell.out().is_some() && cell.out() != propagated.as_ref() {
                 return fail(prefix, "advertised route is not the propagated selection");
             }
-            if !cell.out_to.windows(2).all(|pair| pair[0] < pair[1]) {
+            if !cell.out_to().windows(2).all(|pair| pair[0] < pair[1]) {
                 return fail(prefix, "holder list not strictly ascending");
             }
-            for &holder in &cell.out_to {
+            for &holder in cell.out_to() {
                 if self.neighbor_index(holder).is_err() {
                     return fail(prefix, "holder is not a configured neighbor");
                 }
@@ -624,7 +624,9 @@ impl BgpRouter {
     ///
     /// `hint` feeds the incremental decision path: an arrival that
     /// loses to the standing best returns after one comparison, with
-    /// no candidate rescan and no export loop.
+    /// no candidate rescan and no export loop. `displaced` is what the
+    /// entry `hint` names held at the last selection (see
+    /// [`PrefixCell::reselect`]).
     ///
     /// Returns whether the cell is left vacant, for the caller — which
     /// holds the map the cell lives in — to drop it.
@@ -634,10 +636,11 @@ impl BgpRouter {
         prefix: Prefix,
         cell: &mut PrefixCell,
         hint: ReselectHint,
+        displaced: Option<Route>,
         now: SimTime,
         pending: &mut SortedMap<NodeId, BgpUpdate>,
     ) -> bool {
-        match cell.reselect(hint) {
+        match cell.reselect(hint, displaced.as_ref()) {
             ReselectOutcome::UnchangedShortCircuit => self.stats.reselect_short_circuits += 1,
             ReselectOutcome::UnchangedScanned => {}
             ReselectOutcome::Changed => {
@@ -658,11 +661,12 @@ impl BgpRouter {
         cells: &mut Cells,
         prefix: Prefix,
         hint: ReselectHint,
+        displaced: Option<Route>,
         now: SimTime,
         pending: &mut SortedMap<NodeId, BgpUpdate>,
     ) {
         let Some(cell) = cells.get_mut(&prefix) else { return };
-        if self.reselect_and_export(prefix, cell, hint, now, pending) {
+        if self.reselect_and_export(prefix, cell, hint, displaced, now, pending) {
             cells.remove(&prefix);
         }
     }
@@ -677,7 +681,7 @@ impl BgpRouter {
     /// mine" vote is true).
     fn request_private_verification(&mut self, prefix: Prefix, cell: &PrefixCell) {
         let Some(verifier) = &self.private_verifier else { return };
-        let Some(best) = &cell.best else { return };
+        let Some(best) = cell.best() else { return };
         if best.learned_from.is_none() {
             return; // locally originated: no neighbors to compare
         }
@@ -709,20 +713,20 @@ impl BgpRouter {
     /// `source` is `cand.learned_from` with that neighbor's role.
     fn may_send(
         &self,
-        cand: &Candidate,
+        cand: CandidateRef<'_>,
         source: Option<(Asn, Option<Role>)>,
         to: &Neighbor,
     ) -> bool {
         if self.malice.leak_all {
             cand.learned_from != Some(to.asn)
         } else {
-            may_export_as(&cand.route, source, (to.asn, to.role))
+            may_export_as(cand.route, source, (to.asn, to.role))
         }
     }
 
     /// `cand.learned_from` paired with that neighbor's role, the form
     /// [`may_send`](Self::may_send) takes it in.
-    fn source_of(&self, cand: &Candidate) -> Option<(Asn, Option<Role>)> {
+    fn source_of(&self, cand: CandidateRef<'_>) -> Option<(Asn, Option<Role>)> {
         cand.learned_from.map(|n| (n, self.neighbor(n).and_then(|nb| nb.role)))
     }
 
@@ -744,15 +748,19 @@ impl BgpRouter {
         now: SimTime,
         pending: &mut SortedMap<NodeId, BgpUpdate>,
     ) {
-        debug_assert_eq!(cell.out.is_some(), !cell.out_to.is_empty(), "one route per holder set");
-        let best = cell.best.as_ref();
+        debug_assert_eq!(
+            cell.out().is_some(),
+            !cell.out_to().is_empty(),
+            "one route per holder set"
+        );
+        let best = cell.best();
         // The propagated route is identical toward every neighbor
         // (LOCAL_PREF/MED reset, path prepended): build it once.
         let out_route = best.map(|cand| cand.route.propagated_by(self.asn));
-        let unchanged = out_route == cell.out;
+        let unchanged = out_route.as_ref() == cell.out();
         let source = best.and_then(|cand| self.source_of(cand));
         let mut holders = std::mem::take(&mut self.holders_scratch);
-        let mut held_by = cell.out_to.iter().copied().peekable();
+        let mut held_by = cell.out_to().iter().copied().peekable();
         for i in 0..self.neighbor_list.len() {
             // Indexed access keeps the borrow local so counters and
             // recorders can be touched inside the loop.
@@ -766,7 +774,7 @@ impl BgpRouter {
                 }
                 continue;
             }
-            match best.filter(|cand| self.may_send(cand, source, &neighbor)) {
+            match best.filter(|&cand| self.may_send(cand, source, &neighbor)) {
                 Some(cand) => {
                     holders.push(neighbor.asn);
                     // Skip if identical to what the neighbor already has.
@@ -786,16 +794,14 @@ impl BgpRouter {
             }
         }
         debug_assert!(held_by.next().is_none(), "an Adj-RIB-Out holder is not a neighbor");
-        cell.out_to.clear();
-        cell.out_to.extend_from_slice(&holders);
-        cell.out = if holders.is_empty() { None } else { out_route };
+        cell.set_out(out_route, &holders);
         holders.clear();
         self.holders_scratch = holders;
     }
 
     /// Builds the (possibly attested) announcement of `out_route` to
     /// `neighbor`, extending the received chain when one exists.
-    fn sign_for(&self, cand: &Candidate, out_route: &Route, neighbor: Asn) -> SignedRoute {
+    fn sign_for(&self, cand: CandidateRef<'_>, out_route: &Route, neighbor: Asn) -> SignedRoute {
         match &self.security {
             SecurityMode::Plain => SignedRoute::unsigned(out_route.clone()),
             SecurityMode::Signed { identity, .. } => match cand.learned_from {
@@ -812,14 +818,15 @@ impl BgpRouter {
     }
 
     /// Processes one announcement from `from` at simulated time `now`;
-    /// returns the prefix's cell if its Adj-RIB-In changed.
+    /// if the prefix's Adj-RIB-In changed, returns its cell and the
+    /// route the change displaced.
     fn process_announce<'c>(
         &mut self,
         cells: &'c mut Cells,
         from: &Neighbor,
         sr: SignedRoute,
         now: SimTime,
-    ) -> Option<&'c mut PrefixCell> {
+    ) -> Option<(&'c mut PrefixCell, Option<Route>)> {
         // Attestation check first (signed mode only).
         if let SecurityMode::Signed { keys, .. } = &self.security {
             let cache = self.verify_cache.as_deref();
@@ -868,23 +875,23 @@ impl BgpRouter {
             Some(imported) => {
                 self.stats.routes_accepted += 1;
                 let cell: &mut PrefixCell = cells.entry(prefix).or_default();
-                cell.candidates.insert(from.asn, imported);
+                let displaced = cell.candidates.insert(from.asn, imported);
                 // Chains only matter when this router re-signs
                 // announcements (or feeds a PVR round); plain mode
                 // skips the bookkeeping entirely.
                 if matches!(self.security, SecurityMode::Signed { .. }) {
                     self.chains_in.insert((from.asn, prefix), sr);
                 }
-                Some(cell)
+                Some((cell, displaced))
             }
             None => {
                 self.stats.routes_rejected += 1;
                 // An unimportable announcement still implicitly withdraws
                 // any previous route from this neighbor.
                 let cell = cells.get_mut(&prefix)?;
-                cell.candidates.remove(from.asn)?;
+                let displaced = cell.candidates.remove(from.asn)?;
                 self.chains_in.remove(&(from.asn, prefix));
-                Some(cell)
+                Some((cell, Some(displaced)))
             }
         }
     }
@@ -973,27 +980,23 @@ impl BgpRouter {
         // candidate set; the cells that lost a candidate are then
         // settled in prefix order, which fixes the order of the
         // withdraws this emits.
-        let mut lost: Vec<(Prefix, &mut PrefixCell)> = Vec::new();
+        let mut lost: Vec<(Prefix, &mut PrefixCell, Route)> = Vec::new();
         for (&prefix, cell) in cells.iter_mut() {
-            if let Ok(i) = cell.out_to.binary_search(&peer) {
-                cell.out_to.remove(i);
-                if cell.out_to.is_empty() {
-                    cell.out = None;
-                }
-            }
-            if cell.candidates.remove(peer).is_some() {
-                lost.push((prefix, cell));
+            cell.remove_holder(peer);
+            if let Some(displaced) = cell.candidates.remove(peer) {
+                lost.push((prefix, cell, displaced));
             }
         }
-        lost.sort_unstable_by_key(|&(prefix, _)| prefix);
+        lost.sort_unstable_by_key(|&(prefix, ..)| prefix);
         let mut vacated = Vec::new();
-        for (prefix, cell) in lost {
+        let hint = ReselectHint::Neighbor(peer);
+        for (prefix, cell, displaced) in lost {
             self.chains_in.remove(&(peer, prefix));
             self.parked.remove(&(peer, prefix));
             // A session loss withdraws the route as far as dampening is
             // concerned (RFC 2439 counts it as a flap).
             self.penalize(peer, prefix, now);
-            if self.reselect_and_export(prefix, cell, ReselectHint::Neighbor(peer), now, pending) {
+            if self.reselect_and_export(prefix, cell, hint, Some(displaced), now, pending) {
                 vacated.push(prefix);
             }
         }
@@ -1013,24 +1016,26 @@ impl BgpRouter {
         let mut cells = std::mem::take(&mut self.cells);
         let mut selected: Vec<(Prefix, &mut PrefixCell)> = cells
             .iter_mut()
-            .filter(|(_, cell)| cell.best.is_some())
+            .filter(|(_, cell)| cell.has_best())
             .map(|(&prefix, cell)| (prefix, &mut **cell))
             .collect();
         selected.sort_unstable_by_key(|&(prefix, _)| prefix);
         for (_, cell) in selected {
-            let cand = cell.best.as_ref().expect("filtered on a selection");
+            let cand = cell.best().expect("filtered on a selection");
             if !self.may_send(cand, self.source_of(cand), &peer) {
                 continue;
             }
-            let Err(slot) = cell.out_to.binary_search(&peer.asn) else { continue };
+            if cell.advertised_to(peer.asn).is_some() {
+                continue;
+            }
             // Every holder has the propagated form of the current
             // selection, so the peer joins them with that same route.
-            let out_route = cell.out.take().unwrap_or_else(|| cand.route.propagated_by(self.asn));
+            let out_route =
+                cell.out().cloned().unwrap_or_else(|| cand.route.propagated_by(self.asn));
             debug_assert_eq!(out_route, cand.route.propagated_by(self.asn));
             let signed = self.sign_for(cand, &out_route, peer.asn);
             pending.get_or_default(peer.node).announces.push(signed);
-            cell.out_to.insert(slot, peer.asn);
-            cell.out = Some(out_route);
+            cell.add_holder(peer.asn, out_route);
         }
         self.cells = cells;
     }
@@ -1064,11 +1069,12 @@ impl BgpRouter {
         for (from, prefix) in released {
             let Some(sr) = self.parked.remove(&(from, prefix)) else { continue };
             let Some(neighbor) = self.neighbor(from) else { continue };
-            let Some(cell) = self.process_announce(&mut cells, &neighbor, sr, now) else {
+            let Some((cell, displaced)) = self.process_announce(&mut cells, &neighbor, sr, now)
+            else {
                 continue;
             };
             let hint = ReselectHint::Neighbor(from);
-            if self.reselect_and_export(prefix, cell, hint, now, &mut pending) {
+            if self.reselect_and_export(prefix, cell, hint, displaced, now, &mut pending) {
                 cells.remove(&prefix);
             }
         }
@@ -1115,15 +1121,15 @@ impl BgpRouter {
         }
         // Loc-RIB: candidates re-key by their route's prefix on load.
         (loc_rib_len as u32).encode(buf);
-        for best in cells.iter().filter_map(|(_, cell)| cell.best.as_ref()) {
+        for best in cells.iter().filter_map(|(_, cell)| cell.best()) {
             best.encode(buf);
         }
         // Adj-RIB-Out: one (neighbor, route) entry per holder, in
         // (neighbor, prefix) order.
         let mut adj_out: Vec<(Asn, Prefix, &Route)> = Vec::new();
         for &(prefix, cell) in &cells {
-            if let Some(route) = &cell.out {
-                adj_out.extend(cell.out_to.iter().map(|&n| (n, prefix, route)));
+            if let Some(route) = cell.out() {
+                adj_out.extend(cell.out_to().iter().map(|&n| (n, prefix, route)));
             }
         }
         adj_out.sort_unstable_by_key(|&(n, p, _)| (n, p));
@@ -1137,10 +1143,10 @@ impl BgpRouter {
             n.encode(buf);
             sr.encode(buf);
         }
-        let local = cells.iter().filter_map(|(_, cell)| cell.local.as_ref());
+        let local = cells.iter().filter_map(|(_, cell)| cell.local());
         (local.clone().count() as u32).encode(buf);
-        for cand in local {
-            cand.encode(buf);
+        for route in local {
+            CandidateRef::local(route).encode(buf);
         }
         self.mrai_buffer.encode(buf);
         self.mrai_armed.encode(buf);
@@ -1202,13 +1208,7 @@ impl BgpRouter {
         for (n, route) in Vec::<(Asn, Route)>::decode(r)? {
             cells.entry(route.prefix).or_default().candidates.insert(n, route);
         }
-        for cand in Vec::<Candidate>::decode(r)? {
-            // Installed as saved, bypassing the decision process: the
-            // selection is what a reselect over the restored candidates
-            // would produce.
-            let cell = cells.entry(cand.route.prefix).or_default();
-            cell.best = Some(cand);
-        }
+        let loc_rib = Vec::<Candidate>::decode(r)?;
         // Adj-RIB-Out entries fold into one route per prefix plus its
         // holders, which is only faithful if the file's entries for a
         // prefix agree — as every file this router wrote does.
@@ -1217,22 +1217,33 @@ impl BgpRouter {
                 return Err(WireError::Invalid("Adj-RIB-Out entry for a non-neighbor"));
             }
             let cell = cells.entry(route.prefix).or_default();
-            let Err(slot) = cell.out_to.binary_search(&n) else {
+            if cell.advertised_to(n).is_some() {
                 return Err(WireError::Invalid("duplicate Adj-RIB-Out entry"));
-            };
-            match &cell.out {
-                Some(out) if *out != route => {
-                    return Err(WireError::Invalid("Adj-RIB-Out entries of one prefix disagree"));
-                }
-                Some(_) => {}
-                None => cell.out = Some(route),
             }
-            cell.out_to.insert(slot, n);
+            if cell.out().is_some_and(|out| *out != route) {
+                return Err(WireError::Invalid("Adj-RIB-Out entries of one prefix disagree"));
+            }
+            cell.add_holder(n, route);
         }
         let chains_in = by_prefix(r)?;
         for cand in Vec::<Candidate>::decode(r)? {
+            if cand.learned_from.is_some() {
+                return Err(WireError::Invalid("local origination learned from a neighbor"));
+            }
             let cell = cells.entry(cand.route.prefix).or_default();
-            cell.local = Some(cand);
+            cell.set_local(Some(cand.route));
+        }
+        // The Loc-RIB is installed as saved, bypassing the decision
+        // process: the selection is what a reselect over the restored
+        // candidates would produce. A cell stores its selected route
+        // once, in the entry that won, so a saved selection has to be
+        // one of the entries just loaded.
+        for cand in &loc_rib {
+            if !cells.get_mut(&cand.route.prefix).is_some_and(|cell| cell.restore_best(cand)) {
+                return Err(WireError::Invalid(
+                    "Loc-RIB entry is neither a candidate nor a local origination",
+                ));
+            }
         }
         let mrai_buffer = BTreeMap::<NodeId, BgpUpdate>::decode(r)?;
         if !mrai_buffer.keys().all(|node| self.asn_of_node.contains_key(node)) {
@@ -1332,9 +1343,16 @@ impl Agent<BgpUpdate> for BgpRouter {
         let mut cells = std::mem::take(&mut self.cells);
         for prefix in prefixes {
             let cell = cells.entry(prefix).or_default();
-            cell.local = Some(Candidate::local(Route::originate(prefix)));
+            let displaced = cell.set_local(Some(Route::originate(prefix)));
             // An originated prefix keeps its cell.
-            let _ = self.reselect_and_export(prefix, cell, ReselectHint::Full, now, &mut pending);
+            let _ = self.reselect_and_export(
+                prefix,
+                cell,
+                ReselectHint::Full,
+                displaced,
+                now,
+                &mut pending,
+            );
         }
         self.cells = cells;
         self.flush(ctx, &mut pending);
@@ -1372,15 +1390,16 @@ impl Agent<BgpUpdate> for BgpRouter {
         let mut pending = std::mem::take(&mut self.pending_scratch);
         let mut cells = std::mem::take(&mut self.cells);
         for prefix in msg.withdraws {
-            let withdrawn = cells
-                .get_mut(&prefix)
-                .and_then(|cell| cell.candidates.remove(from.asn).map(|_| cell));
-            if let Some(cell) = withdrawn {
+            let withdrawn = cells.get_mut(&prefix).and_then(|cell| {
+                cell.candidates.remove(from.asn).map(|displaced| (cell, Some(displaced)))
+            });
+            if let Some((cell, displaced)) = withdrawn {
                 self.chains_in.remove(&(from.asn, prefix));
                 self.penalize(from.asn, prefix, now);
                 if !single {
-                    touched.push(prefix);
-                } else if self.reselect_and_export(prefix, cell, hint, now, &mut pending) {
+                    touched.push((prefix, displaced));
+                } else if self.reselect_and_export(prefix, cell, hint, displaced, now, &mut pending)
+                {
                     cells.remove(&prefix);
                 }
             } else if self.parked.remove(&(from.asn, prefix)).is_some() {
@@ -1406,17 +1425,22 @@ impl Agent<BgpUpdate> for BgpRouter {
                     }
                 }
             }
-            let Some(cell) = self.process_announce(&mut cells, &from, sr, now) else { continue };
+            let Some((cell, displaced)) = self.process_announce(&mut cells, &from, sr, now) else {
+                continue;
+            };
             if !single {
-                touched.push(prefix);
-            } else if self.reselect_and_export(prefix, cell, hint, now, &mut pending) {
+                touched.push((prefix, displaced));
+            } else if self.reselect_and_export(prefix, cell, hint, displaced, now, &mut pending) {
                 cells.remove(&prefix);
             }
         }
-        touched.sort();
-        touched.dedup();
-        for prefix in touched.drain(..) {
-            self.reselect_prefix(&mut cells, prefix, hint, now, &mut pending);
+        // A prefix touched more than once settles once, against what
+        // its first touch displaced: the entry as the last selection
+        // saw it (the sort is stable, and `dedup` keeps the first).
+        touched.sort_by_key(|&(prefix, _)| prefix);
+        touched.dedup_by_key(|&mut (prefix, _)| prefix);
+        for (prefix, displaced) in touched.drain(..) {
+            self.reselect_prefix(&mut cells, prefix, hint, displaced, now, &mut pending);
         }
         self.cells = cells;
         self.touched_scratch = touched;
@@ -1449,22 +1473,17 @@ impl Agent<BgpUpdate> for BgpRouter {
             None => return,
         };
         let mut cells = std::mem::take(&mut self.cells);
-        let prefix = match event {
+        let (prefix, displaced) = match event {
             LocalEvent::Announce(p) => {
-                cells.entry(p).or_default().local = Some(Candidate::local(Route::originate(p)));
-                p
+                (p, cells.entry(p).or_default().set_local(Some(Route::originate(p))))
             }
-            LocalEvent::Withdraw(p) => {
-                if let Some(cell) = cells.get_mut(&p) {
-                    cell.local = None;
-                }
-                p
-            }
+            LocalEvent::Withdraw(p) => (p, cells.get_mut(&p).and_then(|cell| cell.set_local(None))),
         };
         let mut pending = std::mem::take(&mut self.pending_scratch);
         // A local origination/withdrawal changed the local candidate,
         // which the Neighbor hint cannot cover.
-        self.reselect_prefix(&mut cells, prefix, ReselectHint::Full, ctx.now(), &mut pending);
+        let now = ctx.now();
+        self.reselect_prefix(&mut cells, prefix, ReselectHint::Full, displaced, now, &mut pending);
         self.cells = cells;
         self.flush(ctx, &mut pending);
         self.pending_scratch = pending;
@@ -1847,7 +1866,8 @@ mod tests {
             );
             assert_eq!(router.selected_prefixes(), model.loc_rib.prefixes().collect::<Vec<_>>());
             for p in (0..4).map(prefix) {
-                assert_eq!(router.best_route(p), model.loc_rib.get(p), "{p} after slot {slot}");
+                let modeled = model.loc_rib.get(p).map(Candidate::borrowed);
+                assert_eq!(router.best_route(p), modeled, "{p} after slot {slot}");
                 for n in NEIGHBORS {
                     assert_eq!(router.route_from(n, p), model.adj_in.get(n, p), "{n} {p}");
                     assert_eq!(router.advertised_to(n, p), model.adj_out.get(&(n, p)), "{n} {p}");
@@ -1874,19 +1894,30 @@ mod tests {
         }
     }
 
-    /// A fresh router's dynamic state with `entries` spliced in as its
-    /// Adj-RIB-Out section (the third count-prefixed list).
-    fn blob_with_adj_out(entries: &[(Asn, Route)]) -> Vec<u8> {
+    /// The count-prefixed lists a router's dynamic state opens with.
+    const ADJ_IN: usize = 0;
+    const LOC_RIB: usize = 1;
+    const ADJ_OUT: usize = 2;
+    const LOCAL: usize = 4;
+
+    /// A fresh router's dynamic state with each `(index, encoded list)`
+    /// of `lists` spliced in for the empty list at that index.
+    fn blob_with_lists(lists: &[(usize, Vec<u8>)]) -> Vec<u8> {
         let mut fresh = Vec::new();
         router().save_dynamic(&mut fresh);
-        let mut blob = fresh[..8].to_vec(); // empty Adj-RIB-In, empty Loc-RIB
-        (entries.len() as u32).encode(&mut blob);
-        for (n, route) in entries {
-            n.encode(&mut blob);
-            route.encode(&mut blob);
+        let mut blob = Vec::new();
+        for index in 0..=LOCAL {
+            match lists.iter().find(|(at, _)| *at == index) {
+                Some((_, list)) => blob.extend_from_slice(list),
+                None => blob.extend_from_slice(&fresh[4 * index..4 * index + 4]),
+            }
         }
-        blob.extend_from_slice(&fresh[12..]);
+        blob.extend_from_slice(&fresh[4 * (LOCAL + 1)..]);
         blob
+    }
+
+    fn blob_with_adj_out(entries: &[(Asn, Route)]) -> Vec<u8> {
+        blob_with_lists(&[(ADJ_OUT, entries.to_vec().to_wire())])
     }
 
     #[test]
@@ -1903,8 +1934,7 @@ mod tests {
         ];
         for (entries, why) in cases {
             let mut router = router();
-            router.cells.entry(prefix(2)).or_default().local =
-                Some(Candidate::local(Route::originate(prefix(2))));
+            router.cells.entry(prefix(2)).or_default().set_local(Some(Route::originate(prefix(2))));
             let mut before = Vec::new();
             router.save_dynamic(&mut before);
             let blob = blob_with_adj_out(entries);
@@ -1921,5 +1951,55 @@ mod tests {
         assert_eq!(router.advertised_to(Asn(1), prefix(1)), Some(&sent));
         assert_eq!(router.advertised_to(Asn(2), prefix(1)), Some(&sent));
         assert_eq!(router.advertised_to(Asn(3), prefix(1)), None);
+    }
+
+    /// A cell stores its selected route in the entry that won, so a
+    /// saved Loc-RIB entry must equal a saved candidate or origination.
+    #[test]
+    fn load_installs_only_a_selection_some_entry_backs() {
+        let heard = Route::originate(prefix(1)).propagated_by(Asn(1));
+        let adj_in = (ADJ_IN, vec![(Asn(1), heard.clone())].to_wire());
+        let local = (LOCAL, vec![Candidate::local(Route::originate(prefix(2)))].to_wire());
+        let selections = vec![
+            Candidate::from_neighbor(heard.clone(), Asn(1)),
+            Candidate::local(Route::originate(prefix(2))),
+        ];
+        let mut loaded = router();
+        let blob =
+            blob_with_lists(&[adj_in.clone(), (LOC_RIB, selections.to_wire()), local.clone()]);
+        loaded.load_dynamic(&mut Reader::new(&blob)).expect("every selection is a stored entry");
+        assert_eq!(loaded.best_route(prefix(1)), Some(selections[0].borrowed()));
+        assert_eq!(loaded.best_route(prefix(2)), Some(selections[1].borrowed()));
+        loaded.check_invariants().expect("loaded RIB");
+        let mut saved = Vec::new();
+        loaded.save_dynamic(&mut saved);
+        assert_eq!(saved, blob, "what was loaded is what is saved");
+
+        let unbacked = "Loc-RIB entry is neither a candidate nor a local origination";
+        let cases: [(Candidate, Vec<Candidate>, &str); 4] = [
+            // The neighbor's route, but not the one held from it.
+            (Candidate::from_neighbor(heard.propagated_by(Asn(9)), Asn(1)), vec![], unbacked),
+            // A neighbor nothing is held from.
+            (Candidate::from_neighbor(heard.clone(), Asn(2)), vec![], unbacked),
+            // A local selection of a prefix that is not originated.
+            (Candidate::local(Route::originate(prefix(1))), vec![], unbacked),
+            // An origination that claims a neighbor.
+            (
+                selections[0].clone(),
+                vec![Candidate::from_neighbor(Route::originate(prefix(3)), Asn(1))],
+                "local origination learned from a neighbor",
+            ),
+        ];
+        for (selection, originations, why) in cases {
+            let mut router = router();
+            let blob = blob_with_lists(&[
+                adj_in.clone(),
+                (LOC_RIB, vec![selection].to_wire()),
+                (LOCAL, originations.to_wire()),
+            ]);
+            let err = router.load_dynamic(&mut Reader::new(&blob)).expect_err(why);
+            assert_eq!(err, WireError::Invalid(why));
+            assert_eq!(router.rib_entry_counts(), (0, 0), "a rejected blob loads nothing");
+        }
     }
 }

@@ -33,7 +33,7 @@ fn main() {
             baseline_routes.push((
                 a,
                 p,
-                baseline.router(a).best_route(p).expect("selected").clone(),
+                baseline.router(a).best_route(p).expect("selected").to_candidate(),
             ));
         }
     }
@@ -99,8 +99,10 @@ fn main() {
     // The recovery contract: once the schedule ends and the reuse
     // timer releases the parked routes, the RIBs are exactly the
     // never-faulted baseline's.
-    let intact =
-        baseline_routes.iter().filter(|(a, p, c)| net.router(*a).best_route(*p) == Some(c)).count();
+    let intact = baseline_routes
+        .iter()
+        .filter(|(a, p, c)| net.router(*a).best_route(*p) == Some(c.borrowed()))
+        .count();
     println!(
         "\nrecovered: {intact}/{} routes equal the never-faulted baseline",
         baseline_routes.len()

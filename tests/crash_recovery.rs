@@ -324,6 +324,36 @@ fn checkpoint_refuses_private_verification_and_malice() {
     assert!(matches!(err, CheckpointError::Refused(_)), "wrong error: {err:?}");
 }
 
+/// A checkpoint folds "now" into the RIB snapshot history; one that is
+/// refused or fails must not have done so.
+#[test]
+fn failed_checkpoint_leaves_no_snapshot_behind() {
+    let topology = small_internet(309);
+    let options = InstantiateOptions { seed: 309, ..Default::default() };
+    let mut net = topology.instantiate(options);
+    net.converge_with_snapshots(RunLimits::until(SimTime(30_000)), SimDuration::from_millis(10));
+    net.converge(RunLimits::until(SimTime(40_000)));
+    let before = net.snapshot_times();
+    // A snapshot now would be a new one, not a replacement of the last.
+    assert!(!before.is_empty() && *before.last().unwrap() < net.sim.now());
+
+    // One router with a table of its own: META cannot say which table
+    // the restored network should install.
+    let odd = topology.ases().next().expect("nonempty");
+    net.install_origin_table(std::sync::Arc::new(topology.origin_table()));
+    net.router_mut(odd).set_origin_table(std::sync::Arc::new(topology.origin_table()));
+    let err = net.checkpoint(&temp_path("refused-tables")).expect_err("divergent origin tables");
+    assert!(matches!(err, CheckpointError::Refused(_)), "wrong error: {err:?}");
+    assert_eq!(net.snapshot_times(), before, "a refused checkpoint took a snapshot");
+
+    // The engine will not save its state while it records a trace.
+    net.install_origin_table(std::sync::Arc::new(topology.origin_table()));
+    net.sim.enable_trace();
+    let err = net.checkpoint(&temp_path("failed-trace")).expect_err("trace recording is on");
+    assert!(matches!(err, CheckpointError::State(_)), "wrong error: {err:?}");
+    assert_eq!(net.snapshot_times(), before, "a failed checkpoint took a snapshot");
+}
+
 #[test]
 fn restore_reinstalls_the_origin_table() {
     let topology = small_internet(307);
@@ -557,6 +587,64 @@ fn inconsistent_adj_rib_out_is_a_typed_error() {
         let err = must_fail(restore_mutilated(with_first_adj_rib_out(&fixture, edit), tag), tag);
         assert!(
             matches!(err, CheckpointError::Wire(WireError::Invalid(msg)) if msg == why),
+            "{tag}: got {err:?}"
+        );
+    }
+}
+
+/// The fixture with the first router's Loc-RIB entries edited.
+fn with_first_loc_rib(fixture: &[u8], edit: impl Fn(&mut Vec<Candidate>)) -> Vec<u8> {
+    const SEC_ROUTERS: u8 = 3;
+    with_section(fixture, SEC_ROUTERS, |payload| {
+        let mut r = Reader::new(payload);
+        let offset = |r: &Reader<'_>| payload.len() - r.remaining();
+        u32::decode(&mut r).expect("router count");
+        Asn::decode(&mut r).expect("first router");
+        Vec::<(Asn, Route)>::decode(&mut r).expect("Adj-RIB-In");
+        let start = offset(&r);
+        let mut entries = Vec::<Candidate>::decode(&mut r).expect("Loc-RIB");
+        let end = offset(&r);
+        edit(&mut entries);
+        let mut edited = payload[..start].to_vec();
+        entries.encode(&mut edited);
+        edited.extend_from_slice(&payload[end..]);
+        edited
+    })
+}
+
+#[test]
+fn loc_rib_entry_that_is_no_stored_route_is_a_typed_error() {
+    let fixture = checkpoint_bytes_fixture();
+    let intact = with_first_loc_rib(&fixture, |_| {});
+    assert_eq!(intact, fixture);
+    restore_mutilated(intact, "loc-rib-intact").expect("intact fixture restores");
+
+    // The router keeps a selected route once, in the Adj-RIB-In entry
+    // or local origination that won, so a Loc-RIB entry that equals
+    // none of them has no in-memory form — and installing the nearest
+    // thing instead would be a silently different RIB.
+    type Edit = fn(&mut Vec<Candidate>);
+    fn learned(entries: &mut [Candidate]) -> &mut Candidate {
+        entries.iter_mut().find(|c| c.learned_from.is_some()).expect("a learned selection")
+    }
+    let cases: [(&str, Edit); 5] = [
+        ("loc-rib-other-route", |entries| {
+            let cand = learned(entries);
+            cand.route = cand.route.propagated_by(Asn(64_512));
+        }),
+        ("loc-rib-other-attribute", |entries| learned(entries).route.local_pref += 1),
+        ("loc-rib-stranger", |entries| learned(entries).learned_from = Some(Asn(4_000_000))),
+        ("loc-rib-not-local", |entries| learned(entries).learned_from = None),
+        ("loc-rib-unknown-prefix", |entries| {
+            let stray = Route::originate(Prefix::new(0xCB00_7100, 24));
+            entries.push(Candidate::from_neighbor(stray, Asn(1)));
+        }),
+    ];
+    for (tag, edit) in cases {
+        let err = must_fail(restore_mutilated(with_first_loc_rib(&fixture, edit), tag), tag);
+        assert!(
+            matches!(err, CheckpointError::Wire(WireError::Invalid(msg))
+                if msg == "Loc-RIB entry is neither a candidate nor a local origination"),
             "{tag}: got {err:?}"
         );
     }

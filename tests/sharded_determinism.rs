@@ -21,7 +21,9 @@ fn rib_fingerprint(router: &BgpRouter) -> Vec<(Prefix, Candidate)> {
     router
         .selected_prefixes()
         .into_iter()
-        .map(|p| (p, router.best_route(p).expect("selected prefix has a best route").clone()))
+        .map(|p| {
+            (p, router.best_route(p).expect("selected prefix has a best route").to_candidate())
+        })
         .collect()
 }
 
