@@ -569,6 +569,11 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, CheckpointError> {
     if options.timeline_window == Some(SimDuration::ZERO) {
         return Err(CheckpointError::Corrupt("timeline window must be positive"));
     }
+    // A zero reuse tick re-arms the dampening timer at the same
+    // instant forever: no penalty decays and the run never quiesces.
+    if options.dampening.is_some_and(|policy| policy.reuse_tick == SimDuration::ZERO) {
+        return Err(CheckpointError::Corrupt("dampening reuse tick must be positive"));
+    }
     let topology = Topology::decode(&mut r)?;
     let origin_table = Option::<OriginTable>::decode(&mut r)?;
     if r.remaining() != 0 {

@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use crate::confidential::redact;
     use crate::harness::Figure1Bed;
-    use crate::protocol::run_min_round;
+    use crate::round::run_min_round;
 
     #[test]
     fn naive_protocol_verifies_the_promise() {

@@ -20,15 +20,12 @@
 //! Colluding networks share state instantaneously per the threat model;
 //! collusion scenarios are exercised in the integration tests.
 
-use crate::session::{
-    build_mht_for_adversary, BitReveal, Committer, Disclosure, PvrParams, RoundContext,
-};
+use crate::round::Cast;
+use crate::session::{Committer, Disclosure};
 use pvr_bgp::sbgp::{Attestation, SignedRoute};
 use pvr_bgp::Asn;
 use pvr_crypto::drbg::HmacDrbg;
-use pvr_crypto::keys::Identity;
 use pvr_mht::SignedRoot;
-use pvr_rfg::RouteFlowGraph;
 use std::collections::BTreeMap;
 
 /// The attack strategy a Byzantine A executes.
@@ -131,66 +128,32 @@ pub struct Adversary {
 }
 
 impl Adversary {
-    /// Builds the adversary's state for one round.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        identity: &Identity,
-        round: RoundContext,
-        params: PvrParams,
-        graph: RouteFlowGraph,
-        inputs: BTreeMap<Asn, Vec<SignedRoute>>,
-        bit_scope: &[Asn],
-        receiver: Asn,
-        behavior: Misbehavior,
-        rng: &mut HmacDrbg,
-    ) -> Adversary {
-        let doctored = |victim: Asn| {
-            let mut d = inputs.clone();
-            d.remove(&victim);
-            d
+    /// Builds the adversary's state for one round of `cast`.
+    pub fn new(cast: &Cast, behavior: Misbehavior, rng: &mut HmacDrbg) -> Adversary {
+        // A's commitment as if exactly `inputs` had been received.
+        let mut view = |inputs: &BTreeMap<Asn, Vec<SignedRoute>>| {
+            Committer::new(&Cast { inputs, ..*cast }, rng)
+        };
+        let without = |victim: &Asn| {
+            let mut doctored = cast.inputs.clone();
+            doctored.remove(victim);
+            doctored
         };
         let (main, provider_view) = match &behavior {
             Misbehavior::ExportLonger
             | Misbehavior::RefuseReveal { .. }
             | Misbehavior::CorruptOpening { .. }
-            | Misbehavior::FabricateExport => (
-                Committer::new(identity, round, params, graph, inputs.clone(), bit_scope, rng),
-                None,
-            ),
-            Misbehavior::SuppressInput { victim } => (
-                Committer::new(identity, round, params, graph, doctored(*victim), bit_scope, rng),
-                None,
-            ),
-            Misbehavior::DenyAll => (
-                Committer::new(identity, round, params, graph, BTreeMap::new(), bit_scope, rng),
-                None,
-            ),
+            | Misbehavior::FabricateExport => (view(cast.inputs), None),
+            Misbehavior::SuppressInput { victim } => (view(&without(victim)), None),
+            Misbehavior::DenyAll => (view(&BTreeMap::new()), None),
             Misbehavior::Equivocate { victim } => {
-                let for_b = Committer::new(
-                    identity,
-                    round.clone(),
-                    params,
-                    graph.clone(),
-                    doctored(*victim),
-                    bit_scope,
-                    rng,
-                );
-                let for_providers =
-                    Committer::new(identity, round, params, graph, inputs.clone(), bit_scope, rng);
-                (for_b, Some(for_providers))
+                let for_b = view(&without(victim));
+                (for_b, Some(view(cast.inputs)))
             }
             Misbehavior::NonMonotoneBits => {
                 // Commit a hand-crafted non-monotone vector: truthful
                 // evaluation, lying bits (1 at the true min, then 0s).
-                let honest = Committer::new(
-                    identity,
-                    round.clone(),
-                    params,
-                    graph.clone(),
-                    inputs.clone(),
-                    bit_scope,
-                    rng,
-                );
+                let honest = view(cast.inputs);
                 let mut bits = honest.bits().to_vec();
                 if let Some(first_one) = bits.iter().position(|&b| b) {
                     for b in bits.iter_mut().skip(first_one + 1) {
@@ -199,31 +162,11 @@ impl Adversary {
                 } else if bits.len() >= 2 {
                     bits[0] = true; // fabricate 1,0,…
                 }
-                let (mht, openings) = build_mht_for_adversary(
-                    &graph,
-                    honest.evaluation(),
-                    &bits,
-                    bits.iter().any(|&b| b),
-                    rng,
-                );
-                let signed_root =
-                    SignedRoot::create(identity, round.context_bytes(), round.epoch, mht.root());
-                let c = Committer::from_parts(
-                    identity.clone(),
-                    params,
-                    round,
-                    graph,
-                    honest.evaluation().clone(),
-                    inputs.clone(),
-                    bits,
-                    mht,
-                    openings,
-                    signed_root,
-                );
-                (c, None)
+                (honest.with_bits(bits, rng), None)
             }
         };
-        Adversary { behavior, main, provider_view, true_inputs: inputs, receiver }
+        let true_inputs = cast.inputs.clone();
+        Adversary { behavior, main, provider_view, true_inputs, receiver: cast.b }
     }
 
     /// The strategy in play.
@@ -321,25 +264,7 @@ impl Adversary {
 
     /// Reveals, from `view`, the bits at `n`'s *true* route lengths.
     fn reveal_true_lengths(&self, view: &Committer, n: Asn) -> Disclosure {
-        let mut indices: Vec<u32> = self
-            .true_inputs
-            .get(&n)
-            .into_iter()
-            .flatten()
-            .map(|sr| (sr.route.path_len() as u32).min(view.params().max_path_len as u32))
-            .filter(|&i| i >= 1)
-            .collect();
-        indices.sort_unstable();
-        indices.dedup();
-        Disclosure {
-            signed_root: Some(view.signed_root().clone()),
-            bit_reveals: indices
-                .iter()
-                .filter_map(|&i| view.reveal_bit(i))
-                .collect::<Vec<BitReveal>>(),
-            exported: None,
-            graph: Vec::new(),
-        }
+        view.disclosure_for_routes(self.true_inputs.get(&n).map_or(&[], Vec::as_slice))
     }
 }
 
@@ -350,17 +275,7 @@ mod tests {
 
     fn adversary(bed: &Figure1Bed, behavior: Misbehavior) -> Adversary {
         let mut rng = HmacDrbg::from_u64_labeled(bed.seed, "adversary");
-        Adversary::new(
-            bed.a_identity(),
-            bed.round.clone(),
-            bed.params,
-            bed.graph.clone(),
-            bed.inputs.clone(),
-            &bed.ns,
-            bed.b,
-            behavior,
-            &mut rng,
-        )
+        Adversary::new(&bed.cast(), behavior, &mut rng)
     }
 
     #[test]

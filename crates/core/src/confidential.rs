@@ -20,7 +20,7 @@
 //! route, and no revealed index for anyone else.
 
 use crate::harness::Figure1Bed;
-use crate::protocol::{run_min_round, Transcript};
+use crate::round::{run_min_round, Transcript};
 use crate::session::Disclosure;
 use pvr_bgp::{Asn, Route};
 use pvr_crypto::decode_exact;

@@ -9,45 +9,27 @@
 //! the single-round protocol leaves open (a §4-style deployment
 //! concern the paper does not elaborate).
 
-use crate::session::{Committer, PvrParams, RoundContext};
+use crate::round::Cast;
+use crate::session::{Committer, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
-use pvr_bgp::{Asn, Prefix};
+use pvr_bgp::Asn;
 use pvr_crypto::drbg::HmacDrbg;
-use pvr_crypto::keys::Identity;
 use pvr_mht::SignedRoot;
-use pvr_rfg::RouteFlowGraph;
 use std::collections::BTreeMap;
 
-/// The committing side of a long-lived session for one prefix.
-pub struct PvrSession {
-    identity: Identity,
-    prefix: Prefix,
-    params: PvrParams,
-    graph: RouteFlowGraph,
-    bit_scope: Vec<Asn>,
+/// The committing side of a long-lived session for one prefix: a cast
+/// whose epoch advances and whose inputs change round by round.
+pub struct PvrSession<'a> {
+    cast: Cast<'a>,
     epoch: u64,
     rng: HmacDrbg,
 }
 
-impl PvrSession {
-    /// Opens a session. Epochs start at 1 on the first round.
-    pub fn new(
-        identity: &Identity,
-        prefix: Prefix,
-        params: PvrParams,
-        graph: RouteFlowGraph,
-        bit_scope: &[Asn],
-        seed: u64,
-    ) -> PvrSession {
-        PvrSession {
-            identity: identity.clone(),
-            prefix,
-            params,
-            graph,
-            bit_scope: bit_scope.to_vec(),
-            epoch: 0,
-            rng: HmacDrbg::from_u64_labeled(seed, "pvr-session"),
-        }
+impl<'a> PvrSession<'a> {
+    /// Opens a session for `cast`'s participants, graph and prefix.
+    /// Epochs start at 1 on the first round.
+    pub fn new(cast: Cast<'a>, seed: u64) -> PvrSession<'a> {
+        PvrSession { cast, epoch: 0, rng: HmacDrbg::from_u64_labeled(seed, "pvr-session") }
     }
 
     /// The current epoch (0 before the first round).
@@ -59,16 +41,8 @@ impl PvrSession {
     /// withdrawal) and returns its committer.
     pub fn next_round(&mut self, inputs: BTreeMap<Asn, Vec<SignedRoute>>) -> Committer {
         self.epoch += 1;
-        let round = RoundContext { prefix: self.prefix, epoch: self.epoch };
-        Committer::new(
-            &self.identity,
-            round,
-            self.params,
-            self.graph.clone(),
-            inputs,
-            &self.bit_scope,
-            &mut self.rng,
-        )
+        let round = RoundContext { prefix: self.cast.round.prefix, epoch: self.epoch };
+        Committer::new(&Cast { round: &round, inputs: &inputs, ..self.cast }, &mut self.rng)
     }
 }
 
@@ -126,15 +100,8 @@ mod tests {
     use crate::harness::Figure1Bed;
     use crate::verify::{verify_as_provider, verify_as_receiver};
 
-    fn session_for(bed: &Figure1Bed) -> PvrSession {
-        PvrSession::new(
-            bed.a_identity(),
-            bed.prefix,
-            bed.params,
-            bed.graph.clone(),
-            &bed.ns,
-            bed.seed,
-        )
+    fn session_for(bed: &Figure1Bed) -> PvrSession<'_> {
+        PvrSession::new(bed.cast(), bed.seed)
     }
 
     #[test]
@@ -216,15 +183,11 @@ mod tests {
         let bed = Figure1Bed::build(&[2], 404);
         let mut s1 = session_for(&bed);
         let c1 = s1.next_round(bed.inputs.clone());
-        let other_prefix = Prefix::parse("192.168.0.0/16").unwrap();
-        let mut s2 = PvrSession::new(
-            bed.a_identity(),
-            other_prefix,
-            bed.params,
-            bed.graph.clone(),
-            &bed.ns,
-            bed.seed + 1,
-        );
+        let other = RoundContext {
+            prefix: pvr_bgp::Prefix::parse("192.168.0.0/16").unwrap(),
+            ..bed.round.clone()
+        };
+        let mut s2 = PvrSession::new(Cast { round: &other, ..bed.cast() }, bed.seed + 1);
         let c2 = s2.next_round(BTreeMap::new());
         let mut tracker = EpochTracker::new();
         assert_eq!(tracker.observe(c1.signed_root()), Freshness::Fresh);

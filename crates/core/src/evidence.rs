@@ -11,7 +11,9 @@
 //! accuser nor the accused. Accuracy holds because each variant requires
 //! a signature an honest A would never produce (two conflicting roots, a
 //! committed bit contradicting an attested route, a non-monotone
-//! vector).
+//! vector) — except `FabricatedExport`, whose "the chain below A's
+//! attestation is broken" an accuser can bring about itself (ROADMAP
+//! item 10 g).
 
 use crate::session::{BitReveal, PvrParams, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
@@ -191,8 +193,8 @@ impl<'a> Auditor<'a> {
                 if let Err(v) = Self::check_reveal(&mut batch, reveal, true, self.params) {
                     return v;
                 }
-                if let Err(v) = self.check_export(accused, round, exported, *receiver) {
-                    return v;
+                if let Err(why) = attested_by(exported, accused, *receiver, round, self.keys) {
+                    return Verdict::Rejected(why);
                 }
                 // Core length (minus A's own prepend) must exceed the
                 // committed minimum.
@@ -209,8 +211,8 @@ impl<'a> Auditor<'a> {
                 if let Err(v) = Self::check_reveal(&mut batch, reveal, false, self.params) {
                     return v;
                 }
-                if let Err(v) = self.check_export(accused, round, exported, *receiver) {
-                    return v;
+                if let Err(why) = attested_by(exported, accused, *receiver, round, self.keys) {
+                    return Verdict::Rejected(why);
                 }
                 // Index 0 = existential bit: any export contradicts it.
                 if reveal.index != 0
@@ -238,19 +240,9 @@ impl<'a> Auditor<'a> {
                 Verdict::Guilty
             }
             Evidence::FabricatedExport { exported, receiver } => {
-                // A's own attestation must be valid…
-                let top = match exported.chain().newest() {
-                    Some(t) => t,
-                    None => return Verdict::Rejected("no attestations at all"),
-                };
-                if top.signer != accused {
-                    return Verdict::Rejected("top attestation not by the accused");
-                }
-                if top.target != *receiver || top.path.asns() != exported.route.path.asns() {
-                    return Verdict::Rejected("top attestation does not cover this export");
-                }
-                if top.verify(self.keys).is_err() {
-                    return Verdict::Rejected("top attestation signature invalid");
+                // A's own attestation must stand…
+                if let Err(why) = attested_by(exported, accused, *receiver, round, self.keys) {
+                    return Verdict::Rejected(why);
                 }
                 // …while the chain as a whole must fail.
                 match exported.verify(*receiver, self.keys) {
@@ -302,33 +294,37 @@ impl<'a> Auditor<'a> {
             None => Err(Verdict::Rejected("reveal payload malformed")),
         }
     }
+}
 
-    fn check_export(
-        &self,
-        accused: Asn,
-        round: &RoundContext,
-        exported: &SignedRoute,
-        receiver: Asn,
-    ) -> Result<(), Verdict> {
-        if exported.route.prefix != round.prefix {
-            return Err(Verdict::Rejected("exported route is for another prefix"));
-        }
-        if exported.route.path.first_as() != Some(accused) {
-            return Err(Verdict::Rejected("export does not start at the accused"));
-        }
-        // Only the accused's own (top) attestation is needed: its
-        // signature alone proves A announced this path to this receiver.
-        let top =
-            exported.chain().newest().ok_or(Verdict::Rejected("export carries no attestation"))?;
-        if top.signer != accused
-            || top.target != receiver
-            || top.path.asns() != exported.route.path.asns()
-            || top.prefix != exported.route.prefix
-        {
-            return Err(Verdict::Rejected("top attestation does not cover this export"));
-        }
-        top.verify(self.keys).map_err(|_| Verdict::Rejected("top attestation signature invalid"))
+/// Whether `a`'s own (top) attestation covers `exported` as this
+/// round's export to `receiver`: the route is for the round's prefix and
+/// starts at `a`; the attestation is by `a`, targets `receiver`, is over
+/// the route's own path and prefix, and its signature verifies. That
+/// signature alone proves A announced this route to this receiver,
+/// whatever the chain below it says — the one statement of it, for the
+/// receiver's check, the auditor and the promise-4 judgment alike.
+pub(crate) fn attested_by(
+    exported: &SignedRoute,
+    a: Asn,
+    receiver: Asn,
+    round: &RoundContext,
+    keys: &KeyStore,
+) -> Result<(), &'static str> {
+    if exported.route.prefix != round.prefix {
+        return Err("exported route is for another prefix");
     }
+    if exported.route.path.first_as() != Some(a) {
+        return Err("export does not start at the accused");
+    }
+    let top = exported.chain().newest().ok_or("export carries no attestation")?;
+    if top.signer != a
+        || top.target != receiver
+        || top.path.asns() != exported.route.path.asns()
+        || top.prefix != exported.route.prefix
+    {
+        return Err("top attestation does not cover this export");
+    }
+    top.verify(keys).map_err(|_| "top attestation signature invalid")
 }
 
 #[cfg(test)]
@@ -367,7 +363,15 @@ mod tests {
         assert!(matches!(auditor.judge(bed.a, &bed.round, &ev), Verdict::Rejected(_)));
 
         // Claiming "fabricated" against a valid chain.
-        let ev = Evidence::FabricatedExport { exported, receiver: bed.b };
+        let ev = Evidence::FabricatedExport { exported: exported.clone(), receiver: bed.b };
+        assert!(matches!(auditor.judge(bed.a, &bed.round, &ev), Verdict::Rejected(_)));
+
+        // …or against the genuine chain under an edited route prefix:
+        // the chain no longer verifies, but A attested another prefix.
+        let mut route = exported.route.clone();
+        route.prefix = pvr_bgp::Prefix::parse("192.0.2.0/24").unwrap();
+        let relabeled = SignedRoute::with_chain(route, exported.chain().clone());
+        let ev = Evidence::FabricatedExport { exported: relabeled, receiver: bed.b };
         assert!(matches!(auditor.judge(bed.a, &bed.round, &ev), Verdict::Rejected(_)));
     }
 

@@ -13,7 +13,7 @@
 //!   pair showing a shorter route to someone else is self-contained
 //!   evidence, exactly like equivocation.
 
-use crate::evidence::{Suspicion, Verdict};
+use crate::evidence::{attested_by, Suspicion, Verdict};
 use crate::session::{Disclosure, PvrParams, RoundContext};
 use crate::verify::Outcome;
 use pvr_bgp::sbgp::SignedRoute;
@@ -72,24 +72,8 @@ impl UnequalExportsEvidence {
         for (sr, receiver) in
             [(&self.to_disfavored, self.disfavored), (&self.to_favored, self.favored)]
         {
-            if sr.route.prefix != round.prefix {
-                return Verdict::Rejected("export is for another prefix");
-            }
-            if sr.route.path.first_as() != Some(accused) {
-                return Verdict::Rejected("export does not start at the accused");
-            }
-            let Some(top) = sr.chain().newest() else {
-                return Verdict::Rejected("export carries no attestation");
-            };
-            if top.signer != accused
-                || top.target != receiver
-                || top.path.asns() != sr.route.path.asns()
-                || top.prefix != sr.route.prefix
-            {
-                return Verdict::Rejected("top attestation does not cover this export");
-            }
-            if top.verify(keys).is_err() {
-                return Verdict::Rejected("top attestation signature invalid");
+            if let Err(why) = attested_by(sr, accused, receiver, round, keys) {
+                return Verdict::Rejected(why);
             }
         }
         if self.favored == self.disfavored {

@@ -2,8 +2,9 @@
 //! (identities, attestation chains, graph) without running a network
 //! simulation — the inputs are exactly what BGP + S-BGP would deliver
 //! to A, so protocol-level code can be exercised and benchmarked in
-//! isolation. The full in-network version lives in [`crate::simproto`].
+//! isolation. [`Figure1Bed::cast`] is what [`crate::round`] runs on.
 
+use crate::round::Cast;
 use crate::session::{Committer, PvrParams, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::{Asn, Prefix, Route};
@@ -155,18 +156,23 @@ impl Figure1Bed {
         &self.identities[&self.a]
     }
 
+    /// The round's cast, borrowed from this bed.
+    pub fn cast(&self) -> Cast<'_> {
+        Cast {
+            identity: self.a_identity(),
+            b: self.b,
+            ns: &self.ns,
+            round: &self.round,
+            params: self.params,
+            graph: &self.graph,
+            inputs: &self.inputs,
+            keys: &self.keys,
+        }
+    }
+
     /// Builds an honest committer for this round.
     pub fn honest_committer(&self) -> Committer {
-        let mut rng = HmacDrbg::from_u64_labeled(self.seed, "committer");
-        Committer::new(
-            self.a_identity(),
-            self.round.clone(),
-            self.params,
-            self.graph.clone(),
-            self.inputs.clone(),
-            &self.ns,
-            &mut rng,
-        )
+        self.cast().commit(self.seed)
     }
 
     /// The route `n` advertised to A (the harness builds exactly one per

@@ -15,13 +15,12 @@
 //! * [`evidence`] — transferable evidence and the third-party auditor;
 //! * [`adversary`] — Byzantine committer strategies mapped to the checks
 //!   that catch them;
-//! * [`protocol`] — the end-to-end round driver with per-participant
-//!   transcripts;
+//! * [`round`] — one PVR round, stated once: the cast, A's hand-out,
+//!   each neighbor's check, the judgment, per-participant transcripts;
 //! * [`confidential`] — the counterfactual-indistinguishability auditor
 //!   (experiment E7);
 //! * [`batch`] — §3.8 burst batching with a small MHT (experiment E5);
-//! * [`simproto`] — the same protocol run as real message traffic on
-//!   `pvr-netsim`;
+//! * [`simproto`] — the round's messages carried by `pvr-netsim`;
 //! * [`harness`] — Figure-1 test/bench beds with genuine attestation
 //!   chains.
 
@@ -35,8 +34,8 @@ pub mod evidence;
 pub mod extended;
 pub mod harness;
 pub mod navigate;
-pub mod protocol;
 pub mod record;
+pub mod round;
 pub mod session;
 pub mod simproto;
 pub mod verify;
@@ -51,8 +50,8 @@ pub use extended::{
 };
 pub use harness::Figure1Bed;
 pub use navigate::{NavError, VisibleGraph, VisibleVertex};
-pub use protocol::{run_min_round, RoundReport, Transcript};
 pub use record::{VertexContent, VertexOpenings, VertexRecord};
+pub use round::{run_min_round, Cast, Prover, RoundReport, RouterCast, Transcript};
 pub use session::{BitReveal, Committer, Disclosure, GraphReveal, PvrParams, RoundContext};
 pub use verify::{
     cross_check_roots, verify_as_provider, verify_as_provider_existential, verify_as_receiver,

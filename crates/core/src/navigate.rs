@@ -218,7 +218,7 @@ mod tests {
     use pvr_rfg::AccessPolicy;
 
     fn everyone(bed: &Figure1Bed) -> Vec<Asn> {
-        bed.ns.iter().copied().chain([bed.b]).collect()
+        bed.cast().neighbors().collect()
     }
 
     fn input_labels(bed: &Figure1Bed) -> Vec<Label> {

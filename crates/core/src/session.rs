@@ -14,6 +14,7 @@
 
 use crate::bits::{existential_bit, min_bit_vector};
 use crate::record::{make_record, VertexContent, VertexOpenings};
+use crate::round::Cast;
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::{Asn, Prefix, Route};
 use pvr_crypto::drbg::HmacDrbg;
@@ -156,41 +157,34 @@ pub struct Committer {
 }
 
 impl Committer {
-    /// Builds the round state. `bit_scope` is the promise's neighbor
-    /// subset (the N_i); `inputs` maps each neighbor to the signed routes
-    /// it advertised. The bit vector and graph evaluation both derive
-    /// from these inputs.
-    pub fn new(
-        identity: &Identity,
-        round: RoundContext,
-        params: PvrParams,
-        graph: RouteFlowGraph,
-        inputs: BTreeMap<Asn, Vec<SignedRoute>>,
-        bit_scope: &[Asn],
-        rng: &mut HmacDrbg,
-    ) -> Committer {
-        let plain_inputs: BTreeMap<Asn, Vec<Route>> = inputs
+    /// Builds A's round state for `cast`: the graph evaluation and the
+    /// bit vector over the promise's scope (the N_i) both derive from
+    /// the cast's inputs.
+    pub fn new(cast: &Cast, rng: &mut HmacDrbg) -> Committer {
+        let plain_inputs: BTreeMap<Asn, Vec<Route>> = cast
+            .inputs
             .iter()
             .map(|(&n, srs)| (n, srs.iter().map(|sr| sr.route.clone()).collect()))
             .collect();
-        let eval = graph.evaluate(&plain_inputs).expect("graph must validate");
+        let eval = cast.graph.evaluate(&plain_inputs).expect("graph must validate");
 
         let scope_routes: Vec<&Route> =
-            bit_scope.iter().flat_map(|n| plain_inputs.get(n).into_iter().flatten()).collect();
-        let bits = min_bit_vector(&scope_routes, params.max_path_len);
+            cast.ns.iter().flat_map(|n| plain_inputs.get(n).into_iter().flatten()).collect();
+        let bits = min_bit_vector(&scope_routes, cast.params.max_path_len);
         let exist = existential_bit(&scope_routes);
 
-        let (mht, vertex_openings) = build_mht(&graph, &eval, &bits, exist, rng);
+        let (mht, vertex_openings) = build_mht(cast.graph, &eval, &bits, exist, rng);
+        let round = cast.round.clone();
         let signed_root =
-            SignedRoot::create(identity, round.context_bytes(), round.epoch, mht.root());
+            SignedRoot::create(cast.identity, round.context_bytes(), round.epoch, mht.root());
 
         Committer {
-            identity: identity.clone(),
-            params,
+            identity: cast.identity.clone(),
+            params: cast.params,
             round,
-            graph,
+            graph: cast.graph.clone(),
             eval,
-            inputs,
+            inputs: cast.inputs.clone(),
             bits,
             mht,
             vertex_openings,
@@ -198,33 +192,19 @@ impl Committer {
         }
     }
 
-    /// Assembles a committer from pre-built parts — crate-internal, used
-    /// by the adversary module to commit to *dishonest* bit vectors.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        identity: Identity,
-        params: PvrParams,
-        round: RoundContext,
-        graph: RouteFlowGraph,
-        eval: Evaluation,
-        inputs: BTreeMap<Asn, Vec<SignedRoute>>,
-        bits: Vec<bool>,
-        mht: SparseMht,
-        vertex_openings: BTreeMap<Label, VertexOpenings>,
-        signed_root: SignedRoot,
-    ) -> Committer {
-        Committer {
-            identity,
-            params,
-            round,
-            graph,
-            eval,
-            inputs,
-            bits,
-            mht,
-            vertex_openings,
-            signed_root,
-        }
+    /// The same round committed to `bits` instead of the true vector —
+    /// what a lying A signs (truthful evaluation, dishonest bits).
+    pub(crate) fn with_bits(mut self, bits: Vec<bool>, rng: &mut HmacDrbg) -> Committer {
+        let exist = bits.iter().any(|&b| b);
+        (self.mht, self.vertex_openings) = build_mht(&self.graph, &self.eval, &bits, exist, rng);
+        self.signed_root = SignedRoot::create(
+            &self.identity,
+            self.round.context_bytes(),
+            self.round.epoch,
+            self.mht.root(),
+        );
+        self.bits = bits;
+        self
     }
 
     /// The signed root commitment (published to all neighbors, then
@@ -265,11 +245,14 @@ impl Committer {
     /// the bit at that route's length ("To each N_i that has provided a
     /// route r_i to A, A now reveals the bit b_{|r_i|}").
     pub fn disclosure_for_provider(&self, n: Asn) -> Disclosure {
-        let mut indices: Vec<u32> = self
-            .inputs
-            .get(&n)
-            .into_iter()
-            .flatten()
+        self.disclosure_for_routes(self.inputs.get(&n).map_or(&[], Vec::as_slice))
+    }
+
+    /// Reveals the bit at each of `routes`' lengths — a provider's
+    /// query, answered even by a view that dropped its routes.
+    pub(crate) fn disclosure_for_routes(&self, routes: &[SignedRoute]) -> Disclosure {
+        let mut indices: Vec<u32> = routes
+            .iter()
             .map(|sr| (sr.route.path_len() as u32).min(self.params.max_path_len as u32))
             .filter(|&i| i >= 1)
             .collect();
@@ -442,18 +425,6 @@ fn build_mht(
     (SparseMht::build(&items, seed), openings)
 }
 
-/// Exposes MHT construction for the adversary module (which needs to
-/// commit to *dishonest* bit vectors).
-pub(crate) fn build_mht_for_adversary(
-    graph: &RouteFlowGraph,
-    eval: &Evaluation,
-    bits: &[bool],
-    exist: bool,
-    rng: &mut HmacDrbg,
-) -> (SparseMht, BTreeMap<Label, VertexOpenings>) {
-    build_mht(graph, eval, bits, exist, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,7 +492,7 @@ mod tests {
     fn graph_disclosure_respects_alpha() {
         let bed = Figure1Bed::build(&[1, 2], 48);
         let c = bed.honest_committer();
-        let everyone: Vec<Asn> = bed.ns.iter().copied().chain([bed.b]).collect();
+        let everyone: Vec<Asn> = bed.cast().neighbors().collect();
         let alpha = AccessPolicy::paper_example(&bed.graph, &everyone);
 
         // B can navigate: it gets reveals for every vertex, with content

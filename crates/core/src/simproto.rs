@@ -1,26 +1,24 @@
 //! The PVR round as real network traffic.
 //!
-//! [`crate::protocol`] gives the reference semantics with direct calls;
-//! this module runs the same four phases as messages over
-//! [`pvr_netsim`]: A publishes its signed root(s) and disclosures,
-//! neighbors gossip roots among themselves (§3.6: "A's neighbors can
-//! gossip about c to ensure that they all have the same view"), and
-//! each neighbor verifies asynchronously. Loss and partitions now
+//! [`crate::round`] states the round; this module carries its messages
+//! over [`pvr_netsim`]: A sends each neighbor its hand-out, neighbors
+//! gossip roots among themselves (§3.6: "A's neighbors can gossip
+//! about c to ensure that they all have the same view"), and whatever
+//! arrived is checked and judged by the same [`Cast::verify`] and
+//! [`Cast::judge`] as the direct driver. Loss and partitions now
 //! matter: a dropped disclosure degrades to *suspicion* (detection
 //! without evidence), and equivocation is caught as soon as any two
 //! conflicting roots meet at one gossip participant.
 
-use crate::adversary::{Adversary, Misbehavior};
-use crate::evidence::{Evidence, Suspicion};
-use crate::harness::Figure1Bed;
-use crate::session::{Disclosure, PvrParams, RoundContext};
-use crate::verify::{verify_as_provider, verify_as_receiver, Outcome};
-use pvr_bgp::sbgp::SignedRoute;
+use crate::adversary::Misbehavior;
+use crate::evidence::Suspicion;
+use crate::round::{Cast, Prover, RoundReport, Transcript};
+use crate::session::Disclosure;
+use crate::verify::Outcome;
 use pvr_bgp::Asn;
-use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::encoding::Wire;
 use pvr_crypto::keys::KeyStore;
-use pvr_mht::{EquivocationEvidence, SignedRoot};
+use pvr_mht::SignedRoot;
 use pvr_netsim::{Agent, Context, NodeId, Payload, RunLimits, Simulator};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -54,26 +52,19 @@ impl Payload for PvrMsg {
 
 /// Network A as a simulator agent: sends everything in `on_start`.
 pub struct CommitterNode {
-    /// (neighbor node, root, disclosure, is_receiver) per neighbor.
-    outbox: Vec<(NodeId, SignedRoot, Disclosure, bool)>,
+    outbox: Vec<(NodeId, PvrMsg)>,
 }
 
 impl CommitterNode {
-    /// Builds A's agent from prepared artifacts.
-    pub fn new(outbox: Vec<(NodeId, SignedRoot, Disclosure, bool)>) -> CommitterNode {
+    /// Builds A's agent from its prepared messages, in sending order.
+    pub fn new(outbox: Vec<(NodeId, PvrMsg)>) -> CommitterNode {
         CommitterNode { outbox }
     }
 }
 
 impl Agent<PvrMsg> for CommitterNode {
     fn on_start(&mut self, ctx: &mut Context<PvrMsg>) {
-        for (node, root, disclosure, is_receiver) in self.outbox.drain(..) {
-            ctx.send(node, PvrMsg::Root(root));
-            let msg = if is_receiver {
-                PvrMsg::ToReceiver(disclosure)
-            } else {
-                PvrMsg::ToProvider(disclosure)
-            };
+        for (node, msg) in self.outbox.drain(..) {
             ctx.send(node, msg);
         }
     }
@@ -90,93 +81,41 @@ impl Agent<PvrMsg> for CommitterNode {
     }
 }
 
-/// The verifier's role in the round.
-pub enum VerifierRole {
-    /// One of the N_i, holding what it advertised to A.
-    Provider {
-        /// The routes this provider sent to A this round.
-        my_routes: Vec<SignedRoute>,
-    },
-    /// The receiver B.
-    Receiver,
-}
-
-/// A neighbor of A: stores roots, gossips, verifies its disclosure.
+/// A neighbor of A on the wire: keeps what it received and gossips
+/// roots. It holds no role — the cast checks its share after the run.
 pub struct VerifierNode {
-    me: Asn,
-    a: Asn,
-    round: RoundContext,
-    params: PvrParams,
     keys: Arc<KeyStore>,
-    role: VerifierRole,
     /// Gossip peers (the other neighbors of A).
     peers: Vec<NodeId>,
-    /// Every valid signed root seen (own + gossiped).
-    seen_roots: Vec<SignedRoot>,
-    /// Verification outcome once the disclosure arrived.
-    outcome: Option<Outcome>,
-    /// Equivocation evidence from gossip, if found.
-    equivocation: Option<Evidence>,
+    /// Every distinct validly signed root seen (own + gossiped).
+    roots: Vec<SignedRoot>,
+    /// The disclosure, once it arrived.
+    disclosure: Option<Disclosure>,
+    /// Everything received, in arrival order.
+    transcript: Transcript,
 }
 
 impl VerifierNode {
     /// Creates a verifier agent.
-    pub fn new(
-        me: Asn,
-        a: Asn,
-        round: RoundContext,
-        params: PvrParams,
-        keys: Arc<KeyStore>,
-        role: VerifierRole,
-        peers: Vec<NodeId>,
-    ) -> VerifierNode {
+    pub fn new(keys: Arc<KeyStore>, peers: Vec<NodeId>) -> VerifierNode {
         VerifierNode {
-            me,
-            a,
-            round,
-            params,
             keys,
-            role,
             peers,
-            seen_roots: Vec::new(),
-            outcome: None,
-            equivocation: None,
+            roots: Vec::new(),
+            disclosure: None,
+            transcript: Transcript::default(),
         }
     }
 
-    /// The verification outcome; `None` means the disclosure never
-    /// arrived (callers should treat that as
-    /// [`Suspicion::MissingDisclosure`]).
-    pub fn outcome(&self) -> Option<&Outcome> {
-        self.outcome.as_ref()
-    }
-
-    /// The effective outcome, mapping a missing disclosure to suspicion.
-    pub fn effective_outcome(&self) -> Outcome {
-        match &self.outcome {
-            Some(o) => o.clone(),
-            None => Outcome::Suspect(Suspicion::MissingDisclosure),
+    /// Stores `root` if its signature holds and it is not already held;
+    /// says whether it was stored. Only stored roots are ever forwarded,
+    /// so neither a duplicate nor a forgery costs the peers anything.
+    fn note_root(&mut self, root: &SignedRoot) -> bool {
+        let fresh = !self.roots.contains(root) && root.verify(&self.keys).is_ok();
+        if fresh {
+            self.roots.push(root.clone());
         }
-    }
-
-    /// Equivocation evidence gathered via gossip.
-    pub fn equivocation(&self) -> Option<&Evidence> {
-        self.equivocation.as_ref()
-    }
-
-    fn note_root(&mut self, root: SignedRoot) {
-        if root.verify(&self.keys).is_err() {
-            return;
-        }
-        for seen in &self.seen_roots {
-            if let Some(ev) = EquivocationEvidence::try_from_pair(seen, &root) {
-                self.equivocation.get_or_insert(Evidence::Equivocation(ev));
-            }
-        }
-        // Deduplicate to keep gossip storms bounded.
-        if !self.seen_roots.contains(&root) {
-            self.seen_roots.push(root);
-        }
+        fresh
     }
 }
 
@@ -184,41 +123,21 @@ impl Agent<PvrMsg> for VerifierNode {
     fn on_message(&mut self, ctx: &mut Context<PvrMsg>, _from: NodeId, msg: PvrMsg) {
         match msg {
             PvrMsg::Root(root) => {
-                // Forward A's claim to all peers, then record it.
-                let is_new = !self.seen_roots.contains(&root);
-                self.note_root(root.clone());
-                if is_new {
-                    for &p in &self.peers.clone() {
+                self.transcript.push("root", root.to_wire());
+                // Forward A's claim to all peers, once.
+                if self.note_root(&root) {
+                    for &p in &self.peers {
                         ctx.send(p, PvrMsg::Gossip(root.clone()));
                     }
                 }
             }
             PvrMsg::Gossip(root) => {
-                self.note_root(root);
+                self.transcript.push("gossip", root.to_wire());
+                self.note_root(&root);
             }
-            PvrMsg::ToProvider(d) => {
-                if let VerifierRole::Provider { my_routes } = &self.role {
-                    self.outcome = Some(verify_as_provider(
-                        self.a,
-                        &self.round,
-                        &self.params,
-                        my_routes,
-                        &d,
-                        &self.keys,
-                    ));
-                }
-            }
-            PvrMsg::ToReceiver(d) => {
-                if matches!(self.role, VerifierRole::Receiver) {
-                    self.outcome = Some(verify_as_receiver(
-                        self.me,
-                        self.a,
-                        &self.round,
-                        &self.params,
-                        &d,
-                        &self.keys,
-                    ));
-                }
+            PvrMsg::ToProvider(d) | PvrMsg::ToReceiver(d) => {
+                self.transcript.push("disclosure", d.to_wire());
+                self.disclosure = Some(d);
             }
         }
     }
@@ -232,186 +151,145 @@ impl Agent<PvrMsg> for VerifierNode {
 }
 
 /// A fully wired simulated round: the simulator plus node ids.
-pub struct SimRound {
-    /// The simulator, ready to run.
+pub struct SimRound<'a> {
+    /// The simulator, ready to run (its stats count the round's
+    /// messages and bytes).
     pub sim: Simulator<PvrMsg>,
     /// Node of network A.
     pub a_node: NodeId,
     /// Node of each verifier.
     pub verifier_nodes: BTreeMap<Asn, NodeId>,
+    cast: Cast<'a>,
 }
 
-impl SimRound {
-    /// Runs to quiescence and collects results.
-    pub fn run(&mut self) -> SimRoundReport {
+impl SimRound<'_> {
+    /// Runs to quiescence, then has the cast check what each neighbor
+    /// received (a disclosure that never arrived is
+    /// [`Suspicion::MissingDisclosure`]) and judge the round.
+    pub fn run(&mut self) -> RoundReport {
         self.sim.run(RunLimits::none());
+        let mut views = Vec::new();
         let mut outcomes = BTreeMap::new();
-        let mut equivocation = None;
-        for (&asn, &node) in &self.verifier_nodes {
-            let v: &VerifierNode = self.sim.node(node).expect("verifier downcast");
-            outcomes.insert(asn, v.effective_outcome());
-            if equivocation.is_none() {
-                equivocation = v.equivocation().cloned();
-            }
+        let mut transcripts = BTreeMap::new();
+        for n in self.cast.neighbors() {
+            let v: &VerifierNode =
+                self.sim.node(self.verifier_nodes[&n]).expect("verifier downcast");
+            let outcome = match &v.disclosure {
+                Some(d) => self.cast.verify(n, d),
+                None => Outcome::Suspect(Suspicion::MissingDisclosure),
+            };
+            views.push((n, &v.roots[..]));
+            outcomes.insert(n, outcome);
+            transcripts.insert(n, v.transcript.clone());
         }
-        SimRoundReport {
-            outcomes,
-            equivocation,
-            messages: self.sim.stats().delivered,
-            bytes: self.sim.stats().bytes_sent,
-        }
+        self.cast.judge(&views, outcomes, transcripts)
     }
 }
 
-/// Results of a simulated round.
-#[derive(Debug)]
-pub struct SimRoundReport {
-    /// Each verifier's (effective) outcome.
-    pub outcomes: BTreeMap<Asn, Outcome>,
-    /// First equivocation evidence found by any gossip participant.
-    pub equivocation: Option<Evidence>,
-    /// Messages delivered during the round.
-    pub messages: u64,
-    /// Bytes put on the wire.
-    pub bytes: u64,
-}
-
-impl SimRoundReport {
-    /// The paper's Detection property over the whole round.
-    pub fn detected(&self) -> bool {
-        self.equivocation.is_some() || self.outcomes.values().any(|o| o.detected())
-    }
-}
-
-/// Builds a simulated round from a [`Figure1Bed`], honest or Byzantine.
-pub fn build_sim_round(bed: &Figure1Bed, behavior: Option<Misbehavior>, sim_seed: u64) -> SimRound {
+/// Wires one round of `cast` into a simulator, honest or Byzantine.
+pub fn build_sim_round(
+    cast: Cast<'_>,
+    behavior: Option<Misbehavior>,
+    seed: u64,
+    sim_seed: u64,
+) -> SimRound<'_> {
     let mut sim: Simulator<PvrMsg> = Simulator::new(sim_seed);
-    let keys = Arc::new(bed.keys.clone());
+    let keys = Arc::new(cast.keys.clone());
+    let prover = Prover::new(&cast, behavior, seed);
 
-    // Create verifier agents first (so A knows their node ids), then A.
-    // Node ids: providers in order, then B, then A.
+    // Verifiers first, numbered in the cast's neighbor order, so that
+    // each can name its gossip peers before they exist; then A.
+    let n_verifiers = cast.ns.len() + 1;
     let mut verifier_nodes = BTreeMap::new();
-    let n_verifiers = bed.ns.len() + 1;
-    let planned_ids: BTreeMap<Asn, NodeId> =
-        bed.ns.iter().copied().chain([bed.b]).enumerate().map(|(i, asn)| (asn, i)).collect();
-    for (i, &asn) in bed.ns.iter().chain([&bed.b]).enumerate() {
-        let peers: Vec<NodeId> = (0..n_verifiers).filter(|&p| p != i).collect();
-        let role = if asn == bed.b {
-            VerifierRole::Receiver
+    let mut outbox = Vec::new();
+    for (i, n) in cast.neighbors().enumerate() {
+        let peers = (0..n_verifiers).filter(|&p| p != i).collect();
+        let node = sim.add_node(Box::new(VerifierNode::new(Arc::clone(&keys), peers)));
+        assert_eq!(node, i, "a fresh simulator numbers nodes from 0");
+        verifier_nodes.insert(n, node);
+        let (root, disclosure) = prover.hand_out(&cast, n);
+        outbox.push((node, PvrMsg::Root(root)));
+        outbox.push(if n == cast.b {
+            (node, PvrMsg::ToReceiver(disclosure))
         } else {
-            VerifierRole::Provider { my_routes: bed.inputs[&asn].clone() }
-        };
-        let node = sim.add_node(Box::new(VerifierNode::new(
-            asn,
-            bed.a,
-            bed.round.clone(),
-            bed.params,
-            Arc::clone(&keys),
-            role,
-            peers,
-        )));
-        assert_eq!(node, planned_ids[&asn]);
-        verifier_nodes.insert(asn, node);
+            (node, PvrMsg::ToProvider(disclosure))
+        });
     }
-
-    // Prepare A's artifacts.
-    let outbox = match behavior {
-        None => {
-            let c = bed.honest_committer();
-            bed.ns
-                .iter()
-                .map(|&n| {
-                    (
-                        verifier_nodes[&n],
-                        c.signed_root().clone(),
-                        c.disclosure_for_provider(n),
-                        false,
-                    )
-                })
-                .chain([(
-                    verifier_nodes[&bed.b],
-                    c.signed_root().clone(),
-                    c.disclosure_for_receiver(bed.b),
-                    true,
-                )])
-                .collect()
-        }
-        Some(behavior) => {
-            let mut rng = HmacDrbg::from_u64_labeled(bed.seed, "adversary");
-            let adv = Adversary::new(
-                bed.a_identity(),
-                bed.round.clone(),
-                bed.params,
-                bed.graph.clone(),
-                bed.inputs.clone(),
-                &bed.ns,
-                bed.b,
-                behavior,
-                &mut rng,
-            );
-            bed.ns
-                .iter()
-                .map(|&n| {
-                    (
-                        verifier_nodes[&n],
-                        adv.root_for(n).clone(),
-                        adv.disclosure_for_provider(n),
-                        false,
-                    )
-                })
-                .chain([(
-                    verifier_nodes[&bed.b],
-                    adv.root_for(bed.b).clone(),
-                    adv.disclosure_for_receiver(),
-                    true,
-                )])
-                .collect()
-        }
-    };
     let a_node = sim.add_node(Box::new(CommitterNode::new(outbox)));
 
-    SimRound { sim, a_node, verifier_nodes }
+    SimRound { sim, a_node, verifier_nodes, cast }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::round::run_min_round;
+    use crate::Figure1Bed;
+    use proptest::prelude::*;
+
+    fn sim_round(bed: &Figure1Bed, behavior: Option<Misbehavior>, sim_seed: u64) -> SimRound<'_> {
+        build_sim_round(bed.cast(), behavior, bed.seed, sim_seed)
+    }
 
     #[test]
     fn honest_round_over_network_accepts() {
         let bed = Figure1Bed::build(&[2, 3, 4], 91);
-        let mut round = build_sim_round(&bed, None, 1);
+        let mut round = sim_round(&bed, None, 1);
         let report = round.run();
-        assert!(!report.detected(), "{report:?}");
-        assert!(report.messages > 0);
-        assert!(report.bytes > 0);
+        assert!(report.clean(), "{report:?}");
+        assert!(round.sim.stats().delivered > 0);
+        assert!(round.sim.stats().bytes_sent > 0);
+        // Every view holds what the wire delivered: A's root and
+        // disclosure, and one gossiped root per peer.
+        for view in report.transcripts.values() {
+            assert_eq!(view.received.len(), 2 + bed.ns.len());
+        }
     }
 
-    #[test]
-    fn equivocation_detected_via_gossip_traffic() {
-        let bed = Figure1Bed::build(&[2, 4], 92);
-        let victim = bed.ns[0];
-        let mut round = build_sim_round(&bed, Some(Misbehavior::Equivocate { victim }), 2);
-        let report = round.run();
-        // Individual verifications pass; the gossip layer catches it.
-        assert!(report.outcomes.values().all(|o| o.is_accept()));
-        assert!(report.equivocation.is_some());
-        assert!(report.detected());
+    /// What the two transports must agree on, per neighbor: accept, the
+    /// evidence kind, or the suspicion.
+    fn summary(o: &Outcome) -> String {
+        match o {
+            Outcome::Accept => "accept".into(),
+            Outcome::Accuse(ev) => ev.kind().into(),
+            Outcome::Suspect(s) => format!("{s:?}"),
+        }
     }
 
-    #[test]
-    fn suppressed_input_detected_over_network() {
-        let bed = Figure1Bed::build(&[2, 4], 93);
-        let victim = bed.ns[0];
-        let mut round = build_sim_round(&bed, Some(Misbehavior::SuppressInput { victim }), 3);
-        let report = round.run();
-        assert_eq!(report.outcomes[&victim].evidence().map(|e| e.kind()), Some("ignored-input"));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The two transports are one protocol: on lossless links the
+        /// netsim round's outcomes, equivocation finding and verdicts
+        /// are the direct driver's, honest and across the catalog.
+        #[test]
+        fn netsim_round_equals_direct_round(
+            lens in proptest::collection::vec(1usize..=8, 1..=6),
+            seed in 0u64..1000,
+        ) {
+            let bed = Figure1Bed::build(&lens, seed);
+            let behaviors = Misbehavior::catalog(bed.ns[0]).into_iter().map(Some).chain([None]);
+            for behavior in behaviors {
+                let direct = run_min_round(&bed, behavior.clone());
+                let wire = sim_round(&bed, behavior.clone(), seed).run();
+                let outcomes = |r: &RoundReport| -> Vec<(Asn, String)> {
+                    r.outcomes.iter().map(|(&n, o)| (n, summary(o))).collect()
+                };
+                prop_assert_eq!(outcomes(&wire), outcomes(&direct), "{:?} {:?}", lens, behavior);
+                prop_assert_eq!(
+                    wire.gossip_evidence.is_some(),
+                    direct.gossip_evidence.is_some(),
+                    "{:?} {:?}", lens, behavior
+                );
+                prop_assert_eq!(wire.verdicts, direct.verdicts, "{:?} {:?}", lens, behavior);
+            }
+        }
     }
 
     #[test]
     fn dropped_disclosure_becomes_suspicion() {
         let bed = Figure1Bed::build(&[2, 3], 94);
-        let mut round = build_sim_round(&bed, None, 4);
+        let mut round = sim_round(&bed, None, 4);
         // Partition A → N1 before starting.
         let n1_node = round.verifier_nodes[&bed.ns[0]];
         round.sim.set_link_down(round.a_node, n1_node, true);
@@ -430,11 +308,35 @@ mod tests {
         // The gossip forward-once rule must not generate unbounded
         // traffic: message count stays polynomial in participants.
         let bed = Figure1Bed::build(&[2, 3, 4, 5, 6], 95);
-        let mut round = build_sim_round(&bed, None, 5);
-        let report = round.run();
+        let mut round = sim_round(&bed, None, 5);
+        round.run();
         // 6 verifiers: A sends 12 (root+disclosure each); each verifier
         // forwards its root once to 5 peers = 30 gossip messages.
-        assert!(report.messages <= 12 + 30 + 5, "messages = {}", report.messages);
+        let messages = round.sim.stats().delivered;
+        assert!(messages <= 12 + 30 + 5, "messages = {messages}");
+    }
+
+    #[test]
+    fn forged_root_is_never_gossiped() {
+        // A root that does not verify is not stored, so it must not be
+        // "new" each time it arrives: five copies cost five deliveries
+        // and not one forwarded message (or RSA verify at a peer).
+        let bed = Figure1Bed::build(&[2, 3, 4], 97);
+        let mut quiet = sim_round(&bed, None, 6);
+        quiet.run();
+        let baseline = quiet.sim.stats().delivered;
+        assert_eq!(baseline, 8 + 4 * 3, "A's hand-outs, then each root gossiped once");
+
+        let mut round = sim_round(&bed, None, 6);
+        let mut forged = bed.honest_committer().signed_root().clone();
+        forged.root = pvr_crypto::sha256(b"forged");
+        let target = round.verifier_nodes[&bed.ns[1]];
+        for _ in 0..5 {
+            round.sim.inject(round.a_node, target, PvrMsg::Root(forged.clone()));
+        }
+        let report = round.run();
+        assert_eq!(round.sim.stats().delivered, baseline + 5);
+        assert!(report.clean(), "a forgery frames nobody: {report:?}");
     }
 
     #[test]

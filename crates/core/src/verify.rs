@@ -13,7 +13,7 @@
 //!   transferable evidence;
 //! * all neighbors gossip signed roots and detect equivocation.
 
-use crate::evidence::{Evidence, Suspicion};
+use crate::evidence::{attested_by, Evidence, Suspicion};
 use crate::session::{BitReveal, Disclosure, PvrParams, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::Asn;
@@ -88,6 +88,25 @@ fn check_reveal(batch: &mut ProofBatch, reveal: &BitReveal) -> Result<bool, Susp
         return Err(Suspicion::BadReveal { index: reveal.index });
     }
     reveal.bit().ok_or(Suspicion::BadReveal { index: reveal.index })
+}
+
+/// §3.3 check a ("properly signed route"): the outcome, if the export's
+/// chain does not verify — transferable evidence if A's own attestation
+/// stands (A vouched for a fabricated route), mere suspicion otherwise.
+fn export_chain_fault(
+    sr: &SignedRoute,
+    me: Asn,
+    a: Asn,
+    round: &RoundContext,
+    keys: &KeyStore,
+) -> Option<Outcome> {
+    sr.verify(me, keys).err()?;
+    Some(match attested_by(sr, a, me, round, keys) {
+        Ok(()) => {
+            Outcome::Accuse(Evidence::FabricatedExport { exported: sr.clone(), receiver: me })
+        }
+        Err(_) => Outcome::Suspect(Suspicion::BadExportChain),
+    })
 }
 
 /// Provider-side verification of the minimum-operator protocol (§3.3
@@ -210,17 +229,8 @@ pub fn verify_as_receiver(
         // without Evidence).
         (None, Some(m)) => Outcome::Suspect(Suspicion::WithheldExport { index: m as u32 }),
         (Some(sr), claimed) => {
-            // Chain validation (§3.3 check a: "properly signed route").
-            if let Err(_e) = sr.verify(me, keys) {
-                // If A's own attestation is good but the chain is not, A
-                // vouched for a fabricated route: transferable.
-                if top_attestation_by(sr, a, me) {
-                    return Outcome::Accuse(Evidence::FabricatedExport {
-                        exported: sr.clone(),
-                        receiver: me,
-                    });
-                }
-                return Outcome::Suspect(Suspicion::BadExportChain);
+            if let Some(outcome) = export_chain_fault(sr, me, a, round, keys) {
+                return outcome;
             }
             if sr.route.path.first_as() != Some(a) || sr.route.prefix != round.prefix {
                 return Outcome::Suspect(Suspicion::BadExportChain);
@@ -280,14 +290,8 @@ pub fn verify_as_receiver_existential(
         (None, false) => Outcome::Accept,
         (None, true) => Outcome::Suspect(Suspicion::WithheldExport { index: 0 }),
         (Some(sr), bit) => {
-            if let Err(_e) = sr.verify(me, keys) {
-                if top_attestation_by(sr, a, me) {
-                    return Outcome::Accuse(Evidence::FabricatedExport {
-                        exported: sr.clone(),
-                        receiver: me,
-                    });
-                }
-                return Outcome::Suspect(Suspicion::BadExportChain);
+            if let Some(outcome) = export_chain_fault(sr, me, a, round, keys) {
+                return outcome;
             }
             if bit {
                 Outcome::Accept
@@ -301,20 +305,6 @@ pub fn verify_as_receiver_existential(
                 })
             }
         }
-    }
-}
-
-/// True if the route's top attestation is a valid signature by `a`
-/// targeting `receiver` over the route's own path.
-fn top_attestation_by(sr: &SignedRoute, a: Asn, receiver: Asn) -> bool {
-    match sr.chain().newest() {
-        Some(top) => {
-            top.signer == a
-                && top.target == receiver
-                && top.path.asns() == sr.route.path.asns()
-                && top.prefix == sr.route.prefix
-        }
-        None => false,
     }
 }
 

@@ -10,11 +10,8 @@
 //! Run with: `cargo run --release --example internet_scale`
 
 use pvr::bgp::{internet_like, Asn, BgpRouter, InstantiateOptions, InternetParams};
-use pvr::core::{verify_as_provider, verify_as_receiver, Committer, PvrParams, RoundContext};
-use pvr::crypto::HmacDrbg;
+use pvr::core::{Prover, RouterCast};
 use pvr::netsim::RunLimits;
-use pvr::rfg::figure1_graph;
-use std::collections::BTreeMap;
 
 fn main() {
     println!("=== PVR on an Internet-like topology ===\n");
@@ -66,67 +63,31 @@ fn main() {
     let a_router: &BgpRouter = net.router(a);
     let prefix =
         a_router.selected_prefixes().into_iter().next().expect("A selected at least one prefix");
-    let providers: Vec<Asn> = topology
-        .neighbor_roles(a)
-        .into_iter()
-        .filter(|(n, _)| a_router.received_chain(*n, prefix).is_some())
-        .map(|(n, _)| n)
-        .collect();
-    println!("\nPVR round at {a} for {prefix}: {} providers hold routes", providers.len());
-
-    // Inputs straight from A's Adj-RIB-In.
-    let inputs: BTreeMap<Asn, Vec<_>> = providers
-        .iter()
-        .map(|&n| (n, vec![a_router.received_chain(n, prefix).unwrap().clone()]))
-        .collect();
-    for (&n, srs) in &inputs {
+    // Inputs straight from A's Adj-RIB-In. B is a synthetic customer
+    // for the demo round; in the promise, A commits to exporting the
+    // shortest provider route.
+    let neighbors: Vec<Asn> = topology.neighbor_roles(a).into_iter().map(|(n, _)| n).collect();
+    let b = Asn(9999);
+    let keys = net.keystore().expect("signed mode");
+    let lifted = RouterCast::lift(a_router, keys, &neighbors, prefix, b, 1).expect("signed mode");
+    let cast = lifted.cast();
+    println!("\nPVR round at {a} for {prefix}: {} providers hold routes", cast.ns.len());
+    for (&n, srs) in cast.inputs {
         println!("  {n} advertised {}", srs[0].route);
     }
 
-    // B is a synthetic customer for the demo round; in the promise, A
-    // commits to exporting the shortest provider route.
-    let b = Asn(9999);
-    let (graph, _, _, _) = figure1_graph(&providers, b);
-    let keys = net.keystore().expect("signed mode").clone();
-    // A's identity: regenerate deterministically exactly as the
-    // instantiation did.
-    let mut idrng = HmacDrbg::from_u64_labeled(7, "bgp-identities");
-    let mut a_identity = None;
-    for asn in topology.ases() {
-        let id = pvr::crypto::Identity::generate(asn.principal(), 512, &mut idrng);
-        if asn == a {
-            a_identity = Some(id);
-        }
-    }
-    let a_identity = a_identity.unwrap();
-
-    let round = RoundContext { prefix, epoch: 1 };
-    let pvr_params = PvrParams { max_path_len: 16 };
-    let mut rng = HmacDrbg::from_u64_labeled(7, "internet-pvr");
-    let committer = Committer::new(
-        &a_identity,
-        round.clone(),
-        pvr_params,
-        graph,
-        inputs.clone(),
-        &providers,
-        &mut rng,
-    );
-    println!("\nA committed: root = {}", committer.signed_root().root);
-
-    // Each provider verifies its bit.
+    let prover = Prover::new(&cast, None, 7);
     let mut overhead = 0usize;
-    for &n in &providers {
-        let d = committer.disclosure_for_provider(n);
-        overhead += pvr::netsim::Payload::wire_size(&d);
-        let outcome = verify_as_provider(a, &round, &pvr_params, &inputs[&n], &d, &keys);
+    for n in cast.neighbors() {
+        let (root, disclosure) = prover.hand_out(&cast, n);
+        if n == cast.ns[0] {
+            println!("\nA committed: root = {}", root.root);
+        }
+        overhead += pvr::netsim::Payload::wire_size(&disclosure);
+        let outcome = cast.verify(n, &disclosure);
         assert!(outcome.is_accept(), "{n}: {outcome:?}");
-        println!("  {n} verified its bit: accept");
+        println!("  {n} verified its share: accept");
     }
-    let d = committer.disclosure_for_receiver(b);
-    overhead += pvr::netsim::Payload::wire_size(&d);
-    let outcome = verify_as_receiver(b, a, &round, &pvr_params, &d, &keys);
-    println!("  {b} (receiver) outcome: {outcome:?}");
 
     println!("\nPVR overhead for this decision: {overhead} bytes of disclosures");
     println!("(compare: the BGP updates that built this RIB cost {} bytes)", stats.bytes_sent);

@@ -79,14 +79,14 @@ fn main() {
 
     println!("\n--- the same attacks as live network traffic ---\n");
     for (name, behavior) in &behaviors {
-        let mut round = build_sim_round(&bed, behavior.clone(), 99);
+        let mut round = build_sim_round(bed.cast(), behavior.clone(), bed.seed, 99);
         let report = round.run();
         println!(
             "{:<20} detected={:<5} messages={:<4} bytes={}",
             name,
             report.detected(),
-            report.messages,
-            report.bytes
+            round.sim.stats().delivered,
+            round.sim.stats().bytes_sent
         );
         match behavior {
             None => assert!(!report.detected()),

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example policy_dsl`
 
 use pvr::bgp::Asn;
-use pvr::core::{Committer, PvrParams, RoundContext};
+use pvr::core::{Cast, Committer};
 use pvr::crypto::HmacDrbg;
 use pvr::rfg::{compile_policy, Promise};
 use std::collections::BTreeSet;
@@ -42,15 +42,7 @@ output shorter_of(r1, m) to AS200
     // Run a committed round over it, with inputs built by the harness.
     let bed = pvr::core::Figure1Bed::build_figure2(&[3, 3, 5], 99);
     let mut rng = HmacDrbg::from_u64_labeled(99, "dsl-example");
-    let committer = Committer::new(
-        bed.a_identity(),
-        RoundContext { prefix: bed.prefix, epoch: 1 },
-        PvrParams::default(),
-        policy.graph,
-        bed.inputs.clone(),
-        &bed.ns,
-        &mut rng,
-    );
+    let committer = Committer::new(&Cast { graph: &policy.graph, ..bed.cast() }, &mut rng);
     let exported = committer.export_route(bed.b).expect("an export");
     println!("A evaluated the compiled policy and exports {}", exported.route);
     assert_eq!(

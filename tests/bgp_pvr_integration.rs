@@ -5,86 +5,82 @@
 //! and checks the verification outcomes — the full pipeline the paper
 //! envisions, with no hand-built inputs.
 
-use pvr::bgp::{figure1, internet_like, Asn, InstantiateOptions, InternetParams, Topology};
-use pvr::core::{verify_as_provider, verify_as_receiver, Committer, PvrParams, RoundContext};
-use pvr::crypto::{HmacDrbg, Identity};
+use pvr::bgp::{
+    figure1, internet_like, Asn, BgpNetwork, Figure1Cast, InstantiateOptions, InternetParams,
+    Topology,
+};
+use pvr::core::{Misbehavior, RouterCast, Verdict};
 use pvr::netsim::RunLimits;
-use pvr::rfg::figure1_graph;
-use std::collections::BTreeMap;
 
-/// Rebuilds the identity the topology instantiation generated for `asn`
-/// (the generator is deterministic in the seed).
-fn identity_of(topology: &Topology, seed: u64, key_bits: usize, asn: Asn) -> Identity {
-    let mut rng = HmacDrbg::from_u64_labeled(seed, "bgp-identities");
-    let mut found = None;
-    for a in topology.ases() {
-        let id = Identity::generate(a.principal(), key_bits, &mut rng);
-        if a == asn {
-            found = Some(id);
-        }
-    }
-    found.expect("asn in topology")
-}
+const SEED: u64 = 5;
 
-#[test]
-fn figure1_topology_feeds_pvr_round() {
-    // BGP's figure1: chains of 0/1/2 intermediates behind N1..N3.
+/// BGP's figure1, converged with S-BGP: chains of 0/1/2 intermediates
+/// behind N1..N3.
+fn converged_figure1() -> (BgpNetwork, Figure1Cast) {
     let (topology, cast) = figure1(&[0, 1, 2]);
-    let seed = 5;
     let mut net = topology.instantiate(InstantiateOptions {
-        seed,
+        seed: SEED,
         signed: true,
         key_bits: 512,
         ..Default::default()
     });
     net.converge(RunLimits::none());
+    (net, cast)
+}
 
-    // Lift A's Adj-RIB-In (with chains) into PVR inputs.
-    let a_router = net.router(cast.a);
-    let inputs: BTreeMap<Asn, Vec<_>> = cast
-        .ns
-        .iter()
-        .map(|&n| {
-            let sr = a_router.received_chain(n, cast.prefix).expect("route from provider").clone();
-            (n, vec![sr])
-        })
-        .collect();
+/// A's Adj-RIB-In (with chains) lifted into a PVR cast, B as receiver.
+fn lift<'n>(net: &'n BgpNetwork, who: &Figure1Cast) -> RouterCast<'n> {
+    let keys = net.keystore().expect("signed mode");
+    RouterCast::lift(net.router(who.a), keys, &who.ns, who.prefix, who.b, 1).expect("signed mode")
+}
+
+#[test]
+fn figure1_topology_feeds_pvr_round() {
+    let (net, who) = converged_figure1();
+    let lifted = lift(&net, &who);
+    let cast = lifted.cast();
+    assert_eq!((cast.a(), cast.ns), (who.a, &who.ns[..]));
     // Path lengths as built: chain + 2.
-    for (i, &n) in cast.ns.iter().enumerate() {
-        assert_eq!(inputs[&n][0].route.path_len(), i + 2);
+    for (i, n) in who.ns.iter().enumerate() {
+        assert_eq!(cast.inputs[n][0].route.path_len(), i + 2);
     }
 
-    // Run the PVR round with B as receiver.
-    let keys = net.keystore().unwrap().clone();
-    let a_identity = identity_of(&topology, seed, 512, cast.a);
-    let (graph, _, _, _) = figure1_graph(&cast.ns, cast.b);
-    let round = RoundContext { prefix: cast.prefix, epoch: 1 };
-    let params = PvrParams::default();
-    let mut rng = HmacDrbg::from_u64_labeled(seed, "integration-round");
-    let committer = Committer::new(
-        &a_identity,
-        round.clone(),
-        params,
-        graph,
-        inputs.clone(),
-        &cast.ns,
-        &mut rng,
-    );
+    let report = cast.run(None, SEED);
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(report.outcomes.len(), who.ns.len() + 1);
 
-    for &n in &cast.ns {
-        let d = committer.disclosure_for_provider(n);
-        let o = verify_as_provider(cast.a, &round, &params, &inputs[&n], &d, &keys);
-        assert!(o.is_accept(), "{n}: {o:?}");
-    }
-    let d = committer.disclosure_for_receiver(cast.b);
-    let o = verify_as_receiver(cast.b, cast.a, &round, &params, &d, &keys);
-    assert!(o.is_accept(), "{o:?}");
-
-    // The exported route in the disclosure matches what A actually
+    // The exported route in B's disclosure matches what A actually
     // advertised to B over BGP.
-    let exported = d.exported.unwrap();
-    let advertised = net.router(cast.a).advertised_to(cast.b, cast.prefix).unwrap();
+    let exported = cast.commit(SEED).export_route(who.b).unwrap();
+    let advertised = net.router(who.a).advertised_to(who.b, who.prefix).unwrap();
     assert_eq!(exported.route.path, advertised.path);
+}
+
+/// The whole catalog on inputs BGP + S-BGP delivered, with
+/// `tests/detection_matrix.rs`'s expectations: N1 holds the unique
+/// minimum, so the victim-targeted variants are genuine violations.
+#[test]
+fn catalog_is_detected_on_lifted_routes() {
+    let (net, who) = converged_figure1();
+    let lifted = lift(&net, &who);
+    let cast = lifted.cast();
+    for behavior in Misbehavior::catalog(who.ns[0]) {
+        let report = cast.run(Some(behavior.clone()), SEED);
+        assert!(report.detected(), "{behavior:?}: no verifier noticed");
+        match behavior {
+            // Omissions are suspicion only.
+            Misbehavior::RefuseReveal { .. } | Misbehavior::CorruptOpening { .. } => {
+                assert!(!report.convicted(), "{behavior:?}");
+            }
+            // Commission faults convict, and no accusation is weak.
+            _ => {
+                assert!(report.convicted(), "{behavior:?}: no conviction");
+                for (accuser, verdict) in &report.verdicts {
+                    assert_eq!(*verdict, Verdict::Guilty, "{behavior:?}: accused by {accuser}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -107,7 +103,7 @@ fn internet_like_rib_passes_pvr() {
         ..Default::default()
     });
     net.converge(RunLimits::none());
-    let keys = net.keystore().unwrap().clone();
+    let keys = net.keystore().unwrap();
 
     let mut rounds_checked = 0;
     for a in topology.ases().collect::<Vec<_>>() {
@@ -115,43 +111,16 @@ fn internet_like_rib_passes_pvr() {
             break;
         }
         let router = net.router(a);
+        let neighbors: Vec<Asn> = topology.neighbor_roles(a).into_iter().map(|(n, _)| n).collect();
         for prefix in router.selected_prefixes() {
-            let providers: Vec<Asn> = topology
-                .neighbor_roles(a)
-                .into_iter()
-                .filter(|(n, _)| router.received_chain(*n, prefix).is_some())
-                .map(|(n, _)| n)
-                .collect();
-            if providers.len() < 2 {
+            // A synthetic receiver for the promise.
+            let lifted = RouterCast::lift(router, keys, &neighbors, prefix, Asn(60000), 1).unwrap();
+            let cast = lifted.cast();
+            if cast.ns.len() < 2 {
                 continue;
             }
-            let inputs: BTreeMap<Asn, Vec<_>> = providers
-                .iter()
-                .map(|&n| (n, vec![router.received_chain(n, prefix).unwrap().clone()]))
-                .collect();
-            let a_identity = identity_of(&topology, seed, 512, a);
-            let b = Asn(60000); // synthetic receiver for the promise
-            let (graph, _, _, _) = figure1_graph(&providers, b);
-            let round = RoundContext { prefix, epoch: 1 };
-            let pvr_params = PvrParams { max_path_len: 16 };
-            let mut rng = HmacDrbg::from_u64_labeled(seed + rounds_checked, "net-round");
-            let committer = Committer::new(
-                &a_identity,
-                round.clone(),
-                pvr_params,
-                graph,
-                inputs.clone(),
-                &providers,
-                &mut rng,
-            );
-            for &n in &providers {
-                let d = committer.disclosure_for_provider(n);
-                let o = verify_as_provider(a, &round, &pvr_params, &inputs[&n], &d, &keys);
-                assert!(o.is_accept(), "AS{} prefix {prefix} provider {n}: {o:?}", a.0);
-            }
-            let d = committer.disclosure_for_receiver(b);
-            let o = verify_as_receiver(b, a, &round, &pvr_params, &d, &keys);
-            assert!(o.is_accept(), "AS{} prefix {prefix} receiver: {o:?}", a.0);
+            let report = cast.run(None, seed + rounds_checked);
+            assert!(report.clean(), "AS{} prefix {prefix}: {:?}", a.0, report.outcomes);
             rounds_checked += 1;
             break;
         }

@@ -388,7 +388,9 @@ fn restore_reinstalls_the_origin_table() {
 fn checkpoint_bytes_fixture() -> Vec<u8> {
     let topology = small_internet(308);
     let options = InstantiateOptions { seed: 308, ..Default::default() };
-    let path = temp_path("fixture");
+    // Per thread: tests run in parallel, and two of them writing one
+    // path share its `.tmp` and rename it from under each other.
+    let path = temp_path(&format!("fixture-{:?}", std::thread::current().id()));
     let mut net = topology.instantiate(options);
     net.converge(RunLimits::until(SimTime(40_000)));
     net.checkpoint(&path).expect("checkpoint");
@@ -694,6 +696,19 @@ fn hostile_options_in_a_well_framed_meta_never_panic() {
     let err = must_fail(restore_mutilated(bad, "meta-window"), "zero timeline window");
     assert!(
         matches!(err, CheckpointError::Corrupt("timeline window must be positive")),
+        "got {err:?}"
+    );
+
+    // And the dampening reuse tick: at zero the tick timer re-arms at
+    // the same instant while any pair is suppressed, so a restored run
+    // would spin without ever decaying a penalty.
+    let bad = with_meta_options(&fixture, |options| {
+        options.dampening =
+            Some(DampeningPolicy { reuse_tick: SimDuration::ZERO, ..DampeningPolicy::default() });
+    });
+    let err = must_fail(restore_mutilated(bad, "meta-reuse-tick"), "zero reuse tick");
+    assert!(
+        matches!(err, CheckpointError::Corrupt("dampening reuse tick must be positive")),
         "got {err:?}"
     );
 

@@ -5,12 +5,12 @@
 
 use pvr::bgp::Asn;
 use pvr::core::{
-    verify_as_receiver, verify_as_receiver_with_epsilon, Committer, EpochTracker, Figure1Bed,
-    Freshness, PvrParams, PvrSession, RoundContext,
+    verify_as_receiver, verify_as_receiver_with_epsilon, Cast, Committer, EpochTracker, Figure1Bed,
+    Freshness, PvrSession,
 };
 use pvr::crypto::HmacDrbg;
 use pvr::rfg::{compile_policy, Promise};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 #[test]
 fn dsl_compiled_graph_drives_a_full_verified_round() {
@@ -26,15 +26,7 @@ output min(r1, r2, r3) to AS200
     let policy = compile_policy(program).unwrap();
     let bed = Figure1Bed::build(&[3, 2, 4], 501);
     let mut rng = HmacDrbg::from_u64_labeled(501, "dsl-round");
-    let committer = Committer::new(
-        bed.a_identity(),
-        RoundContext { prefix: bed.prefix, epoch: 1 },
-        PvrParams::default(),
-        policy.graph,
-        bed.inputs.clone(),
-        &bed.ns,
-        &mut rng,
-    );
+    let committer = Committer::new(&Cast { graph: &policy.graph, ..bed.cast() }, &mut rng);
     let d = committer.disclosure_for_receiver(bed.b);
     let o = verify_as_receiver(bed.b, bed.a, &bed.round, &bed.params, &d, &bed.keys);
     assert!(o.is_accept(), "{o:?}");
@@ -77,8 +69,7 @@ fn epsilon_promise_interoperates_with_sessions() {
     // A session whose receiver tolerates ε=1: an export one hop above
     // the minimum passes, two hops fails — across epochs.
     let bed = Figure1Bed::build(&[2, 3, 4], 502);
-    let mut session =
-        PvrSession::new(bed.a_identity(), bed.prefix, bed.params, bed.graph.clone(), &bed.ns, 502);
+    let mut session = PvrSession::new(bed.cast(), 502);
     let c = session.next_round(bed.inputs.clone());
     let round = c.round().clone();
 
@@ -108,8 +99,7 @@ fn epsilon_promise_interoperates_with_sessions() {
 #[test]
 fn epoch_tracker_guards_a_session_stream() {
     let bed = Figure1Bed::build(&[2, 3], 503);
-    let mut session =
-        PvrSession::new(bed.a_identity(), bed.prefix, bed.params, bed.graph.clone(), &bed.ns, 503);
+    let mut session = PvrSession::new(bed.cast(), 503);
     let mut tracker = EpochTracker::new();
     let mut roots = Vec::new();
     for _ in 0..3 {
@@ -127,9 +117,8 @@ fn mrai_damped_substrate_still_feeds_clean_pvr_rounds() {
     // Converge a signed, MRAI-damped network, then run a PVR round from
     // the resulting RIB — batching must not corrupt attestation chains.
     use pvr::bgp::{figure1, InstantiateOptions};
-    use pvr::core::verify_as_provider;
+    use pvr::core::RouterCast;
     use pvr::netsim::{RunLimits, SimDuration};
-    use pvr::rfg::figure1_graph;
 
     let (topology, cast) = figure1(&[0, 1]);
     let mut net = topology.instantiate(InstantiateOptions {
@@ -141,45 +130,10 @@ fn mrai_damped_substrate_still_feeds_clean_pvr_rounds() {
     });
     net.converge(RunLimits::none());
 
-    let a_router = net.router(cast.a);
-    let inputs: BTreeMap<Asn, Vec<_>> = cast
-        .ns
-        .iter()
-        .map(|&n| (n, vec![a_router.received_chain(n, cast.prefix).unwrap().clone()]))
-        .collect();
-
-    // Rebuild A's identity deterministically (same stream as the
-    // instantiation).
-    let mut idrng = HmacDrbg::from_u64_labeled(9, "bgp-identities");
-    let mut a_identity = None;
-    for asn in topology.ases() {
-        let id = pvr::crypto::Identity::generate(asn.principal(), 512, &mut idrng);
-        if asn == cast.a {
-            a_identity = Some(id);
-        }
-    }
-    let a_identity = a_identity.unwrap();
-    let keys = net.keystore().unwrap().clone();
-
-    let (graph, _, _, _) = figure1_graph(&cast.ns, cast.b);
-    let round = RoundContext { prefix: cast.prefix, epoch: 1 };
-    let params = PvrParams::default();
-    let mut rng = HmacDrbg::from_u64_labeled(9, "mrai-round");
-    let committer = Committer::new(
-        &a_identity,
-        round.clone(),
-        params,
-        graph,
-        inputs.clone(),
-        &cast.ns,
-        &mut rng,
-    );
-    for &n in &cast.ns {
-        let d = committer.disclosure_for_provider(n);
-        let o = verify_as_provider(cast.a, &round, &params, &inputs[&n], &d, &keys);
-        assert!(o.is_accept(), "{n}: {o:?}");
-    }
-    let d = committer.disclosure_for_receiver(cast.b);
-    let o = verify_as_receiver(cast.b, cast.a, &round, &params, &d, &keys);
-    assert!(o.is_accept(), "{o:?}");
+    let keys = net.keystore().unwrap();
+    let lifted =
+        RouterCast::lift(net.router(cast.a), keys, &cast.ns, cast.prefix, cast.b, 1).unwrap();
+    assert_eq!(lifted.cast().ns, &cast.ns[..], "every provider's route arrived");
+    let report = lifted.cast().run(None, 9);
+    assert!(report.clean(), "{report:?}");
 }

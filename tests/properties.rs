@@ -181,17 +181,7 @@ fn existential_protocol_properties() {
     use pvr::core::Adversary;
     use pvr::crypto::HmacDrbg;
     let mut rng = HmacDrbg::from_u64_labeled(bed.seed, "adversary");
-    let adv = Adversary::new(
-        bed.a_identity(),
-        bed.round.clone(),
-        bed.params,
-        bed.graph.clone(),
-        bed.inputs.clone(),
-        &bed.ns,
-        bed.b,
-        Misbehavior::DenyAll,
-        &mut rng,
-    );
+    let adv = Adversary::new(&bed.cast(), Misbehavior::DenyAll, &mut rng);
     // Build the existential disclosure by hand from the adversary's view:
     // the exist bit (slot 0) committed by DenyAll is 0.
     let d = pvr::core::Disclosure {
