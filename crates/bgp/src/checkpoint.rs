@@ -42,7 +42,34 @@
 //! network, and the network is built fresh — a corrupt file yields a
 //! typed [`CheckpointError`] and no partially-mutated state. Writes go
 //! through a `.tmp` + rename so a crash mid-checkpoint never leaves a
-//! torn file at the target path.
+//! torn file at the target path, and a write that fails removes its
+//! `.tmp`.
+//!
+//! ## Write pipeline
+//!
+//! A checkpoint is two halves. Building the five payloads reads the
+//! network (engine state, META, the RIB capture, ROUTERS, CACHE and the
+//! STORE dump) and runs on the caller's thread. Framing them — a
+//! SHA-256 over every payload byte — and streaming header, section
+//! heads, payloads and digests through a buffered file to `.tmp` +
+//! rename reads only those payloads. [`BgpNetwork::checkpoint`] does
+//! both halves before it returns. [`BgpNetwork::converge_checkpointed`]
+//! hands the second half of each boundary's checkpoint to one scoped
+//! writer thread and runs the next slice meanwhile:
+//!
+//! * at most one checkpoint is in flight — a boundary builds its
+//!   payloads, then joins the previous writer, then starts its own;
+//! * a file is on disk, complete under its final name, once its writer
+//!   is joined: at the next boundary, or before the call returns, which
+//!   joins every writer whatever the outcome;
+//! * the bytes of every file are exactly those `checkpoint` writes at
+//!   the same boundary — the pipeline moves when bytes land, never what
+//!   they are;
+//! * errors come back in boundary order. A write that fails is seen at
+//!   the next boundary, so after a write failure the network may have
+//!   run at most one slice past the failed checkpoint (and taken that
+//!   boundary's RIB snapshot); every file before the failed one is
+//!   complete, and no `.tmp` is left behind.
 //!
 //! ## What refuses to checkpoint
 //!
@@ -76,12 +103,15 @@ use pvr_crypto::rsa::RsaPrivateKey;
 use pvr_crypto::sha256::Digest;
 use pvr_netsim::{RunLimits, SimDuration, SimTime, StateError, StopReason};
 use pvr_store::{
-    dump_snapshots, load_snapshots, read_container, require_section, write_header, write_section,
-    PMap, StoreError, HEADER_LEN, SECTION_OVERHEAD,
+    dump_snapshots, load_snapshots, read_container, require_section, write_container, PMap,
+    StoreError,
 };
 use std::cmp::Ordering;
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, BufWriter};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 
 /// Checkpoint file magic.
 pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT2";
@@ -329,11 +359,11 @@ impl BgpNetwork {
         dump_snapshots(&labeled)
     }
 
-    /// Serializes the whole network into checkpoint-container bytes.
-    /// Every step that can refuse or fail runs before the one that
-    /// changes the network, so a refused or failed call does nothing
-    /// at all.
-    fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
+    /// Builds the payloads of a checkpoint of the whole network: all of
+    /// a checkpoint that reads the network. Every step that can refuse
+    /// or fail runs before the one that changes the network, so a
+    /// refused or failed call does nothing at all.
+    fn checkpoint_sections(&mut self) -> Result<Sections, CheckpointError> {
         if self.private_verifier().is_some() {
             return Err(CheckpointError::Refused(
                 "private-verification mode installs a barrier hook with transcript state",
@@ -350,27 +380,13 @@ impl BgpNetwork {
         // section always covers "now" and `route_at` works right after
         // restore.
         self.snapshot_rib();
-        let routers = self.routers_bytes();
-        let caches = self.caches_bytes();
-        let store = self.store_bytes();
-
-        let sections = [
-            (SEC_META, &meta),
-            (SEC_ENGINE, &engine),
-            (SEC_ROUTERS, &routers),
-            (SEC_CACHE, &caches),
-            (SEC_STORE, &store),
-        ];
-        // Sized once: a buffer grown by doubling leaves a trail of freed
-        // multi-megabyte blocks behind every checkpoint.
-        let len =
-            sections.iter().map(|(_, payload)| SECTION_OVERHEAD + payload.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(HEADER_LEN + len);
-        write_header(&CKPT_MAGIC, CKPT_VERSION, &mut out);
-        for (tag, payload) in sections {
-            write_section(tag, payload, &mut out);
-        }
-        Ok(out)
+        Ok([
+            (SEC_META, meta),
+            (SEC_ENGINE, engine),
+            (SEC_ROUTERS, self.routers_bytes()),
+            (SEC_CACHE, self.caches_bytes()),
+            (SEC_STORE, self.store_bytes()),
+        ])
     }
 
     /// Writes a self-contained checkpoint of the whole network to `path`
@@ -378,9 +394,8 @@ impl BgpNetwork {
     /// in bytes. See the module docs for the format and the refusal
     /// conditions.
     pub fn checkpoint(&mut self, path: &Path) -> Result<u64, CheckpointError> {
-        let bytes = self.checkpoint_bytes()?;
-        write_atomic(path, &bytes)?;
-        Ok(bytes.len() as u64)
+        let sections = self.checkpoint_sections()?;
+        Ok(write_checkpoint(path, &sections)?)
     }
 
     // -----------------------------------------------------------------
@@ -516,34 +531,87 @@ impl BgpNetwork {
     /// `dir` every `every` of sim time (`ckpt-<t_ms>.pvr`). Returns the
     /// stop reason and the last checkpoint path (every slice writes one,
     /// so there is always a last path).
+    ///
+    /// Each file holds exactly the bytes [`checkpoint`](Self::checkpoint)
+    /// would write at that boundary, but is framed and written on a
+    /// second thread while the next slice runs — see "Write pipeline" in
+    /// the module docs for when a file is on disk and where the network
+    /// stands after a failure.
     pub fn converge_checkpointed(
         &mut self,
         limits: RunLimits,
         every: SimDuration,
         dir: &Path,
-    ) -> Result<(StopReason, std::path::PathBuf), CheckpointError> {
+    ) -> Result<(StopReason, PathBuf), CheckpointError> {
         std::fs::create_dir_all(dir)?;
-        let mut last = std::path::PathBuf::new();
-        let reason = self.converge_sliced(limits, every, |net, slice_deadline| {
-            // Files are named by the slice boundary (a shard-count-
-            // invariant drained instant), not by the clock, which lags
-            // it.
-            last = dir.join(format!("ckpt-{:08}.pvr", slice_deadline.as_micros() / 1000));
-            net.checkpoint(&last).map(drop)
-        })?;
-        Ok((reason, last))
+        let mut last = PathBuf::new();
+        std::thread::scope(|scope| {
+            // The checkpoint being written while the next slice runs.
+            let mut in_flight = None;
+            let reason: Result<_, CheckpointError> =
+                self.converge_sliced(limits, every, |net, slice_deadline| {
+                    let sections = net.checkpoint_sections();
+                    // At most one checkpoint in flight; the previous one's
+                    // error comes first, being the earlier boundary's.
+                    finish(in_flight.take())?;
+                    let sections = sections?;
+                    // Files are named by the slice boundary (a shard-count-
+                    // invariant drained instant), not by the clock, which
+                    // lags it.
+                    last = dir.join(format!("ckpt-{:08}.pvr", slice_deadline.as_micros() / 1000));
+                    let path = last.clone();
+                    in_flight = Some(scope.spawn(move || write_checkpoint(&path, &sections)));
+                    Ok(())
+                });
+            // A boundary that failed has already joined its predecessor,
+            // so only a run that succeeded leaves a writer to wait for.
+            let reason = reason?;
+            finish(in_flight)?;
+            Ok((reason, last))
+        })
     }
 }
 
-/// Writes `bytes` crash-consistently: the payload lands at `<path>.tmp`
-/// first and is renamed into place, so a crash mid-write never leaves a
-/// torn file where a checkpoint is expected.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// The payloads of one checkpoint, in file order. Everything that reads
+/// the network went into them; framing them into a file reads nothing
+/// else, so it can run beside the next slice.
+type Sections = [(u8, Vec<u8>); 5];
+
+/// Frames `sections` into a checkpoint file at `path` and returns its
+/// size in bytes. Crash-consistent: the container streams to
+/// `<path>.tmp` through a buffer and is renamed into place, so a crash
+/// mid-write never leaves a torn file where a checkpoint is expected;
+/// on any failure the `.tmp` is removed again, so nothing but complete
+/// files is ever left in the directory.
+fn write_checkpoint(path: &Path, sections: &Sections) -> io::Result<u64> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    let tmp = PathBuf::from(tmp);
+    let written = stream_container(&tmp, sections).and_then(|len| {
+        std::fs::rename(&tmp, path)?;
+        Ok(len)
+    });
+    if written.is_err() {
+        // Best effort: the error being returned is the one that matters.
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+fn stream_container(path: &Path, sections: &Sections) -> io::Result<u64> {
+    let mut out = BufWriter::new(File::create(path)?);
+    let len = write_container(&mut out, &CKPT_MAGIC, CKPT_VERSION, sections)?;
+    // Flushing here, not on drop, is what surfaces a failed last write.
+    out.into_inner().map_err(io::IntoInnerError::into_error)?;
+    Ok(len)
+}
+
+/// Waits for an in-flight checkpoint writer and returns its error.
+fn finish(writer: Option<ScopedJoinHandle<'_, io::Result<u64>>>) -> Result<(), CheckpointError> {
+    if let Some(writer) = writer {
+        writer.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+    }
+    Ok(())
 }
 
 /// Decoded META section.

@@ -16,9 +16,9 @@
 //! entirely before returning, so a failed load leaves nothing behind.
 
 use crate::error::StoreError;
-use crate::pmap::{content_address, encode_content, Node, PMap, FANOUT};
+use crate::pmap::{child_hashes, content_address, encode_content, Node, PMap, FANOUT};
 use pvr_crypto::encoding::{Reader, Wire};
-use pvr_crypto::sha256::Digest;
+use pvr_crypto::sha256::{Digest, DIGEST_LEN};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -26,6 +26,12 @@ use std::sync::Arc;
 pub const DUMP_MAGIC: &[u8; 8] = b"PVRSTOR1";
 /// Format version this build writes and accepts.
 pub const DUMP_VERSION: u32 = 1;
+
+/// The smallest node a dump can hold: a valueless tag, an empty
+/// bitmap and the node's address.
+const MIN_NODE_LEN: usize = 1 + 2 + DIGEST_LEN;
+/// The smallest root entry: a label and the tag of an absent root.
+const MIN_ROOT_LEN: usize = 8 + 1;
 
 /// Serializes `snapshots` (label → map) into a self-contained,
 /// integrity-checked byte vector. Labels are caller-defined (the
@@ -44,9 +50,7 @@ pub fn dump_snapshots(snapshots: &[(u64, &PMap)]) -> Vec<u8> {
     DUMP_VERSION.encode(&mut out);
     (nodes.len() as u32).encode(&mut out);
     for node in &nodes {
-        let child_hashes: [Option<Digest>; FANOUT] =
-            std::array::from_fn(|i| node.children[i].as_ref().map(|c| c.hash));
-        encode_content(&node.value, &child_hashes, &mut out);
+        encode_content(node.value.as_deref(), child_hashes(&node.children), &mut out);
         node.hash.encode(&mut out);
     }
     (snapshots.len() as u32).encode(&mut out);
@@ -90,10 +94,11 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
         return Err(StoreError::UnsupportedVersion(version));
     }
 
+    // The counts come from the input and size reservations, so each is
+    // bounded by how many of its smallest entry the input could hold: a
+    // larger count is a corrupt prefix, not a huge table.
     let node_count = u32::decode(&mut r)?;
-    if node_count as usize > bytes.len() {
-        // A node costs well over one byte; a count exceeding the file
-        // size is a corrupt prefix, not a huge table.
+    if node_count as usize > bytes.len() / MIN_NODE_LEN {
         return Err(StoreError::Corrupt("node count exceeds input size"));
     }
     let mut by_hash: HashMap<Digest, Arc<Node>> = HashMap::with_capacity(node_count as usize);
@@ -107,7 +112,7 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
             }
         }
         let claimed = Digest::decode(&mut r)?;
-        if content_address(&value, &child_hashes) != claimed {
+        if content_address(value.as_deref(), child_hashes.iter().map(Option::as_ref)) != claimed {
             return Err(StoreError::NodeHashMismatch { index });
         }
         let mut children: [Option<Arc<Node>>; FANOUT] = std::array::from_fn(|_| None);
@@ -122,7 +127,7 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
     }
 
     let root_count = u32::decode(&mut r)?;
-    if root_count as usize > bytes.len() {
+    if root_count as usize > bytes.len() / MIN_ROOT_LEN {
         return Err(StoreError::Corrupt("root count exceeds input size"));
     }
     let mut out = Vec::with_capacity(root_count as usize);
@@ -233,6 +238,31 @@ mod tests {
         }
         // Labels are 8 bytes; everything else must be covered.
         assert!(undetected <= 8, "{undetected} byte flips went undetected");
+    }
+
+    #[test]
+    fn counts_past_what_the_input_can_hold_are_corrupt() {
+        // Section digests are not MACs: a crafted count must be refused
+        // before it sizes a reservation, and a count at the bound must
+        // get past the check (to fail later, on the missing entries).
+        let m = map_of(&[(b"abc", b"1"), (b"abd", b"2"), (b"zz", b"3")]);
+        let bytes = dump_snapshots(&[(7, &m)]);
+        let with_count = |at: usize, count: usize| {
+            let mut forged = bytes.clone();
+            forged[at..at + 4].copy_from_slice(&(count as u32).to_be_bytes());
+            load_snapshots(&forged)
+        };
+        // The node count follows magic and version; the root count
+        // precedes the one root entry (label, tag, digest) at the end.
+        let (node_count_at, root_count_at) = (12, bytes.len() - (4 + 8 + 1 + DIGEST_LEN));
+        let cases = [
+            (node_count_at, bytes.len() / MIN_NODE_LEN, "node count exceeds input size"),
+            (root_count_at, bytes.len() / MIN_ROOT_LEN, "root count exceeds input size"),
+        ];
+        for (at, bound, why) in cases {
+            assert_eq!(with_count(at, bound + 1), Err(StoreError::Corrupt(why)));
+            assert!(with_count(at, bound).is_err_and(|e| e != StoreError::Corrupt(why)));
+        }
     }
 
     #[test]

@@ -9,53 +9,105 @@
 //!
 //! The layer above (e.g. the BGP checkpoint codec) decides what lives
 //! in each section; this module only guarantees framing integrity.
+//! [`write_container`] streams a whole container to any [`Write`] (a
+//! checkpoint goes straight to a buffered file, never through one
+//! in-memory copy of itself); [`write_header`] and [`write_section`]
+//! append the same bytes to a `Vec<u8>`.
 
 use crate::error::StoreError;
 use pvr_crypto::encoding::{Reader, Wire};
 use pvr_crypto::sha256::{sha256_concat, Digest, DIGEST_LEN};
+use std::io::{self, Write};
 
-/// One decoded section: its tag and verified payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Section {
+/// One decoded section: its tag and verified payload, borrowed from
+/// the container bytes it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Section<'a> {
     /// Caller-defined section kind.
     pub tag: u8,
     /// The section payload (integrity already verified).
-    pub payload: Vec<u8>,
-}
-
-fn section_digest(tag: u8, payload: &[u8]) -> Digest {
-    sha256_concat(&[b"pvr.store.section", &[tag], &(payload.len() as u64).to_be_bytes(), payload])
+    pub payload: &'a [u8],
 }
 
 /// Bytes [`write_header`] appends.
 pub const HEADER_LEN: usize = 8 + 4;
+/// Bytes of a section head: tag and payload length.
+const HEAD_LEN: usize = 1 + 8;
 /// Bytes [`write_section`] appends around its payload: tag, length and
 /// digest. With [`HEADER_LEN`], what a writer needs to size a
 /// container's buffer once instead of growing it by doubling.
-pub const SECTION_OVERHEAD: usize = 1 + 8 + DIGEST_LEN;
+pub const SECTION_OVERHEAD: usize = HEAD_LEN + DIGEST_LEN;
+
+fn section_head(tag: u8, len: usize) -> [u8; HEAD_LEN] {
+    let mut head = [0; HEAD_LEN];
+    head[0] = tag;
+    head[1..].copy_from_slice(&(len as u64).to_be_bytes());
+    head
+}
+
+/// The digest that closes a section: over its head and payload,
+/// domain-separated.
+fn section_digest(head: &[u8; HEAD_LEN], payload: &[u8]) -> Digest {
+    sha256_concat(&[b"pvr.store.section", head, payload])
+}
+
+fn put_header(out: &mut impl Write, magic: &[u8; 8], version: u32) -> io::Result<()> {
+    out.write_all(magic)?;
+    out.write_all(&version.to_be_bytes())
+}
+
+/// The one statement of a section's layout: head, payload, digest.
+fn put_section(out: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()> {
+    let head = section_head(tag, payload.len());
+    out.write_all(&head)?;
+    out.write_all(payload)?;
+    out.write_all(section_digest(&head, payload).as_bytes())
+}
+
+/// Streams a whole container — `magic`, `version`, then each
+/// `(tag, payload)` as a section, in order — to `out`, and returns the
+/// bytes written. The payloads are written as they are, never copied
+/// into a container-sized buffer first.
+pub fn write_container<P: AsRef<[u8]>>(
+    out: &mut impl Write,
+    magic: &[u8; 8],
+    version: u32,
+    sections: &[(u8, P)],
+) -> io::Result<u64> {
+    put_header(out, magic, version)?;
+    let mut len = HEADER_LEN;
+    for (tag, payload) in sections {
+        put_section(out, *tag, payload.as_ref())?;
+        len += SECTION_OVERHEAD + payload.as_ref().len();
+    }
+    Ok(len as u64)
+}
 
 /// Starts a container: writes `magic` and `version`.
 pub fn write_header(magic: &[u8; 8], version: u32, out: &mut Vec<u8>) {
-    out.extend_from_slice(magic);
-    version.encode(out);
+    put_header(out, magic, version).expect("writing to a Vec<u8> cannot fail");
 }
 
 /// Appends one integrity-protected section.
 pub fn write_section(tag: u8, payload: &[u8], out: &mut Vec<u8>) {
-    out.push(tag);
-    (payload.len() as u64).encode(out);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(section_digest(tag, payload).as_bytes());
+    put_section(out, tag, payload).expect("writing to a Vec<u8> cannot fail");
 }
 
 /// Parses a container: checks `magic`, returns the version and every
 /// section with its SHA-256 trailer verified. `expect_version` rejects
 /// anything else with [`StoreError::UnsupportedVersion`].
-pub fn read_container(
-    bytes: &[u8],
+///
+/// The sections borrow `bytes`. Framing is read first; then the digests
+/// are checked, the largest section's on a helper thread while the
+/// caller checks the rest. The error does not depend on which thread
+/// finishes first: it is the first damaged section in file order, and a
+/// framing error (truncation) only when every section before it is
+/// intact.
+pub fn read_container<'a>(
+    bytes: &'a [u8],
     magic: &[u8; 8],
     expect_version: u32,
-) -> Result<Vec<Section>, StoreError> {
+) -> Result<Vec<Section<'a>>, StoreError> {
     let mut r = Reader::new(bytes);
     if r.take(magic.len()).map_err(|_| StoreError::Truncated)? != magic {
         return Err(StoreError::BadMagic);
@@ -64,33 +116,63 @@ pub fn read_container(
     if version != expect_version {
         return Err(StoreError::UnsupportedVersion(version));
     }
-    let mut sections = Vec::new();
-    while r.remaining() > 0 {
-        let tag = r.take(1)?[0];
-        let len = u64::decode(&mut r)?;
-        if len > r.remaining() as u64 {
-            return Err(StoreError::Truncated);
+    let mut framed = Vec::new();
+    let framing = loop {
+        if r.remaining() == 0 {
+            break Ok(());
         }
-        let payload = r.take(len as usize)?.to_vec();
-        let claimed = Digest(r.take_array::<DIGEST_LEN>()?);
-        if section_digest(tag, &payload) != claimed {
-            return Err(StoreError::SectionHashMismatch { tag });
+        match read_section(&mut r) {
+            Ok(section) => framed.push(section),
+            Err(e) => break Err(e),
         }
-        sections.push(Section { tag, payload });
+    };
+    if let Some(tag) = first_damaged(&framed) {
+        return Err(StoreError::SectionHashMismatch { tag });
     }
-    Ok(sections)
+    framing?;
+    Ok(framed.into_iter().map(|(section, _)| section).collect())
+}
+
+/// One section's framing and the digest it claims, unchecked.
+fn read_section<'a>(r: &mut Reader<'a>) -> Result<(Section<'a>, Digest), StoreError> {
+    let tag = r.take(1)?[0];
+    let len = u64::decode(r)?;
+    if len > r.remaining() as u64 {
+        return Err(StoreError::Truncated);
+    }
+    let payload = r.take(len as usize)?;
+    let claimed = Digest(r.take_array::<DIGEST_LEN>()?);
+    Ok((Section { tag, payload }, claimed))
+}
+
+/// The tag of the first section, in file order, whose payload does not
+/// hash to the digest it claims.
+fn first_damaged(framed: &[(Section<'_>, Digest)]) -> Option<u8> {
+    let intact = |i: usize| {
+        let (section, claimed) = &framed[i];
+        section_digest(&section_head(section.tag, section.payload.len()), section.payload)
+            == *claimed
+    };
+    let largest = (0..framed.len()).max_by_key(|&i| framed[i].0.payload.len())?;
+    let first = std::thread::scope(|scope| {
+        let helper = scope.spawn(move || intact(largest));
+        let rest = (0..framed.len()).filter(|&i| i != largest).find(|&i| !intact(i));
+        let largest_intact = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        rest.into_iter().chain((!largest_intact).then_some(largest)).min()
+    });
+    first.map(|i| framed[i].0.tag)
 }
 
 /// Finds the unique section with `tag`, or a typed error when it is
 /// absent or duplicated.
-pub fn require_section(sections: &[Section], tag: u8) -> Result<&[u8], StoreError> {
+pub fn require_section<'a>(sections: &[Section<'a>], tag: u8) -> Result<&'a [u8], StoreError> {
     let mut found = None;
     for s in sections {
         if s.tag == tag {
             if found.is_some() {
                 return Err(StoreError::Corrupt("duplicate section tag"));
             }
-            found = Some(s.payload.as_slice());
+            found = Some(s.payload);
         }
     }
     found.ok_or(StoreError::Corrupt("missing required section"))
@@ -117,8 +199,18 @@ mod tests {
     }
 
     #[test]
+    fn streamed_container_equals_the_appended_one() {
+        let sections: [(u8, &[u8]); 2] = [(1, b"engine-bytes"), (2, b"router-bytes")];
+        let mut streamed = Vec::new();
+        let len = write_container(&mut streamed, MAGIC, 3, &sections).unwrap();
+        assert_eq!(streamed, container());
+        assert_eq!(len, streamed.len() as u64);
+    }
+
+    #[test]
     fn round_trip() {
-        let sections = read_container(&container(), MAGIC, 3).unwrap();
+        let bytes = container();
+        let sections = read_container(&bytes, MAGIC, 3).unwrap();
         assert_eq!(sections.len(), 2);
         assert_eq!(require_section(&sections, 1).unwrap(), b"engine-bytes");
         assert_eq!(require_section(&sections, 2).unwrap(), b"router-bytes");
@@ -154,6 +246,17 @@ mod tests {
         assert_eq!(
             read_container(&bytes, MAGIC, 3),
             Err(StoreError::SectionHashMismatch { tag: 2 })
+        );
+    }
+
+    #[test]
+    fn a_damaged_section_outranks_a_later_truncation() {
+        let mut bytes = container();
+        bytes[HEADER_LEN + HEAD_LEN] ^= 0x40;
+        let cut = bytes.len() - 1;
+        assert_eq!(
+            read_container(&bytes[..cut], MAGIC, 3),
+            Err(StoreError::SectionHashMismatch { tag: 1 })
         );
     }
 

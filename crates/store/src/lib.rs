@@ -27,7 +27,8 @@
 //!   than its churn.
 //! * [`framing`] — the sectioned container format (`tag`, length,
 //!   payload, SHA-256 trailer) the full simulator checkpoint files are
-//!   built from.
+//!   built from: streamed to a writer, read back as sections borrowing
+//!   the file bytes.
 //!
 //! [`pvr_mht`]: https://docs.rs/pvr-mht
 
@@ -39,7 +40,7 @@ pub mod pmap;
 pub use dump::{dump_snapshots, load_snapshots, DUMP_MAGIC, DUMP_VERSION};
 pub use error::StoreError;
 pub use framing::{
-    read_container, require_section, write_header, write_section, Section, HEADER_LEN,
-    SECTION_OVERHEAD,
+    read_container, require_section, write_container, write_header, write_section, Section,
+    HEADER_LEN, SECTION_OVERHEAD,
 };
 pub use pmap::{diff, DiffEntry, PMap};

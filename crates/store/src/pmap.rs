@@ -16,8 +16,7 @@
 //! * the loader re-derives every address and refuses mismatches, so a
 //!   flipped bit anywhere is caught at the node that owns it.
 
-use pvr_crypto::encoding::Wire;
-use pvr_crypto::sha256::{sha256_concat, Digest};
+use pvr_crypto::sha256::{sha256_concat, Digest, Sha256};
 use std::sync::Arc;
 
 /// Children per node: one per key nibble value.
@@ -40,44 +39,79 @@ fn empty_children() -> [Option<Arc<Node>>; FANOUT] {
     std::array::from_fn(|_| None)
 }
 
+/// Where [`encode_content`] puts a node's bytes: the dump's buffer, or
+/// the hasher deriving the node's address.
+pub(crate) trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for Sha256 {
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
 /// Canonical encoding a node's content address is derived from: the
-/// optional value, a presence bitmap, then each present child's address
-/// in nibble order. Shared verbatim with the dump format so the loader
-/// verifies exactly what the hash commits to.
-pub(crate) fn encode_content(
-    value: &Option<Vec<u8>>,
-    child_hashes: &[Option<Digest>; FANOUT],
-    buf: &mut Vec<u8>,
+/// optional value (the `Wire` encoding of an `Option<Vec<u8>>`), a
+/// presence bitmap, then each present child's address in nibble order.
+/// Shared verbatim with the dump format so the loader verifies exactly
+/// what the hash commits to.
+pub(crate) fn encode_content<'a>(
+    value: Option<&[u8]>,
+    child_hashes: impl Iterator<Item = Option<&'a Digest>> + Clone,
+    out: &mut impl Sink,
 ) {
-    value.encode(buf);
+    match value {
+        None => out.put(&[0]),
+        Some(v) => {
+            out.put(&[1]);
+            out.put(
+                &u32::try_from(v.len()).expect("value too long for its u32 length").to_be_bytes(),
+            );
+            out.put(v);
+        }
+    }
     let mut bitmap = 0u16;
-    for (i, h) in child_hashes.iter().enumerate() {
+    for (i, h) in child_hashes.clone().enumerate() {
         if h.is_some() {
             bitmap |= 1 << i;
         }
     }
-    bitmap.encode(buf);
-    for h in child_hashes.iter().flatten() {
-        h.encode(buf);
+    out.put(&bitmap.to_be_bytes());
+    for h in child_hashes.flatten() {
+        out.put(h.as_bytes());
     }
 }
 
-/// The content address for a node with the given parts.
-pub(crate) fn content_address(
-    value: &Option<Vec<u8>>,
-    child_hashes: &[Option<Digest>; FANOUT],
+/// The content address for a node with the given parts:
+/// `SHA-256("pvr.store.node" ‖ encode_content)`, with no allocation.
+pub(crate) fn content_address<'a>(
+    value: Option<&[u8]>,
+    child_hashes: impl Iterator<Item = Option<&'a Digest>> + Clone,
 ) -> Digest {
-    let mut buf = Vec::with_capacity(64);
-    encode_content(value, child_hashes, &mut buf);
-    sha256_concat(&[b"pvr.store.node", &buf])
+    let mut hasher = Sha256::new();
+    hasher.update(b"pvr.store.node");
+    encode_content(value, child_hashes, &mut hasher);
+    hasher.finalize()
+}
+
+/// The content addresses of `children`, in nibble order.
+pub(crate) fn child_hashes(
+    children: &[Option<Arc<Node>>; FANOUT],
+) -> impl Iterator<Item = Option<&Digest>> + Clone {
+    children.iter().map(|c| c.as_ref().map(|c| &c.hash))
 }
 
 impl Node {
     /// Builds a node, deriving its hash and subtree count.
     pub(crate) fn new(value: Option<Vec<u8>>, children: [Option<Arc<Node>>; FANOUT]) -> Node {
-        let child_hashes: [Option<Digest>; FANOUT] =
-            std::array::from_fn(|i| children[i].as_ref().map(|c| c.hash));
-        let hash = content_address(&value, &child_hashes);
+        let hash = content_address(value.as_deref(), child_hashes(&children));
         Node::with_hash(value, children, hash)
     }
 
@@ -593,6 +627,31 @@ mod tests {
             diff(&m, &PMap::new()),
             vec![DiffEntry::Removed { key: b"a".to_vec(), value: b"1".to_vec() }]
         );
+    }
+
+    #[test]
+    fn node_address_is_the_hash_of_the_dumped_encoding() {
+        use pvr_crypto::encoding::Wire;
+        // Values shorter and longer than a SHA-256 block, with no, one
+        // and every child.
+        let leaf = Arc::new(Node::new(Some(b"leaf".to_vec()), empty_children()));
+        for len in [None, Some(0), Some(40), Some(200)] {
+            for fanout in [0, 1, FANOUT] {
+                let value = len.map(|len| vec![0xab; len]);
+                let mut children = empty_children();
+                for slot in children.iter_mut().take(fanout) {
+                    *slot = Some(Arc::clone(&leaf));
+                }
+                let mut encoded = Vec::new();
+                encode_content(value.as_deref(), child_hashes(&children), &mut encoded);
+                assert!(encoded.starts_with(&value.to_wire()), "the value is in its Wire form");
+                assert_eq!(
+                    Node::new(value, children).hash,
+                    sha256_concat(&[b"pvr.store.node", &encoded]),
+                    "value {len:?}, {fanout} children"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,13 +17,35 @@ use pvr::bgp::{
 use pvr::crypto::drbg::HmacDrbg;
 use pvr::crypto::encoding::{Reader, Wire, WireError};
 use pvr::netsim::{Fault, FaultPlan, RunLimits, SimDuration, SimTime, StopReason};
-use pvr::store::{read_container, write_header, write_section, StoreError};
-use std::path::PathBuf;
+use pvr::store::{read_container, write_header, write_section, StoreError, SECTION_OVERHEAD};
+use std::path::{Path, PathBuf};
 
 fn temp_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pvr-crash-recovery-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir.join(format!("{tag}.pvr"))
+}
+
+/// A fresh, empty directory of its own.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = temp_path(tag).with_extension("d");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn files_in(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("list directory")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap_or_default())
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 fn small_internet(seed: u64) -> Topology {
@@ -302,6 +324,135 @@ fn checkpoint_file_bytes_are_pinned() {
     assert_eq!(pvr::crypto::sha256::sha256(&bytes).to_hex(), GOLDEN);
 }
 
+/// The pipelined writer changes when a checkpoint's bytes land, never
+/// what they are: every file `converge_checkpointed` writes equals the
+/// one a sequential `converge(until(boundary))` + `checkpoint` loop
+/// writes at the same boundary, at one shard and at two.
+#[test]
+fn converge_checkpointed_writes_the_sequential_loops_bytes() {
+    let topology = small_internet(311);
+    let options = InstantiateOptions {
+        seed: 311,
+        mrai: Some(SimDuration::from_millis(5)),
+        mrai_jitter: Some(SimDuration::from_millis(1)),
+        dampening: Some(DampeningPolicy::default()),
+        ..Default::default()
+    };
+    let every = SimDuration::from_millis(10);
+    for shards in [1, 2] {
+        let piped = temp_dir(&format!("piped-{shards}"));
+        let mut net = topology.instantiate_sharded(options, shards);
+        let (reason, last) =
+            net.converge_checkpointed(RunLimits::none(), every, &piped).expect("pipelined run");
+        assert_eq!(reason, StopReason::Quiescent);
+
+        let sequential = temp_dir(&format!("sequential-{shards}"));
+        let mut net = topology.instantiate_sharded(options, shards);
+        let mut boundary = SimTime::ZERO;
+        loop {
+            boundary = boundary + every;
+            let stop = net.converge(RunLimits::until(boundary));
+            let name = format!("ckpt-{:08}.pvr", boundary.as_micros() / 1000);
+            net.checkpoint(&sequential.join(name)).expect("sequential checkpoint");
+            if stop != StopReason::Deadline {
+                break;
+            }
+        }
+
+        let (piped_files, sequential_files) = (files_in(&piped), files_in(&sequential));
+        assert!(piped_files.len() > 5, "the run must span several boundaries");
+        let names = |files: &[(String, Vec<u8>)]| files.iter().map(|f| f.0.clone()).collect();
+        let (piped_names, sequential_names): (Vec<String>, Vec<String>) =
+            (names(&piped_files), names(&sequential_files));
+        assert_eq!(piped_names, sequential_names, "{shards} shards: different boundaries");
+        for ((name, piped), (_, sequential)) in piped_files.iter().zip(&sequential_files) {
+            assert!(piped == sequential, "{shards} shards: {name} differs from the loop's");
+        }
+        assert_eq!(last, piped.join(piped_names.last().expect("a file")));
+    }
+}
+
+/// A directory the writer cannot write into fails the run with a typed
+/// error, promptly, and leaves no `.tmp` behind.
+#[test]
+fn converge_checkpointed_into_an_unwritable_directory_fails_typed() {
+    let topology = small_internet(312);
+    let options = InstantiateOptions { seed: 312, ..Default::default() };
+    let every = SimDuration::from_millis(10);
+
+    // A directory that cannot be created: its parent is a file.
+    let file = temp_path("not-a-directory");
+    std::fs::write(&file, b"a file").expect("write file");
+    let mut net = topology.instantiate(options);
+    let err = net.converge_checkpointed(RunLimits::none(), every, &file.join("ckpt")).unwrap_err();
+    assert!(matches!(err, CheckpointError::Io(_)), "got {err:?}");
+
+    // A directory whose first checkpoint cannot be renamed into place:
+    // the writer thread fails, and the next boundary reports it.
+    let dir = temp_dir("blocked");
+    let blocker = dir.join("ckpt-00000010.pvr");
+    std::fs::create_dir_all(&blocker).expect("create blocker");
+    std::fs::write(blocker.join("keep"), b"non-empty").expect("fill blocker");
+    let mut net = topology.instantiate(options);
+    let err = net.converge_checkpointed(RunLimits::none(), every, &dir).unwrap_err();
+    assert!(matches!(err, CheckpointError::Io(_)), "got {err:?}");
+    assert!(
+        net.sim.now() <= SimTime::ZERO + every + every,
+        "the run went on past one slice after the failed checkpoint: {:?}",
+        net.sim.now()
+    );
+    let names: Vec<String> = files_in(&dir).into_iter().map(|f| f.0).collect();
+    assert_eq!(names, ["ckpt-00000010.pvr"], "a .tmp or a later file was left behind");
+}
+
+/// A rename that fails (the target is a non-empty directory) is an I/O
+/// error, and the `.tmp` it was renaming is gone.
+#[test]
+fn failed_checkpoint_write_removes_its_tmp() {
+    let topology = small_internet(313);
+    let mut net = topology.instantiate(InstantiateOptions { seed: 313, ..Default::default() });
+    net.converge(RunLimits::until(SimTime(20_000)));
+    let dir = temp_dir("tmp-cleanup");
+    let target = dir.join("target.pvr");
+    std::fs::create_dir_all(&target).expect("create target directory");
+    std::fs::write(target.join("keep"), b"non-empty").expect("fill target");
+    let err = net.checkpoint(&target).expect_err("the target is a directory");
+    assert!(matches!(err, CheckpointError::Io(_)), "got {err:?}");
+    let names: Vec<String> = files_in(&dir).into_iter().map(|f| f.0).collect();
+    assert_eq!(names, ["target.pvr"], "the .tmp was left behind");
+}
+
+/// Three sections, the first and third damaged: the report names the
+/// first in file order wherever the largest one — whose digest the
+/// helper thread checks — sits: damaged and first, intact in between,
+/// or damaged and last.
+#[test]
+fn first_damaged_section_is_reported_wherever_the_largest_is() {
+    let (small, large) = (100, 10_000);
+    for sizes in [[large, small, small], [small, large, small], [small, small, large]] {
+        let mut bytes = Vec::new();
+        write_header(&CKPT_MAGIC, CKPT_VERSION, &mut bytes);
+        let mut payload_at = Vec::new();
+        for (tag, len) in (1u8..).zip(sizes) {
+            // A section's payload follows its tag and length.
+            payload_at.push(bytes.len() + SECTION_OVERHEAD - pvr::crypto::sha256::DIGEST_LEN);
+            write_section(tag, &vec![tag; len], &mut bytes);
+        }
+        bytes[payload_at[0]] ^= 0x01;
+        bytes[payload_at[2] + sizes[2] - 1] ^= 0x80;
+        assert_eq!(
+            read_container(&bytes, &CKPT_MAGIC, CKPT_VERSION),
+            Err(StoreError::SectionHashMismatch { tag: 1 }),
+            "sizes {sizes:?}"
+        );
+        let err = must_fail(restore_mutilated(bytes, "two-damaged"), "two damaged sections");
+        assert!(
+            matches!(err, CheckpointError::Store(StoreError::SectionHashMismatch { tag: 1 })),
+            "sizes {sizes:?}: got {err:?}"
+        );
+    }
+}
+
 #[test]
 fn checkpoint_refuses_private_verification_and_malice() {
     let topology = small_internet(306);
@@ -516,9 +667,9 @@ fn with_section(fixture: &[u8], tag: u8, edit: impl Fn(&[u8]) -> Vec<u8>) -> Vec
     write_header(&CKPT_MAGIC, CKPT_VERSION, &mut out);
     for section in sections {
         if section.tag == tag {
-            write_section(tag, &edit(&section.payload), &mut out);
+            write_section(tag, &edit(section.payload), &mut out);
         } else {
-            write_section(section.tag, &section.payload, &mut out);
+            write_section(section.tag, section.payload, &mut out);
         }
     }
     out
