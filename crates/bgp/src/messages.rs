@@ -30,6 +30,22 @@ impl BgpUpdate {
         self.announces.len() + self.withdraws.len()
     }
 
+    /// Appends an announcement.
+    ///
+    /// Most UPDATEs a router emits carry one route, and each waits in a
+    /// calendar until delivery, so the first entry reserves exactly one
+    /// slot where `Vec::push` would reserve four: a one-route UPDATE
+    /// holds an 80-byte heap chunk, not 272. A second entry grows the
+    /// vector the usual amortized way.
+    pub fn announce(&mut self, route: SignedRoute) {
+        push_first_exact(&mut self.announces, route);
+    }
+
+    /// Appends a withdrawal, reserving like [`announce`](Self::announce).
+    pub fn withdraw(&mut self, prefix: Prefix) {
+        push_first_exact(&mut self.withdraws, prefix);
+    }
+
     /// Merges `newer` into `self` with BGP replacement semantics: for
     /// each prefix the *latest* action wins — a new announcement
     /// supersedes a buffered announcement or withdrawal for the same
@@ -48,11 +64,15 @@ impl BgpUpdate {
     /// them: one new entry into a buffer holding none or one — applies
     /// those sequential semantics directly, where the scans are a few
     /// comparisons and building three hash tables is the whole cost.
+    /// A single entry merged into an empty buffer cannot conflict with
+    /// anything, so it is taken as it is, with its one-slot vector.
     pub fn merge(&mut self, newer: BgpUpdate) {
         if newer.is_empty() {
             return;
         }
-        if self.len() + newer.len() <= Self::MERGE_BY_SCAN_MAX {
+        if self.is_empty() && newer.len() == 1 {
+            *self = newer;
+        } else if self.len() + newer.len() <= Self::MERGE_BY_SCAN_MAX {
             self.merge_by_scan(newer);
         } else {
             self.merge_by_hash(newer);
@@ -121,6 +141,14 @@ impl BgpUpdate {
     }
 }
 
+/// `list.push(item)`, except that an empty `list` reserves one slot.
+fn push_first_exact<T>(list: &mut Vec<T>, item: T) {
+    if list.capacity() == 0 {
+        list.reserve_exact(1);
+    }
+    list.push(item);
+}
+
 pvr_crypto::wire_struct!(BgpUpdate { announces, withdraws });
 
 impl Payload for BgpUpdate {
@@ -169,6 +197,44 @@ mod tests {
 
     fn announce_for(p: Prefix, via: u32) -> SignedRoute {
         SignedRoute::unsigned(Route::originate(p).propagated_by(Asn(via)))
+    }
+
+    /// A one-route UPDATE holds one slot per vector it uses; more
+    /// entries grow the usual way.
+    #[test]
+    fn first_entry_reserves_one_slot() {
+        let p = |i: u32| Prefix::new(i << 8, 24);
+        let mut update = BgpUpdate::default();
+        update.announce(announce_for(p(1), 10));
+        update.withdraw(p(2));
+        assert_eq!((update.announces.capacity(), update.withdraws.capacity()), (1, 1));
+        update.announce(announce_for(p(3), 10));
+        update.withdraw(p(4));
+        assert!(update.announces.capacity() >= 2 && update.withdraws.capacity() >= 2);
+        assert_eq!(update.announces.len() + update.withdraws.len(), 4);
+    }
+
+    /// The MRAI buffer keeps a lone entry merged into it as it came,
+    /// one-slot vector included; what follows merges as always.
+    #[test]
+    fn merge_into_empty_buffer_keeps_a_lone_entry() {
+        let p = |i: u32| Prefix::new(i << 8, 24);
+        for lone in [true, false] {
+            let mut newer = BgpUpdate::default();
+            if lone {
+                newer.announce(announce_for(p(1), 10));
+            } else {
+                newer.withdraw(p(1));
+            }
+            let mut buffer = BgpUpdate::default();
+            buffer.merge(newer.clone());
+            assert_eq!(buffer, newer);
+            assert_eq!(buffer.announces.capacity() + buffer.withdraws.capacity(), 1);
+        }
+        let mut buffer = BgpUpdate::default();
+        buffer.merge(BgpUpdate { announces: vec![announce_for(p(1), 10)], withdraws: vec![] });
+        buffer.merge(BgpUpdate { announces: vec![], withdraws: vec![p(1)] });
+        assert_eq!(buffer, BgpUpdate { announces: vec![], withdraws: vec![p(1)] });
     }
 
     #[test]

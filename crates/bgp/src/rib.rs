@@ -573,6 +573,9 @@ mod tests {
         assert!(size_of::<Candidate>() <= 64, "Candidate is {} B", size_of::<Candidate>());
         let entry = size_of::<(Asn, Route)>();
         assert!(entry <= 64, "an Adj-RIB-In entry is {entry} B");
+        // Every queued UPDATE sits in a calendar entry by value.
+        let update = size_of::<crate::messages::BgpUpdate>();
+        assert!(update <= 48, "BgpUpdate is {update} B");
     }
 
     fn cell_with(candidates: &[(u32, Route)]) -> PrefixCell {

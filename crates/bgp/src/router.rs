@@ -755,9 +755,10 @@ impl BgpRouter {
         );
         let best = cell.best();
         // The propagated route is identical toward every neighbor
-        // (LOCAL_PREF/MED reset, path prepended): build it once.
-        let out_route = best.map(|cand| cand.route.propagated_by(self.asn));
-        let unchanged = out_route.as_ref() == cell.out();
+        // (LOCAL_PREF/MED reset, path prepended): build it once, for
+        // the first neighbor admitted to hear it. Most cells have none
+        // (a stub exports nothing it learned), and then it is never built.
+        let mut built: Option<(Route, bool)> = None;
         let source = best.and_then(|cand| self.source_of(cand));
         let mut holders = std::mem::take(&mut self.holders_scratch);
         let mut held_by = cell.out_to().iter().copied().peekable();
@@ -777,23 +778,34 @@ impl BgpRouter {
             match best.filter(|&cand| self.may_send(cand, source, &neighbor)) {
                 Some(cand) => {
                     holders.push(neighbor.asn);
+                    let (out_route, unchanged) = built.get_or_insert_with(|| {
+                        let out_route = cand.route.propagated_by(self.asn);
+                        let unchanged = cell.out() == Some(&out_route);
+                        (out_route, unchanged)
+                    });
                     // Skip if identical to what the neighbor already has.
-                    if held && unchanged {
+                    if held && *unchanged {
                         continue;
                     }
-                    let out_route = out_route.as_ref().expect("built alongside best");
                     let signed = self.sign_for(cand, out_route, neighbor.asn);
-                    pending.get_or_default(neighbor.node).announces.push(signed);
+                    pending.get_or_default(neighbor.node).announce(signed);
                 }
                 None => {
                     if held {
-                        pending.get_or_default(neighbor.node).withdraws.push(prefix);
+                        pending.get_or_default(neighbor.node).withdraw(prefix);
                         self.observe_withdraw(now);
                     }
                 }
             }
         }
         debug_assert!(held_by.next().is_none(), "an Adj-RIB-Out holder is not a neighbor");
+        // A holder on a torn-down session (a restored file can name one)
+        // keeps the route without being admitted above: build it here.
+        let out_route = match built {
+            Some((out_route, _)) => Some(out_route),
+            None if !holders.is_empty() => best.map(|cand| cand.route.propagated_by(self.asn)),
+            None => None,
+        };
         cell.set_out(out_route, &holders);
         holders.clear();
         self.holders_scratch = holders;
@@ -1034,7 +1046,7 @@ impl BgpRouter {
                 cell.out().cloned().unwrap_or_else(|| cand.route.propagated_by(self.asn));
             debug_assert_eq!(out_route, cand.route.propagated_by(self.asn));
             let signed = self.sign_for(cand, &out_route, peer.asn);
-            pending.get_or_default(peer.node).announces.push(signed);
+            pending.get_or_default(peer.node).announce(signed);
             cell.add_holder(peer.asn, out_route);
         }
         self.cells = cells;

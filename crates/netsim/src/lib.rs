@@ -13,6 +13,7 @@
 //! is a feature under test: identical seeds reproduce identical traces,
 //! bit for bit, at any shard count.
 
+mod calendar;
 pub mod fault;
 pub mod link;
 #[cfg(test)]

@@ -25,12 +25,13 @@
 //! DESIGN.md, "The engine", carries the full ordering argument; the
 //! `oracle` test module pins it against a reference interpreter.
 
+use crate::calendar::EventQueue;
 use crate::fault::{Fault, FaultInjector, FaultPlan};
 use crate::link::LinkConfig;
 use crate::time::{SimDuration, SimTime};
 use pvr_crypto::drbg::HmacDrbg;
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Index of a node within the simulator.
 pub type NodeId = usize;
@@ -207,87 +208,6 @@ pub(crate) enum EventKind<P> {
 /// A calendar entry: global sequence number plus event.
 pub(crate) type Queued<P> = (u64, EventKind<P>);
 
-/// The pending-event queue: a time-bucketed calendar.
-///
-/// Event ordering is `(time, insertion order)` — the
-/// binary-heap-with-sequence-numbers contract — but discrete-event
-/// routing workloads concentrate events on a small set of delivery
-/// times (link latencies are quantized), so a FIFO per distinct time
-/// beats a heap: a push is an O(log #distinct-times) map walk plus an
-/// O(1) deque operation, and a whole window leaves the map in one
-/// operation. Emptied buckets are recycled to keep the queue
-/// allocation-free in steady state.
-pub(crate) struct EventQueue<E> {
-    buckets: BTreeMap<SimTime, VecDeque<E>>,
-    len: usize,
-    /// Spare deques from drained buckets, reused for new times.
-    spares: Vec<VecDeque<E>>,
-}
-
-impl<E> EventQueue<E> {
-    pub(crate) fn new() -> EventQueue<E> {
-        EventQueue { buckets: BTreeMap::new(), len: 0, spares: Vec::new() }
-    }
-
-    pub(crate) fn push(&mut self, time: SimTime, item: E) {
-        let bucket =
-            self.buckets.entry(time).or_insert_with(|| self.spares.pop().unwrap_or_default());
-        bucket.push_back(item);
-        self.len += 1;
-    }
-
-    /// Earliest pending event time.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.buckets.keys().next().copied()
-    }
-
-    /// Total number of pending items.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The items scheduled exactly at `time`, in pop order.
-    pub(crate) fn bucket_at(&self, time: SimTime) -> impl Iterator<Item = &E> {
-        self.buckets.get(&time).into_iter().flatten()
-    }
-
-    /// Number of items scheduled exactly at `time`.
-    pub(crate) fn len_at(&self, time: SimTime) -> usize {
-        self.buckets.get(&time).map_or(0, VecDeque::len)
-    }
-
-    /// Removes and returns the head bucket if it is scheduled exactly
-    /// at `time` — the window-draining primitive. Whatever the caller
-    /// leaves in it goes back through [`put_back`](Self::put_back).
-    pub(crate) fn take_head(&mut self, time: SimTime) -> Option<VecDeque<E>> {
-        let entry = self.buckets.first_entry().filter(|e| *e.key() == time)?;
-        let bucket = entry.remove();
-        self.len -= bucket.len();
-        Some(bucket)
-    }
-
-    /// Returns a bucket taken by [`take_head`](Self::take_head): its
-    /// unpopped items stay at the front of `time`, or the emptied deque
-    /// joins the spare pool (capped: a handful of deques covers the
-    /// distinct latencies in flight).
-    pub(crate) fn put_back(&mut self, time: SimTime, bucket: VecDeque<E>) {
-        if !bucket.is_empty() {
-            debug_assert!(!self.buckets.contains_key(&time), "bucket re-created while taken");
-            self.len += bucket.len();
-            self.buckets.insert(time, bucket);
-        } else if self.spares.len() < 8 {
-            self.spares.push(bucket);
-        }
-    }
-
-    /// Iterates pending items in pop order (ascending time, FIFO per
-    /// bucket) without draining — the checkpoint codec's view of the
-    /// calendar.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
-        self.buckets.iter().flat_map(|(&t, q)| q.iter().map(move |e| (t, e)))
-    }
-}
-
 /// A network-level barrier callback, fired whenever a sim-time instant
 /// fully drains (no further event is scheduled at the current `now`).
 ///
@@ -359,8 +279,7 @@ impl<P: Payload> Shard<P> {
     /// exactly at `time` whose sequence number is below `cutoff`.
     fn run_bucket(&mut self, time: SimTime, cutoff: u64, node_local: &[u32], trace: bool) {
         let Some(mut bucket) = self.queue.take_head(time) else { return };
-        while bucket.front().is_some_and(|&(seq, _)| seq < cutoff) {
-            let (seq, kind) = bucket.pop_front().expect("front checked above");
+        while let Some((seq, kind)) = bucket.pop_front_if(|&(seq, _)| seq < cutoff) {
             self.events += 1;
             match kind {
                 EventKind::Deliver { src, dst, msg } => {
