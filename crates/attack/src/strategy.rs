@@ -273,7 +273,7 @@ impl AttackStrategy for TruncatedChain {
                     let Some(chain) = router.received_chain(from, c.victim_prefix) else { return };
                     chain.clone()
                 };
-                let Some(origin_att) = genuine.chain().origin().cloned() else { return };
+                let Some(origin_att) = genuine.chain().origin() else { return };
                 let Some(identity) = net.router(c.attacker).identity().cloned() else { return };
                 let mut route = Route::originate(c.victim_prefix);
                 route.path = AsPath::from_slice(&[c.attacker, c.victim]);

@@ -15,6 +15,7 @@
 //! `e12` and `tests/attack_campaigns.rs` assert property 3 by diffing a
 //! single-threaded run against a multi-threaded one.
 
+use pvr_bgp::CoreBudget;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -30,20 +31,28 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let threads = threads.max(1).min(n.max(1));
+    // Each worker counts as busy in the process's core budget, so the
+    // networks it converges run sign-ahead helpers only on cores the
+    // sweep leaves free.
+    let budget = CoreBudget::process();
     if threads <= 1 {
+        let _worker = budget.occupy(1);
         return (0..n).map(run).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            scope.spawn(|| {
+                let _worker = budget.occupy(1);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let result = run(i);
+                    slots.lock().expect("sweep slot table poisoned")[i] = Some(result);
                 }
-                let result = run(i);
-                slots.lock().expect("sweep slot table poisoned")[i] = Some(result);
             });
         }
     });
@@ -55,10 +64,10 @@ where
         .collect()
 }
 
-/// The executor's default thread count: the machine's available
-/// parallelism, floored at 1.
+/// The executor's default thread count: the cores of the process's
+/// budget (its available parallelism, floored at 1).
 pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    CoreBudget::process().cores()
 }
 
 #[cfg(test)]

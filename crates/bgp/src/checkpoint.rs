@@ -71,6 +71,11 @@
 //!   boundary's RIB snapshot); every file before the failed one is
 //!   complete, and no `.tmp` is left behind.
 //!
+//! A signed network's sign-ahead helpers start once for the whole
+//! sliced run and keep signing across boundaries; the writer counts as
+//! a busy thread in [`crate::cores::CoreBudget`], so a helper gives up
+//! its core while a file is being framed.
+//!
 //! ## What refuses to checkpoint
 //!
 //! * Private-verification mode — the GMW verifier is a barrier-hook
@@ -94,6 +99,7 @@
 //! prefix p at time t" against that history, and the attack layer's
 //! forensic bisect binary-searches it for the first poisoned instant.
 
+use crate::cores::CoreBudget;
 use crate::decision::Candidate;
 use crate::sbgp::CacheState;
 use crate::topology::{BgpNetwork, InstantiateOptions, OriginTable, Topology};
@@ -498,21 +504,23 @@ impl BgpNetwork {
         // recomputed from `now`, which would re-run an empty slice
         // forever.
         let mut next = SimTime(self.sim.now().as_micros() / every_us * every_us + every_us);
-        loop {
+        // One engine run around every slice: sign-ahead helpers start
+        // once and keep signing through the boundaries.
+        self.run_engine(|net| loop {
             let slice_deadline = match limits.deadline {
                 Some(d) if d < next => d,
                 _ => next,
             };
             let slice = RunLimits { deadline: Some(slice_deadline), max_events: limits.max_events };
-            let reason = self.converge(slice);
-            at_boundary(self, slice_deadline)?;
+            let reason = net.sim.run(slice);
+            at_boundary(net, slice_deadline)?;
             match reason {
                 StopReason::Deadline if limits.deadline != Some(slice_deadline) => {
                     next = SimTime(slice_deadline.as_micros() + every_us);
                 }
                 other => return Ok(other),
             }
-        }
+        })
     }
 
     /// Runs to quiescence (or `limits`) capturing a COW RIB snapshot
@@ -560,7 +568,11 @@ impl BgpNetwork {
                     // lags it.
                     last = dir.join(format!("ckpt-{:08}.pvr", slice_deadline.as_micros() / 1000));
                     let path = last.clone();
-                    in_flight = Some(scope.spawn(move || write_checkpoint(&path, &sections)));
+                    in_flight = Some(scope.spawn(move || {
+                        // A core sign-ahead helpers must not count on.
+                        let _writer = CoreBudget::process().occupy(1);
+                        write_checkpoint(&path, &sections)
+                    }));
                     Ok(())
                 });
             // A boundary that failed has already joined its predecessor,

@@ -27,8 +27,10 @@
 //! The propagated route (path prepended once) is built a single time
 //! per selection change and shared by every neighbor that receives it;
 //! extending an attestation chain shares the received chain rather than
-//! re-copying its prefix; and message `wire_size` accounting is
-//! arithmetic, never an encode. Announcements that lose to the standing
+//! re-copying its prefix, and the new attestation is signed when first
+//! read (on a spare core, if the network has one); and message
+//! `wire_size` accounting is arithmetic, never an encode or a signature.
+//! Announcements that lose to the standing
 //! best route are rejected in O(1) by the incremental decision path
 //! ([`crate::rib::ReselectHint`]) without rescanning the candidates.
 //!
@@ -55,7 +57,7 @@ use crate::policy::{import_as, may_export_as, PolicyConfig, Role};
 use crate::private::{PrivateRequest, PrivateVerifier, PVR_VERDICT_TIMER};
 use crate::rib::{PrefixCell, ReselectHint, ReselectOutcome};
 use crate::route::{Community, Route};
-use crate::sbgp::{SignedRoute, VerifyCache};
+use crate::sbgp::{SignQueue, SignedRoute, VerifyCache};
 use crate::sorted::SortedMap;
 use crate::topology::OriginTable;
 use crate::types::{Asn, Prefix};
@@ -85,9 +87,9 @@ pub enum SecurityMode {
     /// S-BGP mode: sign own announcements, verify received chains, drop
     /// announcements that fail verification.
     Signed {
-        /// This AS's signing identity (boxed: an RSA identity is far
-        /// larger than the `Plain` variant).
-        identity: Box<Identity>,
+        /// This AS's signing identity, shared with the attestations it
+        /// has made but not yet signed.
+        identity: Arc<Identity>,
         /// Public keys of all ASes.
         keys: Arc<KeyStore>,
     },
@@ -254,6 +256,10 @@ pub struct BgpRouter {
     /// installed by `Topology::instantiate`, shared by every router of
     /// one `BgpNetwork`).
     verify_cache: Option<Arc<VerifyCache>>,
+    /// Where this router's attestations wait for a helper thread to
+    /// sign them (signed mode on spare cores; installed by
+    /// `Topology::instantiate`, shared by every router of one network).
+    sign_queue: Option<Arc<SignQueue>>,
     /// Shared private-verification service (PVR mode; installed by
     /// `Topology::instantiate` when private verification is enabled).
     /// Best-route changes with ≥ 2 winning-tier candidates enqueue an
@@ -313,6 +319,7 @@ impl BgpRouter {
             malice: Malice::default(),
             origin_table: None,
             verify_cache: None,
+            sign_queue: None,
             private_verifier: None,
             pvr_seq: 0,
             first_security_reject: None,
@@ -418,6 +425,12 @@ impl BgpRouter {
     /// are unchanged; repeated chain verifies skip the RSA math.
     pub fn set_verify_cache(&mut self, cache: Arc<VerifyCache>) {
         self.verify_cache = Some(cache);
+    }
+
+    /// Installs the network's sign-ahead queue: attestations this
+    /// router makes are offered to its helper threads.
+    pub(crate) fn set_sign_queue(&mut self, queue: Arc<SignQueue>) {
+        self.sign_queue = Some(queue);
     }
 
     /// Installs the shared private-verification service; subsequent
@@ -812,21 +825,20 @@ impl BgpRouter {
     }
 
     /// Builds the (possibly attested) announcement of `out_route` to
-    /// `neighbor`, extending the received chain when one exists.
+    /// `neighbor`, extending the received chain when one exists. The
+    /// attestation is signed when first read — by the receiver, or
+    /// earlier by a helper thread of the sign queue.
     fn sign_for(&self, cand: CandidateRef<'_>, out_route: &Route, neighbor: Asn) -> SignedRoute {
-        match &self.security {
-            SecurityMode::Plain => SignedRoute::unsigned(out_route.clone()),
-            SecurityMode::Signed { identity, .. } => match cand.learned_from {
-                None => SignedRoute::originate(identity, out_route.clone(), neighbor),
-                Some(from) => {
-                    let received = self
-                        .chains_in
-                        .get(&(from, out_route.prefix))
-                        .expect("signed mode: chain must exist for learned route");
-                    SignedRoute::extend(received, identity, out_route.clone(), neighbor)
-                }
-            },
-        }
+        let SecurityMode::Signed { identity, .. } = &self.security else {
+            return SignedRoute::unsigned(out_route.clone());
+        };
+        let received = cand.learned_from.map(|from| {
+            self.chains_in
+                .get(&(from, out_route.prefix))
+                .expect("signed mode: chain must exist for learned route")
+        });
+        let queue = self.sign_queue.as_deref();
+        SignedRoute::signed_later(received, identity, out_route.clone(), neighbor, queue)
     }
 
     /// Processes one announcement from `from` at simulated time `now`;

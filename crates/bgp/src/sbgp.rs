@@ -15,7 +15,14 @@
 //!
 //! Not covered by signatures (as in real S-BGP): LOCAL_PREF, MED, and
 //! communities — they are non-transitive or locally meaningful.
+//!
+//! A router's own attestations are signed when first read, not when
+//! made, and on cores the process leaves free ([`crate::cores`]) helper
+//! threads sign them ahead of the readers: PKCS#1 v1.5 signing is
+//! deterministic, so who computes a signature, and when, changes no
+//! byte.
 
+use crate::cores::{CoreBudget, Spare};
 use crate::path::AsPath;
 use crate::route::Route;
 use crate::types::{Asn, Prefix};
@@ -24,8 +31,10 @@ use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_crypto::rsa::RsaSignature;
 use pvr_crypto::sha256::sha256_concat;
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::time::Duration;
 
 /// One hop's signature over (prefix, path-so-far, intended receiver).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -68,7 +77,7 @@ impl Attestation {
     }
 
     /// Creates `identity`'s attestation for announcing (`prefix`, `path`)
-    /// to `target`.
+    /// to `target`. The one place an attestation signature is computed.
     pub fn create(identity: &Identity, prefix: Prefix, path: &AsPath, target: Asn) -> Attestation {
         let signer = Asn(identity.id() as u32);
         debug_assert_eq!(path.first_as(), Some(signer), "signer must head the path");
@@ -84,6 +93,8 @@ impl Attestation {
     }
 }
 
+// A chain's nodes encode through this line too (`ChainNode::attestation`);
+// only their length sum (`ChainNode::encoded_len`) restates the fields.
 pvr_crypto::wire_struct!(Attestation { prefix, path, target, signer, signature });
 
 /// A persistent (structurally shared) attestation chain.
@@ -98,17 +109,88 @@ pvr_crypto::wire_struct!(Attestation { prefix, path, target, signer, signature }
 ///
 /// The newest attestation (last hop's) is the list head; origin-first
 /// order — the canonical wire and verification order — is recovered by
-/// collecting references, which chains are short enough (path length)
-/// to make free compared to one RSA verify.
+/// collecting node references, which chains are short enough (path
+/// length) to make free compared to one RSA verify.
+///
+/// Attestations are handed out by value ([`newest`](Self::newest),
+/// [`origin`](Self::origin), [`to_vec`](Self::to_vec)): a node may not
+/// hold its signature yet, and reading one signs it.
 #[derive(Clone, Default)]
 pub struct AttestationChain(Option<Arc<ChainNode>>);
 
-#[derive(Debug)]
+/// One attestation of a chain: the [`Attestation`] fields, with the
+/// signature either given at construction (decoded, hand-built, forged
+/// or eagerly signed attestations) or made from `key` on first read —
+/// whichever thread reads first signs, once, and every reader sees the
+/// same bytes. The job is the fields already here plus the key, so a
+/// deferred node costs a once-state and one pointer over a finished one
+/// (`chain_node_stays_small` holds the size).
 struct ChainNode {
-    att: Attestation,
+    prefix: Prefix,
+    path: AsPath,
+    target: Asn,
+    signer: Asn,
+    signature: OnceLock<RsaSignature>,
+    /// The signer's identity while the signature may still be owed;
+    /// `None` when it was given.
+    key: Option<Arc<Identity>>,
     parent: Option<Arc<ChainNode>>,
     /// Number of attestations up to and including this node.
     len: u32,
+}
+
+impl ChainNode {
+    /// The signature, computed here if this is its first read.
+    fn signature(&self) -> &RsaSignature {
+        self.signature.get_or_init(|| {
+            Attestation::create(self.key(), self.prefix, &self.path, self.target).signature
+        })
+    }
+
+    /// The key of a node whose signature is still owed.
+    fn key(&self) -> &Identity {
+        self.key.as_deref().expect("a node without a signature holds its key")
+    }
+
+    fn is_signed(&self) -> bool {
+        self.signature.get().is_some()
+    }
+
+    /// The node as an [`Attestation`], signing it if owed. Equality and
+    /// encoding go through here, so `Attestation`'s derived `PartialEq`
+    /// and its `wire_struct!` line stay the one statement of both; they
+    /// are off the hot path (tests, checkpoints, `Debug`).
+    fn attestation(&self) -> Attestation {
+        Attestation {
+            prefix: self.prefix,
+            path: self.path.clone(),
+            target: self.target,
+            signer: self.signer,
+            signature: self.signature().clone(),
+        }
+    }
+
+    /// The length of the node's [`Attestation`] encoding, without
+    /// signing: an owed PKCS#1 v1.5 signature is exactly as long as the
+    /// modulus. This sum is on every send (`BgpUpdate::wire_size`), so it
+    /// restates the field set; the exhaustive pattern makes a new field
+    /// a compile error here, and `tests/wire.rs` checks the sum against
+    /// the encoding.
+    fn encoded_len(&self) -> usize {
+        let ChainNode { prefix, path, target, signer, signature, key: _, parent: _, len: _ } = self;
+        let signature = match signature.get() {
+            Some(sig) => sig.encoded_len(),
+            None => {
+                let bytes = self.key().public().modulus_len();
+                (bytes as u32).encoded_len() + bytes
+            }
+        };
+        prefix.encoded_len()
+            + path.encoded_len()
+            + target.encoded_len()
+            + signer.encoded_len()
+            + signature
+    }
 }
 
 impl AttestationChain {
@@ -131,8 +213,37 @@ impl AttestationChain {
     /// A new chain extending `self` with `att` (the newest hop's
     /// attestation). `self` is shared, never copied.
     pub fn push(&self, att: Attestation) -> AttestationChain {
+        let Attestation { prefix, path, target, signer, signature } = att;
+        self.push_node(prefix, path, target, signer, OnceLock::from(signature), None)
+    }
+
+    /// [`push`](Self::push) of `key`'s attestation for announcing
+    /// (`prefix`, `path`) to `target`, signed on first read.
+    fn push_unsigned(
+        &self,
+        key: &Arc<Identity>,
+        prefix: Prefix,
+        path: &AsPath,
+        target: Asn,
+    ) -> AttestationChain {
+        let signer = Asn(key.id() as u32);
+        debug_assert_eq!(path.first_as(), Some(signer), "signer must head the path");
+        self.push_node(prefix, path.clone(), target, signer, OnceLock::new(), Some(Arc::clone(key)))
+    }
+
+    fn push_node(
+        &self,
+        prefix: Prefix,
+        path: AsPath,
+        target: Asn,
+        signer: Asn,
+        signature: OnceLock<RsaSignature>,
+        key: Option<Arc<Identity>>,
+    ) -> AttestationChain {
         let len = self.len() as u32 + 1;
-        AttestationChain(Some(Arc::new(ChainNode { att, parent: self.0.clone(), len })))
+        let parent = self.0.clone();
+        let node = ChainNode { prefix, path, target, signer, signature, key, parent, len };
+        AttestationChain(Some(Arc::new(node)))
     }
 
     /// Number of attestations.
@@ -146,34 +257,30 @@ impl AttestationChain {
     }
 
     /// The most recent attestation (the last signer's), if any.
-    pub fn newest(&self) -> Option<&Attestation> {
-        self.0.as_deref().map(|n| &n.att)
+    pub fn newest(&self) -> Option<Attestation> {
+        self.0.as_deref().map(ChainNode::attestation)
     }
 
     /// The origin AS's attestation (the oldest), if any.
-    pub fn origin(&self) -> Option<&Attestation> {
-        let mut node = self.0.as_deref()?;
-        while let Some(parent) = node.parent.as_deref() {
-            node = parent;
-        }
-        Some(&node.att)
-    }
-
-    /// Iterates newest-first (list order; O(1) per step).
-    pub fn iter_newest_first(&self) -> impl Iterator<Item = &Attestation> {
-        std::iter::successors(self.0.as_deref(), |n| n.parent.as_deref()).map(|n| &n.att)
-    }
-
-    /// References to all attestations in canonical origin-first order.
-    pub fn to_refs(&self) -> Vec<&Attestation> {
-        let mut refs: Vec<&Attestation> = self.iter_newest_first().collect();
-        refs.reverse();
-        refs
+    pub fn origin(&self) -> Option<Attestation> {
+        self.nodes_newest_first().last().map(ChainNode::attestation)
     }
 
     /// Clones all attestations in canonical origin-first order.
     pub fn to_vec(&self) -> Vec<Attestation> {
-        self.to_refs().into_iter().cloned().collect()
+        self.nodes().into_iter().map(ChainNode::attestation).collect()
+    }
+
+    /// The nodes newest-first (list order; O(1) per step).
+    fn nodes_newest_first(&self) -> impl Iterator<Item = &ChainNode> {
+        std::iter::successors(self.0.as_deref(), |n| n.parent.as_deref())
+    }
+
+    /// The nodes in canonical origin-first order.
+    fn nodes(&self) -> Vec<&ChainNode> {
+        let mut nodes: Vec<&ChainNode> = self.nodes_newest_first().collect();
+        nodes.reverse();
+        nodes
     }
 }
 
@@ -190,7 +297,7 @@ impl PartialEq for AttestationChain {
             if std::ptr::eq(x, y) {
                 return true;
             }
-            if x.att != y.att {
+            if x.attestation() != y.attestation() {
                 return false;
             }
             a = x.parent.as_deref();
@@ -204,8 +311,190 @@ impl Eq for AttestationChain {}
 
 impl std::fmt::Debug for AttestationChain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.to_refs()).finish()
+        f.debug_list().entries(self.to_vec()).finish()
     }
+}
+
+/// Attestations made but not yet signed, for helper threads to sign
+/// ahead of the routers that will read them.
+///
+/// A signed network on a host with more cores than shards holds one
+/// queue, shared by its routers (which push what they make) and by
+/// [`with_helpers`](Self::with_helpers) (which runs the helpers for the
+/// length of a convergence call). Helpers sign only on cores the
+/// process's [`CoreBudget`] leaves free, so they vanish under a
+/// parallel sweep and reappear when it ends; while none holds a core,
+/// routers queue nothing. The engine reads an UPDATE's signatures when
+/// it delivers it, oldest first, and signs inline whatever no helper
+/// has reached; helpers take the newest, so the two rarely meet on one
+/// node. The queue holds weak references: it keeps no attestation
+/// alive, and an entry whose node was read or dropped is discarded
+/// unsigned. Nothing a helper does is observable except as time — a
+/// node is signed by whoever reads it first, with the same bytes.
+pub(crate) struct SignQueue {
+    /// Most helper threads one [`with_helpers`](Self::with_helpers)
+    /// call runs.
+    helpers: usize,
+    /// Whose free cores the helpers sign on.
+    budget: &'static CoreBudget,
+    /// Helpers holding a spare core now. Only a hint for `push` (the
+    /// queue itself is behind `state`), so every access is `Relaxed`.
+    signing: AtomicUsize,
+    state: Mutex<QueueState>,
+    wake: Condvar,
+}
+
+/// How long a helper without a core waits before asking the budget
+/// again.
+const PAUSE: Duration = Duration::from_millis(1);
+
+#[derive(Default)]
+struct QueueState {
+    /// Oldest at the front, newest at the back.
+    pending: VecDeque<Weak<ChainNode>>,
+    /// Helpers waiting for work.
+    idle: usize,
+    /// Whether helpers should keep running.
+    open: bool,
+}
+
+/// Locks `mutex`, recovering from poisoning: every structure behind
+/// this module's locks is updated whole, so a panic elsewhere never
+/// leaves one half-written.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl SignQueue {
+    /// A queue whose [`with_helpers`](Self::with_helpers) runs up to
+    /// `helpers` threads on the cores `budget` leaves free.
+    pub(crate) fn new(helpers: usize, budget: &'static CoreBudget) -> SignQueue {
+        SignQueue {
+            helpers,
+            budget,
+            signing: AtomicUsize::new(0),
+            state: Mutex::default(),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Queues the newest node of `chain`, if a helper is signing.
+    /// Entries the readers have already signed or dropped leave from
+    /// the front, so the queue stays about as long as the signatures
+    /// still owed.
+    fn push(&self, chain: &AttestationChain) {
+        let Some(node) = &chain.0 else { return };
+        if self.signing.load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        let mut state = lock(&self.state);
+        while state.pending.front().is_some_and(|oldest| !still_owed(oldest)) {
+            state.pending.pop_front();
+        }
+        state.pending.push_back(Arc::downgrade(node));
+        if state.idle > 0 {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Runs `work` with this queue's helper threads signing beside it —
+    /// one per core the budget leaves free now, up to `helpers` — and
+    /// returns once they have all stopped. The caller counts `work`'s
+    /// own threads in the budget first.
+    pub(crate) fn with_helpers<R>(&self, work: impl FnOnce() -> R) -> R {
+        std::thread::scope(|scope| {
+            lock(&self.state).open = true;
+            // Dropped when `work` returns or unwinds, before the scope
+            // joins the helpers it tells to stop.
+            let _close = Close(self);
+            let spares = std::iter::from_fn(|| self.budget.take_spare()).take(self.helpers);
+            for core in spares {
+                // Counted before `work` starts pushing.
+                let signing = Signing::new(&self.signing, core);
+                scope.spawn(move || self.help(signing));
+            }
+            work()
+        })
+    }
+
+    /// One helper: signs queued nodes newest first until closed, while
+    /// it holds a spare core. It gives the core back as soon as the
+    /// process counts more busy threads than cores, and asks for one
+    /// again every [`PAUSE`].
+    fn help<'a>(&'a self, signing: Signing<'a>) {
+        let mut signing = Some(signing);
+        let mut state = lock(&self.state);
+        while state.open {
+            if signing.is_some() && self.budget.oversubscribed() {
+                signing = None;
+            }
+            if signing.is_none() {
+                match self.budget.take_spare() {
+                    Some(core) => signing = Some(Signing::new(&self.signing, core)),
+                    None => {
+                        state = self
+                            .wake
+                            .wait_timeout(state, PAUSE)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0;
+                        continue;
+                    }
+                }
+            }
+            match state.pending.pop_back() {
+                Some(entry) => {
+                    drop(state);
+                    if let Some(node) = entry.upgrade() {
+                        node.signature();
+                    }
+                    state = lock(&self.state);
+                }
+                None => {
+                    state.idle += 1;
+                    state = self.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+                    state.idle -= 1;
+                }
+            }
+        }
+    }
+}
+
+/// A helper's spare core, counted in its queue's `signing` while held.
+struct Signing<'a> {
+    count: &'a AtomicUsize,
+    _core: Spare<'a>,
+}
+
+impl<'a> Signing<'a> {
+    fn new(count: &'a AtomicUsize, core: Spare<'a>) -> Signing<'a> {
+        count.fetch_add(1, Ordering::Relaxed);
+        Signing { count, _core: core }
+    }
+}
+
+impl Drop for Signing<'_> {
+    fn drop(&mut self) {
+        self.count.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Stops a queue's helpers when dropped. What is still owed stays
+/// queued for the next call's helpers; the rest is let go.
+struct Close<'a>(&'a SignQueue);
+
+impl Drop for Close<'_> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.0.state);
+        state.open = false;
+        state.pending.retain(still_owed);
+        drop(state);
+        self.0.wake.notify_all();
+    }
+}
+
+/// Whether a queued node is alive and not yet signed.
+fn still_owed(entry: &Weak<ChainNode>) -> bool {
+    entry.upgrade().is_some_and(|node| !node.is_signed())
 }
 
 /// A cache memo exported for checkpointing, in the order the CACHE
@@ -263,10 +552,7 @@ impl VerifyCache {
     /// with entries in `(signer, digest)` order, so the same cache
     /// state always serializes to the same bytes.
     pub(crate) fn export_state(&self) -> CacheState {
-        let mut entries: Vec<(Asn, [u8; 32], bool)> = self
-            .verdicts
-            .lock()
-            .unwrap()
+        let mut entries: Vec<(Asn, [u8; 32], bool)> = lock(&self.verdicts)
             .iter()
             .map(|(&(signer, digest), &verdict)| (signer, digest, verdict))
             .collect();
@@ -278,7 +564,7 @@ impl VerifyCache {
     /// cache is shared by `Arc`, so this goes through the interior
     /// mutability the hot path already uses.
     pub(crate) fn load_state(&self, (calls, hits, entries): CacheState) {
-        let mut verdicts = self.verdicts.lock().unwrap();
+        let mut verdicts = lock(&self.verdicts);
         verdicts.clear();
         for (signer, digest, verdict) in entries {
             verdicts.insert((signer, digest), verdict);
@@ -292,12 +578,16 @@ impl VerifyCache {
     /// memo first. The verdict (valid or not) is cached either way —
     /// a forged chain replayed at every hop would otherwise cost the
     /// full RSA verify each time it is rejected.
+    ///
+    /// A lock poisoned by a panic elsewhere is used as it stands: an
+    /// entry goes in whole, after its verify, so the memo only ever
+    /// holds verdicts that were computed.
     fn check(&self, signer: Asn, signed_bytes: &[u8], sig: &RsaSignature, keys: &KeyStore) -> bool {
         self.calls.fetch_add(1, Ordering::Relaxed);
         let digest = sha256_concat(&[signed_bytes, &sig.0]);
         let mut key = [0u8; 32];
         key.copy_from_slice(digest.as_bytes());
-        match self.verdicts.lock().unwrap().entry((signer, key)) {
+        match lock(&self.verdicts).entry((signer, key)) {
             Entry::Occupied(hit) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 *hit.get()
@@ -379,6 +669,28 @@ impl SignedRoute {
         SignedRoute { route, chain: received.chain.push(att) }
     }
 
+    /// [`extend`](Self::extend) of `received`, or
+    /// [`originate`](Self::originate) when there is none, except that
+    /// the new attestation is signed when first read — by whichever
+    /// reader or `queue` helper gets there first — instead of now. Every
+    /// byte, verdict and length is the eager form's.
+    pub(crate) fn signed_later(
+        received: Option<&SignedRoute>,
+        identity: &Arc<Identity>,
+        route: Route,
+        target: Asn,
+        queue: Option<&SignQueue>,
+    ) -> SignedRoute {
+        debug_assert!(received.is_some() || route.path.len() == 1, "origination path is [self]");
+        let origin = AttestationChain::empty();
+        let below = received.map_or(&origin, |r| &r.chain);
+        let chain = below.push_unsigned(identity, route.prefix, &route.path, target);
+        if let Some(queue) = queue {
+            queue.push(&chain);
+        }
+        SignedRoute { route, chain }
+    }
+
     /// Verifies the whole chain for an announcement delivered to
     /// `receiver`. Checks, per §1's S-BGP description, that the
     /// announcement corresponds to the claimed path and destination:
@@ -412,11 +724,11 @@ impl SignedRoute {
             return Err(SbgpError::ChainLength { expected: path.len(), got: self.chain.len() });
         }
         let m = path.len();
-        // One signing-payload buffer for the whole chain; the ref
+        // One signing-payload buffer for the whole chain; the node
         // collection restores origin-first order so error precedence
         // matches the pre-sharing implementation exactly.
         let mut buf = Vec::with_capacity(64);
-        for (j, att) in self.chain.to_refs().into_iter().enumerate() {
+        for (j, att) in self.chain.nodes().into_iter().enumerate() {
             // Attestation j (origin first) was made by path[m-1-j].
             let signer_idx = m - 1 - j;
             let expected_signer = path[signer_idx];
@@ -440,9 +752,10 @@ impl SignedRoute {
                 att.target,
                 att.signer,
             );
+            let signature = att.signature();
             let ok = match cache {
-                Some(cache) => cache.check(att.signer, &buf, &att.signature, keys),
-                None => keys.verify(att.signer.principal(), &buf, &att.signature).is_ok(),
+                Some(cache) => cache.check(att.signer, &buf, signature, keys),
+                None => keys.verify(att.signer.principal(), &buf, signature).is_ok(),
             };
             if !ok {
                 return Err(SbgpError::BadSignature(att.signer));
@@ -453,14 +766,16 @@ impl SignedRoute {
 }
 
 /// Hand-written: the chain is a shared cons list held newest-first,
-/// while the wire (and verification) order is origin-first.
+/// while the wire (and verification) order is origin-first. Encoding
+/// signs what is still owed; `encoded_len` — every sent UPDATE's
+/// `wire_size` — never does.
 impl Wire for SignedRoute {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.route.encode(buf);
-        let refs = self.chain.to_refs();
-        (refs.len() as u32).encode(buf);
-        for att in refs {
-            att.encode(buf);
+        let nodes = self.chain.nodes();
+        (nodes.len() as u32).encode(buf);
+        for node in nodes {
+            node.attestation().encode(buf);
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -472,7 +787,7 @@ impl Wire for SignedRoute {
     fn encoded_len(&self) -> usize {
         self.route.encoded_len()
             + 4
-            + self.chain.iter_newest_first().map(Wire::encoded_len).sum::<usize>()
+            + self.chain.nodes_newest_first().map(ChainNode::encoded_len).sum::<usize>()
     }
 }
 
@@ -661,7 +976,7 @@ mod tests {
         let (ids, keys) = setup();
         let mut sr = two_hop_chain(&ids);
         sr.route.path = AsPath::from_slice(&[Asn(2), Asn(1), Asn(2)]);
-        let repeat = sr.chain().newest().unwrap().clone();
+        let repeat = sr.chain().newest().unwrap();
         sr = SignedRoute::with_chain(sr.route.clone(), sr.chain().push(repeat));
         assert_eq!(sr.verify(Asn(3), &keys), Err(SbgpError::PathLoop));
     }
@@ -785,14 +1100,9 @@ mod tests {
             // Accessors mirror the vector.
             prop_assert_eq!(chain.len(), atts.len());
             prop_assert_eq!(chain.is_empty(), atts.is_empty());
-            prop_assert_eq!(chain.origin(), atts.first());
-            prop_assert_eq!(chain.newest(), atts.last());
+            prop_assert_eq!(chain.origin().as_ref(), atts.first());
+            prop_assert_eq!(chain.newest().as_ref(), atts.last());
             prop_assert_eq!(chain.to_vec(), atts.clone());
-            let newest_first: Vec<Attestation> =
-                chain.iter_newest_first().cloned().collect();
-            let mut rev = atts.clone();
-            rev.reverse();
-            prop_assert_eq!(newest_first, rev);
             // Clones share structure but compare equal; an extended
             // clone diverges without disturbing the parent.
             let shared = chain.clone();
@@ -830,5 +1140,219 @@ mod tests {
         assert_eq!(sr3.chain().len(), 3);
         // And the intermediate receiver can no longer be claimed.
         assert!(sr3.verify(Asn(3), &keys).is_err());
+    }
+
+    /// [`setup`]'s identities, shared the way a router shares its own,
+    /// generated once for every test and case that signs later.
+    fn shared_setup() -> &'static (Vec<Arc<Identity>>, KeyStore) {
+        static SETUP: OnceLock<(Vec<Arc<Identity>>, KeyStore)> = OnceLock::new();
+        SETUP.get_or_init(|| {
+            let (ids, keys) = setup();
+            (ids.into_iter().map(Arc::new).collect(), keys)
+        })
+    }
+
+    fn is_pending(sr: &SignedRoute) -> bool {
+        sr.chain.nodes().iter().any(|node| !node.is_signed())
+    }
+
+    /// A chain node is the attestation plus a once-state and one key
+    /// pointer: 16 bytes over the 72 a finished-only node took.
+    #[test]
+    fn chain_node_stays_small() {
+        let node = std::mem::size_of::<ChainNode>();
+        assert!(node <= 88, "ChainNode is {node} B");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A chain signed later is the chain signed now: the same wire
+        /// bytes and length, the same verdicts for the right and a wrong
+        /// receiver, and a length read that signs nothing.
+        #[test]
+        fn signed_later_equals_signed_now(
+            addr in any::<u32>(),
+            prefix_len in 0u8..=32,
+            hops in 1usize..=4,
+            first in 0usize..4,
+            target in 5u32..1000,
+        ) {
+            let (ids, keys) = shared_setup();
+            let prefix = Prefix::new(addr, prefix_len);
+            // Signers run through AS1..AS4 from a random first one.
+            let signers: Vec<&Arc<Identity>> = (0..hops).map(|h| &ids[(first + h) % 4]).collect();
+            let target_of = |h: usize| match signers.get(h + 1) {
+                Some(next) => Asn(next.id() as u32),
+                None => Asn(target),
+            };
+            let mut route = Route::originate(prefix);
+            route.path = AsPath::from_slice(&[Asn(signers[0].id() as u32)]);
+            let mut now = SignedRoute::originate(signers[0], route.clone(), target_of(0));
+            let mut later = SignedRoute::signed_later(None, signers[0], route, target_of(0), None);
+            for (h, &signer) in signers.iter().enumerate().skip(1) {
+                let next = now.route.clone().propagated_by(Asn(signer.id() as u32));
+                now = SignedRoute::extend(&now, signer, next.clone(), target_of(h));
+                later = SignedRoute::signed_later(Some(&later), signer, next, target_of(h), None);
+            }
+            prop_assert!(is_pending(&later));
+            prop_assert_eq!(later.encoded_len(), now.to_wire().len());
+            prop_assert!(is_pending(&later), "encoded_len signed an attestation");
+            prop_assert_eq!(later.to_wire(), now.to_wire());
+            prop_assert!(!is_pending(&later));
+            prop_assert_eq!(later.encoded_len(), now.encoded_len());
+            prop_assert_eq!(later.verify(Asn(target), keys), Ok(()));
+            let wrong = Asn(target + 1);
+            prop_assert_eq!(later.verify(wrong, keys), now.verify(wrong, keys));
+            prop_assert_eq!(&later, &now);
+        }
+    }
+
+    /// Comparing and verifying sign what they read, each reaching the
+    /// eager form's answer.
+    #[test]
+    fn comparing_and_verifying_sign_what_they_read() {
+        let (ids, keys) = shared_setup();
+        let mut route = Route::originate(prefix());
+        route.path = AsPath::from_slice(&[Asn(1)]);
+        let now = SignedRoute::originate(&ids[0], route.clone(), Asn(2));
+        let later = || SignedRoute::signed_later(None, &ids[0], route.clone(), Asn(2), None);
+        let compared = later();
+        assert_eq!(compared, now);
+        assert!(!is_pending(&compared));
+        let verified = later();
+        assert_eq!(verified.verify(Asn(2), keys), Ok(()));
+        assert!(!is_pending(&verified));
+        assert_eq!(later().chain().newest(), now.chain().newest());
+    }
+
+    /// Four threads reading one pending node at once all read the one
+    /// signature the node stores, equal to the eager one.
+    #[test]
+    fn racing_readers_share_one_signature() {
+        let (ids, _) = shared_setup();
+        let mut route = Route::originate(prefix());
+        route.path = AsPath::from_slice(&[Asn(3)]);
+        let now = SignedRoute::originate(&ids[2], route.clone(), Asn(4));
+        let later = SignedRoute::signed_later(None, &ids[2], route, Asn(4), None);
+        let node = later.chain.0.as_deref().expect("one attestation");
+        let barrier = std::sync::Barrier::new(4);
+        let read: Vec<usize> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        node.signature() as *const RsaSignature as usize
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(read.iter().all(|&at| at == read[0]), "readers saw different signatures");
+        assert_eq!(node.signature(), &now.chain().newest().unwrap().signature);
+    }
+
+    /// AS1's origination of the `i`-th /24 toward AS2, signed later and
+    /// offered to `queue`.
+    fn queued_origination(queue: &SignQueue, i: u32) -> SignedRoute {
+        let (ids, _) = shared_setup();
+        let mut route = Route::originate(Prefix::new(i << 8, 24));
+        route.path = AsPath::from_slice(&[Asn(1)]);
+        SignedRoute::signed_later(None, &ids[0], route, Asn(2), Some(queue))
+    }
+
+    /// Spins until `done`, failing after a minute.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn helpers_signing(queue: &SignQueue) -> usize {
+        queue.signing.load(Ordering::Relaxed)
+    }
+
+    /// A queue's helpers take the cores the engine leaves free, sign
+    /// what routers queue while the work they run beside waits, and are
+    /// stopped when it returns.
+    #[test]
+    fn helpers_sign_queued_attestations() {
+        static BUDGET: CoreBudget = CoreBudget::new(3);
+        let queue = SignQueue::new(4, &BUDGET);
+        let _engine = BUDGET.occupy(1);
+        queue.with_helpers(|| {
+            assert_eq!(helpers_signing(&queue), 2, "one helper per free core");
+            let routes: Vec<SignedRoute> = (0..16).map(|i| queued_origination(&queue, i)).collect();
+            wait_until("helpers sign the queue", || !routes.iter().any(is_pending));
+        });
+        assert_eq!(helpers_signing(&queue), 0);
+        let state = lock(&queue.state);
+        assert!(!state.open);
+        assert!(state.pending.is_empty());
+    }
+
+    /// A helper gives its core back while the process counts more busy
+    /// threads than cores — routers then queue nothing — and signs again
+    /// once a core is free.
+    #[test]
+    fn helpers_give_way_to_busy_threads() {
+        static BUDGET: CoreBudget = CoreBudget::new(2);
+        let queue = SignQueue::new(1, &BUDGET);
+        let _engine = BUDGET.occupy(1);
+        queue.with_helpers(|| {
+            assert_eq!(helpers_signing(&queue), 1);
+            let unqueued = {
+                // The engine takes a second thread: three want two cores.
+                let _second_shard = BUDGET.occupy(2);
+                wait_until("the helper yields", || helpers_signing(&queue) == 0);
+                queued_origination(&queue, 0)
+            };
+            assert!(lock(&queue.state).pending.is_empty(), "queued while nobody signs");
+            wait_until("the helper resumes", || helpers_signing(&queue) == 1);
+            let queued = queued_origination(&queue, 1);
+            wait_until("the helper signs again", || !is_pending(&queued));
+            assert!(is_pending(&unqueued));
+        });
+    }
+
+    /// With every core counted, no helper starts and nothing is queued.
+    #[test]
+    fn no_spare_core_means_no_helper() {
+        static BUDGET: CoreBudget = CoreBudget::new(1);
+        let queue = SignQueue::new(1, &BUDGET);
+        let _engine = BUDGET.occupy(1);
+        let route = queue.with_helpers(|| {
+            assert_eq!(helpers_signing(&queue), 0);
+            queued_origination(&queue, 0)
+        });
+        assert!(is_pending(&route));
+        assert!(lock(&queue.state).pending.is_empty());
+    }
+
+    /// A panic while the memo's lock was held leaves it poisoned; the
+    /// cache still answers, caches and counts.
+    #[test]
+    fn poisoned_verify_cache_still_answers() {
+        let (ids, keys) = setup();
+        let sr = two_hop_chain(&ids);
+        let cache = VerifyCache::new();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = cache.verdicts.lock().unwrap();
+                panic!("poisoning the verify cache on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.verdicts.is_poisoned());
+        assert_eq!(sr.verify_cached(Asn(3), &keys, Some(&cache)), Ok(()));
+        assert_eq!((cache.calls(), cache.hits()), (2, 0));
+        assert_eq!(sr.verify_cached(Asn(3), &keys, Some(&cache)), Ok(()));
+        assert_eq!((cache.calls(), cache.hits()), (4, 2));
+        let (calls, hits, entries) = cache.export_state();
+        assert_eq!((calls, hits, entries.len()), (4, 2, 2));
+        cache.load_state((calls, hits, entries));
+        assert_eq!(cache.calls(), 4);
     }
 }

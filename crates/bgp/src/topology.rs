@@ -6,6 +6,7 @@
 //! topologies (tier-1 clique / tier-2 / stubs with Gao–Rexford roles)
 //! for the scale experiment E8.
 
+use crate::cores::CoreBudget;
 use crate::dampening::DampeningPolicy;
 use crate::messages::BgpUpdate;
 use crate::partition::partition_by_degree;
@@ -13,7 +14,7 @@ use crate::policy::{PolicyConfig, Role};
 use crate::private::PrivateVerifier;
 use crate::route::Community;
 use crate::router::{BgpRouter, LocalEvent, RouterStats, SecurityMode};
-use crate::sbgp::VerifyCache;
+use crate::sbgp::{SignQueue, VerifyCache};
 use crate::types::{Asn, Prefix};
 use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::keys::{Identity, KeyStore};
@@ -26,7 +27,7 @@ use std::sync::Arc;
 
 /// Key material generated for signed mode: the shared verifying store
 /// plus each AS's private identity.
-type SignedKeys = (Arc<KeyStore>, BTreeMap<Asn, Identity>);
+type SignedKeys = (Arc<KeyStore>, BTreeMap<Asn, Arc<Identity>>);
 
 /// An AS-to-AS business relationship edge.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -248,7 +249,7 @@ impl Topology {
         for &asn in &self.ases {
             let id = Identity::generate(asn.principal(), options.key_bits, &mut rng);
             ks.register_identity(&id);
-            ids.insert(asn, id);
+            ids.insert(asn, Arc::new(id));
         }
         Some((Arc::new(ks), ids))
     }
@@ -273,7 +274,7 @@ impl Topology {
         }
         let security = match keystore {
             Some((ks, ids)) => {
-                SecurityMode::Signed { identity: Box::new(ids[&asn].clone()), keys: Arc::clone(ks) }
+                SecurityMode::Signed { identity: Arc::clone(&ids[&asn]), keys: Arc::clone(ks) }
             }
             None => SecurityMode::Plain,
         };
@@ -331,6 +332,14 @@ impl Topology {
     /// at every subsequent hop — and more shards trade reuse scope for
     /// parallelism: cache hits can only be fewer, never different
     /// verdicts.
+    ///
+    /// Signed mode on a host with more cores than `shards` also gives
+    /// the network one sign-ahead queue: every
+    /// [`converge`](BgpNetwork::converge) call runs up to `cores −
+    /// shards` helper threads, one per core the process's
+    /// [`CoreBudget`] leaves free, signing the attestations routers have
+    /// made before the receivers read them. With no core to spare there
+    /// is no queue, and every signature is made by its first reader.
     pub fn instantiate_sharded(&self, options: InstantiateOptions, shards: usize) -> BgpNetwork {
         let shards = shards.max(1);
         let mut sim: Simulator<BgpUpdate> = Simulator::with_shards(options.seed, shards);
@@ -351,6 +360,9 @@ impl Topology {
         } else {
             Vec::new()
         };
+        let budget = CoreBudget::process();
+        let helpers = if keystore.is_some() { budget.cores().saturating_sub(shards) } else { 0 };
+        let sign_queue = (helpers > 0).then(|| Arc::new(SignQueue::new(helpers, budget)));
 
         // Unlike the verify cache, the private verifier is network-wide
         // at every shard count: it is flushed at engine barriers and
@@ -367,6 +379,9 @@ impl Topology {
             let shard = assignment[&asn];
             if let Some(cache) = verify_caches.get(shard) {
                 router.set_verify_cache(Arc::clone(cache));
+            }
+            if let Some(queue) = &sign_queue {
+                router.set_sign_queue(Arc::clone(queue));
             }
             if let Some(verifier) = &private_verifier {
                 router.set_private_verifier(Arc::clone(verifier));
@@ -395,6 +410,7 @@ impl Topology {
             node_of,
             keystore: keystore.map(|(ks, _)| ks),
             verify_caches,
+            sign_queue,
             private_verifier,
             topology: self.clone(),
             options,
@@ -601,6 +617,9 @@ pub struct BgpNetwork {
     node_of: BTreeMap<Asn, NodeId>,
     keystore: Option<Arc<KeyStore>>,
     verify_caches: Vec<Arc<VerifyCache>>,
+    /// Attestations waiting for a helper thread (signed mode with
+    /// spare cores only).
+    sign_queue: Option<Arc<SignQueue>>,
     private_verifier: Option<Arc<PrivateVerifier>>,
     /// The declaration this network was instantiated from; embedded in
     /// checkpoints so restore is self-contained.
@@ -619,9 +638,23 @@ pub struct BgpNetwork {
 pub type ShardedBgpNetwork = BgpNetwork;
 
 impl BgpNetwork {
-    /// Runs the network to quiescence (or the given limits).
+    /// Runs the network to quiescence (or the given limits). A signed
+    /// network with a sign-ahead queue runs its helper threads for the
+    /// length of the call; none outlives it.
     pub fn converge(&mut self, limits: RunLimits) -> StopReason {
-        self.sim.run(limits)
+        self.run_engine(|net| net.sim.run(limits))
+    }
+
+    /// Runs `work`, which drives this network's engine. Its shard
+    /// threads count as busy in the process's [`CoreBudget`], and a
+    /// signed network's sign-ahead helpers run beside it on the cores
+    /// the budget leaves free, stopping when `work` returns.
+    pub(crate) fn run_engine<R>(&mut self, work: impl FnOnce(&mut BgpNetwork) -> R) -> R {
+        let _engine = CoreBudget::process().occupy(self.sim.shard_count());
+        match self.sign_queue.clone() {
+            Some(queue) => queue.with_helpers(|| work(self)),
+            None => work(self),
+        }
     }
 
     /// The simulator node hosting `asn`.

@@ -1,8 +1,9 @@
 //! The engine's shard-count contract: byte-identical outputs at any
 //! shard count (1 shard is the baseline) — converged RIBs, event
-//! counts, simulator stats, and per-router counters (modulo
+//! counts, simulator stats, per-router counters (modulo
 //! `verify_cache_hits`, whose scope legitimately shrinks with
-//! per-shard caches). Exercised over
+//! per-shard caches) and, signed, every attestation chain held, byte
+//! for byte. Exercised over
 //! random topologies, random shard counts, signed mode, and `Malice`
 //! route leaks, so the CI determinism gate rests on more than one
 //! hand-picked workload.
@@ -12,6 +13,7 @@ use pvr::bgp::{
     internet_like, Asn, BgpRouter, Candidate, InstantiateOptions, InternetParams, Malice, Prefix,
     Topology,
 };
+use pvr::crypto::Wire;
 use pvr::netsim::{RunLimits, StopReason};
 use std::sync::Arc;
 
@@ -25,6 +27,19 @@ fn rib_fingerprint(router: &BgpRouter) -> Vec<(Prefix, Candidate)> {
             (p, router.best_route(p).expect("selected prefix has a best route").to_candidate())
         })
         .collect()
+}
+
+/// Every attestation chain `router` holds over its Adj-RIB-In, as wire
+/// bytes, in (neighbor, prefix) order. Encoding reads every signature.
+fn held_chains(topology: &Topology, router: &BgpRouter) -> Vec<(Asn, Prefix, Vec<u8>)> {
+    let mut chains = Vec::new();
+    for (neighbor, _) in topology.neighbor_roles(router.asn()) {
+        for (prefix, _) in router.routes_from(neighbor) {
+            let chain = router.received_chain(neighbor, prefix).expect("a held route has a chain");
+            chains.push((neighbor, prefix, chain.to_wire()));
+        }
+    }
+    chains
 }
 
 /// Converges `topology` at 1 shard and at `shards` and asserts every
@@ -82,6 +97,17 @@ fn assert_shard_counts_agree(
             many.router(asn).stats().verify_cache_hits <= one.router(asn).stats().verify_cache_hits,
             "{asn} at {shards} shards: cache hits exceed the 1-shard run's"
         );
+        // The chains held, signatures included: RIB equality never
+        // reads one, and who signed an attestation — a sign-ahead
+        // helper thread, which only runs beside fewer shards than
+        // cores, or the router that first read it — must not show.
+        if options.signed {
+            assert_eq!(
+                held_chains(topology, one.router(asn)),
+                held_chains(topology, many.router(asn)),
+                "{asn} chains at {shards} shards"
+            );
+        }
     }
 
     // Order-independent network totals (the satellite-3 pin): summed
