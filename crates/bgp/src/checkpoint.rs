@@ -20,7 +20,7 @@
 //! runs at any shard count checkpoint identical logical states (modulo
 //! the documented per-shard `verify_cache` scope).
 //!
-//! ## File format (`PVRCKPT2`, version 2)
+//! ## File format (`PVRCKPT3`, version 3)
 //!
 //! The container reuses `pvr-store`'s framing — `magic ‖ version` then
 //! tagged sections, each `tag u8 ‖ len u64 ‖ payload ‖ SHA-256(payload)`
@@ -30,17 +30,21 @@
 //! |-----|-----------|----------------------------------------------------|
 //! | 1   | `META`    | shard count, options, topology, origin table       |
 //! | 2   | `ENGINE`  | engine `save_state` bytes (clock, link DRBG, per-shard calendars) |
-//! | 3   | `ROUTERS` | per-AS dynamic router state (RIBs, timers, counters) |
+//! | 3   | `ROUTERS` | per-AS dynamic router state: one record per prefix cell, then chains, timers, counters |
 //! | 4   | `CACHE`   | verify-cache verdict memos, one per shard          |
 //! | 5   | `STORE`   | COW RIB snapshot history (`pvr-store` dump)         |
 //!
-//! Version 1 (`PVRCKPT1`) carried an engine-kind byte in META and one
-//! of two ENGINE layouts; such files fail the container's magic/version
-//! check with a typed [`StoreError`].
+//! Version 2 (`PVRCKPT2`) wrote each router's RIB as three lists
+//! instead of cell records; version 1 (`PVRCKPT1`) also carried an
+//! engine-kind byte in META. Such files fail the container's
+//! magic/version check with a typed [`StoreError`].
 //!
 //! Restore decodes and validates *everything* before constructing the
-//! network, and the network is built fresh — a corrupt file yields a
-//! typed [`CheckpointError`] and no partially-mutated state. Writes go
+//! network, and the network is built fresh — a corrupt file, or one
+//! whose RIB fails the check
+//! [`check_invariants`](crate::router::BgpRouter::check_invariants)
+//! runs, yields a typed [`CheckpointError`] and no partially-mutated
+//! state. Writes go
 //! through a `.tmp` + rename so a crash mid-checkpoint never leaves a
 //! torn file at the target path, and a write that fails removes its
 //! `.tmp`.
@@ -120,9 +124,9 @@ use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
 /// Checkpoint file magic.
-pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT2";
+pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT3";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 2;
+pub const CKPT_VERSION: u32 = 3;
 
 /// Section tags (see the module docs for the layout).
 const SEC_META: u8 = 1;

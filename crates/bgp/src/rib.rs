@@ -9,7 +9,9 @@
 //! cells that advertise anything — the route sent with the neighbors
 //! holding it. PVR's verifier and the experiments compare
 //! permitted vs. actual outputs through the router's accessors
-//! (`route_from`, `best_route`, `advertised_to`).
+//! (`route_from`, `best_route`, `advertised_to`). A checkpoint holds
+//! the RIB the same way: one record per cell
+//! (`PrefixCell::encode_record`).
 //!
 //! The decision scan and its incremental short-circuit exist once, in
 //! `decide`; `PrefixCell::reselect` applies it to a cell, and
@@ -21,6 +23,7 @@ use crate::decision::{prefer_refs, Candidate, CandidateRef};
 use crate::route::Route;
 use crate::sorted::SortedMap;
 use crate::types::{Asn, Prefix};
+use pvr_crypto::encoding::{Reader, Wire, WireError};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -464,19 +467,6 @@ impl PrefixCell {
         });
     }
 
-    /// Installs a saved selection as is, bypassing the decision
-    /// process. Returns false, changing nothing, when no entry of the
-    /// cell holds `saved`.
-    #[must_use]
-    pub(crate) fn restore_best(&mut self, saved: &Candidate) -> bool {
-        let entry = Selection::of(saved.learned_from);
-        let present = self.stored(entry) == Some(&saved.route);
-        if present {
-            self.best = entry;
-        }
-        present
-    }
-
     /// Runs the decision process over this cell and installs the
     /// result.
     ///
@@ -542,6 +532,48 @@ impl PrefixCell {
             return Err("advertised route without holders, or holders without one");
         }
         Ok(())
+    }
+
+    /// Appends the cell's checkpoint record: `prefix`, the candidates as
+    /// `(neighbor, route)` pairs in ASN order, the selection's tag (`0`
+    /// none, `1` and the neighbor's ASN, `2` local), the local
+    /// origination and the holders. The advertised route is not written:
+    /// between handlers it is the selection as the router propagates it.
+    pub(crate) fn encode_record(&self, prefix: Prefix, buf: &mut Vec<u8>) {
+        prefix.encode(buf);
+        <(Asn, Route)>::encode_slice(self.candidates.as_slice(), buf);
+        match self.best {
+            Selection::None => buf.push(0),
+            Selection::Neighbor(n) => (1u8, n).encode(buf),
+            Selection::Local => buf.push(2),
+        }
+        self.local().cloned().encode(buf);
+        Asn::encode_slice(self.out_to(), buf);
+    }
+
+    /// Reads back a record of the router `asn`, deriving the advertised
+    /// route. Whether the cell is one the router could be holding is the
+    /// router's check to make, before it installs anything.
+    pub(crate) fn decode_record(
+        r: &mut Reader<'_>,
+        asn: Asn,
+    ) -> Result<(Prefix, PrefixCell), WireError> {
+        let prefix = Prefix::decode(r)?;
+        let candidates = SortedMap::from_sorted(Vec::decode(r)?)
+            .ok_or(WireError::Invalid("candidates not in ascending neighbor order"))?;
+        let best = match u8::decode(r)? {
+            0 => Selection::None,
+            1 => Selection::Neighbor(Asn::decode(r)?),
+            2 => Selection::Local,
+            _ => return Err(WireError::Invalid("selection tag")),
+        };
+        let local = Option::<Route>::decode(r)?;
+        let holders = Vec::<Asn>::decode(r)?;
+        let mut cell = PrefixCell { candidates, best, outbound: None };
+        cell.set_local(local);
+        let out = cell.stored(best).filter(|_| !holders.is_empty()).map(|r| r.propagated_by(asn));
+        cell.set_out(out, &holders);
+        Ok((prefix, cell))
     }
 }
 
@@ -687,13 +719,6 @@ mod tests {
         let mut hollow = good.clone();
         hollow.outbound = Some(Box::default());
         assert_eq!(hollow.check(), Err("empty outbound part retained"));
-
-        let mut saved = good.clone();
-        assert!(!saved.restore_best(&Candidate::from_neighbor(route(&[2], 100), Asn(2))));
-        assert!(!saved.restore_best(&Candidate::local(route(&[], 100))));
-        assert_eq!(saved.best, Selection::Neighbor(Asn(1)), "a refused restore changes nothing");
-        assert!(saved.restore_best(&Candidate::from_neighbor(route(&[2, 8], 100), Asn(2))));
-        assert_eq!(saved.best().unwrap().learned_from, Some(Asn(2)));
     }
 
     #[test]

@@ -51,7 +51,7 @@
 //! driven by the fault layer, not a peer FSM), no iBGP, no aggregation.
 
 use crate::dampening::{DampState, DampeningPolicy};
-use crate::decision::{Candidate, CandidateRef};
+use crate::decision::CandidateRef;
 use crate::messages::BgpUpdate;
 use crate::policy::{import_as, may_export_as, PolicyConfig, Role};
 use crate::private::{PrivateRequest, PrivateVerifier, PVR_VERDICT_TIMER};
@@ -64,6 +64,7 @@ use crate::types::{Asn, Prefix};
 use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
+use pvr_netsim::state::{decode_timeline, encode_timeline};
 use pvr_netsim::{Agent, Context, NodeId, SimDuration, SimTime};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -579,54 +580,86 @@ impl BgpRouter {
         })
     }
 
-    /// Checks what must hold of the RIB between events, and says which
-    /// prefix breaks what: the selection names a present entry and
-    /// equals a from-scratch decision over the candidates; the part of
-    /// a cell only originating or advertising cells have is absent when
-    /// empty; the advertised route is the propagated form of the
-    /// selection and exists exactly while someone holds it; holders are
-    /// configured neighbors with a live session; nothing is held or
-    /// parked from a torn-down session; no vacant cell lingers; the
-    /// suppressed-pair count matches the dampening states.
-    /// Tests call this at quiescent end states.
+    /// Checks what must hold of the router between events, and says
+    /// which prefix breaks what: no vacant cell; the selection names a
+    /// present entry and equals a from-scratch decision; no empty
+    /// outbound part; every route under its own prefix; the advertised
+    /// route is the propagated selection, held by ascending configured
+    /// neighbors on live sessions; nothing held or parked from a
+    /// torn-down session; in signed mode one chain per candidate and no
+    /// other, in plain mode no chains; the suppressed-pair count matches
+    /// the dampening states. Tests call this at quiescent end states;
+    /// restore runs the same RIB check on every router it loads.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let fail = |prefix: Prefix, what: &str| Err(format!("AS{} {prefix}: {what}", self.asn.0));
-        for (&prefix, cell) in &self.cells {
-            if cell.is_vacant() {
-                return fail(prefix, "vacant cell retained");
-            }
-            if let Err(what) = cell.check() {
-                return fail(prefix, what);
-            }
-            let propagated = cell.best().map(|cand| cand.route.propagated_by(self.asn));
-            if cell.out().is_some() && cell.out() != propagated.as_ref() {
-                return fail(prefix, "advertised route is not the propagated selection");
-            }
-            if !cell.out_to().windows(2).all(|pair| pair[0] < pair[1]) {
-                return fail(prefix, "holder list not strictly ascending");
-            }
-            for &holder in cell.out_to() {
-                if self.neighbor_index(holder).is_err() {
-                    return fail(prefix, "holder is not a configured neighbor");
-                }
-                if self.sessions_down.contains(&holder) {
-                    return fail(prefix, "holder's session is down");
-                }
-            }
-            if cell.candidates.keys().any(|n| self.sessions_down.contains(&n)) {
-                return fail(prefix, "candidate from a torn-down session");
-            }
-        }
-        if let Some(&(_, prefix)) = self.parked.keys().find(|(n, _)| self.sessions_down.contains(n))
-        {
-            return fail(prefix, "parked route from a torn-down session");
-        }
+        self.check_rib(&self.cells, &self.chains_in, &self.parked, &self.sessions_down)
+            .map_err(|(prefix, what)| format!("AS{} {prefix}: {what}", self.asn.0))?;
         let suppressed = self.damp_states.values().filter(|state| state.suppressed).count();
         if self.suppressed_pairs != suppressed {
             return Err(format!(
                 "AS{}: suppressed-pair count is {}, {suppressed} pairs are suppressed",
                 self.asn.0, self.suppressed_pairs
             ));
+        }
+        Ok(())
+    }
+
+    /// The RIB half of [`check_invariants`](Self::check_invariants) over
+    /// the parts given: this router's own, or the ones
+    /// [`load_dynamic`](Self::load_dynamic) decoded, before it installs
+    /// any.
+    fn check_rib(
+        &self,
+        cells: &Cells,
+        chains_in: &BTreeMap<(Asn, Prefix), SignedRoute>,
+        parked: &BTreeMap<(Asn, Prefix), SignedRoute>,
+        sessions_down: &BTreeSet<Asn>,
+    ) -> Result<(), (Prefix, &'static str)> {
+        let signed = matches!(self.security, SecurityMode::Signed { .. });
+        for (&prefix, cell) in cells {
+            let fail = |what| Err((prefix, what));
+            if cell.is_vacant() {
+                return fail("vacant cell retained");
+            }
+            cell.check().map_err(|what| (prefix, what))?;
+            if cell.candidates.values().chain(cell.local()).any(|route| route.prefix != prefix) {
+                return fail("route filed under another prefix");
+            }
+            if let Some(out) = cell.out() {
+                let propagated = cell.best().map(|cand| cand.route.propagated_by(self.asn));
+                if propagated.as_ref() != Some(out) {
+                    return fail("advertised route is not the propagated selection");
+                }
+            }
+            if !cell.out_to().windows(2).all(|pair| pair[0] < pair[1]) {
+                return fail("holder list not strictly ascending");
+            }
+            for &holder in cell.out_to() {
+                if self.neighbor_index(holder).is_err() {
+                    return fail("holder is not a configured neighbor");
+                }
+                if sessions_down.contains(&holder) {
+                    return fail("holder's session is down");
+                }
+            }
+            for neighbor in cell.candidates.keys() {
+                if sessions_down.contains(&neighbor) {
+                    return fail("candidate from a torn-down session");
+                }
+                if signed && !chains_in.contains_key(&(neighbor, prefix)) {
+                    return fail("candidate without an attestation chain");
+                }
+            }
+        }
+        for &(neighbor, prefix) in chains_in.keys() {
+            if !signed {
+                return Err((prefix, "attestation chain in plain mode"));
+            }
+            if cells.get(&prefix).and_then(|cell| cell.candidates.get(neighbor)).is_none() {
+                return Err((prefix, "attestation chain without a candidate"));
+            }
+        }
+        if let Some(&(_, prefix)) = parked.keys().find(|(n, _)| sessions_down.contains(n)) {
+            return Err((prefix, "parked route from a torn-down session"));
         }
         Ok(())
     }
@@ -783,9 +816,6 @@ impl BgpRouter {
             // No updates toward a torn-down session; recovery
             // re-announces the whole Loc-RIB instead.
             if self.sessions_down.contains(&neighbor.asn) {
-                if held {
-                    holders.push(neighbor.asn);
-                }
                 continue;
             }
             match best.filter(|&cand| self.may_send(cand, source, &neighbor)) {
@@ -812,14 +842,7 @@ impl BgpRouter {
             }
         }
         debug_assert!(held_by.next().is_none(), "an Adj-RIB-Out holder is not a neighbor");
-        // A holder on a torn-down session (a restored file can name one)
-        // keeps the route without being admitted above: build it here.
-        let out_route = match built {
-            Some((out_route, _)) => Some(out_route),
-            None if !holders.is_empty() => best.map(|cand| cand.route.propagated_by(self.asn)),
-            None => None,
-        };
-        cell.set_out(out_route, &holders);
+        cell.set_out(built.map(|(out_route, _)| out_route), &holders);
         holders.clear();
         self.holders_scratch = holders;
     }
@@ -1126,51 +1149,20 @@ impl BgpRouter {
     /// MRAI buffer, dampening state, session set, counters, recorders —
     /// in a fixed deterministic order. Static configuration (policy,
     /// keys, neighbors, schedule) is *not* written: restore rebuilds it
-    /// from the topology and overlays this dynamic state on top.
+    /// from the topology and overlays this dynamic state on top. The RIB
+    /// goes first, one record per prefix cell in prefix order.
     pub(crate) fn save_dynamic(&self, buf: &mut Vec<u8>) {
-        // The format keeps the three RIBs apart, as the router once
-        // did; the cells are written out RIB by RIB.
         let mut cells: Vec<(Prefix, &PrefixCell)> =
             self.cells.iter().map(|(&prefix, cell)| (prefix, &**cell)).collect();
         cells.sort_unstable_by_key(|&(prefix, _)| prefix);
-        let (adj_in_len, loc_rib_len) = self.rib_entry_counts();
-        // Adj-RIB-In: routes carry their own prefix, so each entry is
-        // (neighbor, route); prefix-major, neighbor-ascending order.
-        (adj_in_len as u32).encode(buf);
-        for (_, cell) in &cells {
-            for (n, r) in cell.candidates.iter() {
-                n.encode(buf);
-                r.encode(buf);
-            }
-        }
-        // Loc-RIB: candidates re-key by their route's prefix on load.
-        (loc_rib_len as u32).encode(buf);
-        for best in cells.iter().filter_map(|(_, cell)| cell.best()) {
-            best.encode(buf);
-        }
-        // Adj-RIB-Out: one (neighbor, route) entry per holder, in
-        // (neighbor, prefix) order.
-        let mut adj_out: Vec<(Asn, Prefix, &Route)> = Vec::new();
-        for &(prefix, cell) in &cells {
-            if let Some(route) = cell.out() {
-                adj_out.extend(cell.out_to().iter().map(|&n| (n, prefix, route)));
-            }
-        }
-        adj_out.sort_unstable_by_key(|&(n, p, _)| (n, p));
-        (adj_out.len() as u32).encode(buf);
-        for (n, _, r) in adj_out {
-            n.encode(buf);
-            r.encode(buf);
+        (cells.len() as u32).encode(buf);
+        for (prefix, cell) in cells {
+            cell.encode_record(prefix, buf);
         }
         (self.chains_in.len() as u32).encode(buf);
         for (&(n, _), sr) in &self.chains_in {
             n.encode(buf);
             sr.encode(buf);
-        }
-        let local = cells.iter().filter_map(|(_, cell)| cell.local());
-        (local.clone().count() as u32).encode(buf);
-        for route in local {
-            CandidateRef::local(route).encode(buf);
         }
         self.mrai_buffer.encode(buf);
         self.mrai_armed.encode(buf);
@@ -1193,21 +1185,7 @@ impl BgpRouter {
             name.to_string().encode(buf);
             value.encode(buf);
         }
-        match &self.obs_timeline {
-            None => false.encode(buf),
-            Some(tl) => {
-                true.encode(buf);
-                tl.window_us().encode(buf);
-                tl.channels().encode(buf);
-                (tl.cells().len() as u32).encode(buf);
-                for (&window, row) in tl.cells() {
-                    window.encode(buf);
-                    for &v in row {
-                        v.encode(buf);
-                    }
-                }
-            }
-        }
+        encode_timeline(self.obs_timeline.as_ref(), buf);
         self.journal.capacity().encode(buf);
         self.journal.evicted().encode(buf);
         (self.journal.len() as u32).encode(buf);
@@ -1219,9 +1197,11 @@ impl BgpRouter {
     }
 
     /// Decodes and applies the counterpart of
-    /// [`save_dynamic`](Self::save_dynamic). Everything is decoded and
-    /// validated before any field is touched, so a corrupt blob leaves
-    /// the router exactly as built.
+    /// [`save_dynamic`](Self::save_dynamic). Everything is decoded, and
+    /// the RIB judged by [`check_rib`](Self::check_rib) — the check
+    /// `check_invariants` runs — before any field is touched, so a
+    /// corrupt blob, or one holding a RIB this router could not be
+    /// holding, leaves the router exactly as built.
     pub(crate) fn load_dynamic(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
         // A `(neighbor, route)` list keyed the way the router holds it.
         let by_prefix = |r: &mut Reader<'_>| -> Result<BTreeMap<_, _>, WireError> {
@@ -1229,46 +1209,16 @@ impl BgpRouter {
             Ok(pairs.into_iter().map(|(n, sr)| ((n, sr.route.prefix), sr)).collect())
         };
         let mut cells = Cells::new();
-        for (n, route) in Vec::<(Asn, Route)>::decode(r)? {
-            cells.entry(route.prefix).or_default().candidates.insert(n, route);
-        }
-        let loc_rib = Vec::<Candidate>::decode(r)?;
-        // Adj-RIB-Out entries fold into one route per prefix plus its
-        // holders, which is only faithful if the file's entries for a
-        // prefix agree — as every file this router wrote does.
-        for (n, route) in Vec::<(Asn, Route)>::decode(r)? {
-            if self.neighbor_index(n).is_err() {
-                return Err(WireError::Invalid("Adj-RIB-Out entry for a non-neighbor"));
+        let mut last = None;
+        for _ in 0..u32::decode(r)? {
+            let (prefix, cell) = PrefixCell::decode_record(r, self.asn)?;
+            if last >= Some(prefix) {
+                return Err(WireError::Invalid("cells not in ascending prefix order"));
             }
-            let cell = cells.entry(route.prefix).or_default();
-            if cell.advertised_to(n).is_some() {
-                return Err(WireError::Invalid("duplicate Adj-RIB-Out entry"));
-            }
-            if cell.out().is_some_and(|out| *out != route) {
-                return Err(WireError::Invalid("Adj-RIB-Out entries of one prefix disagree"));
-            }
-            cell.add_holder(n, route);
+            last = Some(prefix);
+            cells.insert(prefix, Box::new(cell));
         }
         let chains_in = by_prefix(r)?;
-        for cand in Vec::<Candidate>::decode(r)? {
-            if cand.learned_from.is_some() {
-                return Err(WireError::Invalid("local origination learned from a neighbor"));
-            }
-            let cell = cells.entry(cand.route.prefix).or_default();
-            cell.set_local(Some(cand.route));
-        }
-        // The Loc-RIB is installed as saved, bypassing the decision
-        // process: the selection is what a reselect over the restored
-        // candidates would produce. A cell stores its selected route
-        // once, in the entry that won, so a saved selection has to be
-        // one of the entries just loaded.
-        for cand in &loc_rib {
-            if !cells.get_mut(&cand.route.prefix).is_some_and(|cell| cell.restore_best(cand)) {
-                return Err(WireError::Invalid(
-                    "Loc-RIB entry is neither a candidate nor a local origination",
-                ));
-            }
-        }
         let mrai_buffer = BTreeMap::<NodeId, BgpUpdate>::decode(r)?;
         if !mrai_buffer.keys().all(|node| self.asn_of_node.contains_key(node)) {
             return Err(WireError::Invalid("MRAI buffer entry for a non-neighbor node"));
@@ -1287,30 +1237,10 @@ impl BgpRouter {
         let stat_fields = Vec::<(String, u64)>::decode(r)?;
         let stats = RouterStats::from_fields(stat_fields.iter().map(|(n, v)| (n.as_str(), *v)))
             .ok_or(WireError::Invalid("router stats field list does not match this build"))?;
-        let obs_timeline = if bool::decode(r)? {
-            let window_us = u64::decode(r)?;
-            if window_us == 0 {
-                return Err(WireError::Invalid("timeline window must be positive"));
-            }
-            let channels = usize::decode(r)?;
-            if channels != pvr_obs::timeline::RT_CHANNELS {
-                return Err(WireError::Invalid("router timeline channel count"));
-            }
-            let mut cells = BTreeMap::new();
-            for _ in 0..u32::decode(r)? {
-                let window = u64::decode(r)?;
-                let mut row = Vec::with_capacity(channels);
-                for _ in 0..channels {
-                    row.push(u64::decode(r)?);
-                }
-                if cells.insert(window, row).is_some() {
-                    return Err(WireError::Invalid("duplicate timeline window"));
-                }
-            }
-            Some(pvr_obs::TimelineRecorder::from_cells(window_us, channels, cells))
-        } else {
-            None
-        };
+        let obs_timeline = decode_timeline(r)?;
+        if obs_timeline.as_ref().is_some_and(|tl| tl.channels() != pvr_obs::timeline::RT_CHANNELS) {
+            return Err(WireError::Invalid("router timeline channel count"));
+        }
         let journal_capacity = usize::decode(r)?;
         let journal_evicted = u64::decode(r)?;
         let mut journal_entries = Vec::new();
@@ -1325,6 +1255,8 @@ impl BgpRouter {
                 .ok_or(WireError::Invalid("unknown journal event kind"))?;
             journal_entries.push(pvr_obs::JournalEntry { t_us, kind, value });
         }
+        self.check_rib(&cells, &chains_in, &parked, &sessions_down)
+            .map_err(|(_, what)| WireError::Invalid(what))?;
 
         self.cells = cells;
         self.chains_in = chains_in;
@@ -1540,8 +1472,9 @@ impl Agent<BgpUpdate> for BgpRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::Candidate;
     use crate::path::AsPath;
-    use crate::rib::{AdjRibIn, LocRib};
+    use crate::rib::{AdjRibIn, LocRib, Selection};
     use proptest::prelude::*;
     use pvr_netsim::{Fault, FaultPlan, RunLimits, Simulator};
 
@@ -1918,112 +1851,129 @@ mod tests {
         }
     }
 
-    /// The count-prefixed lists a router's dynamic state opens with.
-    const ADJ_IN: usize = 0;
-    const LOC_RIB: usize = 1;
-    const ADJ_OUT: usize = 2;
-    const LOCAL: usize = 4;
-
-    /// A fresh router's dynamic state with each `(index, encoded list)`
-    /// of `lists` spliced in for the empty list at that index.
-    fn blob_with_lists(lists: &[(usize, Vec<u8>)]) -> Vec<u8> {
-        let mut fresh = Vec::new();
-        router().save_dynamic(&mut fresh);
-        let mut blob = Vec::new();
-        for index in 0..=LOCAL {
-            match lists.iter().find(|(at, _)| *at == index) {
-                Some((_, list)) => blob.extend_from_slice(list),
-                None => blob.extend_from_slice(&fresh[4 * index..4 * index + 4]),
+    /// One hand-written cell record: the bytes `encode_record` writes,
+    /// free to say what no cell holds.
+    fn record(
+        prefix: Prefix,
+        candidates: &[(Asn, Route)],
+        selection: Selection,
+        local: Option<Route>,
+        holders: &[Asn],
+    ) -> Vec<u8> {
+        let mut buf = prefix.to_wire();
+        candidates.to_vec().encode(&mut buf);
+        match selection {
+            Selection::None => buf.push(0),
+            Selection::Neighbor(n) => {
+                buf.push(1);
+                n.encode(&mut buf);
             }
+            Selection::Local => buf.push(2),
         }
-        blob.extend_from_slice(&fresh[4 * (LOCAL + 1)..]);
+        local.encode(&mut buf);
+        holders.to_vec().encode(&mut buf);
+        buf
+    }
+
+    /// A router's dynamic state holding `records`, and after the RIB a
+    /// fresh router's state with the session to `down` torn down.
+    fn blob(records: &[Vec<u8>], down: Option<Asn>) -> Vec<u8> {
+        let mut rest = router();
+        rest.sessions_down.extend(down);
+        let mut fresh = Vec::new();
+        rest.save_dynamic(&mut fresh);
+        let mut blob = (records.len() as u32).to_wire();
+        blob.extend(records.concat());
+        // A fresh router's RIB is a zero count.
+        blob.extend_from_slice(&fresh[4..]);
         blob
     }
 
-    fn blob_with_adj_out(entries: &[(Asn, Route)]) -> Vec<u8> {
-        blob_with_lists(&[(ADJ_OUT, entries.to_vec().to_wire())])
-    }
-
+    /// A restore accepts exactly the RIBs `check_invariants` accepts:
+    /// every hostile record below is refused with the reason the check
+    /// gives — among them a selection that names a present entry but
+    /// not the one a from-scratch decision picks — and the router keeps
+    /// what it held.
     #[test]
-    fn load_rejects_inconsistent_adj_rib_out_and_touches_nothing() {
-        let sent = Route::originate(prefix(1)).propagated_by(ME);
-        let other = Route::originate(prefix(1)).propagated_by(Asn(7)).propagated_by(ME);
-        let cases: [(&[(Asn, Route)], &str); 3] = [
+    fn load_refuses_hostile_cell_records_and_touches_nothing() {
+        let (p1, p2) = (prefix(1), prefix(2));
+        // Heard from customer AS1 and provider AS2; the shorter wins.
+        let near = Route::originate(p1).propagated_by(Asn(1));
+        let far = Route::originate(p1).propagated_by(Asn(7)).propagated_by(Asn(2));
+        let mine = Route::originate(p2);
+        let from_1 = Selection::Neighbor(Asn(1));
+        let heard = |holders: &[Asn]| record(p1, &[(Asn(1), near.clone())], from_1, None, holders);
+        let originated = record(p2, &[], Selection::Local, Some(mine.clone()), &NEIGHBORS[..3]);
+
+        let mut router = router();
+        let good = blob(&[heard(&[Asn(2), Asn(3)]), originated.clone()], None);
+        router.load_dynamic(&mut Reader::new(&good)).expect("a RIB the router could hold");
+        router.check_invariants().expect("loaded RIB");
+        let best = CandidateRef { route: &near, learned_from: Some(Asn(1)) };
+        assert_eq!(router.best_route(p1), Some(best));
+        assert_eq!(router.advertised_to(Asn(3), p1), Some(&near.propagated_by(ME)));
+        assert_eq!(router.advertised_to(Asn(1), p1), None);
+        assert_eq!(router.best_route(p2), Some(CandidateRef::local(&mine)));
+        assert_eq!(router.advertised_to(Asn(1), p2), Some(&mine.propagated_by(ME)));
+        let mut saved = Vec::new();
+        router.save_dynamic(&mut saved);
+        assert_eq!(saved, good, "what was loaded is what is saved");
+
+        let both = [(Asn(1), near.clone()), (Asn(2), far.clone())];
+        let from_2 = Selection::Neighbor(Asn(2));
+        let nothing = Selection::None;
+        // Why, the records, the session torn down.
+        type Case = (&'static str, Vec<Vec<u8>>, Option<Asn>);
+        let cases: Vec<Case> = vec![
             (
-                &[(Asn(1), sent.clone()), (Asn(2), other)],
-                "Adj-RIB-Out entries of one prefix disagree",
+                "selection names an absent entry",
+                vec![record(p1, &both[..1], from_2, None, &[])],
+                None,
             ),
-            (&[(Asn(1), sent.clone()), (Asn(1), sent.clone())], "duplicate Adj-RIB-Out entry"),
-            (&[(Asn(9), sent.clone())], "Adj-RIB-Out entry for a non-neighbor"),
+            (
+                "selection names an absent entry",
+                vec![record(p1, &both[..1], Selection::Local, None, &[])],
+                None,
+            ),
+            (
+                "selection differs from a from-scratch decision",
+                vec![record(p1, &both, from_2, None, &[])],
+                None,
+            ),
+            ("holder list not strictly ascending", vec![heard(&[Asn(3), Asn(2)])], None),
+            ("holder list not strictly ascending", vec![heard(&[Asn(2), Asn(2)])], None),
+            ("holder is not a configured neighbor", vec![heard(&[Asn(9)])], None),
+            ("holder's session is down", vec![heard(&[Asn(2)])], Some(Asn(2))),
+            (
+                "advertised route without holders, or holders without one",
+                vec![record(p1, &[], nothing, None, &[Asn(2)])],
+                None,
+            ),
+            (
+                "route filed under another prefix",
+                vec![record(p2, &both[..1], from_1, None, &[])],
+                None,
+            ),
+            (
+                "route filed under another prefix",
+                vec![record(p1, &[], Selection::Local, Some(mine.clone()), &[])],
+                None,
+            ),
+            ("cells not in ascending prefix order", vec![originated, heard(&[])], None),
+            ("cells not in ascending prefix order", vec![heard(&[]), heard(&[])], None),
+            ("vacant cell retained", vec![record(p1, &[], nothing, None, &[])], None),
+            (
+                "candidates not in ascending neighbor order",
+                vec![record(p1, &[both[1].clone(), both[0].clone()], from_1, None, &[])],
+                None,
+            ),
         ];
-        for (entries, why) in cases {
-            let mut router = router();
-            router.cells.entry(prefix(2)).or_default().set_local(Some(Route::originate(prefix(2))));
-            let mut before = Vec::new();
-            router.save_dynamic(&mut before);
-            let blob = blob_with_adj_out(entries);
-            let err = router.load_dynamic(&mut Reader::new(&blob)).expect_err(why);
+        for (why, records, down) in cases {
+            let err = router.load_dynamic(&mut Reader::new(&blob(&records, down))).expect_err(why);
             assert_eq!(err, WireError::Invalid(why));
             let mut after = Vec::new();
             router.save_dynamic(&mut after);
-            assert_eq!(after, before, "a rejected blob must leave the router as built");
-        }
-        // The same shape with agreeing entries loads, into one shared route.
-        let mut router = router();
-        let blob = blob_with_adj_out(&[(Asn(1), sent.clone()), (Asn(2), sent.clone())]);
-        router.load_dynamic(&mut Reader::new(&blob)).expect("consistent Adj-RIB-Out");
-        assert_eq!(router.advertised_to(Asn(1), prefix(1)), Some(&sent));
-        assert_eq!(router.advertised_to(Asn(2), prefix(1)), Some(&sent));
-        assert_eq!(router.advertised_to(Asn(3), prefix(1)), None);
-    }
-
-    /// A cell stores its selected route in the entry that won, so a
-    /// saved Loc-RIB entry must equal a saved candidate or origination.
-    #[test]
-    fn load_installs_only_a_selection_some_entry_backs() {
-        let heard = Route::originate(prefix(1)).propagated_by(Asn(1));
-        let adj_in = (ADJ_IN, vec![(Asn(1), heard.clone())].to_wire());
-        let local = (LOCAL, vec![Candidate::local(Route::originate(prefix(2)))].to_wire());
-        let selections = vec![
-            Candidate::from_neighbor(heard.clone(), Asn(1)),
-            Candidate::local(Route::originate(prefix(2))),
-        ];
-        let mut loaded = router();
-        let blob =
-            blob_with_lists(&[adj_in.clone(), (LOC_RIB, selections.to_wire()), local.clone()]);
-        loaded.load_dynamic(&mut Reader::new(&blob)).expect("every selection is a stored entry");
-        assert_eq!(loaded.best_route(prefix(1)), Some(selections[0].borrowed()));
-        assert_eq!(loaded.best_route(prefix(2)), Some(selections[1].borrowed()));
-        loaded.check_invariants().expect("loaded RIB");
-        let mut saved = Vec::new();
-        loaded.save_dynamic(&mut saved);
-        assert_eq!(saved, blob, "what was loaded is what is saved");
-
-        let unbacked = "Loc-RIB entry is neither a candidate nor a local origination";
-        let cases: [(Candidate, Vec<Candidate>, &str); 4] = [
-            // The neighbor's route, but not the one held from it.
-            (Candidate::from_neighbor(heard.propagated_by(Asn(9)), Asn(1)), vec![], unbacked),
-            // A neighbor nothing is held from.
-            (Candidate::from_neighbor(heard.clone(), Asn(2)), vec![], unbacked),
-            // A local selection of a prefix that is not originated.
-            (Candidate::local(Route::originate(prefix(1))), vec![], unbacked),
-            // An origination that claims a neighbor.
-            (
-                selections[0].clone(),
-                vec![Candidate::from_neighbor(Route::originate(prefix(3)), Asn(1))],
-                "local origination learned from a neighbor",
-            ),
-        ];
-        for (selection, originations, why) in cases {
-            let mut router = router();
-            let blob = blob_with_lists(&[
-                adj_in.clone(),
-                (LOC_RIB, vec![selection].to_wire()),
-                (LOCAL, originations.to_wire()),
-            ]);
-            let err = router.load_dynamic(&mut Reader::new(&blob)).expect_err(why);
-            assert_eq!(err, WireError::Invalid(why));
-            assert_eq!(router.rib_entry_counts(), (0, 0), "a rejected blob loads nothing");
+            assert_eq!(after, good, "{why}: a refused blob must leave the router as it was");
         }
     }
 }

@@ -29,6 +29,18 @@ impl<K: Ord + Copy, V> SortedMap<K, V> {
         SortedMap { entries: Vec::new() }
     }
 
+    /// The map holding `entries`, or `None` unless their keys are
+    /// strictly ascending.
+    pub(crate) fn from_sorted(entries: Vec<(K, V)>) -> Option<SortedMap<K, V>> {
+        let ascending = entries.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        ascending.then_some(SortedMap { entries })
+    }
+
+    /// The entries, in key order.
+    pub(crate) fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
     fn position(&self, key: K) -> Result<usize, usize> {
         self.entries.binary_search_by_key(&key, |&(k, _)| k)
     }

@@ -844,10 +844,7 @@ impl<P: Payload + pvr_crypto::encoding::Wire> Simulator<P> {
             links,
             paused: self.paused.clone(),
             faults: self.faults.as_ref().map(|f| f.remaining().to_vec()),
-            timeline: self
-                .timeline
-                .as_ref()
-                .map(|tl| (tl.window_us(), tl.channels(), tl.cells().clone())),
+            timeline: self.timeline.clone(),
         };
         let mut out = Vec::new();
         (self.shards.len() as u64).encode(&mut out);
@@ -943,8 +940,7 @@ impl<P: Payload + pvr_crypto::encoding::Wire> Simulator<P> {
         self.links = common.links.into_iter().collect();
         self.paused = common.paused;
         self.faults = common.faults.map(FaultInjector::from_schedule);
-        self.timeline =
-            common.timeline.map(|(w, c, cells)| pvr_obs::TimelineRecorder::from_cells(w, c, cells));
+        self.timeline = common.timeline;
         self.next_seq = next_seq;
         self.rng = rng;
         for (shard, queue) in self.shards.iter_mut().zip(queues) {

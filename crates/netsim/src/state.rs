@@ -7,7 +7,8 @@
 //! wiring — is rebuilt by the caller from its own configuration, and
 //! the engine's `load_state` overlays the dynamic state on top. This
 //! module holds the codec (`CommonState`, [`Wire`] impls for the
-//! engine's value types) plus the typed [`StateError`];
+//! engine's value types, the timeline codec routers write theirs with)
+//! plus the typed [`StateError`];
 //! `Simulator::save_state`/`load_state` live next to the engine's
 //! private fields and delegate here.
 //!
@@ -21,6 +22,7 @@ use crate::link::LinkConfig;
 use crate::sim::{EventKind, Payload, SimStats};
 use crate::time::{SimDuration, SimTime};
 use pvr_crypto::encoding::{Reader, Wire, WireError};
+use pvr_obs::TimelineRecorder;
 use std::collections::BTreeMap;
 
 /// Why an engine state could not be saved or restored.
@@ -175,8 +177,8 @@ pub(crate) struct CommonState {
     pub(crate) paused: Vec<bool>,
     /// `Some(remaining schedule)` when a fault plan is installed.
     pub(crate) faults: Option<Vec<(SimTime, Fault)>>,
-    /// `(window_us, channels, cells)` when the timeline is enabled.
-    pub(crate) timeline: Option<(u64, usize, BTreeMap<u64, Vec<u64>>)>,
+    /// The timeline recorder, when the timeline is enabled.
+    pub(crate) timeline: Option<TimelineRecorder>,
 }
 
 impl CommonState {
@@ -212,22 +214,7 @@ impl CommonState {
                 }
             }
         }
-        match &self.timeline {
-            None => out.push(0),
-            Some((window_us, channels, cells)) => {
-                out.push(1);
-                window_us.encode(out);
-                channels.encode(out);
-                cells.len().encode(out);
-                for (start, values) in cells {
-                    start.encode(out);
-                    values.len().encode(out);
-                    for v in values {
-                        v.encode(out);
-                    }
-                }
-            }
-        }
+        encode_timeline(self.timeline.as_ref(), out);
     }
 
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<CommonState, StateError> {
@@ -279,34 +266,7 @@ impl CommonState {
             }
             _ => return Err(StateError::Corrupt("fault-plan discriminant")),
         };
-        let timeline = match r.take(1)?[0] {
-            0 => None,
-            1 => {
-                let window_us = u64::decode(r)?;
-                let channels = usize::decode(r)?;
-                if window_us == 0 || channels == 0 || channels > 64 {
-                    return Err(StateError::Corrupt("timeline shape out of range"));
-                }
-                let cell_count = checked_count(r, 8)?;
-                let mut cells = BTreeMap::new();
-                for _ in 0..cell_count {
-                    let start = u64::decode(r)?;
-                    let width = checked_count(r, 8)? as usize;
-                    if width != channels {
-                        return Err(StateError::Corrupt("timeline cell width mismatch"));
-                    }
-                    let mut values = Vec::with_capacity(width);
-                    for _ in 0..width {
-                        values.push(u64::decode(r)?);
-                    }
-                    if cells.insert(start, values).is_some() {
-                        return Err(StateError::Corrupt("duplicate timeline window"));
-                    }
-                }
-                Some((window_us, channels, cells))
-            }
-            _ => return Err(StateError::Corrupt("timeline discriminant")),
-        };
+        let timeline = decode_timeline(r)?;
         Ok(CommonState {
             node_count,
             now,
@@ -319,6 +279,53 @@ impl CommonState {
             timeline,
         })
     }
+}
+
+/// Appends a timeline recorder, or its absence: one byte `0`, or `1`
+/// then `window_us ‖ channels ‖ cell count` and each cell as its window
+/// start and a counted list of channel values (counts are `u64`). The
+/// engine's recorder and every router's are written by this one codec.
+pub fn encode_timeline(timeline: Option<&TimelineRecorder>, out: &mut Vec<u8>) {
+    timeline.is_some().encode(out);
+    let Some(timeline) = timeline else { return };
+    timeline.window_us().encode(out);
+    timeline.channels().encode(out);
+    timeline.cells().len().encode(out);
+    for (start, values) in timeline.cells() {
+        start.encode(out);
+        values.len().encode(out);
+        for v in values {
+            v.encode(out);
+        }
+    }
+}
+
+/// Reads back what [`encode_timeline`] wrote. The shape is checked
+/// before a recorder is built from it — a positive window, 1 to 64
+/// channels, every cell exactly that wide, no window twice — so no
+/// input reaches [`TimelineRecorder::from_cells`]'s asserts. Nothing is
+/// reserved from a count: each cell read consumes input.
+pub fn decode_timeline(r: &mut Reader<'_>) -> Result<Option<TimelineRecorder>, WireError> {
+    if !bool::decode(r)? {
+        return Ok(None);
+    }
+    let window_us = u64::decode(r)?;
+    let channels = usize::decode(r)?;
+    if window_us == 0 || channels == 0 || channels > 64 {
+        return Err(WireError::Invalid("timeline shape out of range"));
+    }
+    let mut cells = BTreeMap::new();
+    for _ in 0..u64::decode(r)? {
+        let start = u64::decode(r)?;
+        if usize::decode(r)? != channels {
+            return Err(WireError::Invalid("timeline cell width mismatch"));
+        }
+        let values = (0..channels).map(|_| u64::decode(r)).collect::<Result<_, _>>()?;
+        if cells.insert(start, values).is_some() {
+            return Err(WireError::Invalid("duplicate timeline window"));
+        }
+    }
+    Ok(Some(TimelineRecorder::from_cells(window_us, channels, cells)))
 }
 
 /// The node ids a fault touches, for range validation.

@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 use pvr::bgp::{
-    internet_like, Asn, BgpNetwork, Candidate, CheckpointError, DampeningPolicy,
-    InstantiateOptions, InternetParams, LocalEvent, Malice, Prefix, Route, Topology, CKPT_MAGIC,
+    internet_like, Asn, BgpNetwork, CheckpointError, DampeningPolicy, InstantiateOptions,
+    InternetParams, LocalEvent, Malice, Prefix, Route, SignedRoute, Topology, CKPT_MAGIC,
     CKPT_VERSION,
 };
 use pvr::crypto::drbg::HmacDrbg;
@@ -271,20 +271,21 @@ fn rib_fingerprint_is_pinned() {
 }
 
 /// The checkpoint file is a format, and this pins it: the SHA-256 of a
-/// whole `PVRCKPT2` file, for a network whose router sections carry
+/// whole `PVRCKPT3` file, for a network whose router sections carry
 /// every kind of dynamic state at once — attestation chains, a filled
 /// Adj-RIB-Out, MRAI buffers and jitter DRBGs, dampening penalties, an
 /// announcement parked behind a suppression, a flapping prefix, and one
-/// session down. Re-pinned once, for the `PVRCKPT1` → `PVRCKPT2` format
-/// bump (header magic and version, META without the engine-kind byte,
-/// the single ENGINE layout with its sequence-tagged calendar): on that
-/// commit the ROUTERS, CACHE and STORE payloads hashed the same as on
-/// its parent, whose whole-file value (`5e12a6ca…7f5f`) went back to the
-/// commit before `BgpRouter` moved to per-prefix RIB cells. Any change
-/// to what a router writes, or to the order it writes it in, lands here.
+/// session down. Re-pinned for the `PVRCKPT2` → `PVRCKPT3` format bump
+/// (each router's RIB written as one record per prefix cell, its
+/// timeline in the engine's codec): measured on that commit, the META,
+/// ENGINE, CACHE and STORE payloads hash the same as on its parent,
+/// whose whole-file value was `b671f66c…d854`, and ROUTERS shrank from
+/// 167 513 to 150 704 bytes. The bump before, `PVRCKPT1` → `PVRCKPT2`,
+/// moved only the header, META and ENGINE. Any change to what a router
+/// writes, or to the order it writes it in, lands here.
 #[test]
 fn checkpoint_file_bytes_are_pinned() {
-    const GOLDEN: &str = "b671f66c2595db3178c7bfe2e86f977db43fe82c5fa24e2688a35af65d72d854";
+    const GOLDEN: &str = "912619faad6b7206d771d309b72acf5fbdde9f27668d9461aaeb224837c938b1";
     let mut topology = small_internet(310);
     // `small_internet` withdraws the flapping prefix at 40 ms and brings
     // it back at 90 ms; three more flaps in between push its provider's
@@ -634,26 +635,44 @@ fn restore_reads_the_shard_count_from_the_file() {
     }
 }
 
+/// `fixture` under the header `magic ‖ version`.
+fn with_header(fixture: &[u8], magic: &[u8; 8], version: u32) -> Vec<u8> {
+    let mut header = Vec::new();
+    write_header(magic, version, &mut header);
+    let mut bytes = fixture.to_vec();
+    bytes[..header.len()].copy_from_slice(&header);
+    bytes
+}
+
+/// An older format is refused at the header, before any payload is
+/// decoded — as a typed error, never `Io` and never a panic — whether
+/// its own magic or only its version number says so.
+fn assert_old_header_refused(magic: &[u8; 8], version: u32) {
+    let fixture = checkpoint_bytes_fixture();
+    let old = with_header(&fixture, magic, version);
+    let err = must_fail(restore_mutilated(old, &format!("v{version}-header")), "old file");
+    assert!(matches!(err, CheckpointError::Store(StoreError::BadMagic)), "got {err:?}");
+    let old = with_header(&fixture, &CKPT_MAGIC, version);
+    let err = must_fail(restore_mutilated(old, &format!("v{version}-version")), "old header");
+    assert!(
+        matches!(err, CheckpointError::Store(StoreError::UnsupportedVersion(v)) if v == version),
+        "got {err:?}"
+    );
+}
+
 #[test]
 fn version_1_header_is_a_typed_error() {
     // `PVRCKPT1` files carried an engine-kind byte and one of two ENGINE
-    // layouts; they are refused at the header, before any payload is
-    // decoded — as a typed error, never `Io` and never a panic.
-    let fixture = checkpoint_bytes_fixture();
-    let with_header = |magic: &[u8; 8], version: u32| {
-        let mut header = Vec::new();
-        write_header(magic, version, &mut header);
-        let mut bytes = fixture.clone();
-        bytes[..header.len()].copy_from_slice(&header);
-        bytes
-    };
-    let err = must_fail(restore_mutilated(with_header(b"PVRCKPT1", 1), "v1-header"), "v1 file");
-    assert!(matches!(err, CheckpointError::Store(StoreError::BadMagic)), "got {err:?}");
-    let err = must_fail(restore_mutilated(with_header(&CKPT_MAGIC, 1), "v1-version"), "v1 header");
-    assert!(
-        matches!(err, CheckpointError::Store(StoreError::UnsupportedVersion(1))),
-        "got {err:?}"
-    );
+    // layouts.
+    assert_old_header_refused(b"PVRCKPT1", 1);
+}
+
+#[test]
+fn version_2_header_is_a_typed_error() {
+    // `PVRCKPT2` files wrote each router's RIB as three lists —
+    // Adj-RIB-In, Loc-RIB, one Adj-RIB-Out entry per holder — and its
+    // local originations as a fourth.
+    assert_old_header_refused(b"PVRCKPT2", 2);
 }
 
 /// The checkpoint `fixture` with the payload of section `tag` passed
@@ -675,25 +694,75 @@ fn with_section(fixture: &[u8], tag: u8, edit: impl Fn(&[u8]) -> Vec<u8>) -> Vec
     out
 }
 
-/// The fixture with the first router's Adj-RIB-Out entries edited.
-fn with_first_adj_rib_out(fixture: &[u8], edit: impl Fn(&mut Vec<(Asn, Route)>)) -> Vec<u8> {
+/// One cell record of a router's ROUTERS state, in the fields these
+/// tests edit. `selection` is `None` for nothing selected, `Some(None)`
+/// for the local origination and `Some(Some(n))` for neighbor `n`'s
+/// candidate.
+struct Record {
+    prefix: Prefix,
+    candidates: Vec<(Asn, Route)>,
+    selection: Option<Option<Asn>>,
+    local: Option<Route>,
+    holders: Vec<Asn>,
+}
+
+impl Record {
+    fn decode(r: &mut Reader<'_>) -> Record {
+        let prefix = Prefix::decode(r).expect("prefix");
+        let candidates = Vec::decode(r).expect("candidates");
+        let selection = match u8::decode(r).expect("selection tag") {
+            0 => None,
+            1 => Some(Some(Asn::decode(r).expect("selected neighbor"))),
+            _ => Some(None),
+        };
+        let local = Option::decode(r).expect("local origination");
+        let holders = Vec::decode(r).expect("holders");
+        Record { prefix, candidates, selection, local, holders }
+    }
+
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.prefix.encode(buf);
+        self.candidates.encode(buf);
+        match self.selection {
+            None => buf.push(0),
+            Some(Some(n)) => {
+                buf.push(1);
+                n.encode(buf);
+            }
+            Some(None) => buf.push(2),
+        }
+        self.local.encode(buf);
+        self.holders.encode(buf);
+    }
+}
+
+/// The checkpoint `fixture` with the first router's cell records and
+/// attestation chains edited.
+fn with_first_router(
+    fixture: &[u8],
+    edit: impl Fn(&mut Vec<Record>, &mut Vec<(Asn, SignedRoute)>),
+) -> Vec<u8> {
     const SEC_ROUTERS: u8 = 3;
     with_section(fixture, SEC_ROUTERS, |payload| {
         // ROUTERS: count, then per router its ASN and dynamic state,
-        // which opens with Adj-RIB-In, Loc-RIB and Adj-RIB-Out, each a
-        // counted list.
+        // which opens with the cell records (a count, then each record)
+        // and the chains as `(neighbor, signed route)` pairs.
         let mut r = Reader::new(payload);
         let offset = |r: &Reader<'_>| payload.len() - r.remaining();
         u32::decode(&mut r).expect("router count");
         Asn::decode(&mut r).expect("first router");
-        Vec::<(Asn, Route)>::decode(&mut r).expect("Adj-RIB-In");
-        Vec::<Candidate>::decode(&mut r).expect("Loc-RIB");
         let start = offset(&r);
-        let mut entries = Vec::<(Asn, Route)>::decode(&mut r).expect("Adj-RIB-Out");
+        let count = u32::decode(&mut r).expect("cell count");
+        let mut records: Vec<Record> = (0..count).map(|_| Record::decode(&mut r)).collect();
+        let mut chains = Vec::<(Asn, SignedRoute)>::decode(&mut r).expect("chains");
         let end = offset(&r);
-        edit(&mut entries);
+        edit(&mut records, &mut chains);
         let mut edited = payload[..start].to_vec();
-        entries.encode(&mut edited);
+        (records.len() as u32).encode(&mut edited);
+        for record in &records {
+            record.encode(&mut edited);
+        }
+        chains.encode(&mut edited);
         edited.extend_from_slice(&payload[end..]);
         edited
     })
@@ -703,41 +772,41 @@ fn with_first_adj_rib_out(fixture: &[u8], edit: impl Fn(&mut Vec<(Asn, Route)>))
 fn inconsistent_adj_rib_out_is_a_typed_error() {
     // Unedited, the re-framed file is the fixture and restores.
     let fixture = checkpoint_bytes_fixture();
-    let intact = with_first_adj_rib_out(&fixture, |_| {});
+    let intact = with_first_router(&fixture, |_, _| {});
     assert_eq!(intact, fixture);
     restore_mutilated(intact, "adj-out-intact").expect("intact fixture restores");
 
-    // The router keeps one advertised route per prefix and the set of
-    // neighbors holding it, so a file whose entries for one prefix
-    // differ, repeat a neighbor, or name a stranger has no faithful
-    // in-memory form.
-    type Edit = fn(&mut Vec<(Asn, Route)>);
+    // A record lists the neighbors holding the cell's one advertised
+    // route, ascending; holders that repeat, run backwards or name a
+    // stranger have no faithful in-memory form.
+    type Edit = fn(&mut Vec<Record>);
+    fn holders(records: &mut [Record]) -> &mut Vec<Asn> {
+        let record = records.iter_mut().find(|record| record.holders.len() >= 2);
+        &mut record.expect("the first router advertises a prefix to two neighbors").holders
+    }
     let cases: [(&str, Edit, &str); 3] = [
         (
-            "adj-out-disagree",
-            |entries| {
-                let (first, prefix) = (entries[0].0, entries[0].1.prefix);
-                let other = entries
-                    .iter_mut()
-                    .find(|(n, route)| *n != first && route.prefix == prefix)
-                    .expect("the first router advertises a prefix to two neighbors");
-                other.1 = other.1.propagated_by(Asn(64_512));
+            "adj-out-duplicate",
+            |records| {
+                let holders = holders(records);
+                holders.insert(1, holders[0]);
             },
-            "Adj-RIB-Out entries of one prefix disagree",
+            "holder list not strictly ascending",
         ),
         (
-            "adj-out-duplicate",
-            |entries| entries.push(entries[0].clone()),
-            "duplicate Adj-RIB-Out entry",
+            "adj-out-unsorted",
+            |records| holders(records).reverse(),
+            "holder list not strictly ascending",
         ),
         (
             "adj-out-stranger",
-            |entries| entries[0].0 = Asn(4_000_000),
-            "Adj-RIB-Out entry for a non-neighbor",
+            |records| *holders(records).last_mut().expect("holders") = Asn(4_000_000),
+            "holder is not a configured neighbor",
         ),
     ];
     for (tag, edit, why) in cases {
-        let err = must_fail(restore_mutilated(with_first_adj_rib_out(&fixture, edit), tag), tag);
+        let bad = with_first_router(&fixture, |records, _| edit(records));
+        let err = must_fail(restore_mutilated(bad, tag), tag);
         assert!(
             matches!(err, CheckpointError::Wire(WireError::Invalid(msg)) if msg == why),
             "{tag}: got {err:?}"
@@ -745,59 +814,94 @@ fn inconsistent_adj_rib_out_is_a_typed_error() {
     }
 }
 
-/// The fixture with the first router's Loc-RIB entries edited.
-fn with_first_loc_rib(fixture: &[u8], edit: impl Fn(&mut Vec<Candidate>)) -> Vec<u8> {
-    const SEC_ROUTERS: u8 = 3;
-    with_section(fixture, SEC_ROUTERS, |payload| {
-        let mut r = Reader::new(payload);
-        let offset = |r: &Reader<'_>| payload.len() - r.remaining();
-        u32::decode(&mut r).expect("router count");
-        Asn::decode(&mut r).expect("first router");
-        Vec::<(Asn, Route)>::decode(&mut r).expect("Adj-RIB-In");
-        let start = offset(&r);
-        let mut entries = Vec::<Candidate>::decode(&mut r).expect("Loc-RIB");
-        let end = offset(&r);
-        edit(&mut entries);
-        let mut edited = payload[..start].to_vec();
-        entries.encode(&mut edited);
-        edited.extend_from_slice(&payload[end..]);
-        edited
-    })
-}
-
 #[test]
 fn loc_rib_entry_that_is_no_stored_route_is_a_typed_error() {
     let fixture = checkpoint_bytes_fixture();
-    let intact = with_first_loc_rib(&fixture, |_| {});
-    assert_eq!(intact, fixture);
-    restore_mutilated(intact, "loc-rib-intact").expect("intact fixture restores");
 
-    // The router keeps a selected route once, in the Adj-RIB-In entry
-    // or local origination that won, so a Loc-RIB entry that equals
-    // none of them has no in-memory form — and installing the nearest
-    // thing instead would be a silently different RIB.
-    type Edit = fn(&mut Vec<Candidate>);
-    fn learned(entries: &mut [Candidate]) -> &mut Candidate {
-        entries.iter_mut().find(|c| c.learned_from.is_some()).expect("a learned selection")
+    // A record names its selection — a neighbor's candidate or the
+    // local origination — and restore installs it only where it names a
+    // present entry and a from-scratch decision picks that entry too:
+    // anything else is a RIB no run could be holding.
+    type Edit = fn(&mut Vec<Record>);
+    fn learned(records: &mut [Record]) -> &mut Record {
+        let learned = |record: &&mut Record| {
+            matches!(record.selection, Some(Some(_))) && record.local.is_none()
+        };
+        records.iter_mut().find(learned).expect("a learned selection")
     }
-    let cases: [(&str, Edit); 5] = [
-        ("loc-rib-other-route", |entries| {
-            let cand = learned(entries);
-            cand.route = cand.route.propagated_by(Asn(64_512));
-        }),
-        ("loc-rib-other-attribute", |entries| learned(entries).route.local_pref += 1),
-        ("loc-rib-stranger", |entries| learned(entries).learned_from = Some(Asn(4_000_000))),
-        ("loc-rib-not-local", |entries| learned(entries).learned_from = None),
-        ("loc-rib-unknown-prefix", |entries| {
-            let stray = Route::originate(Prefix::new(0xCB00_7100, 24));
-            entries.push(Candidate::from_neighbor(stray, Asn(1)));
-        }),
+    fn contested(records: &mut [Record]) -> &mut Record {
+        let contested = |record: &&mut Record| record.candidates.len() >= 2;
+        records.iter_mut().find(contested).expect("a prefix heard from two neighbors")
+    }
+    let absent = "selection names an absent entry";
+    let undecided = "selection differs from a from-scratch decision";
+    let cases: [(&str, Edit, &str); 4] = [
+        (
+            "loc-rib-stranger",
+            |records| learned(records).selection = Some(Some(Asn(4_000_000))),
+            absent,
+        ),
+        ("loc-rib-not-local", |records| learned(records).selection = Some(None), absent),
+        ("loc-rib-nothing", |records| learned(records).selection = None, undecided),
+        (
+            "loc-rib-loser",
+            |records| {
+                let record = contested(records);
+                let winner = record.selection.flatten();
+                let loser = record.candidates.iter().map(|&(n, _)| n).find(|&n| Some(n) != winner);
+                record.selection = Some(loser);
+            },
+            undecided,
+        ),
     ];
-    for (tag, edit) in cases {
-        let err = must_fail(restore_mutilated(with_first_loc_rib(&fixture, edit), tag), tag);
+    for (tag, edit, why) in cases {
+        let bad = with_first_router(&fixture, |records, _| edit(records));
+        let err = must_fail(restore_mutilated(bad, tag), tag);
         assert!(
-            matches!(err, CheckpointError::Wire(WireError::Invalid(msg))
-                if msg == "Loc-RIB entry is neither a candidate nor a local origination"),
+            matches!(err, CheckpointError::Wire(WireError::Invalid(msg)) if msg == why),
+            "{tag}: got {err:?}"
+        );
+    }
+}
+
+/// A signed router re-signs each route it exports over the chain that
+/// came with the candidate, and panics where that chain is missing. A
+/// well-framed signed file missing one chain used to restore, and the
+/// first export of that prefix — a session reset toward a neighbor is
+/// enough, through `session_up`'s re-announcement — hit that panic.
+/// Restore now refuses it, a chain without its candidate, and any chain
+/// in a plain network.
+#[test]
+fn attestation_chains_that_miss_their_candidates_are_typed_errors() {
+    let topology = small_internet(314);
+    let options =
+        InstantiateOptions { seed: 314, signed: true, key_bits: 512, ..Default::default() };
+    let mut net = topology.instantiate(options);
+    net.converge(RunLimits::until(SimTime(40_000)));
+    let path = temp_path("signed-fixture");
+    net.checkpoint(&path).expect("checkpoint");
+    let signed = std::fs::read(&path).expect("read signed fixture");
+    assert_eq!(with_first_router(&signed, |_, _| {}), signed);
+    restore_mutilated(signed.clone(), "chains-intact").expect("intact signed file restores");
+
+    let first_chain = std::cell::RefCell::new(None);
+    with_first_router(&signed, |_, chains| *first_chain.borrow_mut() = chains.first().cloned());
+    let first_chain = first_chain.into_inner().expect("the first router holds a chain");
+    let stranger = Asn(4_000_000);
+    let cases = [
+        (&signed, "chain-dropped", "candidate without an attestation chain"),
+        (&signed, "chain-stranger", "attestation chain without a candidate"),
+        (&checkpoint_bytes_fixture(), "chain-plain", "attestation chain in plain mode"),
+    ];
+    for (file, tag, why) in cases {
+        let bad = with_first_router(file, |_, chains| match tag {
+            "chain-dropped" => drop(chains.remove(0)),
+            "chain-stranger" => chains.push((stranger, first_chain.1.clone())),
+            _ => chains.push(first_chain.clone()),
+        });
+        let err = must_fail(restore_mutilated(bad, tag), tag);
+        assert!(
+            matches!(err, CheckpointError::Wire(WireError::Invalid(msg)) if msg == why),
             "{tag}: got {err:?}"
         );
     }
