@@ -1,6 +1,6 @@
-//! The campaign runner: strategies × placements × security modes,
-//! executed on the parallel sweep and scored into a detection/impact
-//! matrix.
+//! The campaign runner: every strategy × security mode on one
+//! attacker/victim placement, executed on the parallel sweep and scored
+//! into a detection/impact matrix.
 
 use crate::cell::CellContext;
 use crate::metrics::AttackOutcome;
@@ -19,41 +19,31 @@ use std::sync::Arc;
 pub const DETECTION_LATENCY_BUCKETS_US: &[u64] =
     &[1_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 500_000, 1_000_000];
 
+/// The topology every campaign runs on: a small Internet, so every
+/// matrix row is exercised in seconds.
+pub const CAMPAIGN_INTERNET: InternetParams = InternetParams {
+    tier1: 2,
+    tier2: 4,
+    stubs: 6,
+    t2_peering_prob: 0.3,
+    originating_stubs: usize::MAX,
+};
+
 /// Campaign-wide configuration.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Topology generator parameters.
-    pub internet: InternetParams,
-    /// Campaign seed: drives topology, placements, and per-cell seeds.
+    /// Campaign seed: drives topology, placement, and per-cell seeds.
     pub seed: u64,
-    /// Number of attacker/victim placement pairs to sweep.
-    pub placements: usize,
     /// Security modes to sweep (escalation order recommended).
     pub modes: Vec<SecurityMode>,
-    /// RSA modulus size for signed modes (small keys keep CI fast).
-    pub key_bits: usize,
     /// Worker threads for the sweep; 0 = machine parallelism.
     pub parallelism: usize,
 }
 
 impl CampaignConfig {
-    /// The CI-smoke configuration: a small Internet, one placement, all
-    /// modes — every matrix row exercised in seconds.
+    /// All modes at machine parallelism — every matrix row exercised.
     pub fn quick(seed: u64) -> CampaignConfig {
-        CampaignConfig {
-            internet: InternetParams {
-                tier1: 2,
-                tier2: 4,
-                stubs: 6,
-                t2_peering_prob: 0.3,
-                ..InternetParams::default()
-            },
-            seed,
-            placements: 1,
-            modes: SecurityMode::ALL.to_vec(),
-            key_bits: 512,
-            parallelism: 0,
-        }
+        CampaignConfig { seed, modes: SecurityMode::ALL.to_vec(), parallelism: 0 }
     }
 }
 
@@ -77,8 +67,6 @@ pub struct CellResult {
     pub kind: AttackKind,
     /// Security mode the cell ran under.
     pub mode: SecurityMode,
-    /// The placement used.
-    pub placement: Placement,
     /// Impact and detection scores.
     pub outcome: AttackOutcome,
 }
@@ -86,7 +74,7 @@ pub struct CellResult {
 /// All cells of a finished campaign, in deterministic cell order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignReport {
-    /// Scored cells: strategy-major, then placement, then mode.
+    /// Scored cells: strategy-major, then mode.
     pub cells: Vec<CellResult>,
 }
 
@@ -96,7 +84,7 @@ pub struct Campaign {
     topology: Arc<Topology>,
     /// Customer-cone sizes, computed once and shared with every cell.
     cones: Arc<BTreeMap<Asn, usize>>,
-    placements: Vec<Placement>,
+    placement: Placement,
     strategies: Vec<Box<dyn AttackStrategy>>,
 }
 
@@ -106,32 +94,22 @@ fn is_provider_or_peer(role: &Role) -> bool {
     matches!(role, Role::Provider | Role::Peer)
 }
 
-/// Deterministically chooses attacker/victim pairs. Victims are
-/// originating ASes (stubs). Attackers must (1) not be the victim,
+/// Deterministically chooses the attacker/victim pair. The victim is
+/// an originating AS (a stub). The attacker must (1) not be the victim,
 /// (2) have at least two uphill neighbors so a route leak has a valley
 /// to form, (3) have at least one provider (so hijacks reach a
 /// customer-preferring audience), and (4) not be adjacent to the victim
 /// (a direct neighbor's "shortcut" would be a legitimate route, not an
 /// attack). Preference is given to attackers sharing no neighbor with
 /// the victim.
-pub fn choose_placements(topology: &Topology, count: usize, seed: u64) -> Vec<Placement> {
+pub fn choose_placement(topology: &Topology, seed: u64) -> Placement {
     let mut rng = HmacDrbg::from_u64_labeled(seed, "pvr-attack placements");
     let victims: Vec<Asn> =
         topology.ases().filter(|&a| !topology.originated_by(a).is_empty()).collect();
     assert!(!victims.is_empty(), "topology has no originating ASes to victimize");
-    let mut out = Vec::with_capacity(count);
-    // Bounded retry per placement: the counter resets on every success,
-    // so only genuine exhaustion of the (victim, attacker) space — not a
-    // large `count` or duplicate draws along the way — trips the assert.
-    let mut failed_draws = 0usize;
-    while out.len() < count {
-        assert!(
-            failed_draws < 1000,
-            "exhausted eligible attacker/victim placements after {} of {} requested \
-             (topology supports fewer distinct pairs)",
-            out.len(),
-            count
-        );
+    // Bounded retry: a victim with no eligible attacker is redrawn, and
+    // only genuine exhaustion of the victim space trips the panic.
+    for _ in 0..1000 {
         let victim = victims[rng.below(victims.len() as u64) as usize];
         let victim_prefix = topology.originated_by(victim)[0];
         let victim_neighbors: BTreeSet<Asn> =
@@ -149,7 +127,6 @@ pub fn choose_placements(topology: &Topology, count: usize, seed: u64) -> Vec<Pl
             })
             .collect();
         if eligible.is_empty() {
-            failed_draws += 1;
             continue;
         }
         // Prefer attackers whose neighborhood is disjoint from the
@@ -163,66 +140,47 @@ pub fn choose_placements(topology: &Topology, count: usize, seed: u64) -> Vec<Pl
             .collect();
         let pool = if disjoint.is_empty() { &eligible } else { &disjoint };
         let attacker = pool[rng.below(pool.len() as u64) as usize];
-        let p = Placement { attacker, victim, victim_prefix };
-        if out.contains(&p) {
-            failed_draws += 1;
-        } else {
-            out.push(p);
-            failed_draws = 0;
-        }
+        return Placement { attacker, victim, victim_prefix };
     }
-    out
+    panic!("no victim with an eligible attacker in 1000 draws");
 }
 
 impl Campaign {
-    /// Builds the campaign: generates the topology and chooses
-    /// placements deterministically from the configured seed.
+    /// Builds the campaign: generates the topology and chooses the
+    /// placement deterministically from the configured seed.
     pub fn new(config: CampaignConfig) -> Campaign {
-        let topology = internet_like(config.internet, config.seed);
-        let placements = choose_placements(&topology, config.placements.max(1), config.seed);
+        let topology = internet_like(CAMPAIGN_INTERNET, config.seed);
+        let placement = choose_placement(&topology, config.seed);
         let cones = Arc::new(topology.customer_cone_sizes());
-        Campaign { config, topology: Arc::new(topology), cones, placements, strategies: catalog() }
+        Campaign { config, topology: Arc::new(topology), cones, placement, strategies: catalog() }
     }
 
-    /// The chosen attacker/victim pairs.
-    pub fn placements(&self) -> &[Placement] {
-        &self.placements
+    /// The chosen attacker/victim pair.
+    pub fn placement(&self) -> Placement {
+        self.placement
     }
 
     /// Total number of cells a run will score.
     pub fn cell_count(&self) -> usize {
-        self.strategies.len() * self.placements.len() * self.config.modes.len()
+        self.strategies.len() * self.config.modes.len()
     }
 
     /// Runs every cell on the parallel sweep. The report is
     /// byte-identical for any `parallelism`, including 1.
     pub fn run(&self) -> CampaignReport {
-        let specs: Vec<(usize, usize, usize)> = {
-            let mut v = Vec::with_capacity(self.cell_count());
-            for s in 0..self.strategies.len() {
-                for p in 0..self.placements.len() {
-                    for m in 0..self.config.modes.len() {
-                        v.push((s, p, m));
-                    }
-                }
-            }
-            v
-        };
         let threads = if self.config.parallelism == 0 {
             default_parallelism()
         } else {
             self.config.parallelism
         };
-        let cells = sweep(specs.len(), threads, |i| {
-            let (s, p, m) = specs[i];
-            self.run_cell(i, s, p, m)
-        });
+        // Cell `i` is strategy `i / modes`, mode `i % modes`.
+        let modes = self.config.modes.len();
+        let cells = sweep(self.cell_count(), threads, |i| self.run_cell(i, i / modes, i % modes));
         CampaignReport { cells }
     }
 
-    fn run_cell(&self, index: usize, s: usize, p: usize, m: usize) -> CellResult {
+    fn run_cell(&self, index: usize, s: usize, m: usize) -> CellResult {
         let strategy = &self.strategies[s];
-        let placement = self.placements[p];
         let mode = self.config.modes[m];
         // One derived seed per cell: a function of (campaign seed, cell
         // index) only, so results cannot depend on scheduling.
@@ -231,18 +189,16 @@ impl Campaign {
         let ctx = CellContext {
             topology: Arc::clone(&self.topology),
             cones: Arc::clone(&self.cones),
-            attacker: placement.attacker,
-            victim: placement.victim,
-            victim_prefix: placement.victim_prefix,
+            attacker: self.placement.attacker,
+            victim: self.placement.victim,
+            victim_prefix: self.placement.victim_prefix,
             mode,
             seed: cell_seed,
-            key_bits: self.config.key_bits,
         };
         CellResult {
             strategy: strategy.name().to_string(),
             kind: strategy.kind(),
             mode,
-            placement,
             outcome: strategy.execute(&ctx),
         }
     }
@@ -308,7 +264,7 @@ impl CampaignReport {
     }
 
     /// The detection/impact matrix: one row per strategy, one column
-    /// group per mode, averaged over placements.
+    /// group per mode.
     pub fn render_matrix(&self) -> String {
         let mut modes: Vec<SecurityMode> = Vec::new();
         let mut rows: Vec<(String, AttackKind)> = Vec::new();
@@ -334,25 +290,12 @@ impl CampaignReport {
         for (strategy, kind) in &rows {
             write!(out, "{:<22} {:<12}", strategy, kind.label()).unwrap();
             for &m in &modes {
-                let cells: Vec<&CellResult> =
-                    self.cells.iter().filter(|c| c.mode == m && &c.strategy == strategy).collect();
-                let n = cells.len().max(1) as f64;
-                let poison: f64 =
-                    cells.iter().map(|c| c.outcome.poisoned_fraction).sum::<f64>() / n;
-                let detected = cells.iter().filter(|c| c.outcome.detected).count();
-                let det = if cells.is_empty() {
-                    "-".to_string()
-                } else if detected == cells.len() {
-                    let blocked = cells.iter().all(|c| c.outcome.blocked);
-                    if blocked {
-                        "blocked".to_string()
-                    } else {
-                        "yes".to_string()
-                    }
-                } else if detected == 0 {
-                    "no".to_string()
-                } else {
-                    format!("{}/{}", detected, cells.len())
+                let cell = self.cells.iter().find(|c| c.mode == m && &c.strategy == strategy);
+                let (poison, det) = match cell.map(|c| &c.outcome) {
+                    None => (0.0, "-"),
+                    Some(o) if !o.detected => (o.poisoned_fraction, "no"),
+                    Some(o) if o.blocked => (o.poisoned_fraction, "blocked"),
+                    Some(o) => (o.poisoned_fraction, "yes"),
                 };
                 write!(out, " | {:>6.1}% {:>8}", poison * 100.0, det).unwrap();
             }

@@ -18,6 +18,9 @@ use std::sync::Arc;
 /// scored (if degenerate) result instead of hanging the sweep.
 const CELL_EVENT_BUDGET: u64 = 2_000_000;
 
+/// RSA modulus size for signed modes (small keys keep CI fast).
+const CELL_KEY_BITS: usize = 512;
+
 /// A post-convergence injection hook: forged announcements that need a
 /// settled network (e.g. a genuine chain to truncate) fire through one
 /// of these after the first convergence pass.
@@ -43,8 +46,6 @@ pub struct CellContext {
     /// Cell-local seed, derived from (campaign seed, cell index) so the
     /// result is independent of scheduling.
     pub seed: u64,
-    /// RSA modulus size for signed modes.
-    pub key_bits: usize,
 }
 
 impl CellContext {
@@ -56,7 +57,7 @@ impl CellContext {
         let mut net = self.topology.instantiate(InstantiateOptions {
             seed: self.seed,
             signed,
-            key_bits: self.key_bits,
+            key_bits: CELL_KEY_BITS,
             ..Default::default()
         });
         if signed {

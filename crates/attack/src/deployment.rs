@@ -166,7 +166,7 @@ mod tests {
             ..InternetParams::default()
         };
         let topology = Arc::new(internet_like(params, 11));
-        let placement = crate::campaign::choose_placements(&topology, 1, 11)[0];
+        let placement = crate::campaign::choose_placement(&topology, 11);
         (topology, placement)
     }
 

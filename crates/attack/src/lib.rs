@@ -5,8 +5,8 @@
 //! detecting: this crate sweeps a catalog of routing attacks — prefix
 //! and sub-prefix hijacks, route leaks, forged and truncated
 //! attestation chains, bogus promises, and the full Byzantine protocol
-//! catalog from `pvr_core::adversary` — across attacker/victim
-//! placements on Internet-like topologies, under three escalating
+//! catalog from `pvr_core::adversary` — from an attacker/victim
+//! placement on an Internet-like topology, under three escalating
 //! security postures ([`SecurityMode::Plain`], [`SecurityMode::Signed`],
 //! [`SecurityMode::Pvr`]), and scores every cell for impact (poisoned
 //! fraction, customer-cone-weighted traffic share) and detection
@@ -52,8 +52,8 @@ pub mod strategy;
 pub mod sweep;
 
 pub use campaign::{
-    choose_placements, Campaign, CampaignConfig, CampaignReport, CellResult, Placement,
-    DETECTION_LATENCY_BUCKETS_US,
+    choose_placement, Campaign, CampaignConfig, CampaignReport, CellResult, Placement,
+    CAMPAIGN_INTERNET, DETECTION_LATENCY_BUCKETS_US,
 };
 pub use cell::CellContext;
 pub use deployment::{deployment_sweep, DeploymentPoint, DeploymentSweepConfig};

@@ -1,23 +1,23 @@
 //! E12 — adversarial campaigns: the attack catalog (hijacks, leaks,
-//! forged chains, bogus promises, Byzantine protocol behaviors) swept
-//! over attacker/victim placements on an Internet-like topology, under
+//! forged chains, bogus promises, Byzantine protocol behaviors) run
+//! from one attacker/victim placement on an Internet-like topology, under
 //! Plain / Signed / Pvr security, scored for impact and detection, and
 //! executed on the deterministic parallel sweep.
 
 use crate::recipe::row;
 use crate::{Cfg, Report};
-use pvr_attack::{Campaign, CampaignConfig, SecurityMode};
+use pvr_attack::{Campaign, CampaignConfig, SecurityMode, CAMPAIGN_INTERNET};
 
 pub fn run(_: &Cfg) -> Report {
     let mut out = String::new();
     row!(out, "E12: adversarial campaign matrix (attack × security mode)");
     let config = CampaignConfig::quick(12);
     let campaign = Campaign::new(config.clone());
-    let p = campaign.placements()[0];
+    let p = campaign.placement();
     row!(
         out,
         "topology: {:?} seed {}; attacker {} vs victim {} ({}); {} cells",
-        config.internet,
+        CAMPAIGN_INTERNET,
         config.seed,
         p.attacker,
         p.victim,

@@ -19,7 +19,7 @@
 
 use crate::recipe::{converged, e14_params, row};
 use crate::{across_shards, report_struct, Cfg, Json, Report, ToJson};
-use pvr_attack::{choose_placements, deployment_sweep, DeploymentPoint, DeploymentSweepConfig};
+use pvr_attack::{choose_placement, deployment_sweep, DeploymentPoint, DeploymentSweepConfig};
 use pvr_bgp::workload::continuous_churn;
 use pvr_bgp::{internet_like, Asn, DampeningPolicy, InstantiateOptions};
 use pvr_crypto::drbg::HmacDrbg;
@@ -312,7 +312,7 @@ pub fn run(cfg: &Cfg) -> Report {
         seed: 16,
         mrai: Some(SimDuration::from_millis(E16_MRAI_MS)),
         mrai_jitter: Some(SimDuration::from_millis(E16_MRAI_JITTER_MS)),
-        dampening: Some(DampeningPolicy::default()),
+        dampening: Some(DampeningPolicy),
         timeline_window: Some(SimDuration::from_millis(E16_WINDOW_MS)),
         ..Default::default()
     };
@@ -406,7 +406,7 @@ pub fn run(cfg: &Cfg) -> Report {
     // Phase 3: partial deployment.
     let dep_scale = scale.min(E16_DEPLOYMENT_MAX_SCALE);
     let dep_topology = Arc::new(internet_like(e14_params(dep_scale), 16));
-    let placement = choose_placements(&dep_topology, 1, fault_seed)[0];
+    let placement = choose_placement(&dep_topology, fault_seed);
     let config = DeploymentSweepConfig {
         seed: fault_seed,
         fractions_pct: vec![0, 25, 50, 75, 100],

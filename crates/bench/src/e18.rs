@@ -121,7 +121,7 @@ pub fn run(cfg: &Cfg) -> Report {
         key_bits: 512,
         mrai: Some(SimDuration::from_millis(5)),
         mrai_jitter: Some(SimDuration::from_millis(1)),
-        dampening: Some(pvr_bgp::DampeningPolicy::default()),
+        dampening: Some(pvr_bgp::DampeningPolicy),
         ..Default::default()
     };
     let origin_table = Arc::new(topology.origin_table());

@@ -62,7 +62,6 @@ pub fn e14_params(ases: usize) -> InternetParams {
         stubs: ases - tier1 - tier2,
         t2_peering_prob: 0.2,
         originating_stubs: if ases > 20_000 { 64 } else { 256 },
-        ..InternetParams::default()
     }
 }
 

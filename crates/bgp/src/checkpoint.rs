@@ -20,7 +20,7 @@
 //! runs at any shard count checkpoint identical logical states (modulo
 //! the documented per-shard `verify_cache` scope).
 //!
-//! ## File format (`PVRCKPT3`, version 3)
+//! ## File format (`PVRCKPT4`, version 4)
 //!
 //! The container reuses `pvr-store`'s framing — `magic ‖ version` then
 //! tagged sections, each `tag u8 ‖ len u64 ‖ payload ‖ SHA-256(payload)`
@@ -34,10 +34,14 @@
 //! | 4   | `CACHE`   | verify-cache verdict memos, one per shard          |
 //! | 5   | `STORE`   | COW RIB snapshot history (`pvr-store` dump)         |
 //!
-//! Version 2 (`PVRCKPT2`) wrote each router's RIB as three lists
-//! instead of cell records; version 1 (`PVRCKPT1`) also carried an
-//! engine-kind byte in META. Such files fail the container's
-//! magic/version check with a typed [`StoreError`].
+//! META's options are the [`InstantiateOptions`] wire form: dampening is
+//! one option tag, its thresholds being constants, and the default link
+//! rides in ENGINE alone. Version 3 (`PVRCKPT3`) also wrote that link
+//! (25 B) and the six dampening thresholds into META; version 2
+//! (`PVRCKPT2`) wrote each router's RIB as three lists instead of cell
+//! records; version 1 (`PVRCKPT1`) also carried an engine-kind byte in
+//! META. Such files fail the container's magic/version check with a
+//! typed [`StoreError`].
 //!
 //! Restore decodes and validates *everything* before constructing the
 //! network, and the network is built fresh — a corrupt file, or one
@@ -124,9 +128,9 @@ use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
 /// Checkpoint file magic.
-pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT3";
+pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT4";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 3;
+pub const CKPT_VERSION: u32 = 4;
 
 /// Section tags (see the module docs for the layout).
 const SEC_META: u8 = 1;
@@ -652,11 +656,6 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, CheckpointError> {
     }
     if options.timeline_window == Some(SimDuration::ZERO) {
         return Err(CheckpointError::Corrupt("timeline window must be positive"));
-    }
-    // A zero reuse tick re-arms the dampening timer at the same
-    // instant forever: no penalty decays and the run never quiesces.
-    if options.dampening.is_some_and(|policy| policy.reuse_tick == SimDuration::ZERO) {
-        return Err(CheckpointError::Corrupt("dampening reuse tick must be positive"));
     }
     let topology = Topology::decode(&mut r)?;
     let origin_table = Option::<OriginTable>::decode(&mut r)?;

@@ -50,7 +50,7 @@
 //! Documented omissions: no OPEN/KEEPALIVE exchange (session state is
 //! driven by the fault layer, not a peer FSM), no iBGP, no aggregation.
 
-use crate::dampening::{DampState, DampeningPolicy};
+use crate::dampening::{DampState, REUSE_TICK};
 use crate::decision::CandidateRef;
 use crate::messages::BgpUpdate;
 use crate::policy::{import_as, may_export_as, PolicyConfig, Role};
@@ -233,8 +233,8 @@ pub struct BgpRouter {
     /// the draws cannot depend on the shard layout (the engine hands
     /// agents no randomness of its own).
     jitter_rng: Option<HmacDrbg>,
-    /// Route-flap dampening policy (`None` = dampening off).
-    dampening: Option<DampeningPolicy>,
+    /// Whether route-flap dampening is on.
+    dampening: bool,
     /// Dampening figure-of-merit per `(neighbor, prefix)`.
     damp_states: BTreeMap<(Asn, Prefix), DampState>,
     /// How many `damp_states` entries are suppressed — what arming the
@@ -311,7 +311,7 @@ impl BgpRouter {
             mrai_armed: false,
             mrai_jitter: None,
             jitter_rng: None,
-            dampening: None,
+            dampening: false,
             damp_states: BTreeMap::new(),
             suppressed_pairs: 0,
             parked: BTreeMap::new(),
@@ -468,9 +468,10 @@ impl BgpRouter {
         self.jitter_rng = Some(rng);
     }
 
-    /// Enables RFC 2439-style route-flap dampening with `policy`.
-    pub fn set_dampening(&mut self, policy: DampeningPolicy) {
-        self.dampening = Some(policy);
+    /// Enables RFC 2439-style route-flap dampening (the thresholds are
+    /// the constants in [`crate::dampening`]).
+    pub fn enable_dampening(&mut self) {
+        self.dampening = true;
     }
 
     /// Dampening state for `(neighbor, prefix)`, if any (test/metric
@@ -1000,10 +1001,12 @@ impl BgpRouter {
     /// Records one flap of `(from, prefix)` against the dampening state
     /// (no-op with dampening off).
     fn penalize(&mut self, from: Asn, prefix: Prefix, now: SimTime) {
-        let Some(policy) = self.dampening else { return };
+        if !self.dampening {
+            return;
+        }
         let state = self.damp_states.entry((from, prefix)).or_insert_with(|| DampState::new(now));
         let was_suppressed = state.suppressed;
-        state.penalize(now, &policy);
+        state.penalize(now);
         self.suppressed_pairs += usize::from(state.suppressed && !was_suppressed);
     }
 
@@ -1093,13 +1096,15 @@ impl BgpRouter {
     /// pair stays suppressed.
     fn damp_tick(&mut self, ctx: &mut Context<BgpUpdate>) {
         self.damp_timer_armed = false;
-        let Some(policy) = self.dampening else { return };
+        if !self.dampening {
+            return;
+        }
         let now = ctx.now();
         let mut released = Vec::new();
         let mut expired = Vec::new();
         for (&key, state) in self.damp_states.iter_mut() {
             let was_suppressed = state.suppressed;
-            let still_suppressed = state.refresh(now, &policy);
+            let still_suppressed = state.refresh(now);
             if was_suppressed && !still_suppressed {
                 released.push(key);
                 self.suppressed_pairs -= 1;
@@ -1135,13 +1140,12 @@ impl BgpRouter {
     /// tick is already pending (keeps the simulation quiescent once all
     /// penalties decay away).
     fn arm_damp_timer_if_needed(&mut self, ctx: &mut Context<BgpUpdate>) {
-        let Some(policy) = self.dampening else { return };
-        if self.damp_timer_armed {
+        if !self.dampening || self.damp_timer_armed {
             return;
         }
         if self.suppressed_pairs > 0 {
             self.damp_timer_armed = true;
-            ctx.set_timer(policy.reuse_tick, DAMP_TIMER);
+            ctx.set_timer(REUSE_TICK, DAMP_TIMER);
         }
     }
 
@@ -1367,11 +1371,11 @@ impl Agent<BgpUpdate> for BgpRouter {
         }
         for sr in msg.announces {
             let prefix = sr.route.prefix;
-            if let Some(policy) = self.dampening {
+            if self.dampening {
                 let key = (from.asn, prefix);
                 if let Some(state) = self.damp_states.get_mut(&key) {
                     let was_suppressed = state.suppressed;
-                    let still_suppressed = state.refresh(now, &policy);
+                    let still_suppressed = state.refresh(now);
                     self.suppressed_pairs -= usize::from(was_suppressed && !still_suppressed);
                     if still_suppressed {
                         self.stats.dampening_suppressed += 1;

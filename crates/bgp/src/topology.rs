@@ -18,9 +18,7 @@ use crate::sbgp::{SignQueue, VerifyCache};
 use crate::types::{Asn, Prefix};
 use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::keys::{Identity, KeyStore};
-use pvr_netsim::{
-    FaultPlan, LinkConfig, NodeId, RunLimits, SimDuration, SimTime, Simulator, StopReason,
-};
+use pvr_netsim::{FaultPlan, NodeId, RunLimits, SimDuration, SimTime, Simulator, StopReason};
 use pvr_store::PMap;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -289,8 +287,8 @@ impl Topology {
             let rng = HmacDrbg::from_u64_labeled(options.seed, &format!("bgp-mrai-{}", asn.0));
             router.set_mrai_jitter(jitter, rng);
         }
-        if let Some(policy) = options.dampening {
-            router.set_dampening(policy);
+        if options.dampening.is_some() {
+            router.enable_dampening();
         }
         if let Some(window) = options.timeline_window {
             router.enable_timeline(window);
@@ -313,7 +311,7 @@ impl Topology {
     /// [`instantiate_sharded`](Self::instantiate_sharded) with
     /// `shards == 1`.
     ///
-    /// `options` controls link behaviour, signing, and key size. Returns
+    /// `options` controls signing, key size and the router knobs. Returns
     /// the network handle used by experiments and examples.
     pub fn instantiate(&self, options: InstantiateOptions) -> BgpNetwork {
         self.instantiate_sharded(options, 1)
@@ -343,7 +341,6 @@ impl Topology {
     pub fn instantiate_sharded(&self, options: InstantiateOptions, shards: usize) -> BgpNetwork {
         let shards = shards.max(1);
         let mut sim: Simulator<BgpUpdate> = Simulator::with_shards(options.seed, shards);
-        sim.set_default_link(options.link);
         if let Some(window) = options.timeline_window {
             sim.enable_timeline(window);
         }
@@ -441,10 +438,8 @@ fn new_private_verifier(options: InstantiateOptions) -> Option<Arc<PrivateVerifi
 /// Options for [`Topology::instantiate`].
 #[derive(Clone, Copy, Debug)]
 pub struct InstantiateOptions {
-    /// Simulation seed (drives jitter, drops, key generation).
+    /// Simulation seed (drives MRAI jitter and key generation).
     pub seed: u64,
-    /// Default link configuration.
-    pub link: LinkConfig,
     /// Enable S-BGP attestations.
     pub signed: bool,
     /// RSA modulus size when signing (tests use small keys for speed;
@@ -456,7 +451,8 @@ pub struct InstantiateOptions {
     /// router draws from its own `(seed, asn)`-labeled DRBG so the
     /// jitter is identical across shard counts.
     pub mrai_jitter: Option<SimDuration>,
-    /// Optional route-flap dampening policy applied to every router.
+    /// Route-flap dampening on every router when `Some` (the
+    /// thresholds are the constants in [`crate::dampening`]).
     pub dampening: Option<DampeningPolicy>,
     /// Enables the observability layer: convergence-timeline recorders
     /// on the simulator and on every router, with sim-time windows of
@@ -482,7 +478,6 @@ impl Default for InstantiateOptions {
     fn default() -> Self {
         InstantiateOptions {
             seed: 0,
-            link: LinkConfig::default(),
             signed: false,
             key_bits: 512,
             mrai: None,
@@ -501,7 +496,6 @@ impl Default for InstantiateOptions {
 // DRBG seeding, and every policy knob come back identical.
 pvr_crypto::wire_struct!(InstantiateOptions {
     seed,
-    link,
     signed,
     key_bits,
     mrai,
@@ -834,6 +828,12 @@ pub struct Figure1Cast {
     pub prefix: Prefix,
 }
 
+/// Most tier-1 providers an [`internet_like`] tier-2 AS buys transit
+/// from.
+pub const T2_MAX_PROVIDERS: usize = 3;
+/// Most tier-2 providers an [`internet_like`] stub buys transit from.
+pub const STUB_MAX_PROVIDERS: usize = 2;
+
 /// Parameters for [`internet_like`].
 #[derive(Clone, Copy)]
 pub struct InternetParams {
@@ -846,11 +846,6 @@ pub struct InternetParams {
     pub stubs: usize,
     /// Probability of tier-2 ↔ tier-2 peering.
     pub t2_peering_prob: f64,
-    /// Maximum tier-1 providers per tier-2 AS (each draws 1..=max,
-    /// clamped to the tier-1 count). The pre-E14 constant was 3.
-    pub t2_max_providers: usize,
-    /// Maximum tier-2 providers per stub. The pre-E14 constant was 2.
-    pub stub_max_providers: usize,
     /// How many stubs originate a /24 (the first `n` by index; the rest
     /// are silent multihomed leaves). Workload knob for the scale
     /// experiment E14: propagation cost grows with ASes × origins, so
@@ -867,32 +862,22 @@ impl Default for InternetParams {
             tier2: 12,
             stubs: 40,
             t2_peering_prob: 0.2,
-            t2_max_providers: 3,
-            stub_max_providers: 2,
             originating_stubs: usize::MAX,
         }
     }
 }
 
 impl std::fmt::Debug for InternetParams {
-    /// Prints the size/shape fields always, and the E14 fan-out and
-    /// origination knobs only when they differ from the defaults — so
-    /// experiment headers that predate those knobs (E12's matrix
-    /// banner) render byte-identically.
+    /// Prints the size/shape fields always, and the origination knob
+    /// only when it differs from the default — so experiment headers
+    /// that predate it (E12's matrix banner) render byte-identically.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("InternetParams");
         d.field("tier1", &self.tier1)
             .field("tier2", &self.tier2)
             .field("stubs", &self.stubs)
             .field("t2_peering_prob", &self.t2_peering_prob);
-        let defaults = InternetParams::default();
-        if self.t2_max_providers != defaults.t2_max_providers {
-            d.field("t2_max_providers", &self.t2_max_providers);
-        }
-        if self.stub_max_providers != defaults.stub_max_providers {
-            d.field("stub_max_providers", &self.stub_max_providers);
-        }
-        if self.originating_stubs != defaults.originating_stubs {
+        if self.originating_stubs != usize::MAX {
             d.field("originating_stubs", &self.originating_stubs);
         }
         d.finish()
@@ -902,9 +887,10 @@ impl std::fmt::Debug for InternetParams {
 /// Generates an Internet-like topology: a tier-1 peering clique, tier-2
 /// ASes multihomed to tier-1 providers with some lateral peering, and
 /// stub ASes multihomed to tier-2 providers. The first
-/// `originating_stubs` stubs originate one /24 each. Deterministic in
-/// `seed`; with the fan-out knobs at their defaults, the generated
-/// topology is identical to the pre-E14 generator's for any seed.
+/// `originating_stubs` stubs originate one /24 each. Each tier-2 AS
+/// draws 1..=[`T2_MAX_PROVIDERS`] tier-1 providers and each stub
+/// 1..=[`STUB_MAX_PROVIDERS`] tier-2 providers, clamped to the tier's
+/// size. Deterministic in `seed`.
 pub fn internet_like(params: InternetParams, seed: u64) -> Topology {
     // Only *originating* stubs consume the /24 numbering space; silent
     // multihomed leaves are unconstrained, which is what lets the 80k-AS
@@ -913,7 +899,6 @@ pub fn internet_like(params: InternetParams, seed: u64) -> Topology {
         params.stubs.min(params.originating_stubs) <= 65_536,
         "stub /24 numbering supports at most 65 536 originating stubs"
     );
-    assert!(params.t2_max_providers >= 1 && params.stub_max_providers >= 1);
     let mut rng = HmacDrbg::from_u64_labeled(seed, "internet-topology");
     let mut t = Topology::new();
     let t1: Vec<Asn> = (0..params.tier1).map(|i| Asn(10 + i as u32)).collect();
@@ -932,7 +917,7 @@ pub fn internet_like(params: InternetParams, seed: u64) -> Topology {
     // Tier-2: multihomed to tier-1 providers; lateral peering by coin
     // flip.
     for &x in &t2 {
-        let nprov = 1 + rng.below((params.t2_max_providers as u64).min(t1.len() as u64));
+        let nprov = 1 + rng.below((T2_MAX_PROVIDERS as u64).min(t1.len() as u64));
         let mut provs = t1.clone();
         rng.shuffle(&mut provs);
         for &p in provs.iter().take(nprov as usize) {
@@ -949,7 +934,7 @@ pub fn internet_like(params: InternetParams, seed: u64) -> Topology {
     // Stubs: multihomed to tier-2 providers; one /24 each while the
     // origination budget lasts.
     for (i, &s) in stubs.iter().enumerate() {
-        let nprov = 1 + rng.below((params.stub_max_providers as u64).min(t2.len() as u64));
+        let nprov = 1 + rng.below((STUB_MAX_PROVIDERS as u64).min(t2.len() as u64));
         let mut provs = t2.clone();
         rng.shuffle(&mut provs);
         for &p in provs.iter().take(nprov as usize) {

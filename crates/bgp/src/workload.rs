@@ -1,8 +1,8 @@
-//! Update workloads: flaps, bursts, and randomized churn.
+//! Update workloads: flaps and sustained churn.
 //!
-//! §3.8 motivates batching with "BGP message bursts"; experiment E8
-//! measures PVR overhead under realistic churn. These helpers attach
-//! scheduled announce/withdraw events to a [`Topology`].
+//! These helpers attach scheduled announce/withdraw events to a
+//! [`Topology`]: E11 and the dampening tests flap one origination,
+//! E16 and the churn_faults benchmark churn many.
 
 use crate::router::LocalEvent;
 use crate::topology::Topology;
@@ -29,62 +29,11 @@ pub fn flap(
     }
 }
 
-/// Schedules a burst: `n` fresh prefixes announced by `asn` at `at`.
-/// Prefixes are carved from `10.200.x.y/24`. Returns the prefixes.
-pub fn burst(topology: &mut Topology, asn: Asn, at: SimDuration, n: usize) -> Vec<Prefix> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let prefix = if i < 256 {
-            // One /24 per index.
-            Prefix::new((10u32 << 24) | (200u32 << 16) | ((i as u32 & 0xff) << 8), 24)
-        } else {
-            // Beyond 256 the /24 space is exhausted: widen into /32 host
-            // routes, keeping the low bits of `i` so every index still
-            // yields a distinct prefix.
-            Prefix::new(
-                (10u32 << 24)
-                    | (200u32 << 16)
-                    | (((i as u32 >> 8) & 0xff) << 8)
-                    | (i as u32 & 0xff),
-                32,
-            )
-        };
-        topology.schedule(asn, at, LocalEvent::Announce(prefix));
-        out.push(prefix);
-    }
-    out
-}
-
-/// Randomized churn: each event re-announces or withdraws a random
-/// origination from `candidates`. Deterministic in `seed`.
-pub fn churn(
-    topology: &mut Topology,
-    candidates: &[(Asn, Prefix)],
-    events: usize,
-    start: SimDuration,
-    spacing: SimDuration,
-    seed: u64,
-) {
-    assert!(!candidates.is_empty());
-    let mut rng = HmacDrbg::from_u64_labeled(seed, "workload-churn");
-    let mut at = start;
-    for _ in 0..events {
-        let (asn, prefix) = candidates[rng.index(candidates.len())];
-        let event = if rng.chance(0.5) {
-            LocalEvent::Withdraw(prefix)
-        } else {
-            LocalEvent::Announce(prefix)
-        };
-        topology.schedule(asn, at, event);
-        at = at + spacing;
-    }
-}
-
 /// Sustained steady-state churn: each event withdraws a random
 /// origination and re-announces it half a `spacing` later, so every
-/// event is a guaranteed RIB change (unlike [`churn`], whose random
-/// re-announcements of an already-announced prefix are no-ops) and the
-/// network ends in the same state as a never-churned baseline.
+/// event is a guaranteed RIB change (a random re-announcement of an
+/// already-announced prefix would be a no-op) and the network ends in
+/// the same state as a never-churned baseline.
 ///
 /// Returns the `(time, origin, prefix)` withdraw schedule — the
 /// reference points experiment E16 measures per-event route-settle
@@ -119,15 +68,6 @@ mod tests {
     use crate::topology::InstantiateOptions;
     use pvr_netsim::RunLimits;
 
-    #[test]
-    fn burst_prefixes_are_distinct_past_256() {
-        let mut t = Topology::new();
-        let prefixes = burst(&mut t, Asn(1), SimDuration::from_micros(0), 600);
-        assert_eq!(prefixes.len(), 600);
-        let unique: std::collections::BTreeSet<_> = prefixes.iter().copied().collect();
-        assert_eq!(unique.len(), 600, "burst() must return fresh, non-colliding prefixes");
-    }
-
     fn base() -> (Topology, Asn, Asn, Prefix) {
         // AS1 (origin, customer) — AS2 (provider) — observes updates.
         let mut t = Topology::new();
@@ -157,48 +97,6 @@ mod tests {
         assert!(net.router(provider).route_from(origin, prefix).is_some());
         // The provider saw at least initial + 6 updates.
         assert!(net.router(provider).stats().updates_rx >= 7);
-    }
-
-    #[test]
-    fn burst_announces_n_prefixes() {
-        let (mut t, origin, provider, _) = base();
-        let ps = burst(&mut t, origin, SimDuration::from_millis(50), 10);
-        assert_eq!(ps.len(), 10);
-        let mut net = t.instantiate(InstantiateOptions::default());
-        net.converge(RunLimits::none());
-        for p in ps {
-            assert!(net.router(provider).route_from(origin, p).is_some(), "{p}");
-        }
-    }
-
-    #[test]
-    fn churn_is_deterministic_and_converges() {
-        let (mut t, origin, _, prefix) = base();
-        churn(
-            &mut t,
-            &[(origin, prefix)],
-            20,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(20),
-            99,
-        );
-        let mut net = t.instantiate(InstantiateOptions::default());
-        net.converge(RunLimits::none());
-        let stats_a = net.router(Asn(2)).stats().clone();
-
-        // Re-run identically: byte-for-byte the same.
-        let (mut t2, origin2, _, prefix2) = base();
-        churn(
-            &mut t2,
-            &[(origin2, prefix2)],
-            20,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(20),
-            99,
-        );
-        let mut net2 = t2.instantiate(InstantiateOptions::default());
-        net2.converge(RunLimits::none());
-        assert_eq!(net2.router(Asn(2)).stats(), &stats_a);
     }
 
     #[test]
@@ -251,7 +149,7 @@ mod dampening_tests {
         flap(&mut t, origin, prefix, SimDuration::from_millis(50), SimDuration::from_millis(5), 8);
 
         let mut net = t.instantiate(InstantiateOptions {
-            dampening: Some(DampeningPolicy::default()),
+            dampening: Some(DampeningPolicy),
             ..Default::default()
         });
         // Stop inside the flap train: the pair is suppressed and the

@@ -80,28 +80,6 @@ impl BatchItem {
     }
 }
 
-/// Cost accounting for E5: cryptographic operation counts for a burst of
-/// `n` updates, batched vs. per-update signing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchCost {
-    /// Signatures computed by the sender.
-    pub signatures: usize,
-    /// Hash compressions for tree construction (≈ 2n for a SeqTree).
-    pub tree_hashes: usize,
-    /// Signature verifications per receiver (assuming it receives all n).
-    pub verifications: usize,
-}
-
-/// Cost of signing a burst of `n` updates individually.
-pub fn per_update_cost(n: usize) -> BatchCost {
-    BatchCost { signatures: n, tree_hashes: 0, verifications: n }
-}
-
-/// Cost of signing a burst of `n` updates as one batch.
-pub fn batched_cost(n: usize) -> BatchCost {
-    BatchCost { signatures: 1.min(n), tree_hashes: 2 * n, verifications: 1.min(n) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,19 +145,6 @@ mod tests {
         let empty = SignedBatch::sign(&id, 2, &[]);
         assert!(empty.is_empty());
         assert!(empty.item(0).is_none());
-    }
-
-    #[test]
-    fn cost_model_amortizes() {
-        let per = per_update_cost(256);
-        let batched = batched_cost(256);
-        assert_eq!(per.signatures, 256);
-        assert_eq!(batched.signatures, 1);
-        assert_eq!(batched.verifications, 1);
-        assert!(batched.tree_hashes > 0);
-        // Degenerate cases.
-        assert_eq!(batched_cost(0).signatures, 0);
-        assert_eq!(per_update_cost(1), per_update_cost(1));
     }
 
     #[test]

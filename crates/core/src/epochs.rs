@@ -87,11 +87,6 @@ impl EpochTracker {
             Some(_) => Freshness::Stale,
         }
     }
-
-    /// The accepted epoch for (signer, context), if any.
-    pub fn accepted_epoch(&self, signer: u64, context: &[u8]) -> Option<u64> {
-        self.latest.get(&(signer, context.to_vec())).copied()
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +168,6 @@ mod tests {
         assert_eq!(tracker.observe(c1.signed_root()), Freshness::Current);
         assert_eq!(tracker.observe(c2.signed_root()), Freshness::Fresh);
         assert_eq!(tracker.observe(c1.signed_root()), Freshness::Stale);
-        assert_eq!(tracker.accepted_epoch(bed.a.principal(), &c2.round().context_bytes()), Some(2));
     }
 
     #[test]

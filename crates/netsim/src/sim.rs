@@ -423,12 +423,6 @@ impl<P: Payload> Simulator<P> {
         self.links.insert((src, dst), cfg);
     }
 
-    /// Configures both directions between `a` and `b`.
-    pub fn set_link_bidi(&mut self, a: NodeId, b: NodeId, cfg: LinkConfig) {
-        self.set_link(a, b, cfg);
-        self.set_link(b, a, cfg);
-    }
-
     /// Takes a directed link down (partition).
     pub fn set_link_down(&mut self, src: NodeId, dst: NodeId, down: bool) {
         let mut cfg = self.link_config(src, dst);

@@ -32,11 +32,6 @@ impl SimTime {
     pub fn as_micros(self) -> u64 {
         self.0
     }
-
-    /// Rendered as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1000.0
-    }
 }
 
 impl SimDuration {
@@ -49,7 +44,7 @@ impl SimDuration {
     }
 
     /// From milliseconds.
-    pub fn from_millis(ms: u64) -> SimDuration {
+    pub const fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms * 1000)
     }
 

@@ -59,15 +59,6 @@ impl EventJournal {
         self.entries.push_back(JournalEntry { t_us, kind, value });
     }
 
-    /// Appends a span as a begin/end event pair (both sim-time
-    /// stamped). `value` is attached to the end event, where the
-    /// span's outcome is known.
-    pub fn record_span(&mut self, start_us: u64, end_us: u64, kind: &'static str, value: u64) {
-        debug_assert!(start_us <= end_us, "span ends before it starts");
-        self.record(start_us, kind, 0);
-        self.record(end_us, kind, value);
-    }
-
     /// The retained entries, oldest first.
     pub fn entries(&self) -> impl Iterator<Item = &JournalEntry> {
         self.entries.iter()
@@ -108,23 +99,6 @@ impl EventJournal {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Appends this journal's entries to `out` as JSON Lines, one
-    /// object per entry, tagged with `router`. The format is stable:
-    /// `{"t_us":N,"router":N,"event":"...","value":N}`.
-    pub fn dump_jsonl(&self, router: u32, out: &mut String) {
-        use std::fmt::Write;
-        for e in &self.entries {
-            // kind is a static identifier chosen in code — no escaping
-            // needed beyond being plain ASCII.
-            writeln!(
-                out,
-                "{{\"t_us\":{},\"router\":{},\"event\":\"{}\",\"value\":{}}}",
-                e.t_us, router, e.kind, e.value
-            )
-            .expect("write to String cannot fail");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -158,28 +132,5 @@ mod tests {
         let mut j = EventJournal::restore(usize::MAX, 3, vec![]);
         j.record(1, "a", 0);
         assert_eq!((j.capacity(), j.len(), j.evicted()), (usize::MAX, 1, 3));
-    }
-
-    #[test]
-    fn span_emits_begin_and_end() {
-        let mut j = EventJournal::new(8);
-        j.record_span(10, 30, "verify", 1);
-        let got: Vec<_> = j.entries().copied().collect();
-        assert_eq!(
-            got,
-            vec![
-                JournalEntry { t_us: 10, kind: "verify", value: 0 },
-                JournalEntry { t_us: 30, kind: "verify", value: 1 },
-            ]
-        );
-    }
-
-    #[test]
-    fn jsonl_is_stable() {
-        let mut j = EventJournal::new(4);
-        j.record(7, "best_change", 2);
-        let mut out = String::new();
-        j.dump_jsonl(64, &mut out);
-        assert_eq!(out, "{\"t_us\":7,\"router\":64,\"event\":\"best_change\",\"value\":2}\n");
     }
 }

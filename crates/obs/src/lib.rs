@@ -30,7 +30,8 @@
 //! * [`histogram`] — the fixed-bucket histogram behind the registry
 //!   (`le` buckets are inclusive upper bounds, Prometheus-style).
 //! * [`journal`] — per-router ring-buffered event journal stamped
-//!   with sim-time; dumps to JSONL for forensic replay.
+//!   with sim-time; the BGP layer merges the journals into one JSONL
+//!   trace for forensic replay.
 //! * [`timeline`] — per-window accumulators (events, queue depth, RIB
 //!   churn, verify traffic) rendered as a convergence timeline table.
 //! * [`expo`] — Prometheus text format and `pvr-bench-v1`-compatible

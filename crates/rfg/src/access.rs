@@ -110,17 +110,6 @@ impl AccessPolicy {
         policy
     }
 
-    /// §1's footnote on strength: a policy is *weaker* than another if it
-    /// reveals at least as much ("If a system can enforce some access
-    /// control policy α, it can trivially enforce any policy that is
-    /// strictly weaker"). True if `self` grants everything `other` does.
-    pub fn at_least_as_permissive(&self, other: &AccessPolicy) -> bool {
-        other.grants.iter().all(|(&(n, v), &a)| {
-            let mine = self.access(n, v);
-            (!a.content || mine.content) && (!a.structure || mine.structure)
-        })
-    }
-
     /// Iterates over all explicit grants.
     pub fn grants(&self) -> impl Iterator<Item = (Asn, VertexRef, Access)> + '_ {
         self.grants.iter().map(|(&(n, v), &a)| (n, v, a))
@@ -177,19 +166,6 @@ mod tests {
         }
         // But everyone can navigate (structure).
         assert!(p.access(b, VertexRef::Var(inputs[0])).structure);
-    }
-
-    #[test]
-    fn permissiveness_ordering() {
-        let ns = [Asn(1), Asn(2)];
-        let (g, inputs, _, _) = figure1_graph(&ns, Asn(200));
-        let everyone = [Asn(1), Asn(2), Asn(200)];
-        let base = AccessPolicy::paper_example(&g, &everyone);
-        let mut wider = base.clone();
-        wider.grant(Asn(200), VertexRef::Var(inputs[0]), Access::FULL);
-        assert!(wider.at_least_as_permissive(&base));
-        assert!(!base.at_least_as_permissive(&wider));
-        assert!(base.at_least_as_permissive(&base));
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn main() {
         seed: 8,
         mrai: Some(SimDuration::from_millis(5)),
         mrai_jitter: Some(SimDuration::from_millis(1)),
-        dampening: Some(DampeningPolicy::default()),
+        dampening: Some(DampeningPolicy),
         timeline_window: Some(SimDuration::from_millis(5)),
         ..Default::default()
     };

@@ -5,15 +5,16 @@
 //!
 //! Run with: `cargo run --release --example hijack_campaign`
 
-use pvr::attack::{leak_gossip_audit, AttackKind, Campaign, CampaignConfig, SecurityMode};
+use pvr::attack::{
+    leak_gossip_audit, AttackKind, Campaign, CampaignConfig, SecurityMode, CAMPAIGN_INTERNET,
+};
 use pvr::bgp::{InstantiateOptions, Malice};
 use pvr::netsim::RunLimits;
 
 fn main() {
     println!("=== PVR attack campaign ===\n");
-    let config = CampaignConfig::quick(12);
-    let campaign = Campaign::new(config);
-    let placement = campaign.placements()[0];
+    let campaign = Campaign::new(CampaignConfig::quick(12));
+    let placement = campaign.placement();
     println!(
         "attacker {} vs victim {} ({}), {} cells on the parallel sweep\n",
         placement.attacker,
@@ -43,16 +44,7 @@ fn main() {
 
     // Zoom in: mount the leak by hand and print the gossip evidence.
     println!("\n--- the route leak, up close ---\n");
-    let topology = pvr::bgp::internet_like(
-        pvr::bgp::InternetParams {
-            tier1: 2,
-            tier2: 4,
-            stubs: 6,
-            t2_peering_prob: 0.3,
-            ..pvr::bgp::InternetParams::default()
-        },
-        12,
-    );
+    let topology = pvr::bgp::internet_like(CAMPAIGN_INTERNET, 12);
     let attacker = placement.attacker;
     let mut net = topology.instantiate(InstantiateOptions::default());
     net.router_mut(attacker).set_malice(Malice { leak_all: true });

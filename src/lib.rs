@@ -26,7 +26,7 @@
 //! * [`smc`] — the §3.1 strawmen: a real GMW execution plus calibrated
 //!   cost models;
 //! * [`attack`] — the adversarial campaign engine: hijack/leak/forgery
-//!   strategies swept over placements and security modes on a
+//!   strategies swept over security modes on a
 //!   deterministic parallel executor;
 //! * [`store`] — the content-addressed copy-on-write persistent RIB
 //!   store: O(1) snapshots, structural diffs, and integrity-checked

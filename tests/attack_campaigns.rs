@@ -6,8 +6,10 @@
 //! attestation/promise/protocol attacks plus the leak, and the parallel
 //! sweep is bit-deterministic.
 
-use pvr::attack::{leak_gossip_audit, AttackKind, Campaign, CampaignConfig, SecurityMode};
-use pvr::bgp::{internet_like, InstantiateOptions, InternetParams};
+use pvr::attack::{
+    leak_gossip_audit, AttackKind, Campaign, CampaignConfig, SecurityMode, CAMPAIGN_INTERNET,
+};
+use pvr::bgp::{internet_like, InstantiateOptions};
 use pvr::netsim::RunLimits;
 
 #[test]
@@ -98,14 +100,7 @@ fn parallel_sweep_is_bit_deterministic() {
 fn leak_audit_is_silent_on_honest_networks() {
     // Accuracy for the gossip audit: a converged valley-free network
     // must produce zero leak evidence against any AS.
-    let params = InternetParams {
-        tier1: 2,
-        tier2: 4,
-        stubs: 6,
-        t2_peering_prob: 0.3,
-        ..InternetParams::default()
-    };
-    let topology = internet_like(params, 5);
+    let topology = internet_like(CAMPAIGN_INTERNET, 5);
     let mut net = topology.instantiate(InstantiateOptions::default());
     net.converge(RunLimits::none());
     for suspect in net.ases().collect::<Vec<_>>() {

@@ -148,7 +148,7 @@ fn serial_kill_and_recover_signed_with_mrai_dampening() {
         key_bits: 512,
         mrai: Some(SimDuration::from_millis(5)),
         mrai_jitter: Some(SimDuration::from_millis(1)),
-        dampening: Some(DampeningPolicy::default()),
+        dampening: Some(DampeningPolicy),
         ..Default::default()
     };
     assert_recovery(&topology, options, 1, SimTime(55_000));
@@ -271,21 +271,22 @@ fn rib_fingerprint_is_pinned() {
 }
 
 /// The checkpoint file is a format, and this pins it: the SHA-256 of a
-/// whole `PVRCKPT3` file, for a network whose router sections carry
+/// whole `PVRCKPT4` file, for a network whose router sections carry
 /// every kind of dynamic state at once — attestation chains, a filled
 /// Adj-RIB-Out, MRAI buffers and jitter DRBGs, dampening penalties, an
 /// announcement parked behind a suppression, a flapping prefix, and one
-/// session down. Re-pinned for the `PVRCKPT2` → `PVRCKPT3` format bump
-/// (each router's RIB written as one record per prefix cell, its
-/// timeline in the engine's codec): measured on that commit, the META,
-/// ENGINE, CACHE and STORE payloads hash the same as on its parent,
-/// whose whole-file value was `b671f66c…d854`, and ROUTERS shrank from
-/// 167 513 to 150 704 bytes. The bump before, `PVRCKPT1` → `PVRCKPT2`,
-/// moved only the header, META and ENGINE. Any change to what a router
-/// writes, or to the order it writes it in, lands here.
+/// session down. Re-pinned for the `PVRCKPT3` → `PVRCKPT4` format bump
+/// (the default link and the dampening thresholds left META's options):
+/// measured on that commit, the ENGINE, ROUTERS, CACHE and STORE
+/// payloads hash the same as on its parent, whose whole-file value was
+/// `912619fa…38b1`, and META shrank from 793 to 720 bytes. The bump
+/// before, `PVRCKPT2` → `PVRCKPT3`, wrote each router's RIB as one
+/// record per prefix cell and moved only the header and ROUTERS. Any
+/// change to what a router writes, or to the order it writes it in,
+/// lands here.
 #[test]
 fn checkpoint_file_bytes_are_pinned() {
-    const GOLDEN: &str = "912619faad6b7206d771d309b72acf5fbdde9f27668d9461aaeb224837c938b1";
+    const GOLDEN: &str = "00894f152e519f711f42490be12a1590e387e71af28d962f61fef186fa5ecb82";
     let mut topology = small_internet(310);
     // `small_internet` withdraws the flapping prefix at 40 ms and brings
     // it back at 90 ms; three more flaps in between push its provider's
@@ -305,7 +306,7 @@ fn checkpoint_file_bytes_are_pinned() {
         key_bits: 512,
         mrai: Some(SimDuration::from_millis(5)),
         mrai_jitter: Some(SimDuration::from_millis(1)),
-        dampening: Some(DampeningPolicy::default()),
+        dampening: Some(DampeningPolicy),
         ..Default::default()
     };
     let mut net = topology.instantiate(options);
@@ -336,7 +337,7 @@ fn converge_checkpointed_writes_the_sequential_loops_bytes() {
         seed: 311,
         mrai: Some(SimDuration::from_millis(5)),
         mrai_jitter: Some(SimDuration::from_millis(1)),
-        dampening: Some(DampeningPolicy::default()),
+        dampening: Some(DampeningPolicy),
         ..Default::default()
     };
     let every = SimDuration::from_millis(10);
@@ -675,6 +676,13 @@ fn version_2_header_is_a_typed_error() {
     assert_old_header_refused(b"PVRCKPT2", 2);
 }
 
+#[test]
+fn version_3_header_is_a_typed_error() {
+    // `PVRCKPT3` files wrote the default link configuration and six
+    // dampening thresholds into META's options.
+    assert_old_header_refused(b"PVRCKPT3", 3);
+}
+
 /// The checkpoint `fixture` with the payload of section `tag` passed
 /// through `edit` and every section re-framed with a valid hash: what
 /// the truncation and bit-flip sweeps never produce, a *well-framed*
@@ -954,19 +962,6 @@ fn hostile_options_in_a_well_framed_meta_never_panic() {
         "got {err:?}"
     );
 
-    // And the dampening reuse tick: at zero the tick timer re-arms at
-    // the same instant while any pair is suppressed, so a restored run
-    // would spin without ever decaying a penalty.
-    let bad = with_meta_options(&fixture, |options| {
-        options.dampening =
-            Some(DampeningPolicy { reuse_tick: SimDuration::ZERO, ..DampeningPolicy::default() });
-    });
-    let err = must_fail(restore_mutilated(bad, "meta-reuse-tick"), "zero reuse tick");
-    assert!(
-        matches!(err, CheckpointError::Corrupt("dampening reuse tick must be positive")),
-        "got {err:?}"
-    );
-
     // A journal capacity is a logical ring bound, not a reservation:
     // an absurd one restores (the routers' own saved journals, disabled
     // in this fixture, replace it) and replays like the intact file.
@@ -1007,7 +1002,7 @@ proptest! {
             seed,
             signed: seed % 3 == 0,
             key_bits: 512,
-            dampening: if seed % 2 == 1 { Some(DampeningPolicy::default()) } else { None },
+            dampening: if seed % 2 == 1 { Some(DampeningPolicy) } else { None },
             ..Default::default()
         };
         let kill_at = SimTime(kill_ms * 1000);

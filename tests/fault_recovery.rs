@@ -156,7 +156,7 @@ fn recovery_equals_baseline_with_mrai_and_dampening() {
         seed: 83,
         mrai: Some(SimDuration::from_millis(5)),
         mrai_jitter: Some(SimDuration::from_millis(1)),
-        dampening: Some(DampeningPolicy::default()),
+        dampening: Some(DampeningPolicy),
         ..Default::default()
     };
     assert_recovers_to_baseline(&topology, options, 2, 83);
@@ -185,7 +185,7 @@ proptest! {
         };
         let topology = internet_like(params, seed);
         let dampening =
-            if seed % 2 == 1 { Some(DampeningPolicy::default()) } else { None };
+            if seed % 2 == 1 { Some(DampeningPolicy) } else { None };
         let options = InstantiateOptions { seed, dampening, ..Default::default() };
         assert_recovers_to_baseline(&topology, options, shards, seed);
     }

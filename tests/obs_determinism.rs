@@ -144,7 +144,7 @@ fn fault_telemetry_is_engine_invariant() {
         seed: 73,
         mrai: Some(SimDuration::from_millis(5)),
         mrai_jitter: Some(SimDuration::from_millis(1)),
-        dampening: Some(DampeningPolicy::default()),
+        dampening: Some(DampeningPolicy),
         timeline_window: Some(SimDuration::from_millis(5)),
         journal_capacity: 32,
         ..Default::default()

@@ -4,8 +4,12 @@
 //! under the Gao–Rexford roles the generator assigns.
 
 use proptest::prelude::*;
+use pvr::attack::CAMPAIGN_INTERNET;
 use pvr::bgp::{internet_like, Asn, Edge, InstantiateOptions, InternetParams, Role, Topology};
+use pvr::crypto::encoding::Wire;
+use pvr::crypto::sha256;
 use pvr::netsim::RunLimits;
+use pvr_bench::e14_params;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// (local, neighbor) → the role `neighbor` plays relative to `local`.
@@ -120,3 +124,37 @@ proptest! {
         prop_assert!(checked > 0, "no routes propagated at all");
     }
 }
+
+/// `internet_like`'s output, pinned as the SHA-256 of
+/// `Topology::to_wire()`: the stock parameters at two seeds, two rungs
+/// of the E14 ladder (where the tier-1 and tier-2 fan-out caps act on
+/// hundreds of ASes), and the attack campaign's topology. A changed
+/// digest means the generator draws different edges.
+#[test]
+fn internet_like_output_is_pinned() {
+    let cases = [
+        ("default, seed 14", InternetParams::default(), 14),
+        ("default, seed 41", InternetParams::default(), 41),
+        ("e14_params(500), seed 14", e14_params(500), 14),
+        ("e14_params(3000), seed 14", e14_params(3000), 14),
+        ("campaign, seed 12", CAMPAIGN_INTERNET, 12),
+    ];
+    let stale: Vec<String> = cases
+        .iter()
+        .zip(GENERATOR_GOLDEN)
+        .filter_map(|(&(name, params, seed), pinned)| {
+            let got = sha256(&internet_like(params, seed).to_wire()).to_hex();
+            (got != pinned).then(|| format!("{name}: {got}"))
+        })
+        .collect();
+    assert!(stale.is_empty(), "internet_like output moved:\n{}", stale.join("\n"));
+}
+
+/// SHA-256 of each case's `Topology::to_wire()`, in case order.
+const GENERATOR_GOLDEN: [&str; 5] = [
+    "e02dbeb91a585a24626309a10ed8f32305da0b8517c2b6c97b9642d975179680",
+    "51cf7c0f0908aa995f43318143ad50409ec2149cc274811ed9bec43c66a4bb74",
+    "88b51b2c715b7c1f721c161360e620ee53d1d9f2bb116894be4275a811dd8379",
+    "65d943f098884e0f3697d2991016e24d7c7c12cd78b3a0aefd072ae4a8f820c5",
+    "95aae85ff67e7e16ad33ee597116d57c9c57a99a6ece18dc03202817b721e636",
+];
