@@ -47,8 +47,10 @@
 //! network, and the network is built fresh — a corrupt file, or one
 //! whose RIB fails the check
 //! [`check_invariants`](crate::router::BgpRouter::check_invariants)
-//! runs, yields a typed [`CheckpointError`] and no partially-mutated
-//! state. Writes go
+//! runs, or whose RIB history does not end at the saved instant with
+//! exactly the routers' Loc-RIBs (every checkpoint captures one before
+//! it saves), yields a typed [`CheckpointError`] and no
+//! partially-mutated state. Writes go
 //! through a `.tmp` + rename so a crash mid-checkpoint never leaves a
 //! torn file at the target path, and a write that fails removes its
 //! `.tmp`.
@@ -99,10 +101,14 @@
 //! Orthogonally to full checkpoints, [`BgpNetwork::snapshot_rib`]
 //! captures the network-wide Loc-RIB into a content-addressed
 //! copy-on-write trie ([`pvr_store::PMap`]): snapshot k+1 shares every
-//! unchanged subtree with snapshot k, so a history of hundreds of
-//! snapshots costs memory proportional to churn, not to RIB size. A
-//! capture compares the whole RIB against snapshot k (no hashing) and
-//! applies the differences as one batch, hashing each dirty node once.
+//! unchanged subtree with snapshot k, and the history is one lineage of
+//! maps, in which content-equal trie nodes are one allocation — the
+//! same route behind one provider, under the same nibble tail, is held
+//! once however many ASes select it. So a history of hundreds of
+//! snapshots costs memory in proportion to its *distinct* content, not
+//! to churn × ASes. A capture compares the whole RIB against snapshot k
+//! (no hashing) and applies the differences as one batch, which builds
+//! and hashes only the nodes whose content the history does not hold.
 //! [`BgpNetwork::route_at`] answers "what did AS x believe about
 //! prefix p at time t" against that history, and the attack layer's
 //! forensic bisect binary-searches it for the first poisoned instant.
@@ -220,24 +226,29 @@ fn write_rib_key(asn: Asn, prefix: Prefix, key: &mut Vec<u8>) {
 
 impl BgpNetwork {
     /// Captures the network-wide Loc-RIB as a COW snapshot layered on
-    /// `base`, as one batched [`PMap::apply`].
+    /// `base`, as one batched [`PMap::apply`] of [`rib_edits`](Self::rib_edits).
+    fn capture_rib(&self, base: &PMap) -> PMap {
+        base.apply(&self.rib_edits(base))
+    }
+
+    /// The edits that turn `base` into the network-wide Loc-RIB, in key
+    /// order: none when `base` holds exactly the live selections.
     ///
-    /// The capture is one merge of two streams that are both in key
-    /// order — the live cells (routers by ASN, prefixes in `Prefix`
+    /// One merge of two streams that are both in key order — the live
+    /// cells (routers by ASN, each router's selections in `Prefix`
     /// order) and `base`'s entries — comparing wire bytes and hashing
     /// nothing. Only the differences become edits: a cell equal to
     /// `base`'s costs no allocation and its subtree stays shared, a
     /// vanished cell becomes a removal. `apply` then rebuilds each dirty
     /// trie node once, however many changed cells sit under it.
-    fn capture_rib(&self, base: &PMap) -> PMap {
+    fn rib_edits(&self, base: &PMap) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
         let mut cells = self
             .ases()
             .flat_map(|asn| {
-                let router = self.router(asn);
-                router.selected_prefixes().into_iter().map(move |prefix| {
-                    let best = router.best_route(prefix).expect("selected prefix has a best route");
-                    (asn, prefix, best)
-                })
+                self.router(asn)
+                    .selections()
+                    .into_iter()
+                    .map(move |(prefix, best)| (asn, prefix, best))
             })
             .peekable();
         let mut edits: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
@@ -268,7 +279,7 @@ impl BgpNetwork {
         for (asn, prefix, best) in cells {
             edits.push((rib_key(asn, prefix), Some(best.to_wire())));
         }
-        base.apply(&edits)
+        edits
     }
 
     /// Captures the current Loc-RIB layered on the latest retained
@@ -483,6 +494,22 @@ impl BgpNetwork {
         }
         for (cache, state) in net.verify_caches().iter().zip(states) {
             cache.load_state(state);
+        }
+
+        // Every checkpoint captures the Loc-RIB before it saves, so the
+        // history ends at the saved instant, holding exactly what the
+        // routers restored: anything else is a STORE that belongs to
+        // another run or was edited.
+        let Some((last_at, last)) = history.last() else {
+            return Err(CheckpointError::Corrupt("RIB history is empty"));
+        };
+        if *last_at != net.sim.now() {
+            return Err(CheckpointError::Corrupt("last RIB snapshot is not at the saved instant"));
+        }
+        if !net.rib_edits(last).is_empty() {
+            return Err(CheckpointError::Corrupt(
+                "last RIB snapshot differs from the routers' RIBs",
+            ));
         }
 
         if let Some(table) = meta.origin_table {

@@ -567,9 +567,16 @@ impl BgpRouter {
 
     /// All prefixes currently selected in the Loc-RIB, in prefix order.
     pub fn selected_prefixes(&self) -> Vec<Prefix> {
-        let mut out: Vec<Prefix> =
-            self.cells.iter().filter(|(_, cell)| cell.has_best()).map(|(&p, _)| p).collect();
-        out.sort_unstable();
+        self.selections().into_iter().map(|(prefix, _)| prefix).collect()
+    }
+
+    /// The Loc-RIB: every selected route with its prefix, in prefix
+    /// order — [`best_route`](Self::best_route) for each of
+    /// [`selected_prefixes`](Self::selected_prefixes), read in one pass.
+    pub(crate) fn selections(&self) -> Vec<(Prefix, CandidateRef<'_>)> {
+        let mut out: Vec<(Prefix, CandidateRef<'_>)> =
+            self.cells.iter().filter_map(|(&prefix, cell)| Some((prefix, cell.best()?))).collect();
+        out.sort_unstable_by_key(|&(prefix, _)| prefix);
         out
     }
 

@@ -14,13 +14,18 @@
 //! [`StoreError::BadMagic`], and future format revisions as
 //! [`StoreError::UnsupportedVersion`]. The loader builds its result
 //! entirely before returning, so a failed load leaves nothing behind.
+//!
+//! The maps one load returns are one lineage: every node the loader
+//! builds is registered in their shared intern table, so a
+//! [`PMap::apply`] on any of them reuses a loaded node wherever it would
+//! rebuild its content.
 
 use crate::error::StoreError;
-use crate::pmap::{child_hashes, content_address, encode_content, Node, PMap, FANOUT};
+use crate::pmap::{child_hashes, content_address, encode_content, Node, NodeTable, PMap, FANOUT};
 use pvr_crypto::encoding::{Reader, Wire};
 use pvr_crypto::sha256::{Digest, DIGEST_LEN};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// First 8 bytes of every snapshot dump.
 pub const DUMP_MAGIC: &[u8; 8] = b"PVRSTOR1";
@@ -102,6 +107,7 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
         return Err(StoreError::Corrupt("node count exceeds input size"));
     }
     let mut by_hash: HashMap<Digest, Arc<Node>> = HashMap::with_capacity(node_count as usize);
+    let mut table = NodeTable::default();
     for index in 0..node_count {
         let value = Option::<Vec<u8>>::decode(&mut r)?;
         let bitmap = u16::decode(&mut r)?;
@@ -123,8 +129,11 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
         }
         // The children were fetched by the very hashes `claimed` was
         // checked against, so it is the address of the node built here.
-        by_hash.insert(claimed, Arc::new(Node::with_hash(value, children, claimed)));
+        let node = Arc::new(Node::with_hash(value, children, claimed));
+        table.register(&node);
+        by_hash.insert(claimed, node);
     }
+    let table = Arc::new(Mutex::new(table));
 
     let root_count = u32::decode(&mut r)?;
     if root_count as usize > bytes.len() / MIN_ROOT_LEN {
@@ -134,10 +143,11 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
     for _ in 0..root_count {
         let label = u64::decode(&mut r)?;
         let map = match Option::<Digest>::decode(&mut r)? {
-            None => PMap::new(),
-            Some(h) => {
-                PMap::from_root(Some(Arc::clone(by_hash.get(&h).ok_or(StoreError::MissingChild)?)))
-            }
+            None => PMap::from_root(None, &table),
+            Some(h) => PMap::from_root(
+                Some(Arc::clone(by_hash.get(&h).ok_or(StoreError::MissingChild)?)),
+                &table,
+            ),
         };
         out.push((label, map));
     }

@@ -12,7 +12,10 @@
 //!   other subtree with its parent version; [`PMap::apply`] takes a
 //!   whole sorted batch of sets and removes and rebuilds each dirty node
 //!   once, however many of the batch's keys sit under it — the way a
-//!   RIB snapshot is captured. Cloning a [`PMap`] is an
+//!   RIB snapshot is captured — and reuses, instead of building, any
+//!   node whose content a live map of the same lineage already holds,
+//!   so a snapshot history holds each distinct node once. Cloning a
+//!   [`PMap`] is an
 //!   **O(1) snapshot** — exactly what a router needs to retain its RIB
 //!   at a convergence barrier without stalling the event loop.
 //! * [`diff`] — incremental structural diff between two snapshots:

@@ -15,9 +15,29 @@
 //!   snapshots deduplicate against each other for free;
 //! * the loader re-derives every address and refuses mismatches, so a
 //!   flipped bit anywhere is caught at the node that owns it.
+//!
+//! ## One allocation per content, per lineage
+//!
+//! A node's address covers its value and its children, not its key, so
+//! equal content recurs at many keys: a RIB holds the same route at
+//! every AS behind one provider, under the same nibble tail. A
+//! **lineage** — [`PMap::new`] and every map derived from it, or every
+//! map one [`load_snapshots`](crate::load_snapshots) returns — shares a
+//! table of its live nodes, and [`PMap::apply`] builds no node
+//! whose content a live node of the lineage already has: it reuses that
+//! node's `Arc`. So a lineage's snapshots hold each distinct node once,
+//! and only new content is allocated and hashed; a history costs memory
+//! in proportion to its distinct content, not to churn × keys. The
+//! table dies with the lineage's last map (a table shared by the
+//! process would pin dead nodes across unrelated maps and be locked
+//! from every thread that builds one). The single-key
+//! [`insert`](PMap::insert) / [`remove`](PMap::remove) path does not
+//! intern; what it builds is correct, just not shared.
 
 use pvr_crypto::sha256::{sha256_concat, Digest, Sha256};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Children per node: one per key nibble value.
 pub(crate) const FANOUT: usize = 16;
@@ -140,8 +160,128 @@ fn nibble(key: &[u8], i: usize) -> usize {
 }
 
 fn nibbles_to_bytes(nibbles: &[u8]) -> Vec<u8> {
+    let mut key = Vec::with_capacity(nibbles.len() / 2);
+    write_key(nibbles, &mut key);
+    key
+}
+
+/// The byte key a nibble path spells, into a reused buffer.
+fn write_key(nibbles: &[u8], key: &mut Vec<u8>) {
     debug_assert!(nibbles.len() % 2 == 0, "byte keys have an even nibble count");
-    nibbles.chunks_exact(2).map(|p| (p[0] << 4) | p[1]).collect()
+    key.clear();
+    key.extend(nibbles.chunks_exact(2).map(|p| (p[0] << 4) | p[1]));
+}
+
+/// FxHash-style word mixing: the intern table's key function, and the
+/// table's own hasher (its keys are already mixed).
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.add(u64::from_le_bytes(tail));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The intern table key of a node with these parts: its value bytes
+/// and its children's identities. Within a lineage a child's identity
+/// is its content, so equal keys are likely equal content — likely, not
+/// certain: [`NodeTable::intern`] compares the parts before reusing.
+fn table_key(value: Option<&[u8]>, children: &[Option<Arc<Node>>; FANOUT]) -> u64 {
+    let mut h = KeyHasher::default();
+    match value {
+        None => h.add(0),
+        Some(v) => {
+            h.add(1 + v.len() as u64);
+            h.write(v);
+        }
+    }
+    for child in children {
+        h.add(child.as_ref().map_or(0, |c| Arc::as_ptr(c) as u64));
+    }
+    h.finish()
+}
+
+/// True when `node` has exactly these parts: equal value bytes and the
+/// very same child `Arc`s.
+fn has_parts(node: &Node, value: Option<&[u8]>, children: &[Option<Arc<Node>>; FANOUT]) -> bool {
+    node.value.as_deref() == value
+        && node.children.iter().zip(children).all(|pair| match pair {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        })
+}
+
+/// The smallest table size at which dead entries are purged.
+const MIN_PURGE_AT: usize = 1024;
+
+/// One lineage's live nodes, by [`table_key`] (see "One allocation per
+/// content, per lineage" above). Entries are `Weak`, so the table never
+/// keeps a node alive; an `apply` that finds the table doubled since the
+/// last purge purges the dead entries first, so its size tracks the
+/// live nodes. A key shared by two contents holds whichever was
+/// registered last: a collision costs a miss, never a wrong node.
+#[derive(Debug, Default)]
+pub(crate) struct NodeTable {
+    nodes: HashMap<u64, Weak<Node>, BuildHasherDefault<KeyHasher>>,
+    /// The size at which the next purge runs.
+    purge_at: usize,
+}
+
+impl NodeTable {
+    /// The lineage's live node with exactly these parts, or a new one —
+    /// hashed from its parts as always — registered under them.
+    pub(crate) fn intern(
+        &mut self,
+        value: Option<&[u8]>,
+        children: [Option<Arc<Node>>; FANOUT],
+    ) -> Arc<Node> {
+        let key = table_key(value, &children);
+        if let Some(live) = self.nodes.get(&key).and_then(Weak::upgrade) {
+            if has_parts(&live, value, &children) {
+                return live;
+            }
+        }
+        let node = Arc::new(Node::new(value.map(<[u8]>::to_vec), children));
+        self.nodes.insert(key, Arc::downgrade(&node));
+        node
+    }
+
+    /// Registers a node built elsewhere (the dump loader), so the maps
+    /// it ends up in intern against it.
+    pub(crate) fn register(&mut self, node: &Arc<Node>) {
+        self.nodes.insert(table_key(node.value.as_deref(), &node.children), Arc::downgrade(node));
+    }
+
+    /// Drops the dead entries once the table has doubled since this
+    /// last did. Run between batches: a batch's own nodes are all alive.
+    fn purge_if_grown(&mut self) {
+        if self.nodes.len() >= self.purge_at.max(MIN_PURGE_AT) {
+            self.nodes.retain(|_, entry| entry.strong_count() > 0);
+            self.purge_at = 2 * self.nodes.len();
+        }
+    }
 }
 
 /// A persistent byte-key → byte-value map.
@@ -151,13 +291,23 @@ fn nibbles_to_bytes(nibbles: &[u8]) -> Vec<u8> {
 /// *new* maps, they never mutate).
 #[derive(Clone, Debug, Default)]
 pub struct PMap {
+    /// The intern table of this map's lineage, shared with every map
+    /// derived from it. Declared first so that it drops first: the last
+    /// map of a lineage then frees its nodes in tree order, not in
+    /// table order.
+    table: Arc<Mutex<NodeTable>>,
     root: Option<Arc<Node>>,
 }
 
 impl PMap {
-    /// The empty map.
+    /// The empty map, first of a new lineage.
     pub fn new() -> PMap {
         PMap::default()
+    }
+
+    /// A map of this one's lineage with the given root.
+    fn derived(&self, root: Option<Arc<Node>>) -> PMap {
+        PMap { table: Arc::clone(&self.table), root }
     }
 
     /// Number of keys.
@@ -193,7 +343,7 @@ impl PMap {
     /// already byte-equal, the *same* map is returned (full sharing),
     /// which is what makes periodic RIB syncs cheap between changes.
     pub fn insert(&self, key: &[u8], value: &[u8]) -> PMap {
-        PMap { root: Some(insert_rec(self.root.as_ref(), key, 0, value)) }
+        self.derived(Some(insert_rec(self.root.as_ref(), key, 0, value)))
     }
 
     /// Returns a new map without `key`. Absent keys return a map
@@ -203,7 +353,7 @@ impl PMap {
             None => self.clone(),
             Some(root) => match remove_rec(root, key, 0) {
                 None => self.clone(),
-                Some(new_root) => PMap { root: new_root },
+                Some(new_root) => self.derived(new_root),
             },
         }
     }
@@ -216,7 +366,9 @@ impl PMap {
     /// (and hashed) once per batch instead of once per key under it.
     /// Subtrees the batch leaves as they were — untouched, re-set to an
     /// equal value, removed while absent — come back as the *same*
-    /// `Arc`; chains the batch empties are pruned.
+    /// `Arc`; chains the batch empties are pruned. A node whose content
+    /// a live node of this map's lineage already has is not built: that
+    /// node is reused (see the module docs).
     ///
     /// # Panics
     ///
@@ -227,13 +379,20 @@ impl PMap {
             edits.windows(2).all(|w| w[0].0.as_ref() < w[1].0.as_ref()),
             "PMap::apply needs strictly ascending keys"
         );
-        PMap { root: apply_rec(self.root.as_ref(), edits, 0) }
+        // A panic while the lock was held leaves entries that are at
+        // worst stale, and `intern` checks every hit: the table is safe
+        // to keep using.
+        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+        table.purge_if_grown();
+        let root = apply_rec(self.root.as_ref(), edits, 0, &mut table);
+        drop(table);
+        self.derived(root)
     }
 
     /// Visits every `(key, value)` pair in lexicographic key order.
     pub fn for_each(&self, mut f: impl FnMut(&[u8], &[u8])) {
         if let Some(root) = &self.root {
-            walk(root, &mut Vec::new(), &mut f);
+            walk(root, &mut Vec::new(), &mut Vec::new(), &mut f);
         }
     }
 
@@ -248,7 +407,7 @@ impl PMap {
             }
         }
         let mut nibbles: Vec<u8> = (0..prefix.len() * 2).map(|i| nibble(prefix, i) as u8).collect();
-        walk(node, &mut nibbles, &mut f);
+        walk(node, &mut nibbles, &mut Vec::new(), &mut f);
     }
 
     /// All entries, sorted by key.
@@ -262,8 +421,9 @@ impl PMap {
         self.root.as_ref()
     }
 
-    pub(crate) fn from_root(root: Option<Arc<Node>>) -> PMap {
-        PMap { root }
+    /// A map over a loaded root, of the lineage `table` serves.
+    pub(crate) fn from_root(root: Option<Arc<Node>>, table: &Arc<Mutex<NodeTable>>) -> PMap {
+        PMap { table: Arc::clone(table), root }
     }
 }
 
@@ -334,6 +494,7 @@ fn apply_rec<K: AsRef<[u8]>, V: AsRef<[u8]>>(
     node: Option<&Arc<Node>>,
     edits: &[(K, Option<V>)],
     depth: usize,
+    table: &mut NodeTable,
 ) -> Option<Arc<Node>> {
     // A key that ends at this node is a strict prefix of every other
     // key in the slice, so it sorts first.
@@ -356,7 +517,7 @@ fn apply_rec<K: AsRef<[u8]>, V: AsRef<[u8]>>(
         let (under_child, rest) = below.split_at(run);
         below = rest;
         let old_child = node.and_then(|n| n.children[idx].as_ref());
-        let new_child = apply_rec(old_child, under_child, depth + 1);
+        let new_child = apply_rec(old_child, under_child, depth + 1, table);
         let shared = match (old_child, &new_child) {
             (None, None) => true,
             (Some(old), Some(new)) => Arc::ptr_eq(old, new),
@@ -374,21 +535,39 @@ fn apply_rec<K: AsRef<[u8]>, V: AsRef<[u8]>>(
     if new_value.is_none() && children.iter().all(Option::is_none) {
         return None;
     }
-    Some(Arc::new(Node::new(new_value.map(<[u8]>::to_vec), children)))
+    Some(table.intern(new_value, children))
 }
 
-fn walk(node: &Node, nibbles: &mut Vec<u8>, f: &mut impl FnMut(&[u8], &[u8])) {
+/// Visits the pairs under `node`, whose path is `nibbles`, spelling
+/// each key into the reused buffer `key`.
+fn walk(node: &Node, nibbles: &mut Vec<u8>, key: &mut Vec<u8>, f: &mut impl FnMut(&[u8], &[u8])) {
     if let Some(v) = &node.value {
-        let key = nibbles_to_bytes(nibbles);
-        f(&key, v);
+        write_key(nibbles, key);
+        f(key, v);
     }
     for (i, child) in node.children.iter().enumerate() {
         if let Some(c) = child {
             nibbles.push(i as u8);
-            walk(c, nibbles, f);
+            walk(c, nibbles, key, f);
             nibbles.pop();
         }
     }
+}
+
+/// `(node allocations, distinct content addresses)` reachable from
+/// `maps`: equal when the maps hold each distinct node once.
+#[cfg(test)]
+pub(crate) fn census(maps: &[&PMap]) -> (usize, usize) {
+    let mut allocations = std::collections::HashSet::new();
+    let mut addresses = std::collections::HashSet::new();
+    let mut stack: Vec<&Arc<Node>> = maps.iter().filter_map(|m| m.root()).collect();
+    while let Some(node) = stack.pop() {
+        if allocations.insert(Arc::as_ptr(node)) {
+            addresses.insert(node.hash);
+            stack.extend(node.children.iter().flatten());
+        }
+    }
+    (allocations.len(), addresses.len())
 }
 
 /// One difference between two snapshots.
@@ -472,10 +651,10 @@ fn diff_rec(
                 nibbles.pop();
             }
         }
-        (Some(o), None) => walk(o, nibbles, &mut |k, v| {
+        (Some(o), None) => walk(o, nibbles, &mut Vec::new(), &mut |k, v| {
             out.push(DiffEntry::Removed { key: k.to_vec(), value: v.to_vec() })
         }),
-        (None, Some(n)) => walk(n, nibbles, &mut |k, v| {
+        (None, Some(n)) => walk(n, nibbles, &mut Vec::new(), &mut |k, v| {
             out.push(DiffEntry::Added { key: k.to_vec(), value: v.to_vec() })
         }),
     }
@@ -727,6 +906,86 @@ mod tests {
         let _ = PMap::new().apply(&[(b"b", Some(b"1")), (b"a", Some(b"2"))]);
     }
 
+    fn table_len(map: &PMap) -> usize {
+        map.table.lock().unwrap().nodes.len()
+    }
+
+    #[test]
+    fn a_table_entry_with_other_content_is_never_returned() {
+        let mut table = NodeTable::default();
+        let x = table.intern(Some(b"x"), empty_children());
+        let with_child = |slot: usize| {
+            let mut children = empty_children();
+            children[slot] = Some(Arc::clone(&x));
+            children
+        };
+        let z = table.intern(None, with_child(1));
+        // Seed each key with a live node of other content: another
+        // value, and the same child under another nibble.
+        for (value, children, squatter) in
+            [(Some(b"y".as_slice()), empty_children(), &x), (None, with_child(0), &z)]
+        {
+            table.nodes.insert(table_key(value, &children), Arc::downgrade(squatter));
+            let built = table.intern(value, children.clone());
+            assert!(!Arc::ptr_eq(&built, squatter));
+            assert!(has_parts(&built, value, &children));
+            assert_eq!(built.hash, Node::new(value.map(<[u8]>::to_vec), children).hash);
+        }
+    }
+
+    #[test]
+    fn apply_after_a_load_reuses_the_loaded_nodes() {
+        let first = map_of(&[(b"abc", b"1"), (b"abd", b"2"), (b"x", b"3")]);
+        let edits: [(&[u8], Option<&[u8]>); 2] = [(b"abc", Some(b"changed")), (b"x", None)];
+        let second = first.apply(&edits);
+        let loaded = crate::load_snapshots(&crate::dump_snapshots(&[(1, &first), (2, &second)]))
+            .expect("a fresh dump loads");
+        let (l1, l2) = (&loaded[0].1, &loaded[1].1);
+        // Recreating the first snapshot from the second hands back the
+        // loaded root itself, not an equal copy.
+        let undo: [(&[u8], Option<&[u8]>); 2] = [(b"abc", Some(b"1")), (b"x", Some(b"3"))];
+        let back = l2.apply(&undo);
+        assert_eq!(back.root_hash(), first.root_hash());
+        assert!(Arc::ptr_eq(back.root().unwrap(), l1.root().unwrap()));
+        assert_eq!(census(&[l1, l2, &back]), census(&[l1, l2]));
+    }
+
+    #[test]
+    fn the_table_tracks_the_live_nodes() {
+        // Rewrite every value, keeping every snapshot: the table grows
+        // with the history.
+        let keys: Vec<[u8; 4]> = (0u32..512).map(u32::to_be_bytes).collect();
+        let generation = |g: u32| -> Vec<([u8; 4], Option<[u8; 4]>)> {
+            keys.iter().map(|k| (*k, Some((g << 16 | u32::from(k[3])).to_be_bytes()))).collect()
+        };
+        let mut history = vec![PMap::new().apply(&generation(0))];
+        for g in 1..8 {
+            history.push(history.last().unwrap().apply(&generation(g)));
+        }
+        let (allocations, addresses) = census(&history.iter().collect::<Vec<_>>());
+        assert_eq!(allocations, addresses);
+        let grown = table_len(&history[0]);
+        assert!(grown >= allocations);
+
+        // Keep one map and go on applying fresh content, dropping each
+        // previous map: once a purge runs, the table is back to about
+        // the live nodes.
+        let mut kept = history.pop().unwrap();
+        drop(history);
+        let purge_at = |map: &PMap| map.table.lock().unwrap().purge_at;
+        for g in 8.. {
+            assert!(g < 64, "no purge after {} rounds", g - 8);
+            let last_purge = purge_at(&kept);
+            let next = kept.apply(&generation(g));
+            let live = census(&[&kept, &next]).0;
+            kept = next;
+            if purge_at(&kept) != last_purge {
+                assert!(table_len(&kept) <= 2 * live, "{} entries, {live} live", table_len(&kept));
+                break;
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -803,6 +1062,45 @@ mod tests {
                         prop_assert!(Arc::ptr_eq(a, applied.root().unwrap()));
                     }
                 }
+            }
+
+            #[test]
+            fn interning_is_invisible(
+                // Batches over RIB-shaped keys (ASN ‖ prefix) with
+                // values from a pool of three, so equal content recurs
+                // across keys and snapshots.
+                batches in proptest::collection::vec(
+                    proptest::collection::btree_map(
+                        (0u8..6, 0u8..4),
+                        proptest::option::of(0u8..3), 0..16),
+                    1..6),
+            ) {
+                let key = |(asn, p): (u8, u8)| [0, 0, 0, asn, 10, p, 0, 0, 24];
+                let value = |v: u8| [b"route-a".as_slice(), b"route-b", b"route-c"][v as usize];
+                let (mut lineage, mut folded) = (vec![PMap::new()], vec![PMap::new()]);
+                for batch in batches {
+                    let edits: Vec<([u8; 9], Option<&[u8]>)> =
+                        batch.into_iter().map(|(k, v)| (key(k), v.map(value))).collect();
+                    let applied = lineage.last().unwrap().apply(&edits);
+                    // The reference: the batch folded through `insert` /
+                    // `remove` onto a fresh map of the previous state.
+                    let previous = folded.last().unwrap().entries();
+                    let start = previous.iter().fold(PMap::new(), |m, (k, v)| m.insert(k, v));
+                    let fresh = fold(&start, &edits);
+                    prop_assert_eq!(applied.root_hash(), fresh.root_hash());
+                    prop_assert_eq!(applied.entries(), fresh.entries());
+                    prop_assert_eq!(applied.len(), fresh.len());
+                    lineage.push(applied);
+                    folded.push(fresh);
+                }
+                let labeled = |maps: &[PMap]| -> Vec<u8> {
+                    let refs: Vec<(u64, &PMap)> = (0u64..).zip(maps).collect();
+                    crate::dump_snapshots(&refs)
+                };
+                prop_assert_eq!(labeled(&lineage), labeled(&folded));
+                // The lineage holds each distinct node once.
+                let (allocations, addresses) = census(&lineage.iter().collect::<Vec<_>>());
+                prop_assert_eq!(allocations, addresses);
             }
 
             #[test]

@@ -17,7 +17,10 @@ use pvr::bgp::{
 use pvr::crypto::drbg::HmacDrbg;
 use pvr::crypto::encoding::{Reader, Wire, WireError};
 use pvr::netsim::{Fault, FaultPlan, RunLimits, SimDuration, SimTime, StopReason};
-use pvr::store::{read_container, write_header, write_section, StoreError, SECTION_OVERHEAD};
+use pvr::store::{
+    dump_snapshots, load_snapshots, read_container, write_header, write_section, PMap, StoreError,
+    SECTION_OVERHEAD,
+};
 use std::path::{Path, PathBuf};
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -912,6 +915,59 @@ fn attestation_chains_that_miss_their_candidates_are_typed_errors() {
             matches!(err, CheckpointError::Wire(WireError::Invalid(msg)) if msg == why),
             "{tag}: got {err:?}"
         );
+    }
+}
+
+/// A STORE section's snapshots: `(label, map)`, labels ascending.
+type History = Vec<(u64, PMap)>;
+
+/// The checkpoint `fixture` with its RIB history edited and dumped
+/// again: every node address and the section digest are valid, so only
+/// restore's comparison of STORE with ROUTERS stands in the way.
+fn with_history(fixture: &[u8], edit: impl Fn(&mut History)) -> Vec<u8> {
+    const SEC_STORE: u8 = 5;
+    with_section(fixture, SEC_STORE, |payload| {
+        let mut snapshots = load_snapshots(payload).expect("the fixture's history loads");
+        edit(&mut snapshots);
+        let labeled: Vec<(u64, &PMap)> = snapshots.iter().map(|(t, map)| (*t, map)).collect();
+        dump_snapshots(&labeled)
+    })
+}
+
+/// A history whose last snapshot is not the Loc-RIB the routers hold,
+/// or not at the saved instant, once restored without complaint.
+#[test]
+fn rib_history_that_disagrees_with_the_routers_is_a_typed_error() {
+    let fixture = checkpoint_bytes_fixture();
+    assert_eq!(with_history(&fixture, |_| {}), fixture);
+    let differs = "last RIB snapshot differs from the routers' RIBs";
+    let elsewhen = "last RIB snapshot is not at the saved instant";
+    let cases = [
+        ("history-cell-changed", differs),
+        ("history-cell-dropped", differs),
+        ("history-late", elsewhen),
+        ("history-early", elsewhen),
+        ("history-empty", "RIB history is empty"),
+    ];
+    for (tag, why) in cases {
+        let edited = with_history(&fixture, |history| {
+            let Some((at, last)) = history.last_mut() else { return };
+            let entries = last.entries();
+            match tag {
+                // One cell takes another cell's (well-formed) route.
+                "history-cell-changed" => {
+                    let (key, value) = &entries[0];
+                    let (_, other) = entries.iter().find(|(_, v)| v != value).expect("two routes");
+                    *last = last.insert(key, other);
+                }
+                "history-cell-dropped" => *last = last.remove(&entries[0].0),
+                "history-late" => *at += 1,
+                "history-early" => *at -= 1,
+                _ => history.clear(),
+            }
+        });
+        let err = must_fail(restore_mutilated(edited, tag), tag);
+        assert!(matches!(err, CheckpointError::Corrupt(msg) if msg == why), "{tag}: got {err:?}");
     }
 }
 
