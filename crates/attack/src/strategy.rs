@@ -188,26 +188,31 @@ impl AttackStrategy for RouteLeak {
 fn inject_short_path(net: &mut BgpNetwork, ctx: &CellContext, forged_chain: bool) {
     let mut route = Route::originate(ctx.victim_prefix);
     route.path = AsPath::from_slice(&[ctx.attacker, ctx.victim]);
-    let identity = net.router(ctx.attacker).identity().cloned();
+    let identity = net.router(ctx.attacker).identity().cloned().filter(|_| forged_chain);
+    // The inner attestation impersonates the victim but carries the
+    // attacker's signature; the attacker's own (outer) attestations
+    // over it are genuine — exactly what chain verification exists to
+    // catch.
+    let forged_inner = identity.as_ref().map(|id| {
+        let own = AsPath::from_slice(&[ctx.attacker]);
+        let none = AttestationChain::empty();
+        let inner = Attestation {
+            signer: ctx.victim,
+            path: AsPath::from_slice(&[ctx.victim]),
+            target: ctx.attacker,
+            ..Attestation::create(id, ctx.victim_prefix, &own, ctx.victim, &none)
+        };
+        AttestationChain::from_attestations(vec![inner])
+    });
     for (neighbor, _) in ctx.topology.neighbor_roles(ctx.attacker) {
         if neighbor == ctx.victim {
             continue; // the victim would loop-reject its own ASN anyway
         }
-        let sr = match (&identity, forged_chain) {
-            (Some(id), true) => {
-                // The attacker's own (outer) attestation is genuine; the
-                // inner one impersonates the victim but carries the
-                // attacker's signature — exactly what chain verification
-                // exists to catch.
-                let outer = Attestation::create(id, ctx.victim_prefix, &route.path, neighbor);
-                let mut inner = outer.clone();
-                inner.signer = ctx.victim;
-                inner.path = AsPath::from_slice(&[ctx.victim]);
-                inner.target = ctx.attacker;
-                SignedRoute::with_chain(
-                    route.clone(),
-                    AttestationChain::from_attestations(vec![inner, outer]),
-                )
+        let sr = match (&identity, &forged_inner) {
+            (Some(id), Some(below)) => {
+                let outer =
+                    Attestation::create(id, ctx.victim_prefix, &route.path, neighbor, below);
+                SignedRoute::with_chain(route.clone(), below.push(outer))
             }
             _ => SignedRoute::unsigned(route.clone()),
         };
@@ -281,12 +286,15 @@ impl AttackStrategy for TruncatedChain {
                     if neighbor == c.victim {
                         continue;
                     }
-                    let outer =
-                        Attestation::create(&identity, c.victim_prefix, &route.path, neighbor);
-                    let sr = SignedRoute::with_chain(
-                        route.clone(),
-                        AttestationChain::from_attestations(vec![origin_att.clone(), outer]),
+                    let below = AttestationChain::from_attestations(vec![origin_att.clone()]);
+                    let outer = Attestation::create(
+                        &identity,
+                        c.victim_prefix,
+                        &route.path,
+                        neighbor,
+                        &below,
                     );
+                    let sr = SignedRoute::with_chain(route.clone(), below.push(outer));
                     let update = BgpUpdate { announces: vec![sr], withdraws: vec![] };
                     let (src, dst) = (net.node_of(c.attacker), net.node_of(neighbor));
                     net.sim.inject(src, dst, update);

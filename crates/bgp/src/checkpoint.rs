@@ -20,7 +20,7 @@
 //! runs at any shard count checkpoint identical logical states (modulo
 //! the documented per-shard `verify_cache` scope).
 //!
-//! ## File format (`PVRCKPT4`, version 4)
+//! ## File format (`PVRCKPT5`, version 5)
 //!
 //! The container reuses `pvr-store`'s framing — `magic ‖ version` then
 //! tagged sections, each `tag u8 ‖ len u64 ‖ payload ‖ SHA-256(payload)`
@@ -30,13 +30,16 @@
 //! |-----|-----------|----------------------------------------------------|
 //! | 1   | `META`    | shard count, options, topology, origin table       |
 //! | 2   | `ENGINE`  | engine `save_state` bytes (clock, link DRBG, per-shard calendars) |
-//! | 3   | `ROUTERS` | per-AS dynamic router state: one record per prefix cell, then chains, timers, counters |
-//! | 4   | `CACHE`   | verify-cache verdict memos, one per shard          |
+//! | 3   | `ROUTERS` | per-AS dynamic router state: one record per prefix cell, then chains, the salt DRBG (signed mode), timers, counters |
+//! | 4   | `CACHE`   | verify-cache memos (attestation and root-signature verdicts), one per shard |
 //! | 5   | `STORE`   | COW RIB snapshot history (`pvr-store` dump)         |
 //!
 //! META's options are the [`InstantiateOptions`] wire form: dampening is
 //! one option tag, its thresholds being constants, and the default link
-//! rides in ENGINE alone. Version 3 (`PVRCKPT3`) also wrote that link
+//! rides in ENGINE alone. Version 4 (`PVRCKPT4`) held per-neighbor
+//! attestations (one signature each, no salt, no proof) and no salt
+//! DRBG; a plain network's file differs from it in the header alone.
+//! Version 3 (`PVRCKPT3`) also wrote that link
 //! (25 B) and the six dampening thresholds into META; version 2
 //! (`PVRCKPT2`) wrote each router's RIB as three lists instead of cell
 //! records; version 1 (`PVRCKPT1`) also carried an engine-kind byte in
@@ -134,9 +137,9 @@ use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
 /// Checkpoint file magic.
-pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT4";
+pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT5";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 4;
+pub const CKPT_VERSION: u32 = 5;
 
 /// Section tags (see the module docs for the layout).
 const SEC_META: u8 = 1;

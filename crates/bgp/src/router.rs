@@ -57,7 +57,7 @@ use crate::policy::{import_as, may_export_as, PolicyConfig, Role};
 use crate::private::{PrivateRequest, PrivateVerifier, PVR_VERDICT_TIMER};
 use crate::rib::{PrefixCell, ReselectHint, ReselectOutcome};
 use crate::route::{Community, Route};
-use crate::sbgp::{SignQueue, SignedRoute, VerifyCache};
+use crate::sbgp::{Salt, SignQueue, SignedRoute, VerifyCache, SALT_LEN};
 use crate::sorted::SortedMap;
 use crate::topology::OriginTable;
 use crate::types::{Asn, Prefix};
@@ -88,11 +88,15 @@ pub enum SecurityMode {
     /// S-BGP mode: sign own announcements, verify received chains, drop
     /// announcements that fail verification.
     Signed {
-        /// This AS's signing identity, shared with the attestations it
-        /// has made but not yet signed.
+        /// This AS's signing identity, shared with the exports it has
+        /// made but not yet signed.
         identity: Arc<Identity>,
         /// Public keys of all ASes.
         keys: Arc<KeyStore>,
+        /// Router-owned DRBG the attestation salts draw from, one
+        /// `generate` per export: seeded per AS, so the salts cannot
+        /// depend on the shard layout, and checkpointed with the RIB.
+        salts: HmacDrbg,
     },
 }
 
@@ -283,6 +287,8 @@ pub struct BgpRouter {
     pending_scratch: SortedMap<NodeId, BgpUpdate>,
     /// Reused buffer for the holder list `export` rebuilds.
     holders_scratch: Vec<Asn>,
+    /// Reused buffer for the neighbors one signed export goes to.
+    recipients_scratch: Vec<Neighbor>,
     stats: RouterStats,
     /// Per-router convergence-timeline recorder (RIB churn and verify
     /// traffic per sim-time window); `None` unless observability was
@@ -327,6 +333,7 @@ impl BgpRouter {
             touched_scratch: Vec::new(),
             pending_scratch: SortedMap::new(),
             holders_scratch: Vec::new(),
+            recipients_scratch: Vec::new(),
             stats: RouterStats::default(),
             obs_timeline: None,
             journal: pvr_obs::EventJournal::new(0),
@@ -786,6 +793,8 @@ impl BgpRouter {
 
     /// The per-neighbor half of [`reselect_and_export`]: advertises or
     /// withdraws the cell's fresh selection toward every live neighbor.
+    /// In signed mode the neighbors it is announced to get one batch,
+    /// signed once ([`announce_signed`](Self::announce_signed)).
     ///
     /// One merge of the session list against the cell's holder list,
     /// both in ASN order: a neighbor policy admits is announced to
@@ -814,7 +823,9 @@ impl BgpRouter {
         // (a stub exports nothing it learned), and then it is never built.
         let mut built: Option<(Route, bool)> = None;
         let source = best.and_then(|cand| self.source_of(cand));
+        let signed = matches!(self.security, SecurityMode::Signed { .. });
         let mut holders = std::mem::take(&mut self.holders_scratch);
+        let mut recipients = std::mem::take(&mut self.recipients_scratch);
         let mut held_by = cell.out_to().iter().copied().peekable();
         for i in 0..self.neighbor_list.len() {
             // Indexed access keeps the borrow local so counters and
@@ -838,8 +849,12 @@ impl BgpRouter {
                     if held && *unchanged {
                         continue;
                     }
-                    let signed = self.sign_for(cand, out_route, neighbor.asn);
-                    pending.get_or_default(neighbor.node).announce(signed);
+                    if signed {
+                        recipients.push(neighbor);
+                    } else {
+                        let unsigned = SignedRoute::unsigned(out_route.clone());
+                        pending.get_or_default(neighbor.node).announce(unsigned);
+                    }
                 }
                 None => {
                     if held {
@@ -850,26 +865,49 @@ impl BgpRouter {
             }
         }
         debug_assert!(held_by.next().is_none(), "an Adj-RIB-Out holder is not a neighbor");
+        if let (Some(cand), Some((out_route, _))) = (best, &built) {
+            self.announce_signed(cand, out_route, &recipients, pending);
+        }
         cell.set_out(built.map(|(out_route, _)| out_route), &holders);
         holders.clear();
         self.holders_scratch = holders;
+        recipients.clear();
+        self.recipients_scratch = recipients;
     }
 
-    /// Builds the (possibly attested) announcement of `out_route` to
-    /// `neighbor`, extending the received chain when one exists. The
-    /// attestation is signed when first read — by the receiver, or
-    /// earlier by a helper thread of the sign queue.
-    fn sign_for(&self, cand: CandidateRef<'_>, out_route: &Route, neighbor: Asn) -> SignedRoute {
-        let SecurityMode::Signed { identity, .. } = &self.security else {
-            return SignedRoute::unsigned(out_route.clone());
+    /// Announces `out_route` to `to` (ascending ASN order; nothing when
+    /// empty) as one export batch, extending the chain `cand` arrived
+    /// with when there is one. The batch draws its salts in one
+    /// `generate` and is signed when first read — by a receiver, or
+    /// earlier by a helper thread of the sign queue. Signed mode only.
+    fn announce_signed(
+        &mut self,
+        cand: CandidateRef<'_>,
+        out_route: &Route,
+        to: &[Neighbor],
+        pending: &mut SortedMap<NodeId, BgpUpdate>,
+    ) {
+        if to.is_empty() {
+            return;
+        }
+        let SecurityMode::Signed { identity, salts, .. } = &mut self.security else {
+            unreachable!("a signed export in plain mode")
         };
         let received = cand.learned_from.map(|from| {
             self.chains_in
                 .get(&(from, out_route.prefix))
                 .expect("signed mode: chain must exist for learned route")
         });
-        let queue = self.sign_queue.as_deref();
-        SignedRoute::signed_later(received, identity, out_route.clone(), neighbor, queue)
+        let mut leaf_salts: Vec<Salt> = vec![[0; SALT_LEN]; to.len()];
+        salts.generate(leaf_salts.as_flattened_mut());
+        let targets: Vec<Asn> = to.iter().map(|neighbor| neighbor.asn).collect();
+        let routes = SignedRoute::export(received, identity, out_route, &targets, &leaf_salts);
+        if let Some(queue) = &self.sign_queue {
+            queue.push(routes[0].chain());
+        }
+        for (neighbor, signed) in to.iter().zip(routes) {
+            pending.get_or_default(neighbor.node).announce(signed);
+        }
     }
 
     /// Processes one announcement from `from` at simulated time `now`;
@@ -1090,8 +1128,13 @@ impl BgpRouter {
             let out_route =
                 cell.out().cloned().unwrap_or_else(|| cand.route.propagated_by(self.asn));
             debug_assert_eq!(out_route, cand.route.propagated_by(self.asn));
-            let signed = self.sign_for(cand, &out_route, peer.asn);
-            pending.get_or_default(peer.node).announce(signed);
+            if matches!(self.security, SecurityMode::Signed { .. }) {
+                self.announce_signed(cand, &out_route, &[peer], pending);
+            } else {
+                pending
+                    .get_or_default(peer.node)
+                    .announce(SignedRoute::unsigned(out_route.clone()));
+            }
             cell.add_holder(peer.asn, out_route);
         }
         self.cells = cells;
@@ -1157,7 +1200,7 @@ impl BgpRouter {
     }
 
     /// Serializes every field the event loop mutates — RIBs, chains,
-    /// MRAI buffer, dampening state, session set, counters, recorders —
+    /// the salt DRBG (signed mode), MRAI buffer, dampening state, session set, counters, recorders —
     /// in a fixed deterministic order. Static configuration (policy,
     /// keys, neighbors, schedule) is *not* written: restore rebuilds it
     /// from the topology and overlays this dynamic state on top. The RIB
@@ -1174,6 +1217,9 @@ impl BgpRouter {
         for (&(n, _), sr) in &self.chains_in {
             n.encode(buf);
             sr.encode(buf);
+        }
+        if let SecurityMode::Signed { salts, .. } = &self.security {
+            salts.encode(buf);
         }
         self.mrai_buffer.encode(buf);
         self.mrai_armed.encode(buf);
@@ -1230,6 +1276,10 @@ impl BgpRouter {
             cells.insert(prefix, Box::new(cell));
         }
         let chains_in = by_prefix(r)?;
+        let salts = match self.security {
+            SecurityMode::Signed { .. } => Some(HmacDrbg::decode(r)?),
+            SecurityMode::Plain => None,
+        };
         let mrai_buffer = BTreeMap::<NodeId, BgpUpdate>::decode(r)?;
         if !mrai_buffer.keys().all(|node| self.asn_of_node.contains_key(node)) {
             return Err(WireError::Invalid("MRAI buffer entry for a non-neighbor node"));
@@ -1271,6 +1321,10 @@ impl BgpRouter {
 
         self.cells = cells;
         self.chains_in = chains_in;
+        if let (SecurityMode::Signed { salts: own, .. }, Some(saved)) = (&mut self.security, salts)
+        {
+            *own = saved;
+        }
         self.mrai_buffer = mrai_buffer;
         self.mrai_armed = mrai_armed;
         self.jitter_rng = jitter_rng;

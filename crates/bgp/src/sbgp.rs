@@ -8,16 +8,33 @@
 //! announcements."
 //!
 //! Construction: when AS `s` announces prefix `p` with path `P` to
-//! neighbor `t`, it appends an attestation — its signature over
-//! `(p, P, t)`. The chain of attestations, one per AS on the path, proves
-//! that every hop authorized the announcement to the next hop, so a
-//! receiver can check that the route "was provided to A by some N_i".
+//! neighbor `t`, it appends an attestation covering `(p, P, t)`. The
+//! chain of attestations, one per AS on the path, proves that every hop
+//! authorized the announcement to the next hop, so a receiver can check
+//! that the route "was provided to A by some N_i".
+//!
+//! One export, one signature (§3.8: "it seems feasible to sign messages
+//! in batches, perhaps using a small MHT to reveal batched routes
+//! individually"). A router announcing one route to `n` neighbors makes
+//! `n` attestations at once, the leaves of a [`SeqTree`] in
+//! neighbor-ASN order, and signs `n ‖ root` once. Each neighbor receives
+//! its own leaf's fields, its position, the sibling hashes that take
+//! the leaf to the root, and the signature. A leaf commits to:
+//!
+//! * the prefix, the path, the target and the signer, as S-BGP's
+//!   per-neighbor signature did;
+//! * a per-leaf salt, so a receiver cannot hash candidate targets
+//!   against its siblings to learn where else the route went;
+//! * the digest of the attestation it extends, so breaking any byte
+//!   below an attestation breaks that attestation too (BGPsec, RFC
+//!   8205, signs over the previous signature segment for the same
+//!   reason).
 //!
 //! Not covered by signatures (as in real S-BGP): LOCAL_PREF, MED, and
 //! communities — they are non-transitive or locally meaningful.
 //!
-//! A router's own attestations are signed when first read, not when
-//! made, and on cores the process leaves free ([`crate::cores`]) helper
+//! A router's own exports are signed when first read, not when made,
+//! and on cores the process leaves free ([`crate::cores`]) helper
 //! threads sign them ahead of the readers: PKCS#1 v1.5 signing is
 //! deterministic, so who computes a signature, and when, changes no
 //! byte.
@@ -29,14 +46,40 @@ use crate::types::{Asn, Prefix};
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_crypto::rsa::RsaSignature;
-use pvr_crypto::sha256::sha256_concat;
-use std::collections::hash_map::{Entry, HashMap};
+use pvr_crypto::sha256::{sha256_concat, Digest, Sha256};
+use pvr_mht::seqtree::{self, SeqTree, Siblings};
+use std::collections::hash_map::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::Duration;
 
-/// One hop's signature over (prefix, path-so-far, intended receiver).
+/// Bytes of an attestation's salt.
+pub const SALT_LEN: usize = 16;
+
+/// Random bytes mixed into one leaf of an export, hiding the leaf's
+/// target from the export's other recipients.
+pub type Salt = [u8; SALT_LEN];
+
+/// The salt of a batch of one ([`SignedRoute::originate`],
+/// [`SignedRoute::extend`], [`Attestation::create`]): a batch without
+/// siblings has no co-recipient to hide.
+const LONE_SALT: Salt = [0; SALT_LEN];
+
+/// Domain tags: what a leaf commits to, what the signature covers, an
+/// attestation's digest, and a root signature's memo key. Short, so a
+/// leaf of a path up to six ASes long, and a memo key, hash in two
+/// SHA-256 blocks.
+const LEAF_TAG: &[u8] = b"sbgp.leaf";
+const ROOT_TAG: &[u8] = b"sbgp.root";
+const NODE_TAG: &[u8] = b"sbgp.node";
+const SIG_TAG: &[u8] = b"sbgp.sig";
+
+/// The length of [`root_message`].
+const ROOT_MESSAGE_LEN: usize = ROOT_TAG.len() + 4 + 32;
+
+/// One hop's attestation: its leaf of the signer's export batch, with
+/// the proof that takes the leaf to the signed root.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Attestation {
     /// The announced prefix.
@@ -47,55 +90,115 @@ pub struct Attestation {
     pub target: Asn,
     /// The signing AS (must equal `path.first_as()`).
     pub signer: Asn,
-    /// Signature over the canonical encoding of the above.
+    /// This leaf's salt.
+    pub salt: Salt,
+    /// This leaf's position in the batch.
+    pub index: u32,
+    /// How many leaves the batch has.
+    pub size: u32,
+    /// The sibling hashes from the leaf level up, one per level where
+    /// the leaf's node has a sibling.
+    pub siblings: Vec<Digest>,
+    /// The signer's signature over the batch's size and root.
     pub signature: RsaSignature,
-}
-
-impl Attestation {
-    /// Writes the canonical signing payload into `buf` (which is
-    /// cleared first). Chain verification reuses one growable buffer
-    /// across all attestations instead of allocating per hop.
-    fn signed_bytes_into(
-        buf: &mut Vec<u8>,
-        prefix: &Prefix,
-        path: &AsPath,
-        target: Asn,
-        signer: Asn,
-    ) {
-        buf.clear();
-        buf.extend_from_slice(b"pvr.sbgp.v1");
-        prefix.encode(buf);
-        path.encode(buf);
-        target.encode(buf);
-        signer.encode(buf);
-    }
-
-    fn signed_bytes(prefix: &Prefix, path: &AsPath, target: Asn, signer: Asn) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        Self::signed_bytes_into(&mut buf, prefix, path, target, signer);
-        buf
-    }
-
-    /// Creates `identity`'s attestation for announcing (`prefix`, `path`)
-    /// to `target`. The one place an attestation signature is computed.
-    pub fn create(identity: &Identity, prefix: Prefix, path: &AsPath, target: Asn) -> Attestation {
-        let signer = Asn(identity.id() as u32);
-        debug_assert_eq!(path.first_as(), Some(signer), "signer must head the path");
-        let bytes = Self::signed_bytes(&prefix, path, target, signer);
-        Attestation { prefix, path: path.clone(), target, signer, signature: identity.sign(&bytes) }
-    }
-
-    /// Verifies the signature.
-    pub fn verify(&self, keys: &KeyStore) -> Result<(), SbgpError> {
-        let bytes = Self::signed_bytes(&self.prefix, &self.path, self.target, self.signer);
-        keys.verify(self.signer.principal(), &bytes, &self.signature)
-            .map_err(|_| SbgpError::BadSignature(self.signer))
-    }
 }
 
 // A chain's nodes encode through this line too (`ChainNode::attestation`);
 // only their length sum (`ChainNode::encoded_len`) restates the fields.
-pvr_crypto::wire_struct!(Attestation { prefix, path, target, signer, signature });
+pvr_crypto::wire_struct!(Attestation {
+    prefix,
+    path,
+    target,
+    signer,
+    salt,
+    index,
+    size,
+    siblings,
+    signature
+});
+
+impl Attestation {
+    /// Creates `identity`'s attestation for announcing (`prefix`,
+    /// `path`) to `target` on top of `below`, as a batch of one.
+    pub fn create(
+        identity: &Identity,
+        prefix: Prefix,
+        path: &AsPath,
+        target: Asn,
+        below: &AttestationChain,
+    ) -> Attestation {
+        below.extended_now(identity, prefix, path, target).newest().expect("one attestation")
+    }
+}
+
+/// Writes what a leaf commits to into `buf` (cleared first): the
+/// attestation's fields, its salt and the digest of the attestation it
+/// extends.
+fn leaf_item(buf: &mut Vec<u8>, fields: &Fields<'_>, parent: &Digest) {
+    buf.clear();
+    buf.extend_from_slice(LEAF_TAG);
+    fields.prefix.encode(buf);
+    fields.path.encode(buf);
+    fields.target.encode(buf);
+    fields.signer.encode(buf);
+    buf.extend_from_slice(fields.salt);
+    buf.extend_from_slice(parent.as_bytes());
+}
+
+/// What a batch's signature covers: its size and its root, so a proof
+/// cannot claim another tree shape.
+fn root_message(size: u32, root: &Digest) -> [u8; ROOT_MESSAGE_LEN] {
+    let mut message = [0; ROOT_MESSAGE_LEN];
+    let (tag, rest) = message.split_at_mut(ROOT_TAG.len());
+    tag.copy_from_slice(ROOT_TAG);
+    rest[..4].copy_from_slice(&size.to_be_bytes());
+    rest[4..].copy_from_slice(root.as_bytes());
+    message
+}
+
+/// The part of an attestation's digest one export's leaves share: the
+/// tag, the signature, and the batch's size and root ([`digest_leaf`]
+/// adds the leaf).
+fn digest_shared(signature: &RsaSignature, size: u32, root: &Digest) -> Sha256 {
+    let mut shared = Vec::with_capacity(128);
+    shared.extend_from_slice(NODE_TAG);
+    signature.encode(&mut shared);
+    size.encode(&mut shared);
+    shared.extend_from_slice(root.as_bytes());
+    let mut hasher = Sha256::new();
+    hasher.update(&shared);
+    hasher
+}
+
+/// An attestation's digest: [`digest_shared`] finished with its leaf
+/// hash. The leaf commits to the fields, the salt, the position and the
+/// digest of the attestation below; the root commits to the siblings
+/// (it is what they take the leaf to). So a digest covers every byte of
+/// the attestation and, through its parent's, every attestation below
+/// it: it is the [`VerifyCache`] key and what the next hop's leaf
+/// binds. A batch hashes the shared part once.
+fn digest_leaf(mut shared: Sha256, leaf: &Digest) -> Digest {
+    shared.update(leaf.as_bytes());
+    shared.finalize()
+}
+
+/// The digest of `att` on top of an attestation whose digest is `parent`.
+/// Its proof is folded here; one of the wrong shape folds to no root,
+/// and a hash of its siblings stands in for one.
+fn attestation_digest(parent: &Digest, att: &Attestation) -> Digest {
+    let mut buf = Vec::with_capacity(128);
+    leaf_item(&mut buf, &Fields::of(att), parent);
+    let leaf = seqtree::leaf_hash(u64::from(att.index), &buf);
+    let siblings = att.siblings.iter().copied();
+    let root = seqtree::fold(u64::from(att.index), u64::from(att.size), leaf, siblings)
+        .unwrap_or_else(|| sha256_concat(&[NODE_TAG, &att.siblings.to_wire()]));
+    digest_leaf(digest_shared(&att.signature, att.size, &root), &leaf)
+}
+
+/// The digest a node on top of `parent` binds.
+fn parent_digest(parent: Option<&Arc<ChainNode>>) -> Digest {
+    parent.map_or(Digest::ZERO, |node| node.digest())
+}
 
 /// A persistent (structurally shared) attestation chain.
 ///
@@ -104,8 +207,8 @@ pvr_crypto::wire_struct!(Attestation { prefix, path, target, signer, signature }
 /// shared prefixes. The pre-E14 representation (`Vec<Attestation>`)
 /// deep-copied the whole prefix — path slices and signature bytes — at
 /// every hop and for every per-neighbor clone. This cons list shares
-/// the parent instead: [`AttestationChain::push`] allocates one node,
-/// and every clone anywhere downstream is a reference-count bump.
+/// the parent instead, and every clone anywhere downstream is a
+/// reference-count bump.
 ///
 /// The newest attestation (last hop's) is the list head; origin-first
 /// order — the canonical wire and verification order — is recovered by
@@ -113,75 +216,277 @@ pvr_crypto::wire_struct!(Attestation { prefix, path, target, signer, signature }
 /// length) to make free compared to one RSA verify.
 ///
 /// Attestations are handed out by value ([`newest`](Self::newest),
-/// [`origin`](Self::origin), [`to_vec`](Self::to_vec)): a node may not
-/// hold its signature yet, and reading one signs it.
+/// [`origin`](Self::origin), [`to_vec`](Self::to_vec)): a node's batch
+/// may not be signed yet, and reading one signs it.
 #[derive(Clone, Default)]
 pub struct AttestationChain(Option<Arc<ChainNode>>);
 
-/// One attestation of a chain: the [`Attestation`] fields, with the
-/// signature either given at construction (decoded, hand-built, forged
-/// or eagerly signed attestations) or made from `key` on first read —
-/// whichever thread reads first signs, once, and every reader sees the
-/// same bytes. The job is the fields already here plus the key, so a
-/// deferred node costs a once-state and one pointer over a finished one
-/// (`chain_node_stays_small` holds the size).
-struct ChainNode {
-    prefix: Prefix,
-    path: AsPath,
-    target: Asn,
-    signer: Asn,
-    signature: OnceLock<RsaSignature>,
-    /// The signer's identity while the signature may still be owed;
-    /// `None` when it was given.
-    key: Option<Arc<Identity>>,
-    parent: Option<Arc<ChainNode>>,
-    /// Number of attestations up to and including this node.
-    len: u32,
+/// One attestation of a chain.
+enum ChainNode {
+    /// Leaf `index` of an export made in this process: fields, salt,
+    /// proof and signature all live in the shared batch, which is
+    /// signed — tree, signature and every leaf's digest — when first
+    /// read, by whichever thread reads first.
+    Made { batch: Arc<Batch>, index: u32 },
+    /// A decoded or hand-built attestation, proof and signature
+    /// included, with its digest computed when it was pushed.
+    Given(Box<Given>),
 }
 
-impl ChainNode {
-    /// The signature, computed here if this is its first read.
-    fn signature(&self) -> &RsaSignature {
-        self.signature.get_or_init(|| {
-            Attestation::create(self.key(), self.prefix, &self.path, self.target).signature
+struct Given {
+    att: Attestation,
+    parent: Option<Arc<ChainNode>>,
+    /// Number of attestations up to and including this one.
+    len: u32,
+    digest: Digest,
+}
+
+/// One export's attestations: the fields its leaves share, a target and
+/// a salt per leaf, and — once signed — the tree, the signature and
+/// each leaf's digest. The job is the fields plus the key, so a batch
+/// owes its signature for the cost of one pointer.
+struct Batch {
+    prefix: Prefix,
+    /// The path announced, the signer first.
+    path: AsPath,
+    /// The chain every leaf extends; `None` for an origination.
+    parent: Option<Arc<ChainNode>>,
+    /// Number of attestations up to and including a leaf.
+    len: u32,
+    /// One `(target, salt)` per leaf, targets ascending.
+    leaves: Box<[(Asn, Salt)]>,
+    signed: OnceLock<Signed>,
+    /// The signer's identity while the signature may still be owed;
+    /// `None` for a batch signed when made.
+    key: Option<Arc<Identity>>,
+}
+
+struct Signed {
+    tree: SeqTree,
+    signature: RsaSignature,
+    /// Each leaf's digest ([`digest_leaf`]).
+    digests: Box<[Digest]>,
+}
+
+/// The fields a leaf shares with the route it attests.
+struct Fields<'a> {
+    prefix: Prefix,
+    path: &'a AsPath,
+    target: Asn,
+    signer: Asn,
+    salt: &'a Salt,
+}
+
+impl Fields<'_> {
+    fn of(att: &Attestation) -> Fields<'_> {
+        Fields {
+            prefix: att.prefix,
+            path: &att.path,
+            target: att.target,
+            signer: att.signer,
+            salt: &att.salt,
+        }
+    }
+}
+
+/// What takes a leaf to its signed root.
+struct Proof<'a> {
+    index: u32,
+    size: u32,
+    siblings: ProofSiblings<'a>,
+    signature: &'a RsaSignature,
+}
+
+enum ProofSiblings<'a> {
+    Tree(Siblings<'a>),
+    Listed(std::slice::Iter<'a, Digest>),
+}
+
+impl Iterator for ProofSiblings<'_> {
+    type Item = Digest;
+
+    fn next(&mut self) -> Option<Digest> {
+        match self {
+            ProofSiblings::Tree(tree) => tree.next(),
+            ProofSiblings::Listed(listed) => listed.next().copied(),
+        }
+    }
+}
+
+impl Batch {
+    fn new(
+        below: &AttestationChain,
+        prefix: Prefix,
+        path: AsPath,
+        leaves: Box<[(Asn, Salt)]>,
+        key: Option<Arc<Identity>>,
+    ) -> Arc<Batch> {
+        debug_assert!(leaves.windows(2).all(|pair| pair[0].0 < pair[1].0), "targets ascend");
+        let len = below.len() as u32 + 1;
+        let parent = below.0.clone();
+        Arc::new(Batch { prefix, path, parent, len, leaves, signed: OnceLock::new(), key })
+    }
+
+    /// The chain ending in leaf `index`.
+    fn node(self: &Arc<Batch>, index: usize) -> AttestationChain {
+        let node = ChainNode::Made { batch: Arc::clone(self), index: index as u32 };
+        AttestationChain(Some(Arc::new(node)))
+    }
+
+    fn signer(&self) -> Asn {
+        self.path.first_as().expect("an export's path starts with its signer")
+    }
+
+    fn size(&self) -> u32 {
+        self.leaves.len() as u32
+    }
+
+    fn fields(&self, index: usize) -> Fields<'_> {
+        Fields {
+            prefix: self.prefix,
+            path: &self.path,
+            target: self.leaves[index].0,
+            signer: self.signer(),
+            salt: &self.leaves[index].1,
+        }
+    }
+
+    /// The tree, signature and digests, signed here if this is the
+    /// batch's first read.
+    fn signed(&self) -> &Signed {
+        self.signed.get_or_init(|| {
+            self.sign(self.key.as_deref().expect("a batch without a signature holds its key"))
         })
     }
 
-    /// The key of a node whose signature is still owed.
-    fn key(&self) -> &Identity {
-        self.key.as_deref().expect("a node without a signature holds its key")
-    }
-
     fn is_signed(&self) -> bool {
-        self.signature.get().is_some()
+        self.signed.get().is_some()
     }
 
-    /// The node as an [`Attestation`], signing it if owed. Equality and
-    /// encoding go through here, so `Attestation`'s derived `PartialEq`
-    /// and its `wire_struct!` line stay the one statement of both; they
-    /// are off the hot path (tests, checkpoints, `Debug`).
-    fn attestation(&self) -> Attestation {
+    /// Hashes the leaves, builds the tree, signs its size and root once,
+    /// and digests every leaf's attestation.
+    fn sign(&self, identity: &Identity) -> Signed {
+        debug_assert_eq!(Asn(identity.id() as u32), self.signer(), "signer must head the path");
+        let parent = parent_digest(self.parent.as_ref());
+        let mut buf = Vec::with_capacity(128);
+        let tree = SeqTree::from_leaf_hashes((0..self.leaves.len()).map(|i| {
+            leaf_item(&mut buf, &self.fields(i), &parent);
+            seqtree::leaf_hash(i as u64, &buf)
+        }));
+        let root = tree.root();
+        let signature = identity.sign(&root_message(self.size(), &root));
+        let shared = digest_shared(&signature, self.size(), &root);
+        let digests = tree.leaves().iter().map(|leaf| digest_leaf(shared.clone(), leaf)).collect();
+        Signed { tree, signature, digests }
+    }
+
+    fn attestation(&self, index: usize, tree: &SeqTree, signature: &RsaSignature) -> Attestation {
+        let Fields { prefix, path, target, signer, salt } = self.fields(index);
         Attestation {
-            prefix: self.prefix,
-            path: self.path.clone(),
-            target: self.target,
-            signer: self.signer,
-            signature: self.signature().clone(),
+            prefix,
+            path: path.clone(),
+            target,
+            signer,
+            salt: *salt,
+            index: index as u32,
+            size: self.size(),
+            siblings: tree.siblings(index).collect(),
+            signature: signature.clone(),
+        }
+    }
+}
+
+impl ChainNode {
+    fn parent(&self) -> Option<&Arc<ChainNode>> {
+        match self {
+            ChainNode::Made { batch, .. } => batch.parent.as_ref(),
+            ChainNode::Given(given) => given.parent.as_ref(),
+        }
+    }
+
+    fn len(&self) -> u32 {
+        match self {
+            ChainNode::Made { batch, .. } => batch.len,
+            ChainNode::Given(given) => given.len,
+        }
+    }
+
+    fn fields(&self) -> Fields<'_> {
+        match self {
+            ChainNode::Made { batch, index } => batch.fields(*index as usize),
+            ChainNode::Given(given) => Fields::of(&given.att),
+        }
+    }
+
+    /// The node's proof, signing its batch if owed.
+    fn proof(&self) -> Proof<'_> {
+        match self {
+            ChainNode::Made { batch, index } => {
+                let signed = batch.signed();
+                Proof {
+                    index: *index,
+                    size: batch.size(),
+                    siblings: ProofSiblings::Tree(signed.tree.siblings(*index as usize)),
+                    signature: &signed.signature,
+                }
+            }
+            ChainNode::Given(given) => Proof {
+                index: given.att.index,
+                size: given.att.size,
+                siblings: ProofSiblings::Listed(given.att.siblings.iter()),
+                signature: &given.att.signature,
+            },
+        }
+    }
+
+    /// The node's digest ([`digest_leaf`]), signing its batch if owed.
+    fn digest(&self) -> Digest {
+        match self {
+            ChainNode::Made { batch, index } => batch.signed().digests[*index as usize],
+            ChainNode::Given(given) => given.digest,
+        }
+    }
+
+    #[cfg(test)]
+    fn is_signed(&self) -> bool {
+        match self {
+            ChainNode::Made { batch, .. } => batch.is_signed(),
+            ChainNode::Given(_) => true,
+        }
+    }
+
+    /// The node as an [`Attestation`], signing its batch if owed.
+    /// Encoding goes through here, so the `wire_struct!` line stays the
+    /// one statement of it; it is off the hot path (tests, checkpoints,
+    /// `Debug`).
+    fn attestation(&self) -> Attestation {
+        match self {
+            ChainNode::Made { batch, index } => {
+                let signed = batch.signed();
+                batch.attestation(*index as usize, &signed.tree, &signed.signature)
+            }
+            ChainNode::Given(given) => given.att.clone(),
         }
     }
 
     /// The length of the node's [`Attestation`] encoding, without
-    /// signing: an owed PKCS#1 v1.5 signature is exactly as long as the
-    /// modulus. This sum is on every send (`BgpUpdate::wire_size`), so it
-    /// restates the field set; the exhaustive pattern makes a new field
-    /// a compile error here, and `tests/wire.rs` checks the sum against
-    /// the encoding.
+    /// signing: the proof's shape follows from the index and the size,
+    /// and an owed PKCS#1 v1.5 signature is exactly as long as the
+    /// modulus. This sum is on every send (`BgpUpdate::wire_size`), so
+    /// it restates the field set; `tests/wire.rs` and the batch tests
+    /// check it against the encoding.
     fn encoded_len(&self) -> usize {
-        let ChainNode { prefix, path, target, signer, signature, key: _, parent: _, len: _ } = self;
-        let signature = match signature.get() {
-            Some(sig) => sig.encoded_len(),
+        let (batch, index) = match self {
+            ChainNode::Made { batch, index } => (batch, *index),
+            ChainNode::Given(given) => return given.att.encoded_len(),
+        };
+        let Fields { prefix, path, target, signer, salt } = batch.fields(index as usize);
+        let siblings = seqtree::sibling_count(u64::from(index), u64::from(batch.size()));
+        let signature = match batch.signed.get() {
+            Some(signed) => signed.signature.encoded_len(),
             None => {
-                let bytes = self.key().public().modulus_len();
+                let key = batch.key.as_deref().expect("a batch without a signature holds its key");
+                let bytes = key.public().modulus_len();
                 (bytes as u32).encoded_len() + bytes
             }
         };
@@ -189,7 +494,30 @@ impl ChainNode {
             + path.encoded_len()
             + target.encoded_len()
             + signer.encoded_len()
+            + salt.encoded_len()
+            + index.encoded_len()
+            + batch.size().encoded_len()
+            + (siblings as u32).encoded_len()
+            + siblings * Digest::ZERO.encoded_len()
             + signature
+    }
+
+    /// Whether the node's proof takes its leaf — rebuilt from its
+    /// fields, its salt and the digest of the node below — to a root
+    /// whose signature `root_verdict` accepts.
+    fn signature_holds(
+        &self,
+        buf: &mut Vec<u8>,
+        root_verdict: impl FnOnce(Asn, &[u8], &RsaSignature) -> bool,
+    ) -> bool {
+        let fields = self.fields();
+        leaf_item(buf, &fields, &parent_digest(self.parent()));
+        let Proof { index, size, siblings, signature } = self.proof();
+        let leaf = seqtree::leaf_hash(u64::from(index), buf);
+        match seqtree::fold(u64::from(index), u64::from(size), leaf, siblings) {
+            Some(root) => root_verdict(fields.signer, &root_message(size, &root), signature),
+            None => false,
+        }
     }
 }
 
@@ -213,42 +541,30 @@ impl AttestationChain {
     /// A new chain extending `self` with `att` (the newest hop's
     /// attestation). `self` is shared, never copied.
     pub fn push(&self, att: Attestation) -> AttestationChain {
-        let Attestation { prefix, path, target, signer, signature } = att;
-        self.push_node(prefix, path, target, signer, OnceLock::from(signature), None)
+        let parent = self.0.clone();
+        let digest = attestation_digest(&parent_digest(parent.as_ref()), &att);
+        let len = self.len() as u32 + 1;
+        let given = Given { att, parent, len, digest };
+        AttestationChain(Some(Arc::new(ChainNode::Given(Box::new(given)))))
     }
 
-    /// [`push`](Self::push) of `key`'s attestation for announcing
-    /// (`prefix`, `path`) to `target`, signed on first read.
-    fn push_unsigned(
+    /// `self` extended with `identity`'s attestation for announcing
+    /// (`prefix`, `path`) to `target`, signed now as a batch of one.
+    fn extended_now(
         &self,
-        key: &Arc<Identity>,
+        identity: &Identity,
         prefix: Prefix,
         path: &AsPath,
         target: Asn,
     ) -> AttestationChain {
-        let signer = Asn(key.id() as u32);
-        debug_assert_eq!(path.first_as(), Some(signer), "signer must head the path");
-        self.push_node(prefix, path.clone(), target, signer, OnceLock::new(), Some(Arc::clone(key)))
-    }
-
-    fn push_node(
-        &self,
-        prefix: Prefix,
-        path: AsPath,
-        target: Asn,
-        signer: Asn,
-        signature: OnceLock<RsaSignature>,
-        key: Option<Arc<Identity>>,
-    ) -> AttestationChain {
-        let len = self.len() as u32 + 1;
-        let parent = self.0.clone();
-        let node = ChainNode { prefix, path, target, signer, signature, key, parent, len };
-        AttestationChain(Some(Arc::new(node)))
+        let batch = Batch::new(self, prefix, path.clone(), Box::new([(target, LONE_SALT)]), None);
+        batch.signed.get_or_init(|| batch.sign(identity));
+        batch.node(0)
     }
 
     /// Number of attestations.
     pub fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |n| n.len as usize)
+        self.0.as_ref().map_or(0, |n| n.len() as usize)
     }
 
     /// True when the chain holds no attestations.
@@ -271,9 +587,25 @@ impl AttestationChain {
         self.nodes().into_iter().map(ChainNode::attestation).collect()
     }
 
+    /// Verifies the newest attestation's signature alone: that its
+    /// signer signed it on top of exactly the chain below it. The other
+    /// checks of [`SignedRoute::verify`] — fields against the route,
+    /// every attestation below — are left to the caller.
+    pub fn verify_newest(&self, keys: &KeyStore) -> Result<(), SbgpError> {
+        let node = self.0.as_deref().ok_or(SbgpError::ChainLength { expected: 1, got: 0 })?;
+        let holds = node.signature_holds(&mut Vec::new(), |signer, message, signature| {
+            keys.verify(signer.principal(), message, signature).is_ok()
+        });
+        if holds {
+            Ok(())
+        } else {
+            Err(SbgpError::BadSignature(node.fields().signer))
+        }
+    }
+
     /// The nodes newest-first (list order; O(1) per step).
     fn nodes_newest_first(&self) -> impl Iterator<Item = &ChainNode> {
-        std::iter::successors(self.0.as_deref(), |n| n.parent.as_deref())
+        std::iter::successors(self.0.as_deref(), |n| n.parent().map(|p| &**p))
     }
 
     /// The nodes in canonical origin-first order.
@@ -284,26 +616,16 @@ impl AttestationChain {
     }
 }
 
+/// Two chains are equal when their newest digests are: a digest covers
+/// the newest attestation's every byte and, through the digest it
+/// binds, every attestation below.
 impl PartialEq for AttestationChain {
     fn eq(&self, other: &Self) -> bool {
-        if self.len() != other.len() {
-            return false;
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a.digest() == b.digest(),
+            _ => false,
         }
-        let mut a = self.0.as_deref();
-        let mut b = other.0.as_deref();
-        while let (Some(x), Some(y)) = (a, b) {
-            // Shared suffixes compare in O(1); a chain equals itself or
-            // a clone without walking.
-            if std::ptr::eq(x, y) {
-                return true;
-            }
-            if x.attestation() != y.attestation() {
-                return false;
-            }
-            a = x.parent.as_deref();
-            b = y.parent.as_deref();
-        }
-        true
     }
 }
 
@@ -315,11 +637,11 @@ impl std::fmt::Debug for AttestationChain {
     }
 }
 
-/// Attestations made but not yet signed, for helper threads to sign
-/// ahead of the routers that will read them.
+/// Exports made but not yet signed, for helper threads to sign ahead
+/// of the routers that will read them.
 ///
 /// A signed network on a host with more cores than shards holds one
-/// queue, shared by its routers (which push what they make) and by
+/// queue, shared by its routers (which push each export's batch) and by
 /// [`with_helpers`](Self::with_helpers) (which runs the helpers for the
 /// length of a convergence call). Helpers sign only on cores the
 /// process's [`CoreBudget`] leaves free, so they vanish under a
@@ -327,10 +649,10 @@ impl std::fmt::Debug for AttestationChain {
 /// routers queue nothing. The engine reads an UPDATE's signatures when
 /// it delivers it, oldest first, and signs inline whatever no helper
 /// has reached; helpers take the newest, so the two rarely meet on one
-/// node. The queue holds weak references: it keeps no attestation
-/// alive, and an entry whose node was read or dropped is discarded
-/// unsigned. Nothing a helper does is observable except as time — a
-/// node is signed by whoever reads it first, with the same bytes.
+/// batch. The queue holds weak references: it keeps no batch alive, and
+/// an entry whose batch was read or dropped is discarded unsigned.
+/// Nothing a helper does is observable except as time — a batch is
+/// signed by whoever reads it first, with the same bytes.
 pub(crate) struct SignQueue {
     /// Most helper threads one [`with_helpers`](Self::with_helpers)
     /// call runs.
@@ -351,7 +673,7 @@ const PAUSE: Duration = Duration::from_millis(1);
 #[derive(Default)]
 struct QueueState {
     /// Oldest at the front, newest at the back.
-    pending: VecDeque<Weak<ChainNode>>,
+    pending: VecDeque<Weak<Batch>>,
     /// Helpers waiting for work.
     idle: usize,
     /// Whether helpers should keep running.
@@ -378,12 +700,12 @@ impl SignQueue {
         }
     }
 
-    /// Queues the newest node of `chain`, if a helper is signing.
-    /// Entries the readers have already signed or dropped leave from
-    /// the front, so the queue stays about as long as the signatures
-    /// still owed.
-    fn push(&self, chain: &AttestationChain) {
-        let Some(node) = &chain.0 else { return };
+    /// Queues the batch `chain`'s newest attestation belongs to, if a
+    /// helper is signing and the batch was made here. Entries the
+    /// readers have already signed or dropped leave from the front, so
+    /// the queue stays about as long as the signatures still owed.
+    pub(crate) fn push(&self, chain: &AttestationChain) {
+        let Some(ChainNode::Made { batch, .. }) = chain.0.as_deref() else { return };
         if self.signing.load(Ordering::Relaxed) == 0 {
             return;
         }
@@ -391,7 +713,7 @@ impl SignQueue {
         while state.pending.front().is_some_and(|oldest| !still_owed(oldest)) {
             state.pending.pop_front();
         }
-        state.pending.push_back(Arc::downgrade(node));
+        state.pending.push_back(Arc::downgrade(batch));
         if state.idle > 0 {
             self.wake.notify_one();
         }
@@ -417,10 +739,10 @@ impl SignQueue {
         })
     }
 
-    /// One helper: signs queued nodes newest first until closed, while
-    /// it holds a spare core. It gives the core back as soon as the
-    /// process counts more busy threads than cores, and asks for one
-    /// again every [`PAUSE`].
+    /// One helper: signs queued batches newest first until closed,
+    /// while it holds a spare core. It gives the core back as soon as
+    /// the process counts more busy threads than cores, and asks for
+    /// one again every [`PAUSE`].
     fn help<'a>(&'a self, signing: Signing<'a>) {
         let mut signing = Some(signing);
         let mut state = lock(&self.state);
@@ -444,8 +766,8 @@ impl SignQueue {
             match state.pending.pop_back() {
                 Some(entry) => {
                     drop(state);
-                    if let Some(node) = entry.upgrade() {
-                        node.signature();
+                    if let Some(batch) = entry.upgrade() {
+                        batch.signed();
                     }
                     state = lock(&self.state);
                 }
@@ -492,9 +814,9 @@ impl Drop for Close<'_> {
     }
 }
 
-/// Whether a queued node is alive and not yet signed.
-fn still_owed(entry: &Weak<ChainNode>) -> bool {
-    entry.upgrade().is_some_and(|node| !node.is_signed())
+/// Whether a queued batch is alive and not yet signed.
+fn still_owed(entry: &Weak<Batch>) -> bool {
+    entry.upgrade().is_some_and(|batch| !batch.is_signed())
 }
 
 /// A cache memo exported for checkpointing, in the order the CACHE
@@ -502,22 +824,29 @@ fn still_owed(entry: &Weak<ChainNode>) -> bool {
 /// `(signer, digest, verdict)` entries.
 pub(crate) type CacheState = (u64, u64, Vec<(Asn, [u8; 32], bool)>);
 
-/// An RSA-verification memo for attestation signatures.
+/// A verification memo for attestations and for the root signatures
+/// behind them.
 ///
 /// `sbgp` re-verifies the *entire* chain at every import hop, so a
-/// route that crosses `h` ASes costs `O(h²)` RSA verifies network-wide
-/// — and every prefix-suffix attestation past the first hop is one
-/// some router already checked. A cache shared by the routers of a
-/// [`crate::BgpNetwork`] collapses that: the verdict for an
-/// attestation depends only on the signer, the signed payload, and
-/// the signature bytes, all captured in the cache key.
+/// route that crosses `h` ASes costs `O(h²)` attestation checks
+/// network-wide — and every prefix-suffix attestation past the first
+/// hop is one some router already checked. A cache shared by the
+/// routers of a [`crate::BgpNetwork`] collapses that, at two levels:
 ///
-/// The key is `(signer, sha256(signed_bytes ‖ signature))`. Hashing
-/// the signature *with* the payload is load-bearing: a forged
-/// attestation carries the same signed bytes as the genuine one but a
-/// different (invalid) signature, and a payload-only key would let the
-/// genuine chain's cached `true` launder the forgery (pinned by the
-/// cache regression tests in `tests/detection_matrix.rs`).
+/// * an attestation, keyed by `(signer, digest)` — the digest covers
+///   the attestation's every byte, its signature included, and the
+///   chain below it, so a verdict cached for the genuine attestation
+///   can never launder a forgery (pinned by the cache regression tests
+///   in `tests/detection_matrix.rs`). A miss walks the proof to the
+///   root;
+/// * a root signature, keyed by `(signer, SHA-256(size ‖ root ‖
+///   signature))`: every recipient of one export reaches the same root,
+///   so the export costs one RSA verify per cache, not one per
+///   neighbor.
+///
+/// Both live in one map (their digests are domain-separated), which is
+/// what a checkpoint saves. [`calls`](Self::calls) and
+/// [`hits`](Self::hits) count attestation checks.
 ///
 /// A network holds one cache per engine shard, shared by that shard's
 /// routers through an `Arc` — hence the `Mutex` and the atomics. A
@@ -538,14 +867,25 @@ impl VerifyCache {
         VerifyCache::default()
     }
 
-    /// Total attestation-signature checks requested through the cache.
+    /// Total attestation checks requested through the cache.
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
     }
 
-    /// How many of those were answered from the memo (no RSA math).
+    /// How many of those were answered from the memo (no hashing, no
+    /// RSA math).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
+    }
+
+    /// RSA verifies the cache has run: one per root signature it was
+    /// asked about. Every attestation miss adds one entry and every
+    /// root miss one more, so this is the entries beyond the misses —
+    /// counted without a field of its own, and so restored with the
+    /// memo by a checkpoint.
+    pub fn root_verifies(&self) -> u64 {
+        let misses = self.calls() - self.hits();
+        (lock(&self.verdicts).len() as u64).saturating_sub(misses)
     }
 
     /// Exports the memo for checkpointing: `(calls, hits, entries)`
@@ -574,28 +914,31 @@ impl VerifyCache {
         self.hits.store(hits, Ordering::Relaxed);
     }
 
-    /// Checks `signer`'s signature over `signed_bytes`, consulting the
-    /// memo first. The verdict (valid or not) is cached either way —
-    /// a forged chain replayed at every hop would otherwise cost the
-    /// full RSA verify each time it is rejected.
+    /// Checks `node`'s signature, consulting the memo first. The
+    /// verdict (valid or not) is cached either way — a forged chain
+    /// replayed at every hop would otherwise cost the full check each
+    /// time it is rejected.
     ///
     /// A lock poisoned by a panic elsewhere is used as it stands: an
     /// entry goes in whole, after its verify, so the memo only ever
     /// holds verdicts that were computed.
-    fn check(&self, signer: Asn, signed_bytes: &[u8], sig: &RsaSignature, keys: &KeyStore) -> bool {
+    fn check(&self, node: &ChainNode, buf: &mut Vec<u8>, keys: &KeyStore) -> bool {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        let digest = sha256_concat(&[signed_bytes, &sig.0]);
-        let mut key = [0u8; 32];
-        key.copy_from_slice(digest.as_bytes());
-        match lock(&self.verdicts).entry((signer, key)) {
-            Entry::Occupied(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                *hit.get()
-            }
-            Entry::Vacant(miss) => {
-                *miss.insert(keys.verify(signer.principal(), signed_bytes, sig).is_ok())
-            }
+        // Read (and so signed, if owed) before the memo is locked.
+        let key = (node.fields().signer, node.digest().0);
+        let mut memo = lock(&self.verdicts);
+        if let Some(&verdict) = memo.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return verdict;
         }
+        let verdict = node.signature_holds(buf, |signer, message, signature| {
+            let root = sha256_concat(&[SIG_TAG, message, &signature.0]).0;
+            *memo
+                .entry((signer, root))
+                .or_insert_with(|| keys.verify(signer.principal(), message, signature).is_ok())
+        });
+        memo.insert(key, verdict);
+        verdict
     }
 }
 
@@ -642,22 +985,24 @@ impl SignedRoute {
     }
 
     /// Originates a signed route: `identity`'s AS announces its own
-    /// prefix to `target`. The route's path must be exactly `[signer]`.
+    /// prefix to `target`, as a batch of one signed now. The route's
+    /// path must be exactly `[signer]`.
     pub fn originate(identity: &Identity, route: Route, target: Asn) -> SignedRoute {
         assert_eq!(
             route.path.asns(),
             &[Asn(identity.id() as u32)],
             "origination path must be [self]"
         );
-        let att = Attestation::create(identity, route.prefix, &route.path, target);
-        SignedRoute { route, chain: AttestationChain::empty().push(att) }
+        let chain =
+            AttestationChain::empty().extended_now(identity, route.prefix, &route.path, target);
+        SignedRoute { route, chain }
     }
 
     /// Extends a received signed route for re-announcement: `identity`'s
     /// AS prepends itself (already done in `route`) and signs toward
-    /// `target`. `route.path` must start with the signer and continue
-    /// with the received chain's path. The received chain is shared,
-    /// not copied.
+    /// `target`, as a batch of one signed now. `route.path` must start
+    /// with the signer and continue with the received chain's path. The
+    /// received chain is shared, not copied.
     pub fn extend(
         received: &SignedRoute,
         identity: &Identity,
@@ -665,30 +1010,36 @@ impl SignedRoute {
         target: Asn,
     ) -> SignedRoute {
         debug_assert_eq!(route.path.first_as(), Some(Asn(identity.id() as u32)));
-        let att = Attestation::create(identity, route.prefix, &route.path, target);
-        SignedRoute { route, chain: received.chain.push(att) }
+        let chain = received.chain.extended_now(identity, route.prefix, &route.path, target);
+        SignedRoute { route, chain }
     }
 
-    /// [`extend`](Self::extend) of `received`, or
-    /// [`originate`](Self::originate) when there is none, except that
-    /// the new attestation is signed when first read — by whichever
-    /// reader or `queue` helper gets there first — instead of now. Every
-    /// byte, verdict and length is the eager form's.
-    pub(crate) fn signed_later(
+    /// One export: `identity`'s AS announces `route` to every one of
+    /// `targets` (ascending ASN order), extending `received` — or
+    /// originating, when there is none — with leaf `i` salted by
+    /// `salts[i]`. Returns one route per target, in order, whose
+    /// attestations are signed together when first read — by whichever
+    /// reader, or sign-ahead helper the batch is offered to, gets there
+    /// first — instead of now. Every byte, verdict and length is the
+    /// same whoever signs.
+    pub fn export(
         received: Option<&SignedRoute>,
         identity: &Arc<Identity>,
-        route: Route,
-        target: Asn,
-        queue: Option<&SignQueue>,
-    ) -> SignedRoute {
+        route: &Route,
+        targets: &[Asn],
+        salts: &[Salt],
+    ) -> Vec<SignedRoute> {
         debug_assert!(received.is_some() || route.path.len() == 1, "origination path is [self]");
+        debug_assert_eq!(route.path.first_as(), Some(Asn(identity.id() as u32)));
+        assert_eq!(targets.len(), salts.len(), "one salt per target");
         let origin = AttestationChain::empty();
         let below = received.map_or(&origin, |r| &r.chain);
-        let chain = below.push_unsigned(identity, route.prefix, &route.path, target);
-        if let Some(queue) = queue {
-            queue.push(&chain);
-        }
-        SignedRoute { route, chain }
+        let key = Some(Arc::clone(identity));
+        let leaves = targets.iter().copied().zip(salts.iter().copied()).collect();
+        let batch = Batch::new(below, route.prefix, route.path.clone(), leaves, key);
+        (0..targets.len())
+            .map(|i| SignedRoute { route: route.clone(), chain: batch.node(i) })
+            .collect()
     }
 
     /// Verifies the whole chain for an announcement delivered to
@@ -699,14 +1050,14 @@ impl SignedRoute {
     /// * each attestation's path is the correct suffix of the route path;
     /// * each attestation's target is the next AS (the last one's is
     ///   `receiver`);
-    /// * every signature verifies.
+    /// * every signature verifies, over its leaf and the chain below.
     pub fn verify(&self, receiver: Asn, keys: &KeyStore) -> Result<(), SbgpError> {
         self.verify_cached(receiver, keys, None)
     }
 
     /// [`SignedRoute::verify`] with an optional network-wide
     /// [`VerifyCache`]: verdicts are identical with or without the
-    /// cache, only the number of RSA operations differs.
+    /// cache, only the number of hashes and RSA operations differs.
     pub fn verify_cached(
         &self,
         receiver: Asn,
@@ -724,11 +1075,12 @@ impl SignedRoute {
             return Err(SbgpError::ChainLength { expected: path.len(), got: self.chain.len() });
         }
         let m = path.len();
-        // One signing-payload buffer for the whole chain; the node
-        // collection restores origin-first order so error precedence
-        // matches the pre-sharing implementation exactly.
-        let mut buf = Vec::with_capacity(64);
-        for (j, att) in self.chain.nodes().into_iter().enumerate() {
+        // One leaf buffer for the whole chain; the node collection
+        // restores origin-first order so error precedence matches the
+        // pre-sharing implementation exactly.
+        let mut buf = Vec::with_capacity(128);
+        for (j, node) in self.chain.nodes().into_iter().enumerate() {
+            let att = node.fields();
             // Attestation j (origin first) was made by path[m-1-j].
             let signer_idx = m - 1 - j;
             let expected_signer = path[signer_idx];
@@ -745,17 +1097,11 @@ impl SignedRoute {
             if att.target != expected_target {
                 return Err(SbgpError::WrongTarget { expected: expected_target, got: att.target });
             }
-            Attestation::signed_bytes_into(
-                &mut buf,
-                &att.prefix,
-                &att.path,
-                att.target,
-                att.signer,
-            );
-            let signature = att.signature();
             let ok = match cache {
-                Some(cache) => cache.check(att.signer, &buf, signature, keys),
-                None => keys.verify(att.signer.principal(), &buf, signature).is_ok(),
+                Some(cache) => cache.check(node, &mut buf, keys),
+                None => node.signature_holds(&mut buf, |signer, message, signature| {
+                    keys.verify(signer.principal(), message, signature).is_ok()
+                }),
             };
             if !ok {
                 return Err(SbgpError::BadSignature(att.signer));
@@ -1024,10 +1370,30 @@ mod tests {
         assert_eq!(sr.verify(Asn(3), &keys), sr.verify_cached(Asn(3), &keys, Some(&cache)));
         assert_eq!(cache.calls(), 2);
         assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.root_verifies(), 2, "one per batch of one");
         // Second pass: every signature check answered from the memo.
         assert!(sr.verify_cached(Asn(3), &keys, Some(&cache)).is_ok());
         assert_eq!(cache.calls(), 4);
         assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.root_verifies(), 2);
+    }
+
+    /// An attestation signs the digest of the one it extends: breaking
+    /// any byte below it breaks it too, so a broken inner attestation
+    /// cannot be pinned on an honest outer signer.
+    #[test]
+    fn an_attestation_binds_the_chain_below() {
+        let (ids, keys) = setup();
+        let sr = two_hop_chain(&ids);
+        assert_eq!(sr.chain().verify_newest(&keys), Ok(()));
+        let mut atts = sr.chain().to_vec();
+        atts[0].signature.0[5] ^= 1;
+        let broken = AttestationChain::from_attestations(atts);
+        assert_eq!(broken.verify_newest(&keys), Err(SbgpError::BadSignature(Asn(2))));
+        assert_eq!(
+            SignedRoute::with_chain(sr.route.clone(), broken).verify(Asn(3), &keys),
+            Err(SbgpError::BadSignature(Asn(1)))
+        );
     }
 
     #[test]
@@ -1075,6 +1441,10 @@ mod tests {
                 path: AsPath::from_slice(&[Asn(1 + (seed % 97) as u32)]),
                 target: Asn(1 + ((seed >> 8) % 97) as u32),
                 signer: Asn(1 + (seed % 97) as u32),
+                salt: [(seed >> 24) as u8; SALT_LEN],
+                index: (seed >> 32) as u32 % 3,
+                size: 3,
+                siblings: vec![Digest([(seed >> 40) as u8; 32]); (seed >> 48) as usize % 3],
                 signature: pvr_crypto::rsa::RsaSignature(
                     (0..4 + (seed % 28) as u8).map(|i| i ^ (seed >> 16) as u8).collect(),
                 ),
@@ -1156,12 +1526,29 @@ mod tests {
         sr.chain.nodes().iter().any(|node| !node.is_signed())
     }
 
-    /// A chain node is the attestation plus a once-state and one key
-    /// pointer: 16 bytes over the 72 a finished-only node took.
+    /// A node made here is its batch and its index: everything else is
+    /// the batch's, shared by every recipient of the export.
     #[test]
     fn chain_node_stays_small() {
         let node = std::mem::size_of::<ChainNode>();
-        assert!(node <= 88, "ChainNode is {node} B");
+        assert!(node <= 16, "ChainNode is {node} B");
+    }
+
+    /// A deferred export of `route` to `target` alone, salted as a batch
+    /// of one is: the eager constructors' deferred twin.
+    fn export_one(
+        received: Option<&SignedRoute>,
+        signer: &Arc<Identity>,
+        route: Route,
+        target: Asn,
+        queue: Option<&SignQueue>,
+    ) -> SignedRoute {
+        let lone = SignedRoute::export(received, signer, &route, &[target], &[LONE_SALT]);
+        let lone = lone.into_iter().next().expect("one recipient");
+        if let Some(queue) = queue {
+            queue.push(lone.chain());
+        }
+        lone
     }
 
     proptest! {
@@ -1189,11 +1576,11 @@ mod tests {
             let mut route = Route::originate(prefix);
             route.path = AsPath::from_slice(&[Asn(signers[0].id() as u32)]);
             let mut now = SignedRoute::originate(signers[0], route.clone(), target_of(0));
-            let mut later = SignedRoute::signed_later(None, signers[0], route, target_of(0), None);
+            let mut later = export_one(None, signers[0], route, target_of(0), None);
             for (h, &signer) in signers.iter().enumerate().skip(1) {
                 let next = now.route.clone().propagated_by(Asn(signer.id() as u32));
                 now = SignedRoute::extend(&now, signer, next.clone(), target_of(h));
-                later = SignedRoute::signed_later(Some(&later), signer, next, target_of(h), None);
+                later = export_one(Some(&later), signer, next, target_of(h), None);
             }
             prop_assert!(is_pending(&later));
             prop_assert_eq!(later.encoded_len(), now.to_wire().len());
@@ -1216,7 +1603,7 @@ mod tests {
         let mut route = Route::originate(prefix());
         route.path = AsPath::from_slice(&[Asn(1)]);
         let now = SignedRoute::originate(&ids[0], route.clone(), Asn(2));
-        let later = || SignedRoute::signed_later(None, &ids[0], route.clone(), Asn(2), None);
+        let later = || export_one(None, &ids[0], route.clone(), Asn(2), None);
         let compared = later();
         assert_eq!(compared, now);
         assert!(!is_pending(&compared));
@@ -1234,7 +1621,7 @@ mod tests {
         let mut route = Route::originate(prefix());
         route.path = AsPath::from_slice(&[Asn(3)]);
         let now = SignedRoute::originate(&ids[2], route.clone(), Asn(4));
-        let later = SignedRoute::signed_later(None, &ids[2], route, Asn(4), None);
+        let later = export_one(None, &ids[2], route, Asn(4), None);
         let node = later.chain.0.as_deref().expect("one attestation");
         let barrier = std::sync::Barrier::new(4);
         let read: Vec<usize> = std::thread::scope(|scope| {
@@ -1242,14 +1629,14 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        node.signature() as *const RsaSignature as usize
+                        node.proof().signature as *const RsaSignature as usize
                     })
                 })
                 .collect();
             readers.into_iter().map(|r| r.join().unwrap()).collect()
         });
         assert!(read.iter().all(|&at| at == read[0]), "readers saw different signatures");
-        assert_eq!(node.signature(), &now.chain().newest().unwrap().signature);
+        assert_eq!(node.proof().signature, &now.chain().newest().unwrap().signature);
     }
 
     /// AS1's origination of the `i`-th /24 toward AS2, signed later and
@@ -1258,7 +1645,7 @@ mod tests {
         let (ids, _) = shared_setup();
         let mut route = Route::originate(Prefix::new(i << 8, 24));
         route.path = AsPath::from_slice(&[Asn(1)]);
-        SignedRoute::signed_later(None, &ids[0], route, Asn(2), Some(queue))
+        export_one(None, &ids[0], route, Asn(2), Some(queue))
     }
 
     /// Spins until `done`, failing after a minute.
@@ -1351,8 +1738,176 @@ mod tests {
         assert_eq!(sr.verify_cached(Asn(3), &keys, Some(&cache)), Ok(()));
         assert_eq!((cache.calls(), cache.hits()), (4, 2));
         let (calls, hits, entries) = cache.export_state();
-        assert_eq!((calls, hits, entries.len()), (4, 2, 2));
+        assert_eq!((calls, hits, entries.len()), (4, 2, 4), "two attestations, two roots");
         cache.load_state((calls, hits, entries));
-        assert_eq!(cache.calls(), 4);
+        assert_eq!((cache.calls(), cache.root_verifies()), (4, 2));
+    }
+
+    /// The chain `signers[0] → … → signers[hops-1]`, each hop but the
+    /// last a batch of one toward the next signer, ending in one export
+    /// of the last signer to every one of `targets`, salted from `seed`.
+    fn export_fixture(
+        addr: u32,
+        hops: usize,
+        first: usize,
+        targets: &[Asn],
+        seed: u64,
+    ) -> Vec<SignedRoute> {
+        let (ids, _) = shared_setup();
+        let signers: Vec<&Arc<Identity>> = (0..hops).map(|h| &ids[(first + h) % 4]).collect();
+        let asn = |signer: &Arc<Identity>| Asn(signer.id() as u32);
+        let mut route = Route::originate(Prefix::new(addr, 24));
+        route.path = AsPath::from_slice(&[asn(signers[0])]);
+        let mut below: Option<SignedRoute> = None;
+        for pair in signers.windows(2) {
+            below = Some(match &below {
+                None => SignedRoute::originate(pair[0], route.clone(), asn(pair[1])),
+                Some(received) => {
+                    SignedRoute::extend(received, pair[0], route.clone(), asn(pair[1]))
+                }
+            });
+            route = route.propagated_by(asn(pair[1]));
+        }
+        let mut salts = vec![[0; SALT_LEN]; targets.len()];
+        HmacDrbg::from_u64_labeled(seed, "sbgp test salts").generate(salts.as_flattened_mut());
+        SignedRoute::export(below.as_ref(), signers[hops - 1], &route, targets, &salts)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every recipient of one export holds a chain that verifies for
+        /// it and for no other receiver; the batch costs one root verify
+        /// per cache; any decodable change to the newest attestation's
+        /// bytes — fields, salt, index, size, siblings, signature —
+        /// fails it; and its digest is the decoded twin's.
+        #[test]
+        fn every_recipient_of_a_batch_verifies_alone(
+            addr in any::<u32>(),
+            hops in 1usize..=4,
+            first in 0usize..4,
+            fan_out in 1usize..=64,
+            spacing in 1u32..40,
+            seed in any::<u64>(),
+        ) {
+            let (_, keys) = shared_setup();
+            let targets: Vec<Asn> = (0..fan_out as u32).map(|i| Asn(5 + i * spacing)).collect();
+            let routes = export_fixture(addr, hops, first, &targets, seed);
+            prop_assert_eq!(routes.len(), fan_out);
+            let cache = VerifyCache::new();
+            for (i, sr) in routes.iter().enumerate() {
+                prop_assert_eq!(sr.encoded_len(), sr.to_wire().len());
+                prop_assert_eq!(sr.verify(targets[i], keys), Ok(()));
+                prop_assert_eq!(sr.verify_cached(targets[i], keys, Some(&cache)), Ok(()));
+                let other = targets[(i + 1) % fan_out];
+                for receiver in [other, Asn(4)].into_iter().filter(|&r| r != targets[i]) {
+                    let wrong = sr.verify_cached(receiver, keys, Some(&cache));
+                    prop_assert!(matches!(wrong, Err(SbgpError::WrongTarget { .. })), "{wrong:?}");
+                }
+            }
+            prop_assert_eq!(cache.root_verifies(), hops as u64, "one RSA verify per batch");
+
+            let k = (seed % fan_out as u64) as usize;
+            let sr = &routes[k];
+            let mut atts = sr.chain().to_vec();
+            let top = atts.pop().expect("a signed route");
+            let below = AttestationChain::from_attestations(atts);
+            let decoded = below.push(top.clone());
+            prop_assert_eq!(&decoded, sr.chain());
+            let wire = top.to_wire();
+            let mut changed = 0;
+            for offset in 0..wire.len() {
+                let mut bytes = wire.clone();
+                bytes[offset] ^= 1 << (offset % 8);
+                let Ok(mutated) = pvr_crypto::decode_exact::<Attestation>(&bytes) else { continue };
+                if mutated == top {
+                    continue;
+                }
+                changed += 1;
+                let forged = SignedRoute::with_chain(sr.route.clone(), below.push(mutated));
+                prop_assert!(forged.verify(targets[k], keys).is_err(), "byte {offset} went unnoticed");
+                prop_assert!(forged.verify_cached(targets[k], keys, Some(&cache)).is_err());
+            }
+            prop_assert!(changed > wire.len() / 2, "only {changed} of {} flips decoded", wire.len());
+        }
+    }
+
+    /// One-leaf exports are the eager constructors: `originate` and
+    /// `extend` make a batch of one, byte for byte.
+    #[test]
+    fn a_batch_of_one_is_the_eager_attestation() {
+        let (ids, keys) = shared_setup();
+        let routes = export_fixture(7 << 8, 3, 0, &[Asn(9)], 0);
+        let mut route = Route::originate(Prefix::new(7 << 8, 24));
+        route.path = AsPath::from_slice(&[Asn(1)]);
+        let hop1 = SignedRoute::originate(&ids[0], route.clone(), Asn(2));
+        let hop2 = SignedRoute::extend(&hop1, &ids[1], route.propagated_by(Asn(2)), Asn(3));
+        let next = hop2.route.clone().propagated_by(Asn(3));
+        let eager = SignedRoute::extend(&hop2, &ids[2], next.clone(), Asn(9));
+        assert_eq!(eager.verify(Asn(9), keys), Ok(()));
+        let lone = export_one(Some(&hop2), &ids[2], next, Asn(9), None);
+        assert_eq!(lone.to_wire(), eager.to_wire());
+        assert_eq!(lone, eager);
+        let top = eager.chain().newest().unwrap();
+        assert_eq!((top.index, top.size, top.siblings.len(), top.salt), (0, 1, 0, LONE_SALT));
+        assert_eq!(routes[0].verify(Asn(9), keys), Ok(()));
+        assert_ne!(routes[0], eager, "the fixture's salt is drawn");
+    }
+
+    /// Two exports that differ only in their other targets hand a
+    /// shared recipient the same leaf — only the sibling hashes and the
+    /// root's signature differ — and no sibling is the unsalted leaf of
+    /// any candidate target, so the recipient cannot test where else
+    /// the route went. Without salts it could.
+    #[test]
+    fn salts_hide_co_recipients() {
+        let (ids, keys) = shared_setup();
+        let mut route = Route::originate(prefix());
+        route.path = AsPath::from_slice(&[Asn(1)]);
+        let export = |targets: [u32; 3], salts: [Salt; 3]| {
+            let routes = SignedRoute::export(None, &ids[0], &route, &targets.map(Asn), &salts);
+            routes.into_iter().next().expect("three recipients")
+        };
+        let mut salts = [[0; SALT_LEN]; 3];
+        HmacDrbg::new(b"co-recipients").generate(salts.as_flattened_mut());
+        let a = export([10, 20, 30], salts).chain().newest().unwrap();
+        let b = export([10, 40, 50], salts).chain().newest().unwrap();
+        assert_ne!(a.siblings, b.siblings);
+        assert_ne!(a.signature, b.signature);
+        let same = |att: &Attestation| Attestation {
+            siblings: Vec::new(),
+            signature: RsaSignature(Vec::new()),
+            ..att.clone()
+        };
+        assert_eq!(same(&a), same(&b));
+        for att in [&a, &b] {
+            let route = SignedRoute::with_chain(
+                route.clone(),
+                AttestationChain::from_attestations(vec![att.clone()]),
+            );
+            assert_eq!(route.verify(Asn(10), keys), Ok(()));
+        }
+
+        // What a recipient could compute for a candidate target: its
+        // leaf, with every salt it might guess being none.
+        let unsalted = |index: u64, target: u32| {
+            let mut buf = Vec::new();
+            let fields = Fields {
+                prefix: prefix(),
+                path: &route.path,
+                target: Asn(target),
+                signer: Asn(1),
+                salt: &LONE_SALT,
+            };
+            leaf_item(&mut buf, &fields, &Digest::ZERO);
+            seqtree::leaf_hash(index, &buf)
+        };
+        let guesses: Vec<Digest> =
+            (0..3).flat_map(|i| (1..=100).map(move |t| unsalted(i, t))).collect();
+        for sibling in a.siblings.iter().chain(&b.siblings) {
+            assert!(!guesses.contains(sibling), "a sibling is a guessable leaf");
+        }
+        let bare = export([10, 20, 30], [LONE_SALT; 3]).chain().newest().unwrap();
+        assert!(guesses.contains(&bare.siblings[0]), "without salts, AS20's leaf is guessable");
     }
 }

@@ -271,9 +271,12 @@ impl Topology {
             }
         }
         let security = match keystore {
-            Some((ks, ids)) => {
-                SecurityMode::Signed { identity: Arc::clone(&ids[&asn]), keys: Arc::clone(ks) }
-            }
+            Some((ks, ids)) => SecurityMode::Signed {
+                identity: Arc::clone(&ids[&asn]),
+                keys: Arc::clone(ks),
+                // Router-owned, seeded per AS like the MRAI jitter.
+                salts: HmacDrbg::from_u64_labeled(options.seed, &format!("bgp-salt-{}", asn.0)),
+            },
             None => SecurityMode::Plain,
         };
         let mut router = BgpRouter::new(asn, policy, security);

@@ -247,13 +247,18 @@ impl Adversary {
                     let a = Asn(self.main.identity().id() as u32);
                     let mut fake = pvr_bgp::Route::originate(self.main.round().prefix);
                     fake.path = fake.path.prepend(n).prepend(a);
-                    let top = Attestation::create(self.main.identity(), fake.prefix, &fake.path, b);
+                    let id = self.main.identity();
+                    let none = pvr_bgp::AttestationChain::empty();
                     // Inner attestation forged: self-signed with A's key
                     // instead of n's (signature check will fail for n).
-                    let mut inner = top.clone();
-                    inner.signer = n;
-                    inner.path = fake.path.clone(); // wrong path too
-                    let chain = pvr_bgp::AttestationChain::from_attestations(vec![inner, top]);
+                    let inner = Attestation {
+                        signer: n,
+                        path: fake.path.clone(), // wrong path too
+                        ..Attestation::create(id, fake.prefix, &fake.path, b, &none)
+                    };
+                    let below = pvr_bgp::AttestationChain::from_attestations(vec![inner]);
+                    let top = Attestation::create(id, fake.prefix, &fake.path, b, &below);
+                    let chain = below.push(top);
                     d.exported = Some(SignedRoute::with_chain(fake, chain));
                 }
                 d
@@ -350,8 +355,7 @@ mod tests {
         let d = adv.disclosure_for_receiver();
         let sr = d.exported.unwrap();
         assert!(sr.verify(bed.b, &bed.keys).is_err(), "chain must be forged");
-        // But A's own top attestation is valid.
-        let top = sr.chain().newest().unwrap();
-        assert!(top.verify(&bed.keys).is_ok());
+        // But A's own top attestation is valid, over the chain below it.
+        assert!(sr.chain().verify_newest(&bed.keys).is_ok());
     }
 }

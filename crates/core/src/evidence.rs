@@ -11,9 +11,11 @@
 //! accuser nor the accused. Accuracy holds because each variant requires
 //! a signature an honest A would never produce (two conflicting roots, a
 //! committed bit contradicting an attested route, a non-monotone
-//! vector) — except `FabricatedExport`, whose "the chain below A's
-//! attestation is broken" an accuser can bring about itself (ROADMAP
-//! item 10 g).
+//! vector, an attestation over a broken chain). The last one holds
+//! because an attestation binds the digest of the chain below it
+//! (`pvr_bgp::sbgp`): an accuser who breaks an inner attestation of A's
+//! genuine export breaks A's attestation with it. That these hand-picked
+//! cases are all the cases is not yet shown (ROADMAP item 1's game).
 
 use crate::session::{BitReveal, PvrParams, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
@@ -324,7 +326,7 @@ pub(crate) fn attested_by(
     {
         return Err("top attestation does not cover this export");
     }
-    top.verify(keys).map_err(|_| "top attestation signature invalid")
+    exported.chain().verify_newest(keys).map_err(|_| "top attestation signature invalid")
 }
 
 #[cfg(test)]
@@ -373,6 +375,26 @@ mod tests {
         let relabeled = SignedRoute::with_chain(route, exported.chain().clone());
         let ev = Evidence::FabricatedExport { exported: relabeled, receiver: bed.b };
         assert!(matches!(auditor.judge(bed.a, &bed.round, &ev), Verdict::Rejected(_)));
+    }
+
+    /// ROADMAP item 1's reproducer: the accuser breaks an inner
+    /// attestation of A's genuine export itself and calls the result
+    /// fabricated. A's attestation binds the chain below it, so it does
+    /// not cover the broken chain, and the accusation fails.
+    #[test]
+    fn a_chain_broken_below_an_honest_export_is_not_evidence() {
+        let bed = Figure1Bed::build(&[2, 3], 25);
+        let c = bed.honest_committer();
+        let auditor = Auditor::new(&bed.keys, bed.params);
+        let exported = c.export_route(bed.b).unwrap();
+        let mut atts = exported.chain().to_vec();
+        atts[0].signature.0[5] ^= 1;
+        let chain = pvr_bgp::AttestationChain::from_attestations(atts);
+        let broken = SignedRoute::with_chain(exported.route.clone(), chain);
+        assert!(broken.verify(bed.b, &bed.keys).is_err());
+        let ev = Evidence::FabricatedExport { exported: broken, receiver: bed.b };
+        let verdict = auditor.judge(bed.a, &bed.round, &ev);
+        assert!(matches!(verdict, Verdict::Rejected(_)), "{verdict:?}");
     }
 
     #[test]

@@ -5,14 +5,19 @@
 //! MHT to reveal batched routes individually." This module is that small
 //! MHT: a complete binary tree over an ordered list of items. The sender
 //! signs the root once per burst; each receiver gets its item plus a
-//! log-size path. Experiment E5 measures the amortization.
+//! log-size path. Experiment E5 measures the amortization, and signed
+//! BGP convergence signs every export this way (`pvr_bgp::sbgp`): there
+//! the leaves are hashed by the caller ([`leaf_hash`],
+//! [`SeqTree::from_leaf_hashes`]) and a proof is its present siblings
+//! alone ([`SeqTree::siblings`], [`fold`]), the tree's shape being
+//! signed beside its root.
 
 use pvr_crypto::encoding::Wire;
 use pvr_crypto::sha256::{sha256_concat, Digest};
 
-/// Leaf hash, domain-separated from inner nodes to preclude
-/// second-preimage splicing attacks.
-fn leaf_hash(index: u64, item: &[u8]) -> Digest {
+/// Leaf hash of `item` at position `index`, domain-separated from inner
+/// nodes to preclude second-preimage splicing attacks.
+pub fn leaf_hash(index: u64, item: &[u8]) -> Digest {
     sha256_concat(&[b"pvr.seq.leaf", &index.to_be_bytes(), item])
 }
 
@@ -22,72 +27,193 @@ fn node_hash(left: &Digest, right: &Digest) -> Digest {
 
 /// A Merkle tree over an ordered batch of byte strings.
 pub struct SeqTree {
-    /// levels\[0\] = leaf hashes, last level = [root]. Odd nodes are
-    /// promoted (duplicated-free: an odd last node moves up unchanged).
-    levels: Vec<Vec<Digest>>,
+    /// Every level one after another, the leaf hashes first and the
+    /// root last; a level holds half the one below it, rounded up. Odd
+    /// nodes are promoted (duplicated-free: an odd last node moves up
+    /// unchanged). One allocation per tree.
+    nodes: Vec<Digest>,
+    /// Number of leaves.
+    leaves: usize,
+    /// The items, for [`prove`](Self::prove); empty for a tree built
+    /// from leaf hashes.
     items: Vec<Vec<u8>>,
+}
+
+/// The widths of a tree's levels over `leaves` leaves, leaves first
+/// (none for an empty tree).
+fn widths(leaves: usize) -> impl Iterator<Item = usize> {
+    let next = |&width: &usize| (width > 1).then(|| width.div_ceil(2));
+    std::iter::successors((leaves > 0).then_some(leaves), next)
 }
 
 impl SeqTree {
     /// Builds a tree over `items`. Empty batches are allowed (root is a
     /// fixed domain-separated constant).
     pub fn build(items: &[Vec<u8>]) -> SeqTree {
-        let leaves: Vec<Digest> =
-            items.iter().enumerate().map(|(i, it)| leaf_hash(i as u64, it)).collect();
-        let mut levels = vec![leaves];
-        while levels.last().unwrap().len() > 1 {
-            let prev = levels.last().unwrap();
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                match pair {
-                    [l, r] => next.push(node_hash(l, r)),
-                    [l] => next.push(*l), // odd node promoted unchanged
-                    _ => unreachable!(),
-                }
+        let leaves = items.iter().enumerate().map(|(i, it)| leaf_hash(i as u64, it));
+        SeqTree { items: items.to_vec(), ..SeqTree::from_leaf_hashes(leaves) }
+    }
+
+    /// Builds a tree over leaves already hashed with [`leaf_hash`] at
+    /// their positions. It holds no items, so it proves nothing through
+    /// [`prove`](Self::prove); [`siblings`](Self::siblings) is its proof.
+    pub fn from_leaf_hashes(leaves: impl ExactSizeIterator<Item = Digest>) -> SeqTree {
+        let count = leaves.len();
+        let mut nodes = Vec::with_capacity(widths(count).sum());
+        nodes.extend(leaves);
+        debug_assert_eq!(nodes.len(), count, "an exact-size iterator");
+        let mut start = 0;
+        for width in widths(count).take_while(|&width| width > 1) {
+            for left in (start..start + width).step_by(2) {
+                let node = if left + 1 < start + width {
+                    node_hash(&nodes[left], &nodes[left + 1])
+                } else {
+                    nodes[left] // odd node promoted unchanged
+                };
+                nodes.push(node);
             }
-            levels.push(next);
+            start += width;
         }
-        SeqTree { levels, items: items.to_vec() }
+        SeqTree { nodes, leaves: count, items: Vec::new() }
+    }
+
+    /// The levels, leaves first, root last.
+    fn levels(&self) -> impl Iterator<Item = &[Digest]> {
+        let mut rest = self.nodes.as_slice();
+        widths(self.leaves).map(move |width| {
+            let (level, above) = rest.split_at(width);
+            rest = above;
+            level
+        })
+    }
+
+    /// The leaf hashes, in order.
+    pub fn leaves(&self) -> &[Digest] {
+        &self.nodes[..self.leaves]
     }
 
     /// The root to be signed once per batch.
     pub fn root(&self) -> Digest {
-        match self.levels.last().and_then(|l| l.first()) {
+        match self.nodes.last() {
             Some(r) => *r,
             None => sha256_concat(&[b"pvr.seq.empty"]),
         }
     }
 
-    /// Number of items in the batch.
+    /// Number of leaves in the batch.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.leaves
     }
 
     /// True for an empty batch.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.leaves == 0
     }
 
-    /// Builds the proof that item `index` is in the batch.
+    /// The hashes a proof for leaf `index` carries, leaf level upward,
+    /// skipping the levels where its node is promoted without a sibling:
+    /// [`sibling_count`]`(index, len)` of them, which [`fold`] takes back
+    /// to the root.
+    pub fn siblings(&self, index: usize) -> Siblings<'_> {
+        let left = sibling_count(index as u64, self.leaves as u64);
+        Siblings { rest: &self.nodes, width: self.leaves, pos: index, left }
+    }
+
+    /// Builds the proof that item `index` is in the batch (`None` past
+    /// the end, and for a tree built from leaf hashes).
     pub fn prove(&self, index: usize) -> Option<SeqProof> {
-        if index >= self.items.len() {
-            return None;
-        }
-        let mut siblings = Vec::new();
+        let item = self.items.get(index)?.clone();
         let mut pos = index;
         // All levels except the root level contribute a sibling when one
         // exists (odd promoted nodes have none at that level).
-        for level in &self.levels[..self.levels.len().saturating_sub(1)] {
-            let sib = pos ^ 1;
-            if sib < level.len() {
-                siblings.push(Some(level[sib]));
-            } else {
-                siblings.push(None);
-            }
-            pos /= 2;
-        }
-        Some(SeqProof { index: index as u64, item: self.items[index].clone(), siblings })
+        let siblings = self
+            .levels()
+            .filter(|level| level.len() > 1)
+            .map(|level| {
+                let sibling = level.get(pos ^ 1).copied();
+                pos /= 2;
+                sibling
+            })
+            .collect();
+        Some(SeqProof { index: index as u64, item, siblings })
     }
+}
+
+/// The sibling hashes of one leaf, from [`SeqTree::siblings`].
+pub struct Siblings<'a> {
+    /// The tree's nodes from the current level up.
+    rest: &'a [Digest],
+    /// The current level's width.
+    width: usize,
+    /// The leaf's ancestor's position on the current level.
+    pos: usize,
+    /// Siblings not yet yielded.
+    left: usize,
+}
+
+impl Iterator for Siblings<'_> {
+    type Item = Digest;
+
+    fn next(&mut self) -> Option<Digest> {
+        while self.left > 0 {
+            let (level, above) = self.rest.split_at(self.width);
+            let sibling = level.get(self.pos ^ 1);
+            (self.rest, self.width, self.pos) = (above, self.width.div_ceil(2), self.pos / 2);
+            if let Some(&sibling) = sibling {
+                self.left -= 1;
+                return Some(sibling);
+            }
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Siblings<'_> {}
+
+/// How many sibling hashes the proof of leaf `index` in a tree of
+/// `size` leaves carries: one per level where its node has a sibling.
+/// Zero outside the tree.
+pub fn sibling_count(index: u64, size: u64) -> usize {
+    let (mut pos, mut width, mut count) = (index, size, 0);
+    if index >= size {
+        return 0;
+    }
+    while width > 1 {
+        count += usize::from(pos ^ 1 < width);
+        pos /= 2;
+        width = width.div_ceil(2);
+    }
+    count
+}
+
+/// The root that leaf hash `leaf` at `index` in a tree of `size` leaves
+/// folds to through `siblings` ([`SeqTree::siblings`]'s order), or
+/// `None` when the index is outside the tree or the sibling count does
+/// not match the shape.
+pub fn fold(
+    index: u64,
+    size: u64,
+    leaf: Digest,
+    siblings: impl IntoIterator<Item = Digest>,
+) -> Option<Digest> {
+    if index >= size {
+        return None;
+    }
+    let mut siblings = siblings.into_iter();
+    let (mut h, mut pos, mut width) = (leaf, index, size);
+    while width > 1 {
+        if pos ^ 1 < width {
+            let s = siblings.next()?;
+            h = if pos % 2 == 0 { node_hash(&h, &s) } else { node_hash(&s, &h) };
+        }
+        pos /= 2;
+        width = width.div_ceil(2);
+    }
+    siblings.next().is_none().then_some(h)
 }
 
 /// Proof that one item of a signed batch has a given value.
@@ -213,6 +339,37 @@ mod tests {
             let t = SeqTree::build(&batch(n));
             for i in 0..n {
                 prop_assert!(t.prove(i).unwrap().verify(&t.root()));
+            }
+        }
+
+        /// A tree over hashed leaves has `build`'s root, and its present
+        /// siblings are `prove`'s, folding back to the root with exactly
+        /// that many hashes. (Another size can share the shape a proof
+        /// walks, which is why a batch signs its size beside the root.)
+        #[test]
+        fn prop_hashed_leaves_fold_to_the_root(n in 1usize..80) {
+            let items = batch(n);
+            let built = SeqTree::build(&items);
+            let leaves: Vec<Digest> =
+                items.iter().enumerate().map(|(i, it)| leaf_hash(i as u64, it)).collect();
+            let t = SeqTree::from_leaf_hashes(leaves.iter().copied());
+            prop_assert_eq!(t.leaves(), leaves.as_slice());
+            prop_assert_eq!(t.root(), built.root());
+            prop_assert_eq!(t.len(), n);
+            prop_assert!(t.prove(0).is_none());
+            for (i, item) in items.iter().enumerate() {
+                let siblings: Vec<Digest> = t.siblings(i).collect();
+                let proved: Vec<Digest> = built.prove(i).unwrap().siblings.into_iter().flatten().collect();
+                prop_assert_eq!(&siblings, &proved);
+                prop_assert_eq!(siblings.len(), sibling_count(i as u64, n as u64));
+                prop_assert_eq!(t.siblings(i).len(), siblings.len());
+                let leaf = leaf_hash(i as u64, item);
+                let (index, size) = (i as u64, n as u64);
+                prop_assert_eq!(fold(index, size, leaf, siblings.iter().copied()), Some(t.root()));
+                prop_assert_eq!(fold(index, size, leaf, siblings.iter().copied().skip(1)).is_some(), siblings.is_empty());
+                let longer = siblings.iter().copied().chain([leaf]);
+                prop_assert_eq!(fold(index, size, leaf, longer), None);
+                prop_assert_eq!(fold(size, size, leaf, siblings.iter().copied()), None);
             }
         }
 

@@ -274,22 +274,30 @@ fn rib_fingerprint_is_pinned() {
 }
 
 /// The checkpoint file is a format, and this pins it: the SHA-256 of a
-/// whole `PVRCKPT4` file, for a network whose router sections carry
+/// whole `PVRCKPT5` file, for a network whose router sections carry
 /// every kind of dynamic state at once — attestation chains, a filled
 /// Adj-RIB-Out, MRAI buffers and jitter DRBGs, dampening penalties, an
 /// announcement parked behind a suppression, a flapping prefix, and one
-/// session down. Re-pinned for the `PVRCKPT3` → `PVRCKPT4` format bump
+/// session down. Re-pinned for the `PVRCKPT4` → `PVRCKPT5` format bump
+/// (an attestation is one leaf of its export's signed batch, and a
+/// signed router saves its salt DRBG): measured on that commit, META
+/// and STORE hash the same as on its parent, whose whole-file value was
+/// `00894f15…cb82`; ROUTERS grew from 150 704 to 237 312 bytes, CACHE
+/// (which now memoizes root signatures too) from 12 419 to 17 525, and
+/// ENGINE, whose in-flight UPDATEs carry chains, from 1 635 to 1 663.
+/// The same network unsigned differs from its parent's file in the
+/// header alone. The bump before, `PVRCKPT3` → `PVRCKPT4`
 /// (the default link and the dampening thresholds left META's options):
 /// measured on that commit, the ENGINE, ROUTERS, CACHE and STORE
 /// payloads hash the same as on its parent, whose whole-file value was
-/// `912619fa…38b1`, and META shrank from 793 to 720 bytes. The bump
-/// before, `PVRCKPT2` → `PVRCKPT3`, wrote each router's RIB as one
+/// `912619fa…38b1`, and META shrank from 793 to 720 bytes. Before
+/// that, `PVRCKPT2` → `PVRCKPT3`, wrote each router's RIB as one
 /// record per prefix cell and moved only the header and ROUTERS. Any
 /// change to what a router writes, or to the order it writes it in,
 /// lands here.
 #[test]
 fn checkpoint_file_bytes_are_pinned() {
-    const GOLDEN: &str = "00894f152e519f711f42490be12a1590e387e71af28d962f61fef186fa5ecb82";
+    const GOLDEN: &str = "fc3ea9256697004d6faec413ab0ef6b426a24690302e0636eaabc55bbcab7530";
     let mut topology = small_internet(310);
     // `small_internet` withdraws the flapping prefix at 40 ms and brings
     // it back at 90 ms; three more flaps in between push its provider's
@@ -684,6 +692,13 @@ fn version_3_header_is_a_typed_error() {
     // `PVRCKPT3` files wrote the default link configuration and six
     // dampening thresholds into META's options.
     assert_old_header_refused(b"PVRCKPT3", 3);
+}
+
+#[test]
+fn version_4_header_is_a_typed_error() {
+    // `PVRCKPT4` files held one signature per attestation, without salt,
+    // proof or parent binding, and no salt DRBG.
+    assert_old_header_refused(b"PVRCKPT4", 4);
 }
 
 /// The checkpoint `fixture` with the payload of section `tag` passed

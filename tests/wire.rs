@@ -19,7 +19,8 @@
 //!
 //! Samples carry the edges: empty and long sequences, `None`/`Some`,
 //! every enum variant, `/0` and `/32` prefixes, an unsigned and a
-//! 3-hop signed route.
+//! 3-hop signed route, and a 4-hop one whose newest attestation is one
+//! leaf of a three-neighbor export batch (salt, position, siblings).
 
 use pvr::bgp::{
     demo_chain, AsPath, Asn, Attestation, BgpUpdate, Candidate, Community, DampState,
@@ -155,6 +156,12 @@ fn every_wire_type_holds_the_catalog_contract() {
     let root_b = SignedRoot::create(&identity, b"10.0.0.0/8".to_vec(), 3, sha256(b"root b"));
     let (commitment, opening) = commit(b"tag", b"some value", &mut rng);
     let (three_hops, _, _) = demo_chain(3, 512, b"wire catalog chain");
+    let exported = {
+        let signer = Arc::new(identity.clone());
+        let route = three_hops.route.clone().propagated_by(Asn(10));
+        let (targets, salts) = ([Asn(11), Asn(12), Asn(13)], [[1; 16], [2; 16], [3; 16]]);
+        SignedRoute::export(Some(&three_hops), &signer, &route, &targets, &salts)
+    };
     let unsigned = SignedRoute::unsigned(Route::originate(prefix("10.0.0.0/8")));
 
     let batch: Vec<Vec<u8>> = (0..5).map(|i| format!("update-{i}").into_bytes()).collect();
@@ -300,8 +307,10 @@ fn every_wire_type_holds_the_catalog_contract() {
         Candidate,
         vec![Candidate::local(rich_route()), Candidate::from_neighbor(rich_route(), Asn(7))]
     );
-    row!(Attestation, three_hops.chain().to_vec());
-    row!(SignedRoute, vec![unsigned.clone(), three_hops.clone()]);
+    let mut attestations = three_hops.chain().to_vec();
+    attestations.extend(exported[2].chain().newest());
+    row!(Attestation, attestations);
+    row!(SignedRoute, vec![unsigned.clone(), three_hops.clone(), exported[1].clone()]);
     row!(BgpUpdate, updates);
     row!(Edge, topology().edges().to_vec());
     row!(
@@ -440,9 +449,13 @@ const GOLDEN: &[(&str, &str)] = &[
     ("AsPath", "797eebe86ab8e6a3f8fd9b4d9717123d247ea09aa92e0c289139d9a7ca226091"),
     ("Route", "31b7ff3631e0a02a580f962716f31906cbd1b83df1f8dbff65e566987b36c7d4"),
     ("Candidate", "c2fb5bf670c0c9359161a40e46815208001cabdb64c85b49e6bee6683dd6cc96"),
-    ("Attestation", "54bb97668d8f16788975080ab364cf9c6b94346d5404951019d23fd23b8a6b4c"),
-    ("SignedRoute", "1523c2eb4034e5e85b79819167f2f3765054edb145b8a284d31f6899291ead84"),
-    ("BgpUpdate", "7321d898fa8fc2d7d1aa48863dce00728d11a059d0159a1467f9c3ecd3550cb9"),
+    // Re-pinned with `PVRCKPT5`: an attestation is one leaf of its
+    // export's signed batch (salt, position, size, siblings, the root's
+    // signature, which binds the chain below); the samples gained a
+    // three-neighbor export.
+    ("Attestation", "b4bc57024a808d32acb53e903e824642dafda624b8cf0424bacb8f672d4d5f02"),
+    ("SignedRoute", "10ba0cf57631874c4f13cfb5cda50c3bdc3070382b1e8638419c373e64de0499"),
+    ("BgpUpdate", "1de69ce9a46ba05673291da4e0a5b30006c46bc1189d87c4a2f8fad26690b555"),
     ("Edge", "2314b14c5111935a06becb0f06a94eb9b4faa0925b29f3fbead08ff3602beb09"),
     ("LocalEvent", "e4e7d36eec3a2fa33e31f900aad7d818d2f7c3c0ca41f81a1ef06e53387bf8a0"),
     // Re-pinned with `PVRCKPT4`: `link` and the dampening thresholds left.
@@ -454,8 +467,9 @@ const GOLDEN: &[(&str, &str)] = &[
     ("VertexRecord", "3f8af7e9926c4531a95a3a80e5e22716b41dbc7f90d157050a2e36ad0560345b"),
     ("BitReveal", "59e2cabbed576096075f41725b0e2a5da9730f9a781542208b0d6ce6643749dd"),
     ("GraphReveal", "b13753f62f5a549c6f37b7fc8856a5e83fb99b33bafcb54f9b4072dfbec6ce41"),
-    ("Disclosure", "d8b5f24bf5c320a802a96bb9bea765eb2dd7f9bb41a64391e10c593a6d39c57a"),
-    ("PvrMsg", "07d4a2aa7f408046f4669164692d39360025be49537345c0e1507ee5613309c2"),
+    // Re-pinned with `PVRCKPT5`: both carry the export's attestation chain.
+    ("Disclosure", "8cc5db767e14c59d74946c23d3b078b1ae51034726c7547cb30c8de58e0ee5c6"),
+    ("PvrMsg", "7900766dc1408be3d16d75b6701630171779ebd49d366d4f3a3cc4b64d19ca39"),
     // BEGIN rows whose impls are new with the codec rewrite.
     ("usize", "772d2e7b2e439c66aa2e31629f007221383f76866f62a8bad8c4184d4072a900"),
     ("[u8; 32]", "b328755b68ca4b0aa005906eed6f8dc7fa9817a2edae6666d05b9765fb967f46"),
