@@ -14,8 +14,11 @@
 //!
 //! `e12` and `tests/attack_campaigns.rs` assert property 3 by diffing a
 //! single-threaded run against a multi-threaded one.
+//!
+//! Workers are plain threads. A cell that converges a signed network
+//! also runs that network's sign-ahead helpers, so `n` workers on `n`
+//! cores may run beside up to `n(n − 1)` helpers.
 
-use pvr_bgp::CoreBudget;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -31,28 +34,20 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let threads = threads.max(1).min(n.max(1));
-    // Each worker counts as busy in the process's core budget, so the
-    // networks it converges run sign-ahead helpers only on cores the
-    // sweep leaves free.
-    let budget = CoreBudget::process();
     if threads <= 1 {
-        let _worker = budget.occupy(1);
         return (0..n).map(run).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                let _worker = budget.occupy(1);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = run(i);
-                    slots.lock().expect("sweep slot table poisoned")[i] = Some(result);
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let result = run(i);
+                slots.lock().expect("sweep slot table poisoned")[i] = Some(result);
             });
         }
     });
@@ -64,10 +59,10 @@ where
         .collect()
 }
 
-/// The executor's default thread count: the cores of the process's
-/// budget (its available parallelism, floored at 1).
+/// The executor's default thread count: the process's available
+/// parallelism, floored at 1.
 pub fn default_parallelism() -> usize {
-    CoreBudget::process().cores()
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
@@ -90,7 +85,7 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_threads_clamp() {
+    fn surplus_threads_clamp() {
         assert_eq!(sweep(3, 64, |i| i), vec![0, 1, 2]);
     }
 }

@@ -61,7 +61,7 @@ pub fn run(cfg: &Cfg) -> Report {
     row!(out, "(scales >56 originate one /24 from each of the first min(stubs,256) stubs,");
     row!(out, " capped at 64 past 20k ASes; signed rows use RSA-512 attestations + ROV;");
     row!(out, " pvr shares the signed substrate — its import path is identical, audits");
-    row!(out, " are post-hoc; shards=1 is the serial engine, >1 the sharded engine)");
+    row!(out, " are post-hoc; one engine, `shards` sets its worker count)");
     row!(
         out,
         "{:>6} {:<7} {:>6} {:>6} {:>7} {:>8} {:>10} {:>10} {:>10} {:>14} {:>11} {:>12}",

@@ -218,7 +218,7 @@ fn percentile(sorted: &[u64], p: usize) -> u64 {
 /// E16's graceful-degradation table: at each flap fraction, a seeded
 /// subset of links flaps continuously and the network is probed
 /// mid-storm (sim-time deadline) against a never-faulted baseline's
-/// route selections. Serial engine; the numbers are sim-time
+/// route selections. Always one shard; the numbers are sim-time
 /// deterministic, so they are identical however `--shards` is set.
 fn e16_degradation(scale: usize, fault_seed: u64) -> Vec<E16Degradation> {
     let topology = internet_like(e14_params(scale), 16);

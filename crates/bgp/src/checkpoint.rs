@@ -85,9 +85,7 @@
 //!   complete, and no `.tmp` is left behind.
 //!
 //! A signed network's sign-ahead helpers start once for the whole
-//! sliced run and keep signing across boundaries; the writer counts as
-//! a busy thread in [`crate::cores::CoreBudget`], so a helper gives up
-//! its core while a file is being framed.
+//! sliced run and keep signing across boundaries, beside the writer.
 //!
 //! ## What refuses to checkpoint
 //!
@@ -116,7 +114,6 @@
 //! prefix p at time t" against that history, and the attack layer's
 //! forensic bisect binary-searches it for the first poisoned instant.
 
-use crate::cores::CoreBudget;
 use crate::decision::Candidate;
 use crate::sbgp::CacheState;
 use crate::topology::{BgpNetwork, InstantiateOptions, OriginTable, Topology};
@@ -606,11 +603,7 @@ impl BgpNetwork {
                     // lags it.
                     last = dir.join(format!("ckpt-{:08}.pvr", slice_deadline.as_micros() / 1000));
                     let path = last.clone();
-                    in_flight = Some(scope.spawn(move || {
-                        // A core sign-ahead helpers must not count on.
-                        let _writer = CoreBudget::process().occupy(1);
-                        write_checkpoint(&path, &sections)
-                    }));
+                    in_flight = Some(scope.spawn(move || write_checkpoint(&path, &sections)));
                     Ok(())
                 });
             // A boundary that failed has already joined its predecessor,

@@ -20,8 +20,6 @@
 //! * [`topology`] — Figure 1 scenario and Internet-like generators;
 //! * [`checkpoint`] — crash-consistent checkpoint/restore and the
 //!   copy-on-write RIB snapshot history (time travel, forensics);
-//! * [`cores`] — the process's core budget, which decides when
-//!   S-BGP signing may run ahead on a spare core;
 //! * [`partition`] — deterministic AS → shard assignment;
 //! * [`workload`] — flaps, bursts, churn.
 //!
@@ -39,7 +37,6 @@
 //! only).
 
 pub mod checkpoint;
-pub mod cores;
 pub mod dampening;
 pub mod decision;
 pub mod messages;
@@ -57,7 +54,6 @@ pub mod types;
 pub mod workload;
 
 pub use checkpoint::{CheckpointError, CKPT_MAGIC, CKPT_VERSION};
-pub use cores::CoreBudget;
 pub use dampening::{DampState, DampeningPolicy};
 pub use decision::{best, prefer, Candidate, CandidateRef};
 pub use messages::BgpUpdate;

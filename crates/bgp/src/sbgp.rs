@@ -33,13 +33,12 @@
 //! Not covered by signatures (as in real S-BGP): LOCAL_PREF, MED, and
 //! communities — they are non-transitive or locally meaningful.
 //!
-//! A router's own exports are signed when first read, not when made,
-//! and on cores the process leaves free ([`crate::cores`]) helper
-//! threads sign them ahead of the readers: PKCS#1 v1.5 signing is
+//! A router's own exports are signed when first read, not when made;
+//! on the cores its network's shards leave free, helper threads sign
+//! them ahead of the readers (`SignQueue`). PKCS#1 v1.5 signing is
 //! deterministic, so who computes a signature, and when, changes no
 //! byte.
 
-use crate::cores::{CoreBudget, Spare};
 use crate::path::AsPath;
 use crate::route::Route;
 use crate::types::{Asn, Prefix};
@@ -50,9 +49,8 @@ use pvr_crypto::sha256::{sha256_concat, Digest, Sha256};
 use pvr_mht::seqtree::{self, SeqTree, Siblings};
 use std::collections::hash_map::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
-use std::time::Duration;
 
 /// Bytes of an attestation's salt.
 pub const SALT_LEN: usize = 16;
@@ -643,32 +641,21 @@ impl std::fmt::Debug for AttestationChain {
 /// A signed network on a host with more cores than shards holds one
 /// queue, shared by its routers (which push each export's batch) and by
 /// [`with_helpers`](Self::with_helpers) (which runs the helpers for the
-/// length of a convergence call). Helpers sign only on cores the
-/// process's [`CoreBudget`] leaves free, so they vanish under a
-/// parallel sweep and reappear when it ends; while none holds a core,
-/// routers queue nothing. The engine reads an UPDATE's signatures when
-/// it delivers it, oldest first, and signs inline whatever no helper
-/// has reached; helpers take the newest, so the two rarely meet on one
-/// batch. The queue holds weak references: it keeps no batch alive, and
-/// an entry whose batch was read or dropped is discarded unsigned.
-/// Nothing a helper does is observable except as time — a batch is
-/// signed by whoever reads it first, with the same bytes.
+/// length of an engine run). Outside a run, routers queue nothing. The
+/// engine reads an UPDATE's signatures when it delivers it, oldest
+/// first, and signs inline whatever no helper has reached; helpers take
+/// the newest, so the two rarely meet on one batch. The queue holds weak
+/// references: it keeps no batch alive, and an entry whose batch was
+/// read or dropped is discarded unsigned. Nothing a helper does is
+/// observable except as time — a batch is signed by whoever reads it
+/// first, with the same bytes.
 pub(crate) struct SignQueue {
-    /// Most helper threads one [`with_helpers`](Self::with_helpers)
-    /// call runs.
+    /// Helper threads each [`with_helpers`](Self::with_helpers) call
+    /// runs.
     helpers: usize,
-    /// Whose free cores the helpers sign on.
-    budget: &'static CoreBudget,
-    /// Helpers holding a spare core now. Only a hint for `push` (the
-    /// queue itself is behind `state`), so every access is `Relaxed`.
-    signing: AtomicUsize,
     state: Mutex<QueueState>,
     wake: Condvar,
 }
-
-/// How long a helper without a core waits before asking the budget
-/// again.
-const PAUSE: Duration = Duration::from_millis(1);
 
 #[derive(Default)]
 struct QueueState {
@@ -676,7 +663,7 @@ struct QueueState {
     pending: VecDeque<Weak<Batch>>,
     /// Helpers waiting for work.
     idle: usize,
-    /// Whether helpers should keep running.
+    /// Whether helpers are running.
     open: bool,
 }
 
@@ -688,28 +675,22 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl SignQueue {
-    /// A queue whose [`with_helpers`](Self::with_helpers) runs up to
-    /// `helpers` threads on the cores `budget` leaves free.
-    pub(crate) fn new(helpers: usize, budget: &'static CoreBudget) -> SignQueue {
-        SignQueue {
-            helpers,
-            budget,
-            signing: AtomicUsize::new(0),
-            state: Mutex::default(),
-            wake: Condvar::new(),
-        }
+    /// A queue whose [`with_helpers`](Self::with_helpers) runs
+    /// `helpers` threads.
+    pub(crate) fn new(helpers: usize) -> SignQueue {
+        SignQueue { helpers, state: Mutex::default(), wake: Condvar::new() }
     }
 
-    /// Queues the batch `chain`'s newest attestation belongs to, if a
-    /// helper is signing and the batch was made here. Entries the
+    /// Queues the batch `chain`'s newest attestation belongs to, if
+    /// helpers are running and the batch was made here. Entries the
     /// readers have already signed or dropped leave from the front, so
     /// the queue stays about as long as the signatures still owed.
     pub(crate) fn push(&self, chain: &AttestationChain) {
         let Some(ChainNode::Made { batch, .. }) = chain.0.as_deref() else { return };
-        if self.signing.load(Ordering::Relaxed) == 0 {
+        let mut state = lock(&self.state);
+        if !state.open {
             return;
         }
-        let mut state = lock(&self.state);
         while state.pending.front().is_some_and(|oldest| !still_owed(oldest)) {
             state.pending.pop_front();
         }
@@ -719,50 +700,25 @@ impl SignQueue {
         }
     }
 
-    /// Runs `work` with this queue's helper threads signing beside it —
-    /// one per core the budget leaves free now, up to `helpers` — and
-    /// returns once they have all stopped. The caller counts `work`'s
-    /// own threads in the budget first.
+    /// Runs `work` with this queue's helper threads signing beside it,
+    /// and returns once they have all stopped.
     pub(crate) fn with_helpers<R>(&self, work: impl FnOnce() -> R) -> R {
         std::thread::scope(|scope| {
             lock(&self.state).open = true;
             // Dropped when `work` returns or unwinds, before the scope
             // joins the helpers it tells to stop.
             let _close = Close(self);
-            let spares = std::iter::from_fn(|| self.budget.take_spare()).take(self.helpers);
-            for core in spares {
-                // Counted before `work` starts pushing.
-                let signing = Signing::new(&self.signing, core);
-                scope.spawn(move || self.help(signing));
+            for _ in 0..self.helpers {
+                scope.spawn(|| self.help());
             }
             work()
         })
     }
 
-    /// One helper: signs queued batches newest first until closed,
-    /// while it holds a spare core. It gives the core back as soon as
-    /// the process counts more busy threads than cores, and asks for
-    /// one again every [`PAUSE`].
-    fn help<'a>(&'a self, signing: Signing<'a>) {
-        let mut signing = Some(signing);
+    /// One helper: signs queued batches newest first until closed.
+    fn help(&self) {
         let mut state = lock(&self.state);
         while state.open {
-            if signing.is_some() && self.budget.oversubscribed() {
-                signing = None;
-            }
-            if signing.is_none() {
-                match self.budget.take_spare() {
-                    Some(core) => signing = Some(Signing::new(&self.signing, core)),
-                    None => {
-                        state = self
-                            .wake
-                            .wait_timeout(state, PAUSE)
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .0;
-                        continue;
-                    }
-                }
-            }
             match state.pending.pop_back() {
                 Some(entry) => {
                     drop(state);
@@ -778,25 +734,6 @@ impl SignQueue {
                 }
             }
         }
-    }
-}
-
-/// A helper's spare core, counted in its queue's `signing` while held.
-struct Signing<'a> {
-    count: &'a AtomicUsize,
-    _core: Spare<'a>,
-}
-
-impl<'a> Signing<'a> {
-    fn new(count: &'a AtomicUsize, core: Spare<'a>) -> Signing<'a> {
-        count.fetch_add(1, Ordering::Relaxed);
-        Signing { count, _core: core }
-    }
-}
-
-impl Drop for Signing<'_> {
-    fn drop(&mut self) {
-        self.count.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1650,72 +1587,39 @@ mod tests {
 
     /// Spins until `done`, failing after a minute.
     fn wait_until(what: &str, done: impl Fn() -> bool) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
         while !done() {
             assert!(std::time::Instant::now() < deadline, "timed out: {what}");
             std::thread::yield_now();
         }
     }
 
-    fn helpers_signing(queue: &SignQueue) -> usize {
-        queue.signing.load(Ordering::Relaxed)
-    }
-
-    /// A queue's helpers take the cores the engine leaves free, sign
-    /// what routers queue while the work they run beside waits, and are
-    /// stopped when it returns.
+    /// A queue's helpers all start with the work they run beside, sign
+    /// what routers queue while it waits, and are stopped when it
+    /// returns.
     #[test]
     fn helpers_sign_queued_attestations() {
-        static BUDGET: CoreBudget = CoreBudget::new(3);
-        let queue = SignQueue::new(4, &BUDGET);
-        let _engine = BUDGET.occupy(1);
+        let queue = SignQueue::new(2);
         queue.with_helpers(|| {
-            assert_eq!(helpers_signing(&queue), 2, "one helper per free core");
+            wait_until("both helpers start", || lock(&queue.state).idle == 2);
             let routes: Vec<SignedRoute> = (0..16).map(|i| queued_origination(&queue, i)).collect();
             wait_until("helpers sign the queue", || !routes.iter().any(is_pending));
         });
-        assert_eq!(helpers_signing(&queue), 0);
         let state = lock(&queue.state);
         assert!(!state.open);
         assert!(state.pending.is_empty());
     }
 
-    /// A helper gives its core back while the process counts more busy
-    /// threads than cores — routers then queue nothing — and signs again
-    /// once a core is free.
+    /// An export made while no helper runs is not queued, and its first
+    /// reader signs it.
     #[test]
-    fn helpers_give_way_to_busy_threads() {
-        static BUDGET: CoreBudget = CoreBudget::new(2);
-        let queue = SignQueue::new(1, &BUDGET);
-        let _engine = BUDGET.occupy(1);
-        queue.with_helpers(|| {
-            assert_eq!(helpers_signing(&queue), 1);
-            let unqueued = {
-                // The engine takes a second thread: three want two cores.
-                let _second_shard = BUDGET.occupy(2);
-                wait_until("the helper yields", || helpers_signing(&queue) == 0);
-                queued_origination(&queue, 0)
-            };
-            assert!(lock(&queue.state).pending.is_empty(), "queued while nobody signs");
-            wait_until("the helper resumes", || helpers_signing(&queue) == 1);
-            let queued = queued_origination(&queue, 1);
-            wait_until("the helper signs again", || !is_pending(&queued));
-            assert!(is_pending(&unqueued));
-        });
-    }
-
-    /// With every core counted, no helper starts and nothing is queued.
-    #[test]
-    fn no_spare_core_means_no_helper() {
-        static BUDGET: CoreBudget = CoreBudget::new(1);
-        let queue = SignQueue::new(1, &BUDGET);
-        let _engine = BUDGET.occupy(1);
-        let route = queue.with_helpers(|| {
-            assert_eq!(helpers_signing(&queue), 0);
-            queued_origination(&queue, 0)
-        });
-        assert!(is_pending(&route));
+    fn pushes_outside_a_run_queue_nothing() {
+        let queue = SignQueue::new(1);
+        let route = queued_origination(&queue, 0);
         assert!(lock(&queue.state).pending.is_empty());
+        assert!(is_pending(&route));
+        assert!(route.chain().newest().is_some());
+        assert!(!is_pending(&route));
     }
 
     /// A panic while the memo's lock was held leaves it poisoned; the

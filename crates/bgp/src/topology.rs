@@ -6,7 +6,6 @@
 //! topologies (tier-1 clique / tier-2 / stubs with Gao–Rexford roles)
 //! for the scale experiment E8.
 
-use crate::cores::CoreBudget;
 use crate::dampening::DampeningPolicy;
 use crate::messages::BgpUpdate;
 use crate::partition::partition_by_degree;
@@ -335,12 +334,12 @@ impl Topology {
     /// verdicts.
     ///
     /// Signed mode on a host with more cores than `shards` also gives
-    /// the network one sign-ahead queue: every
-    /// [`converge`](BgpNetwork::converge) call runs up to `cores −
-    /// shards` helper threads, one per core the process's
-    /// [`CoreBudget`] leaves free, signing the attestations routers have
-    /// made before the receivers read them. With no core to spare there
-    /// is no queue, and every signature is made by its first reader.
+    /// the network one sign-ahead queue with `cores − shards` helpers,
+    /// where `cores` is [`std::thread::available_parallelism`] read
+    /// here, once: every [`converge`](BgpNetwork::converge) call runs
+    /// them all, signing the attestations routers have made before the
+    /// receivers read them. With no core to spare there is no queue, and
+    /// every signature is made by its first reader.
     pub fn instantiate_sharded(&self, options: InstantiateOptions, shards: usize) -> BgpNetwork {
         let shards = shards.max(1);
         let mut sim: Simulator<BgpUpdate> = Simulator::with_shards(options.seed, shards);
@@ -360,9 +359,12 @@ impl Topology {
         } else {
             Vec::new()
         };
-        let budget = CoreBudget::process();
-        let helpers = if keystore.is_some() { budget.cores().saturating_sub(shards) } else { 0 };
-        let sign_queue = (helpers > 0).then(|| Arc::new(SignQueue::new(helpers, budget)));
+        let helpers = if keystore.is_some() {
+            std::thread::available_parallelism().map_or(1, |n| n.get()).saturating_sub(shards)
+        } else {
+            0
+        };
+        let sign_queue = (helpers > 0).then(|| Arc::new(SignQueue::new(helpers)));
 
         // Unlike the verify cache, the private verifier is network-wide
         // at every shard count: it is flushed at engine barriers and
@@ -636,18 +638,17 @@ pub type ShardedBgpNetwork = BgpNetwork;
 
 impl BgpNetwork {
     /// Runs the network to quiescence (or the given limits). A signed
-    /// network with a sign-ahead queue runs its helper threads for the
-    /// length of the call; none outlives it.
+    /// network with a sign-ahead queue runs all its helper threads for
+    /// the length of the call; none outlives it.
     pub fn converge(&mut self, limits: RunLimits) -> StopReason {
         self.run_engine(|net| net.sim.run(limits))
     }
 
-    /// Runs `work`, which drives this network's engine. Its shard
-    /// threads count as busy in the process's [`CoreBudget`], and a
-    /// signed network's sign-ahead helpers run beside it on the cores
-    /// the budget leaves free, stopping when `work` returns.
+    /// Runs `work`, which drives this network's engine, with a signed
+    /// network's sign-ahead helpers (as many as
+    /// [`Topology::instantiate_sharded`] decided) signing beside it
+    /// until `work` returns.
     pub(crate) fn run_engine<R>(&mut self, work: impl FnOnce(&mut BgpNetwork) -> R) -> R {
-        let _engine = CoreBudget::process().occupy(self.sim.shard_count());
         match self.sign_queue.clone() {
             Some(queue) => queue.with_helpers(|| work(self)),
             None => work(self),
@@ -1137,6 +1138,21 @@ mod tests {
                 private.router(asn).best_route(cast.prefix),
                 "{asn}"
             );
+        }
+    }
+
+    /// A signed network has a sign queue iff the host has more cores
+    /// than shards; a plain network never has one.
+    #[test]
+    fn sign_queue_iff_a_core_is_spare() {
+        let (t, _) = figure1(&[0]);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let signed = InstantiateOptions { signed: true, key_bits: 512, ..Default::default() };
+        for shards in [1, cores] {
+            let spare = cores > shards;
+            assert_eq!(t.instantiate_sharded(signed, shards).sign_queue.is_some(), spare);
+            let plain = t.instantiate_sharded(InstantiateOptions::default(), shards);
+            assert!(plain.sign_queue.is_none());
         }
     }
 
