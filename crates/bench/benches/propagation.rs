@@ -3,8 +3,8 @@
 //! fan-out clones are the per-hop unit work; the `e14_router` group is
 //! the per-UPDATE unit cost of one router, replayed from a recorded
 //! trace; the `internet_like` convergence group measures the
-//! end-to-end effect at the default 56-AS topology (the full ladder
-//! lives in harness experiment e14).
+//! end-to-end effect at the default 56-AS topology and at 1 000 ASes
+//! (the full ladder lives in harness experiment e14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pvr_bench::e14_params;
@@ -55,20 +55,24 @@ fn bench_fanout_clone(c: &mut Criterion) {
     g.finish();
 }
 
-/// Full `internet_like` convergence at the default 56-AS parameters —
-/// the end-to-end number the sharing refactor moves.
+/// Full `internet_like` plain convergence: at the default 56-AS
+/// parameters — the end-to-end number the sharing refactor moves — and
+/// at 1 000 ASes, whose RIBs outgrow the cache, so the order a window's
+/// events are dispatched in shows (DESIGN.md, "Node-major dispatch").
 fn bench_convergence(c: &mut Criterion) {
     let mut g = c.benchmark_group("e14_convergence");
     g.sample_size(10);
-    let topology = internet_like(e14_params(56), 14);
-    g.bench_function("internet_like_56_plain", |b| {
-        b.iter(|| {
-            let mut net =
-                topology.instantiate(InstantiateOptions { seed: 14, ..Default::default() });
-            net.converge(RunLimits::none());
-            black_box(net.sim.stats().events)
+    for ases in [56, 1000] {
+        let topology = internet_like(e14_params(ases), 14);
+        g.bench_function(format!("internet_like_{ases}_plain"), |b| {
+            b.iter(|| {
+                let mut net =
+                    topology.instantiate(InstantiateOptions { seed: 14, ..Default::default() });
+                net.converge(RunLimits::none());
+                black_box(net.sim.stats().events)
+            });
         });
-    });
+    }
     g.finish();
 }
 

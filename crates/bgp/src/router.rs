@@ -204,8 +204,11 @@ pub struct BgpRouter {
     asn: Asn,
     policy: PolicyConfig,
     security: SecurityMode,
-    /// Message attribution: simulator node → neighbor AS.
-    asn_of_node: HashMap<NodeId, Asn>,
+    /// Message attribution: the session each simulator node speaks
+    /// for, in ascending node order (a binary search away, no hashing).
+    /// A node resolves to the latest registration of the latest AS
+    /// registered at it.
+    sessions_by_node: Vec<(NodeId, Neighbor)>,
     /// Sessions in ascending-ASN order: the order export walks them in,
     /// and a binary search away for everything keyed by neighbor.
     neighbor_list: Vec<Neighbor>,
@@ -306,7 +309,7 @@ impl BgpRouter {
             asn,
             policy,
             security,
-            asn_of_node: HashMap::new(),
+            sessions_by_node: Vec::new(),
             neighbor_list: Vec::new(),
             schedule: Vec::new(),
             originate_at_start: Vec::new(),
@@ -489,7 +492,6 @@ impl BgpRouter {
 
     /// Registers a neighbor and the simulator node it lives at.
     pub fn add_neighbor(&mut self, asn: Asn, node: NodeId) {
-        self.asn_of_node.insert(node, asn);
         let neighbor = Neighbor {
             asn,
             node,
@@ -500,6 +502,22 @@ impl BgpRouter {
             Ok(i) => self.neighbor_list[i] = neighbor,
             Err(i) => self.neighbor_list.insert(i, neighbor),
         }
+        // Nodes registered for `asn` earlier now speak for this session.
+        for (_, session) in &mut self.sessions_by_node {
+            if session.asn == asn {
+                *session = neighbor;
+            }
+        }
+        match self.sessions_by_node.binary_search_by_key(&node, |&(n, _)| n) {
+            Ok(i) => self.sessions_by_node[i].1 = neighbor,
+            Err(i) => self.sessions_by_node.insert(i, (node, neighbor)),
+        }
+    }
+
+    /// The session a message from simulator node `node` arrives on.
+    fn session_at(&self, node: NodeId) -> Option<Neighbor> {
+        let i = self.sessions_by_node.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        Some(self.sessions_by_node[i].1)
     }
 
     fn neighbor_index(&self, asn: Asn) -> Result<usize, usize> {
@@ -1281,7 +1299,7 @@ impl BgpRouter {
             SecurityMode::Plain => None,
         };
         let mrai_buffer = BTreeMap::<NodeId, BgpUpdate>::decode(r)?;
-        if !mrai_buffer.keys().all(|node| self.asn_of_node.contains_key(node)) {
+        if !mrai_buffer.keys().all(|&node| self.session_at(node).is_some()) {
             return Err(WireError::Invalid("MRAI buffer entry for a non-neighbor node"));
         }
         let mrai_armed = bool::decode(r)?;
@@ -1382,7 +1400,7 @@ impl Agent<BgpUpdate> for BgpRouter {
 
     fn on_message(&mut self, ctx: &mut Context<BgpUpdate>, from_node: NodeId, msg: BgpUpdate) {
         // Identify the sending session from the node id.
-        let Some(from) = self.asn_of_node.get(&from_node).and_then(|&a| self.neighbor(a)) else {
+        let Some(from) = self.session_at(from_node) else {
             return; // not a configured neighbor: ignore
         };
         // Torn session: a BGP speaker cannot receive on a closed TCP
@@ -1511,7 +1529,7 @@ impl Agent<BgpUpdate> for BgpRouter {
     }
 
     fn on_session(&mut self, ctx: &mut Context<BgpUpdate>, peer: NodeId, up: bool) {
-        let Some(peer) = self.asn_of_node.get(&peer).and_then(|&a| self.neighbor(a)) else {
+        let Some(peer) = self.session_at(peer) else {
             return;
         };
         let mut pending = std::mem::take(&mut self.pending_scratch);
@@ -1914,6 +1932,26 @@ mod tests {
         fn router_matches_three_rib_model(seed in 0u64..1_000_000, mrai in any::<bool>()) {
             assert_router_matches_model(&random_steps(seed, 60), mrai);
         }
+
+        /// After any run of registrations — ASNs and nodes registered
+        /// again included — a node resolves to the session a node → ASN
+        /// map followed by the ASN-keyed session list resolves it to.
+        #[test]
+        fn session_at_matches_a_node_to_asn_map(
+            adds in proptest::collection::vec((1u32..7, 0usize..6), 0..16),
+        ) {
+            let mut router = BgpRouter::new(ME, policy(), SecurityMode::Plain);
+            let mut asn_of_node = HashMap::new();
+            let view = |n: Neighbor| (n.asn, n.node, n.role, n.region_tag);
+            for (asn, node) in adds {
+                router.add_neighbor(Asn(asn), node);
+                asn_of_node.insert(node, Asn(asn));
+                for node in 0..7 {
+                    let want = asn_of_node.get(&node).and_then(|&a| router.neighbor(a));
+                    prop_assert_eq!(router.session_at(node).map(view), want.map(view));
+                }
+            }
+        }
     }
 
     /// One hand-written cell record: the bytes `encode_record` writes,
@@ -1952,6 +1990,24 @@ mod tests {
         // A fresh router's RIB is a zero count.
         blob.extend_from_slice(&fresh[4..]);
         blob
+    }
+
+    /// A restored MRAI buffer may hold updates only for nodes a session
+    /// is registered at.
+    #[test]
+    fn load_refuses_an_mrai_buffer_for_a_non_neighbor_node() {
+        let buffered = |node: NodeId| {
+            let mut saver = router();
+            let update = BgpUpdate { announces: vec![], withdraws: vec![prefix(1)] };
+            saver.mrai_buffer.insert(node, update);
+            let mut blob = Vec::new();
+            saver.save_dynamic(&mut blob);
+            router().load_dynamic(&mut Reader::new(&blob))
+        };
+        assert_eq!(buffered(node_of(Asn(2))), Ok(()));
+        let refused = Err(WireError::Invalid("MRAI buffer entry for a non-neighbor node"));
+        assert_eq!(buffered(0), refused);
+        assert_eq!(buffered(99), refused);
     }
 
     /// A restore accepts exactly the RIBs `check_invariants` accepts:

@@ -18,6 +18,11 @@
 //! Drained chunks wait, at most [`SPARE_CHUNKS`] of each capacity, for
 //! the next bucket that needs one, so a calendar whose windows repeat
 //! in shape allocates nothing in steady state.
+//!
+//! A taken bucket's items leave their slots in whatever order the
+//! engine dispatches them (node by node), so a slot holds an `Option`:
+//! no byte more than the item for a calendar entry, whose event kind
+//! leaves the option a spare discriminant value.
 
 use crate::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -39,7 +44,7 @@ pub(crate) struct EventQueue<E> {
     buckets: BTreeMap<SimTime, Bucket<E>>,
     len: usize,
     /// Drained chunks by capacity class, reused before allocating.
-    spares: [Vec<VecDeque<E>>; CLASSES],
+    spares: [Vec<VecDeque<Option<E>>>; CLASSES],
 }
 
 /// The capacity class of a chunk.
@@ -47,12 +52,19 @@ fn class_of(capacity: usize) -> usize {
     (capacity / FIRST_CHUNK).trailing_zeros() as usize
 }
 
-/// The items scheduled at one time, in pop order.
+/// Where an item sits in a taken [`Bucket`]: its chunk's index times
+/// [`CHUNK`] plus its index within the chunk. Slots rise with pop order.
+pub(crate) type Slot = u32;
+
+/// The items scheduled at one time, in pop order. Items of a taken
+/// bucket may leave their slots in any order ([`take`](Self::take));
+/// [`drop_taken`](Self::drop_taken) then frees the vacated front.
 pub(crate) struct Bucket<E> {
     /// Chunks in FIFO order: the first `head` are drained (they wait for
     /// [`EventQueue::put_back`] to recycle them), every later one holds
-    /// at least one item.
-    chunks: Vec<VecDeque<E>>,
+    /// at least one slot. A slot is `None` only between its item's
+    /// `take` and the `drop_taken` that removes it.
+    chunks: Vec<VecDeque<Option<E>>>,
     head: usize,
 }
 
@@ -61,17 +73,37 @@ impl<E> Bucket<E> {
         Bucket { chunks: Vec::new(), head: 0 }
     }
 
-    /// Pops the next item if `pred` accepts it.
-    pub(crate) fn pop_front_if(&mut self, pred: impl FnOnce(&E) -> bool) -> Option<E> {
-        let chunk = self.chunks.get_mut(self.head)?;
-        if !pred(chunk.front()?) {
-            return None;
+    /// The items in pop order, each with its slot. Call it before any
+    /// [`take`](Self::take).
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (Slot, &E)> {
+        assert!(self.chunks.len() <= (Slot::MAX as usize + 1) / CHUNK, "bucket exceeds slot range");
+        self.chunks.iter().enumerate().skip(self.head).flat_map(|(c, chunk)| {
+            chunk.iter().enumerate().map(move |(i, item)| {
+                ((c * CHUNK + i) as Slot, item.as_ref().expect("slots are listed before takes"))
+            })
+        })
+    }
+
+    /// Moves the item at `slot` out, leaving the slot vacant.
+    pub(crate) fn take(&mut self, slot: Slot) -> E {
+        let (c, i) = (slot as usize / CHUNK, slot as usize % CHUNK);
+        self.chunks[c][i].take().expect("each slot is taken once")
+    }
+
+    /// Removes the first `n` slots, every one of them taken.
+    pub(crate) fn drop_taken(&mut self, mut n: usize) {
+        while n > 0 {
+            let chunk = &mut self.chunks[self.head];
+            let drained = n.min(chunk.len());
+            debug_assert!(chunk.range(..drained).all(Option::is_none), "dropping a live item");
+            if drained == chunk.len() {
+                chunk.clear();
+                self.head += 1;
+            } else {
+                chunk.drain(..drained);
+            }
+            n -= drained;
         }
-        let item = chunk.pop_front();
-        if chunk.is_empty() {
-            self.head += 1;
-        }
-        item
     }
 
     fn len(&self) -> usize {
@@ -79,7 +111,7 @@ impl<E> Bucket<E> {
     }
 
     fn iter(&self) -> impl Iterator<Item = &E> {
-        self.chunks.iter().flatten()
+        self.chunks.iter().flatten().flatten()
     }
 }
 
@@ -91,12 +123,12 @@ impl<E> EventQueue<E> {
     pub(crate) fn push(&mut self, time: SimTime, item: E) {
         let chunks = &mut self.buckets.entry(time).or_insert_with(Bucket::new).chunks;
         match chunks.last_mut() {
-            Some(back) if back.len() < back.capacity() => back.push_back(item),
+            Some(back) if back.len() < back.capacity() => back.push_back(Some(item)),
             back => {
                 let capacity = back.map_or(FIRST_CHUNK, |back| (2 * back.capacity()).min(CHUNK));
                 let spare = self.spares[class_of(capacity)].pop();
                 let mut chunk = spare.unwrap_or_else(|| VecDeque::with_capacity(capacity));
-                chunk.push_back(item);
+                chunk.push_back(Some(item));
                 chunks.push(chunk);
             }
         }
@@ -164,6 +196,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Takes every item of `bucket` below `cutoff` (a prefix, as items
+    /// rise within a bucket) in a scrambled order, drops the vacated
+    /// slots, and returns the items in pop order.
+    fn drain_below(bucket: &mut Bucket<u64>, cutoff: u64) -> Vec<u64> {
+        let listed: Vec<(Slot, u64)> =
+            bucket.slots().take_while(|&(_, &item)| item < cutoff).map(|(s, &i)| (s, i)).collect();
+        assert!(listed.windows(2).all(|w| w[0].0 < w[1].0), "slots rise with pop order");
+        let mut order: Vec<usize> = (0..listed.len()).collect();
+        order.sort_by_key(|&i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17));
+        for i in order {
+            assert_eq!(bucket.take(listed[i].0), listed[i].1);
+        }
+        bucket.drop_taken(listed.len());
+        listed.into_iter().map(|(_, item)| item).collect()
+    }
+
     /// Slots allocated for the items at `time`.
     fn slots_at<E>(queue: &EventQueue<E>, time: SimTime) -> usize {
         queue.buckets.get(&time).map_or(0, |b| b.chunks.iter().map(VecDeque::capacity).sum())
@@ -177,7 +225,7 @@ mod tests {
         let (t, u) = (SimTime(10), SimTime(20));
         let mut queue = EventQueue::new();
         for len in 1..=5 * CHUNK {
-            queue.push(t, len);
+            queue.push(t, len as u64);
             let slots = slots_at(&queue, t);
             let bound = if len < CHUNK { 2 * len + 4 } else { len + CHUNK };
             assert!(slots <= bound, "{len} items in {slots} slots, bound {bound}");
@@ -187,13 +235,13 @@ mod tests {
         // 1 020 of the 5 120 items filled the 4-to-512 chunks, the other
         // 4 100 five full ones.
         let mut drained = queue.take_head(t).expect("head bucket");
-        while drained.pop_front_if(|_| true).is_some() {}
+        assert_eq!(drain_below(&mut drained, u64::MAX).len(), 5 * CHUNK);
         queue.put_back(t, drained);
         assert_eq!(queue.spares[CLASSES - 1].len(), 5);
         queue.push(u, 0);
         assert_eq!(slots_at(&queue, u), 4);
         for len in 2..=3 * CHUNK {
-            queue.push(u, len);
+            queue.push(u, len as u64);
             let bound = if len < CHUNK { 2 * len + 4 } else { len + CHUNK };
             assert!(slots_at(&queue, u) <= bound, "{len} items after recycling");
         }
@@ -201,8 +249,9 @@ mod tests {
     }
 
     proptest! {
-        /// Random pushes, whole-window drains, partial pops and put-backs
-        /// against a `BTreeMap` of `VecDeque`s: the same pop order, the
+        /// Random pushes, whole-window drains, partial drains (items
+        /// taken out of order) and put-backs against a `BTreeMap` of
+        /// `VecDeque`s: the same pop order, the
         /// same `len`, `len_at`, `bucket_at` and `iter()` after every
         /// step. Bursts of up to three chunks at one time cover chunk
         /// growth, full chunks and the spare pool.
@@ -241,7 +290,7 @@ mod tests {
                             2 => expected.front().map_or(0, |&first| first + n as u64),
                             _ => u64::MAX,
                         };
-                        while let Some(item) = bucket.pop_front_if(|&item| item < cutoff) {
+                        for item in drain_below(&mut bucket, cutoff) {
                             prop_assert_eq!(Some(item), expected.pop_front());
                         }
                         prop_assert!(expected.front().is_none_or(|&item| item >= cutoff));

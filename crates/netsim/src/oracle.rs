@@ -101,7 +101,7 @@ impl<P: Payload + Default> Reference<P> {
     fn call(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Agent<P>, &mut Context<P>)) {
         let mut ctx = Context::renew(self.now, node as u32, 0, Vec::new());
         f(self.nodes[node].as_mut(), &mut ctx);
-        for (_, _, _, action) in ctx.into_actions() {
+        for (_, _, _, action) in ctx.into_actions().into_iter().flatten() {
             match action {
                 Action::Send { to, msg } => self.send(node, to, msg),
                 Action::SetTimer { delay, timer } => {
@@ -588,12 +588,64 @@ fn paused_node_drops_traffic() {
     check(&sc);
 }
 
+#[test]
+fn crowded_instants_dispatch_node_by_node() {
+    // Every node sends to each of three hot nodes, in an order that
+    // rotates with its id, so the hot nodes' deliveries interleave in
+    // sequence order. Hot nodes arm timers for that same instant and
+    // answer over zero-latency links, so cascades crowd it again.
+    const N: usize = 24;
+    const HOT: [NodeId; 3] = [5, 11, 17];
+    let agents = (0..N)
+        .map(|i| {
+            let hot = HOT.contains(&i);
+            let mut on_start: Vec<Op> =
+                (0..3).map(|k| Op::Send { to: HOT[(i + k) % 3], token: 3 }).collect();
+            let (on_msg, on_timer) = if hot {
+                on_start.extend((0..4).map(|id| Op::Timer { delay_us: 1_000, id }));
+                let answer = vec![
+                    Op::Send { to: HOT[0], token: 0 },
+                    Op::Send { to: (i + 1) % N, token: 0 },
+                    Op::Timer { delay_us: 0, id: 9 },
+                ];
+                (vec![answer], vec![vec![Op::Send { to: HOT[1], token: 1 }]])
+            } else {
+                (vec![vec![Op::Send { to: HOT[2], token: 0 }]], vec![])
+            };
+            Scripted { on_start, on_msg, on_timer, timer_budget: 8, ..Scripted::default() }
+        })
+        .collect();
+    let zero = LinkConfig::with_latency(SimDuration::ZERO);
+    let links = HOT.iter().flat_map(|&h| [(h, HOT[0], zero), (h, (h + 1) % N, zero)]).collect();
+    let sc = Scenario {
+        seed: 17,
+        agents,
+        default_link: LinkConfig::with_latency(ms(1)),
+        links,
+        timeline: Some(ms(1)),
+        hook: Some(vec![]),
+        ..Scenario::default()
+    };
+    let end = run_reference(&sc).pop().expect("one slice");
+    assert!(end.stats.events > 300, "the instants must be crowded: {}", end.stats.events);
+    check(&sc);
+    // Jitter draws follow the exchange order; budgets cut windows
+    // between two events of one node.
+    let jittered = LinkConfig::with_latency(ms(1)).jittered(us(2));
+    check(&Scenario { default_link: jittered, ..sc.clone() });
+    let cut = |n| Slice { more_events: Some(n), ..Slice::default() };
+    check(&Scenario { slices: vec![cut(5), cut(40), cut(17), cut(90)], ..sc });
+}
+
 // ---------------------------------------------------------------------
 // Random scenarios.
 
 /// Draws a whole scenario from `seed`: fan-out scripts, timers,
 /// zero-latency links, loss and jitter, a fault plan, a counting hook,
-/// and a slicing of the run into event budgets and deadlines.
+/// and a slicing of the run into event budgets and deadlines. One
+/// scenario in three is *crowded*: 16–64 nodes whose sends mostly go to
+/// one to three hot nodes, so an instant holds many events per node,
+/// interleaved by destination, and budgets cut such instants mid-way.
 fn random_scenario(seed: u64) -> Scenario {
     let mut rng = HmacDrbg::from_u64_labeled(seed, "oracle-scenario");
     let mut below = |n: u64| rng.below(n);
@@ -610,23 +662,30 @@ fn random_scenario(seed: u64) -> Scenario {
         cfg
     };
 
-    let n = 2 + below(5) as usize;
-    let node = |below: &mut dyn FnMut(u64) -> u64| below(n as u64) as usize;
+    let crowded = below(3) == 0;
+    let n = if crowded { 16 + below(49) as usize } else { 2 + below(5) as usize };
+    let hot = 1 + below(3);
+    let node = |below: &mut dyn FnMut(u64) -> u64| {
+        let pool = if crowded && below(4) != 0 { hot } else { n as u64 };
+        below(pool) as usize
+    };
+    // Crowded cascades stay short: tokens of at most 2, two reactions.
+    let (tokens, reactions) = if crowded { (1, 2) } else { (6, 3) };
     let ops = |below: &mut dyn FnMut(u64) -> u64, max: u64| -> Vec<Op> {
         (0..below(max + 1))
             .map(|_| match below(3) {
                 0 => {
                     Op::Timer { delay_us: [0, 500, 1_000, 3_000][below(4) as usize], id: below(5) }
                 }
-                _ => Op::Send { to: node(below), token: 2 + below(6) as u32 },
+                _ => Op::Send { to: node(below), token: 2 + below(tokens) as u32 },
             })
             .collect()
     };
     let agents = (0..n)
         .map(|_| Scripted {
             on_start: ops(&mut below, 4),
-            on_msg: (0..1 + below(3)).map(|_| ops(&mut below, 3)).collect(),
-            on_timer: (0..below(3)).map(|_| ops(&mut below, 3)).collect(),
+            on_msg: (0..1 + below(3)).map(|_| ops(&mut below, reactions)).collect(),
+            on_timer: (0..below(3)).map(|_| ops(&mut below, reactions)).collect(),
             session_token: (below(2) == 0).then(|| 1 + below(4) as u32),
             timer_budget: below(6) as u32,
             log: Vec::new(),
@@ -659,9 +718,10 @@ fn random_scenario(seed: u64) -> Scenario {
     let hook = (below(2) == 0).then(|| {
         (0..below(4)).map(|_| (node(&mut below), [0, 1_000][below(2) as usize], below(5))).collect()
     });
+    let budget = if crowded { 200 } else { 40 };
     let slices = (0..below(5))
         .map(|_| Slice {
-            more_events: (below(3) != 0).then(|| 1 + below(40)),
+            more_events: (below(3) != 0).then(|| 1 + below(budget)),
             deadline: (below(3) == 0).then(|| SimTime(below(15) * 1_000)),
             then_inject: (below(4) == 0)
                 .then(|| (node(&mut below), node(&mut below), 1 + below(4) as u32)),

@@ -206,3 +206,42 @@ fn disabled_telemetry_stays_dark() {
     let snap = net.metrics_snapshot("plain");
     assert!(snap.counter_value("pvr_sim_events_total").unwrap() > 0);
 }
+
+/// Every router's full `RouterStats` — `verify_cache_hits` included —
+/// after a serial signed convergence, as one SHA-256 per seed. One
+/// `VerifyCache` serves the whole network, so which router of a window
+/// asks first for a signature decides whose call is the miss; the
+/// engine's dispatch order within a window must not move that split.
+/// The values were read before dispatch became node-major (300 ASes,
+/// the benchmark's `signed_converge` recipe and options).
+#[test]
+fn per_router_stats_under_a_shared_cache_are_pinned() {
+    let params = InternetParams {
+        tier1: 8,
+        tier2: 12,
+        stubs: 280,
+        t2_peering_prob: 0.2,
+        originating_stubs: 256,
+    };
+    for (seed, golden) in [
+        (14, "462966e7fcacc23c9a1682ea331a6588042dd3843ec16dcc57461aa920089e40"),
+        (41, "882d8e9746f496fa4df8fb9c2b2e1897d499d7e40adee407f209fc8419fdaa7c"),
+    ] {
+        let topology = internet_like(params, seed);
+        let options =
+            InstantiateOptions { seed, signed: true, key_bits: 512, ..Default::default() };
+        let mut net = topology.instantiate(options);
+        net.install_origin_table(Arc::new(topology.origin_table()));
+        assert_eq!(net.converge(RunLimits::none()), StopReason::Quiescent);
+        let mut bytes = Vec::new();
+        for asn in topology.ases() {
+            bytes.extend(asn.0.to_be_bytes());
+            for (_, value) in net.router(asn).stats().fields() {
+                bytes.extend(value.to_be_bytes());
+            }
+        }
+        let hits: u64 = topology.ases().map(|a| net.router(a).stats().verify_cache_hits).sum();
+        assert!(hits > 0, "seed {seed}: the shared cache must answer some calls");
+        assert_eq!(pvr::crypto::sha256::sha256(&bytes).to_hex(), golden, "seed {seed}");
+    }
+}
