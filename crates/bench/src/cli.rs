@@ -44,7 +44,8 @@ pub struct Cfg {
 /// propagation regression shows.
 pub const QUICK_SCALE: usize = 500;
 /// `--shards` under `--quick`: one shard plus a two-shard run, so CI
-/// smoke exercises worker threads and the merged exchange.
+/// smoke exercises worker threads and the exchange's merge of two
+/// shards' runs.
 pub const QUICK_SHARDS: [usize; 2] = [1, 2];
 
 impl Default for Cfg {

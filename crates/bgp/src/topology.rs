@@ -346,11 +346,6 @@ impl Topology {
         if let Some(window) = options.timeline_window {
             sim.enable_timeline(window);
         }
-        if options.signed {
-            // RSA verification dominates per-event cost in signed mode;
-            // even small windows amortize a thread spawn.
-            sim.set_spawn_threshold(4);
-        }
 
         // Key material (signed mode only).
         let keystore = self.generate_identities(options);

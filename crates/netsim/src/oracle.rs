@@ -99,9 +99,9 @@ impl<P: Payload + Default> Reference<P> {
     }
     /// One callback; its actions take effect before anything else runs.
     fn call(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Agent<P>, &mut Context<P>)) {
-        let mut ctx = Context::renew(self.now, node as u32, 0, Vec::new());
+        let mut ctx = Context::renew(self.now, node as u32, Vec::new());
         f(self.nodes[node].as_mut(), &mut ctx);
-        for (_, _, _, action) in ctx.into_actions().into_iter().flatten() {
+        for (_, action) in ctx.into_actions().into_iter().flatten() {
             match action {
                 Action::Send { to, msg } => self.send(node, to, msg),
                 Action::SetTimer { delay, timer } => {
@@ -329,6 +329,10 @@ struct Slice {
 struct Scenario {
     seed: u64,
     agents: Vec<Scripted>,
+    /// Per agent, the engine puts it on shard `placement % shards`;
+    /// agents past the end are dealt round-robin. The reference has no
+    /// shards.
+    placement: Vec<usize>,
     default_link: LinkConfig,
     links: Vec<(NodeId, NodeId, LinkConfig)>,
     plan: FaultPlan,
@@ -350,17 +354,15 @@ struct Observed {
     hook_fired: Vec<SimTime>,
 }
 
-/// Adds `$sc`'s agents, plan and hook to `$sim`, drives it through the
-/// slices, and collects `$observe(&$sim, stop, hook_fired)` after each.
+/// Adds `$sc`'s plan and hook to `$sim` (which holds its agents),
+/// drives it through the slices, and collects `$observe(&$sim, stop,
+/// hook_fired)` after each.
 /// A macro because the engine and the reference share method names,
 /// not a trait.
 macro_rules! drive {
     ($sim:ident, $sc:expr, $observe:expr) => {{
         let sc: &Scenario = $sc;
         let fired = Arc::new(Mutex::new(Vec::new()));
-        for agent in &sc.agents {
-            $sim.add_node(Box::new(agent.clone()));
-        }
         $sim.set_fault_plan(sc.plan.clone());
         if let Some(timers) = &sc.hook {
             $sim.set_barrier_hook(Box::new(CountingHook {
@@ -399,6 +401,9 @@ fn run_reference(sc: &Scenario) -> Vec<Observed> {
     sim.default_link = sc.default_link;
     sim.links = sc.links.iter().map(|&(src, dst, cfg)| ((src, dst), cfg)).collect();
     sim.timeline = sc.timeline.map(|w| TimelineRecorder::new(w.as_micros(), SIM_CHANNELS));
+    for agent in &sc.agents {
+        sim.add_node(Box::new(agent.clone()));
+    }
     drive!(sim, sc, |sim: &Reference<Token>, stop, hook_fired| Observed {
         stop,
         now: sim.now,
@@ -412,7 +417,7 @@ fn run_reference(sc: &Scenario) -> Vec<Observed> {
 
 fn run_engine(sc: &Scenario, shards: usize) -> Vec<Observed> {
     let mut sim: Simulator<Token> = Simulator::with_shards(sc.seed, shards);
-    sim.set_spawn_threshold(1); // every multi-shard window goes through worker threads
+    sim.spawn_threshold = 1; // every multi-shard window goes through worker threads
     sim.set_default_link(sc.default_link);
     for &(src, dst, cfg) in &sc.links {
         sim.set_link(src, dst, cfg);
@@ -421,6 +426,10 @@ fn run_engine(sc: &Scenario, shards: usize) -> Vec<Observed> {
         sim.enable_timeline(window);
     }
     sim.enable_trace();
+    for (id, agent) in sc.agents.iter().enumerate() {
+        let spot = sc.placement.get(id).copied().unwrap_or(id);
+        sim.add_node_to_shard(Box::new(agent.clone()), spot % shards);
+    }
     drive!(sim, sc, |sim: &Simulator<Token>, stop, hook_fired| Observed {
         stop,
         now: sim.now(),
@@ -646,6 +655,8 @@ fn crowded_instants_dispatch_node_by_node() {
 /// scenario in three is *crowded*: 16–64 nodes whose sends mostly go to
 /// one to three hot nodes, so an instant holds many events per node,
 /// interleaved by destination, and budgets cut such instants mid-way.
+/// Agents are placed on shards at random, so a shard's local order is
+/// not the global node order.
 fn random_scenario(seed: u64) -> Scenario {
     let mut rng = HmacDrbg::from_u64_labeled(seed, "oracle-scenario");
     let mut below = |n: u64| rng.below(n);
@@ -727,16 +738,10 @@ fn random_scenario(seed: u64) -> Scenario {
                 .then(|| (node(&mut below), node(&mut below), 1 + below(4) as u32)),
         })
         .collect();
-    Scenario {
-        seed,
-        agents,
-        default_link,
-        links,
-        plan,
-        hook,
-        timeline: (below(2) == 0).then(|| ms(1 + below(4))),
-        slices,
-    }
+    let timeline = (below(2) == 0).then(|| ms(1 + below(4)));
+    // Twelve spots deal evenly over one to four shards.
+    let placement = (0..n).map(|_| below(12) as usize).collect();
+    Scenario { seed, agents, placement, default_link, links, plan, hook, timeline, slices }
 }
 
 proptest! {

@@ -7,15 +7,18 @@
 //! dispatched (one shard on the coordinator and a worker per other
 //! shard under `std::thread::scope` when the window is large enough,
 //! all inline otherwise), then a serial exchange
-//! applies the actions the agents produced in `(cause-sequence,
-//! action-index)` order — the order an engine that applied each event's
-//! actions before popping the next would have used. Within a shard a
+//! applies the actions the agents produced callback by callback in
+//! *cause* order — the order an engine that applied each event's
+//! actions before popping the next would have used. A callback's cause
+//! is its event's sequence number (its node's id at start-up); each
+//! shard lists its callbacks in cause order, and the exchange merges
+//! the lists, always applying next the callback with the smallest cause
+//! over all shards, so no shard count needs a sort. Within a shard a
 //! window is dispatched *node-major*: node by node in ascending local
 //! index, each node's events in sequence order, so an agent's state is
 //! fetched once per window instead of once per event. Callbacks of one
 //! instant touch only their own agent and objects whose result does not
-//! depend on call order, so this changes no output; the exchange still
-//! sees the actions in `(cause, action-index)` order. [`Simulator::new`]
+//! depend on call order, so this changes no output. [`Simulator::new`]
 //! is the 1-shard case of the same loop, not a second implementation.
 //!
 //! Determinism rules:
@@ -37,7 +40,7 @@ use crate::link::LinkConfig;
 use crate::time::{SimDuration, SimTime};
 use pvr_crypto::drbg::HmacDrbg;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Index of a node within the simulator.
 pub type NodeId = usize;
@@ -90,12 +93,9 @@ pub trait Agent<P: Payload>: Any + Send {
 pub struct Context<P> {
     now: SimTime,
     self_id: u32,
-    /// What the actions are keyed by (see [`OutboxEntry`]).
-    cause: u64,
-    /// The buffer the actions land in — a shard's outbox, lent for the
-    /// callback — and its length when the callback began.
+    /// The buffer the actions land in: a shard's outbox, lent for the
+    /// callback.
     out: Vec<Option<OutboxEntry<P>>>,
-    first: usize,
 }
 
 pub(crate) enum Action<P> {
@@ -103,24 +103,23 @@ pub(crate) enum Action<P> {
     SetTimer { delay: SimDuration, timer: u64 },
 }
 
-/// One buffered agent action awaiting the exchange: `(cause, index
-/// within the callback, acting node, action)`. The cause is the
-/// triggering event's sequence number (the node id during start-up).
-/// An outbox holds them as `Option`s (no byte more: the action's tag
-/// has spare values) so the exchange can move each one out in
-/// `(cause, index)` order wherever the dispatch order put it.
-pub(crate) type OutboxEntry<P> = (u64, u32, u32, Action<P>);
+/// One buffered agent action awaiting the exchange: `(acting node,
+/// action)`. It carries no ordering key: a callback's actions form one
+/// run of its shard's outbox, in issue order, and the shard lists the
+/// runs by cause. An outbox holds them as `Option`s (no byte more: the
+/// action's tag has spare values) so the exchange can move each run out
+/// wherever the dispatch order put it.
+pub(crate) type OutboxEntry<P> = (u32, Action<P>);
 
 impl<P> Context<P> {
     /// Builds a callback context for node `self_id` that appends its
-    /// actions to `out`, keyed by `cause`.
+    /// actions to `out`.
     pub(crate) fn renew(
         now: SimTime,
         self_id: u32,
-        cause: u64,
         out: Vec<Option<OutboxEntry<P>>>,
     ) -> Context<P> {
-        Context { now, self_id, cause, first: out.len(), out }
+        Context { now, self_id, out }
     }
 
     /// Consumes the context, returning the buffer with this callback's
@@ -130,8 +129,7 @@ impl<P> Context<P> {
     }
 
     fn push(&mut self, action: Action<P>) {
-        let idx = (self.out.len() - self.first) as u32;
-        self.out.push(Some((self.cause, idx, self.self_id, action)));
+        self.out.push(Some((self.self_id, action)));
     }
 
     /// Current simulated time.
@@ -246,11 +244,13 @@ struct Shard<P: Payload> {
     /// Per dispatched callback, in dispatch order: the calendar slot of
     /// its event until it runs, then the outbox length after it — the
     /// end of its run of actions. This and `by_cause` keep the largest
-    /// window's room, 8 B per event (its calendar entries took 64 B).
+    /// window's room, 20 B per event (its calendar entries took 64 B).
     ends: Vec<u32>,
-    /// Per dispatched callback, in cause order: its index in `ends`.
-    /// The exchange walks the outbox's runs in this order.
-    by_cause: Vec<u32>,
+    /// Per dispatched callback, in cause order: its cause and its index
+    /// in `ends`. The exchange pops the runs from the front in this
+    /// order; it empties this and `ends`, so a shard with no events in
+    /// the next window hands it nothing.
+    by_cause: VecDeque<(u64, u32)>,
     /// Per local node, its events in the window being sorted (a cursor
     /// into `ends` while the slots are placed); zero between windows.
     per_node: Vec<u32>,
@@ -272,6 +272,11 @@ struct Shard<P: Payload> {
 /// of calendar entries.
 const GATHER: usize = 16;
 
+/// The fewest events a window spread over several shards needs before
+/// worker threads are spawned for it; smaller windows dispatch inline,
+/// with the same output.
+const SPAWN_THRESHOLD: usize = 16;
+
 impl<P: Payload> Shard<P> {
     fn new() -> Shard<P> {
         Shard {
@@ -280,7 +285,7 @@ impl<P: Payload> Shard<P> {
             queue: EventQueue::new(),
             outbox: Vec::new(),
             ends: Vec::new(),
-            by_cause: Vec::new(),
+            by_cause: VecDeque::new(),
             per_node: Vec::new(),
             busy: Vec::new(),
             gathered: Vec::with_capacity(GATHER),
@@ -292,13 +297,13 @@ impl<P: Payload> Shard<P> {
     }
 
     /// Runs one agent callback, which appends its actions to the
-    /// outbox keyed by `cause`.
-    fn dispatch<F>(&mut self, local: usize, cause: u64, now: SimTime, f: F)
+    /// outbox.
+    fn dispatch<F>(&mut self, local: usize, now: SimTime, f: F)
     where
         F: FnOnce(&mut dyn Agent<P>, &mut Context<P>),
     {
         let outbox = std::mem::take(&mut self.outbox);
-        let mut ctx = Context::renew(now, self.node_ids[local], cause, outbox);
+        let mut ctx = Context::renew(now, self.node_ids[local], outbox);
         f(self.nodes[local].as_mut(), &mut ctx);
         self.outbox = ctx.into_actions();
     }
@@ -308,14 +313,12 @@ impl<P: Payload> Shard<P> {
         u32::try_from(self.outbox.len()).expect("a window's actions fit in u32")
     }
 
-    /// Dispatches `on_start` for every local node (ascending global id).
+    /// Dispatches `on_start` for every local node (ascending global id,
+    /// which is each callback's cause).
     fn run_starts(&mut self, now: SimTime) {
-        self.ends.clear();
-        self.by_cause.clear();
         for local in 0..self.nodes.len() {
-            let cause = u64::from(self.node_ids[local]);
-            self.dispatch(local, cause, now, |agent, ctx| agent.on_start(ctx));
-            self.by_cause.push(self.ends.len() as u32);
+            self.dispatch(local, now, |agent, ctx| agent.on_start(ctx));
+            self.by_cause.push_back((u64::from(self.node_ids[local]), self.ends.len() as u32));
             self.ends.push(self.outbox_end());
         }
     }
@@ -326,8 +329,9 @@ impl<P: Payload> Shard<P> {
     /// stay in their calendar slots until they run; only the slots are
     /// sorted, by a stable counting sort over the nodes that have events
     /// (so a small window costs its own size, not the node count).
-    /// `ends` and `by_cause` record what the exchange needs to apply the
-    /// actions in `(cause, action-index)` order.
+    /// `ends` and `by_cause` record each callback's run of actions and
+    /// its cause (the event's sequence number), which is all the
+    /// exchange needs to apply the runs in cause order.
     fn run_bucket(&mut self, time: SimTime, cutoff: u64, node_local: &[u32], trace: bool) {
         let Some(mut bucket) = self.queue.take_head(time) else { return };
         let local_of = |kind: &EventKind<P>| match kind {
@@ -335,8 +339,6 @@ impl<P: Payload> Shard<P> {
                 node_local[*node as usize] as usize
             }
         };
-        self.ends.clear();
-        self.by_cause.clear();
         let mut len = 0;
         for (_, (seq, kind)) in bucket.slots() {
             if *seq >= cutoff {
@@ -358,10 +360,10 @@ impl<P: Payload> Shard<P> {
             (first, *count) = (first + *count, first);
         }
         self.ends.resize(len, 0);
-        for (slot, (_, kind)) in bucket.slots().take(len) {
+        for (slot, (seq, kind)) in bucket.slots().take(len) {
             let next = &mut self.per_node[local_of(kind)];
             self.ends[*next as usize] = slot;
-            self.by_cause.push(*next);
+            self.by_cause.push_back((*seq, *next));
             *next += 1;
         }
         for local in self.busy.drain(..) {
@@ -402,12 +404,12 @@ impl<P: Payload> Shard<P> {
                     self.trace.push((seq, Delivery { time, src, dst, msg: msg.clone() }));
                 }
                 let local = node_local[dst] as usize;
-                self.dispatch(local, seq, time, |agent, ctx| agent.on_message(ctx, src, msg));
+                self.dispatch(local, time, |agent, ctx| agent.on_message(ctx, src, msg));
             }
             EventKind::Timer { node, timer } => {
                 self.timers_fired += 1;
                 let local = node_local[node as usize] as usize;
-                self.dispatch(local, seq, time, |agent, ctx| agent.on_timer(ctx, timer));
+                self.dispatch(local, time, |agent, ctx| agent.on_timer(ctx, timer));
             }
         }
     }
@@ -438,11 +440,10 @@ pub struct Simulator<P: Payload> {
     /// — so enabling it cannot perturb determinism.
     timeline: Option<pvr_obs::TimelineRecorder>,
     started: bool,
-    /// Minimum events in a window before worker threads are spawned;
-    /// smaller windows dispatch inline (identical output either way).
-    spawn_threshold: usize,
-    /// Recycled merge buffer for the exchange.
-    merged: Vec<OutboxEntry<P>>,
+    /// [`SPAWN_THRESHOLD`], which tests lower to send small windows
+    /// through worker threads.
+    #[cfg(test)]
+    pub(crate) spawn_threshold: usize,
     /// Scheduled fault events, if a plan was installed.
     faults: Option<FaultInjector>,
     /// Per-node pause flags (see [`Fault::NodePause`]).
@@ -475,8 +476,8 @@ impl<P: Payload> Simulator<P> {
             trace: None,
             timeline: None,
             started: false,
-            spawn_threshold: 16,
-            merged: Vec::new(),
+            #[cfg(test)]
+            spawn_threshold: SPAWN_THRESHOLD,
             faults: None,
             paused: Vec::new(),
             barrier: None,
@@ -551,14 +552,6 @@ impl<P: Payload> Simulator<P> {
 
     fn link_config(&self, src: NodeId, dst: NodeId) -> LinkConfig {
         self.links.get(&(src, dst)).copied().unwrap_or(self.default_link)
-    }
-
-    /// Tunes the inline/parallel cutover: windows with fewer events than
-    /// this are dispatched on the coordinator thread. Lower it when per
-    /// event work is heavy (e.g. RSA verification), raise it for cheap
-    /// payloads. Has no effect on outputs.
-    pub fn set_spawn_threshold(&mut self, events: usize) {
-        self.spawn_threshold = events;
     }
 
     /// Enables trace recording (for audits and debugging).
@@ -666,49 +659,52 @@ impl<P: Payload> Simulator<P> {
         }
     }
 
-    /// Serial exchange: applies every shard's buffered actions in
-    /// `(cause-sequence, action-index)` order, consuming the link DRBG
-    /// and assigning sequence numbers along the way. A lone non-empty
-    /// outbox is applied run by run in cause order (`by_cause`), which
-    /// takes no sort; only several are merged and sorted.
+    /// Serial exchange: applies the shards' runs of actions in cause
+    /// order over all shards, consuming the link DRBG and assigning
+    /// sequence numbers along the way. The shard with the smallest next
+    /// cause applies its runs until another shard's next run comes
+    /// first: a k-way merge of the `by_cause` lists, and at one shard
+    /// a plain walk. No shard count needs a sort. Leaves every outbox,
+    /// `ends` and `by_cause` empty.
     fn exchange(&mut self) {
-        let mut filled = self.shards.iter().enumerate().filter(|(_, s)| !s.outbox.is_empty());
-        let Some((first, _)) = filled.next() else { return };
-        if filled.next().is_none() {
-            let shard = &mut self.shards[first];
-            let mut outbox = std::mem::take(&mut shard.outbox);
-            let ends = std::mem::take(&mut shard.ends);
-            let by_cause = std::mem::take(&mut shard.by_cause);
-            for &at in &by_cause {
+        let mut runs = 0;
+        loop {
+            let heads = self.shards.iter().enumerate();
+            let heads = heads.filter_map(|(s, shard)| Some((shard.by_cause.front()?.0, s)));
+            let Some((_, s)) = heads.clone().min() else { break };
+            let bound = heads.filter_map(|(c, t)| (t != s).then_some(c)).min().unwrap_or(u64::MAX);
+            // `<=`: the first run always goes, so the loop moves on even
+            // if two shards listed one cause.
+            let mut outbox = std::mem::take(&mut self.shards[s].outbox);
+            while let Some(&(_, at)) = self.shards[s].by_cause.front().filter(|r| r.0 <= bound) {
+                let shard = &mut self.shards[s];
+                shard.by_cause.pop_front();
                 let at = at as usize;
-                let start = if at == 0 { 0 } else { ends[at - 1] as usize };
-                for entry in &mut outbox[start..ends[at] as usize] {
-                    let (_, _, node, action) = entry.take().expect("each action is applied once");
+                let start = if at == 0 { 0 } else { shard.ends[at - 1] as usize };
+                for entry in &mut outbox[start..shard.ends[at] as usize] {
+                    let (node, action) = entry.take().expect("each action is applied once");
                     self.apply_action(node, action);
                 }
+                runs += 1;
             }
+            self.shards[s].outbox = outbox;
+        }
+        debug_assert_eq!(
+            runs,
+            self.shards.iter().map(|shard| shard.ends.len()).sum::<usize>(),
+            "every listed callback is applied"
+        );
+        for shard in &mut self.shards {
+            debug_assert!(shard.outbox.iter().all(Option::is_none), "an action was skipped");
             // Keep at most twice the room this window needed: one huge
             // window must not pin its buffer through a run of small ones
             // (a run cut into event budgets smaller than its windows is
             // exactly that).
-            let used = outbox.len();
-            outbox.clear();
-            outbox.shrink_to(2 * used);
-            let shard = &mut self.shards[first];
-            (shard.outbox, shard.ends, shard.by_cause) = (outbox, ends, by_cause);
-            return;
+            let used = shard.outbox.len();
+            shard.outbox.clear();
+            shard.outbox.shrink_to(2 * used);
+            shard.ends.clear();
         }
-        let mut merged = std::mem::take(&mut self.merged);
-        for shard in &mut self.shards {
-            merged.extend(shard.outbox.drain(..).flatten());
-        }
-        merged.sort_unstable_by_key(|&(cause, idx, _, _)| (cause, idx));
-        let used = merged.len();
-        for (_, _, node, action) in merged.drain(..) {
-            self.apply_action(node, action);
-        }
-        merged.shrink_to(2 * used); // as above
-        self.merged = merged;
     }
 
     fn start_if_needed(&mut self) {
@@ -717,8 +713,8 @@ impl<P: Payload> Simulator<P> {
         }
         self.started = true;
         // Start-up is a synthetic window at the current time: causes
-        // are node ids, so the exchange applies actions in (node,
-        // action-index) order.
+        // are node ids, so the exchange applies the callbacks in node
+        // order.
         let now = self.now;
         for shard in &mut self.shards {
             shard.run_starts(now);
@@ -742,9 +738,9 @@ impl<P: Payload> Simulator<P> {
     fn dispatch_session(&mut self, node: NodeId, peer: NodeId, up: bool) {
         let shard = &mut self.shards[self.node_shard[node] as usize];
         let local = self.node_local[node] as usize;
-        let mut ctx = Context::renew(self.now, node as u32, 0, Vec::new());
+        let mut ctx = Context::renew(self.now, node as u32, Vec::new());
         shard.nodes[local].on_session(&mut ctx, peer, up);
-        for (_, _, node, action) in ctx.into_actions().into_iter().flatten() {
+        for (node, action) in ctx.into_actions().into_iter().flatten() {
             self.apply_action(node, action);
         }
     }
@@ -822,7 +818,11 @@ impl<P: Payload> Simulator<P> {
         };
         let node_local = self.node_local.as_slice();
         let active = self.shards.iter().filter(|s| s.queue.peek_time() == Some(time)).count();
-        if active <= 1 || pending < self.spawn_threshold {
+        #[cfg(test)]
+        let threshold = self.spawn_threshold;
+        #[cfg(not(test))]
+        let threshold = SPAWN_THRESHOLD;
+        if active <= 1 || pending < threshold {
             for shard in &mut self.shards {
                 shard.run_bucket(time, cutoff, node_local, trace);
             }
@@ -1296,7 +1296,7 @@ mod tests {
         // and the tail stays queued for the next call.
         for shards in 1..=3 {
             let mut sim: Simulator<Token> = Simulator::with_shards(11, shards);
-            sim.set_spawn_threshold(1);
+            sim.spawn_threshold = 1;
             sim.add_node(Box::new(Burst { peer: 1, got: vec![] }));
             sim.add_node(Box::new(Burst { peer: 0, got: vec![] }));
             sim.enable_trace();
