@@ -1,7 +1,8 @@
-//! E3/E13 — primitive costs (§3.8): SHA-256 vs RSA sign/verify, plus
+//! E13 — primitive costs (§3.8): SHA-256 vs RSA sign/verify, plus
 //! the fast-crypto path cases: Montgomery vs schoolbook modpow, the
 //! sign/verify baselines, and attestation chain verification with and
-//! without the network-wide cache.
+//! without the network-wide cache. The `e3_*` group names are those
+//! of the retired E3 (folded into E13); CI's crypto step reads them.
 //!
 //! The `*_rotating` rows are the in-situ shape: a signed convergence
 //! never signs one message under one key twice in a row, so they walk

@@ -6,7 +6,7 @@
 //!
 //! Usage:
 //!   cargo run --release -p pvr-bench --bin harness             # all
-//!   cargo run --release -p pvr-bench --bin harness e3 e4       # subset
+//!   cargo run --release -p pvr-bench --bin harness e4 e13      # subset
 //!   cargo run --release -p pvr-bench --bin harness -- --quick  # CI smoke
 //!   cargo run --release -p pvr-bench --bin harness -- --json   # machine-readable
 //!   cargo run --release -p pvr-bench --bin harness -- --scale 5000 e14

@@ -3,13 +3,14 @@
 //! `Plain`/`Signed`/`Pvr`, at each requested shard count, reporting
 //! topology size, convergence events, events/sec, peak RIB entries,
 //! bytes on the wire, and the incremental decision path's
-//! short-circuit count. Everything except the [`Wall`] fields is
-//! deterministic *and identical across shard counts* — the run itself
-//! requires it ([`across_shards`]). The `Signed` and `Pvr` substrates
-//! are identical on the import path (PVR adds post-hoc audits, not
-//! import-time crypto), so each (scale, shards) converges two
-//! substrates and the pvr row reuses the signed measurement, exactly
-//! as E13 does.
+//! short-circuit count; the footer prints §3.8's attestation overhead,
+//! signed over plain bytes per update, per scale. Everything except
+//! the [`Wall`] fields is deterministic *and identical across shard
+//! counts* — the run itself requires it ([`across_shards`]). The
+//! `Signed` and `Pvr` substrates are identical on the import path (PVR
+//! adds post-hoc audits, not import-time crypto), so each (scale,
+//! shards) converges two substrates and the pvr row reuses the signed
+//! measurement, exactly as E13 does.
 
 use crate::recipe::{converged, e14_params, is_sha256_hex, ladder, row, smoke_shards};
 use crate::{across_shards, report_struct, Cfg, Report, Wall};
@@ -127,6 +128,18 @@ pub fn run(cfg: &Cfg) -> Report {
     row!(out, " at each scale — signatures change bytes only, sharding changes timing");
     row!(out, " only; plain events/s far above signed, which is RSA-bound — see E13;");
     row!(out, " short-circuits cover a third of decision runs)");
+    // §3.8's byte overhead: attestation bytes per update, signed over
+    // plain, per scale (one shard count suffices; bytes do not vary).
+    for modes in cells.chunks(3).filter(|m| m[0].shards.0 == shard_counts[0]) {
+        let per_update = |c: &E14Cell| c.bytes_on_wire as f64 / c.events as f64;
+        let (plain, signed) = (per_update(&modes[0]), per_update(&modes[1]));
+        row!(
+            out,
+            "bytes/update scale {}: plain {plain:.0}, signed {signed:.0} ({:.1}x with attestations)",
+            modes[0].scale,
+            signed / plain
+        );
+    }
     // Speedup footer: every signed run against the first shard count's,
     // when several counts ran.
     let signed: Vec<&E14Cell> = cells.iter().filter(|c| c.mode == "signed").collect();

@@ -20,6 +20,8 @@ pub fn run(_: &Cfg) -> Report {
         let report = run_min_round(&bed, None);
         assert!(report.clean());
     });
+    let transcripts = run_min_round(&bed, None).transcripts;
+    let pvr_bytes: usize = transcripts.values().map(|t| t.total_bytes()).sum();
 
     // GMW on the equivalent min circuit (8-bit lengths), measured
     // locally and modeled on a WAN.
@@ -44,7 +46,12 @@ pub fn run(_: &Cfg) -> Report {
     let zkp = ZkpCostModel::generic();
     let t_zkp = zkp.estimate_seconds(&circuit);
 
-    row!(out, "{:<44} {:>12}", "PVR full round (measured)", fmt_time(t_pvr));
+    row!(
+        out,
+        "{:<44} {:>12}   ({pvr_bytes} bytes of roots, gossip and disclosures)",
+        "PVR full round (measured)",
+        fmt_time(t_pvr)
+    );
     row!(out, "{:<44} {:>12}", "GMW min-circuit, local compute (measured)", fmt_time(t_gmw_local));
     row!(
         out,

@@ -25,12 +25,10 @@ pub mod e16;
 pub mod e17;
 pub mod e18;
 pub mod e2;
-pub mod e3;
 pub mod e4;
 pub mod e5;
 pub mod e6;
 pub mod e7;
-pub mod e8;
 pub mod e9;
 
 pub use cli::{parse_args, Cfg, FLAGS};
@@ -64,12 +62,10 @@ const fn experiment(
 pub const EXPERIMENTS: &[Experiment] = &[
     experiment("e1", true, &[], e1::run),
     experiment("e2", true, &[], e2::run),
-    experiment("e3", false, &[], e3::run),
     experiment("e4", false, &[], e4::run),
     experiment("e5", true, &[], e5::run),
     experiment("e6", false, &[], e6::run),
     experiment("e7", false, &[], e7::run),
-    experiment("e8", false, &[], e8::run),
     experiment("e9", false, &[], e9::run),
     experiment("e10", false, &[], e10::run),
     experiment("e11", false, &[], e11::run),

@@ -101,7 +101,7 @@ pub enum SecurityMode {
 }
 
 pvr_obs::metric_struct! {
-    /// Per-router counters (inputs to experiment E8's overhead table and
+    /// Per-router counters (inputs to experiment E14's overhead table and
     /// E12's detection columns).
     ///
     /// Declared through [`pvr_obs::metric_struct!`], which also derives

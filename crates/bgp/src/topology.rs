@@ -4,7 +4,7 @@
 //! around network A, with provider chains of configurable length so the
 //! minimum operator has something to minimize) and Internet-like
 //! topologies (tier-1 clique / tier-2 / stubs with Gao–Rexford roles)
-//! for the scale experiment E8.
+//! for the scale experiment E14.
 
 use crate::dampening::DampeningPolicy;
 use crate::messages::BgpUpdate;

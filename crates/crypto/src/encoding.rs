@@ -6,7 +6,7 @@
 //! module defines a small, deterministic, length-prefixed binary codec
 //! used for (a) everything that gets hashed or signed, (b) simulator
 //! message payloads, whose byte sizes feed the overhead accounting in
-//! experiment E8, and (c) checkpoint sections.
+//! experiment E14, and (c) checkpoint sections.
 //!
 //! It is the only place that knows how a struct, an enum or a sequence
 //! becomes bytes (DESIGN.md, "Wire codec"):

@@ -12,7 +12,7 @@
 //!   arithmetic, Montgomery REDC with windowed exponentiation (the fast
 //!   path under every RSA operation, measured in E13), Miller–Rabin, and
 //!   RSA with PKCS#1 v1.5 signatures (the paper budgets "about two
-//!   milliseconds" per RSA-1024 signature, reproduced in E3);
+//!   milliseconds" per RSA-1024 signature, reproduced in E13);
 //! * [`mod@commit`] — blinded hash commitments `H(b ‖ p)` (§3.2, footnote 2);
 //! * [`ring`] — Rivest–Shamir–Tauman ring signatures for the link-state
 //!   existential variant (§3.2, citing \[20\]);

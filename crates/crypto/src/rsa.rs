@@ -6,7 +6,7 @@
 //! milliseconds on current hardware". We implement RSA from scratch on
 //! top of [`crate::bignum`]: key generation with `e = 65537`, CRT-based
 //! private-key operations, and EMSA-PKCS1-v1_5 signature encoding with a
-//! SHA-256 `DigestInfo`. Benchmark E3 regenerates the 2 ms claim.
+//! SHA-256 `DigestInfo`. Experiment E13 regenerates the 2 ms claim.
 //!
 //! **Not production crypto**: arithmetic is variable-time and there is no
 //! blinding. Fine for a research simulator, never for deployment.

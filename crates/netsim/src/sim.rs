@@ -46,7 +46,7 @@ use std::collections::{HashMap, VecDeque};
 pub type NodeId = usize;
 
 /// Payloads must expose their serialized size for overhead accounting
-/// (experiments E5/E8/E14 report bytes on the wire).
+/// (experiments E5 and E14 report bytes on the wire).
 ///
 /// Contract for internet-scale runs: both required operations sit on
 /// the per-message hot path, so `Clone` should be O(1)-ish (share large

@@ -1,4 +1,4 @@
-//! PVR at Internet scale (experiment E8's scenario as a demo).
+//! PVR at Internet scale (experiment E14's scenario as a demo).
 //!
 //! Builds an Internet-like AS topology (tier-1 clique, multihomed
 //! tier-2, stubs originating prefixes), converges BGP with S-BGP

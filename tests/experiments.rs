@@ -29,7 +29,6 @@ fn experiment_outputs_match_committed_goldens() {
     let goldens: &[(&str, &str)] = &[
         ("e1", include_str!("expectations/e1.txt")),
         ("e7", include_str!("expectations/e7.txt")),
-        ("e8", include_str!("expectations/e8.txt")),
         ("e10", include_str!("expectations/e10.txt")),
         ("e11", include_str!("expectations/e11.txt")),
         ("e12", include_str!("expectations/e12.txt")),
@@ -200,10 +199,13 @@ fn usage_errors_are_rejected_up_front() {
         (&["--bogus"], "unknown flag `--bogus` (flags: --quick, --json, --scale N, --shards LIST,"),
         (&["e19"], "unknown experiment id `e19` (known: e1, e2,"),
         (&["e1", "E2"], "unknown experiment id `E2`"),
+        // Retired ids: e3 was folded into e13, e8 into e14 and e4.
+        (&["e3"], "unknown experiment id `e3`"),
+        (&["e13", "e8"], "unknown experiment id `e8`"),
         (&["--quick", "e1"], "--quick cannot be combined with explicit experiment ids [\"e1\"]"),
         // A scoped flag none of whose experiments is selected.
         (&["--scale", "100", "e1"], "--scale only applies to e14/e15/e16/e17/e18, none of which"),
-        (&["--shards", "2", "e3", "e13"], "--shards only applies to e14/e15/e16/e17/e18"),
+        (&["--shards", "2", "e4", "e13"], "--shards only applies to e14/e15/e16/e17/e18"),
         (&["--churn", "5", "e14"], "--churn only applies to e16"),
         (&["--fault-seed", "3", "e15"], "--fault-seed only applies to e16"),
         (&["--smc-batch", "8", "e16"], "--smc-batch only applies to e17"),
@@ -229,7 +231,7 @@ fn accepted_command_lines() {
     let all: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
     assert_eq!(parse(&[]), Ok((Cfg::default(), all.clone())));
     assert_eq!(parse(&["--json"]), Ok((Cfg { json: true, ..Cfg::default() }, all)));
-    assert_eq!(parse(&["e13", "e3", "e3"]).map(|p| p.1), Ok(vec!["e3", "e13"]));
+    assert_eq!(parse(&["e13", "e4", "e4"]).map(|p| p.1), Ok(vec!["e4", "e13"]));
 
     let (quick, ids) = parse(&["--quick"]).expect("--quick parses");
     assert_eq!((quick.scale, quick.shards.as_slice(), quick.quick), (500, &[1, 2][..], true));
@@ -266,8 +268,10 @@ fn accepted_command_lines() {
 #[test]
 fn registry_invariants() {
     let ids: Vec<String> = EXPERIMENTS.iter().map(|e| e.id.to_string()).collect();
-    let expected: Vec<String> = (1..=18).map(|n| format!("e{n}")).collect();
-    assert_eq!(ids, expected, "ids are unique and in order e1…e18");
+    // e3 and e8 are retired; the other ids keep their numbers.
+    let expected: Vec<String> =
+        (1..=18).filter(|n| ![3, 8].contains(n)).map(|n| format!("e{n}")).collect();
+    assert_eq!(ids, expected, "ids are unique and in order e1…e18, without e3 and e8");
     let quick: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.in_quick).map(|e| e.id).collect();
     assert_eq!(quick, ["e1", "e2", "e5", "e12", "e13", "e14", "e15", "e16", "e17", "e18"]);
 
