@@ -241,26 +241,28 @@ impl CampaignReport {
         })
     }
 
-    /// Exports per-strategy detection-latency histograms into
-    /// `registry`: every in-band detection (`detection_time` is
-    /// `Some`) lands one observation, in sim-time microseconds, in the
-    /// `pvr_attack_detection_latency_us` histogram labelled
-    /// `strategy`/`security_mode`. Post-hoc audits and PVR round
-    /// verdicts carry no in-band time and add nothing.
-    pub fn export_detection_latency(&self, registry: &mut pvr_obs::MetricsRegistry) {
+    /// Per-strategy detection-latency histograms: every in-band
+    /// detection (`detection_time` is `Some`) lands one observation, in
+    /// sim-time microseconds, in the `pvr_attack_detection_latency_us`
+    /// histogram labelled `strategy`/`security_mode`. Post-hoc audits
+    /// and PVR round verdicts carry no in-band time and add nothing.
+    pub fn export_detection_latency(&self) -> pvr_obs::Snapshot {
+        let mut snapshot = pvr_obs::Snapshot::default();
         for cell in &self.cells {
             let Some(t) = cell.outcome.detection_time else { continue };
             let labels: pvr_obs::LabelSet = vec![
                 ("strategy", cell.strategy.clone()),
                 ("security_mode", cell.mode.label().to_string()),
             ];
-            let id = registry.histogram(
+            let mut latency = pvr_obs::Histogram::new(DETECTION_LATENCY_BUCKETS_US);
+            latency.observe(t.as_micros());
+            snapshot.add(
                 "pvr_attack_detection_latency_us",
                 &labels,
-                DETECTION_LATENCY_BUCKETS_US,
+                pvr_obs::Value::Histogram(latency),
             );
-            registry.observe(id, t.as_micros());
         }
+        snapshot
     }
 
     /// The detection/impact matrix: one row per strategy, one column

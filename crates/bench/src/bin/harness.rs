@@ -47,8 +47,9 @@
 //! perf trajectory; `rows` is the table, line by line. The scale
 //! experiments append their typed rows under `metrics` (e15 also
 //! `timeline`); the field lists are `E14Cell`, `E16Metrics`, `E17Row`
-//! and `E18Metrics` in `pvr_bench`, and pvr-obs's JSON exposition for
-//! e15.
+//! and `E18Metrics` in `pvr_bench`, and for e15 the `ToJson` of a
+//! `pvr_obs::Snapshot` and a `ConvergenceTimeline` in its `report`
+//! module.
 
 use pvr_bench::{parse_args, Json};
 use std::time::Instant;

@@ -133,11 +133,9 @@ pub fn run(cfg: &Cfg) -> Report {
     // Per-strategy detection latency, read straight off the campaign's
     // histogram export (sim-time microseconds).
     let report = Campaign::new(CampaignConfig::quick(15)).run();
-    let mut detect_reg = pvr_obs::MetricsRegistry::new();
-    report.export_detection_latency(&mut detect_reg);
-    let detect_snap = detect_reg.snapshot();
+    let detect_snap = report.export_detection_latency();
     row!(out, "\nin-band detection latency (sim-time, from the seed-15 quick campaign):");
-    for s in &detect_snap.series {
+    for s in detect_snap.series() {
         if let Value::Histogram(h) = &s.value {
             let labels: Vec<String> = s.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
             row!(
@@ -180,7 +178,7 @@ pub fn run(cfg: &Cfg) -> Report {
         s.name == "pvr_attack_detection_latency_us"
             && matches!(&s.value, Value::Histogram(h) if h.count() > 0)
     };
-    assert!(combined.series.iter().any(detected), "e15 has no populated detection histogram");
+    assert!(combined.series().iter().any(detected), "e15 has no populated detection histogram");
     let signed = selected.pop().expect("signed run selected");
     assert!(signed.timeline.windows.iter().any(|w| w.events > 0), "e15 timeline has no events");
     assert!(signed.timeline.windows.iter().any(|w| w.rib_churn > 0), "e15 timeline has no churn");

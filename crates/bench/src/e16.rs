@@ -121,15 +121,6 @@ report_struct! {
     }
 }
 
-/// The two endpoints of a topology edge, whichever flavor.
-fn edge_endpoints(edge: &pvr_bgp::Edge) -> (Asn, Asn) {
-    match *edge {
-        pvr_bgp::Edge::ProviderCustomer { provider, customer } => (provider, customer),
-        pvr_bgp::Edge::Peering(a, b) => (a, b),
-        pvr_bgp::Edge::PartialTransit { provider, customer, .. } => (provider, customer),
-    }
-}
-
 /// E16's seeded fault plan over real topology links: two flapping links
 /// (down/up ramps through the churn window) and one session that resets
 /// twice. Node ids come from `net`, but they are assigned identically
@@ -150,7 +141,7 @@ fn e16_fault_plan(
     }
     let mut plan = FaultPlan::new();
     for (k, &i) in picks.iter().enumerate() {
-        let (a, b) = edge_endpoints(&edges[i]);
+        let (a, b) = edges[i].endpoints();
         let (na, nb) = (net.node_of(a), net.node_of(b));
         if k < 2 {
             // Three down/up cycles, 100 ms apart: with a 200 ms
@@ -249,7 +240,7 @@ fn e16_degradation(scale: usize, fault_seed: u64) -> Vec<E16Degradation> {
         let mut net = topology.instantiate(options);
         let mut plan = FaultPlan::new();
         for (i, &e) in idx[..n].iter().enumerate() {
-            let (a, b) = edge_endpoints(&topology.edges()[e]);
+            let (a, b) = topology.edges()[e].endpoints();
             // Staggered so the storm has no global phase: eight cycles
             // covering 1.0–1.9 s, probed at 1.5 s — mid-storm.
             plan.flap_link(

@@ -8,7 +8,7 @@
 //! runs an experiment body once per shard count and requires each
 //! count's projection to equal the first's.
 
-use pvr_obs::expo::json_escape;
+use pvr_obs::{ConvergenceTimeline, Series, Snapshot, Value};
 use std::path::PathBuf;
 
 /// What an experiment hands back to the harness.
@@ -38,7 +38,7 @@ impl From<String> for Report {
 /// ENGINE section holds one calendar per shard), and verify-cache hit
 /// counts (caches are per shard). The hit counts live inside `pvr-obs`
 /// snapshots and timelines, so for those two types the projection is
-/// the existing carve-out (`Snapshot::without`, `zero_cache_hits`)
+/// their own carve-out (`Snapshot::shard_invariant`, `zero_cache_hits`)
 /// rather than a field wrapper.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Wall<T>(pub T);
@@ -72,11 +72,7 @@ impl Json {
         };
         match self {
             Json::Raw(s) => out.push_str(s),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&json_escape(s));
-                out.push('"');
-            }
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -89,7 +85,8 @@ impl Json {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     sep(out, i);
-                    out.push_str(&format!("\"{k}\":"));
+                    write_string(out, k);
+                    out.push(':');
                     v.write(out);
                 }
                 out.push('}');
@@ -129,6 +126,24 @@ impl Json {
             }
         }
     }
+}
+
+/// Writes `s` as a JSON string literal, escaping quotes, backslashes
+/// and everything below 0x20.
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Renders a reported value as [`Json`].
@@ -183,22 +198,63 @@ impl ToJson for pvr_bgp::SmcBatchStats {
     }
 }
 
-impl ToJson for pvr_obs::Snapshot {
-    /// The pvr-obs JSON exposition; the projection drops the
-    /// `verify_cache_hit*` series (per-shard caches).
+fn raw(v: impl ToString) -> Json {
+    Json::Raw(v.to_string())
+}
+
+/// One series as an object: name, labels, type, then a counter's or
+/// gauge's `value`, or a histogram's cumulative `buckets` (`[le,
+/// count]` pairs), `sum` and `count`.
+fn series_json(s: &Series) -> Json {
+    let labels = s.labels.iter().map(|(k, v)| (*k, Json::Str(v.clone())));
+    let mut fields =
+        vec![("name", Json::Str(s.name.to_string())), ("labels", Json::Obj(labels.collect()))];
+    let kind = |kind: &str| ("type", Json::Str(kind.to_string()));
+    match &s.value {
+        Value::Counter(v) => fields.extend([kind("counter"), ("value", raw(v))]),
+        Value::Gauge(v) => {
+            fields.extend([kind("gauge"), ("value", raw(pvr_obs::expo::gauge_text(*v)))])
+        }
+        Value::Histogram(h) => {
+            let buckets = h.bounds().iter().zip(h.cumulative());
+            let buckets = buckets.map(|(le, n)| Json::Arr(vec![raw(le), raw(n)])).collect();
+            fields.extend([
+                kind("histogram"),
+                ("buckets", Json::Arr(buckets)),
+                ("sum", raw(h.sum())),
+                ("count", raw(h.count())),
+            ]);
+        }
+    }
+    Json::Obj(fields)
+}
+
+impl ToJson for Snapshot {
+    /// The array of series; the projection is
+    /// [`Snapshot::shard_invariant`].
     fn to_json(&self, det: bool, _dp: usize) -> Option<Json> {
-        let hit_series = |name: &str| name.contains("verify_cache_hit");
-        Some(Json::Raw(match det {
-            true => pvr_obs::expo::to_json(&self.without(hit_series)),
-            false => pvr_obs::expo::to_json(self),
-        }))
+        let snapshot = if det { self.shard_invariant() } else { self.clone() };
+        Some(Json::Arr(snapshot.series().iter().map(series_json).collect()))
     }
 }
 
-impl ToJson for pvr_obs::ConvergenceTimeline {
+impl ToJson for ConvergenceTimeline {
     /// The window array; the projection zeroes `verify_cache_hits`.
     fn to_json(&self, det: bool, _dp: usize) -> Option<Json> {
-        Some(Json::Raw(if det { self.zero_cache_hits().to_json() } else { self.to_json() }))
+        let timeline = if det { self.zero_cache_hits() } else { self.clone() };
+        let window = |w: &pvr_obs::TimelineWindow| {
+            Json::Obj(vec![
+                ("start_us", raw(w.start_us)),
+                ("events", raw(w.events)),
+                ("delivered", raw(w.delivered)),
+                ("queue_depth", raw(w.queue_depth)),
+                ("rib_churn", raw(w.rib_churn)),
+                ("withdraws", raw(w.withdraws)),
+                ("verify_calls", raw(w.verify_calls)),
+                ("verify_cache_hits", raw(w.verify_cache_hits)),
+            ])
+        };
+        Some(Json::Arr(timeline.windows.iter().map(window).collect()))
     }
 }
 
@@ -284,4 +340,71 @@ pub fn across_shards<R: ToJson>(
         runs.push(r);
     }
     runs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pvr_obs::timeline::{RT_CHANNELS, RT_RIB_CHURN, RT_VERIFY_CALLS, RT_VERIFY_HITS};
+    use pvr_obs::timeline::{SIM_CHANNELS, SIM_EVENTS, SIM_QUEUE_DEPTH};
+    use pvr_obs::{Histogram, LabelSet, TimelineRecorder};
+
+    fn render(value: &impl ToJson, det: bool) -> String {
+        value.to_json(det, 0).expect("rendered").render()
+    }
+
+    #[test]
+    fn snapshot_json_golden() {
+        let signed: LabelSet = vec![("security_mode", "signed".to_string())];
+        let plain: LabelSet = vec![("security_mode", "plain".to_string())];
+        let mut latency = Histogram::new(&[1_000, 100_000]);
+        for v in [500, 50_000, 200_000] {
+            latency.observe(v);
+        }
+        let mut s = Snapshot::default();
+        s.add("pvr_router_updates_rx_total", &signed, Value::Counter(42));
+        s.add("pvr_router_updates_rx_total", &plain, Value::Counter(40));
+        s.add("pvr_verify_cache_hit_ratio", &signed, Value::Gauge(0.25));
+        s.add(
+            "pvr_attack_detection_latency_us",
+            &vec![("strategy", "route-leak".to_string())],
+            Value::Histogram(latency),
+        );
+        let expected = "[\
+{\"name\":\"pvr_attack_detection_latency_us\",\"labels\":{\"strategy\":\"route-leak\"},\
+\"type\":\"histogram\",\"buckets\":[[1000,1],[100000,2]],\"sum\":250500,\"count\":3},\
+{\"name\":\"pvr_router_updates_rx_total\",\"labels\":{\"security_mode\":\"plain\"},\
+\"type\":\"counter\",\"value\":40},\
+{\"name\":\"pvr_router_updates_rx_total\",\"labels\":{\"security_mode\":\"signed\"},\
+\"type\":\"counter\",\"value\":42},\
+{\"name\":\"pvr_verify_cache_hit_ratio\",\"labels\":{\"security_mode\":\"signed\"},\
+\"type\":\"gauge\",\"value\":0.25}]";
+        assert_eq!(render(&s, false), expected);
+        // The projection drops the hit-ratio gauge and nothing else.
+        let (kept, _) = expected.split_once(",{\"name\":\"pvr_verify_cache_hit_ratio\"").unwrap();
+        assert_eq!(render(&s, true), format!("{kept}]"));
+    }
+
+    #[test]
+    fn timeline_json_golden() {
+        let mut sim = TimelineRecorder::new(1000, SIM_CHANNELS);
+        sim.add(100, SIM_EVENTS, 4);
+        sim.set(100, SIM_QUEUE_DEPTH, 2);
+        let mut rt = TimelineRecorder::new(1000, RT_CHANNELS);
+        rt.add(100, RT_RIB_CHURN, 1);
+        rt.add(1500, RT_VERIFY_CALLS, 2);
+        rt.add(1500, RT_VERIFY_HITS, 1);
+        let t = ConvergenceTimeline::assemble(&sim, &rt);
+        let expected =
+            "[{\"start_us\":0,\"events\":4,\"delivered\":0,\"queue_depth\":2,\"rib_churn\":1,\
+             \"withdraws\":0,\"verify_calls\":0,\"verify_cache_hits\":0},\
+             {\"start_us\":1000,\"events\":0,\"delivered\":0,\"queue_depth\":0,\"rib_churn\":0,\
+             \"withdraws\":0,\"verify_calls\":2,\"verify_cache_hits\":1}]";
+        assert_eq!(render(&t, false), expected);
+        // The projection zeroes the hits column.
+        assert_eq!(
+            render(&t, true),
+            expected.replace("\"verify_cache_hits\":1", "\"verify_cache_hits\":0")
+        );
+    }
 }

@@ -57,7 +57,7 @@ pub use checkpoint::{CheckpointError, CKPT_MAGIC, CKPT_VERSION};
 pub use dampening::{DampState, DampeningPolicy};
 pub use decision::{best, prefer, Candidate, CandidateRef};
 pub use messages::BgpUpdate;
-pub use partition::{cut_edges, partition_by_degree};
+pub use partition::partition_by_degree;
 pub use path::AsPath;
 pub use policy::{PolicyConfig, Role};
 pub use private::{PrivateRequest, PrivateVerifier, SmcBatchStats, PVR_VERDICT_TIMER};

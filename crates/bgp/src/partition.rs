@@ -14,7 +14,7 @@
 //! the exchange phase regardless of whether its endpoints share a
 //! shard, so a min-cut layout would buy nothing.
 
-use crate::topology::{Edge, Topology};
+use crate::topology::Topology;
 use crate::types::Asn;
 use std::collections::BTreeMap;
 
@@ -30,39 +30,13 @@ pub fn partition_by_degree(topology: &Topology, shards: usize) -> BTreeMap<Asn, 
         }
     };
     for edge in topology.edges() {
-        match *edge {
-            Edge::ProviderCustomer { provider, customer }
-            | Edge::PartialTransit { provider, customer, .. } => {
-                bump(provider);
-                bump(customer);
-            }
-            Edge::Peering(a, b) => {
-                bump(a);
-                bump(b);
-            }
-        }
+        let (a, b) = edge.endpoints();
+        bump(a);
+        bump(b);
     }
     let mut order: Vec<(Asn, usize)> = degree.into_iter().collect();
     order.sort_by(|&(a, da), &(b, db)| db.cmp(&da).then(a.cmp(&b)));
     order.into_iter().enumerate().map(|(i, (asn, _))| (asn, i % shards)).collect()
-}
-
-/// Number of relationship edges whose endpoints land on different
-/// shards under `assignment` — the boundary traffic the exchange phase
-/// re-injects. Diagnostic only; correctness never depends on it.
-pub fn cut_edges(topology: &Topology, assignment: &BTreeMap<Asn, usize>) -> usize {
-    topology
-        .edges()
-        .iter()
-        .filter(|edge| {
-            let (a, b) = match **edge {
-                Edge::ProviderCustomer { provider, customer }
-                | Edge::PartialTransit { provider, customer, .. } => (provider, customer),
-                Edge::Peering(a, b) => (a, b),
-            };
-            assignment[&a] != assignment[&b]
-        })
-        .count()
 }
 
 #[cfg(test)]
@@ -124,14 +98,5 @@ mod tests {
         let t = sample();
         let m = partition_by_degree(&t, 1);
         assert!(m.values().all(|&s| s == 0));
-        assert_eq!(cut_edges(&t, &m), 0);
-    }
-
-    #[test]
-    fn cut_edges_counts_boundaries() {
-        let t = sample();
-        let m = partition_by_degree(&t, 4);
-        let cut = cut_edges(&t, &m);
-        assert!(cut > 0 && cut <= t.edge_count());
     }
 }

@@ -61,7 +61,7 @@ pvr_obs::metric_struct! {
     /// [`PrivateVerifier`] — deliberately *not* part of
     /// [`RouterStats`](crate::RouterStats), so enabling private
     /// verification never adds series to the e15 metrics export.
-    /// Exported (e17 only) as `pvr_smc_<field>_total`.
+    /// Reported by e17 only, field by field in its rows' `smc` object.
     pub struct SmcBatchStats, prefix = "pvr_smc" {
         /// Verification requests enqueued by routers.
         pub requests: u64,

@@ -106,9 +106,9 @@ pvr_obs::metric_struct! {
     ///
     /// Declared through [`pvr_obs::metric_struct!`], which also derives
     /// the commutative `add` fold (network-wide totals independent of
-    /// router iteration order and shard layout) and the registry export
+    /// router iteration order and shard layout) and the snapshot export
     /// (counters named `pvr_router_<field>_total`) from the same field
-    /// list — the struct and the metrics registry cannot drift apart.
+    /// list — the struct and its metric series cannot drift apart.
     pub struct RouterStats, prefix = "pvr_router" {
         /// UPDATE messages received.
         pub updates_rx: u64,

@@ -58,6 +58,18 @@ pvr_crypto::wire_enum!(Edge {
     2 => PartialTransit { provider, customer, region },
 });
 
+impl Edge {
+    /// The two ASes the edge joins, whichever flavor: the provider
+    /// first for a transit edge, in declaration order for a peering.
+    pub fn endpoints(&self) -> (Asn, Asn) {
+        match *self {
+            Edge::ProviderCustomer { provider, customer }
+            | Edge::PartialTransit { provider, customer, .. } => (provider, customer),
+            Edge::Peering(a, b) => (a, b),
+        }
+    }
+}
+
 /// A declarative AS-level topology.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
@@ -565,23 +577,21 @@ fn metric_labels(security_mode: &str) -> pvr_obs::LabelSet {
 /// per shard (see [`RouterStats::shard_invariant`]) — so cross-shard
 /// comparisons must drop it alongside the counter.
 fn export_network_gauges(
-    registry: &mut pvr_obs::MetricsRegistry,
+    snapshot: &mut pvr_obs::Snapshot,
     labels: &pvr_obs::LabelSet,
     totals: &RouterStats,
     adj_rib_in: u64,
     loc_rib: u64,
 ) {
-    let g = registry.gauge("pvr_adj_rib_in_entries", labels);
-    registry.set_gauge(g, adj_rib_in as f64);
-    let g = registry.gauge("pvr_loc_rib_entries", labels);
-    registry.set_gauge(g, loc_rib as f64);
+    use pvr_obs::Value::Gauge;
+    snapshot.add("pvr_adj_rib_in_entries", labels, Gauge(adj_rib_in as f64));
+    snapshot.add("pvr_loc_rib_entries", labels, Gauge(loc_rib as f64));
     let ratio = if totals.verify_calls > 0 {
         totals.verify_cache_hits as f64 / totals.verify_calls as f64
     } else {
         0.0
     };
-    let g = registry.gauge("pvr_verify_cache_hit_ratio", labels);
-    registry.set_gauge(g, ratio);
+    snapshot.add("pvr_verify_cache_hit_ratio", labels, Gauge(ratio));
 }
 
 /// Merges per-router event journals into one globally time-ordered
@@ -730,13 +740,13 @@ impl BgpNetwork {
     /// `verify_cache_hits` (the per-shard cache carve-out).
     pub fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
         let labels = metric_labels(security_mode);
-        let mut registry = pvr_obs::MetricsRegistry::new();
-        self.sim.stats().export_metrics(&mut registry, &labels);
+        let mut snapshot = pvr_obs::Snapshot::default();
+        self.sim.stats().export_metrics(&mut snapshot, &labels);
         let totals = self.router_totals();
-        totals.export_metrics(&mut registry, &labels);
+        totals.export_metrics(&mut snapshot, &labels);
         let (adj, loc) = self.rib_totals();
-        export_network_gauges(&mut registry, &labels, &totals, adj, loc);
-        registry.snapshot()
+        export_network_gauges(&mut snapshot, &labels, &totals, adj, loc);
+        snapshot
     }
 
     /// Assembles the per-window convergence timeline from the

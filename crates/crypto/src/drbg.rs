@@ -3,10 +3,7 @@
 //! Every source of randomness in the workspace (key generation,
 //! commitment blinding, simulator jitter, workload generation) flows
 //! through this DRBG so that entire end-to-end experiments are
-//! reproducible from a single `u64` seed. The generator also implements
-//! a local [`RngCore`] trait (a signature-compatible subset of
-//! `rand::RngCore`, kept in-tree because this workspace builds without
-//! registry access) so it can drive generic samplers where convenient.
+//! reproducible from a single `u64` seed.
 
 use crate::encoding::{Reader, Wire, WireError};
 use crate::hmac::HmacKey;
@@ -192,30 +189,6 @@ impl Wire for HmacDrbg {
     }
 }
 
-/// Signature-compatible subset of `rand::RngCore`, defined locally so
-/// the workspace builds without the external `rand` crate. Swapping to
-/// the real trait is a matter of deleting this definition and importing
-/// `rand::RngCore` instead.
-pub trait RngCore {
-    fn next_u32(&mut self) -> u32;
-    fn next_u64(&mut self) -> u64;
-    fn fill_bytes(&mut self, dest: &mut [u8]);
-}
-
-impl RngCore for HmacDrbg {
-    fn next_u32(&mut self) -> u32 {
-        self.u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.generate(dest);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,17 +263,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn rng_core_integration() {
-        use super::RngCore;
-        let mut d = HmacDrbg::new(b"rngcore");
-        let mut buf = [0u8; 16];
-        d.fill_bytes(&mut buf);
-        assert_ne!(buf, [0u8; 16]);
-        let _ = d.next_u32();
-        let _ = d.next_u64();
     }
 
     #[test]

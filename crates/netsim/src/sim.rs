@@ -172,7 +172,7 @@ pvr_obs::metric_struct! {
     /// Aggregate counters for a run.
     ///
     /// Declared through [`pvr_obs::metric_struct!`], so the struct, its
-    /// `add` fold, and its registry export (counters named
+    /// `add` fold, and its snapshot export (counters named
     /// `pvr_sim_<field>_total`) are generated from one field list and
     /// can never drift apart.
     pub struct SimStats, prefix = "pvr_sim" {

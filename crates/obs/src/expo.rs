@@ -1,15 +1,13 @@
-//! Exposition: rendering a [`Snapshot`] as Prometheus text format or
-//! as a `pvr-bench-v1`-compatible JSON fragment.
+//! Exposition: rendering a [`Snapshot`] as Prometheus text format.
 //!
-//! Both renderers are pure functions of the canonical snapshot, so
-//! their output inherits its determinism: same traffic, same bytes,
-//! whatever engine produced the numbers. Counters render with a
-//! `_total` suffix already baked into their names, histograms render
-//! cumulatively with Prometheus `le` semantics plus the implicit
-//! `+Inf` bucket, and gauges render with Rust's shortest-roundtrip
-//! float formatting (deterministic for a given bit pattern).
+//! The renderer is a pure function of the canonical snapshot, so its
+//! output inherits its determinism: same traffic, same bytes, whatever
+//! engine produced the numbers. Counters render with a `_total` suffix
+//! already baked into their names, histograms render cumulatively with
+//! Prometheus `le` semantics plus the implicit `+Inf` bucket, and
+//! gauges render through [`gauge_text`].
 
-use crate::registry::{Snapshot, Value};
+use crate::snapshot::{Snapshot, Value};
 use std::fmt::Write;
 
 fn escape_label(v: &str) -> String {
@@ -25,7 +23,7 @@ fn escape_label(v: &str) -> String {
     out
 }
 
-fn label_block(labels: &[(String, String)], extra: Option<(&str, String)>) -> String {
+fn label_block(labels: &[(&str, String)], extra: Option<(&str, String)>) -> String {
     let mut pairs: Vec<String> =
         labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))).collect();
     if let Some((k, v)) = extra {
@@ -38,7 +36,10 @@ fn label_block(labels: &[(String, String)], extra: Option<(&str, String)>) -> St
     }
 }
 
-fn fmt_gauge(v: f64) -> String {
+/// A gauge's text in every exposition: Rust's shortest-roundtrip float
+/// formatting (deterministic for a given bit pattern), `0` when the
+/// value is not finite.
+pub fn gauge_text(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -52,15 +53,15 @@ fn fmt_gauge(v: f64) -> String {
 pub fn to_prometheus(snap: &Snapshot) -> String {
     let mut out = String::new();
     let mut last_name: Option<&str> = None;
-    for s in &snap.series {
-        if last_name != Some(s.name.as_str()) {
+    for s in snap.series() {
+        if last_name != Some(s.name) {
             let kind = match s.value {
                 Value::Counter(_) => "counter",
                 Value::Gauge(_) => "gauge",
                 Value::Histogram(_) => "histogram",
             };
             writeln!(out, "# TYPE {} {}", s.name, kind).expect("write to String cannot fail");
-            last_name = Some(s.name.as_str());
+            last_name = Some(s.name);
         }
         match &s.value {
             Value::Counter(v) => {
@@ -68,7 +69,7 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
                     .expect("write to String cannot fail");
             }
             Value::Gauge(v) => {
-                writeln!(out, "{}{} {}", s.name, label_block(&s.labels, None), fmt_gauge(*v))
+                writeln!(out, "{}{} {}", s.name, label_block(&s.labels, None), gauge_text(*v))
                     .expect("write to String cannot fail");
             }
             Value::Histogram(h) => {
@@ -100,97 +101,29 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// Escapes `s` for a JSON string literal (quotes, backslashes and
-/// everything below 0x20). The one escape function behind every JSON
-/// document the workspace writes: this module's exposition and the
-/// harness's `pvr-bench-v1` report.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the snapshot as a compact JSON array of series objects, the
-/// shape embedded under `"series"` in the harness's `pvr-bench-v1`
-/// output. Counters/gauges carry `"value"`; histograms carry
-/// cumulative `"buckets"` (`[le, count]` pairs), `"sum"`, `"count"`.
-pub fn to_json(snap: &Snapshot) -> String {
-    let mut out = String::from("[");
-    for (i, s) in snap.series.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{{\"name\":\"{}\",\"labels\":{{", json_escape(&s.name))
-            .expect("write to String cannot fail");
-        for (j, (k, v)) in s.labels.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v))
-                .expect("write to String cannot fail");
-        }
-        out.push_str("},");
-        match &s.value {
-            Value::Counter(v) => {
-                write!(out, "\"type\":\"counter\",\"value\":{v}")
-                    .expect("write to String cannot fail");
-            }
-            Value::Gauge(v) => {
-                write!(out, "\"type\":\"gauge\",\"value\":{}", fmt_gauge(*v))
-                    .expect("write to String cannot fail");
-            }
-            Value::Histogram(h) => {
-                out.push_str("\"type\":\"histogram\",\"buckets\":[");
-                for (j, (le, cum)) in h.bounds().iter().zip(h.cumulative()).enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    write!(out, "[{le},{cum}]").expect("write to String cannot fail");
-                }
-                write!(out, "],\"sum\":{},\"count\":{}", h.sum(), h.count())
-                    .expect("write to String cannot fail");
-            }
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{LabelSet, MetricsRegistry};
+    use crate::histogram::Histogram;
+    use crate::snapshot::LabelSet;
 
     fn demo_snapshot() -> Snapshot {
-        let mut r = MetricsRegistry::new();
         let signed: LabelSet = vec![("security_mode", "signed".to_string())];
         let plain: LabelSet = vec![("security_mode", "plain".to_string())];
-        let c = r.counter("pvr_router_updates_rx_total", &signed);
-        r.inc(c, 42);
-        let c = r.counter("pvr_router_updates_rx_total", &plain);
-        r.inc(c, 40);
-        let g = r.gauge("pvr_verify_cache_hit_ratio", &signed);
-        r.set_gauge(g, 0.25);
-        let h = r.histogram(
+        let mut latency = Histogram::new(&[1_000, 100_000]);
+        for v in [500, 50_000, 200_000] {
+            latency.observe(v);
+        }
+        let mut s = Snapshot::default();
+        s.add("pvr_router_updates_rx_total", &signed, Value::Counter(42));
+        s.add("pvr_router_updates_rx_total", &plain, Value::Counter(40));
+        s.add("pvr_verify_cache_hit_ratio", &signed, Value::Gauge(0.25));
+        s.add(
             "pvr_attack_detection_latency_us",
             &vec![("strategy", "route-leak".to_string())],
-            &[1_000, 100_000],
+            Value::Histogram(latency),
         );
-        r.observe(h, 500);
-        r.observe(h, 50_000);
-        r.observe(h, 200_000);
-        r.snapshot()
+        s
     }
 
     /// The Prometheus golden test: exact bytes, so any formatting
@@ -214,25 +147,10 @@ pvr_verify_cache_hit_ratio{security_mode=\"signed\"} 0.25
     }
 
     #[test]
-    fn json_golden() {
-        let expected = "[\
-{\"name\":\"pvr_attack_detection_latency_us\",\"labels\":{\"strategy\":\"route-leak\"},\
-\"type\":\"histogram\",\"buckets\":[[1000,1],[100000,2]],\"sum\":250500,\"count\":3},\
-{\"name\":\"pvr_router_updates_rx_total\",\"labels\":{\"security_mode\":\"plain\"},\
-\"type\":\"counter\",\"value\":40},\
-{\"name\":\"pvr_router_updates_rx_total\",\"labels\":{\"security_mode\":\"signed\"},\
-\"type\":\"counter\",\"value\":42},\
-{\"name\":\"pvr_verify_cache_hit_ratio\",\"labels\":{\"security_mode\":\"signed\"},\
-\"type\":\"gauge\",\"value\":0.25}]";
-        assert_eq!(to_json(&demo_snapshot()), expected);
-    }
-
-    #[test]
     fn label_values_are_escaped() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("pvr_x_total", &vec![("router", "a\"b\\c".to_string())]);
-        r.inc(c, 1);
-        let text = to_prometheus(&r.snapshot());
+        let mut s = Snapshot::default();
+        s.add("pvr_x_total", &vec![("router", "a\"b\\c".to_string())], Value::Counter(1));
+        let text = to_prometheus(&s);
         assert!(text.contains("router=\"a\\\"b\\\\c\""));
     }
 }

@@ -1,7 +1,7 @@
 //! Sim-time event journal: a bounded ring buffer of `(virtual time,
 //! kind, value)` records, one per router.
 //!
-//! The journal is the forensic layer: where the registry answers "how
+//! The journal is the forensic layer: where a snapshot answers "how
 //! many", the journal answers "in what order, and when (in sim-time)".
 //! It follows the crate's sim-time-only tracing rule — entries are
 //! stamped with the simulator's virtual clock, never the wall clock —

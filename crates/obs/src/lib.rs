@@ -18,54 +18,51 @@
 //! verify-cache hit family (`*verify_cache_hit*`): caches are per
 //! shard and legitimately see fewer hits than one shard's network-wide
 //! cache, so those series are excluded from cross-shard-count
-//! comparisons (see [`Snapshot::without`]).
+//! comparisons (see [`Snapshot::shard_invariant`]).
 //!
 //! The pieces:
 //!
-//! * [`registry`] — typed counters, gauges, and fixed-bucket
-//!   histograms with label sets; allocation-light [`CounterId`]-style
-//!   handles cached at call sites; deterministic [`Snapshot`] and
-//!   merge so registries fold into one network view whatever the
-//!   order.
-//! * [`histogram`] — the fixed-bucket histogram behind the registry
-//!   (`le` buckets are inclusive upper bounds, Prometheus-style).
+//! * [`snapshot`] — counters, gauges, and fixed-bucket histograms with
+//!   label sets, in a canonically sorted [`Snapshot`] that the code
+//!   reading the numbers writes into directly; snapshots merge
+//!   commutatively, so per-shard views fold into one network view
+//!   whatever the order.
+//! * [`histogram`] — the fixed-bucket histogram behind a histogram
+//!   series (`le` buckets are inclusive upper bounds, Prometheus-style).
 //! * [`journal`] — per-router ring-buffered event journal stamped
 //!   with sim-time; the BGP layer merges the journals into one JSONL
 //!   trace for forensic replay.
 //! * [`timeline`] — per-window accumulators (events, queue depth, RIB
 //!   churn, verify traffic) rendered as a convergence timeline table.
-//! * [`expo`] — Prometheus text format and `pvr-bench-v1`-compatible
-//!   JSON exposition of a [`Snapshot`].
+//! * [`expo`] — Prometheus text exposition of a [`Snapshot`].
 //!
 //! The [`metric_struct!`] macro declares a stats struct's fields once
-//! and generates the struct, its `add` fold, and its registry export,
-//! keeping legacy views (`RouterStats`, `SimStats`) in lockstep with
-//! the registry by construction.
+//! and generates the struct, its `add` fold, and its snapshot export,
+//! keeping the stats structs (`RouterStats`, `SimStats`) and their
+//! metric series in lockstep by construction.
 
 pub mod expo;
 pub mod histogram;
 pub mod journal;
-pub mod registry;
+pub mod snapshot;
 pub mod timeline;
 
 pub use histogram::Histogram;
 pub use journal::{EventJournal, JournalEntry};
-pub use registry::{
-    CounterId, GaugeId, HistogramId, LabelSet, MetricsRegistry, Series, Snapshot, Value,
-};
+pub use snapshot::{LabelSet, Series, Snapshot, Value};
 pub use timeline::{ConvergenceTimeline, TimelineRecorder, TimelineWindow};
 
 /// Declares a stats struct once and derives everything the workspace
 /// needs from the single field list: the struct itself (all fields
-/// `pub u64`, with docs), the commutative [`add`](MetricsRegistry)
-/// fold, a `fields()` reflection used by tests and expositions, and
-/// `export_metrics`, which registers every field as a
-/// `<prefix>_<field>_total` counter in a [`MetricsRegistry`].
+/// `pub u64`, with docs), its commutative `add` fold, a `fields()`
+/// reflection used by tests and expositions, and `export_metrics`,
+/// which adds every field to a [`Snapshot`] as a
+/// `<prefix>_<field>_total` counter.
 ///
 /// Struct-specific projections (e.g. `RouterStats::shard_invariant`,
 /// the verify-cache carve-out) stay handwritten next to the macro
 /// invocation — the macro guarantees field parity between the struct
-/// and the registry, not policy.
+/// and its metric series, not policy.
 #[macro_export]
 macro_rules! metric_struct {
     (
@@ -97,7 +94,7 @@ macro_rules! metric_struct {
 
             /// Every field as a `(name, value)` pair, in declaration
             /// order. This is the parity contract between the struct
-            /// and the registry: expositions and tests enumerate
+            /// and its metric series: expositions and tests enumerate
             /// fields through here, so a field added to the struct
             /// cannot be silently missing from the metrics.
             pub fn fields(&self) -> ::std::vec::Vec<(&'static str, u64)> {
@@ -143,22 +140,21 @@ macro_rules! metric_struct {
                 }
             }
 
-            /// Registers every field as a counter named
-            /// `<prefix>_<field>_total` under `labels` and adds the
-            /// current values. Safe to call repeatedly (counters
-            /// accumulate), so per-shard views can be folded straight
-            /// into one registry.
+            /// Adds every field to `snapshot` as the counter
+            /// `<prefix>_<field>_total{labels}`. Safe to call
+            /// repeatedly (counters accumulate), so per-shard views can
+            /// be folded straight into one snapshot.
             pub fn export_metrics(
                 &self,
-                registry: &mut $crate::MetricsRegistry,
+                snapshot: &mut $crate::Snapshot,
                 labels: &$crate::LabelSet,
             ) {
                 $(
-                    let id = registry.counter(
+                    snapshot.add(
                         concat!($prefix, "_", stringify!($field), "_total"),
                         labels,
+                        $crate::Value::Counter(self.$field),
                     );
-                    registry.inc(id, self.$field);
                 )*
             }
         }
@@ -167,7 +163,7 @@ macro_rules! metric_struct {
 
 #[cfg(test)]
 mod tests {
-    use crate::registry::{LabelSet, MetricsRegistry};
+    use crate::snapshot::{LabelSet, Snapshot};
 
     metric_struct! {
         /// A test stats struct.
@@ -187,11 +183,10 @@ mod tests {
         assert_eq!(a, DemoStats { seen: 5, kept: 6 });
         assert_eq!(a.fields(), vec![("seen", 5), ("kept", 6)]);
 
-        let mut reg = MetricsRegistry::new();
+        let mut snap = Snapshot::default();
         let labels: LabelSet = vec![("security_mode", "plain".to_string())];
-        a.export_metrics(&mut reg, &labels);
-        a.export_metrics(&mut reg, &labels); // accumulates
-        let snap = reg.snapshot();
+        a.export_metrics(&mut snap, &labels);
+        a.export_metrics(&mut snap, &labels); // accumulates
         assert_eq!(snap.counter_value("pvr_demo_seen_total"), Some(10));
         assert_eq!(snap.counter_value("pvr_demo_kept_total"), Some(12));
     }

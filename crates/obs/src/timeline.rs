@@ -278,36 +278,6 @@ impl ConvergenceTimeline {
         }
         out
     }
-
-    /// Compact JSON array of the windows, for the harness's
-    /// `pvr-bench-v1` metrics section. All fields are sim-time-derived
-    /// and deterministic except `verify_cache_hits` (the carve-out;
-    /// shard-invariance checks compare [`zero_cache_hits`](Self::zero_cache_hits)
-    /// copies).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write!(
-                out,
-                "{{\"start_us\":{},\"events\":{},\"delivered\":{},\"queue_depth\":{},\
-                 \"rib_churn\":{},\"withdraws\":{},\"verify_calls\":{},\"verify_cache_hits\":{}}}",
-                w.start_us,
-                w.events,
-                w.delivered,
-                w.queue_depth,
-                w.rib_churn,
-                w.withdraws,
-                w.verify_calls,
-                w.verify_cache_hits
-            )
-            .expect("write to String cannot fail");
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -361,8 +331,7 @@ mod tests {
         assert_eq!(t.windows[1].verify_calls, 2);
         assert_eq!(t.zero_cache_hits().windows[1].verify_cache_hits, 0);
         assert_eq!(t.events_per_sim_sec(&t.windows[0]), 4000);
-        // Table and JSON render without panicking and mention the data.
+        // The table renders without panicking and mentions the data.
         assert!(t.render_table().contains("rib-churn"));
-        assert!(t.to_json().starts_with("[{\"start_us\":0,"));
     }
 }

@@ -31,9 +31,9 @@
 //! * [`store`] — the content-addressed copy-on-write persistent RIB
 //!   store: O(1) snapshots, structural diffs, and integrity-checked
 //!   dump/load under the crash-consistent checkpoint format;
-//! * [`obs`] — the deterministic telemetry layer: metrics registry,
+//! * [`obs`] — the deterministic telemetry layer: metrics snapshots,
 //!   sim-time tracing and event journals, convergence timelines, and
-//!   Prometheus/JSON exposition.
+//!   Prometheus exposition.
 //!
 //! ## Quickstart
 //!

@@ -20,10 +20,12 @@ fn scale_56(shards: &[usize]) -> Cfg {
 
 /// Every table without a wall-clock cell that is cheap in a debug
 /// build, byte for byte, plus e14's deterministic projection (its table
-/// has an events/s column). The files were generated by the parent of
-/// the commit that introduced the registry, so they pin that refactor
-/// and every later one: an intended change to a table regenerates its
-/// file in the same commit.
+/// has an events/s column) and e15's metrics snapshot and timeline.
+/// The files were generated by the parent of the commit that introduced
+/// the registry (`e15.json` by the parent of the commit that moved the
+/// JSON writers out of `pvr-obs`), so they pin that refactor and every
+/// later one: an intended change to a table regenerates its file in the
+/// same commit.
 #[test]
 fn experiment_outputs_match_committed_goldens() {
     let goldens: &[(&str, &str)] = &[
@@ -48,6 +50,16 @@ fn experiment_outputs_match_committed_goldens() {
             report.table
         };
         assert_eq!(actual, expected, "{id} drifted from its file under tests/expectations/");
+        if id == "e15" {
+            // Its metrics values as the `--json` record carries them.
+            let values =
+                report.metrics.iter().filter_map(|(k, v)| Some((*k, v.to_json(false, 0)?)));
+            assert_eq!(
+                Json::Obj(values.collect()).render() + "\n",
+                include_str!("expectations/e15.json"),
+                "e15's metrics drifted from tests/expectations/e15.json"
+            );
+        }
     }
 }
 

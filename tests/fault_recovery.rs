@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use pvr::bgp::{
-    internet_like, Asn, BgpRouter, Candidate, DampeningPolicy, Edge, InstantiateOptions,
-    InternetParams, Prefix, Topology,
+    internet_like, Asn, BgpRouter, Candidate, DampeningPolicy, InstantiateOptions, InternetParams,
+    Prefix, Topology,
 };
 use pvr::crypto::drbg::HmacDrbg;
 use pvr::netsim::{Fault, FaultPlan, NodeId, RunLimits, SimDuration, SimTime, StopReason};
@@ -29,15 +29,6 @@ fn rib_fingerprint(router: &BgpRouter) -> Vec<(Prefix, Candidate)> {
         .collect()
 }
 
-/// The two endpoints of a topology edge, whichever flavor.
-fn endpoints(edge: &Edge) -> (Asn, Asn) {
-    match *edge {
-        Edge::ProviderCustomer { provider, customer } => (provider, customer),
-        Edge::Peering(a, b) => (a, b),
-        Edge::PartialTransit { provider, customer, .. } => (provider, customer),
-    }
-}
-
 /// A seeded random fault schedule over real topology links: 1–4 faults,
 /// each either a link flap burst or a session reset, all inside
 /// [200 ms, 1.2 s]. Down windows always exceed the 10 ms link latency,
@@ -50,7 +41,7 @@ fn random_fault_plan(topology: &Topology, node_of: &dyn Fn(Asn) -> NodeId, seed:
     let mut plan = FaultPlan::new();
     let faults = 1 + rng.below(4);
     for _ in 0..faults {
-        let (a, b) = endpoints(&edges[rng.index(edges.len())]);
+        let (a, b) = edges[rng.index(edges.len())].endpoints();
         let (na, nb) = (node_of(a), node_of(b));
         let start = SimTime::ZERO + SimDuration::from_millis(200 + rng.below(800));
         if rng.chance(0.5) {

@@ -6,17 +6,10 @@
 //! than one shard's network-wide cache.
 
 use pvr::bgp::{
-    internet_like, workload, Asn, DampeningPolicy, Edge, InstantiateOptions, InternetParams, Prefix,
+    internet_like, workload, Asn, DampeningPolicy, InstantiateOptions, InternetParams, Prefix,
 };
 use pvr::netsim::{Fault, FaultPlan, NodeId, RunLimits, SimDuration, SimTime, StopReason};
 use std::sync::Arc;
-
-/// The carve-out predicate: every series derived from cache hits, by
-/// name (`pvr_router_verify_cache_hits_total`,
-/// `pvr_verify_cache_hit_ratio`).
-fn hit_series(name: &str) -> bool {
-    name.contains("verify_cache_hit")
-}
 
 fn observed_options(signed: bool) -> InstantiateOptions {
     InstantiateOptions {
@@ -43,7 +36,7 @@ fn telemetry_is_engine_invariant_modulo_cache_hits() {
         let one_snap = one.metrics_snapshot(if signed { "signed" } else { "plain" });
         let one_tl = one.convergence_timeline().expect("timeline enabled");
         let one_trace = one.trace_jsonl();
-        assert!(!one_snap.series.is_empty());
+        assert!(!one_snap.series().is_empty());
         assert!(!one_tl.windows.is_empty());
         assert!(!one_trace.is_empty());
 
@@ -58,8 +51,8 @@ fn telemetry_is_engine_invariant_modulo_cache_hits() {
 
             // Metrics: identical modulo the carve-out series.
             assert_eq!(
-                snap.without(hit_series),
-                one_snap.without(hit_series),
+                snap.shard_invariant(),
+                one_snap.shard_invariant(),
                 "metrics diverge at {shards} shards (signed={signed})"
             );
             // Timeline: identical windows modulo the hits channel, and
@@ -89,15 +82,6 @@ fn telemetry_is_engine_invariant_modulo_cache_hits() {
     }
 }
 
-/// The two endpoints of a topology edge, whichever flavor.
-fn endpoints(edge: &Edge) -> (Asn, Asn) {
-    match *edge {
-        Edge::ProviderCustomer { provider, customer } => (provider, customer),
-        Edge::Peering(a, b) => (a, b),
-        Edge::PartialTransit { provider, customer, .. } => (provider, customer),
-    }
-}
-
 #[test]
 fn fault_telemetry_is_engine_invariant() {
     // A churn-plus-faults run in plain mode: no signing → no verify
@@ -122,8 +106,8 @@ fn fault_telemetry_is_engine_invariant() {
     // Two faulted edges: a three-cycle flap fast enough to outrun the
     // dampening half-life (penalties 1000 → 1707 → 2207 > the 2000
     // suppress threshold) and a mid-churn session reset.
-    let (fa, fb) = endpoints(&topology.edges()[0]);
-    let (ra, rb) = endpoints(&topology.edges()[1]);
+    let (fa, fb) = topology.edges()[0].endpoints();
+    let (ra, rb) = topology.edges()[1].endpoints();
     let fault_plan = |node_of: &dyn Fn(Asn) -> NodeId| {
         let mut plan = FaultPlan::new();
         plan.flap_link(

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use pvr::attack::CAMPAIGN_INTERNET;
-use pvr::bgp::{internet_like, Asn, Edge, InstantiateOptions, InternetParams, Role, Topology};
+use pvr::bgp::{internet_like, Asn, InstantiateOptions, InternetParams, Role, Topology};
 use pvr::crypto::encoding::Wire;
 use pvr::crypto::sha256;
 use pvr::netsim::RunLimits;
@@ -71,11 +71,7 @@ proptest! {
         // No self-loops on any edge.
         let mut undirected: BTreeMap<Asn, Vec<Asn>> = BTreeMap::new();
         for e in t.edges() {
-            let (a, b) = match *e {
-                Edge::ProviderCustomer { provider, customer } => (provider, customer),
-                Edge::Peering(a, b) => (a, b),
-                Edge::PartialTransit { provider, customer, .. } => (provider, customer),
-            };
+            let (a, b) = e.endpoints();
             prop_assert_ne!(a, b, "self-loop edge");
             undirected.entry(a).or_default().push(b);
             undirected.entry(b).or_default().push(a);
