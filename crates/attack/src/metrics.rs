@@ -34,7 +34,7 @@ pub struct AttackOutcome {
     /// Attestation-signature checks performed network-wide during the
     /// attacked run (signed modes; 0 under `Plain`).
     pub verify_calls: u64,
-    /// How many of those the network-wide verification cache answered
+    /// How many of those the per-shard verification caches answered
     /// without RSA math — the E13 chain-verify hit-rate source.
     pub verify_cache_hits: u64,
 }

@@ -30,7 +30,10 @@
 //! `--scale 500 --shards 1,2` and evaluates each scale experiment's
 //! smoke check: assertions on the typed rows that only hold at that
 //! scale (e14 reaches 500 ASes at shard counts 1 and 2, e16's
-//! dampening suppressed something, …).
+//! dampening suppressed something, …). It also holds four measured
+//! speedups to their floors: e4's 64-lane batch GMW (≥ 10×), e5's
+//! batched 30-neighbor export (≥ 5×), e6's batched 16-reveal
+//! disclosure check (≥ 3×) and e13's in-situ RSA-512 signing (≥ 10×).
 //!
 //! `--shards LIST` is the determinism gate: e14–e18 run at every
 //! listed count (the one engine with that many worker calendars; 1 =

@@ -1,15 +1,26 @@
 //! E4 — §3.1: the strawman comparison. "even with only five players,
 //! state-of-the-art SMC systems take about 15 seconds … for a simple
-//! task like voting \[2\]".
+//! task like voting \[2\]". Plus the bit-sliced engine the private
+//! verifier runs: one 64-lane batch pass vs 64 serial GMW runs.
 
 use crate::recipe::row;
-use crate::recipe::{fmt_time, median_secs};
+use crate::recipe::{check_floor, fmt_time, median_pair, median_secs};
 use crate::{Cfg, Report};
 use pvr_core::{run_min_round, Figure1Bed};
 use pvr_crypto::drbg::HmacDrbg;
-use pvr_smc::{majority_circuit, min_circuit, run_gmw, to_bits, SmcCostModel, ZkpCostModel};
+use pvr_smc::{
+    majority_circuit, min_circuit, pack_lane_inputs, run_gmw, to_bits, BatchGmw, SmcCostModel,
+    ZkpCostModel, MAX_LANES,
+};
+use std::hint::black_box;
 
-pub fn run(_: &Cfg) -> Report {
+/// The bit-slicing claim: one 64-lane batch pass must beat 64 serial
+/// GMW runs by this much in gate throughput (it sits around 1000× —
+/// word ops amortize the gate walk, and the whole dealer tape of a
+/// pass is one DRBG request).
+const BATCH_GMW_FLOOR: f64 = 10.0;
+
+pub fn run(cfg: &Cfg) -> Report {
     let mut out = String::new();
     row!(out, "E4: PVR vs. the SMC/ZKP strawmen (§3.1), k = 5 providers");
 
@@ -69,6 +80,39 @@ pub fn run(_: &Cfg) -> Report {
         fmt_time(t_vote_wan)
     );
     row!(out, "{:<44} {:>12}", "generic ZKP model, min circuit", fmt_time(t_zkp));
+
+    // The same circuit on 64 lanes (lane l, party p holds 2 + (l + p) % 11):
+    // one `BatchGmw` pass against a `run_gmw` call per lane. Each lane
+    // reconstructs what its serial run does.
+    let lanes: Vec<Vec<Vec<bool>>> = (0..MAX_LANES)
+        .map(|l| (0..5).map(|p| to_bits(2 + ((l + p) % 11) as u64, 8)).collect())
+        .collect();
+    let packed = pack_lane_inputs(&lanes);
+    let mut batch_rng = HmacDrbg::from_u64_labeled(4, "e4-batch");
+    let mut serial = Vec::new();
+    let (t_serial, t_batch) = median_pair(
+        3,
+        || {
+            serial =
+                lanes.iter().map(|inputs| run_gmw(&circuit, inputs, &mut rng).outputs).collect()
+        },
+        || {
+            black_box(BatchGmw::new(&circuit).run(&packed, &mut batch_rng));
+        },
+    );
+    let batch = BatchGmw::new(&circuit).run(&packed, &mut batch_rng);
+    for (l, outputs) in serial.iter().enumerate() {
+        assert_eq!(&batch.lane_outputs(l), outputs, "e4: lane {l} differs from its serial run");
+    }
+    let speedup = t_serial / t_batch;
+    row!(
+        out,
+        "{:<44} {:>12}   ({MAX_LANES} serial runs {}: {speedup:.0}× the gate throughput)",
+        "GMW min-circuit, 64 lanes in one batch pass",
+        fmt_time(t_batch),
+        fmt_time(t_serial)
+    );
+    check_floor(cfg, "e4 batch-GMW gate-throughput speedup", speedup, BATCH_GMW_FLOOR);
     row!(
         out,
         "PVR vs SMC-on-WAN speedup: {:.0}×   (expected: ≥3 orders of magnitude)",

@@ -40,12 +40,14 @@ pub struct Experiment {
     /// The id typed on the command line and written to the JSON record.
     pub id: &'static str,
     /// Whether `--quick` runs it: the cheapest experiment per
-    /// subsystem, plus the scale experiments at a reduced `--scale`.
+    /// subsystem, every experiment with a speedup floor (E4, E5, E6,
+    /// E13), plus the scale experiments at a reduced `--scale`.
     pub in_quick: bool,
     /// The scoped flags ([`FLAGS`]) that parameterize it.
     pub flags: &'static [&'static str],
     /// Runs it. Under [`Cfg::quick`] the scale experiments also
-    /// evaluate their smoke check (liveness of the reported numbers).
+    /// evaluate their smoke check (liveness of the reported numbers),
+    /// and E4, E5, E6 and E13 their speedup floors.
     pub run: fn(&Cfg) -> Report,
 }
 
@@ -62,9 +64,9 @@ const fn experiment(
 pub const EXPERIMENTS: &[Experiment] = &[
     experiment("e1", true, &[], e1::run),
     experiment("e2", true, &[], e2::run),
-    experiment("e4", false, &[], e4::run),
+    experiment("e4", true, &[], e4::run),
     experiment("e5", true, &[], e5::run),
-    experiment("e6", false, &[], e6::run),
+    experiment("e6", true, &[], e6::run),
     experiment("e7", false, &[], e7::run),
     experiment("e9", false, &[], e9::run),
     experiment("e10", false, &[], e10::run),

@@ -17,15 +17,34 @@ pub(crate) use row;
 
 /// Median wall-clock of `n` runs of `f`, in seconds.
 pub fn median_secs<F: FnMut()>(n: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
+    median((0..n).map(|_| secs(&mut f)).collect())
+}
+
+/// Medians of `n` alternating runs of `slow` and `fast`, in seconds.
+/// A speedup read this way holds on a shared host: a burst of load
+/// lands on both sides, not only on whichever was running.
+pub(crate) fn median_pair(n: usize, mut slow: impl FnMut(), mut fast: impl FnMut()) -> (f64, f64) {
+    let (a, b) = (0..n).map(|_| (secs(&mut slow), secs(&mut fast))).unzip();
+    (median(a), median(b))
+}
+
+fn secs(f: &mut impl FnMut()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// A speedup claim's CI floor: under `--quick` the run fails, naming
+/// `claim`, when the measured `ratio` is below `floor`.
+pub(crate) fn check_floor(cfg: &crate::Cfg, claim: &str, ratio: f64, floor: f64) {
+    if cfg.quick {
+        assert!(ratio >= floor, "{claim}: {ratio:.1}x is under its {floor}x floor");
+    }
 }
 
 pub(crate) fn fmt_time(secs: f64) -> String {

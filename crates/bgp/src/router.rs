@@ -124,10 +124,10 @@ pvr_obs::metric_struct! {
         /// for the prefix (RPKI-style check, see [`OriginTable`]).
         pub origin_failures: u64,
         /// Attestation-signature checks this router requested (signed
-        /// mode with the network-wide cache installed; one per attestation
+        /// mode with its shard's cache installed; one per attestation
         /// of each received chain).
         pub verify_calls: u64,
-        /// How many of those were answered by the network-wide
+        /// How many of those were answered by its shard's
         /// [`VerifyCache`] without running RSA.
         pub verify_cache_hits: u64,
         /// Decision-process runs that changed the best route.
@@ -260,9 +260,9 @@ pub struct BgpRouter {
     malice: Malice,
     /// Origin authorizations checked on import when present.
     origin_table: Option<Arc<OriginTable>>,
-    /// Network-wide attestation-verification memo (signed mode;
-    /// installed by `Topology::instantiate`, shared by every router of
-    /// one `BgpNetwork`).
+    /// Attestation-verification memo (signed mode; installed by
+    /// `Topology::instantiate_sharded`, one per shard, shared by every
+    /// router that shard runs).
     verify_cache: Option<Arc<VerifyCache>>,
     /// Where this router's attestations wait for a helper thread to
     /// sign them (signed mode on spare cores; installed by

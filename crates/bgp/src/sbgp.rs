@@ -768,7 +768,8 @@ pub(crate) type CacheState = (u64, u64, Vec<(Asn, [u8; 32], bool)>);
 /// route that crosses `h` ASes costs `O(h²)` attestation checks
 /// network-wide — and every prefix-suffix attestation past the first
 /// hop is one some router already checked. A cache shared by the
-/// routers of a [`crate::BgpNetwork`] collapses that, at two levels:
+/// routers of one shard of a [`crate::BgpNetwork`] collapses that, at
+/// two levels:
 ///
 /// * an attestation, keyed by `(signer, digest)` — the digest covers
 ///   the attestation's every byte, its signature included, and the
@@ -992,7 +993,7 @@ impl SignedRoute {
         self.verify_cached(receiver, keys, None)
     }
 
-    /// [`SignedRoute::verify`] with an optional network-wide
+    /// [`SignedRoute::verify`] with an optional shared
     /// [`VerifyCache`]: verdicts are identical with or without the
     /// cache, only the number of hashes and RSA operations differs.
     pub fn verify_cached(
@@ -1076,9 +1077,9 @@ impl Wire for SignedRoute {
 
 /// Builds a genuine `hops`-long attestation chain AS1 → … → AS`hops`,
 /// announced toward AS`hops+1`, plus the populated key store. The
-/// shared fixture behind the E13 experiment, the chain-verify bench,
-/// and the cache regression tests — one place to change if chain
-/// conventions ever do.
+/// shared fixture behind experiments E5 and E13, the benchmark's chain
+/// probes and the cache regression tests — one place to change if
+/// chain conventions ever do.
 pub fn demo_chain(
     hops: u32,
     key_bits: usize,

@@ -14,7 +14,7 @@ use pvr_rfg::{figure1_graph, figure2_graph, RouteFlowGraph, VarId};
 use std::collections::BTreeMap;
 
 /// RSA modulus size used by harness identities. 512 keeps unit tests
-/// fast; benches regenerate the paper's numbers at 1024.
+/// fast; the benchmark's `pvr_rounds` workload builds its beds at 1024.
 pub const HARNESS_KEY_BITS: usize = 512;
 
 /// The Figure 1 (and Figure 2) cast with ready-made attested inputs.

@@ -475,7 +475,7 @@ impl Ubig {
     /// This is the pre-Montgomery reference path: the even-modulus
     /// fallback of [`Ubig::modpow`], the equivalence oracle for the
     /// Montgomery property tests, and the baseline that experiment E13
-    /// and `benches/crypto.rs` measure the fast path against.
+    /// measures the fast path against.
     pub fn modpow_schoolbook(&self, exp: &Ubig, m: &Ubig) -> Ubig {
         assert!(!m.is_zero(), "modpow with zero modulus");
         if m.is_one() {

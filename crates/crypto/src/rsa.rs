@@ -128,10 +128,9 @@ impl RsaPublicKey {
         self.mont().pow(m, &self.e)
     }
 
-    /// Raw public operation on the pre-Montgomery schoolbook path.
-    /// Kept as the measured baseline for experiment E13 and the
-    /// crypto benches, and as the equivalence oracle in tests.
-    pub fn raw_public_schoolbook(&self, m: &Ubig) -> Ubig {
+    /// Raw public operation on the pre-Montgomery schoolbook path,
+    /// behind [`RsaPublicKey::verify_schoolbook`].
+    fn raw_public_schoolbook(&self, m: &Ubig) -> Ubig {
         m.modpow_schoolbook(&self.e, &self.n)
     }
 
@@ -140,8 +139,9 @@ impl RsaPublicKey {
         self.verify_with(message, sig, |s| self.raw_public(s))
     }
 
-    /// [`RsaPublicKey::verify`] on the schoolbook exponentiation path
-    /// (the E13/bench baseline; verdicts are always identical).
+    /// [`RsaPublicKey::verify`] on the schoolbook exponentiation path:
+    /// the baseline experiment E13 measures the fast path against, and
+    /// the tests' oracle for it (verdicts are always identical).
     pub fn verify_schoolbook(&self, message: &[u8], sig: &RsaSignature) -> Result<(), CryptoError> {
         self.verify_with(message, sig, |s| self.raw_public_schoolbook(s))
     }
@@ -261,9 +261,9 @@ impl RsaPrivateKey {
     }
 
     /// Raw private operation on the pre-Montgomery schoolbook path
-    /// (same CRT structure, full division per exponent bit). The E13
-    /// and bench baseline.
-    pub fn raw_private_schoolbook(&self, c: &Ubig) -> Ubig {
+    /// (same CRT structure, full division per exponent bit), behind
+    /// [`RsaPrivateKey::sign_schoolbook`].
+    fn raw_private_schoolbook(&self, c: &Ubig) -> Ubig {
         let m1 = c.rem(&self.p).modpow_schoolbook(&self.d_p, &self.p);
         let m2 = c.rem(&self.q).modpow_schoolbook(&self.d_q, &self.q);
         let diff = if m1 >= m2 { m1.sub(&m2) } else { self.p.sub(&m2.sub(&m1).rem(&self.p)) };
@@ -280,8 +280,9 @@ impl RsaPrivateKey {
         RsaSignature(s.to_bytes_be_padded(self.public.k))
     }
 
-    /// [`RsaPrivateKey::sign`] on the schoolbook path (the E13/bench
-    /// baseline; signatures are always byte-identical to `sign`).
+    /// [`RsaPrivateKey::sign`] on the schoolbook path: the baseline
+    /// experiment E13 measures the fast path against, and the tests'
+    /// oracle for it (signatures are always byte-identical to `sign`).
     pub fn sign_schoolbook(&self, message: &[u8]) -> RsaSignature {
         let em = emsa_pkcs1_v15(message, self.public.k)
             .expect("modulus too small for SHA-256 DigestInfo");

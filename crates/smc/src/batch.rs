@@ -24,7 +24,7 @@
 //! draws the whole tape with **one** `generate` — two compressions per
 //! 32 bytes, one state update per pass — and reads words off it in gate
 //! order. That, not the word-wide gate ops (under 1 % of a pass), is
-//! where the batched throughput in `benches/smc.rs` comes from.
+//! where the batched throughput E4 measures comes from.
 //!
 //! # Determinism proof sketch (why lanes match serial runs exactly)
 //!
