@@ -58,10 +58,12 @@ const LEN_BITS: usize = 8;
 
 pvr_obs::metric_struct! {
     /// Network-wide private-verification counters, owned by the
-    /// [`PrivateVerifier`] — deliberately *not* part of
-    /// [`RouterStats`](crate::RouterStats), so enabling private
-    /// verification never adds series to the e15 metrics export.
-    /// Reported by e17 only, field by field in its rows' `smc` object.
+    /// [`PrivateVerifier`], not by any router's
+    /// [`RouterStats`](crate::RouterStats).
+    /// [`BgpNetwork::metrics_snapshot`](crate::BgpNetwork::metrics_snapshot)
+    /// adds them as `pvr_smc_<field>_total` counters when the network
+    /// has a private verifier; e17 reports them field by field in its
+    /// rows' `smc` object.
     pub struct SmcBatchStats, prefix = "pvr_smc" {
         /// Verification requests enqueued by routers.
         pub requests: u64,

@@ -734,14 +734,21 @@ impl BgpNetwork {
     }
 
     /// One deterministic network-wide metrics snapshot: simulator and
-    /// router counters plus RIB-size and verify-cache-hit-ratio
-    /// gauges, every series labelled `security_mode=<mode>`. Identical
-    /// at every shard count except for series derived from
-    /// `verify_cache_hits` (the per-shard cache carve-out).
+    /// router counters, the private verifier's [`SmcBatchStats`]
+    /// counters when there is one, plus RIB-size and
+    /// verify-cache-hit-ratio gauges, every series labelled
+    /// `security_mode=<mode>`. Identical at every shard count except
+    /// for series derived from `verify_cache_hits` (the per-shard cache
+    /// carve-out).
+    ///
+    /// [`SmcBatchStats`]: crate::SmcBatchStats
     pub fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
         let labels = metric_labels(security_mode);
         let mut snapshot = pvr_obs::Snapshot::default();
         self.sim.stats().export_metrics(&mut snapshot, &labels);
+        if let Some(verifier) = &self.private_verifier {
+            verifier.stats().export_metrics(&mut snapshot, &labels);
+        }
         let totals = self.router_totals();
         totals.export_metrics(&mut snapshot, &labels);
         let (adj, loc) = self.rib_totals();
@@ -1111,6 +1118,8 @@ mod tests {
         assert!(one_stats.batches > 0);
         assert_eq!(one_stats.verdict_fail, 0);
         assert_eq!(one_stats.verdicts_delivered, one_stats.requests);
+        let one_snapshot = one.metrics_snapshot("pvr").shard_invariant();
+        assert_eq!(one_snapshot.counter_value("pvr_smc_requests_total"), Some(one_stats.requests));
 
         for shards in [2, 4] {
             let mut many = t.instantiate_sharded(options, shards);
@@ -1119,6 +1128,13 @@ mod tests {
             assert_eq!(one_stats, many_stats, "{shards} shards");
             assert_eq!(one.sim.now(), many.sim.now(), "{shards} shards");
             assert_eq!(one.router_totals(), many.router_totals(), "{shards} shards");
+            // The SMC counters need no carve-out; the routers' cache
+            // hits do.
+            assert_eq!(
+                one_snapshot,
+                many.metrics_snapshot("pvr").shard_invariant(),
+                "{shards} shards"
+            );
             assert_eq!(
                 one.private_verifier().unwrap().timeline(),
                 many.private_verifier().unwrap().timeline(),

@@ -22,21 +22,27 @@ pub fn existential_bit(inputs: &[&Route]) -> bool {
     !inputs.is_empty()
 }
 
-/// The §3.3 bit vector: `bits[i-1] = b_i = 1 ⟺ ∃ input with path length
-/// ≤ i`, for `i` in `1..=max_len`.
-///
-/// Routes longer than `max_len` still make the vector well-defined (they
-/// set no bit); the committing network's `max_len` must be at least its
-/// longest input for the protocol to be complete, mirroring the paper's
-/// "maximum AS-path length at A".
+/// The bit a route of `path_len` hops is judged at: `min(path_len,
+/// max_len)`. The vector has no bit past `max_len` ("the maximum
+/// AS-path length at A", §3.3), so a longer route counts as `max_len`
+/// hops — when A commits, when a provider checks its own bit, when B
+/// compares the export with the claimed minimum, and when the auditor
+/// rules. This is the only statement of that rule.
+pub fn judged_bit(path_len: usize, max_len: usize) -> usize {
+    path_len.min(max_len)
+}
+
+/// The bit A's export is judged at: its length without A's own
+/// prepend, under [`judged_bit`].
+pub fn export_bit(exported: &Route, max_len: usize) -> usize {
+    judged_bit(exported.path_len().saturating_sub(1), max_len)
+}
+
+/// The §3.3 bit vector: `bits[i-1] = b_i = 1 ⟺ ∃ input judged at a bit
+/// ≤ i` ([`judged_bit`]), for `i` in `1..=max_len`.
 pub fn min_bit_vector(inputs: &[&Route], max_len: usize) -> Vec<bool> {
-    let min = inputs.iter().map(|r| r.path_len()).min();
-    (1..=max_len)
-        .map(|i| match min {
-            Some(m) => m <= i,
-            None => false,
-        })
-        .collect()
+    let min = inputs.iter().map(|r| judged_bit(r.path_len(), max_len)).min();
+    (1..=max_len).map(|i| min.is_some_and(|m| m <= i)).collect()
 }
 
 /// The index `i` (1-based) of the first set bit, i.e. the shortest input
@@ -119,10 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn route_longer_than_max_len_sets_nothing() {
+    fn route_longer_than_max_len_is_judged_at_max_len() {
         let r = route(10);
         let bits = min_bit_vector(&[&r], 4);
-        assert_eq!(bits, vec![false; 4]);
+        assert_eq!(bits, vec![false, false, false, true]);
     }
 
     #[test]

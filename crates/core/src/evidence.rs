@@ -11,12 +11,14 @@
 //! accuser nor the accused. Accuracy holds because each variant requires
 //! a signature an honest A would never produce (two conflicting roots, a
 //! committed bit contradicting an attested route, a non-monotone
-//! vector, an attestation over a broken chain). The last one holds
-//! because an attestation binds the digest of the chain below it
-//! (`pvr_bgp::sbgp`): an accuser who breaks an inner attestation of A's
-//! genuine export breaks A's attestation with it. That these hand-picked
-//! cases are all the cases is not yet shown (ROADMAP item 1's game).
+//! vector, an attestation over a broken chain, two attested exports of
+//! unequal length). The fourth holds because an attestation binds the
+//! digest of the chain below it (`pvr_bgp::sbgp`): an accuser who
+//! breaks an inner attestation of A's genuine export breaks A's
+//! attestation with it. That these hand-picked cases are all the cases
+//! is not yet shown (ROADMAP item 1's game).
 
+use crate::bits::{export_bit, judged_bit};
 use crate::session::{BitReveal, PvrParams, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::Asn;
@@ -29,7 +31,7 @@ pub enum Evidence {
     /// Two conflicting signed roots for the same round (§3.6 gossip).
     Equivocation(EquivocationEvidence),
     /// A provider's case (§3.3 condition 3): it sent A an attested route
-    /// of length `reveal.index` (or shorter), yet A committed
+    /// judged at bit `reveal.index` or below, yet A committed
     /// `b_{index} = 0`.
     IgnoredInput {
         /// A's signed commitment.
@@ -52,9 +54,9 @@ pub enum Evidence {
         /// The receiver the route was attested to.
         receiver: Asn,
     },
-    /// The receiver's case: A exported a route whose (pre-prepend)
-    /// length is `reveal.index`, yet committed `b_{index} = 0` — the
-    /// commitment denies the very route A exported.
+    /// The receiver's case: A exported a route judged at bit
+    /// `reveal.index`, yet committed `b_{index} = 0` — the commitment
+    /// denies the very route A exported.
     ExportContradictsBits {
         /// A's signed commitment.
         signed_root: SignedRoot,
@@ -84,6 +86,21 @@ pub enum Evidence {
         /// The receiver the route was attested to.
         receiver: Asn,
     },
+    /// Promise 4 ("the route you get is no longer than what I tell
+    /// anybody else"): A attested a strictly shorter route to `favored`
+    /// than to `disfavored` in the same round. Both attestations carry
+    /// A's signature, so the pair convinces any third party.
+    UnequalExports {
+        /// The export A attested to the disfavored receiver (longer).
+        to_disfavored: SignedRoute,
+        /// The disfavored receiver.
+        disfavored: Asn,
+        /// The export A attested to the favored receiver (strictly
+        /// shorter).
+        to_favored: SignedRoute,
+        /// The favored receiver.
+        favored: Asn,
+    },
 }
 
 impl Evidence {
@@ -96,6 +113,7 @@ impl Evidence {
             Evidence::ExportContradictsBits { .. } => "export-contradicts-bits",
             Evidence::NonMonotone { .. } => "non-monotone",
             Evidence::FabricatedExport { .. } => "fabricated-export",
+            Evidence::UnequalExports { .. } => "unequal-exports",
         }
     }
 }
@@ -154,147 +172,120 @@ impl<'a> Auditor<'a> {
         Auditor { keys, params }
     }
 
-    /// Judges evidence accusing `accused` for `round`.
+    /// Judges evidence accusing `accused` for `round`: the only
+    /// source of a [`Verdict`].
     pub fn judge(&self, accused: Asn, round: &RoundContext, evidence: &Evidence) -> Verdict {
+        match self.rule(accused, round, evidence) {
+            Ok(()) => Verdict::Guilty,
+            Err(why) => Verdict::Rejected(why),
+        }
+    }
+
+    /// `Ok` if `evidence` proves `accused` misbehaved in `round`, else
+    /// the reason it does not.
+    fn rule(
+        &self,
+        accused: Asn,
+        round: &RoundContext,
+        evidence: &Evidence,
+    ) -> Result<(), &'static str> {
+        let k = self.params.max_path_len;
+        let attested = |sr, receiver| attested_by(sr, accused, receiver, round, self.keys);
         match evidence {
             Evidence::Equivocation(ev) => match ev.judge(self.keys) {
-                Ok(signer) if signer == accused.principal() => Verdict::Guilty,
-                Ok(_) => Verdict::Rejected("conflicting roots signed by someone else"),
-                Err(_) => Verdict::Rejected("equivocation pair does not verify"),
+                Ok(signer) if signer == accused.principal() => Ok(()),
+                Ok(_) => Err("conflicting roots signed by someone else"),
+                Err(_) => Err("equivocation pair does not verify"),
             },
             Evidence::IgnoredInput { signed_root, reveal, provided } => {
-                if let Err(v) = self.check_root(accused, round, signed_root) {
-                    return v;
-                }
-                let mut batch = ProofBatch::new(signed_root.root);
-                if let Err(v) = Self::check_reveal(&mut batch, reveal, false, self.params) {
-                    return v;
-                }
+                self.committed(accused, round, signed_root, &[(reveal, false)])?;
                 // The provider's chain must verify as delivered to the
                 // accused — the accuser cannot fabricate it alone, since
                 // it embeds every upstream AS's signature.
                 if provided.verify(accused, self.keys).is_err() {
-                    return Verdict::Rejected("provided route chain invalid");
+                    return Err("provided route chain invalid");
                 }
                 if provided.route.prefix != round.prefix {
-                    return Verdict::Rejected("provided route is for another prefix");
+                    return Err("provided route is for another prefix");
                 }
                 // Index 0 is the existential bit: any provided route
-                // contradicts it. Otherwise the route must be at least as
-                // short as the denied length bound.
-                if reveal.index != 0 && provided.route.path_len() > reveal.index as usize {
-                    return Verdict::Rejected("provided route longer than the denied bit");
+                // contradicts it. Otherwise the route must be judged at
+                // or below the denied bit.
+                if reveal.index != 0
+                    && judged_bit(provided.route.path_len(), k) > reveal.index as usize
+                {
+                    return Err("provided route longer than the denied bit");
                 }
-                Verdict::Guilty
+                Ok(())
             }
             Evidence::ExportTooLong { signed_root, reveal, exported, receiver } => {
-                if let Err(v) = self.check_root(accused, round, signed_root) {
-                    return v;
+                self.committed(accused, round, signed_root, &[(reveal, true)])?;
+                attested(exported, *receiver)?;
+                if export_bit(&exported.route, k) <= reveal.index as usize {
+                    return Err("exported route is not longer than committed min");
                 }
-                let mut batch = ProofBatch::new(signed_root.root);
-                if let Err(v) = Self::check_reveal(&mut batch, reveal, true, self.params) {
-                    return v;
-                }
-                if let Err(why) = attested_by(exported, accused, *receiver, round, self.keys) {
-                    return Verdict::Rejected(why);
-                }
-                // Core length (minus A's own prepend) must exceed the
-                // committed minimum.
-                if exported.route.path_len().saturating_sub(1) <= reveal.index as usize {
-                    return Verdict::Rejected("exported route is not longer than committed min");
-                }
-                Verdict::Guilty
+                Ok(())
             }
             Evidence::ExportContradictsBits { signed_root, reveal, exported, receiver } => {
-                if let Err(v) = self.check_root(accused, round, signed_root) {
-                    return v;
-                }
-                let mut batch = ProofBatch::new(signed_root.root);
-                if let Err(v) = Self::check_reveal(&mut batch, reveal, false, self.params) {
-                    return v;
-                }
-                if let Err(why) = attested_by(exported, accused, *receiver, round, self.keys) {
-                    return Verdict::Rejected(why);
-                }
+                self.committed(accused, round, signed_root, &[(reveal, false)])?;
+                attested(exported, *receiver)?;
                 // Index 0 = existential bit: any export contradicts it.
-                if reveal.index != 0
-                    && exported.route.path_len().saturating_sub(1) != reveal.index as usize
-                {
-                    return Verdict::Rejected("bit index does not match exported length");
+                if reveal.index != 0 && export_bit(&exported.route, k) != reveal.index as usize {
+                    return Err("bit index does not match exported length");
                 }
-                Verdict::Guilty
+                Ok(())
             }
             Evidence::NonMonotone { signed_root, lo, hi } => {
-                if let Err(v) = self.check_root(accused, round, signed_root) {
-                    return v;
-                }
                 if lo.index >= hi.index {
-                    return Verdict::Rejected("indices not increasing");
+                    return Err("indices not increasing");
                 }
-                // Both reveals bind to the one root: one batch.
-                let mut batch = ProofBatch::new(signed_root.root);
-                if let Err(v) = Self::check_reveal(&mut batch, lo, true, self.params) {
-                    return v;
-                }
-                if let Err(v) = Self::check_reveal(&mut batch, hi, false, self.params) {
-                    return v;
-                }
-                Verdict::Guilty
+                self.committed(accused, round, signed_root, &[(lo, true), (hi, false)])
             }
             Evidence::FabricatedExport { exported, receiver } => {
                 // A's own attestation must stand…
-                if let Err(why) = attested_by(exported, accused, *receiver, round, self.keys) {
-                    return Verdict::Rejected(why);
-                }
+                attested(exported, *receiver)?;
                 // …while the chain as a whole must fail.
                 match exported.verify(*receiver, self.keys) {
-                    Err(_) => Verdict::Guilty,
-                    Ok(()) => Verdict::Rejected("chain is actually valid"),
+                    Err(_) => Ok(()),
+                    Ok(()) => Err("chain is actually valid"),
                 }
+            }
+            Evidence::UnequalExports { to_disfavored, disfavored, to_favored, favored } => {
+                attested(to_disfavored, *disfavored)?;
+                attested(to_favored, *favored)?;
+                if favored == disfavored {
+                    return Err("same receiver on both sides");
+                }
+                if to_favored.route.path_len() >= to_disfavored.route.path_len() {
+                    return Err("favored route is not shorter");
+                }
+                Ok(())
             }
         }
     }
 
-    fn check_root(
+    /// `Ok` if `root` passes the root check for `accused` and `round`
+    /// and each reveal, in order, is in range, passes the reveal check
+    /// against `root` (one batch: the reveals bind to the one root) and
+    /// opens the expected bit.
+    fn committed(
         &self,
         accused: Asn,
         round: &RoundContext,
         root: &SignedRoot,
-    ) -> Result<(), Verdict> {
-        if root.signer != accused.principal() {
-            return Err(Verdict::Rejected("root signed by someone else"));
+        expected: &[(&BitReveal, bool)],
+    ) -> Result<(), &'static str> {
+        round.check_root(root, accused, self.keys)?;
+        let mut batch = ProofBatch::new(root.root);
+        for &(reveal, bit) in expected {
+            if reveal.index as usize > self.params.max_path_len {
+                return Err("bit index out of range");
+            }
+            if reveal.check(&mut batch)? != bit {
+                return Err("revealed bit has the wrong value");
+            }
         }
-        if root.context != round.context_bytes() || root.epoch != round.epoch {
-            return Err(Verdict::Rejected("root is for a different round"));
-        }
-        root.verify(self.keys).map_err(|_| Verdict::Rejected("root signature invalid"))
-    }
-
-    fn check_reveal(
-        batch: &mut ProofBatch,
-        reveal: &BitReveal,
-        expected_bit: bool,
-        params: PvrParams,
-    ) -> Result<(), Verdict> {
-        if reveal.index as usize > params.max_path_len {
-            return Err(Verdict::Rejected("bit index out of range"));
-        }
-        let expected_label = if reveal.index == 0 {
-            pvr_mht::Label::Slot(crate::session::SLOT_EXIST, 0)
-        } else {
-            pvr_mht::Label::Slot(crate::session::SLOT_MIN_BITS, reveal.index)
-        };
-        if reveal.proof.label != expected_label {
-            return Err(Verdict::Rejected("reveal label does not match index"));
-        }
-        if !batch.verify(&reveal.proof) {
-            return Err(Verdict::Rejected("reveal proof does not match root"));
-        }
-        match reveal.bit() {
-            Some(b) if b == expected_bit => Ok(()),
-            Some(_) => Err(Verdict::Rejected("revealed bit has the wrong value")),
-            None => Err(Verdict::Rejected("reveal payload malformed")),
-        }
+        Ok(())
     }
 }
 

@@ -11,9 +11,10 @@
 //!   anybody else": receivers gossip their *attested exports* (which
 //!   standard BGP already reveals to each of them individually) and any
 //!   pair showing a shorter route to someone else is self-contained
-//!   evidence, exactly like equivocation.
+//!   evidence ([`Evidence::UnequalExports`]), exactly like
+//!   equivocation.
 
-use crate::evidence::{attested_by, Suspicion, Verdict};
+use crate::evidence::{Evidence, Suspicion};
 use crate::session::{Disclosure, PvrParams, RoundContext};
 use crate::verify::Outcome;
 use pvr_bgp::sbgp::SignedRoute;
@@ -23,7 +24,10 @@ use std::collections::BTreeMap;
 
 /// Receiver-side verification for promise 3: the exported route may be
 /// up to `epsilon` hops longer than the committed minimum. `epsilon = 0`
-/// degenerates to the §3.3 shortest-route check.
+/// degenerates to the §3.3 shortest-route check. The export's raw length
+/// is compared, not its capped bit ([`crate::bits::export_bit`]): the
+/// strict check reports `ExportTooLong` only when the claimed minimum is
+/// below `max_path_len`, and then that minimum is an exact hop count.
 pub fn verify_as_receiver_with_epsilon(
     me: Asn,
     a: Asn,
@@ -37,80 +41,33 @@ pub fn verify_as_receiver_with_epsilon(
     // relaxed by ε.
     let strict = crate::verify::verify_as_receiver(me, a, round, params, disclosure, keys);
     match &strict {
-        Outcome::Accuse(crate::evidence::Evidence::ExportTooLong { reveal, exported, .. }) => {
-            let core_len = exported.route.path_len().saturating_sub(1);
-            if core_len <= reveal.index as usize + epsilon {
-                Outcome::Accept
-            } else {
-                strict
-            }
+        Outcome::Accuse(Evidence::ExportTooLong { reveal, exported, .. })
+            if exported.route.path_len().saturating_sub(1) <= reveal.index as usize + epsilon =>
+        {
+            Outcome::Accept
         }
         _ => strict,
     }
 }
 
-/// Transferable evidence for promise 4: A attested a strictly shorter
-/// route to `favored` than to `disfavored` in the same round. Both
-/// attestations carry A's signature, so the pair convinces any third
-/// party — no trust in either receiver needed.
-#[derive(Clone, Debug)]
-pub struct UnequalExportsEvidence {
-    /// The export A attested to the disfavored receiver (longer).
-    pub to_disfavored: SignedRoute,
-    /// The disfavored receiver.
-    pub disfavored: Asn,
-    /// The export A attested to the favored receiver (strictly shorter).
-    pub to_favored: SignedRoute,
-    /// The favored receiver.
-    pub favored: Asn,
-}
-
-impl UnequalExportsEvidence {
-    /// Third-party judgment: both top attestations by `accused` valid,
-    /// same prefix, favored strictly shorter ⟹ guilty.
-    pub fn judge(&self, accused: Asn, round: &RoundContext, keys: &KeyStore) -> Verdict {
-        for (sr, receiver) in
-            [(&self.to_disfavored, self.disfavored), (&self.to_favored, self.favored)]
-        {
-            if let Err(why) = attested_by(sr, accused, receiver, round, keys) {
-                return Verdict::Rejected(why);
-            }
-        }
-        if self.favored == self.disfavored {
-            return Verdict::Rejected("same receiver on both sides");
-        }
-        if self.to_favored.route.path_len() < self.to_disfavored.route.path_len() {
-            Verdict::Guilty
-        } else {
-            Verdict::Rejected("favored route is not shorter")
-        }
-    }
-}
-
 /// Promise-4 gossip check: each receiver contributes the export A
 /// attested to it; any receiver whose route is longer than another's
-/// obtains [`UnequalExportsEvidence`]. Returns evidence for the first
+/// obtains [`Evidence::UnequalExports`]. Returns evidence for the first
 /// (disfavored, favored) pair found, from the perspective of `me`.
 pub fn cross_check_exports(
     me: Asn,
     my_export: &SignedRoute,
     others: &BTreeMap<Asn, SignedRoute>,
-) -> Option<UnequalExportsEvidence> {
+) -> Option<Evidence> {
     let my_len = my_export.route.path_len();
-    for (&other, sr) in others {
-        if other == me {
-            continue;
-        }
-        if sr.route.path_len() < my_len {
-            return Some(UnequalExportsEvidence {
-                to_disfavored: my_export.clone(),
-                disfavored: me,
-                to_favored: sr.clone(),
-                favored: other,
-            });
-        }
-    }
-    None
+    let (&favored, to_favored) =
+        others.iter().find(|&(&other, sr)| other != me && sr.route.path_len() < my_len)?;
+    Some(Evidence::UnequalExports {
+        to_disfavored: my_export.clone(),
+        disfavored: me,
+        to_favored: to_favored.clone(),
+        favored,
+    })
 }
 
 /// Receiver outcome for promise 4 on top of the per-receiver §3.3
@@ -123,7 +80,7 @@ pub fn verify_promise4(
     disclosure: &Disclosure,
     others_exports: &BTreeMap<Asn, SignedRoute>,
     keys: &KeyStore,
-) -> (Outcome, Option<UnequalExportsEvidence>) {
+) -> (Outcome, Option<Evidence>) {
     let own = crate::verify::verify_as_receiver(me, a, round, params, disclosure, keys);
     let cross = match &disclosure.exported {
         Some(mine) => cross_check_exports(me, mine, others_exports),
@@ -144,7 +101,12 @@ pub fn verify_promise4(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evidence::{Auditor, Verdict};
     use crate::harness::Figure1Bed;
+
+    fn auditor(bed: &Figure1Bed) -> Auditor<'_> {
+        Auditor::new(&bed.keys, bed.params)
+    }
 
     /// Builds the export A would attest when choosing `provider_index`'s
     /// route, toward receiver `to` (for building promise-3/4 scenarios).
@@ -205,6 +167,28 @@ mod tests {
     }
 
     #[test]
+    fn epsilon_holds_hops_past_max_path_len() {
+        // Min is 2 < k = 5, so B holds the export to 2 + ε = 5 hops; a
+        // 7-hop export is judged at bit 5 but still breaks promise 3.
+        let mut bed = Figure1Bed::build(&[2, 7], 205);
+        bed.params.max_path_len = 5;
+        let c = bed.honest_committer();
+        let mut d = c.disclosure_for_receiver(bed.b);
+        d.exported = Some(export_via(&bed, 1, bed.b)); // core length 7
+        let o = verify_as_receiver_with_epsilon(
+            bed.b,
+            bed.a,
+            &bed.round,
+            &bed.params,
+            3,
+            &d,
+            &bed.keys,
+        );
+        assert_eq!(o.evidence().map(|e| e.kind()), Some("export-too-long"), "{o:?}");
+        assert_eq!(auditor(&bed).judge(bed.a, &bed.round, o.evidence().unwrap()), Verdict::Guilty);
+    }
+
+    #[test]
     fn epsilon_does_not_mask_other_violations() {
         // Equivocation-adjacent faults (bad root etc.) stay caught.
         let bed = Figure1Bed::build(&[2, 3], 203);
@@ -233,7 +217,7 @@ mod tests {
         let mut others = BTreeMap::new();
         others.insert(b2, to_b2);
         let ev = cross_check_exports(bed.b, &to_b, &others).expect("B is disfavored");
-        assert_eq!(ev.judge(bed.a, &bed.round, &bed.keys), Verdict::Guilty);
+        assert_eq!(auditor(&bed).judge(bed.a, &bed.round, &ev), Verdict::Guilty);
     }
 
     #[test]
@@ -257,13 +241,13 @@ mod tests {
         let mut forged = export_via(&bed, 0, b2);
         // Tamper with the attested path (shorten it further).
         forged.route.path = pvr_bgp::AsPath::from_slice(&[bed.a]);
-        let ev = UnequalExportsEvidence {
+        let ev = Evidence::UnequalExports {
             to_disfavored: to_b,
             disfavored: bed.b,
             to_favored: forged,
             favored: b2,
         };
-        assert!(matches!(ev.judge(bed.a, &bed.round, &bed.keys), Verdict::Rejected(_)));
+        assert!(matches!(auditor(&bed).judge(bed.a, &bed.round, &ev), Verdict::Rejected(_)));
     }
 
     #[test]
@@ -271,13 +255,13 @@ mod tests {
         let bed = Figure1Bed::build(&[2, 4], 207);
         let to_b = export_via(&bed, 1, bed.b);
         let to_b_short = export_via(&bed, 0, bed.b);
-        let ev = UnequalExportsEvidence {
+        let ev = Evidence::UnequalExports {
             to_disfavored: to_b,
             disfavored: bed.b,
             to_favored: to_b_short,
             favored: bed.b,
         };
-        assert!(matches!(ev.judge(bed.a, &bed.round, &bed.keys), Verdict::Rejected(_)));
+        assert!(matches!(auditor(&bed).judge(bed.a, &bed.round, &ev), Verdict::Rejected(_)));
     }
 
     #[test]
@@ -296,7 +280,7 @@ mod tests {
         assert!(!own.is_accept());
         // …and the cross-check independently yields promise-4 evidence.
         let ev = cross.expect("cross evidence");
-        assert_eq!(ev.judge(bed.a, &bed.round, &bed.keys), Verdict::Guilty);
+        assert_eq!(auditor(&bed).judge(bed.a, &bed.round, &ev), Verdict::Guilty);
     }
 
     #[test]

@@ -45,9 +45,7 @@ pub use adversary::{Adversary, Misbehavior};
 pub use bits::{check_monotone, claimed_min, existential_bit, min_bit_vector};
 pub use epochs::{EpochTracker, Freshness, PvrSession};
 pub use evidence::{Auditor, Evidence, Suspicion, Verdict};
-pub use extended::{
-    cross_check_exports, verify_as_receiver_with_epsilon, verify_promise4, UnequalExportsEvidence,
-};
+pub use extended::{cross_check_exports, verify_as_receiver_with_epsilon, verify_promise4};
 pub use harness::Figure1Bed;
 pub use navigate::{NavError, VisibleGraph, VisibleVertex};
 pub use record::{VertexContent, VertexOpenings, VertexRecord};

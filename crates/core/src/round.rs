@@ -158,7 +158,7 @@ impl Prover {
 
     /// What A gives neighbor `n`: the signed root it shows `n` and
     /// `n`'s selective disclosure (all bits plus the export for B, the
-    /// bit at its own route's length for a provider).
+    /// bit its own route is judged at for a provider).
     pub fn hand_out(&self, cast: &Cast, n: Asn) -> (SignedRoot, Disclosure) {
         match (self, n == cast.b) {
             (Prover::Honest(c), true) => (c.signed_root().clone(), c.disclosure_for_receiver(n)),

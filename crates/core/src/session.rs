@@ -8,27 +8,33 @@
 //!    leaf per graph vertex (the `I(x)` records of §3.7);
 //! 4. signs the root and publishes it to all neighbors;
 //! 5. answers selective-disclosure queries: each provider N_i gets the
-//!    bit at its own route's length, the receiver B gets all bits plus
+//!    bit its own route is judged at, the receiver B gets all bits plus
 //!    the exported (attested) route, and graph structure is revealed
 //!    per the α policy.
 
-use crate::bits::{existential_bit, min_bit_vector};
+use crate::bits::{existential_bit, judged_bit, min_bit_vector};
 use crate::record::{make_record, VertexContent, VertexOpenings};
 use crate::round::Cast;
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::{Asn, Prefix, Route};
 use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::encoding::Wire;
-use pvr_crypto::keys::Identity;
+use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_crypto::Opening;
-use pvr_mht::{InclusionProof, Label, SignedRoot, SparseMht};
+use pvr_mht::{InclusionProof, Label, ProofBatch, SignedRoot, SparseMht};
 use pvr_rfg::{AccessPolicy, Evaluation, RouteFlowGraph, VertexRef};
 use std::collections::BTreeMap;
 
-/// Slot group for the single existential bit (§3.2).
-pub const SLOT_EXIST: u32 = 0;
-/// Slot group for the minimum operator's bit vector (§3.3).
-pub const SLOT_MIN_BITS: u32 = 1;
+/// The MHT label of bit `index`: slot group 0 holds the single
+/// existential bit (§3.2, index 0), group 1 the minimum operator's
+/// `b_1..b_k` (§3.3).
+fn slot_label(index: u32) -> Label {
+    if index == 0 {
+        Label::Slot(0, 0)
+    } else {
+        Label::Slot(1, index)
+    }
+}
 
 /// Identifies one decision round: which prefix, which epoch.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -46,6 +52,24 @@ impl RoundContext {
         buf.extend_from_slice(b"pvr.round");
         self.prefix.encode(&mut buf);
         buf
+    }
+
+    /// The root check every verifier and the auditor make: `root` is
+    /// signed by `a`, for this round's context and epoch, and its
+    /// signature verifies. The error names the first failed condition.
+    pub(crate) fn check_root(
+        &self,
+        root: &SignedRoot,
+        a: Asn,
+        keys: &KeyStore,
+    ) -> Result<(), &'static str> {
+        if root.signer != a.principal() {
+            return Err("root signed by someone else");
+        }
+        if root.context != self.context_bytes() || root.epoch != self.epoch {
+            return Err("root is for a different round");
+        }
+        root.verify(keys).map_err(|_| "root signature invalid")
     }
 }
 
@@ -76,6 +100,21 @@ impl BitReveal {
     /// Parses the revealed bit from the proof payload.
     pub fn bit(&self) -> Option<bool> {
         parse_bit_payload(&self.proof.payload)
+    }
+
+    /// The reveal check every verifier and the auditor make: the label
+    /// is this index's slot, the proof folds to the root `batch` is
+    /// bound to (one batch per signed root: the reveals of a disclosure
+    /// share most of their tree nodes), and the payload is a bit.
+    /// Returns the bit; the error names the first failed condition.
+    pub(crate) fn check(&self, batch: &mut ProofBatch) -> Result<bool, &'static str> {
+        if self.proof.label != slot_label(self.index) {
+            return Err("reveal label does not match index");
+        }
+        if !batch.verify(&self.proof) {
+            return Err("reveal proof does not match root");
+        }
+        self.bit().ok_or("reveal payload malformed")
     }
 }
 
@@ -236,70 +275,63 @@ impl Committer {
 
     /// Reveals bit `index` (1-based; 0 = existential slot).
     pub fn reveal_bit(&self, index: u32) -> Option<BitReveal> {
-        let label =
-            if index == 0 { Label::Slot(SLOT_EXIST, 0) } else { Label::Slot(SLOT_MIN_BITS, index) };
-        Some(BitReveal { index, proof: self.mht.prove(&label)? })
+        Some(BitReveal { index, proof: self.mht.prove(&slot_label(index))? })
+    }
+
+    /// The one disclosure builder: the signed root, the bits at
+    /// `indices`, and the attested export toward `export_to`, if any.
+    fn disclose(
+        &self,
+        indices: impl IntoIterator<Item = u32>,
+        export_to: Option<Asn>,
+    ) -> Disclosure {
+        Disclosure {
+            signed_root: Some(self.signed_root.clone()),
+            bit_reveals: indices.into_iter().filter_map(|i| self.reveal_bit(i)).collect(),
+            exported: export_to.and_then(|b| self.export_route(b)),
+            graph: Vec::new(),
+        }
     }
 
     /// The §3.3 disclosure to provider `n`: for each route it advertised,
-    /// the bit at that route's length ("To each N_i that has provided a
-    /// route r_i to A, A now reveals the bit b_{|r_i|}").
+    /// the bit that route is judged at ("To each N_i that has provided a
+    /// route r_i to A, A now reveals the bit b_{|r_i|}", with
+    /// `|r_i|` capped at k).
     pub fn disclosure_for_provider(&self, n: Asn) -> Disclosure {
         self.disclosure_for_routes(self.inputs.get(&n).map_or(&[], Vec::as_slice))
     }
 
-    /// Reveals the bit at each of `routes`' lengths — a provider's
-    /// query, answered even by a view that dropped its routes.
+    /// Reveals the bit each of `routes` is judged at
+    /// ([`judged_bit`]) — a provider's query, answered even by a view
+    /// that dropped its routes.
     pub(crate) fn disclosure_for_routes(&self, routes: &[SignedRoute]) -> Disclosure {
         let mut indices: Vec<u32> = routes
             .iter()
-            .map(|sr| (sr.route.path_len() as u32).min(self.params.max_path_len as u32))
+            .map(|sr| judged_bit(sr.route.path_len(), self.params.max_path_len) as u32)
             .filter(|&i| i >= 1)
             .collect();
         indices.sort_unstable();
         indices.dedup();
-        Disclosure {
-            signed_root: Some(self.signed_root.clone()),
-            bit_reveals: indices.iter().filter_map(|&i| self.reveal_bit(i)).collect(),
-            exported: None,
-            graph: Vec::new(),
-        }
+        self.disclose(indices, None)
     }
 
     /// The §3.3 disclosure to the receiver `b`: "A also reveals all the
     /// bits b_i to B", plus the exported attested route for the graph's
     /// output to `b`.
     pub fn disclosure_for_receiver(&self, b: Asn) -> Disclosure {
-        let reveals: Vec<BitReveal> =
-            (1..=self.params.max_path_len as u32).filter_map(|i| self.reveal_bit(i)).collect();
-        Disclosure {
-            signed_root: Some(self.signed_root.clone()),
-            bit_reveals: reveals,
-            exported: self.export_route(b),
-            graph: Vec::new(),
-        }
+        self.disclose(1..=self.params.max_path_len as u32, Some(b))
     }
 
     /// The §3.2 existential disclosure to provider `n`: the single bit
     /// `b` with its opening ("A can reveal b and p to each N_i that has
     /// provided a route").
     pub fn existential_disclosure_for_provider(&self) -> Disclosure {
-        Disclosure {
-            signed_root: Some(self.signed_root.clone()),
-            bit_reveals: self.reveal_bit(0).into_iter().collect(),
-            exported: None,
-            graph: Vec::new(),
-        }
+        self.disclose([0], None)
     }
 
     /// The §3.2 existential disclosure to the receiver.
     pub fn existential_disclosure_for_receiver(&self, b: Asn) -> Disclosure {
-        Disclosure {
-            signed_root: Some(self.signed_root.clone()),
-            bit_reveals: self.reveal_bit(0).into_iter().collect(),
-            exported: self.export_route(b),
-            graph: Vec::new(),
-        }
+        self.disclose([0], Some(b))
     }
 
     /// Builds the attested export of the graph's output variable for
@@ -394,9 +426,9 @@ fn build_mht(
 ) -> (SparseMht, BTreeMap<Label, VertexOpenings>) {
     let mut items: Vec<(Label, Vec<u8>)> = Vec::new();
     // Bit slots (index 1-based to match the paper's b_1..b_k).
-    items.push((Label::Slot(SLOT_EXIST, 0), bit_payload(exist, rng)));
+    items.push((slot_label(0), bit_payload(exist, rng)));
     for (i, &b) in bits.iter().enumerate() {
-        items.push((Label::Slot(SLOT_MIN_BITS, i as u32 + 1), bit_payload(b, rng)));
+        items.push((slot_label(i as u32 + 1), bit_payload(b, rng)));
     }
     // Vertex records.
     let mut openings = BTreeMap::new();

@@ -13,13 +13,13 @@
 //!   transferable evidence;
 //! * all neighbors gossip signed roots and detect equivocation.
 
+use crate::bits::{check_monotone, claimed_min, export_bit, judged_bit};
 use crate::evidence::{attested_by, Evidence, Suspicion};
 use crate::session::{BitReveal, Disclosure, PvrParams, RoundContext};
 use pvr_bgp::sbgp::SignedRoute;
 use pvr_bgp::Asn;
 use pvr_crypto::keys::KeyStore;
-use pvr_mht::{EquivocationEvidence, Label, ProofBatch, SignedRoot};
-use std::collections::BTreeMap;
+use pvr_mht::{EquivocationEvidence, ProofBatch, SignedRoot};
 
 /// The result of one neighbor's verification.
 // `Accuse`/`Suspect` carry full evidence and dwarf `Accept`; boxing them
@@ -57,37 +57,35 @@ impl Outcome {
     }
 }
 
-/// Validates the signed root in a disclosure.
-fn check_root<'a>(
+/// Runs one neighbor's check; a failure it could only suspect ends it.
+fn outcome(check: impl FnOnce() -> Result<Outcome, Suspicion>) -> Outcome {
+    check().unwrap_or_else(Outcome::Suspect)
+}
+
+/// The disclosure's signed root, if it passes the root check.
+fn root_of<'a>(
     disclosure: &'a Disclosure,
     a: Asn,
     round: &RoundContext,
     keys: &KeyStore,
 ) -> Result<&'a SignedRoot, Suspicion> {
     let root = disclosure.signed_root.as_ref().ok_or(Suspicion::BadRootSignature)?;
-    if root.signer != a.principal()
-        || root.context != round.context_bytes()
-        || root.epoch != round.epoch
-        || root.verify(keys).is_err()
-    {
-        return Err(Suspicion::BadRootSignature);
-    }
+    round.check_root(root, a, keys).map_err(|_| Suspicion::BadRootSignature)?;
     Ok(root)
 }
 
-/// Validates one bit reveal against the root `batch` is bound to (one
-/// batch per signed root: the reveals of a disclosure share most of
-/// their tree nodes); returns the bit.
-fn check_reveal(batch: &mut ProofBatch, reveal: &BitReveal) -> Result<bool, Suspicion> {
-    let expected_label = if reveal.index == 0 {
-        Label::Slot(crate::session::SLOT_EXIST, 0)
-    } else {
-        Label::Slot(crate::session::SLOT_MIN_BITS, reveal.index)
-    };
-    if reveal.proof.label != expected_label || !batch.verify(&reveal.proof) {
-        return Err(Suspicion::BadReveal { index: reveal.index });
-    }
-    reveal.bit().ok_or(Suspicion::BadReveal { index: reveal.index })
+/// The disclosure's reveal of bit `index`.
+fn reveal_at(disclosure: &Disclosure, index: u32) -> Result<&BitReveal, Suspicion> {
+    disclosure
+        .bit_reveals
+        .iter()
+        .find(|r| r.index == index)
+        .ok_or(Suspicion::MissingReveal { index })
+}
+
+/// The bit `reveal` opens, if it passes the reveal check.
+fn bit_of(batch: &mut ProofBatch, reveal: &BitReveal) -> Result<bool, Suspicion> {
+    reveal.check(batch).map_err(|_| Suspicion::BadReveal { index: reveal.index })
 }
 
 /// §3.3 check a ("properly signed route"): the outcome, if the export's
@@ -111,7 +109,8 @@ fn export_chain_fault(
 
 /// Provider-side verification of the minimum-operator protocol (§3.3
 /// condition 3). `my_routes` are the attested routes this provider sent
-/// to A in this round.
+/// to A in this round; each is checked at the bit it is judged at
+/// ([`judged_bit`]).
 pub fn verify_as_provider(
     a: Asn,
     round: &RoundContext,
@@ -120,35 +119,25 @@ pub fn verify_as_provider(
     disclosure: &Disclosure,
     keys: &KeyStore,
 ) -> Outcome {
-    let root = match check_root(disclosure, a, round, keys) {
-        Ok(r) => r,
-        Err(s) => return Outcome::Suspect(s),
-    };
-    let mut batch = ProofBatch::new(root.root);
-    let reveals: BTreeMap<u32, &BitReveal> =
-        disclosure.bit_reveals.iter().map(|r| (r.index, r)).collect();
-    for sr in my_routes {
-        let len = sr.route.path_len().min(params.max_path_len) as u32;
-        if len == 0 {
-            continue;
-        }
-        let reveal = match reveals.get(&len) {
-            Some(r) => *r,
-            None => return Outcome::Suspect(Suspicion::MissingReveal { index: len }),
-        };
-        match check_reveal(&mut batch, reveal) {
-            Err(s) => return Outcome::Suspect(s),
-            Ok(true) => {}
-            Ok(false) => {
-                return Outcome::Accuse(Evidence::IgnoredInput {
+    outcome(|| {
+        let root = root_of(disclosure, a, round, keys)?;
+        let mut batch = ProofBatch::new(root.root);
+        for sr in my_routes {
+            let index = judged_bit(sr.route.path_len(), params.max_path_len) as u32;
+            if index == 0 {
+                continue;
+            }
+            let reveal = reveal_at(disclosure, index)?;
+            if !bit_of(&mut batch, reveal)? {
+                return Ok(Outcome::Accuse(Evidence::IgnoredInput {
                     signed_root: root.clone(),
                     reveal: reveal.clone(),
                     provided: sr.clone(),
-                });
+                }));
             }
         }
-    }
-    Outcome::Accept
+        Ok(Outcome::Accept)
+    })
 }
 
 /// Provider-side verification of the existential protocol (§3.2
@@ -161,30 +150,26 @@ pub fn verify_as_provider_existential(
     disclosure: &Disclosure,
     keys: &KeyStore,
 ) -> Outcome {
-    if my_routes.is_empty() {
-        return Outcome::Accept;
-    }
-    let root = match check_root(disclosure, a, round, keys) {
-        Ok(r) => r,
-        Err(s) => return Outcome::Suspect(s),
-    };
-    let reveal = match disclosure.bit_reveals.iter().find(|r| r.index == 0) {
-        Some(r) => r,
-        None => return Outcome::Suspect(Suspicion::MissingReveal { index: 0 }),
-    };
-    match check_reveal(&mut ProofBatch::new(root.root), reveal) {
-        Err(s) => Outcome::Suspect(s),
-        Ok(true) => Outcome::Accept,
-        Ok(false) => Outcome::Accuse(Evidence::IgnoredInput {
-            signed_root: root.clone(),
-            reveal: reveal.clone(),
-            provided: my_routes[0].clone(),
-        }),
-    }
+    let Some(provided) = my_routes.first() else { return Outcome::Accept };
+    outcome(|| {
+        let root = root_of(disclosure, a, round, keys)?;
+        let reveal = reveal_at(disclosure, 0)?;
+        Ok(if bit_of(&mut ProofBatch::new(root.root), reveal)? {
+            Outcome::Accept
+        } else {
+            Outcome::Accuse(Evidence::IgnoredInput {
+                signed_root: root.clone(),
+                reveal: reveal.clone(),
+                provided: provided.clone(),
+            })
+        })
+    })
 }
 
 /// Receiver-side verification of the minimum-operator protocol (§3.3).
-/// `me` is B; the disclosure must contain all bits plus the export.
+/// `me` is B; the disclosure must contain all bits plus the export,
+/// which is compared with the claimed minimum at the bit it is judged
+/// at ([`export_bit`]).
 pub fn verify_as_receiver(
     me: Asn,
     a: Asn,
@@ -193,75 +178,64 @@ pub fn verify_as_receiver(
     disclosure: &Disclosure,
     keys: &KeyStore,
 ) -> Outcome {
-    let root = match check_root(disclosure, a, round, keys) {
-        Ok(r) => r,
-        Err(s) => return Outcome::Suspect(s),
-    };
-    // Collect and validate all k bits.
-    let mut batch = ProofBatch::new(root.root);
-    let reveals: BTreeMap<u32, &BitReveal> =
-        disclosure.bit_reveals.iter().map(|r| (r.index, r)).collect();
-    let mut bits = Vec::with_capacity(params.max_path_len);
-    for i in 1..=params.max_path_len as u32 {
-        let reveal = match reveals.get(&i) {
-            Some(r) => *r,
-            None => return Outcome::Suspect(Suspicion::MissingReveal { index: i }),
+    outcome(|| {
+        let root = root_of(disclosure, a, round, keys)?;
+        // Collect and validate all k bits.
+        let mut batch = ProofBatch::new(root.root);
+        let mut reveals = Vec::with_capacity(params.max_path_len);
+        let mut bits = Vec::with_capacity(params.max_path_len);
+        for i in 1..=params.max_path_len as u32 {
+            let reveal = reveal_at(disclosure, i)?;
+            bits.push(bit_of(&mut batch, reveal)?);
+            reveals.push(reveal);
+        }
+        let at = |i: usize| reveals[i - 1].clone();
+        // Monotonicity (§3.3 check b): transferable evidence on failure.
+        if let Err((lo, hi)) = check_monotone(&bits) {
+            return Ok(Outcome::Accuse(Evidence::NonMonotone {
+                signed_root: root.clone(),
+                lo: at(lo),
+                hi: at(hi),
+            }));
+        }
+        let claimed = claimed_min(&bits);
+        let Some(sr) = &disclosure.exported else {
+            // A committed that a route exists but exported nothing.
+            // Omission is detectable but not third-party-provable
+            // (§2.3 Detection without Evidence).
+            return match claimed {
+                None => Ok(Outcome::Accept),
+                Some(m) => Err(Suspicion::WithheldExport { index: m as u32 }),
+            };
         };
-        match check_reveal(&mut batch, reveal) {
-            Ok(b) => bits.push(b),
-            Err(s) => return Outcome::Suspect(s),
+        if let Some(outcome) = export_chain_fault(sr, me, a, round, keys) {
+            return Ok(outcome);
         }
-    }
-    // Monotonicity (§3.3 check b): transferable evidence on failure.
-    if let Err((lo, hi)) = crate::bits::check_monotone(&bits) {
-        return Outcome::Accuse(Evidence::NonMonotone {
-            signed_root: root.clone(),
-            lo: reveals[&(lo as u32)].clone(),
-            hi: reveals[&(hi as u32)].clone(),
-        });
-    }
-    let claimed = crate::bits::claimed_min(&bits);
-
-    match (&disclosure.exported, claimed) {
-        (None, None) => Outcome::Accept,
-        // A committed that a route exists but exported nothing. Omission
-        // is detectable but not third-party-provable (§2.3 Detection
-        // without Evidence).
-        (None, Some(m)) => Outcome::Suspect(Suspicion::WithheldExport { index: m as u32 }),
-        (Some(sr), claimed) => {
-            if let Some(outcome) = export_chain_fault(sr, me, a, round, keys) {
-                return outcome;
-            }
-            if sr.route.path.first_as() != Some(a) || sr.route.prefix != round.prefix {
-                return Outcome::Suspect(Suspicion::BadExportChain);
-            }
-            let core_len = sr.route.path_len() - 1;
-            if core_len == 0 || core_len > params.max_path_len {
-                return Outcome::Suspect(Suspicion::BadExportChain);
-            }
-            match claimed {
-                None => Outcome::Accuse(Evidence::ExportContradictsBits {
-                    signed_root: root.clone(),
-                    reveal: reveals[&(core_len as u32)].clone(),
-                    exported: sr.clone(),
-                    receiver: me,
-                }),
-                Some(m) if core_len > m => Outcome::Accuse(Evidence::ExportTooLong {
-                    signed_root: root.clone(),
-                    reveal: reveals[&(m as u32)].clone(),
-                    exported: sr.clone(),
-                    receiver: me,
-                }),
-                Some(m) if core_len < m => Outcome::Accuse(Evidence::ExportContradictsBits {
-                    signed_root: root.clone(),
-                    reveal: reveals[&(core_len as u32)].clone(),
-                    exported: sr.clone(),
-                    receiver: me,
-                }),
-                Some(_) => Outcome::Accept,
-            }
+        let exported_at = export_bit(&sr.route, params.max_path_len);
+        if sr.route.path.first_as() != Some(a)
+            || sr.route.prefix != round.prefix
+            || exported_at == 0
+        {
+            return Err(Suspicion::BadExportChain);
         }
-    }
+        let (signed_root, exported, receiver) = (root.clone(), sr.clone(), me);
+        Ok(match claimed {
+            Some(m) if exported_at == m => Outcome::Accept,
+            Some(m) if exported_at > m => Outcome::Accuse(Evidence::ExportTooLong {
+                signed_root,
+                reveal: at(m),
+                exported,
+                receiver,
+            }),
+            // No bit set, or the export's own bit is 0.
+            _ => Outcome::Accuse(Evidence::ExportContradictsBits {
+                signed_root,
+                reveal: at(exported_at),
+                exported,
+                receiver,
+            }),
+        })
+    })
 }
 
 /// Receiver-side verification of the existential protocol (§3.2
@@ -274,38 +248,32 @@ pub fn verify_as_receiver_existential(
     disclosure: &Disclosure,
     keys: &KeyStore,
 ) -> Outcome {
-    let root = match check_root(disclosure, a, round, keys) {
-        Ok(r) => r,
-        Err(s) => return Outcome::Suspect(s),
-    };
-    let reveal = match disclosure.bit_reveals.iter().find(|r| r.index == 0) {
-        Some(r) => r,
-        None => return Outcome::Suspect(Suspicion::MissingReveal { index: 0 }),
-    };
-    let bit = match check_reveal(&mut ProofBatch::new(root.root), reveal) {
-        Ok(b) => b,
-        Err(s) => return Outcome::Suspect(s),
-    };
-    match (&disclosure.exported, bit) {
-        (None, false) => Outcome::Accept,
-        (None, true) => Outcome::Suspect(Suspicion::WithheldExport { index: 0 }),
-        (Some(sr), bit) => {
-            if let Some(outcome) = export_chain_fault(sr, me, a, round, keys) {
-                return outcome;
-            }
-            if bit {
-                Outcome::Accept
+    outcome(|| {
+        let root = root_of(disclosure, a, round, keys)?;
+        let reveal = reveal_at(disclosure, 0)?;
+        let bit = bit_of(&mut ProofBatch::new(root.root), reveal)?;
+        let Some(sr) = &disclosure.exported else {
+            return if bit {
+                Err(Suspicion::WithheldExport { index: 0 })
             } else {
-                // Exported a (valid) route while committing "no route".
-                Outcome::Accuse(Evidence::ExportContradictsBits {
-                    signed_root: root.clone(),
-                    reveal: reveal.clone(),
-                    exported: sr.clone(),
-                    receiver: me,
-                })
-            }
+                Ok(Outcome::Accept)
+            };
+        };
+        if let Some(outcome) = export_chain_fault(sr, me, a, round, keys) {
+            return Ok(outcome);
         }
-    }
+        Ok(if bit {
+            Outcome::Accept
+        } else {
+            // Exported a (valid) route while committing "no route".
+            Outcome::Accuse(Evidence::ExportContradictsBits {
+                signed_root: root.clone(),
+                reveal: reveal.clone(),
+                exported: sr.clone(),
+                receiver: me,
+            })
+        })
+    })
 }
 
 /// Gossip cross-check (§3.6): each neighbor shares the signed root it

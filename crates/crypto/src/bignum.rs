@@ -273,26 +273,6 @@ impl Ubig {
         n
     }
 
-    /// Multiplication by a `u64`.
-    pub fn mul_u64(&self, rhs: u64) -> Ubig {
-        if rhs == 0 || self.is_zero() {
-            return Ubig::zero();
-        }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry = 0u128;
-        for &a in &self.limbs {
-            let t = (a as u128) * (rhs as u128) + carry;
-            out.push(t as u64);
-            carry = t >> 64;
-        }
-        if carry > 0 {
-            out.push(carry as u64);
-        }
-        let mut n = Ubig { limbs: out };
-        n.normalize();
-        n
-    }
-
     /// Left shift by `bits`.
     pub fn shl(&self, bits: usize) -> Ubig {
         if self.is_zero() || bits == 0 {
@@ -432,24 +412,6 @@ impl Ubig {
     /// `self mod m`.
     pub fn rem(&self, m: &Ubig) -> Ubig {
         self.divrem(m).1
-    }
-
-    /// Modular multiplication `(self * rhs) mod m`.
-    ///
-    /// Odd moduli go through the division-free [`Montgomery`] path
-    /// (two REDC passes instead of a double-width product plus a Knuth
-    /// Algorithm D quotient). Even moduli keep the schoolbook
-    /// multiply-then-divide fallback: REDC requires `gcd(R, m) = 1`
-    /// with `R` a power of two, which an even `m` can never satisfy.
-    /// Hot loops that reduce by one modulus repeatedly (RSA, Miller–
-    /// Rabin) should build a [`Montgomery`] context once instead of
-    /// paying its precomputation on every call here.
-    pub fn mul_mod(&self, rhs: &Ubig, m: &Ubig) -> Ubig {
-        assert!(!m.is_zero(), "mul_mod with zero modulus");
-        match Montgomery::new(m) {
-            Some(ctx) => ctx.mul(self, rhs),
-            None => self.mul(rhs).rem(m),
-        }
     }
 
     /// Modular exponentiation `self^exp mod m`.
@@ -700,13 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_u64_matches_mul() {
-        let a = big("123456789abcdef0123456789abcdef");
-        assert_eq!(a.mul_u64(0xcafe), a.mul(&Ubig::from_u64(0xcafe)));
-        assert_eq!(a.mul_u64(0), Ubig::zero());
-    }
-
-    #[test]
     fn shifts() {
         let a = big("1");
         assert_eq!(a.shl(64).to_hex(), "10000000000000000");
@@ -800,7 +755,7 @@ mod tests {
         let m = big("fffffffffffffffffffffffffffffffeffffffffffffffff"); // not nec. prime; just coprime check
         let a = big("deadbeef");
         if let Some(inv) = a.modinv(&m) {
-            assert_eq!(a.mul_mod(&inv, &m), Ubig::one());
+            assert_eq!(a.mul(&inv).rem(&m), Ubig::one());
         }
     }
 

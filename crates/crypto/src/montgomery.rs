@@ -777,7 +777,8 @@ mod tests {
             prop_assert_eq!(ctx.pow(&base, &exp), base.modpow_schoolbook(&exp, &m));
         }
 
-        /// The public dispatchers agree with the schoolbook reference.
+        /// `Ubig::modpow` and `Montgomery::mul` agree with the schoolbook
+        /// reference on odd moduli.
         #[test]
         fn prop_dispatch_consistency(
             a in proptest::collection::vec(any::<u8>(), 0..32),
@@ -788,7 +789,8 @@ mod tests {
             let a = Ubig::from_bytes_be(&a);
             let e = Ubig::from_u64(e);
             prop_assert_eq!(a.modpow(&e, &m), a.modpow_schoolbook(&e, &m));
-            prop_assert_eq!(a.mul_mod(&a, &m), a.mul(&a).rem(&m));
+            let ctx = Montgomery::new(&m).unwrap();
+            prop_assert_eq!(ctx.mul(&a, &a), a.mul(&a).rem(&m));
         }
     }
 }

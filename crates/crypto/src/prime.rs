@@ -206,13 +206,13 @@ mod tests {
                 agree(&Ubig::from_u64(p * q));
                 agree(&Ubig::from_u64(p * q).mul(&big));
             }
-            assert!(has_small_factor(&big.mul_u64(p)));
+            assert!(has_small_factor(&big.mul(&Ubig::from_u64(p))));
         }
         // The last prime of every batch and the first of the next sit
         // on the seam the batching introduced.
         for &(_, end) in batches {
             for &p in &primes[end - 1..(end + 1).min(primes.len())] {
-                assert!(has_small_factor(&big.mul_u64(p)), "seam prime {p}");
+                assert!(has_small_factor(&big.mul(&Ubig::from_u64(p))), "seam prime {p}");
             }
         }
         // 256-bit randoms, as key generation draws them (mostly with a

@@ -37,6 +37,49 @@ fn accuracy_across_seeds_and_shapes() {
     }
 }
 
+/// Accuracy and Evidence at every k. A route longer than
+/// `max_path_len` is judged at bit k by A, its providers, B and the
+/// auditor alike, so an honest round is clean and every accusation a
+/// correct neighbor makes stands, whatever k is. Detection is not
+/// asserted here: the tests above assert it where every input is ≤ k.
+/// Once every input is past k, B cannot tell the longest export from
+/// the shortest, and that loss is pinned too.
+#[test]
+fn accuracy_and_evidence_at_every_max_path_len() {
+    use pvr::core::{Auditor, Cast, Outcome, PvrParams};
+    let beds = [(vec![3, 4], 7), (vec![6, 1], 81), (vec![2, 5], 82), (vec![5, 6, 3], 83)];
+    for (lens, seed) in beds {
+        let bed = Figure1Bed::build(&lens, seed);
+        let (min, max) = (*lens.iter().min().unwrap(), *lens.iter().max().unwrap());
+        let victim = bed.ns[lens.iter().position(|&l| l == min).unwrap()];
+        let mut ks = vec![16, max - 1, min - 1];
+        ks.retain(|&k| k >= 1);
+        ks.dedup();
+        for k in ks {
+            let cast = Cast { params: PvrParams { max_path_len: k }, ..bed.cast() };
+            let honest = cast.run(None, seed);
+            assert!(honest.clean(), "lens={lens:?} k={k}: {:?}", honest.outcomes);
+            let auditor = Auditor::new(&bed.keys, cast.params);
+            for behavior in Misbehavior::catalog(victim) {
+                let report = cast.run(Some(behavior.clone()), seed);
+                let accusations = report.outcomes.values().filter_map(Outcome::evidence);
+                for ev in accusations.chain(&report.gossip_evidence) {
+                    assert_eq!(
+                        auditor.judge(bed.a, &bed.round, ev),
+                        Verdict::Guilty,
+                        "lens={lens:?} k={k} {behavior:?}: weak {}",
+                        ev.kind()
+                    );
+                }
+            }
+            if k < min {
+                let longer = cast.run(Some(Misbehavior::ExportLonger), seed);
+                assert!(longer.outcomes[&bed.b].is_accept(), "lens={lens:?} k={k}");
+            }
+        }
+    }
+}
+
 #[test]
 fn detection_and_evidence_across_seeds() {
     for seed in [11u64, 12] {
