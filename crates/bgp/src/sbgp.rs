@@ -193,6 +193,13 @@ fn attestation_digest(parent: &Digest, att: &Attestation) -> Digest {
     digest_leaf(digest_shared(&att.signature, att.size, &root), &leaf)
 }
 
+/// A root signature's [`VerifyCache`] key, beside its signer: a hash of
+/// the signed message and the signature, so a forged signature over a
+/// genuine root is another key.
+fn root_key(message: &[u8], signature: &RsaSignature) -> [u8; 32] {
+    sha256_concat(&[SIG_TAG, message, &signature.0]).0
+}
+
 /// The digest a node on top of `parent` binds.
 fn parent_digest(parent: Option<&Arc<ChainNode>>) -> Digest {
     parent.map_or(Digest::ZERO, |node| node.digest())
@@ -264,6 +271,8 @@ struct Signed {
     signature: RsaSignature,
     /// Each leaf's digest ([`digest_leaf`]).
     digests: Box<[Digest]>,
+    /// The [`VerifyCache`] key of the signature over the tree's root.
+    root_key: [u8; 32],
 }
 
 /// The fields a leaf shares with the route it attests.
@@ -372,10 +381,46 @@ impl Batch {
             seqtree::leaf_hash(i as u64, &buf)
         }));
         let root = tree.root();
-        let signature = identity.sign(&root_message(self.size(), &root));
+        let message = root_message(self.size(), &root);
+        let signature = identity.sign(&message);
         let shared = digest_shared(&signature, self.size(), &root);
         let digests = tree.leaves().iter().map(|leaf| digest_leaf(shared.clone(), leaf)).collect();
-        Signed { tree, signature, digests }
+        let root_key = root_key(&message, &signature);
+        Signed { tree, signature, digests, root_key }
+    }
+
+    /// [`ChainNode::signature_holds`] for leaf `index`, walking only as
+    /// far up the tree as `known` needs. The fold goes through the
+    /// batch's own tree and stops at a node `known` holds for this
+    /// tree's root and signature: that node's fold to the root, with the
+    /// same siblings, already reached a root whose signature
+    /// `root_verdict` accepted. Otherwise the root reached goes to
+    /// `root_verdict` as in the full walk. The leaf's path is marked
+    /// after a stop, and after a fold to the stored root that
+    /// `root_verdict` accepted.
+    fn leaf_holds(
+        &self,
+        index: usize,
+        buf: &mut Vec<u8>,
+        known: &mut KnownNodes,
+        root_verdict: impl FnOnce(Asn, &[u8], &RsaSignature) -> bool,
+    ) -> bool {
+        let Signed { tree, signature, root_key, .. } = self.signed();
+        leaf_item(buf, &self.fields(index), &parent_digest(self.parent.as_ref()));
+        let leaf = seqtree::leaf_hash(index as u64, buf);
+        let (signer, root) = (self.signer(), tree.root());
+        let key = (signer, *root_key);
+        let (holds, mark) = match tree.fold_known(index, leaf, known.bits(&key, tree)) {
+            None => (true, true),
+            Some(reached) => {
+                let holds = root_verdict(signer, &root_message(self.size(), &reached), signature);
+                (holds, holds && reached == root)
+            }
+        };
+        if mark {
+            tree.mark_ancestors(index, known.bits_mut(key, tree));
+        }
+        holds
     }
 
     fn attestation(&self, index: usize, tree: &SeqTree, signature: &RsaSignature) -> Attestation {
@@ -761,15 +806,15 @@ fn still_owed(entry: &Weak<Batch>) -> bool {
 /// `(signer, digest, verdict)` entries.
 pub(crate) type CacheState = (u64, u64, Vec<(Asn, [u8; 32], bool)>);
 
-/// A verification memo for attestations and for the root signatures
-/// behind them.
+/// A verification memo for attestations, for the root signatures
+/// behind them, and for the tree nodes between the two.
 ///
 /// `sbgp` re-verifies the *entire* chain at every import hop, so a
 /// route that crosses `h` ASes costs `O(h²)` attestation checks
 /// network-wide — and every prefix-suffix attestation past the first
 /// hop is one some router already checked. A cache shared by the
 /// routers of one shard of a [`crate::BgpNetwork`] collapses that, at
-/// two levels:
+/// three levels:
 ///
 /// * an attestation, keyed by `(signer, digest)` — the digest covers
 ///   the attestation's every byte, its signature included, and the
@@ -780,11 +825,18 @@ pub(crate) type CacheState = (u64, u64, Vec<(Asn, [u8; 32], bool)>);
 /// * a root signature, keyed by `(signer, SHA-256(size ‖ root ‖
 ///   signature))`: every recipient of one export reaches the same root,
 ///   so the export costs one RSA verify per cache, not one per
-///   neighbor.
+///   neighbor;
+/// * the tree nodes of an export made in this process, keyed by its
+///   root signature's key: a miss on one of its leaves hashes only up
+///   to the first node it shares with a leaf verified before, so the
+///   export's upper nodes are hashed once per cache, not once per leaf.
+///   A decoded or hand-built attestation carries its own siblings,
+///   which nothing vouches for, and always walks to the root.
 ///
-/// Both live in one map (their digests are domain-separated), which is
-/// what a checkpoint saves. [`calls`](Self::calls) and
-/// [`hits`](Self::hits) count attestation checks.
+/// The first two live in one map (their digests are domain-separated),
+/// which is what a checkpoint saves; the third is derivable from them
+/// and is not saved. [`calls`](Self::calls) and [`hits`](Self::hits)
+/// count attestation checks.
 ///
 /// A network holds one cache per engine shard, shared by that shard's
 /// routers through an `Arc` — hence the `Mutex` and the atomics. A
@@ -794,9 +846,46 @@ pub(crate) type CacheState = (u64, u64, Vec<(Asn, [u8; 32], bool)>);
 /// shard is a miss on the next).
 #[derive(Debug, Default)]
 pub struct VerifyCache {
-    verdicts: Mutex<HashMap<(Asn, [u8; 32]), bool>>,
+    memo: Mutex<Memo>,
     calls: AtomicU64,
     hits: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct Memo {
+    /// Attestation and root-signature verdicts.
+    verdicts: HashMap<(Asn, [u8; 32]), bool>,
+    known: KnownNodes,
+}
+
+/// Per export tree, by its root signature's key: the nodes whose fold
+/// to that root this cache has checked, as [`SeqTree::fold_known`]'s
+/// bits. The key binds the root, the tree's size and the signature, so
+/// the bits of one tree never stand for another's nodes, nor for the
+/// same tree under another signature.
+#[derive(Debug, Default)]
+struct KnownNodes {
+    /// Where each tree's bits start in `bits`.
+    at: HashMap<(Asn, [u8; 32]), usize>,
+    /// Every tree's bits, one after another: no allocation per tree.
+    bits: Vec<u64>,
+}
+
+impl KnownNodes {
+    /// `tree`'s bits under `key`; none while nothing is known.
+    fn bits(&self, key: &(Asn, [u8; 32]), tree: &SeqTree) -> &[u64] {
+        self.at.get(key).map_or(&[], |&at| &self.bits[at..at + tree.known_words()])
+    }
+
+    /// `tree`'s bits under `key`, made empty if new.
+    fn bits_mut(&mut self, key: (Asn, [u8; 32]), tree: &SeqTree) -> &mut [u64] {
+        let (words, end) = (tree.known_words(), self.bits.len());
+        let at = *self.at.entry(key).or_insert(end);
+        if at == end {
+            self.bits.resize(end + words, 0);
+        }
+        &mut self.bits[at..at + words]
+    }
 }
 
 impl VerifyCache {
@@ -823,14 +912,15 @@ impl VerifyCache {
     /// memo by a checkpoint.
     pub fn root_verifies(&self) -> u64 {
         let misses = self.calls() - self.hits();
-        (lock(&self.verdicts).len() as u64).saturating_sub(misses)
+        (lock(&self.memo).verdicts.len() as u64).saturating_sub(misses)
     }
 
     /// Exports the memo for checkpointing: `(calls, hits, entries)`
     /// with entries in `(signer, digest)` order, so the same cache
     /// state always serializes to the same bytes.
     pub(crate) fn export_state(&self) -> CacheState {
-        let mut entries: Vec<(Asn, [u8; 32], bool)> = lock(&self.verdicts)
+        let mut entries: Vec<(Asn, [u8; 32], bool)> = lock(&self.memo)
+            .verdicts
             .iter()
             .map(|(&(signer, digest), &verdict)| (signer, digest, verdict))
             .collect();
@@ -838,16 +928,18 @@ impl VerifyCache {
         (self.calls(), self.hits(), entries)
     }
 
-    /// Replaces the memo with a checkpointed state. Restore only: the
-    /// cache is shared by `Arc`, so this goes through the interior
-    /// mutability the hot path already uses.
+    /// Replaces the memo with a checkpointed state, and forgets the
+    /// known tree nodes. Restore only: the cache is shared by `Arc`, so
+    /// this goes through the interior mutability the hot path already
+    /// uses.
     pub(crate) fn load_state(&self, (calls, hits, entries): CacheState) {
-        let mut verdicts = lock(&self.verdicts);
-        verdicts.clear();
+        let mut memo = lock(&self.memo);
+        memo.verdicts.clear();
+        memo.known = KnownNodes::default();
         for (signer, digest, verdict) in entries {
-            verdicts.insert((signer, digest), verdict);
+            memo.verdicts.insert((signer, digest), verdict);
         }
-        drop(verdicts);
+        drop(memo);
         self.calls.store(calls, Ordering::Relaxed);
         self.hits.store(hits, Ordering::Relaxed);
     }
@@ -858,24 +950,31 @@ impl VerifyCache {
     /// time it is rejected.
     ///
     /// A lock poisoned by a panic elsewhere is used as it stands: an
-    /// entry goes in whole, after its verify, so the memo only ever
-    /// holds verdicts that were computed.
+    /// entry goes in whole, after its verify, and a tree node is marked
+    /// only after its root's verdict went in, so the memo only ever
+    /// holds verdicts that were computed and marks they justify.
     fn check(&self, node: &ChainNode, buf: &mut Vec<u8>, keys: &KeyStore) -> bool {
         self.calls.fetch_add(1, Ordering::Relaxed);
         // Read (and so signed, if owed) before the memo is locked.
         let key = (node.fields().signer, node.digest().0);
-        let mut memo = lock(&self.verdicts);
-        if let Some(&verdict) = memo.get(&key) {
+        let mut memo = lock(&self.memo);
+        if let Some(&verdict) = memo.verdicts.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return verdict;
         }
-        let verdict = node.signature_holds(buf, |signer, message, signature| {
-            let root = sha256_concat(&[SIG_TAG, message, &signature.0]).0;
-            *memo
-                .entry((signer, root))
+        let Memo { verdicts, known } = &mut *memo;
+        let root_verdict = |signer: Asn, message: &[u8], signature: &RsaSignature| {
+            *verdicts
+                .entry((signer, root_key(message, signature)))
                 .or_insert_with(|| keys.verify(signer.principal(), message, signature).is_ok())
-        });
-        memo.insert(key, verdict);
+        };
+        let verdict = match node {
+            ChainNode::Made { batch, index } => {
+                batch.leaf_holds(*index as usize, buf, known, root_verdict)
+            }
+            ChainNode::Given(_) => node.signature_holds(buf, root_verdict),
+        };
+        verdicts.insert(key, verdict);
         verdict
     }
 }
@@ -1632,12 +1731,12 @@ mod tests {
         let cache = VerifyCache::new();
         std::thread::scope(|scope| {
             let poisoner = scope.spawn(|| {
-                let _held = cache.verdicts.lock().unwrap();
+                let _held = cache.memo.lock().unwrap();
                 panic!("poisoning the verify cache on purpose");
             });
             assert!(poisoner.join().is_err());
         });
-        assert!(cache.verdicts.is_poisoned());
+        assert!(cache.memo.is_poisoned());
         assert_eq!(sr.verify_cached(Asn(3), &keys, Some(&cache)), Ok(()));
         assert_eq!((cache.calls(), cache.hits()), (2, 0));
         assert_eq!(sr.verify_cached(Asn(3), &keys, Some(&cache)), Ok(()));
@@ -1734,6 +1833,68 @@ mod tests {
                 prop_assert!(forged.verify_cached(targets[k], keys, Some(&cache)).is_err());
             }
             prop_assert!(changed > wire.len() / 2, "only {changed} of {} flips decoded", wire.len());
+        }
+    }
+
+    /// The memo of known tree nodes changes no verdict and no counter:
+    /// the leaves of one 45-leaf export, verified in a shuffled order
+    /// through one cache (all but the first stopping at a node an
+    /// earlier leaf marked), read what their decoded copies, which
+    /// always walk to the root, read through another. Once the memo
+    /// holds the export, a decoded leaf with an upper sibling flipped
+    /// still fails, and so do leaves of the same tree signed by another
+    /// key under the signer's number.
+    #[test]
+    fn known_nodes_change_no_verdict() {
+        let (ids, keys) = shared_setup();
+        let targets: Vec<Asn> = (0..45).map(|i| Asn(5 + 3 * i)).collect();
+        let mut salts = vec![[0; SALT_LEN]; targets.len()];
+        HmacDrbg::new(b"known salts").generate(salts.as_flattened_mut());
+        let mut route = Route::originate(Prefix::new(9 << 8, 24));
+        route.path = AsPath::from_slice(&[Asn(3)]);
+        let export = |signer| SignedRoute::export(None, signer, &route, &targets, &salts);
+        let routes = export(&ids[2]);
+        let given = |sr: &SignedRoute| {
+            let chain = AttestationChain::from_attestations(sr.chain().to_vec());
+            SignedRoute::with_chain(sr.route.clone(), chain)
+        };
+        let mut order: Vec<usize> = (0..routes.len()).collect();
+        HmacDrbg::new(b"known nodes").shuffle(&mut order);
+        let (made_cache, given_cache) = (VerifyCache::new(), VerifyCache::new());
+        for &i in order.iter().chain(&order[..5]) {
+            let made = routes[i].verify_cached(targets[i], keys, Some(&made_cache));
+            assert_eq!(made, Ok(()), "leaf {i}");
+            assert_eq!(given(&routes[i]).verify_cached(targets[i], keys, Some(&given_cache)), made);
+        }
+        for cache in [&made_cache, &given_cache] {
+            assert_eq!((cache.calls(), cache.hits(), cache.root_verifies()), (50, 5, 1));
+        }
+        assert_eq!(made_cache.export_state(), given_cache.export_state());
+        let memo = lock(&made_cache.memo);
+        assert_eq!(memo.known.at.len(), 1, "one export");
+        let marked: u32 = memo.known.bits.iter().map(|word| word.count_ones()).sum();
+        assert_eq!(marked, 45 + 23 + 12 + 6 + 3 + 2 + 1, "every node known");
+        drop(memo);
+        assert!(lock(&given_cache.memo).known.at.is_empty(), "decoded leaves mark nothing");
+
+        let k = order[0];
+        let mut atts = routes[k].chain().to_vec();
+        let top = atts.last_mut().expect("a signed route");
+        top.siblings.last_mut().expect("a sibling below the root").0[0] ^= 1;
+        let forged = SignedRoute::with_chain(
+            routes[k].route.clone(),
+            AttestationChain::from_attestations(atts),
+        );
+        let rejected = Err(SbgpError::BadSignature(Asn(3)));
+        assert_eq!(forged.verify_cached(targets[k], keys, Some(&made_cache)), rejected);
+        assert_eq!(forged.verify(targets[k], keys), rejected);
+
+        let rogue = Arc::new(Identity::generate(3, 512, &mut HmacDrbg::new(b"rogue AS3")));
+        let rogue_routes = export(&rogue);
+        for &k in &order[1..4] {
+            let rogue_route = &rogue_routes[k];
+            assert_eq!(rogue_route.verify_cached(targets[k], keys, Some(&made_cache)), rejected);
+            assert_eq!(rogue_route.verify(targets[k], keys), rejected);
         }
     }
 

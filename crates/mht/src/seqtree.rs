@@ -10,7 +10,9 @@
 //! the leaves are hashed by the caller ([`leaf_hash`],
 //! [`SeqTree::from_leaf_hashes`]) and a proof is its present siblings
 //! alone ([`SeqTree::siblings`], [`fold`]), the tree's shape being
-//! signed beside its root.
+//! signed beside its root. A verifier holding the tree itself folds a
+//! leaf only up to the first node it has already seen reach the root
+//! ([`SeqTree::fold_known`]).
 
 use pvr_crypto::encoding::Wire;
 use pvr_crypto::sha256::{sha256_concat, Digest};
@@ -117,6 +119,67 @@ impl SeqTree {
     pub fn siblings(&self, index: usize) -> Siblings<'_> {
         let left = sibling_count(index as u64, self.leaves as u64);
         Siblings { rest: &self.nodes, width: self.leaves, pos: index, left }
+    }
+
+    /// Folds leaf hash `leaf` at `index` up through the tree's own
+    /// siblings, as [`fold`] folds [`siblings`](Self::siblings), but
+    /// stops at the first node on the way — the leaf's own included —
+    /// whose bit is set in `known` and whose stored hash the fold
+    /// reproduced, and returns `None` there. Otherwise it returns the
+    /// root the fold reached. Bit `p` of `known` (word `p / 64`, bit
+    /// `p % 64`; words past the end read as zero) stands for the tree's
+    /// node `p`, counted leaves first and level by level up to the root,
+    /// as [`mark_ancestors`](Self::mark_ancestors) sets it.
+    ///
+    /// A stop vouches for the leaf only as far as the marks do: the
+    /// fold reached a node whose own fold to the root was checked
+    /// before, through these same siblings.
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not a leaf of the tree.
+    pub fn fold_known(&self, index: usize, leaf: Digest, known: &[u64]) -> Option<Digest> {
+        assert!(index < self.leaves, "leaf {index} of a {}-leaf tree", self.leaves);
+        let (mut h, mut pos, mut start) = (leaf, index, 0);
+        for width in widths(self.leaves) {
+            let at = start + pos;
+            let marked = known.get(at / 64).is_some_and(|word| word >> (at % 64) & 1 == 1);
+            if marked && self.nodes[at] == h {
+                return None;
+            }
+            if pos ^ 1 < width {
+                let sibling = &self.nodes[start + (pos ^ 1)];
+                h = if pos % 2 == 0 { node_hash(&h, sibling) } else { node_hash(sibling, &h) };
+            }
+            start += width;
+            pos /= 2;
+        }
+        Some(h)
+    }
+
+    /// How many 64-bit words [`fold_known`](Self::fold_known)'s bits
+    /// take for this tree: one bit per node.
+    pub fn known_words(&self) -> usize {
+        self.nodes.len().div_ceil(64)
+    }
+
+    /// Sets the bits of leaf `index` and of every node above it, up to
+    /// the root, in `known` ([`fold_known`](Self::fold_known)'s
+    /// numbering).
+    ///
+    /// # Panics
+    ///
+    /// If `index` is not a leaf of the tree, or `known` is shorter than
+    /// [`known_words`](Self::known_words).
+    pub fn mark_ancestors(&self, index: usize, known: &mut [u64]) {
+        assert!(index < self.leaves, "leaf {index} of a {}-leaf tree", self.leaves);
+        let (mut pos, mut start) = (index, 0);
+        for width in widths(self.leaves) {
+            let at = start + pos;
+            known[at / 64] |= 1 << (at % 64);
+            start += width;
+            pos /= 2;
+        }
     }
 
     /// Builds the proof that item `index` is in the batch (`None` past
@@ -256,9 +319,28 @@ pvr_crypto::wire_struct!(SeqProof { index, item, siblings });
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use pvr_crypto::drbg::HmacDrbg;
 
     fn batch(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("update-{i}").into_bytes()).collect()
+    }
+
+    /// Leaf `index`'s path, leaf first and root last: each node's
+    /// position in `fold_known`'s numbering and the hash `leaf` folds to
+    /// there through [`SeqTree::siblings`].
+    fn path(t: &SeqTree, index: usize, leaf: Digest) -> Vec<(usize, Digest)> {
+        let mut siblings = t.siblings(index);
+        let (mut h, mut pos, mut start, mut path) = (leaf, index, 0, Vec::new());
+        for level in t.levels() {
+            path.push((start + pos, h));
+            if level.get(pos ^ 1).is_some() {
+                let s = siblings.next().expect("a sibling per level that has one");
+                h = if pos % 2 == 0 { node_hash(&h, &s) } else { node_hash(&s, &h) };
+            }
+            start += level.len();
+            pos /= 2;
+        }
+        path
     }
 
     #[test]
@@ -370,6 +452,48 @@ mod tests {
                 let longer = siblings.iter().copied().chain([leaf]);
                 prop_assert_eq!(fold(index, size, leaf, longer), None);
                 prop_assert_eq!(fold(size, size, leaf, siblings.iter().copied()), None);
+            }
+        }
+
+        /// `fold_known` with nothing known is `fold`. Leaves verified
+        /// one by one in a shuffled order, each marking its path, reach
+        /// the root on the first and stop on every later one, exactly
+        /// where the reference walk meets a marked node whose stored hash
+        /// the fold reproduced; a leaf hash with one bit flipped never
+        /// stops early.
+        #[test]
+        fn prop_known_nodes_stop_the_fold(n in 1usize..=70, seed in any::<u64>()) {
+            let items = batch(n);
+            let leaves: Vec<Digest> =
+                items.iter().enumerate().map(|(i, it)| leaf_hash(i as u64, it)).collect();
+            let t = SeqTree::from_leaf_hashes(leaves.iter().copied());
+            for (i, &leaf) in leaves.iter().enumerate() {
+                let folded = fold(i as u64, n as u64, leaf, t.siblings(i));
+                prop_assert_eq!(t.fold_known(i, leaf, &[]), folded);
+            }
+            let mut order: Vec<usize> = (0..n).collect();
+            HmacDrbg::from_u64_labeled(seed, "seqtree order").shuffle(&mut order);
+            let marked = |known: &[u64], at: usize| known.get(at / 64).is_some_and(|w| w >> (at % 64) & 1 == 1);
+            let mut known = vec![0; t.known_words()];
+            for (k, &i) in order.iter().enumerate() {
+                let path = path(&t, i, leaves[i]);
+                let stop = path.iter().find(|&&(at, h)| marked(&known, at) && t.nodes[at] == h);
+                match t.fold_known(i, leaves[i], &known) {
+                    Some(reached) => {
+                        prop_assert_eq!(reached, t.root());
+                        prop_assert!(stop.is_none() && k == 0, "leaf {} walked past a known node", i);
+                    }
+                    None => prop_assert!(stop.is_some() && k > 0, "leaf {} stopped unmarked", i),
+                }
+                t.mark_ancestors(i, &mut known);
+                prop_assert!(path.iter().all(|&(at, _)| marked(&known, at)));
+            }
+            prop_assert!(known.len() * 64 >= t.nodes.len());
+            for (i, &leaf) in leaves.iter().enumerate() {
+                let mut flipped = leaf;
+                flipped.0[i % 32] ^= 1 << (i % 8);
+                let reached = t.fold_known(i, flipped, &known);
+                prop_assert!(reached.is_some_and(|root| root != t.root()), "flipped leaf {} stopped", i);
             }
         }
 
