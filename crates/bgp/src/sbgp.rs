@@ -392,12 +392,13 @@ impl Batch {
     /// [`ChainNode::signature_holds`] for leaf `index`, walking only as
     /// far up the tree as `known` needs. The fold goes through the
     /// batch's own tree and stops at a node `known` holds for this
-    /// tree's root and signature: that node's fold to the root, with the
-    /// same siblings, already reached a root whose signature
-    /// `root_verdict` accepted. Otherwise the root reached goes to
-    /// `root_verdict` as in the full walk. The leaf's path is marked
-    /// after a stop, and after a fold to the stored root that
-    /// `root_verdict` accepted.
+    /// tree's root and signature: a stored node that an earlier fold,
+    /// through the same stored siblings, computed or hashed in as a
+    /// sibling on its way to a root whose signature `root_verdict`
+    /// accepted. Otherwise the root reached goes to `root_verdict` as in
+    /// the full walk. The leaf's path and its siblings are marked after
+    /// a stop, and after a fold to the stored root that `root_verdict`
+    /// accepted.
     fn leaf_holds(
         &self,
         index: usize,
@@ -418,7 +419,7 @@ impl Batch {
             }
         };
         if mark {
-            tree.mark_ancestors(index, known.bits_mut(key, tree));
+            tree.mark_path(index, known.bits_mut(key, tree));
         }
         holds
     }

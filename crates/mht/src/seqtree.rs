@@ -129,11 +129,11 @@ impl SeqTree {
     /// root the fold reached. Bit `p` of `known` (word `p / 64`, bit
     /// `p % 64`; words past the end read as zero) stands for the tree's
     /// node `p`, counted leaves first and level by level up to the root,
-    /// as [`mark_ancestors`](Self::mark_ancestors) sets it.
+    /// as [`mark_path`](Self::mark_path) sets it.
     ///
     /// A stop vouches for the leaf only as far as the marks do: the
-    /// fold reached a node whose own fold to the root was checked
-    /// before, through these same siblings.
+    /// fold reached a stored node that an earlier fold, checked to the
+    /// root, went through or read as a sibling.
     ///
     /// # Panics
     ///
@@ -163,20 +163,28 @@ impl SeqTree {
         self.nodes.len().div_ceil(64)
     }
 
-    /// Sets the bits of leaf `index` and of every node above it, up to
-    /// the root, in `known` ([`fold_known`](Self::fold_known)'s
-    /// numbering).
+    /// Sets the bits of leaf `index`, of every node above it up to the
+    /// root, and of every sibling those nodes have, in `known`
+    /// ([`fold_known`](Self::fold_known)'s numbering): every stored hash
+    /// a fold of that leaf to the root reads or reproduces. A later fold
+    /// that reaches one of them stops there, so once a leaf's fold is
+    /// checked no fold through the same cache hashes any of its path's
+    /// nodes again, and a tree's folds hash each interior node at most
+    /// once between them.
     ///
     /// # Panics
     ///
     /// If `index` is not a leaf of the tree, or `known` is shorter than
     /// [`known_words`](Self::known_words).
-    pub fn mark_ancestors(&self, index: usize, known: &mut [u64]) {
+    pub fn mark_path(&self, index: usize, known: &mut [u64]) {
         assert!(index < self.leaves, "leaf {index} of a {}-leaf tree", self.leaves);
         let (mut pos, mut start) = (index, 0);
+        let mut set = |at: usize| known[at / 64] |= 1 << (at % 64);
         for width in widths(self.leaves) {
-            let at = start + pos;
-            known[at / 64] |= 1 << (at % 64);
+            set(start + pos);
+            if pos ^ 1 < width {
+                set(start + (pos ^ 1));
+            }
             start += width;
             pos /= 2;
         }
@@ -326,14 +334,17 @@ mod tests {
     }
 
     /// Leaf `index`'s path, leaf first and root last: each node's
-    /// position in `fold_known`'s numbering and the hash `leaf` folds to
-    /// there through [`SeqTree::siblings`].
-    fn path(t: &SeqTree, index: usize, leaf: Digest) -> Vec<(usize, Digest)> {
+    /// position in `fold_known`'s numbering, the hash `leaf` folds to
+    /// there through [`SeqTree::siblings`], and the position of the
+    /// node's sibling, which the fold hashes in to go up a level (none
+    /// where the node is promoted, and at the root).
+    fn path(t: &SeqTree, index: usize, leaf: Digest) -> Vec<(usize, Digest, Option<usize>)> {
         let mut siblings = t.siblings(index);
         let (mut h, mut pos, mut start, mut path) = (leaf, index, 0, Vec::new());
         for level in t.levels() {
-            path.push((start + pos, h));
-            if level.get(pos ^ 1).is_some() {
+            let sibling = level.get(pos ^ 1).map(|_| start + (pos ^ 1));
+            path.push((start + pos, h, sibling));
+            if sibling.is_some() {
                 let s = siblings.next().expect("a sibling per level that has one");
                 h = if pos % 2 == 0 { node_hash(&h, &s) } else { node_hash(&s, &h) };
             }
@@ -456,11 +467,12 @@ mod tests {
         }
 
         /// `fold_known` with nothing known is `fold`. Leaves verified
-        /// one by one in a shuffled order, each marking its path, reach
-        /// the root on the first and stop on every later one, exactly
-        /// where the reference walk meets a marked node whose stored hash
-        /// the fold reproduced; a leaf hash with one bit flipped never
-        /// stops early.
+        /// one by one in a shuffled order, each marking its path and the
+        /// path's siblings, reach the root on the first and stop on every
+        /// later one, exactly where the reference walk meets a marked
+        /// node whose stored hash the fold reproduced; between them the
+        /// folds hash at most `n − 1` interior nodes, each at most once.
+        /// A leaf hash with one bit flipped never stops early.
         #[test]
         fn prop_known_nodes_stop_the_fold(n in 1usize..=70, seed in any::<u64>()) {
             let items = batch(n);
@@ -475,9 +487,10 @@ mod tests {
             HmacDrbg::from_u64_labeled(seed, "seqtree order").shuffle(&mut order);
             let marked = |known: &[u64], at: usize| known.get(at / 64).is_some_and(|w| w >> (at % 64) & 1 == 1);
             let mut known = vec![0; t.known_words()];
+            let mut hashed = Vec::new();
             for (k, &i) in order.iter().enumerate() {
                 let path = path(&t, i, leaves[i]);
-                let stop = path.iter().find(|&&(at, h)| marked(&known, at) && t.nodes[at] == h);
+                let stop = path.iter().position(|&(at, h, _)| marked(&known, at) && t.nodes[at] == h);
                 match t.fold_known(i, leaves[i], &known) {
                     Some(reached) => {
                         prop_assert_eq!(reached, t.root());
@@ -485,9 +498,21 @@ mod tests {
                     }
                     None => prop_assert!(stop.is_some() && k > 0, "leaf {} stopped unmarked", i),
                 }
-                t.mark_ancestors(i, &mut known);
-                prop_assert!(path.iter().all(|&(at, _)| marked(&known, at)));
+                // Up to its stop, the fold hashed each node with a
+                // sibling into its parent, the next node on the path.
+                let steps = path.windows(2).take(stop.unwrap_or(path.len()));
+                hashed.extend(steps.filter(|step| step[0].2.is_some()).map(|step| step[1].0));
+                t.mark_path(i, &mut known);
+                let on_path = |&(at, _, sibling): &(usize, Digest, Option<usize>)| {
+                    marked(&known, at) && sibling.is_none_or(|s| marked(&known, s))
+                };
+                prop_assert!(path.iter().all(on_path), "leaf {} left its path unmarked", i);
             }
+            let count = hashed.len();
+            prop_assert!(count < n, "{} interior hashes for {} leaves", count, n);
+            hashed.sort_unstable();
+            hashed.dedup();
+            prop_assert_eq!(hashed.len(), count, "an interior node hashed twice");
             prop_assert!(known.len() * 64 >= t.nodes.len());
             for (i, &leaf) in leaves.iter().enumerate() {
                 let mut flipped = leaf;
