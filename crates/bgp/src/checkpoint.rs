@@ -20,7 +20,7 @@
 //! runs at any shard count checkpoint identical logical states (modulo
 //! the documented per-shard `verify_cache` scope).
 //!
-//! ## File format (`PVRCKPT5`, version 5)
+//! ## File format (`PVRCKPT6`, version 6)
 //!
 //! The container reuses `pvr-store`'s framing — `magic ‖ version` then
 //! tagged sections, each `tag u8 ‖ len u64 ‖ payload ‖ SHA-256(payload)`
@@ -36,7 +36,13 @@
 //!
 //! META's options are the [`InstantiateOptions`] wire form: dampening is
 //! one option tag, its thresholds being constants, and the default link
-//! rides in ENGINE alone. Version 4 (`PVRCKPT4`) held per-neighbor
+//! rides in ENGINE alone. Version 5 (`PVRCKPT5`) hashed each interior
+//! node of an export's tree as `SHA-256("pvr.seq.node" ‖ left ‖ right)`,
+//! two compressions, where version 6 takes one (`pvr_mht::seqtree`):
+//! a signed network's ROUTERS (its chains' siblings, roots and
+//! signatures) and CACHE (verdict keys) differ at the same lengths, and
+//! a plain network's file differs in the header alone.
+//! Version 4 (`PVRCKPT4`) held per-neighbor
 //! attestations (one signature each, no salt, no proof) and no salt
 //! DRBG; a plain network's file differs from it in the header alone.
 //! Version 3 (`PVRCKPT3`) also wrote that link
@@ -134,9 +140,9 @@ use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
 /// Checkpoint file magic.
-pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT5";
+pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT6";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 5;
+pub const CKPT_VERSION: u32 = 6;
 
 /// Section tags (see the module docs for the layout).
 const SEC_META: u8 = 1;

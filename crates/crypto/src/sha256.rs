@@ -206,11 +206,7 @@ impl Sha256 {
             b.copy_from_slice(chunk);
             self.compress(&b);
         }
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        digest_of(&self.state)
     }
 
     /// The SHA-256 compression function over a single 64-byte block.
@@ -257,6 +253,15 @@ impl Sha256 {
     }
 }
 
+/// The digest a chaining value reads as: its words, big-endian.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (i, word) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
 /// One-shot SHA-256 of a byte string.
 pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
@@ -273,6 +278,43 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
         h.update(p);
     }
     h.finalize()
+}
+
+/// SHA-256 of a tag block and one more block, with the final padding
+/// block dropped: the chaining value the tag, zero-padded to one
+/// block, leaves, and from it one compression per input. An interior
+/// node of a Merkle tree hashes its two children this way in one
+/// compression, where `SHA-256(tag ‖ left ‖ right)` takes two.
+///
+/// Every input is exactly one block (two digests), so the message
+/// length that SHA-256's padding appends would be the same constant
+/// each time: dropping it leaves the hash collision resistant over
+/// these inputs, assuming the compression function is. Only hash
+/// fixed-length inputs with it.
+#[derive(Clone, Copy, Debug)]
+pub struct Midstate([u32; 8]);
+
+impl Midstate {
+    /// The chaining value after `tag` followed by zeros to one block.
+    ///
+    /// # Panics
+    ///
+    /// If `tag` is longer than a block.
+    pub fn new(tag: &[u8]) -> Midstate {
+        let mut block = [0u8; BLOCK_LEN];
+        block[..tag.len()].copy_from_slice(tag);
+        Midstate(Sha256::after_block(&block))
+    }
+
+    /// One compression of `left ‖ right` from this chaining value.
+    pub fn compress_pair(&self, left: &Digest, right: &Digest) -> Digest {
+        let mut block = [0u8; BLOCK_LEN];
+        block[..DIGEST_LEN].copy_from_slice(&left.0);
+        block[DIGEST_LEN..].copy_from_slice(&right.0);
+        let mut h = Sha256::resume(self.0);
+        h.compress(&block);
+        digest_of(&h.state)
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +390,28 @@ mod tests {
         let b = sha256(b"b");
         assert_eq!(a.xor(&b).xor(&b), a);
         assert_eq!(a.xor(&a), Digest::ZERO);
+    }
+
+    /// `Midstate` against the streaming hasher's chaining value after
+    /// the same two blocks, and against a vector from an independent
+    /// implementation of the compression function (the one `pvr-mht`
+    /// pins as its interior-node hash).
+    #[test]
+    fn midstate_pair_is_one_compression_after_the_tag_block() {
+        let (left, right) = (sha256(b"left"), sha256(b"right"));
+        let mut tag_block = [0u8; BLOCK_LEN];
+        tag_block[..12].copy_from_slice(b"pvr.seq.node");
+        let mut streamed = Sha256::new();
+        streamed.update(&tag_block).update(&left.0).update(&right.0);
+        assert_eq!((streamed.len, streamed.buf_len), (2 * BLOCK_LEN as u64, 0));
+        let pair = Midstate::new(b"pvr.seq.node").compress_pair(&left, &right);
+        assert_eq!(pair, digest_of(&streamed.state));
+        assert_eq!(
+            pair.to_hex(),
+            "ffaea9dd3fd8221d448e9ed8fe1d8f9bc929860a2f7bd0d2c7b8bacfce0311c4"
+        );
+        assert_ne!(pair, sha256_concat(&[&tag_block, &left.0, &right.0]), "no padding block");
+        assert_ne!(pair, Midstate::new(b"pvr.seq.leaf").compress_pair(&left, &right));
     }
 
     #[test]

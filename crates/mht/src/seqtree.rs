@@ -14,17 +14,31 @@
 //! leaf only up to the first node it has already seen reach the root
 //! ([`SeqTree::fold_known`]).
 
+use std::sync::LazyLock;
+
 use pvr_crypto::encoding::Wire;
-use pvr_crypto::sha256::{sha256_concat, Digest};
+use pvr_crypto::sha256::{sha256_concat, Digest, Midstate};
 
 /// Leaf hash of `item` at position `index`, domain-separated from inner
-/// nodes to preclude second-preimage splicing attacks.
+/// nodes to preclude second-preimage splicing attacks: SHA-256, padded
+/// as usual, of `"pvr.seq.leaf" ‖ index ‖ item`.
 pub fn leaf_hash(index: u64, item: &[u8]) -> Digest {
     sha256_concat(&[b"pvr.seq.leaf", &index.to_be_bytes(), item])
 }
 
+/// The chaining value of the zero-padded block `"pvr.seq.node"`.
+static NODE_TAG: LazyLock<Midstate> = LazyLock::new(|| Midstate::new(b"pvr.seq.node"));
+
+/// An interior node: SHA-256 of the tag block `"pvr.seq.node"` (zero
+/// padded) and `left ‖ right`, without the padding block — one
+/// compression ([`Midstate::compress_pair`]). Every node hashes exactly
+/// two blocks, so the dropped length never tells two inputs apart. A
+/// leaf is a padded hash whose first block starts `"pvr.seq.leaf"`: a
+/// node equal to a leaf needs a collision of the compression function
+/// (their first blocks differ), or a chaining value equal to SHA-256's
+/// initial one.
 fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    sha256_concat(&[b"pvr.seq.node", left.as_bytes(), right.as_bytes()])
+    NODE_TAG.compress_pair(left, right)
 }
 
 /// A Merkle tree over an ordered batch of byte strings.
@@ -328,6 +342,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use pvr_crypto::drbg::HmacDrbg;
+    use pvr_crypto::sha256::sha256;
 
     fn batch(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("update-{i}").into_bytes()).collect()
@@ -352,6 +367,20 @@ mod tests {
             pos /= 2;
         }
         path
+    }
+
+    /// The interior-node hash is a format: pinned to a vector from an
+    /// independent implementation of the compression function, which
+    /// `pvr-crypto` also checks against its streaming hasher.
+    #[test]
+    fn node_hash_is_one_compression_after_the_tag_block() {
+        let (left, right) = (sha256(b"left"), sha256(b"right"));
+        assert_eq!(
+            node_hash(&left, &right).to_hex(),
+            "ffaea9dd3fd8221d448e9ed8fe1d8f9bc929860a2f7bd0d2c7b8bacfce0311c4"
+        );
+        assert_ne!(node_hash(&right, &left), node_hash(&left, &right));
+        assert_ne!(node_hash(&left, &right), sha256_concat(&[b"pvr.seq.node", &left.0, &right.0]));
     }
 
     #[test]

@@ -274,11 +274,17 @@ fn rib_fingerprint_is_pinned() {
 }
 
 /// The checkpoint file is a format, and this pins it: the SHA-256 of a
-/// whole `PVRCKPT5` file, for a network whose router sections carry
+/// whole `PVRCKPT6` file, for a network whose router sections carry
 /// every kind of dynamic state at once — attestation chains, a filled
 /// Adj-RIB-Out, MRAI buffers and jitter DRBGs, dampening penalties, an
 /// announcement parked behind a suppression, a flapping prefix, and one
-/// session down. Re-pinned for the `PVRCKPT4` → `PVRCKPT5` format bump
+/// session down. Re-pinned for the `PVRCKPT5` → `PVRCKPT6` format bump
+/// (an export tree's interior node is one compression after a tag
+/// block): measured on that commit, META, ENGINE and STORE hash the
+/// same as on its parent, whose whole-file value was `fc3ea925…7530`,
+/// and ROUTERS (siblings, roots and signatures in the held chains) and
+/// CACHE (verdict keys) changed bytes at unchanged lengths, 237 312 and
+/// 17 525. Re-pinned for the `PVRCKPT4` → `PVRCKPT5` format bump
 /// (an attestation is one leaf of its export's signed batch, and a
 /// signed router saves its salt DRBG): measured on that commit, META
 /// and STORE hash the same as on its parent, whose whole-file value was
@@ -297,7 +303,7 @@ fn rib_fingerprint_is_pinned() {
 /// lands here.
 #[test]
 fn checkpoint_file_bytes_are_pinned() {
-    const GOLDEN: &str = "fc3ea9256697004d6faec413ab0ef6b426a24690302e0636eaabc55bbcab7530";
+    const GOLDEN: &str = "4046ef19c071bd94f99f8a55002041d51dad27d53f232007144d989f0018e86d";
     let mut topology = small_internet(310);
     // `small_internet` withdraws the flapping prefix at 40 ms and brings
     // it back at 90 ms; three more flaps in between push its provider's
@@ -699,6 +705,14 @@ fn version_4_header_is_a_typed_error() {
     // `PVRCKPT4` files held one signature per attestation, without salt,
     // proof or parent binding, and no salt DRBG.
     assert_old_header_refused(b"PVRCKPT4", 4);
+}
+
+#[test]
+fn version_5_header_is_a_typed_error() {
+    // `PVRCKPT5` files hashed each interior node of an export's tree in
+    // two compressions, so their chains' siblings and roots and their
+    // verify-cache keys are not this version's.
+    assert_old_header_refused(b"PVRCKPT5", 5);
 }
 
 /// The checkpoint `fixture` with the payload of section `tag` passed

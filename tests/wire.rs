@@ -434,7 +434,9 @@ const GOLDEN: &[(&str, &str)] = &[
     ("Blinding", "5afc674560e258cef3a890970254b740c99ecb6c05ddeaafa70a6cbbb854b902"),
     ("Opening", "5ad7cacbc05ae3a058a551d3b7804712ff1c79125ce32281026fe88f06bb4ecd"),
     ("Label", "c846983b0a4b092f4faf2a2444f82968bbbd178d6f69287f5049b11fa00a0c9c"),
-    ("SeqProof", "046f28e4b3f334b48f1c221d88fff52c638b406a882db6eaf0d0e06873f34b94"),
+    // Re-pinned with `PVRCKPT6`: an interior node is one compression
+    // after a tag block, so every sibling above the leaves moved.
+    ("SeqProof", "acd74bdbd36f1ae8ff388f8e8425c2e6e8c05336997c5ff6a8cac214ecda41f6"),
     ("InclusionProof", "add379f5b43c1e329803953dd6e109b3899ed5096a0b4d593443b9c34a876bbe"),
     ("SignedRoot", "0f7d54029ef740a950fd3a17aa8733cb8fed42a87dfeb713f26a5b9a7ed7313b"),
     ("EquivocationEvidence", "c5b763b34d12b53e33f8a6f55e855c8add703a27d105cd0354dd5d28656617e9"),
@@ -452,9 +454,11 @@ const GOLDEN: &[(&str, &str)] = &[
     // Re-pinned with `PVRCKPT5`: an attestation is one leaf of its
     // export's signed batch (salt, position, size, siblings, the root's
     // signature, which binds the chain below); the samples gained a
-    // three-neighbor export.
-    ("Attestation", "b4bc57024a808d32acb53e903e824642dafda624b8cf0424bacb8f672d4d5f02"),
-    ("SignedRoute", "10ba0cf57631874c4f13cfb5cda50c3bdc3070382b1e8638419c373e64de0499"),
+    // three-neighbor export. Re-pinned with `PVRCKPT6`: that export's
+    // tree hashes its interior nodes in one compression each, which
+    // moves its siblings, its root and so its signature.
+    ("Attestation", "60394cdbcd283dd3102eb113f957e68aec3fc2102b0c6ad62914b6f45d592570"),
+    ("SignedRoute", "1f6db60cddb98465d156de145437cba61dd35da16fa3135a209d0416464edf61"),
     ("BgpUpdate", "1de69ce9a46ba05673291da4e0a5b30006c46bc1189d87c4a2f8fad26690b555"),
     ("Edge", "2314b14c5111935a06becb0f06a94eb9b4faa0925b29f3fbead08ff3602beb09"),
     ("LocalEvent", "e4e7d36eec3a2fa33e31f900aad7d818d2f7c3c0ca41f81a1ef06e53387bf8a0"),
