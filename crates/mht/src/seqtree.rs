@@ -181,10 +181,9 @@ impl SeqTree {
     /// root, and of every sibling those nodes have, in `known`
     /// ([`fold_known`](Self::fold_known)'s numbering): every stored hash
     /// a fold of that leaf to the root reads or reproduces. A later fold
-    /// that reaches one of them stops there, so once a leaf's fold is
-    /// checked no fold through the same cache hashes any of its path's
-    /// nodes again, and a tree's folds hash each interior node at most
-    /// once between them.
+    /// that reaches one of them stops there, so no later fold against
+    /// the same `known` hashes a node on that path again, and a tree's
+    /// folds hash each interior node at most once between them.
     ///
     /// # Panics
     ///
