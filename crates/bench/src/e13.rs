@@ -6,14 +6,13 @@
 //! the schoolbook baseline (`modpow`/`sign`/`verify` at
 //! RSA-512/1024/2048, and RSA-512 signing in the in-situ shape, whose
 //! speedup `--quick` holds to a floor), plus the attestation verification
-//! cache (chain verify cold vs warm, and per-`SecurityMode` totals on
-//! a converged Internet-like topology). Only the timings vary between
+//! cache (chain verify cold vs warm, and plain and signed totals on a
+//! converged Internet-like topology). Only the timings vary between
 //! runs; every count, hit rate, and verdict is deterministic.
 
 use crate::recipe::{check_floor, converged, fmt_time, median_pair, median_secs, row};
 use crate::{Cfg, Report};
 use pvr_attack::metrics::verification_stats;
-use pvr_attack::SecurityMode;
 use pvr_bgp::{demo_chain, internet_like, InstantiateOptions, InternetParams, VerifyCache};
 use pvr_crypto::{drbg::HmacDrbg, sha256, RsaPrivateKey, RsaSignature, Ubig};
 use std::hint::black_box;
@@ -159,21 +158,11 @@ pub fn run(cfg: &Cfg) -> Report {
         "hit rate",
         "verifies/sec"
     );
-    // The Signed and Pvr substrates are identical on the import path
-    // (Pvr adds post-hoc audits, not import-time crypto), so each
-    // distinct substrate converges once and the pvr row reuses the
-    // signed measurement.
-    let mut measured: Vec<(SecurityMode, u64, u64, f64)> = Vec::new();
-    for (mode, signed) in [(SecurityMode::Plain, false), (SecurityMode::Signed, true)] {
+    for (mode, signed) in [("plain", false), ("signed", true)] {
         let options = InstantiateOptions { seed: 13, signed, key_bits: 512, ..Default::default() };
         let (net, wall) = converged("e13", &topology, options, 1);
         let (calls, hits) = verification_stats(&net);
-        measured.push((mode, calls, hits, wall));
-    }
-    let signed_row = measured[1];
-    assert!(signed_row.2 > 0, "e13: the signed run's verify cache never hit");
-    measured.push((SecurityMode::Pvr, signed_row.1, signed_row.2, signed_row.3));
-    for (mode, calls, hits, wall) in measured {
+        assert!(!signed || hits > 0, "e13: the signed run's verify cache never hit");
         let (rate, per_sec) = if calls > 0 {
             (
                 format!("{:.1}%", hits as f64 * 100.0 / calls as f64),
@@ -182,12 +171,12 @@ pub fn run(cfg: &Cfg) -> Report {
         } else {
             ("-".to_string(), "-".to_string())
         };
-        row!(out, "{:<8} {:>13} {:>11} {:>9} {:>13}", mode.label(), calls, hits, rate, per_sec);
+        row!(out, "{:<8} {:>13} {:>11} {:>9} {:>13}", mode, calls, hits, rate, per_sec);
     }
     row!(out, "(expected: hashing 4 KiB far cheaper than any signature, signing");
     row!(out, " superlinear in bits; modpow/sign well past 3x — windowed REDC beats a");
     row!(out, " division per bit; verify bounded by the 17-bit public exponent; warm");
-    row!(out, " chain verify is structural checks only; signed modes show a large,");
+    row!(out, " chain verify is structural checks only; the signed mode shows a large,");
     row!(out, " deterministic hit rate)");
     out.into()
 }

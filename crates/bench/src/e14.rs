@@ -1,16 +1,12 @@
 //! E14 — internet-scale route propagation: converged `internet_like`
 //! runs at a ladder of AS counts (56 → 1 000 → `--scale`) under
-//! `Plain`/`Signed`/`Pvr`, at each requested shard count, reporting
+//! `Plain` and `Signed`, at each requested shard count, reporting
 //! topology size, convergence events, events/sec, peak RIB entries,
 //! bytes on the wire, and the incremental decision path's
 //! short-circuit count; the footer prints §3.8's attestation overhead,
 //! signed over plain bytes per update, per scale. Everything except
 //! the [`Wall`] fields is deterministic *and identical across shard
-//! counts* — the run itself requires it ([`across_shards`]). The
-//! `Signed` and `Pvr` substrates are identical on the import path (PVR
-//! adds post-hoc audits, not import-time crypto), so each (scale,
-//! shards) converges two substrates and the pvr row reuses the signed
-//! measurement, exactly as E13 does.
+//! counts* — the run itself requires it ([`across_shards`]).
 
 use crate::recipe::{converged, e14_params, is_sha256_hex, ladder, row, smoke_shards};
 use crate::{across_shards, report_struct, Cfg, Report, Wall};
@@ -22,7 +18,7 @@ report_struct! {
     pub struct E14Cell {
         /// Requested AS-count scale.
         pub scale: usize,
-        /// Security mode label (`plain` / `signed` / `pvr`).
+        /// Security mode label (`plain` / `signed`).
         pub mode: &'static str,
         /// Shard count the run used.
         pub shards: Wall<usize>,
@@ -61,8 +57,7 @@ pub fn run(cfg: &Cfg) -> Report {
     row!(out, "E14: internet-scale route propagation (max scale {max_scale})");
     row!(out, "(scales >56 originate one /24 from each of the first min(stubs,256) stubs,");
     row!(out, " capped at 64 past 20k ASes; signed rows use RSA-512 attestations + ROV;");
-    row!(out, " pvr shares the signed substrate — its import path is identical, audits");
-    row!(out, " are post-hoc; one engine, `shards` sets its worker count)");
+    row!(out, " one engine, `shards` sets its worker count)");
     row!(
         out,
         "{:>6} {:<7} {:>6} {:>6} {:>7} {:>8} {:>10} {:>10} {:>10} {:>14} {:>11} {:>12}",
@@ -116,7 +111,6 @@ pub fn run(cfg: &Cfg) -> Report {
                 assert_live(&cell);
                 at_count.push(cell);
             }
-            at_count.push(E14Cell { mode: "pvr", ..at_count[1].clone() });
             for cell in &at_count {
                 write_row(&mut out, cell);
             }
@@ -130,13 +124,13 @@ pub fn run(cfg: &Cfg) -> Report {
     row!(out, " short-circuits cover a third of decision runs)");
     // §3.8's byte overhead: attestation bytes per update, signed over
     // plain, per scale (one shard count suffices; bytes do not vary).
-    for modes in cells.chunks(3).filter(|m| m[0].shards.0 == shard_counts[0]) {
+    for (p, s) in mode_pairs(&cells).filter(|(p, _)| p.shards.0 == shard_counts[0]) {
         let per_update = |c: &E14Cell| c.bytes_on_wire as f64 / c.events as f64;
-        let (plain, signed) = (per_update(&modes[0]), per_update(&modes[1]));
+        let (plain, signed) = (per_update(p), per_update(s));
         row!(
             out,
             "bytes/update scale {}: plain {plain:.0}, signed {signed:.0} ({:.1}x with attestations)",
-            modes[0].scale,
+            p.scale,
             signed / plain
         );
     }
@@ -200,9 +194,17 @@ fn smoke(cells: &[E14Cell]) {
     let top = cells.iter().map(|c| c.scale).max().unwrap_or(0);
     assert!(top >= crate::cli::QUICK_SCALE, "e14 quick scale too small: {top}");
     smoke_shards("e14", cells.iter().map(|c| c.shards.0));
-    // Cells come in (plain, signed, pvr) runs of one (scale, shards).
-    for modes in cells.chunks(3) {
-        let (plain, signed) = (&modes[0], &modes[1]);
+    for (plain, signed) in mode_pairs(cells) {
         assert_eq!(plain.events, signed.events, "e14 scale {}: events differ by mode", plain.scale);
     }
+}
+
+/// Each plain cell with the signed cell of its (scale, shards).
+fn mode_pairs(cells: &[E14Cell]) -> impl Iterator<Item = (&E14Cell, &E14Cell)> {
+    cells.iter().filter(|c| c.mode == "plain").map(move |plain| {
+        let signed = cells
+            .iter()
+            .find(|c| c.mode == "signed" && c.scale == plain.scale && c.shards.0 == plain.shards.0);
+        (plain, signed.expect("e14 runs every mode at every (scale, shards)"))
+    })
 }

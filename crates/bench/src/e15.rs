@@ -1,9 +1,8 @@
 //! E15 — the observability layer end-to-end: converges the
 //! `internet_like` ladder (56 → `--scale` ASes, at most 1000) under
-//! `plain`/`signed` with the telemetry layer on (`pvr` shares the
-//! signed substrate, as in E13/E14), prints per-run telemetry
-//! summaries and the largest scale's convergence-timeline tables, runs
-//! the quick attack campaign to populate the per-strategy
+//! `plain`/`signed` with the telemetry layer on, prints per-run
+//! telemetry summaries and the largest scale's convergence-timeline
+//! tables, runs the quick attack campaign to populate the per-strategy
 //! detection-latency histograms, and reports the merged snapshot (JSON
 //! and, behind `--metrics-out`, Prometheus text), the signed run's
 //! timeline and, behind `--trace-out`, its JSONL event trace. Every
@@ -54,8 +53,7 @@ pub fn run(cfg: &Cfg) -> Report {
     row!(out, "E15: deterministic telemetry — timelines and metrics (max scale {max_scale})");
     row!(out, "(every timestamp is simulator virtual time, {E15_WINDOW_MS} ms windows; the");
     row!(out, " verify-cache hit columns/series are the engine-local carve-out, all other");
-    row!(out, " telemetry is identical at every shard count; pvr shares the signed");
-    row!(out, " substrate — import-path telemetry is the signed run's)");
+    row!(out, " telemetry is identical at every shard count)");
     row!(
         out,
         "{:>6} {:<7} {:>6} {:>8} {:>10} {:>10} {:>10} {:>12}",
@@ -70,10 +68,8 @@ pub fn run(cfg: &Cfg) -> Report {
     );
 
     // The largest scale's runs at the first shard count feed the
-    // artifacts; the pvr row shares the signed substrate: same
-    // counters, re-labelled.
+    // artifacts.
     let mut selected: Vec<E15Run> = Vec::new();
-    let mut pvr_snapshot = Snapshot::default();
     let mut engine_checks: Vec<String> = Vec::new();
     for scale in ladder(&[56], max_scale) {
         let topology = internet_like(e14_params(scale), 14);
@@ -95,9 +91,6 @@ pub fn run(cfg: &Cfg) -> Report {
                     timeline: net.convergence_timeline().expect("timeline enabled"),
                     trace: net.trace_jsonl(),
                 };
-                if signed && shards == first_shards {
-                    pvr_snapshot = net.metrics_snapshot("pvr");
-                }
                 let sum = |f: fn(&pvr_obs::TimelineWindow) -> u64| -> u64 {
                     run.timeline.windows.iter().map(f).sum()
                 };
@@ -129,7 +122,6 @@ pub fn run(cfg: &Cfg) -> Report {
     for run in &selected {
         combined.merge(&run.snapshot);
     }
-    combined.merge(&pvr_snapshot);
     // Per-strategy detection latency, read straight off the campaign's
     // histogram export (sim-time microseconds).
     let report = Campaign::new(CampaignConfig::quick(15)).run();

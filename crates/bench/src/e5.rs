@@ -1,16 +1,20 @@
-//! E5 — §3.8: batched signing of update bursts with a small MHT, and
-//! the same trick where signed convergence pays it: one S-BGP export
-//! to 30 neighbors signed per neighbor vs as one batch.
+//! E5 — §3.8: batched signing of update bursts with a small MHT, timed
+//! on the production signer: one router exporting a received signed
+//! route to n targets, as n `SignedRoute::extend` calls against one
+//! `SignedRoute::export`, for bursts at RSA-1024 and for one S-BGP
+//! export to 30 neighbors at RSA-512.
 
 use crate::recipe::row;
-use crate::recipe::{check_floor, fmt_time, median_pair, median_secs};
+use crate::recipe::{check_floor, fmt_time, median_pair};
 use crate::{Cfg, Report};
 use pvr_bgp::sbgp::{Salt, SALT_LEN};
-use pvr_bgp::{demo_chain, Asn, SignedRoute};
-use pvr_core::batch;
-use pvr_crypto::{drbg::HmacDrbg, Identity};
+use pvr_bgp::{demo_chain, Asn, Route, SignedRoute, VerifyCache};
+use pvr_crypto::{drbg::HmacDrbg, Identity, KeyStore, Wire};
 use std::hint::black_box;
 use std::sync::Arc;
+
+/// The burst table's sizes, at RSA-1024.
+const BURSTS: [usize; 6] = [1, 4, 16, 64, 256, 1024];
 
 /// The export row's fan-out: the median of `signed_converge`.
 const FAN_OUT: usize = 30;
@@ -20,6 +24,65 @@ const FAN_OUT: usize = 30;
 /// unit costs model ≈ 9× (30 × 16.6 µs against 16.6 µs + 30 × 1.2 µs
 /// of leaves, tree and digests); the batch must be this much faster.
 const EXPORT_FLOOR: f64 = 5.0;
+
+/// One router holding a signed route `hops` long, about to announce it
+/// to its targets, with one salt per target.
+struct Exporter {
+    received: SignedRoute,
+    keys: KeyStore,
+    identity: Arc<Identity>,
+    route: Route,
+    targets: Vec<Asn>,
+    salts: Vec<Salt>,
+}
+
+impl Exporter {
+    fn new(hops: u32, key_bits: usize, fan_out: usize, seed: &[u8], label: &str) -> Exporter {
+        let (received, mut keys, me) = demo_chain(hops, key_bits, seed);
+        let mut rng = HmacDrbg::from_u64_labeled(5, label);
+        let identity = Arc::new(Identity::generate(u64::from(me.0), key_bits, &mut rng));
+        keys.register_identity(&identity);
+        let route = received.route.clone().propagated_by(me);
+        let targets = (100..).take(fan_out).map(Asn).collect();
+        let mut salts = vec![[0; SALT_LEN]; fan_out];
+        rng.generate(salts.as_flattened_mut());
+        Exporter { received, keys, identity, route, targets, salts }
+    }
+
+    /// Medians of `samples` alternating runs announcing to the first
+    /// `n` targets: one `extend` per target against one `export`, timed
+    /// until the first `reads` recipients' newest attestations are read
+    /// (an export signs its batch when one is first read). Every
+    /// exported route must verify; returns the two times and one
+    /// recipient's newest attestation's wire size.
+    fn time(&self, n: usize, reads: usize, samples: usize) -> (f64, f64, usize) {
+        let (targets, salts) = (&self.targets[..n], &self.salts[..n]);
+        let export = || {
+            SignedRoute::export(Some(&self.received), &self.identity, &self.route, targets, salts)
+        };
+        let (t_alone, t_batch) = median_pair(
+            samples,
+            || {
+                for &target in targets {
+                    let route = self.route.clone();
+                    black_box(SignedRoute::extend(&self.received, &self.identity, route, target));
+                }
+            },
+            || {
+                for held in &export()[..reads] {
+                    black_box(held.chain().newest());
+                }
+            },
+        );
+        let (routes, cache) = (export(), VerifyCache::new());
+        for (held, &target) in routes.iter().zip(targets) {
+            let verdict = held.verify_cached(target, &self.keys, Some(&cache));
+            verdict.expect("e5: an exported attestation must verify");
+        }
+        let newest = routes[0].chain().newest().expect("an exported route is signed");
+        (t_alone, t_batch, newest.encoded_len())
+    }
+}
 
 pub fn run(cfg: &Cfg) -> Report {
     let mut out = String::new();
@@ -33,20 +96,10 @@ pub fn run(cfg: &Cfg) -> Report {
         "speedup",
         "bytes/update"
     );
-    let mut rng = HmacDrbg::from_u64_labeled(5, "e5-key");
-    let identity = Identity::generate(100, 1024, &mut rng);
-    for n in [1usize, 4, 16, 64, 256, 1024] {
-        let items: Vec<Vec<u8>> = (0..n).map(|i| format!("update {i}").into_bytes()).collect();
-        let t_individual = median_secs(3, || {
-            for it in &items {
-                std::hint::black_box(identity.sign(it));
-            }
-        }) / n as f64;
-        let t_batched = median_secs(3, || {
-            std::hint::black_box(batch::SignedBatch::sign(&identity, 1, &items));
-        }) / n as f64;
-        let b = batch::SignedBatch::sign(&identity, 1, &items);
-        let bytes = b.item(0).unwrap().byte_size();
+    let burst = Exporter::new(1, 1024, BURSTS[BURSTS.len() - 1], b"e5 burst", "e5-burst");
+    for n in BURSTS {
+        let (t_alone, t_batch, bytes) = burst.time(n, n, 3);
+        let (t_individual, t_batched) = (t_alone / n as f64, t_batch / n as f64);
         row!(
             out,
             "{:>6} {:>16} {:>16} {:>9.1}x {:>14}",
@@ -58,33 +111,10 @@ pub fn run(cfg: &Cfg) -> Report {
         );
     }
 
-    // One router's export of a 3-hop signed route at RSA-512:
-    // `SignedRoute::extend` per neighbor against one
-    // `SignedRoute::export`, whose batch is signed when first read.
-    let (received, mut keys, me) = demo_chain(3, 512, b"e5 export");
-    let mut rng = HmacDrbg::from_u64_labeled(5, "e5-export");
-    let identity = Arc::new(Identity::generate(u64::from(me.0), 512, &mut rng));
-    keys.register_identity(&identity);
-    let route = received.route.clone().propagated_by(me);
-    let targets: Vec<Asn> = (100..).take(FAN_OUT).map(Asn).collect();
-    let mut salts: Vec<Salt> = vec![[0; SALT_LEN]; FAN_OUT];
-    rng.generate(salts.as_flattened_mut());
-    let export = || SignedRoute::export(Some(&received), &identity, &route, &targets, &salts);
-    let (t_alone, t_batch) = median_pair(
-        21,
-        || {
-            for &target in &targets {
-                black_box(SignedRoute::extend(&received, &identity, route.clone(), target));
-            }
-        },
-        || {
-            black_box(export()[0].chain().newest());
-        },
-    );
-    let routes = export();
-    for (held, &target) in routes.iter().zip(&targets) {
-        held.verify(target, &keys).expect("e5: an exported attestation must verify");
-    }
+    // One router's export of a 3-hop signed route at RSA-512, timed
+    // until its first attestation is read.
+    let (t_alone, t_batch, _) =
+        Exporter::new(3, 512, FAN_OUT, b"e5 export", "e5-export").time(FAN_OUT, 1, 21);
     let speedup = t_alone / t_batch;
     row!(
         out,

@@ -1782,10 +1782,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// Every recipient of one export holds a chain that verifies for
-        /// it and for no other receiver; the batch costs one root verify
-        /// per cache; any decodable change to the newest attestation's
-        /// bytes — fields, salt, index, size, siblings, signature —
-        /// fails it; and its digest is the decoded twin's.
+        /// it and for no other receiver, and for nobody who lacks the
+        /// exporter's key; the batch costs one root verify per cache;
+        /// any decodable change to the newest attestation's bytes —
+        /// fields, salt, index, size, siblings, signature — fails it,
+        /// and so does its leaf under another export's siblings and
+        /// signature; and its digest is the decoded twin's.
         #[test]
         fn every_recipient_of_a_batch_verifies_alone(
             addr in any::<u32>(),
@@ -1795,14 +1797,21 @@ mod tests {
             spacing in 1u32..40,
             seed in any::<u64>(),
         ) {
-            let (_, keys) = shared_setup();
+            let (ids, keys) = shared_setup();
             let targets: Vec<Asn> = (0..fan_out as u32).map(|i| Asn(5 + i * spacing)).collect();
             let routes = export_fixture(addr, hops, first, &targets, seed);
             prop_assert_eq!(routes.len(), fan_out);
+            let exporter = &ids[(first + hops - 1) % 4];
+            let mut strangers = KeyStore::new();
+            for id in ids.iter().filter(|id| id.id() != exporter.id()) {
+                strangers.register_identity(id);
+            }
+            let unknown = Err(SbgpError::BadSignature(Asn(exporter.id() as u32)));
             let cache = VerifyCache::new();
             for (i, sr) in routes.iter().enumerate() {
                 prop_assert_eq!(sr.encoded_len(), sr.to_wire().len());
                 prop_assert_eq!(sr.verify(targets[i], keys), Ok(()));
+                prop_assert_eq!(sr.verify(targets[i], &strangers), unknown.clone());
                 prop_assert_eq!(sr.verify_cached(targets[i], keys, Some(&cache)), Ok(()));
                 let other = targets[(i + 1) % fan_out];
                 for receiver in [other, Asn(4)].into_iter().filter(|&r| r != targets[i]) {
@@ -1834,6 +1843,13 @@ mod tests {
                 prop_assert!(forged.verify_cached(targets[k], keys, Some(&cache)).is_err());
             }
             prop_assert!(changed > wire.len() / 2, "only {changed} of {} flips decoded", wire.len());
+
+            let other = export_fixture(addr, hops, first, &targets, seed ^ 1);
+            let Attestation { siblings, signature, .. } = other[k].chain().newest().unwrap();
+            let replayed = below.push(Attestation { siblings, signature, ..top });
+            let replayed = SignedRoute::with_chain(sr.route.clone(), replayed);
+            prop_assert!(replayed.verify(targets[k], keys).is_err(), "another export's root");
+            prop_assert!(replayed.verify_cached(targets[k], keys, Some(&cache)).is_err());
         }
     }
 
@@ -1900,10 +1916,19 @@ mod tests {
     }
 
     /// One-leaf exports are the eager constructors: `originate` and
-    /// `extend` make a batch of one, byte for byte.
+    /// `extend` make a batch of one, byte for byte. An export to nobody
+    /// is no route, and a recipient's attestation grows by one sibling
+    /// per doubling of the batch.
     #[test]
     fn a_batch_of_one_is_the_eager_attestation() {
         let (ids, keys) = shared_setup();
+        assert!(export_fixture(7 << 8, 3, 0, &[], 0).is_empty());
+        let newest_len = |n: u32| {
+            let targets: Vec<Asn> = (0..n).map(|i| Asn(10 + i)).collect();
+            let routes = export_fixture(7 << 8, 1, 0, &targets, 0);
+            routes[0].chain().newest().expect("a signed route").encoded_len()
+        };
+        assert_eq!(newest_len(1024), newest_len(4) + 8 * 32, "eight more levels of siblings");
         let routes = export_fixture(7 << 8, 3, 0, &[Asn(9)], 0);
         let mut route = Route::originate(Prefix::new(7 << 8, 24));
         route.path = AsPath::from_slice(&[Asn(1)]);

@@ -1118,7 +1118,7 @@ mod tests {
         assert!(one_stats.batches > 0);
         assert_eq!(one_stats.verdict_fail, 0);
         assert_eq!(one_stats.verdicts_delivered, one_stats.requests);
-        let one_snapshot = one.metrics_snapshot("pvr").shard_invariant();
+        let one_snapshot = one.metrics_snapshot("private").shard_invariant();
         assert_eq!(one_snapshot.counter_value("pvr_smc_requests_total"), Some(one_stats.requests));
 
         for shards in [2, 4] {
@@ -1132,7 +1132,7 @@ mod tests {
             // hits do.
             assert_eq!(
                 one_snapshot,
-                many.metrics_snapshot("pvr").shard_invariant(),
+                many.metrics_snapshot("private").shard_invariant(),
                 "{shards} shards"
             );
             assert_eq!(

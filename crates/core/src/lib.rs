@@ -19,14 +19,12 @@
 //!   each neighbor's check, the judgment, per-participant transcripts;
 //! * [`confidential`] — the counterfactual-indistinguishability auditor
 //!   (experiment E7);
-//! * [`batch`] — §3.8 burst batching with a small MHT (experiment E5);
 //! * [`simproto`] — the round's messages carried by `pvr-netsim`;
 //! * [`harness`] — Figure-1 test/bench beds with genuine attestation
 //!   chains.
 
 pub mod ablation;
 pub mod adversary;
-pub mod batch;
 pub mod bits;
 pub mod confidential;
 pub mod epochs;

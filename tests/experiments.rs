@@ -50,6 +50,14 @@ fn experiment_outputs_match_committed_goldens() {
             report.table
         };
         assert_eq!(actual, expected, "{id} drifted from its file under tests/expectations/");
+        if id == "e14" {
+            // Only plain and signed runs are measured; no other mode is
+            // a copy of one of them under a new label.
+            for cell in expected.lines() {
+                let mode = |m: &str| cell.contains(&format!("\"mode\":\"{m}\","));
+                assert!(mode("plain") || mode("signed"), "e14 cell of no measured mode: {cell}");
+            }
+        }
         if id == "e15" {
             // Its metrics values as the `--json` record carries them.
             let values =
@@ -301,4 +309,54 @@ fn registry_invariants() {
             assert!(scoped.contains(flag), "{} lists {flag}, which is not a scoped flag", e.id);
         }
     }
+}
+
+/// Every citation of a DESIGN.md section in the workspace's Rust —
+/// written `DESIGN.md, "The engine"` or `DESIGN.md ("The engine")`,
+/// also when a comment wraps it across lines — names a heading of
+/// DESIGN.md (which may go on with a parenthesis) or a bold
+/// `**<label>.**` paragraph label.
+#[test]
+fn design_citations_resolve() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let headings: Vec<&str> = design
+        .lines()
+        .filter_map(|l| l.strip_prefix('#'))
+        .map(|h| h.trim_start_matches('#').trim())
+        .collect();
+    let resolves = |label: &str| {
+        design.contains(&format!("**{label}.**"))
+            || headings.iter().any(|h| *h == label || h.starts_with(&format!("{label} (")))
+    };
+    let mut sources = Vec::new();
+    let mut dirs: Vec<_> = ["crates", "src", "tests", "examples"].map(|d| root.join(d)).into();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a source directory") {
+            let path = entry.expect("a directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                sources.push(path);
+            }
+        }
+    }
+    let mut cited = 0;
+    for path in sources {
+        let text = std::fs::read_to_string(&path).expect("a source file");
+        // One line of text per file, comment markers dropped, so a
+        // citation wrapped across comment lines reads as one.
+        let flat: Vec<&str> =
+            text.lines().map(|l| l.trim_start().trim_start_matches(['/', '!']).trim()).collect();
+        let flat = flat.join(" ");
+        for opener in ["DESIGN.md, \"", "DESIGN.md (\""] {
+            for (at, _) in flat.match_indices(opener) {
+                let rest = &flat[at + opener.len()..];
+                let label = &rest[..rest.find('"').expect("a closing quote")];
+                assert!(resolves(label), "{}: DESIGN.md has no section {label:?}", path.display());
+                cited += 1;
+            }
+        }
+    }
+    assert!(cited > 0, "no DESIGN.md citation found under {}", root.display());
 }
