@@ -20,7 +20,7 @@
 //! runs at any shard count checkpoint identical logical states (modulo
 //! the documented per-shard `verify_cache` scope).
 //!
-//! ## File format (`PVRCKPT6`, version 6)
+//! ## File format (`PVRCKPT7`, version 7)
 //!
 //! The container reuses `pvr-store`'s framing — `magic ‖ version` then
 //! tagged sections, each `tag u8 ‖ len u64 ‖ payload ‖ SHA-256(payload)`
@@ -30,13 +30,20 @@
 //! |-----|-----------|----------------------------------------------------|
 //! | 1   | `META`    | shard count, options, topology, origin table       |
 //! | 2   | `ENGINE`  | engine `save_state` bytes (clock, link DRBG, per-shard calendars) |
-//! | 3   | `ROUTERS` | per-AS dynamic router state: one record per prefix cell, then chains, the salt DRBG (signed mode), timers, counters |
+//! | 3   | `ROUTERS` | per-AS dynamic router state: one record per prefix cell, then chains, the salt stream (signed mode), timers, counters |
 //! | 4   | `CACHE`   | verify-cache memos (attestation and root-signature verdicts), one per shard |
 //! | 5   | `STORE`   | COW RIB snapshot history (`pvr-store` dump)         |
 //!
 //! META's options are the [`InstantiateOptions`] wire form: dampening is
 //! one option tag, its thresholds being constants, and the default link
-//! rides in ENGINE alone. Version 5 (`PVRCKPT5`) hashed each interior
+//! rides in ENGINE alone. Version 6 (`PVRCKPT6`) hashed each export
+//! leaf in one piece and saved a signed router's salt generator as an
+//! HMAC-DRBG (72 bytes), where version 7 hashes the part of a leaf its
+//! export's leaves share once (`pvr_mht::seqtree::LeafPrefix`) and
+//! saves a counter stream (`pvr_crypto::drbg::CounterStream`, 40
+//! bytes): a signed network's ENGINE (in-flight chains), ROUTERS
+//! (chains, the stream) and CACHE (verdict keys) differ, and a plain
+//! network's file differs in the header alone. Version 5 (`PVRCKPT5`) hashed each interior
 //! node of an export's tree as `SHA-256("pvr.seq.node" ‖ left ‖ right)`,
 //! two compressions, where version 6 takes one (`pvr_mht::seqtree`):
 //! a signed network's ROUTERS (its chains' siblings, roots and
@@ -140,9 +147,9 @@ use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
 /// Checkpoint file magic.
-pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT6";
+pub const CKPT_MAGIC: [u8; 8] = *b"PVRCKPT7";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 6;
+pub const CKPT_VERSION: u32 = 7;
 
 /// Section tags (see the module docs for the layout).
 const SEC_META: u8 = 1;

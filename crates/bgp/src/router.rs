@@ -61,7 +61,7 @@ use crate::sbgp::{Salt, SignQueue, SignedRoute, VerifyCache, SALT_LEN};
 use crate::sorted::SortedMap;
 use crate::topology::OriginTable;
 use crate::types::{Asn, Prefix};
-use pvr_crypto::drbg::HmacDrbg;
+use pvr_crypto::drbg::{CounterStream, HmacDrbg};
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_netsim::state::{decode_timeline, encode_timeline};
@@ -93,10 +93,11 @@ pub enum SecurityMode {
         identity: Arc<Identity>,
         /// Public keys of all ASes.
         keys: Arc<KeyStore>,
-        /// Router-owned DRBG the attestation salts draw from, one
-        /// `generate` per export: seeded per AS, so the salts cannot
-        /// depend on the shard layout, and checkpointed with the RIB.
-        salts: HmacDrbg,
+        /// Router-owned stream the attestation salts draw from, two
+        /// salts per compression (`CounterStream`): keyed per AS, so the
+        /// salts cannot depend on the shard layout, and checkpointed
+        /// with the RIB.
+        salts: CounterStream,
     },
 }
 
@@ -895,8 +896,8 @@ impl BgpRouter {
 
     /// Announces `out_route` to `to` (ascending ASN order; nothing when
     /// empty) as one export batch, extending the chain `cand` arrived
-    /// with when there is one. The batch draws its salts in one
-    /// `generate` and is signed when first read — by a receiver, or
+    /// with when there is one. The batch draws its salts from the
+    /// router's stream and is signed when first read — by a receiver, or
     /// earlier by a helper thread of the sign queue. Signed mode only.
     fn announce_signed(
         &mut self,
@@ -917,7 +918,7 @@ impl BgpRouter {
                 .expect("signed mode: chain must exist for learned route")
         });
         let mut leaf_salts: Vec<Salt> = vec![[0; SALT_LEN]; to.len()];
-        salts.generate(leaf_salts.as_flattened_mut());
+        salts.fill(leaf_salts.as_flattened_mut());
         let targets: Vec<Asn> = to.iter().map(|neighbor| neighbor.asn).collect();
         let routes = SignedRoute::export(received, identity, out_route, &targets, &leaf_salts);
         if let Some(queue) = &self.sign_queue {
@@ -1218,7 +1219,7 @@ impl BgpRouter {
     }
 
     /// Serializes every field the event loop mutates — RIBs, chains,
-    /// the salt DRBG (signed mode), MRAI buffer, dampening state, session set, counters, recorders —
+    /// the salt stream (signed mode), MRAI buffer, dampening state, session set, counters, recorders —
     /// in a fixed deterministic order. Static configuration (policy,
     /// keys, neighbors, schedule) is *not* written: restore rebuilds it
     /// from the topology and overlays this dynamic state on top. The RIB
@@ -1295,7 +1296,7 @@ impl BgpRouter {
         }
         let chains_in = by_prefix(r)?;
         let salts = match self.security {
-            SecurityMode::Signed { .. } => Some(HmacDrbg::decode(r)?),
+            SecurityMode::Signed { .. } => Some(CounterStream::decode(r)?),
             SecurityMode::Plain => None,
         };
         let mrai_buffer = BTreeMap::<NodeId, BgpUpdate>::decode(r)?;
@@ -2095,6 +2096,37 @@ mod tests {
             let mut after = Vec::new();
             router.save_dynamic(&mut after);
             assert_eq!(after, good, "{why}: a refused blob must leave the router as it was");
+        }
+    }
+
+    /// A signed router's salt stream survives a checkpoint at the block
+    /// it had reached — a fresh instantiation's stream is another — and
+    /// the restored stream continues it.
+    #[test]
+    fn a_checkpoint_round_trip_continues_the_salt_stream() {
+        use crate::topology::{figure1, BgpNetwork, InstantiateOptions};
+        let (topology, cast) = figure1(&[0, 1, 2]);
+        let options =
+            InstantiateOptions { seed: 9, signed: true, key_bits: 512, ..Default::default() };
+        let mut net = topology.instantiate(options);
+        net.converge(RunLimits::none());
+        let path = std::env::temp_dir().join(format!("pvr-salts-{}.ckpt", std::process::id()));
+        net.checkpoint(&path).expect("checkpoint");
+        let restored = BgpNetwork::restore(&path).expect("restore");
+        std::fs::remove_file(&path).expect("remove the checkpoint");
+        let stream = |net: &BgpNetwork, asn: Asn| match &net.router(asn).security {
+            SecurityMode::Signed { salts, .. } => salts.clone(),
+            SecurityMode::Plain => unreachable!("a signed network"),
+        };
+        assert!(stream(&net, cast.a).counter() > 0, "A drew salts before the checkpoint");
+        assert_ne!(stream(&topology.instantiate(options), cast.a), stream(&net, cast.a));
+        for asn in topology.ases() {
+            let (mut saved, mut resumed) = (stream(&net, asn), stream(&restored, asn));
+            assert_eq!(resumed, saved, "{asn:?}");
+            let (mut next, mut next_resumed) = ([0; 48], [0; 48]);
+            saved.fill(&mut next);
+            resumed.fill(&mut next_resumed);
+            assert_eq!(next_resumed, next, "{asn:?}");
         }
     }
 }

@@ -46,9 +46,10 @@ use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_crypto::rsa::RsaSignature;
 use pvr_crypto::sha256::{sha256_concat, Digest, Sha256};
-use pvr_mht::seqtree::{self, SeqTree, Siblings};
-use std::collections::hash_map::HashMap;
+use pvr_mht::seqtree::{self, LeafPrefix, SeqTree, Siblings};
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
@@ -65,9 +66,9 @@ pub type Salt = [u8; SALT_LEN];
 const LONE_SALT: Salt = [0; SALT_LEN];
 
 /// Domain tags: what a leaf commits to, what the signature covers, an
-/// attestation's digest, and a root signature's memo key. Short, so a
-/// leaf of a path up to six ASes long, and a memo key, hash in two
-/// SHA-256 blocks.
+/// attestation's digest, and a root signature's memo key. Short, so the
+/// shared part of a leaf of a path up to fifteen ASes long, and a memo
+/// key, hash in two SHA-256 blocks.
 const LEAF_TAG: &[u8] = b"sbgp.leaf";
 const ROOT_TAG: &[u8] = b"sbgp.root";
 const NODE_TAG: &[u8] = b"sbgp.node";
@@ -129,18 +130,41 @@ impl Attestation {
     }
 }
 
-/// Writes what a leaf commits to into `buf` (cleared first): the
-/// attestation's fields, its salt and the digest of the attestation it
-/// extends.
-fn leaf_item(buf: &mut Vec<u8>, fields: &Fields<'_>, parent: &Digest) {
+/// The part of a leaf every leaf of one export shares, absorbed: the
+/// tag, the prefix, the path, the signer and the digest of the
+/// attestation the export extends, written into `buf` (cleared first).
+/// The path is length-prefixed, so these bytes delimit themselves, as a
+/// [`LeafPrefix`] needs.
+fn leaf_prefix(
+    buf: &mut Vec<u8>,
+    prefix: Prefix,
+    path: &AsPath,
+    signer: Asn,
+    parent: &Digest,
+) -> LeafPrefix {
     buf.clear();
     buf.extend_from_slice(LEAF_TAG);
-    fields.prefix.encode(buf);
-    fields.path.encode(buf);
-    fields.target.encode(buf);
-    fields.signer.encode(buf);
-    buf.extend_from_slice(fields.salt);
+    prefix.encode(buf);
+    path.encode(buf);
+    signer.encode(buf);
     buf.extend_from_slice(parent.as_bytes());
+    LeafPrefix::new(buf)
+}
+
+/// The leaf at `index` of an export whose shared part `prefix` absorbed:
+/// `index ‖ target ‖ salt` finish it, 28 bytes, one compression.
+fn leaf_hash(prefix: &LeafPrefix, index: u32, fields: &Fields<'_>) -> Digest {
+    let mut tail = [0; 4 + SALT_LEN];
+    tail[..4].copy_from_slice(&fields.target.0.to_be_bytes());
+    tail[4..].copy_from_slice(fields.salt);
+    prefix.leaf(u64::from(index), &tail)
+}
+
+/// A leaf rebuilt alone, shared part included, from its fields and the
+/// digest of the attestation it extends.
+fn lone_leaf(buf: &mut Vec<u8>, index: u32, fields: &Fields<'_>, parent: &Digest) -> Digest {
+    let prefix = leaf_prefix(buf, fields.prefix, fields.path, fields.signer, parent);
+    leaf_hash(&prefix, index, fields)
 }
 
 /// What a batch's signature covers: its size and its root, so a proof
@@ -184,9 +208,7 @@ fn digest_leaf(mut shared: Sha256, leaf: &Digest) -> Digest {
 /// Its proof is folded here; one of the wrong shape folds to no root,
 /// and a hash of its siblings stands in for one.
 fn attestation_digest(parent: &Digest, att: &Attestation) -> Digest {
-    let mut buf = Vec::with_capacity(128);
-    leaf_item(&mut buf, &Fields::of(att), parent);
-    let leaf = seqtree::leaf_hash(u64::from(att.index), &buf);
+    let leaf = lone_leaf(&mut Vec::with_capacity(128), att.index, &Fields::of(att), parent);
     let siblings = att.siblings.iter().copied();
     let root = seqtree::fold(u64::from(att.index), u64::from(att.size), leaf, siblings)
         .unwrap_or_else(|| sha256_concat(&[NODE_TAG, &att.siblings.to_wire()]));
@@ -370,16 +392,21 @@ impl Batch {
         self.signed.get().is_some()
     }
 
-    /// Hashes the leaves, builds the tree, signs its size and root once,
-    /// and digests every leaf's attestation.
+    /// The leaves' shared part, absorbed ([`leaf_prefix`]).
+    fn leaf_prefix(&self, buf: &mut Vec<u8>) -> LeafPrefix {
+        let parent = parent_digest(self.parent.as_ref());
+        leaf_prefix(buf, self.prefix, &self.path, self.signer(), &parent)
+    }
+
+    /// Hashes the leaves — their shared part once — builds the tree,
+    /// signs its size and root once, and digests every leaf's
+    /// attestation.
     fn sign(&self, identity: &Identity) -> Signed {
         debug_assert_eq!(Asn(identity.id() as u32), self.signer(), "signer must head the path");
-        let parent = parent_digest(self.parent.as_ref());
-        let mut buf = Vec::with_capacity(128);
-        let tree = SeqTree::from_leaf_hashes((0..self.leaves.len()).map(|i| {
-            leaf_item(&mut buf, &self.fields(i), &parent);
-            seqtree::leaf_hash(i as u64, &buf)
-        }));
+        let prefix = self.leaf_prefix(&mut Vec::with_capacity(128));
+        let tree = SeqTree::from_leaf_hashes(
+            (0..self.leaves.len()).map(|i| leaf_hash(&prefix, i as u32, &self.fields(i))),
+        );
         let root = tree.root();
         let message = root_message(self.size(), &root);
         let signature = identity.sign(&message);
@@ -390,9 +417,11 @@ impl Batch {
     }
 
     /// [`ChainNode::signature_holds`] for leaf `index`, walking only as
-    /// far up the tree as `known` needs. The fold goes through the
-    /// batch's own tree and stops at a node `known` holds for this
-    /// tree's root and signature: a stored node that an earlier fold,
+    /// far up the tree as `known` needs. The leaf is rebuilt from its own
+    /// target and salt on top of the leaves' shared part, which `known`
+    /// absorbs once for this tree's root and signature. The fold goes
+    /// through the batch's own tree and stops at a node `known` holds
+    /// for that root and signature: a stored node that an earlier fold,
     /// through the same stored siblings, computed or hashed in as a
     /// sibling on its way to a root whose signature `root_verdict`
     /// accepted. Otherwise the root reached goes to `root_verdict` as in
@@ -407,11 +436,10 @@ impl Batch {
         root_verdict: impl FnOnce(Asn, &[u8], &RsaSignature) -> bool,
     ) -> bool {
         let Signed { tree, signature, root_key, .. } = self.signed();
-        leaf_item(buf, &self.fields(index), &parent_digest(self.parent.as_ref()));
-        let leaf = seqtree::leaf_hash(index as u64, buf);
         let (signer, root) = (self.signer(), tree.root());
-        let key = (signer, *root_key);
-        let (holds, mark) = match tree.fold_known(index, leaf, known.bits(&key, tree)) {
+        let (prefix, bits) = known.tree((signer, *root_key), tree, || self.leaf_prefix(buf));
+        let leaf = leaf_hash(prefix, index as u32, &self.fields(index));
+        let (holds, mark) = match tree.fold_known(index, leaf, bits) {
             None => (true, true),
             Some(reached) => {
                 let holds = root_verdict(signer, &root_message(self.size(), &reached), signature);
@@ -419,7 +447,7 @@ impl Batch {
             }
         };
         if mark {
-            tree.mark_path(index, known.bits_mut(key, tree));
+            tree.mark_path(index, bits);
         }
         holds
     }
@@ -555,9 +583,8 @@ impl ChainNode {
         root_verdict: impl FnOnce(Asn, &[u8], &RsaSignature) -> bool,
     ) -> bool {
         let fields = self.fields();
-        leaf_item(buf, &fields, &parent_digest(self.parent()));
         let Proof { index, size, siblings, signature } = self.proof();
-        let leaf = seqtree::leaf_hash(u64::from(index), buf);
+        let leaf = lone_leaf(buf, index, &fields, &parent_digest(self.parent()));
         match seqtree::fold(u64::from(index), u64::from(size), leaf, siblings) {
             Some(root) => root_verdict(fields.signer, &root_message(size, &root), signature),
             None => false,
@@ -855,37 +882,109 @@ pub struct VerifyCache {
 #[derive(Debug, Default)]
 struct Memo {
     /// Attestation and root-signature verdicts.
-    verdicts: HashMap<(Asn, [u8; 32]), bool>,
+    verdicts: HashMap<DigestKey, bool, DigestKeys>,
     known: KnownNodes,
+}
+
+/// A memo key: a signer and a SHA-256 digest (an attestation's, or a
+/// root signature's [`root_key`]).
+type DigestKey = (Asn, [u8; 32]);
+
+/// The memo maps' hashing: a [`DigestKey`] hashes as its digest's first
+/// eight bytes with the signer folded in, times an odd number drawn per
+/// map, where SipHash would hash all 36 bytes on every lookup. A SHA-256
+/// output is uniform already; the secret multiplier keeps a sender that
+/// grinds its attestations from aiming their digests at one bucket
+/// (colliding without knowing it takes digests that agree in their low
+/// 32 + log2(buckets) bits). Equality still compares all 36 bytes.
+#[derive(Clone)]
+struct DigestKeys(u64);
+
+impl Default for DigestKeys {
+    fn default() -> DigestKeys {
+        DigestKeys(RandomState::new().hash_one(0u64) | 1)
+    }
+}
+
+impl BuildHasher for DigestKeys {
+    type Hasher = DigestKeyHasher;
+
+    fn build_hasher(&self) -> DigestKeyHasher {
+        DigestKeyHasher { multiplier: self.0, word: 0 }
+    }
+}
+
+struct DigestKeyHasher {
+    multiplier: u64,
+    word: u64,
+}
+
+impl Hasher for DigestKeyHasher {
+    /// The digest's bytes.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut word = [0; 8];
+        let take = bytes.len().min(8);
+        word[..take].copy_from_slice(&bytes[..take]);
+        self.word ^= u64::from_le_bytes(word);
+    }
+
+    /// The signer.
+    fn write_u32(&mut self, asn: u32) {
+        self.word ^= u64::from(asn);
+    }
+
+    /// The digest's length, which every key shares.
+    fn write_usize(&mut self, _: usize) {}
+
+    /// The product's middle bits, which every bit of the word below
+    /// them moves.
+    fn finish(&self) -> u64 {
+        self.word.wrapping_mul(self.multiplier).rotate_left(32)
+    }
 }
 
 /// Per export tree, by its root signature's key: the nodes whose fold
 /// to that root this cache has checked, as [`SeqTree::fold_known`]'s
-/// bits. The key binds the root, the tree's size and the signature, so
-/// the bits of one tree never stand for another's nodes, nor for the
-/// same tree under another signature.
+/// bits, and the part every leaf of the tree shares, absorbed. The key
+/// binds the root, the tree's size and the signature, so the bits of
+/// one tree never stand for another's nodes, nor for the same tree
+/// under another signature, and the shared part is the one the tree's
+/// leaves were hashed with.
 #[derive(Debug, Default)]
 struct KnownNodes {
-    /// Where each tree's bits start in `bits`.
-    at: HashMap<(Asn, [u8; 32]), usize>,
+    /// Per tree, where its bits start and its shared leaf part.
+    at: HashMap<DigestKey, KnownTree, DigestKeys>,
     /// Every tree's bits, one after another: no allocation per tree.
     bits: Vec<u64>,
 }
 
-impl KnownNodes {
-    /// `tree`'s bits under `key`; none while nothing is known.
-    fn bits(&self, key: &(Asn, [u8; 32]), tree: &SeqTree) -> &[u64] {
-        self.at.get(key).map_or(&[], |&at| &self.bits[at..at + tree.known_words()])
-    }
+#[derive(Debug)]
+struct KnownTree {
+    /// Where the tree's bits start in [`KnownNodes::bits`].
+    at: usize,
+    /// Its leaves' shared part ([`leaf_prefix`]).
+    prefix: LeafPrefix,
+}
 
-    /// `tree`'s bits under `key`, made empty if new.
-    fn bits_mut(&mut self, key: (Asn, [u8; 32]), tree: &SeqTree) -> &mut [u64] {
+impl KnownNodes {
+    /// `tree`'s shared leaf part and bits under `key`. A tree's first
+    /// miss in this cache absorbs the part (`prefix`) and starts its
+    /// bits empty.
+    fn tree(
+        &mut self,
+        key: DigestKey,
+        tree: &SeqTree,
+        prefix: impl FnOnce() -> LeafPrefix,
+    ) -> (&LeafPrefix, &mut [u64]) {
         let (words, end) = (tree.known_words(), self.bits.len());
-        let at = *self.at.entry(key).or_insert(end);
-        if at == end {
-            self.bits.resize(end + words, 0);
-        }
-        &mut self.bits[at..at + words]
+        let known = match self.at.entry(key) {
+            Entry::Occupied(known) => known.into_mut(),
+            Entry::Vacant(vacant) => {
+                self.bits.resize(end + words, 0);
+                vacant.insert(KnownTree { at: end, prefix: prefix() })
+            }
+        };
+        (&known.prefix, &mut self.bits[known.at..known.at + words])
     }
 }
 
@@ -1915,6 +2014,37 @@ mod tests {
         }
     }
 
+    /// Two exports by one signer, to the same targets but of other
+    /// prefixes, verified leaf by leaf through one cache and interleaved:
+    /// each tree's leaves are rebuilt on its own shared part, so every
+    /// leaf verifies, each tree costs one root verify, and the cache ends
+    /// with the verdicts a cache per export would hold.
+    #[test]
+    fn one_signers_exports_keep_their_own_leaf_parts() {
+        let (ids, keys) = shared_setup();
+        let targets: Vec<Asn> = (0..9).map(|i| Asn(5 + 2 * i)).collect();
+        let mut salts = vec![[0; SALT_LEN]; targets.len()];
+        HmacDrbg::new(b"two exports").generate(salts.as_flattened_mut());
+        let export = |prefix: Prefix| {
+            let mut route = Route::originate(prefix);
+            route.path = AsPath::from_slice(&[Asn(3)]);
+            SignedRoute::export(None, &ids[2], &route, &targets, &salts)
+        };
+        let exports = [export(Prefix::new(9 << 8, 24)), export(Prefix::new(10 << 16, 16))];
+        let (shared, alone) = (VerifyCache::new(), [VerifyCache::new(), VerifyCache::new()]);
+        for i in 0..targets.len() {
+            for (routes, own) in exports.iter().zip(&alone) {
+                assert_eq!(routes[i].verify_cached(targets[i], keys, Some(&shared)), Ok(()), "{i}");
+                assert_eq!(routes[i].verify_cached(targets[i], keys, Some(own)), Ok(()), "{i}");
+            }
+        }
+        assert_eq!((shared.calls(), shared.hits(), shared.root_verifies()), (18, 0, 2));
+        assert_eq!(lock(&shared.memo).known.at.len(), 2, "one entry per tree");
+        let mut each: Vec<_> = alone.iter().flat_map(|cache| cache.export_state().2).collect();
+        each.sort_unstable_by_key(|&(signer, digest, _)| (signer, digest));
+        assert_eq!(shared.export_state().2, each);
+    }
+
     /// One-leaf exports are the eager constructors: `originate` and
     /// `extend` make a batch of one, byte for byte. An export to nobody
     /// is no route, and a recipient's attestation grows by one sibling
@@ -1991,8 +2121,7 @@ mod tests {
                 signer: Asn(1),
                 salt: &LONE_SALT,
             };
-            leaf_item(&mut buf, &fields, &Digest::ZERO);
-            seqtree::leaf_hash(index, &buf)
+            lone_leaf(&mut buf, index as u32, &fields, &Digest::ZERO)
         };
         let guesses: Vec<Digest> =
             (0..3).flat_map(|i| (1..=100).map(move |t| unsalted(i, t))).collect();

@@ -15,11 +15,12 @@ use crate::route::Community;
 use crate::router::{BgpRouter, LocalEvent, RouterStats, SecurityMode};
 use crate::sbgp::{SignQueue, VerifyCache};
 use crate::types::{Asn, Prefix};
-use pvr_crypto::drbg::HmacDrbg;
+use pvr_crypto::drbg::{CounterStream, HmacDrbg};
+use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_netsim::{FaultPlan, NodeId, RunLimits, SimDuration, SimTime, Simulator, StopReason};
 use pvr_store::PMap;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Key material generated for signed mode: the shared verifying store
@@ -178,7 +179,7 @@ impl Topology {
                 entries.push((p, asn));
             }
         }
-        OriginTable { entries }
+        OriginTable::new(entries)
     }
 
     /// Customer-cone sizes: for each AS, the number of ASes (itself
@@ -285,8 +286,12 @@ impl Topology {
             Some((ks, ids)) => SecurityMode::Signed {
                 identity: Arc::clone(&ids[&asn]),
                 keys: Arc::clone(ks),
-                // Router-owned, seeded per AS like the MRAI jitter.
-                salts: HmacDrbg::from_u64_labeled(options.seed, &format!("bgp-salt-{}", asn.0)),
+                // Router-owned, keyed per AS from a DRBG seeded like the
+                // MRAI jitter's.
+                salts: CounterStream::from_drbg(&mut HmacDrbg::from_u64_labeled(
+                    options.seed,
+                    &format!("bgp-salt-{}", asn.0),
+                )),
             },
             None => SecurityMode::Plain,
         };
@@ -524,24 +529,41 @@ pvr_crypto::wire_struct!(InstantiateOptions {
 /// prefix but no covering entry matches its origin AS; announcements
 /// of prefixes no entry covers are *unknown* and accepted, mirroring
 /// route-origin validation deployment reality.
+///
+/// Every announcement a router accepts is checked, so the entries are
+/// indexed by prefix: a covering entry's prefix is the announced one cut
+/// to the entry's length, and [`permits`](Self::permits) probes one cut
+/// per distinct entry length instead of scanning every entry.
 #[derive(Clone, Debug, Default)]
 pub struct OriginTable {
-    /// (authorized prefix, authorized origin) pairs.
+    /// (authorized prefix, authorized origin) pairs, as given: the wire
+    /// form.
     entries: Vec<(Prefix, Asn)>,
+    /// The origins each listed prefix authorizes.
+    origins: HashMap<Prefix, Vec<Asn>>,
+    /// The distinct lengths of the listed prefixes, ascending.
+    lengths: Vec<u8>,
 }
 
 impl OriginTable {
     /// Builds a table from explicit (prefix, origin) authorizations.
     pub fn new(entries: Vec<(Prefix, Asn)>) -> OriginTable {
-        OriginTable { entries }
+        let mut origins: HashMap<Prefix, Vec<Asn>> = HashMap::new();
+        for &(prefix, asn) in &entries {
+            origins.entry(prefix).or_default().push(asn);
+        }
+        let mut lengths: Vec<u8> = origins.keys().map(Prefix::len).collect();
+        lengths.sort_unstable();
+        lengths.dedup();
+        OriginTable { entries, origins, lengths }
     }
 
     /// May `origin` announce `announced`?
     pub fn permits(&self, announced: Prefix, origin: Asn) -> bool {
         let mut covered = false;
-        for &(p, asn) in &self.entries {
-            if p.covers(&announced) {
-                if asn == origin {
+        for &len in self.lengths.iter().take_while(|&&len| len <= announced.len()) {
+            if let Some(origins) = self.origins.get(&Prefix::new(announced.addr(), len)) {
+                if origins.contains(&origin) {
                     return true;
                 }
                 covered = true;
@@ -563,8 +585,19 @@ impl OriginTable {
 
 // Origin tables are installed imperatively (not part of the topology
 // declaration), so checkpoints embed them in the META section to keep
-// restored networks rejecting unauthorized origins.
-pvr_crypto::wire_struct!(OriginTable { entries });
+// restored networks rejecting unauthorized origins. Only the entries
+// travel; the index is rebuilt on decode.
+impl Wire for OriginTable {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.entries.encode(buf);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(OriginTable::new(Wire::decode(r)?))
+    }
+    fn encoded_len(&self) -> usize {
+        self.entries.encoded_len()
+    }
+}
 
 /// Label set shared by every network-level metric series.
 fn metric_labels(security_mode: &str) -> pvr_obs::LabelSet {
@@ -970,6 +1003,58 @@ pub fn internet_like(params: InternetParams, seed: u64) -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `OriginTable::permits` as a scan over every entry: the definition
+    /// the indexed table must keep.
+    fn permits_by_scan(entries: &[(Prefix, Asn)], announced: Prefix, origin: Asn) -> bool {
+        let mut covered = false;
+        for &(p, asn) in entries {
+            if p.covers(&announced) {
+                if asn == origin {
+                    return true;
+                }
+                covered = true;
+            }
+        }
+        !covered
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The indexed table answers as the scan does, and so does its
+        /// decoded copy. Entries cut up to three base addresses at every
+        /// length 0–32, so they nest and overlap, and a prefix is often
+        /// listed for several of four origins (and sometimes twice for
+        /// one); announcements sit on a base, one bit away from it, or
+        /// anywhere, at any length, from one of six origins.
+        #[test]
+        fn prop_indexed_origin_table_is_the_scan(
+            bases in proptest::collection::vec(any::<u32>(), 1..4),
+            listed in proptest::collection::vec((0usize..3, 0u8..=32, 1u32..5), 0..40),
+            asked in proptest::collection::vec((0usize..3, 0u8..=32, any::<u32>(), 0u32..6), 1..60),
+        ) {
+            let base = |b: usize| bases[b % bases.len()];
+            let entries: Vec<(Prefix, Asn)> =
+                listed.iter().map(|&(b, len, asn)| (Prefix::new(base(b), len), Asn(asn))).collect();
+            let table = OriginTable::new(entries.clone());
+            let decoded: OriginTable = pvr_crypto::decode_exact(&table.to_wire()).expect("decodes");
+            prop_assert_eq!(decoded.to_wire(), table.to_wire());
+            prop_assert_eq!(table.len(), entries.len());
+            for &(b, len, noise, origin) in &asked {
+                let addr = match noise % 3 {
+                    0 => base(b),
+                    1 => base(b) ^ (1 << (noise >> 27)),
+                    _ => noise,
+                };
+                let (announced, origin) = (Prefix::new(addr, len), Asn(origin));
+                let expected = permits_by_scan(&entries, announced, origin);
+                prop_assert_eq!(table.permits(announced, origin), expected, "{:?} from {:?}", announced, origin);
+                prop_assert_eq!(decoded.permits(announced, origin), expected);
+            }
+        }
+    }
 
     #[test]
     fn builder_accumulates() {

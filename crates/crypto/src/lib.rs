@@ -41,7 +41,7 @@ pub mod sha256;
 
 pub use bignum::Ubig;
 pub use commit::{commit, commit_with, verify as verify_commitment, Blinding, Commitment, Opening};
-pub use drbg::HmacDrbg;
+pub use drbg::{CounterStream, HmacDrbg};
 pub use encoding::{decode_exact, Reader, Wire, WireError};
 pub use error::CryptoError;
 pub use hmac::{hmac_sha256, HmacKey};

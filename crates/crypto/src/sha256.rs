@@ -291,7 +291,7 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 /// each time: dropping it leaves the hash collision resistant over
 /// these inputs, assuming the compression function is. Only hash
 /// fixed-length inputs with it.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Midstate([u32; 8]);
 
 impl Midstate {
@@ -306,14 +306,33 @@ impl Midstate {
         Midstate(Sha256::after_block(&block))
     }
 
+    /// The chaining value whose words are `bytes`, big-endian: a secret
+    /// key for [`compress`](Self::compress) (`drbg::CounterStream`).
+    pub fn from_bytes(bytes: &[u8; DIGEST_LEN]) -> Midstate {
+        let word =
+            |i: usize| u32::from_be_bytes(bytes[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        Midstate(std::array::from_fn(word))
+    }
+
+    /// The chaining value's words, big-endian ([`from_bytes`](Self::from_bytes)'s
+    /// inverse).
+    pub fn to_bytes(&self) -> [u8; DIGEST_LEN] {
+        digest_of(&self.0).0
+    }
+
+    /// One compression of `block` from this chaining value.
+    pub fn compress(&self, block: &[u8; BLOCK_LEN]) -> Digest {
+        let mut h = Sha256::resume(self.0);
+        h.compress(block);
+        digest_of(&h.state)
+    }
+
     /// One compression of `left ‖ right` from this chaining value.
     pub fn compress_pair(&self, left: &Digest, right: &Digest) -> Digest {
         let mut block = [0u8; BLOCK_LEN];
         block[..DIGEST_LEN].copy_from_slice(&left.0);
         block[DIGEST_LEN..].copy_from_slice(&right.0);
-        let mut h = Sha256::resume(self.0);
-        h.compress(&block);
-        digest_of(&h.state)
+        self.compress(&block)
     }
 }
 

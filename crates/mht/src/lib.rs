@@ -21,6 +21,6 @@ pub mod signed_root;
 pub mod trie;
 
 pub use label::{BitString, Label};
-pub use seqtree::{SeqProof, SeqTree};
+pub use seqtree::SeqTree;
 pub use signed_root::{CommitContext, EquivocationEvidence, SignedRoot};
 pub use trie::{unblinded_phantom, InclusionProof, ProofBatch, SiblingBlinding, SparseMht};

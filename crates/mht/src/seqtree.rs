@@ -5,25 +5,70 @@
 //! MHT to reveal batched routes individually." This module is that small
 //! MHT: a complete binary tree over an ordered list of items. The sender
 //! signs the root once per burst; each receiver gets its item plus a
-//! log-size path. Experiment E5 measures the amortization, and signed
-//! BGP convergence signs every export this way (`pvr_bgp::sbgp`): there
-//! the leaves are hashed by the caller ([`leaf_hash`],
-//! [`SeqTree::from_leaf_hashes`]) and a proof is its present siblings
-//! alone ([`SeqTree::siblings`], [`fold`]), the tree's shape being
-//! signed beside its root. A verifier holding the tree itself folds a
-//! leaf only up to the first node it has already seen reach the root
-//! ([`SeqTree::fold_known`]).
+//! log-size path. Signed BGP convergence signs every export this way
+//! (`pvr_bgp::sbgp`, which experiment E5 times): there the leaves are
+//! hashed by the caller ([`LeafPrefix`], [`SeqTree::from_leaf_hashes`])
+//! and a proof is its present siblings alone ([`SeqTree::siblings`],
+//! [`fold`]), the tree's shape being signed beside its root. A verifier
+//! holding the tree itself folds a leaf only up to the first node it has
+//! already seen reach the root ([`SeqTree::fold_known`]).
 
 use std::sync::LazyLock;
 
-use pvr_crypto::encoding::Wire;
-use pvr_crypto::sha256::{sha256_concat, Digest, Midstate};
+use pvr_crypto::sha256::{sha256_concat, Digest, Midstate, Sha256, BLOCK_LEN};
+
+/// What every leaf hash starts with, setting leaves apart from interior
+/// nodes.
+const LEAF_TAG: &[u8] = b"pvr.seq.leaf";
 
 /// Leaf hash of `item` at position `index`, domain-separated from inner
 /// nodes to preclude second-preimage splicing attacks: SHA-256, padded
 /// as usual, of `"pvr.seq.leaf" ‖ index ‖ item`.
 pub fn leaf_hash(index: u64, item: &[u8]) -> Digest {
-    sha256_concat(&[b"pvr.seq.leaf", &index.to_be_bytes(), item])
+    sha256_concat(&[LEAF_TAG, &index.to_be_bytes(), item])
+}
+
+/// The leaves of a batch whose items all start with the same bytes:
+/// leaf `index` with tail `tail` is SHA-256, padded as usual, of
+/// `"pvr.seq.leaf" ‖ shared`, zero-padded to a block boundary, then
+/// `index ‖ tail`. The shared part is absorbed once ([`new`](Self::new));
+/// each leaf finishes a copy of that state ([`leaf`](Self::leaf)), one
+/// compression for a tail of at most 47 bytes.
+///
+/// `shared` must be self-delimiting — its length follows from its own
+/// bytes — and the tails of one batch equally long, so the padding
+/// follows too and two leaves of one kind hash the same bytes only if
+/// their shared part, index and tail agree. Like [`leaf_hash`]'s, the
+/// first block starts `"pvr.seq.leaf"`, which sets it apart from an
+/// interior node's.
+#[derive(Clone)]
+pub struct LeafPrefix(Sha256);
+
+impl LeafPrefix {
+    /// Absorbs `"pvr.seq.leaf" ‖ shared` and the zeros up to the next
+    /// block boundary.
+    pub fn new(shared: &[u8]) -> LeafPrefix {
+        let mut state = Sha256::new();
+        state.update(LEAF_TAG).update(shared);
+        let over = (LEAF_TAG.len() + shared.len()) % BLOCK_LEN;
+        if over > 0 {
+            state.update(&[0; BLOCK_LEN][over..]);
+        }
+        LeafPrefix(state)
+    }
+
+    /// The leaf at `index` whose own bytes are `tail`.
+    pub fn leaf(&self, index: u64, tail: &[u8]) -> Digest {
+        let mut state = self.0.clone();
+        state.update(&index.to_be_bytes()).update(tail);
+        state.finalize()
+    }
+}
+
+impl std::fmt::Debug for LeafPrefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LeafPrefix").finish_non_exhaustive()
+    }
 }
 
 /// The chaining value of the zero-padded block `"pvr.seq.node"`.
@@ -50,9 +95,6 @@ pub struct SeqTree {
     nodes: Vec<Digest>,
     /// Number of leaves.
     leaves: usize,
-    /// The items, for [`prove`](Self::prove); empty for a tree built
-    /// from leaf hashes.
-    items: Vec<Vec<u8>>,
 }
 
 /// The widths of a tree's levels over `leaves` leaves, leaves first
@@ -66,13 +108,12 @@ impl SeqTree {
     /// Builds a tree over `items`. Empty batches are allowed (root is a
     /// fixed domain-separated constant).
     pub fn build(items: &[Vec<u8>]) -> SeqTree {
-        let leaves = items.iter().enumerate().map(|(i, it)| leaf_hash(i as u64, it));
-        SeqTree { items: items.to_vec(), ..SeqTree::from_leaf_hashes(leaves) }
+        SeqTree::from_leaf_hashes(items.iter().enumerate().map(|(i, it)| leaf_hash(i as u64, it)))
     }
 
-    /// Builds a tree over leaves already hashed with [`leaf_hash`] at
-    /// their positions. It holds no items, so it proves nothing through
-    /// [`prove`](Self::prove); [`siblings`](Self::siblings) is its proof.
+    /// Builds a tree over leaves already hashed at their positions, with
+    /// [`leaf_hash`] or a [`LeafPrefix`]. A leaf's proof is
+    /// [`siblings`](Self::siblings).
     pub fn from_leaf_hashes(leaves: impl ExactSizeIterator<Item = Digest>) -> SeqTree {
         let count = leaves.len();
         let mut nodes = Vec::with_capacity(widths(count).sum());
@@ -90,17 +131,7 @@ impl SeqTree {
             }
             start += width;
         }
-        SeqTree { nodes, leaves: count, items: Vec::new() }
-    }
-
-    /// The levels, leaves first, root last.
-    fn levels(&self) -> impl Iterator<Item = &[Digest]> {
-        let mut rest = self.nodes.as_slice();
-        widths(self.leaves).map(move |width| {
-            let (level, above) = rest.split_at(width);
-            rest = above;
-            level
-        })
+        SeqTree { nodes, leaves: count }
     }
 
     /// The leaf hashes, in order.
@@ -202,25 +233,6 @@ impl SeqTree {
             pos /= 2;
         }
     }
-
-    /// Builds the proof that item `index` is in the batch (`None` past
-    /// the end, and for a tree built from leaf hashes).
-    pub fn prove(&self, index: usize) -> Option<SeqProof> {
-        let item = self.items.get(index)?.clone();
-        let mut pos = index;
-        // All levels except the root level contribute a sibling when one
-        // exists (odd promoted nodes have none at that level).
-        let siblings = self
-            .levels()
-            .filter(|level| level.len() > 1)
-            .map(|level| {
-                let sibling = level.get(pos ^ 1).copied();
-                pos /= 2;
-                sibling
-            })
-            .collect();
-        Some(SeqProof { index: index as u64, item, siblings })
-    }
 }
 
 /// The sibling hashes of one leaf, from [`SeqTree::siblings`].
@@ -300,42 +312,6 @@ pub fn fold(
     siblings.next().is_none().then_some(h)
 }
 
-/// Proof that one item of a signed batch has a given value.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SeqProof {
-    /// Position of the item in the batch.
-    pub index: u64,
-    /// The item itself.
-    pub item: Vec<u8>,
-    /// Sibling hashes from leaf level upward; `None` where the node was
-    /// promoted without a sibling.
-    pub siblings: Vec<Option<Digest>>,
-}
-
-impl SeqProof {
-    /// Verifies against the signed batch root.
-    pub fn verify(&self, root: &Digest) -> bool {
-        let mut h = leaf_hash(self.index, &self.item);
-        let mut pos = self.index as usize;
-        for sib in &self.siblings {
-            h = match sib {
-                Some(s) if pos % 2 == 0 => node_hash(&h, s),
-                Some(s) => node_hash(s, &h),
-                None => h, // promoted odd node
-            };
-            pos /= 2;
-        }
-        h == *root
-    }
-
-    /// Serialized size in bytes (for the E5 overhead accounting).
-    pub fn byte_size(&self) -> usize {
-        self.encoded_len()
-    }
-}
-
-pvr_crypto::wire_struct!(SeqProof { index, item, siblings });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,14 +331,14 @@ mod tests {
     fn path(t: &SeqTree, index: usize, leaf: Digest) -> Vec<(usize, Digest, Option<usize>)> {
         let mut siblings = t.siblings(index);
         let (mut h, mut pos, mut start, mut path) = (leaf, index, 0, Vec::new());
-        for level in t.levels() {
-            let sibling = level.get(pos ^ 1).map(|_| start + (pos ^ 1));
+        for width in widths(t.leaves) {
+            let sibling = (pos ^ 1 < width).then(|| start + (pos ^ 1));
             path.push((start + pos, h, sibling));
             if sibling.is_some() {
                 let s = siblings.next().expect("a sibling per level that has one");
                 h = if pos % 2 == 0 { node_hash(&h, &s) } else { node_hash(&s, &h) };
             }
-            start += level.len();
+            start += width;
             pos /= 2;
         }
         path
@@ -382,24 +358,44 @@ mod tests {
         assert_ne!(node_hash(&left, &right), sha256_concat(&[b"pvr.seq.node", &left.0, &right.0]));
     }
 
+    /// The shared-prefix leaf is a format: pinned to a vector computed
+    /// by Python's `hashlib` over `"pvr.seq.leaf" ‖ shared`, zero-padded
+    /// to a block boundary, then `index ‖ tail`.
     #[test]
-    fn every_item_provable_all_sizes() {
+    fn a_prefixed_leaf_is_sha256_of_the_padded_prefix_and_its_tail() {
+        let (shared, tail) = (b"shared".repeat(11), b"target and its salt!");
+        assert_eq!(
+            LeafPrefix::new(&shared).leaf(5, tail).to_hex(),
+            "b4dc589fdc68868ab07aa4eb1656303466dbc72317eda29460f123e00d54aa8b"
+        );
+    }
+
+    /// Every index of every tree size folds back to the root through
+    /// its siblings.
+    #[test]
+    fn every_leaf_folds_to_the_root_all_sizes() {
         // Cover powers of two, odd sizes, and 1.
         for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33] {
-            let t = SeqTree::build(&batch(n));
-            for i in 0..n {
-                let p = t.prove(i).unwrap();
-                assert!(p.verify(&t.root()), "item {i} of {n}");
-                assert_eq!(p.item, format!("update-{i}").into_bytes());
+            let items = batch(n);
+            let t = SeqTree::build(&items);
+            for (i, item) in items.iter().enumerate() {
+                let leaf = leaf_hash(i as u64, item);
+                assert_eq!(
+                    fold(i as u64, n as u64, leaf, t.siblings(i)),
+                    Some(t.root()),
+                    "{i} of {n}"
+                );
             }
         }
     }
 
     #[test]
-    fn out_of_range_unprovable() {
+    fn out_of_range_folds_to_nothing() {
         let t = SeqTree::build(&batch(4));
-        assert!(t.prove(4).is_none());
-        assert!(t.prove(100).is_none());
+        let leaf = leaf_hash(4, b"update-4");
+        assert_eq!(fold(4, 4, leaf, t.siblings(3)), None);
+        assert_eq!(fold(100, 4, leaf, []), None);
+        assert_eq!(sibling_count(4, 4), 0);
     }
 
     #[test]
@@ -415,16 +411,16 @@ mod tests {
     fn wrong_root_rejected() {
         let t1 = SeqTree::build(&batch(8));
         let t2 = SeqTree::build(&batch(9));
-        let p = t1.prove(0).unwrap();
-        assert!(!p.verify(&t2.root()));
+        let reached = fold(0, 8, leaf_hash(0, b"update-0"), t1.siblings(0));
+        assert_eq!(reached, Some(t1.root()));
+        assert_ne!(reached, Some(t2.root()));
     }
 
     #[test]
     fn tampered_item_rejected() {
         let t = SeqTree::build(&batch(8));
-        let mut p = t.prove(3).unwrap();
-        p.item = b"forged".to_vec();
-        assert!(!p.verify(&t.root()));
+        let reached = fold(3, 8, leaf_hash(3, b"forged"), t.siblings(3));
+        assert!(reached.is_some_and(|root| root != t.root()));
     }
 
     #[test]
@@ -433,40 +429,39 @@ mod tests {
         // hashes bind the position.
         let items = vec![b"same".to_vec(), b"same".to_vec()];
         let t = SeqTree::build(&items);
-        let mut p = t.prove(0).unwrap();
-        p.index = 1;
-        assert!(!p.verify(&t.root()));
+        assert_ne!(leaf_hash(0, b"same"), leaf_hash(1, b"same"));
+        let reached = fold(1, 2, leaf_hash(1, b"same"), t.siblings(0));
+        assert!(reached.is_some_and(|root| root != t.root()));
     }
 
     #[test]
     fn proof_depth_is_logarithmic() {
         let t = SeqTree::build(&batch(1024));
-        let p = t.prove(512).unwrap();
-        assert_eq!(p.siblings.len(), 10);
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let t = SeqTree::build(&batch(5));
-        let p = t.prove(4).unwrap();
-        let back: SeqProof = pvr_crypto::decode_exact(&p.to_wire()).unwrap();
-        assert_eq!(back, p);
-        assert!(back.verify(&t.root()));
+        assert_eq!(t.siblings(512).len(), 10);
     }
 
     proptest! {
+        /// A prefixed leaf is streaming SHA-256 over the same bytes, for
+        /// shared parts on both sides of a block boundary.
         #[test]
-        fn prop_all_verify(n in 1usize..80) {
-            let t = SeqTree::build(&batch(n));
-            for i in 0..n {
-                prop_assert!(t.prove(i).unwrap().verify(&t.root()));
-            }
+        fn prop_a_prefixed_leaf_is_the_streamed_hash(
+            shared in proptest::collection::vec(any::<u8>(), 0..140),
+            index in any::<u64>(),
+            tail in proptest::collection::vec(any::<u8>(), 0..60),
+        ) {
+            let padding = vec![0; (BLOCK_LEN - (LEAF_TAG.len() + shared.len()) % BLOCK_LEN) % BLOCK_LEN];
+            let mut streamed = Sha256::new();
+            streamed.update(LEAF_TAG).update(&shared).update(&padding);
+            streamed.update(&index.to_be_bytes()).update(&tail);
+            let prefix = LeafPrefix::new(&shared);
+            prop_assert_eq!(prefix.leaf(index, &tail), streamed.finalize());
+            prop_assert_eq!(prefix.leaf(index, &tail), prefix.clone().leaf(index, &tail));
         }
 
         /// A tree over hashed leaves has `build`'s root, and its present
-        /// siblings are `prove`'s, folding back to the root with exactly
-        /// that many hashes. (Another size can share the shape a proof
-        /// walks, which is why a batch signs its size beside the root.)
+        /// siblings fold each leaf back to the root with exactly that
+        /// many hashes. (Another size can share the shape a proof walks,
+        /// which is why a batch signs its size beside the root.)
         #[test]
         fn prop_hashed_leaves_fold_to_the_root(n in 1usize..80) {
             let items = batch(n);
@@ -477,11 +472,9 @@ mod tests {
             prop_assert_eq!(t.leaves(), leaves.as_slice());
             prop_assert_eq!(t.root(), built.root());
             prop_assert_eq!(t.len(), n);
-            prop_assert!(t.prove(0).is_none());
             for (i, item) in items.iter().enumerate() {
                 let siblings: Vec<Digest> = t.siblings(i).collect();
-                let proved: Vec<Digest> = built.prove(i).unwrap().siblings.into_iter().flatten().collect();
-                prop_assert_eq!(&siblings, &proved);
+                prop_assert_eq!(&siblings, &built.siblings(i).collect::<Vec<_>>());
                 prop_assert_eq!(siblings.len(), sibling_count(i as u64, n as u64));
                 prop_assert_eq!(t.siblings(i).len(), siblings.len());
                 let leaf = leaf_hash(i as u64, item);

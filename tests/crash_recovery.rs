@@ -274,11 +274,18 @@ fn rib_fingerprint_is_pinned() {
 }
 
 /// The checkpoint file is a format, and this pins it: the SHA-256 of a
-/// whole `PVRCKPT6` file, for a network whose router sections carry
+/// whole `PVRCKPT7` file, for a network whose router sections carry
 /// every kind of dynamic state at once — attestation chains, a filled
 /// Adj-RIB-Out, MRAI buffers and jitter DRBGs, dampening penalties, an
 /// announcement parked behind a suppression, a flapping prefix, and one
-/// session down. Re-pinned for the `PVRCKPT5` → `PVRCKPT6` format bump
+/// session down. Re-pinned for the `PVRCKPT6` → `PVRCKPT7` format bump
+/// (a leaf hashes its export's shared part, then its own 28 bytes, and a
+/// signed router saves a 40-byte salt stream where it saved a 72-byte
+/// DRBG): measured on that commit, META and STORE hash the same as on
+/// its parent, whose whole-file value was `4046ef19…e86d`; ENGINE (the
+/// chains of in-flight UPDATEs) and CACHE (verdict keys) changed bytes
+/// at unchanged lengths, 1 663 and 17 525, and ROUTERS shrank from
+/// 237 312 to 236 672 bytes, 32 per router. Re-pinned for the `PVRCKPT5` → `PVRCKPT6` format bump
 /// (an export tree's interior node is one compression after a tag
 /// block): measured on that commit, META, ENGINE and STORE hash the
 /// same as on its parent, whose whole-file value was `fc3ea925…7530`,
@@ -303,7 +310,7 @@ fn rib_fingerprint_is_pinned() {
 /// lands here.
 #[test]
 fn checkpoint_file_bytes_are_pinned() {
-    const GOLDEN: &str = "4046ef19c071bd94f99f8a55002041d51dad27d53f232007144d989f0018e86d";
+    const GOLDEN: &str = "156348370067bec6e772e983763377be35015252c87b9ba3aa1954653bf4727f";
     let mut topology = small_internet(310);
     // `small_internet` withdraws the flapping prefix at 40 ms and brings
     // it back at 90 ms; three more flaps in between push its provider's
@@ -713,6 +720,15 @@ fn version_5_header_is_a_typed_error() {
     // two compressions, so their chains' siblings and roots and their
     // verify-cache keys are not this version's.
     assert_old_header_refused(b"PVRCKPT5", 5);
+}
+
+#[test]
+fn version_6_header_is_a_typed_error() {
+    // `PVRCKPT6` files hashed each export leaf in one piece and saved a
+    // signed router's salts as an HMAC-DRBG, so their chains, their
+    // verify-cache keys and their routers' salt state are not this
+    // version's.
+    assert_old_header_refused(b"PVRCKPT6", 6);
 }
 
 /// The checkpoint `fixture` with the payload of section `tag` passed

@@ -30,14 +30,12 @@ use pvr::bgp::{
 use pvr::core::record::make_record;
 use pvr::core::simproto::PvrMsg;
 use pvr::core::{BitReveal, Disclosure, Figure1Bed, GraphReveal, VertexContent, VertexRecord};
-use pvr::crypto::drbg::HmacDrbg;
+use pvr::crypto::drbg::{CounterStream, HmacDrbg};
 use pvr::crypto::encoding::{decode_exact, Wire, WireError};
 use pvr::crypto::{
     commit, sha256, Blinding, Commitment, Digest, Identity, Opening, RsaSignature, Sha256,
 };
-use pvr::mht::{
-    EquivocationEvidence, InclusionProof, Label, SeqProof, SeqTree, SignedRoot, SparseMht,
-};
+use pvr::mht::{EquivocationEvidence, InclusionProof, Label, SignedRoot, SparseMht};
 use pvr::netsim::{Fault, LinkConfig, SimDuration, SimTime};
 use pvr::rfg::{AccessPolicy, OperatorKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -164,8 +162,6 @@ fn every_wire_type_holds_the_catalog_contract() {
     };
     let unsigned = SignedRoute::unsigned(Route::originate(prefix("10.0.0.0/8")));
 
-    let batch: Vec<Vec<u8>> = (0..5).map(|i| format!("update-{i}").into_bytes()).collect();
-    let seq_tree = SeqTree::build(&batch);
     let leaves: Vec<(Label, Vec<u8>)> = vec![
         (Label::Var(3), b"payload".to_vec()),
         (Label::Slot(1, 2), b"bit".to_vec()),
@@ -254,14 +250,6 @@ fn every_wire_type_holds_the_catalog_contract() {
     row!(
         Label,
         vec![Label::Var(7), Label::Rule(9), Label::Slot(3, 4), Label::Custom(b"burst".to_vec())]
-    );
-    row!(
-        SeqProof,
-        vec![
-            seq_tree.prove(0).expect("in range"),
-            seq_tree.prove(4).expect("in range"), // a promoted (`None`) sibling
-            SeqProof { index: 0, item: vec![], siblings: vec![] },
-        ]
     );
     row!(
         InclusionProof,
@@ -388,6 +376,10 @@ fn every_wire_type_holds_the_catalog_contract() {
     let _ = (drawn.u64(), drawn.u64());
     row!(HmacDrbg, vec![drbg, drawn]);
     // END rows whose impls are new with the codec rewrite.
+    let fresh = CounterStream::from_drbg(&mut HmacDrbg::new(b"wire catalog salts"));
+    let mut drawn = fresh.clone();
+    drawn.fill(&mut [0; 48]);
+    row!(CounterStream, vec![fresh, drawn]);
 
     let unused: Vec<_> = golden.keys().filter(|name| !seen.contains(*name)).collect();
     assert!(unused.is_empty(), "goldens without a row: {unused:?}");
@@ -434,9 +426,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("Blinding", "5afc674560e258cef3a890970254b740c99ecb6c05ddeaafa70a6cbbb854b902"),
     ("Opening", "5ad7cacbc05ae3a058a551d3b7804712ff1c79125ce32281026fe88f06bb4ecd"),
     ("Label", "c846983b0a4b092f4faf2a2444f82968bbbd178d6f69287f5049b11fa00a0c9c"),
-    // Re-pinned with `PVRCKPT6`: an interior node is one compression
-    // after a tag block, so every sibling above the leaves moved.
-    ("SeqProof", "acd74bdbd36f1ae8ff388f8e8425c2e6e8c05336997c5ff6a8cac214ecda41f6"),
     ("InclusionProof", "add379f5b43c1e329803953dd6e109b3899ed5096a0b4d593443b9c34a876bbe"),
     ("SignedRoot", "0f7d54029ef740a950fd3a17aa8733cb8fed42a87dfeb713f26a5b9a7ed7313b"),
     ("EquivocationEvidence", "c5b763b34d12b53e33f8a6f55e855c8add703a27d105cd0354dd5d28656617e9"),
@@ -456,10 +445,14 @@ const GOLDEN: &[(&str, &str)] = &[
     // signature, which binds the chain below); the samples gained a
     // three-neighbor export. Re-pinned with `PVRCKPT6`: that export's
     // tree hashes its interior nodes in one compression each, which
-    // moves its siblings, its root and so its signature.
-    ("Attestation", "60394cdbcd283dd3102eb113f957e68aec3fc2102b0c6ad62914b6f45d592570"),
-    ("SignedRoute", "1f6db60cddb98465d156de145437cba61dd35da16fa3135a209d0416464edf61"),
-    ("BgpUpdate", "1de69ce9a46ba05673291da4e0a5b30006c46bc1189d87c4a2f8fad26690b555"),
+    // moves its siblings, its root and so its signature. Re-pinned with
+    // `PVRCKPT7`: a leaf hashes its export's shared part, zero-padded to
+    // a block, then its index, target and salt, which moves every leaf,
+    // a batch of one's included, and so every signature; `BgpUpdate`,
+    // `Disclosure` and `PvrMsg` carry such chains and moved with them.
+    ("Attestation", "fa9f5d82ae094097be7ceaae3fac23cbdb2a692f3e0e08e7455ffff0eb2ea938"),
+    ("SignedRoute", "18eb000f7953587f7f1475bb64f3679fa4821cffe2da3d5bcd004e914ef8df2a"),
+    ("BgpUpdate", "bfda41eea975afce0c8f78b526555e46b6de9435494f31ef7bf447f91f6a02ce"),
     ("Edge", "2314b14c5111935a06becb0f06a94eb9b4faa0925b29f3fbead08ff3602beb09"),
     ("LocalEvent", "e4e7d36eec3a2fa33e31f900aad7d818d2f7c3c0ca41f81a1ef06e53387bf8a0"),
     // Re-pinned with `PVRCKPT4`: `link` and the dampening thresholds left.
@@ -471,9 +464,10 @@ const GOLDEN: &[(&str, &str)] = &[
     ("VertexRecord", "3f8af7e9926c4531a95a3a80e5e22716b41dbc7f90d157050a2e36ad0560345b"),
     ("BitReveal", "59e2cabbed576096075f41725b0e2a5da9730f9a781542208b0d6ce6643749dd"),
     ("GraphReveal", "b13753f62f5a549c6f37b7fc8856a5e83fb99b33bafcb54f9b4072dfbec6ce41"),
-    // Re-pinned with `PVRCKPT5`: both carry the export's attestation chain.
-    ("Disclosure", "8cc5db767e14c59d74946c23d3b078b1ae51034726c7547cb30c8de58e0ee5c6"),
-    ("PvrMsg", "7900766dc1408be3d16d75b6701630171779ebd49d366d4f3a3cc4b64d19ca39"),
+    // Re-pinned with `PVRCKPT5`: both carry the export's attestation
+    // chain. Re-pinned with `PVRCKPT7`: that chain's leaves moved.
+    ("Disclosure", "8bc61c82941a2a5ee383bac5c6e27f8aa57aa5fc6a82be5b076cc458823502d1"),
+    ("PvrMsg", "7a7121a42184715f24aabbb2b97d5c2c1bfc7acddb91df54e4e351300003f735"),
     // BEGIN rows whose impls are new with the codec rewrite.
     ("usize", "772d2e7b2e439c66aa2e31629f007221383f76866f62a8bad8c4184d4072a900"),
     ("[u8; 32]", "b328755b68ca4b0aa005906eed6f8dc7fa9817a2edae6666d05b9765fb967f46"),
@@ -493,4 +487,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("DampState", "3a24c3070d03188989902ff8554d1675626fc8eddd3d19df64e255a5e2a7ddd0"),
     ("HmacDrbg", "4136767a743c4d0914c984728175a41c8856b22d6a2c4533f08db5f9f454a1cc"),
     // END rows whose impls are new with the codec rewrite.
+    // New with `PVRCKPT7`: a signed router's salt stream, `key ‖ counter`.
+    ("CounterStream", "8bc44ae4df3ba9884af4be070cd10d2133b50bf5da31e3638039a05221c5b639"),
 ];
